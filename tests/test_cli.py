@@ -154,6 +154,13 @@ class TestExitCodes:
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_boolean_dim_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "booldim.json"
+        path.write_text(json.dumps({"dim": True, "mode": "exact",
+                                    "brackets": [], "metric": [["1/1"]]}))
+        assert main(["analyze", str(path)]) == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_broken_structure_exits_1(self, exported, tmp_path, capsys):
         data = json.loads((exported / "fundamental.json").read_text())
         data["brackets"][0]["coeffs"]["1"] = "1/1"  # u stops being an ideal

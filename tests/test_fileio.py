@@ -147,6 +147,25 @@ class TestParseErrors:
         with pytest.raises(InputError, match="integer rows"):
             dict_to_algebra(d)
 
+    def test_boolean_dim_rejected(self):
+        d = _base_dict()
+        d["dim"] = True
+        with pytest.raises(InputError, match="positive integer"):
+            dict_to_algebra(d)
+
+    def test_boolean_indices_rejected(self):
+        # as numpy indices, False and True would act as a mask, not 0 and 1
+        d = _base_dict()
+        d["brackets"][0]["i"], d["brackets"][0]["j"] = False, True
+        with pytest.raises(InputError, match=r"brackets\[0\].*out of range"):
+            dict_to_algebra(d)
+
+    def test_lattice_rejects_booleans(self):
+        d = _base_dict()
+        d["lattice"]["integer_matrix"] = [[True]]
+        with pytest.raises(InputError, match="integer rows"):
+            dict_to_algebra(d)
+
     def test_lattice_rejects_nonsquare(self):
         d = _base_dict()
         d["lattice"]["integer_matrix"] = [[1, 1, 0], [1, 2, 0]]
