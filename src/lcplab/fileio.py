@@ -72,6 +72,11 @@ def algebra_to_dict(g: MetricLieAlgebra, lcp: Optional[LcpData] = None,
     return out
 
 
+def _is_int(x: Any) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_rows(raw: Any, mode: Mode, what: str) -> list[list]:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise InputError(f"{what} must be a non-empty list of rows")
@@ -93,7 +98,7 @@ def dict_to_algebra(data: dict, tol: TolerancePolicy = DEFAULT_TOL,
             raise InputError(f"missing required key {key!r}")
     mode = check_mode(data["mode"])
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InputError("dim must be a positive integer")
     names = None
     if "basis" in data:
@@ -111,7 +116,7 @@ def dict_to_algebra(data: dict, tol: TolerancePolicy = DEFAULT_TOL,
         if not isinstance(rec, dict) or not {"i", "j", "coeffs"} <= set(rec):
             raise InputError(f"{where}: expected keys i, j, coeffs")
         i, j = rec["i"], rec["j"]
-        if not (isinstance(i, int) and isinstance(j, int)
+        if not (_is_int(i) and _is_int(j)
                 and 0 <= i < dim and 0 <= j < dim and i != j):
             raise InputError(f"{where}: indices ({i}, {j}) out of range for "
                              f"dim {dim} or equal")
@@ -163,7 +168,7 @@ def dict_to_algebra(data: dict, tol: TolerancePolicy = DEFAULT_TOL,
         raw_m = block["integer_matrix"]
         if (not isinstance(raw_m, list)
                 or not all(isinstance(r, list) for r in raw_m)
-                or any(not all(isinstance(x, int) for x in r) for r in raw_m)):
+                or any(not all(_is_int(x) for x in r) for r in raw_m)):
             raise InputError("lattice.integer_matrix must be integer rows")
         mat = np.array(raw_m, dtype=object)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
