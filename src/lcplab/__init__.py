@@ -25,9 +25,8 @@ from .lattice import (ConjugacySolution, LatticeData, ProbeResult,
                       is_unimodular_matrix, solve_conjugacy, unit_root_profile,
                       verify_conjugacy)
 from .lcp import (DecomposabilityReport, LcpData, LcpReport,
-                  classify_structure, lcp_decomposable,
-                  lee_form_from_splitting, lee_sharp, make_lcp_data,
-                  validate_lcp, weyl_connection)
+                  lcp_decomposable, lee_form_from_splitting, lee_sharp,
+                  make_lcp_data, validate_lcp, weyl_connection)
 from .liealg import (InvariantConnection, MetricLieAlgebra, ValidationReport,
                      ad_matrix, bracket_table, curvature_operator,
                      direct_sum_algebra, is_subalgebra, is_unimodular,
@@ -50,7 +49,7 @@ __all__ = [
     "UnitRootProfile", "ValidationReport",
     "ad_matrix", "algebra_to_dict", "all_entries", "bracket_table",
     "canonical_json", "char_poly", "check_reducing_pair",
-    "classify_structure", "common_kernel", "companion", "curvature_operator",
+    "common_kernel", "companion", "curvature_operator",
     "de_rham_splitting", "dict_to_algebra", "direct_sum_algebra",
     "discreteness_probe", "exact_array", "expanding_rate", "float_array",
     "fundamental_example", "holonomy_algebra", "is_irreducible_over_Z",

@@ -132,6 +132,15 @@ def run_analysis(g: MetricLieAlgebra, data: Optional[LcpData] = None,
     return report, code
 
 
+def _print_checks(checks: dict) -> None:
+    """One 'name: ok|FAIL|skipped' line per structure check."""
+    for name, value in checks.items():
+        if name == "overall":
+            continue
+        word = "skipped" if value is None else ("ok" if value else "FAIL")
+        print(f"  {name}: {word}")
+
+
 def _print_report(report: dict) -> None:
     print(f"dim {report['dim']}, mode {report['mode']}")
     val = report["validation"]
@@ -158,11 +167,7 @@ def _print_report(report: dict) -> None:
     if lrep is None:
         return
     print(f"structure checks: {'ok' if lrep['overall'] else 'FAIL'}")
-    for name, value in lrep.items():
-        if name == "overall":
-            continue
-        word = "skipped" if value is None else ("ok" if value else "FAIL")
-        print(f"  {name}: {word}")
+    _print_checks(lrep)
     dec = report["decomposability"]
     if dec is None:
         return
@@ -186,11 +191,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print("structure data: none")
         return EXIT_PASS
     rep = validate_lcp(g, lcp)
-    for name, value in rep.as_dict().items():
-        if name == "overall":
-            continue
-        word = "skipped" if value is None else ("ok" if value else "FAIL")
-        print(f"  {name}: {word}")
+    _print_checks(rep.as_dict())
     print(f"structure data: {'ok' if rep.overall else 'FAIL'}")
     return EXIT_PASS if rep.overall else EXIT_DOMAIN
 

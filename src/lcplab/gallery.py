@@ -21,7 +21,8 @@ from .lattice import LatticeData, companion
 from .lcp import LcpData, make_lcp_data
 from .liealg import (MetricLieAlgebra, bracket_table, direct_sum_algebra,
                      make_algebra)
-from .scalars import EXACT, FLOAT, Mode, as_fraction, zeros_array
+from .scalars import (EXACT, FLOAT, Mode, array_for_mode, as_fraction,
+                      exact_array, eye_array, zeros_array)
 
 __all__ = [
     "ExpectedVerdicts", "GalleryEntry", "semidirect_sum",
@@ -77,16 +78,10 @@ def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
                          f"got {len(rep)}, expected {h.dim}")
     mats = []
     for k, r in enumerate(rep):
-        arr = np.array(r, dtype=object if h.mode is EXACT else np.float64)
+        arr = array_for_mode(r, h.mode)
         if arr.shape != (v_dim, v_dim):
             raise InputError(f"action matrix {k} has shape {arr.shape}, "
                              f"expected {(v_dim, v_dim)}")
-        if h.mode is EXACT:
-            conv = np.empty(arr.shape, dtype=object)
-            for i in range(v_dim):
-                for j in range(v_dim):
-                    conv[i, j] = as_fraction(arr[i, j])
-            arr = conv
         mats.append(arr)
     for i in range(h.dim):
         for j in range(i + 1, h.dim):
@@ -114,18 +109,11 @@ def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
         for j in range(h.dim):
             for k in range(h.dim):
                 c[v_dim + i, v_dim + j, v_dim + k] = h.bracket[i, j, k]
+    vg = eye_array(v_dim, h.mode) if v_gram is None else array_for_mode(v_gram, h.mode)
+    if vg.shape != (v_dim, v_dim):
+        raise InputError("v_gram has the wrong shape")
     gram = zeros_array((n, n), h.mode)
-    if v_gram is None:
-        for i in range(v_dim):
-            gram[i, i] = as_fraction(1) if h.mode is EXACT else 1.0
-    else:
-        vg = np.array(v_gram, dtype=object if h.mode is EXACT else np.float64)
-        if vg.shape != (v_dim, v_dim):
-            raise InputError("v_gram has the wrong shape")
-        for i in range(v_dim):
-            for j in range(v_dim):
-                gram[i, j] = (as_fraction(vg[i, j]) if h.mode is EXACT
-                              else float(vg[i, j]))
+    gram[:v_dim, :v_dim] = vg
     gram[v_dim:, v_dim:] = h.gram
     if v_names is None:
         v_names = tuple(f"v{i}" for i in range(v_dim))
@@ -272,28 +260,6 @@ def strongly_irreducible_example() -> GalleryEntry:
              "only realizes units of degree at most 2")
 
 
-def _fr_eye(n: int) -> np.ndarray:
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = Fraction(1 if i == j else 0)
-    return out
-
-
-def _kron_object(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]),
-                   dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            block = np.empty(b.shape, dtype=object)
-            for k in range(b.shape[0]):
-                for m in range(b.shape[1]):
-                    block[k, m] = as_fraction(a[i, j]) * as_fraction(b[k, m])
-            out[i * b.shape[0]:(i + 1) * b.shape[0],
-                j * b.shape[1]:(j + 1) * b.shape[1]] = block
-    return out
-
-
 def _sl_basis(d: int) -> tuple[list[np.ndarray], tuple[str, ...]]:
     """Traceless d x d matrices: elementary off-diagonal units, then
     consecutive diagonal differences."""
@@ -303,14 +269,12 @@ def _sl_basis(d: int) -> tuple[list[np.ndarray], tuple[str, ...]]:
         for j in range(d):
             if i == j:
                 continue
-            m = np.zeros((d, d), dtype=object)
-            m[:] = Fraction(0)
+            m = zeros_array((d, d), EXACT)
             m[i, j] = Fraction(1)
             mats.append(m)
             names.append(f"E{i + 1}{j + 1}")
     for k in range(d - 1):
-        m = np.zeros((d, d), dtype=object)
-        m[:] = Fraction(0)
+        m = zeros_array((d, d), EXACT)
         m[k, k] = Fraction(1)
         m[k + 1, k + 1] = Fraction(-1)
         mats.append(m)
@@ -377,23 +341,18 @@ def sl_example(d: int = 2, check: bool = True) -> GalleryEntry:
     n = d * d
     h = _sl_with_line(d)
     mats, _ = _sl_basis(d)
-    i_d = _fr_eye(d)
-    i_np1 = _fr_eye(n + 1)
-    i2 = _fr_eye(2)
-    pm = np.array([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]],
-                  dtype=object)
+    i_d = eye_array(d, EXACT)
+    i2 = eye_array(2, EXACT)
+    pm = exact_array([[1, 0], [0, -1]])
 
     def act_on_block(m: np.ndarray) -> np.ndarray:
         # d x d matrices sit in the first n coordinates, the last is fixed
-        out = np.empty((n + 1, n + 1), dtype=object)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                out[i, j] = Fraction(0)
-        out[:n, :n] = _kron_object(i_d, m)
+        out = zeros_array((n + 1, n + 1), EXACT)
+        out[:n, :n] = np.kron(i_d, m)
         return out
 
-    rep = [_kron_object(act_on_block(m), i2) for m in mats]
-    rep.append(_kron_object(i_np1, pm))
+    rep = [np.kron(act_on_block(m), i2) for m in mats]
+    rep.append(np.kron(eye_array(n + 1, EXACT), pm))
     v_names = tuple(f"w{i}{j}" for i in range(n + 1) for j in range(2))
     g = semidirect_sum(h, rep, v_dim=2 * (n + 1), v_names=v_names, check=check)
     dim = g.dim

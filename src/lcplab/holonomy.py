@@ -27,15 +27,16 @@ from .liealg import (
     to_float_algebra,
 )
 from .linalg import (
+    EigenSplit,
     Subspace,
     canonical_rows,
     full_subspace,
-    in_rowspan,
     integer_scaled,
     invert,
     is_zero_matrix,
     is_zero_scalar,
     matrix_rank,
+    orthocomplement,
     rank_and_nullspace,
     restrict_operator,
     restricted_gram,
@@ -44,7 +45,6 @@ from .linalg import (
     span_closure,
     subspace_sum,
     support_indices,
-    zero_subspace,
 )
 from .scalars import (
     EXACT,
@@ -52,8 +52,6 @@ from .scalars import (
     Mode,
     TolerancePolicy,
     exact_array,
-    eye_array,
-    to_float_array,
     zeros_array,
 )
 
@@ -222,6 +220,30 @@ def _candidates(comm: list[np.ndarray], mode: Mode, tol: TolerancePolicy,
             yield combo
 
 
+def _first_eigensplit(comm: list[np.ndarray], gram: np.ndarray, mode: Mode,
+                      tol: TolerancePolicy, rng: random.Random) -> EigenSplit:
+    """Eigensplit of the first candidate that has two or more eigenspaces.
+
+    When no candidate splits, raises the last ambiguity met on the way, or
+    a fresh one if there was none.
+    """
+    ambiguity: Optional[NumericalAmbiguityError] = None
+    for cand in _candidates(comm, mode, tol, rng):
+        try:
+            split = selfadjoint_eigensplit(cand, gram, mode, tol)
+        except NumericalAmbiguityError as err:
+            ambiguity = err
+            continue
+        if len(split.pairs) >= 2:
+            return split
+    if ambiguity is not None:
+        raise ambiguity
+    raise NumericalAmbiguityError(
+        "commutant has dimension >= 2 but no candidate produced a stable eigensplit",
+        suggestion="rerun with a different seed or loosen eigen_cluster_tol",
+    )
+
+
 def _split_blocks(ops: list[np.ndarray], gram: np.ndarray, mode: Mode,
                   tol: TolerancePolicy, rng: random.Random) -> list[Subspace]:
     """Decompose coordinate space into minimal invariant blocks of ``ops``.
@@ -233,27 +255,9 @@ def _split_blocks(ops: list[np.ndarray], gram: np.ndarray, mode: Mode,
     comm = symmetric_commutant(ops, gram, mode, tol)
     if len(comm) <= 1:
         return [full_subspace(n, mode)]
-    ambiguity: Optional[NumericalAmbiguityError] = None
-    chosen = None
-    for cand in _candidates(comm, mode, tol, rng):
-        try:
-            split = selfadjoint_eigensplit(cand, gram, mode, tol)
-        except NumericalAmbiguityError as err:
-            ambiguity = err
-            continue
-        if len(split.pairs) < 2:
-            continue
-        if split.promoted_to_float:
-            raise _PromoteToFloat()
-        chosen = split
-        break
-    if chosen is None:
-        if ambiguity is not None:
-            raise ambiguity
-        raise NumericalAmbiguityError(
-            "commutant has dimension >= 2 but no candidate produced a stable eigensplit",
-            suggestion="rerun with a different seed or loosen eigen_cluster_tol",
-        )
+    chosen = _first_eigensplit(comm, gram, mode, tol, rng)
+    if chosen.promoted_to_float:
+        raise _PromoteToFloat()
     blocks: list[Subspace] = []
     for _, eig in chosen.pairs:
         sub_ops = []
@@ -359,7 +363,7 @@ def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -
         if flat.dim > 0:
             factors.append(flat)
             flags.append(True)
-        w = _orthocomplement_subspace(flat, g)
+        w = orthocomplement(flat, g.gram, g.tol)
         sub_ops = []
         for h in hol.basis:
             rh = restrict_operator(h, w.basis, g.mode, g.tol)
@@ -378,13 +382,6 @@ def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -
     flags = [fl for _, fl in ordered]
     _verify_splitting(g, factors, flags, hol, conn)
     return DeRhamSplitting(tuple(factors), tuple(flags), hol, conn, g.mode, promoted)
-
-
-def _orthocomplement_subspace(s: Subspace, g: MetricLieAlgebra) -> Subspace:
-    if s.dim == 0:
-        return full_subspace(g.dim, g.mode)
-    _, null = rank_and_nullspace(s.basis @ g.gram, g.mode, g.tol)
-    return null
 
 
 def verify_factor_subalgebras(g: MetricLieAlgebra, splitting: DeRhamSplitting,
@@ -493,28 +490,15 @@ def reducibility_witness(g: MetricLieAlgebra, seed: int = 0,
         return None
     conn = levi_civita(gg)
     comm = nabla_commutant(gg, conn)
-    rng = random.Random(seed)
-    for cand in _candidates(comm, gg.mode, gg.tol, rng):
-        try:
-            split = selfadjoint_eigensplit(cand, gg.gram, gg.mode, gg.tol)
-        except NumericalAmbiguityError:
-            continue
-        if len(split.pairs) < 2:
-            continue
-        if split.promoted_to_float:
-            gf = to_float_algebra(gg)
-            s1 = split.pairs[0][1]
-            s2 = subspace_sum([p for _, p in split.pairs[1:]], gf.tol)
-            pair = ReducingPair(s1, s2, FLOAT)
-            report = check_reducing_pair(gf, pair.s1, pair.s2)
-        else:
-            s1 = split.pairs[0][1]
-            s2 = subspace_sum([p for _, p in split.pairs[1:]], gg.tol)
-            pair = ReducingPair(s1, s2, gg.mode)
-            report = check_reducing_pair(gg, pair.s1, pair.s2)
-        if not report.passed:
-            raise TheoremViolationError(
-                "connection-invariant orthogonal split fails the pair conditions")
-        return pair
-    raise TheoremViolationError(
-        "flat metric in dimension >= 2 must admit a reducing pair")
+    try:
+        split = _first_eigensplit(comm, gg.gram, gg.mode, gg.tol, random.Random(seed))
+    except NumericalAmbiguityError:
+        raise TheoremViolationError(
+            "flat metric in dimension >= 2 must admit a reducing pair") from None
+    h = to_float_algebra(gg) if split.promoted_to_float else gg
+    s1 = split.pairs[0][1]
+    s2 = subspace_sum([p for _, p in split.pairs[1:]], h.tol)
+    if not check_reducing_pair(h, s1, s2).passed:
+        raise TheoremViolationError(
+            "connection-invariant orthogonal split fails the pair conditions")
+    return ReducingPair(s1, s2, h.mode)

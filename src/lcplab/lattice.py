@@ -19,8 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError
-from .linalg import charpoly_exact, exact_det
-from .scalars import as_fraction
+from .linalg import charpoly_exact, divisors, exact_det
+from .scalars import as_fraction, exact_array
 
 
 def _as_int_matrix(m: Sequence) -> np.ndarray:
@@ -40,12 +40,7 @@ def _as_int_matrix(m: Sequence) -> np.ndarray:
 
 def char_poly(m: Sequence) -> tuple[int, ...]:
     """Characteristic polynomial of an integer matrix, constant term first."""
-    arr = _as_int_matrix(m)
-    fr = np.empty(arr.shape, dtype=object)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            fr[i, j] = Fraction(arr[i, j])
-    return tuple(int(c) for c in charpoly_exact(fr))
+    return tuple(int(c) for c in charpoly_exact(exact_array(_as_int_matrix(m))))
 
 
 def companion(coeffs: Sequence[int]) -> np.ndarray:
@@ -66,12 +61,7 @@ def companion(coeffs: Sequence[int]) -> np.ndarray:
 
 
 def is_unimodular_matrix(m: Sequence) -> bool:
-    arr = _as_int_matrix(m)
-    fr = np.empty(arr.shape, dtype=object)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            fr[i, j] = Fraction(arr[i, j])
-    return abs(exact_det(fr)) == 1
+    return abs(exact_det(exact_array(_as_int_matrix(m)))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -106,19 +96,18 @@ def _divides_exactly(f: list[int], g: list[int]) -> bool:
     return all(q.denominator == 1 for q in quot)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
-
-
 def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
     """Irreducibility in Z[X] up to units, implemented through degree 8.
 
     Linear factors are found by the rational root test; higher-degree
     factors by reassembling subsets of the numeric roots into candidate
-    integer factors, each candidate confirmed by exact division, so a
-    reducible input can never be reported irreducible by rounding alone.
+    integer factors, each candidate confirmed by exact division. Exact
+    division rules out a false "reducible" verdict, but not a false
+    "irreducible" one: a factor is missed when rounding its numeric roots
+    does not give its integer coefficients. Repeated roots come back
+    perturbed by about the square root of machine precision, so inputs
+    with a repeated factor can be reported irreducible; (X^2 - 50X + 1)^2
+    is.
     """
     cs = _strip(coeffs)
     deg = len(cs) - 1
@@ -134,8 +123,8 @@ def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
         return deg == 1
     if deg == 1:
         return True
-    for q in _divisors(cs[-1]):
-        for p in _divisors(cs[0]):
+    for q in divisors(cs[-1]):
+        for p in divisors(cs[0]):
             for sign in (1, -1):
                 num = Fraction(sign * p, q)
                 acc = Fraction(0)
@@ -152,7 +141,7 @@ def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
             chosen = [roots[i] for i in subset]
             # elementary symmetric functions give the monic factor over C
             esym = np.poly(chosen)  # highest degree first, leading 1
-            for d in _divisors(lead):
+            for d in divisors(lead):
                 for sign in (1, -1):
                     cand_f = sign * d * esym
                     if np.max(np.abs(cand_f.imag)) > 1e-6:
@@ -259,8 +248,6 @@ def solve_conjugacy(m: Sequence, tol: float = 1e-9) -> Optional[ConjugacySolutio
         if partner is None:
             return None
         mu = abs(math.atan2(lam.imag, lam.real))
-        if mu == 0.0:
-            mu = math.pi  # lam = -1 handled above as negative real, unreachable
         vec = v[:, i] if lam.imag > 0 else v[:, partner]
         rot_items.append((mu, vec.imag.copy(), vec.real.copy()))
         used[i] = True

@@ -20,7 +20,6 @@ from .holonomy import (
     ReducingPair,
     check_reducing_pair,
     de_rham_splitting,
-    holonomy_algebra,
 )
 from .liealg import (
     InvariantConnection,
@@ -35,8 +34,6 @@ from .liealg import (
 )
 from .linalg import (
     Subspace,
-    coords_in_rowbasis,
-    in_rowspan,
     invert,
     is_zero_matrix,
     is_zero_scalar,
@@ -47,7 +44,6 @@ from .linalg import (
     subspace_sum,
 )
 from .scalars import (
-    EXACT,
     FLOAT,
     Mode,
     array_for_mode,
@@ -121,19 +117,6 @@ def weyl_connection(g: MetricLieAlgebra, theta: np.ndarray) -> InvariantConnecti
             coeffs[i, j, i] = coeffs[i, j, i] + theta[j]
             coeffs[i, j, :] = coeffs[i, j, :] - g.gram[i, j] * sharp
     return InvariantConnection(coeffs, WEYL, g.mode)
-
-
-def weyl_compatibility_defect(g: MetricLieAlgebra, conn: InvariantConnection,
-                              theta: np.ndarray):
-    """Largest component of G A_i + A_i^T G - 2 theta_i G over directions i."""
-    worst = None
-    for i in range(g.dim):
-        a = conn.operator(i)
-        d = g.gram @ a + a.T @ g.gram - 2 * theta[i] * g.gram
-        m = max((abs(x) for x in d.reshape(-1)), default=0) if g.mode == EXACT \
-            else float(np.max(np.abs(d)))
-        worst = m if worst is None or m > worst else worst
-    return worst if worst is not None else (0 if g.mode == EXACT else 0.0)
 
 
 def is_closed_covector(g: MetricLieAlgebra, theta: np.ndarray) -> bool:
@@ -397,34 +380,3 @@ def lcp_decomposable(g: MetricLieAlgebra, data: LcpData, seed: int = 0,
         mode=gg.mode,
     )
 
-
-def classify_structure(g: MetricLieAlgebra, data: Optional[LcpData] = None,
-                       seed: int = 0) -> dict:
-    """Summary dictionary of the metric splitting and, when structure data
-    is supplied, of its validation and decomposability."""
-    splitting = de_rham_splitting(g, seed=seed)
-    out: dict = {
-        "dim": g.dim,
-        "mode": g.mode,
-        "unimodular": is_unimodular(g),
-        "holonomy_dim": splitting.holonomy_dim,
-        "factor_dims": list(splitting.factor_dims),
-        "factor_is_flat": list(splitting.factor_is_flat),
-        "riemannian_reducible": len(splitting.factors) > 1
-                                 or (splitting.factor_is_flat[0] and g.dim > 1),
-        "promoted_to_float": splitting.promoted_to_float,
-    }
-    if data is not None:
-        report = validate_lcp(g, data)
-        out["lcp_checks"] = report.as_dict()
-        if report.overall:
-            decomp = lcp_decomposable(g, data, seed=seed,
-                                      splitting=splitting, lcp_report=report)
-            out["lcp_decomposable"] = decomp.decomposable
-            out["touched_factors"] = list(decomp.touched_factors)
-            out["principal_factor_dim"] = (
-                None if decomp.principal_factor is None else decomp.principal_factor.dim)
-            out["q"] = decomp.q
-            out["dim_bound_satisfied"] = decomp.dim_bound_satisfied
-            out["weak_reducibility"] = "undetermined (requires lattice analysis)"
-    return out

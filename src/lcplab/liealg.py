@@ -21,7 +21,7 @@ from .linalg import (
     in_rowspan,
     invert,
     is_zero_matrix,
-    residual_band,
+    is_zero_scalar,
     scale_of,
 )
 from .scalars import (
@@ -207,10 +207,7 @@ def is_unimodular(g: MetricLieAlgebra) -> bool:
     sc = scale_of(g.bracket) if g.mode == FLOAT else 1.0
     for i in range(g.dim):
         trace = sum(g.bracket[i, j, j] for j in range(g.dim))
-        if g.mode == EXACT:
-            if trace != 0:
-                return False
-        elif abs(float(trace)) > residual_band(g.tol) * max(1.0, sc):
+        if not is_zero_scalar(trace, g.mode, g.tol, scale=sc):
             return False
     return True
 
@@ -353,12 +350,16 @@ def torsion_defect(g: MetricLieAlgebra, conn: InvariantConnection):
     return float(np.max(np.abs(d))) if d.size else 0.0
 
 
-def metric_defect(g: MetricLieAlgebra, conn: InvariantConnection):
-    """Largest component of G A_i + A_i^T G over basis directions."""
+def metric_defect(g: MetricLieAlgebra, conn: InvariantConnection,
+                  theta: Optional[np.ndarray] = None):
+    """Largest component of G A_i + A_i^T G - 2 theta_i G over basis directions;
+    theta is the Lee covector of a Weyl connection, None for a metric one."""
     worst = None
     for i in range(g.dim):
         a = conn.operator(i)
         d = g.gram @ a + a.T @ g.gram
+        if theta is not None:
+            d = d - 2 * theta[i] * g.gram
         m = max((abs(x) for x in d.reshape(-1)), default=0) if g.mode == EXACT \
             else float(np.max(np.abs(d)))
         worst = m if worst is None or m > worst else worst

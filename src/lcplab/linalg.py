@@ -138,11 +138,9 @@ def exact_solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
 
 def exact_inverse(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
+    # a singular a leaves a pivot in the identity block: inconsistent
     x = exact_solve(a, eye_array(n, EXACT))
     if x is None:
-        raise InputError("matrix is singular; cannot invert")
-    # exact_solve already found pivots for every column iff rank n
-    if matrix_rank(a, EXACT, DEFAULT_TOL) != n:
         raise InputError("matrix is singular; cannot invert")
     return x
 
@@ -422,15 +420,8 @@ class _ExactEchelon:
             return v
         return [x // g for x in v]
 
-    def _to_int(self, vec: Iterable[Any]) -> list[int]:
-        fr = [as_fraction(x) for x in vec]
-        den = 1
-        for f in fr:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        return [int(f * den) for f in fr]
-
-    def residual(self, vec: Iterable[Any]) -> list[int]:
-        v = self._to_int(vec)
+    def residual(self, vec: np.ndarray) -> list[int]:
+        v = integer_scaled(vec).tolist()
         for row, p in zip(self.rows, self.pivots):
             if v[p] != 0:
                 g = math.gcd(row[p], v[p])
@@ -438,7 +429,7 @@ class _ExactEchelon:
                 v = [a * x - b * y for x, y in zip(v, row)]
         return self._primitive(v)
 
-    def insert(self, vec: Iterable[Any]) -> bool:
+    def insert(self, vec: np.ndarray) -> bool:
         v = self.residual(vec)
         pivot = next((i for i, x in enumerate(v) if x != 0), None)
         if pivot is None:
@@ -489,10 +480,6 @@ class _FloatOrtho:
         return len(self.rows)
 
 
-def new_span_store(width: int, mode: Mode, tol: TolerancePolicy):
-    return _ExactEchelon(width) if mode == EXACT else _FloatOrtho(width, tol)
-
-
 def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequence[np.ndarray]],
                  mode: Mode, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """Smallest subspace of matrix space containing ``seed`` and closed under ``step``.
@@ -504,7 +491,7 @@ def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequen
         raise InputError("span_closure needs at least one seed matrix")
     shape = seed[0].shape
     width = int(np.prod(shape))
-    store = new_span_store(width, mode, tol)
+    store = _ExactEchelon(width) if mode == EXACT else _FloatOrtho(width, tol)
     accepted: list[np.ndarray] = []
     work = list(seed)
     while work:
@@ -532,6 +519,13 @@ class EigenSplit:
     promoted_to_float: bool
 
 
+def divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in increasing order."""
+    n = abs(n)
+    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
+    return sorted(set(out + [n // d for d in out]))
+
+
 def _rational_roots_with_multiplicity(coeffs: Sequence[Fraction]) -> Optional[list[tuple[Fraction, int]]]:
     """All roots with multiplicity if every root is rational, else None."""
     den = 1
@@ -545,11 +539,6 @@ def _rational_roots_with_multiplicity(coeffs: Sequence[Fraction]) -> Optional[li
         return []
     work = list(ic)
     roots: list[tuple[Fraction, int]] = []
-
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
-        return sorted(set(out + [n // d for d in out]))
 
     def deflate(poly: list[int], root: Fraction) -> Optional[list[int]]:
         # synthetic division by (X - root); None if remainder nonzero

@@ -123,11 +123,3 @@ def eye_array(n: int, mode: Mode) -> np.ndarray:
             out[i, i] = Fraction(1)
         return out
     return np.eye(n, dtype=np.float64)
-
-
-def scalar_one(mode: Mode) -> Any:
-    return Fraction(1) if mode == EXACT else 1.0
-
-
-def scalar_zero(mode: Mode) -> Any:
-    return Fraction(0) if mode == EXACT else 0.0

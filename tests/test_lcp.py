@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lcplab.cli import run_analysis
 from lcplab.errors import InputError, TheoremViolationError
 from lcplab.lcp import (
     LcpData,
-    classify_structure,
     is_closed_covector,
     lcp_data_to_float,
     lcp_decomposable,
@@ -14,7 +14,6 @@ from lcplab.lcp import (
     lee_sharp,
     make_lcp_data,
     validate_lcp,
-    weyl_compatibility_defect,
     weyl_connection,
 )
 from lcplab.holonomy import check_reducing_pair
@@ -23,6 +22,7 @@ from lcplab.liealg import (
     curvature_operator,
     direct_sum_algebra,
     make_algebra,
+    metric_defect,
     to_float_algebra,
     with_gram,
 )
@@ -96,7 +96,7 @@ def test_lee_sharp_uses_gram():
 def test_weyl_compatibility_exact():
     g, data = hyperbolic3_data()
     conn = weyl_connection(g, data.lee_covector)
-    assert weyl_compatibility_defect(g, conn, data.lee_covector) == 0
+    assert metric_defect(g, conn, data.lee_covector) == 0
 
 
 def test_weyl_compatibility_random_covectors():
@@ -105,7 +105,7 @@ def test_weyl_compatibility_random_covectors():
     for _ in range(5):
         theta = rng.standard_normal(3)
         conn = weyl_connection(g, theta)
-        assert weyl_compatibility_defect(g, conn, theta) < 1e-12
+        assert metric_defect(g, conn, theta) < 1e-12
 
 
 def test_closed_covector():
@@ -283,22 +283,24 @@ def test_decomposable_float_product():
 
 def test_classify_without_data():
     g, _ = product_with_structure()
-    out = classify_structure(g)
-    assert out["factor_dims"] == [1, 3]
-    assert out["riemannian_reducible"] is True
+    out, code = run_analysis(g)
+    assert code == 0
+    assert out["de_rham"]["factor_dims"] == [1, 3]
+    assert out["reducing_witness"] is not None  # the metric is reducible
     assert out["unimodular"] is True
-    assert "lcp_checks" not in out
+    assert out["lcp_report"] is None and out["decomposability"] is None
 
 
 def test_classify_with_data():
     g, data = product_with_structure()
-    out = classify_structure(g, data)
-    assert out["lcp_checks"]["overall"] is True
-    assert out["lcp_decomposable"] is True
-    assert out["principal_factor_dim"] == 3
-    assert out["q"] == 1
-    assert out["dim_bound_satisfied"] is True
-    assert out["weak_reducibility"] == "undetermined (requires lattice analysis)"
+    out, code = run_analysis(g, data)
+    assert code == 0
+    assert out["lcp_report"]["overall"] is True
+    dec = out["decomposability"]
+    assert dec["decomposable"] is True
+    assert dec["principal_factor_dim"] == 3
+    assert dec["q"] == 1
+    assert dec["dim_bound_satisfied"] is True
 
 
 def test_make_lcp_data_shape_errors():
