@@ -12,7 +12,7 @@ import pytest
 from lcplab.cli import run_analysis
 from lcplab.fileio import canonical_json
 from lcplab.gallery import (fundamental_example, product_example,
-                            strongly_irreducible_example)
+                            sl_example, strongly_irreducible_example)
 from lcplab.liealg import direct_sum_algebra
 
 _DEFAULT_POLICY = {"eigen_cluster_tol": 1e-07, "rank_tol": 1e-09}
@@ -94,6 +94,25 @@ EXPECTED = {
         "unimodular": True,
         "validation": {"failures": [], "passed": True},
     },
+    # the 14-dimensional sl(2) semidirect sum with its structure data: the
+    # one worked example whose holonomy (all of so(14)) is large
+    "sl2_semidirect": {
+        "de_rham": {"factor_dims": [14], "factor_is_flat": [False],
+                    "factors_are_subalgebras": [True],
+                    "flat_factor_index": None, "promoted_to_float": False},
+        "decomposability": {"decomposable": False, "dim_bound_satisfied": True,
+                            "principal_factor_dim": 14, "q": 1,
+                            "touched_factors": [0], "witness": None},
+        "dim": 14,
+        "holonomy_dim": 91,
+        "lcp_report": _STRUCTURE_OK,
+        "mode": "exact",
+        "random_seed": 0,
+        "reducing_witness": None,
+        "tolerance_policy": _DEFAULT_POLICY,
+        "unimodular": True,
+        "validation": {"failures": [], "passed": True},
+    },
 }
 
 
@@ -102,7 +121,8 @@ def _input(name):
         g = fundamental_example().algebra
         return direct_sum_algebra(g, g), None
     entry = {"fundamental": fundamental_example, "product": product_example,
-             "strongly_irreducible": strongly_irreducible_example}[name]()
+             "strongly_irreducible": strongly_irreducible_example,
+             "sl2_semidirect": sl_example}[name]()
     return entry.algebra, entry.lcp
 
 
