@@ -193,6 +193,17 @@ class TestExitCodes:
         assert "numerical ambiguity" in err
         assert "suggestion" in err
 
+    def test_ambiguous_flat_witness_exits_3(self, tmp_path, capsys):
+        # the same close eigen-gap, met while cutting a flat block for the
+        # reducing pair, is an ambiguity too and not a structure violation
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps({"dim": 2, "mode": "float", "brackets": [],
+                                    "metric": [[1.0, 0.0], [0.0, 1.0]]}))
+        assert main(["analyze", str(path), "--tol", "3e-3"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical ambiguity" in err
+        assert "structure violation" not in err
+
     def test_same_file_passes_at_default_tolerance(self, so3_pair_file):
         report, code = _analyze_json(so3_pair_file)
         assert code == 0
