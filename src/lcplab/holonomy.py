@@ -20,7 +20,8 @@ from .errors import InputError, NumericalAmbiguityError, TheoremViolationError
 from .liealg import (
     InvariantConnection,
     MetricLieAlgebra,
-    curvature_operator,
+    LEVI_CIVITA,
+    curvature_tensor,
     inner,
     is_subalgebra,
     levi_civita,
@@ -31,7 +32,6 @@ from .linalg import (
     Subspace,
     canonical_rows,
     full_subspace,
-    integer_scaled,
     invert,
     is_zero_matrix,
     is_zero_scalar,
@@ -52,6 +52,8 @@ from .scalars import (
     Mode,
     TolerancePolicy,
     exact_array,
+    from_scaled,
+    to_scaled,
     zeros_array,
 )
 
@@ -79,28 +81,24 @@ def holonomy_algebra(g: MetricLieAlgebra,
         conn = levi_civita(g)
     n = g.dim
     sc = scale_of(g.bracket, g.gram) if g.mode == FLOAT else 1.0
-    seeds = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = curvature_operator(g, conn, i, j)
-            if not is_zero_matrix(r, g.mode, g.tol, scale=max(1.0, sc * sc)):
-                seeds.append(r)
+    curv = curvature_tensor(g, conn)
+    seeds = [curv[i, j] for i in range(n) for j in range(i + 1, n)
+             if not is_zero_matrix(curv[i, j], g.mode, g.tol, scale=max(1.0, sc * sc))]
     if not seeds:
         return OperatorAlgebra(n, (), g.mode)
     nabla = [conn.operator(k) for k in range(n)]
+    max_dim = None
     if g.mode == EXACT:
-        # int products are several times cheaper than Fractions and only
-        # rescale the candidates, which span_closure does not care about
-        nabla_int = [integer_scaled(a) for a in nabla]
-        seeds = [exact_array(integer_scaled(r)) for r in seeds]
+        # each matrix scaled to ints on its own: rescaling candidates changes
+        # no span, and the closure then runs on ints end to end
+        nabla = [to_scaled(a)[0] for a in nabla]
+        seeds = [to_scaled(r)[0] for r in seeds]
+        if conn.kind == LEVI_CIVITA:
+            max_dim = n * (n - 1) // 2  # the holonomy lies in so(g)
 
-        def step(m: np.ndarray) -> list[np.ndarray]:
-            mi = integer_scaled(m)
-            return [exact_array(a @ mi - mi @ a) for a in nabla_int]
-    else:
-        def step(m: np.ndarray) -> list[np.ndarray]:
-            return [a @ m - m @ a for a in nabla]
-    span = span_closure(seeds, step, g.mode, g.tol)
+    def step(m: np.ndarray) -> list[np.ndarray]:
+        return [a @ m - m @ a for a in nabla]
+    span = span_closure(seeds, step, g.mode, g.tol, max_dim)
     mats = tuple(span.basis[i].reshape(n, n) for i in range(span.dim))
     return OperatorAlgebra(n, mats, g.mode)
 
@@ -128,53 +126,51 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
     """
     n = gram.shape[0]
     ginv = invert(gram, mode, tol)
+    if mode == EXACT:
+        ginv, den = to_scaled(ginv)
     basis: list[np.ndarray] = []
     for i in range(n):
         for j in range(i, n):
-            s = zeros_array((n, n), mode)
-            one = s[0, 0] + 1  # scalar one of the right kind
-            s[i, j] = one
-            s[j, i] = one
-            basis.append(ginv @ s)
+            s = np.zeros((n, n), dtype=ginv.dtype)
+            s[i, j] = 1
+            s[j, i] = 1
+            basis.append(from_scaled(ginv @ s, den) if mode == EXACT else ginv @ s)
+    if mode == EXACT:
+        # the work runs on each basis matrix and each operator scaled to ints
+        # on its own: rescaling a column rescales the matching nullspace
+        # coordinate, and a rescaled nullspace vector is still one, so the
+        # recombined basis spans the same commutant
+        work = [to_scaled(p)[0] for p in basis]
+        ops = [to_scaled(a)[0] for a in ops]
+    else:
+        work = basis
     for a in ops:
-        if len(basis) <= 1:
+        if len(work) <= 1:
             break
-        if mode == EXACT:
-            # rescaling a column rescales the matching nullspace coordinate,
-            # so recombining the rescaled basis with the raw coordinates
-            # lands on the same commutant subspace at a fraction of the cost
-            ai = integer_scaled(a)
-            work = [integer_scaled(p) for p in basis]
-            cols = [exact_array((p @ ai - ai @ p).reshape(-1)) for p in work]
-        else:
-            work = basis
-            cols = [(p @ a - a @ p).reshape(-1) for p in basis]
-        k = np.stack(cols, axis=1)
+        k = np.stack([(p @ a - a @ p).reshape(-1) for p in work], axis=1)
         # a commutator that is zero at the scale of its inputs is no
         # constraint at all; without this cutoff pure roundoff noise would
         # read as a rank-one condition and eat a commutant direction
-        sc = scale_of(a) * max(scale_of(p) for p in basis) if mode == FLOAT else 1.0
+        sc = scale_of(a) * max(scale_of(p) for p in work) if mode == FLOAT else 1.0
         if is_zero_matrix(k, mode, tol, scale=max(1.0, sc)):
             continue
         _, null = rank_and_nullspace(k, mode, tol)
-        if null.dim == len(basis):
+        if null.dim == len(work):
             continue
-        new_basis = []
         if mode == EXACT:
-            # a rescaled nullspace vector is still a nullspace vector, so
-            # the recombination can run entirely over ints
             stacked = np.stack([p.reshape(-1) for p in work])
-            for r in range(null.dim):
-                coeffs = integer_scaled(null.basis[r])
-                new_basis.append(exact_array((coeffs @ stacked).reshape(n, n)))
+            work = [(to_scaled(null.basis[r])[0] @ stacked).reshape(n, n)
+                    for r in range(null.dim)]
+            basis = [exact_array(p) for p in work]
         else:
+            new_basis = []
             for r in range(null.dim):
                 coeffs = null.basis[r]
                 combo = zeros_array((n, n), mode)
                 for c, p in zip(coeffs, work):
                     combo = combo + c * p
                 new_basis.append(combo)
-        basis = new_basis
+            basis = work = new_basis
     return basis
 
 

@@ -25,7 +25,7 @@ from .liealg import (
     InvariantConnection,
     MetricLieAlgebra,
     WEYL,
-    curvature_operator,
+    curvature_tensor,
     is_ideal,
     is_subalgebra,
     is_unimodular,
@@ -44,10 +44,13 @@ from .linalg import (
     subspace_sum,
 )
 from .scalars import (
+    EXACT,
     FLOAT,
     Mode,
     array_for_mode,
+    from_scaled,
     to_float_array,
+    to_scaled,
     zeros_array,
 )
 
@@ -106,16 +109,20 @@ def lee_sharp(g: MetricLieAlgebra, theta: np.ndarray) -> np.ndarray:
 
 def weyl_connection(g: MetricLieAlgebra, theta: np.ndarray) -> InvariantConnection:
     """D_x y = N_x y + t(x) y + t(y) x - <x, y> t#, on top of Levi-Civita N."""
-    n = g.dim
-    base = levi_civita(g)
+    diag = np.arange(g.dim)
+    base = levi_civita(g).coeffs
     sharp = lee_sharp(g, theta)
-    coeffs = zeros_array((n, n, n), g.mode)
-    coeffs[:] = base.coeffs
-    for i in range(n):
-        for j in range(n):
-            coeffs[i, j, j] = coeffs[i, j, j] + theta[i]
-            coeffs[i, j, i] = coeffs[i, j, i] + theta[j]
-            coeffs[i, j, :] = coeffs[i, j, :] - g.gram[i, j] * sharp
+    gram = g.gram
+    if g.mode == EXACT:
+        # every term over d * d: the last one is a product of two over d
+        base, theta, gram, sharp, d = to_scaled(base, theta, gram, sharp)
+        base, theta = base * d, theta * d
+    coeffs = base.copy()
+    coeffs[:, diag, diag] += theta[:, None]  # coeffs[i, j, j] += theta[i]
+    coeffs[diag, :, diag] += theta[None, :]  # coeffs[i, j, i] += theta[j]
+    coeffs -= gram[:, :, None] * sharp
+    if g.mode == EXACT:
+        coeffs = from_scaled(coeffs, d * d)
     return InvariantConnection(coeffs, WEYL, g.mode)
 
 
@@ -246,9 +253,10 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     sc_r = max(1.0, sc_r * sc_r)
     flat_on_u = True
     nonflat = False
+    curv = curvature_tensor(g, conn)
     for i in range(n):
         for j in range(i + 1, n):
-            r = curvature_operator(g, conn, i, j)
+            r = curv[i, j]
             if not is_zero_matrix(r, g.mode, g.tol, scale=sc_r):
                 nonflat = True
             restricted = u.basis @ r.T

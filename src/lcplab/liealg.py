@@ -10,6 +10,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,7 +34,9 @@ from .scalars import (
     array_for_mode,
     check_mode,
     eye_array,
+    from_scaled,
     to_float_array,
+    to_scaled,
     zeros_array,
 )
 
@@ -54,6 +57,11 @@ class MetricLieAlgebra:
     @property
     def dim(self) -> int:
         return int(self.bracket.shape[0])
+
+    @cached_property
+    def scaled_bracket(self) -> tuple[np.ndarray, int]:
+        """Exact mode: the bracket tensor as (ints, den), see ``to_scaled``."""
+        return to_scaled(self.bracket)
 
     def __repr__(self) -> str:
         return f"MetricLieAlgebra(dim={self.dim}, mode={self.mode})"
@@ -168,6 +176,11 @@ def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
 
 
 def bracket_vec(g: MetricLieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if g.mode == EXACT:
+        c, dc = g.scaled_bracket
+        xi, yi, d = to_scaled(x, y)
+        t = np.tensordot(xi, c, axes=(0, 0))
+        return from_scaled(np.tensordot(yi, t, axes=(0, 0)), d * d * dc)
     t = np.tensordot(x, g.bracket, axes=(0, 0))  # t[j, k] = sum_i x_i c[i,j,k]
     return np.tensordot(y, t, axes=(0, 0))
 
@@ -260,23 +273,19 @@ def _is_positive_definite(gram: np.ndarray, mode: Mode, tol: TolerancePolicy) ->
 
 def validate_algebra(g: MetricLieAlgebra) -> ValidationReport:
     n = g.dim
-    c = g.bracket
+    # exact zero tests do not see a common positive scale, so they run on ints
+    c = g.scaled_bracket[0] if g.mode == EXACT else g.bracket
     sc = scale_of(c) if g.mode == FLOAT else 1.0
-    anti = []
-    for i in range(n):
-        for j in range(i, n):
-            if not is_zero_matrix(c[i, j, :] + c[j, i, :], g.mode, g.tol, scale=sc):
-                anti.append((i, j))
-    # T[i, j, k, m] = sum_l c[i, j, l] c[l, k, m]
+    sym = c + np.transpose(c, (1, 0, 2))  # sym[i, j] = c[i, j, :] + c[j, i, :]
+    anti = [(i, j) for i in range(n) for j in range(i, n)
+            if not is_zero_matrix(sym[i, j], g.mode, g.tol, scale=sc)]
+    # t[i, j, k, m] = sum_l c[i, j, l] c[l, k, m], the m-th component of [[e_i, e_j], e_k]
     t = np.tensordot(c, c, axes=(2, 0))
+    # total[i, j, k] = t[i, j, k] + t[j, k, i] + t[k, i, j]
+    total = t + np.transpose(t, (2, 0, 1, 3)) + np.transpose(t, (1, 2, 0, 3))
     sc2 = sc * sc
-    jac = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = t[i, j, k, :] + t[j, k, i, :] + t[k, i, j, :]
-                if not is_zero_matrix(total, g.mode, g.tol, scale=max(1.0, sc2)):
-                    jac.append((i, j, k))
+    jac = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+           if not is_zero_matrix(total[i, j, k], g.mode, g.tol, scale=max(1.0, sc2))]
     gram_sym = is_zero_matrix(g.gram - g.gram.T, g.mode, g.tol,
                               scale=scale_of(g.gram) if g.mode == FLOAT else 1.0)
     gram_pd = gram_sym and _is_positive_definite(g.gram, g.mode, g.tol)
@@ -320,16 +329,20 @@ def levi_civita(g: MetricLieAlgebra) -> InvariantConnection:
     Defined by 2<D_x y, z> = <[x,y],z> + <[z,x],y> - <[y,z],x> on
     left-invariant fields.
     """
-    b = np.tensordot(g.bracket, g.gram, axes=(2, 0))  # b[i,j,z] = <[e_i,e_j], e_z>
-    n = g.dim
-    rhs = zeros_array((n, n, n), g.mode)
-    for i in range(n):
-        for j in range(n):
-            for z in range(n):
-                rhs[i, j, z] = b[i, j, z] + b[z, i, j] - b[j, z, i]
     ginv = invert(g.gram, g.mode, g.tol)
-    half = array_for_mode(["1/2"] if g.mode == EXACT else [0.5], g.mode)[0]
-    coeffs = np.tensordot(rhs, ginv, axes=(2, 0)) * half
+    if g.mode == EXACT:
+        c, dc = g.scaled_bracket
+        gram, ginv, d = to_scaled(g.gram, ginv)
+    else:
+        c, gram = g.bracket, g.gram
+    b = np.tensordot(c, gram, axes=(2, 0))  # b[i,j,z] = <[e_i,e_j], e_z>
+    # rhs[i, j, z] = b[i, j, z] + b[z, i, j] - b[j, z, i]
+    rhs = b + np.transpose(b, (1, 2, 0)) - np.transpose(b, (2, 0, 1))
+    coeffs = np.tensordot(rhs, ginv, axes=(2, 0))
+    if g.mode == EXACT:
+        coeffs = from_scaled(coeffs, 2 * dc * d * d)
+    else:
+        coeffs = coeffs * 0.5
     return InvariantConnection(coeffs, LEVI_CIVITA, g.mode)
 
 
@@ -340,6 +353,28 @@ def curvature_operator(g: MetricLieAlgebra, conn: InvariantConnection,
     a_j = conn.operator(j)
     mixed = conn.operator_vec(g.bracket[i, j, :])
     return a_i @ a_j - a_j @ a_i - mixed
+
+
+def curvature_tensor(g: MetricLieAlgebra, conn: InvariantConnection) -> np.ndarray:
+    """All curvature operators at once: ``R[i, j]`` is the matrix of R(e_i, e_j).
+
+    Exact mode computes the whole tensor in two integer contractions; float
+    mode stacks the matrices of :func:`curvature_operator`, pair by pair.
+    """
+    n = g.dim
+    if g.mode == FLOAT:
+        out = np.empty((n, n, n, n), dtype=np.float64)
+        for i in range(n):
+            for j in range(n):
+                out[i, j] = curvature_operator(g, conn, i, j)
+        return out
+    c, dc = g.scaled_bracket
+    a, da = to_scaled(np.transpose(conn.coeffs, (0, 2, 1)))  # a[k] = operator(k)
+    # prod[i, j] = a[i] @ a[j], mixed[i, j] = operator of [e_i, e_j]
+    prod = np.transpose(np.tensordot(a, a, axes=(2, 1)), (0, 2, 1, 3))
+    mixed = np.tensordot(c, a, axes=(2, 0))
+    return from_scaled((prod - np.transpose(prod, (1, 0, 2, 3))) * dc - mixed * da,
+                       da * da * dc)
 
 
 def torsion_defect(g: MetricLieAlgebra, conn: InvariantConnection):

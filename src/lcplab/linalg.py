@@ -1,8 +1,11 @@
 """Linear algebra over the two scalar backends.
 
-Exact computations run on numpy object arrays of ``fractions.Fraction``;
-float computations on float64 arrays, with every zero decision governed by
-a :class:`TolerancePolicy`. Rank decisions in float mode use singular
+Exact matrices come in and go out as numpy object arrays of
+``fractions.Fraction``, but the work runs on Python ints: elimination is
+fraction-free (rows scaled to integers, integer row operations, one
+division by the pivot at the end), and products use the scaled-integer
+form of :mod:`lcplab.scalars`. Float computations run on float64 arrays,
+with every zero decision governed by a :class:`TolerancePolicy`. Rank decisions in float mode use singular
 values relative to the largest one; residual and identity checks use a
 10 * rank_tol band relative to the data scale.
 """
@@ -23,9 +26,11 @@ from .scalars import (
     FLOAT,
     Mode,
     TolerancePolicy,
-    as_fraction,
+    exact_array,
     eye_array,
+    from_scaled,
     to_float_array,
+    to_scaled,
     zeros_array,
 )
 
@@ -61,35 +66,47 @@ def is_zero_scalar(x: Any, mode: Mode, tol: TolerancePolicy, scale: float = 1.0)
 
 
 # ---------------------------------------------------------------------------
-# exact elimination core (lists of Fractions)
+# exact elimination core (fraction-free, on lists of Python ints)
 
 
-def _fraction_rows(a: np.ndarray) -> list[list[Fraction]]:
-    return [[as_fraction(x) for x in row] for row in a]
+def _primitive(v: list[int]) -> list[int]:
+    g = math.gcd(*v)
+    return v if g <= 1 else [x // g for x in v]
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (nonzero rows, pivot cols)."""
+def _cancel(v: list[int], row: list[int], p: int) -> list[int]:
+    """The primitive integer combination of v and row that is zero at column p."""
+    g = math.gcd(row[p], v[p])
+    a, b = row[p] // g, v[p] // g
+    return _primitive([a * x - b * y for x, y in zip(v, row)])
+
+
+def _int_rows(a: np.ndarray) -> list[list[int]]:
+    # each row times the lcm of its own denominators: same span, same RREF
+    return [to_scaled(row)[0].tolist() for row in a]
+
+
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination over the integers, in place.
+
+    Returns the nonzero rows and their pivot columns. Every other row is
+    zero at each pivot column; a row divided by its pivot entry is the
+    matching row of the reduced row echelon form.
+    """
     if not rows:
         return [], []
     ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        pr = rows[r]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = _cancel(rows[i], pr, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -97,19 +114,32 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows[:r], pivots
 
 
+def _rref(a: np.ndarray) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of an exact matrix: (nonzero rows, pivot cols).
+
+    Fraction-free (after Bareiss 1968): rows are scaled to integers,
+    eliminated with integer row operations, and divided by their pivot
+    only at the end. The RREF is unique, so it is the one Fraction
+    Gauss-Jordan elimination gives.
+    """
+    rows, pivots = _echelon(_int_rows(a))
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)], pivots
+
+
 def _exact_rank_nullspace(a: np.ndarray) -> tuple[int, list[list[Fraction]]]:
-    nrows, ncols = a.shape
-    rref, pivots = _rref(_fraction_rows(a))
-    rank = len(pivots)
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = a.shape[1]
+    rows, pivots = _echelon(_int_rows(a))
+    pivot_set = set(pivots)
     null: list[list[Fraction]] = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rref[r][f]
+        for row, p in zip(rows, pivots):
+            v[p] = Fraction(-row[f], row[p])
         null.append(v)
-    return rank, null
+    return len(pivots), null
 
 
 def exact_solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -121,18 +151,13 @@ def exact_solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     m, n = a.shape
     bb = b.reshape(m, -1)
     k = bb.shape[1]
-    aug = [[as_fraction(x) for x in row_a] + [as_fraction(x) for x in row_b]
-           for row_a, row_b in zip(a, bb)]
-    rref, pivots = _rref(aug)
-    for row in rref:
-        if all(row[c] == 0 for c in range(n)) and any(row[n + j] != 0 for j in range(k)):
-            return None
+    rows, pivots = _echelon(_int_rows(np.concatenate([a, bb], axis=1)))
     x = zeros_array((n, k), EXACT)
-    for r, p in enumerate(pivots):
+    for row, p in zip(rows, pivots):
         if p >= n:
             return None  # pivot in the rhs block: inconsistent
         for j in range(k):
-            x[p, j] = rref[r][n + j]
+            x[p, j] = Fraction(row[n + j], row[p])
     return x.reshape((n,) + b.shape[1:]) if b.ndim == 1 else x
 
 
@@ -146,43 +171,51 @@ def exact_inverse(a: np.ndarray) -> np.ndarray:
 
 
 def exact_det(a: np.ndarray) -> Fraction:
-    rows = _fraction_rows(a)
+    """Determinant by Bareiss elimination on the integer matrix d * a.
+
+    Every division inside the elimination is exact (Bareiss 1968), and
+    det(a) = det(d * a) / d**n.
+    """
+    ai, d = to_scaled(a)
+    rows = ai.tolist()
     n = len(rows)
-    det = Fraction(1)
+    sign, prev = 1, 1
     for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != c:
             rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
+            sign = -sign
+        pc = rows[c]
         for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+            ri = rows[i]
+            rows[i] = [0] * (c + 1) + [(ri[j] * pc[c] - ri[c] * pc[j]) // prev
+                                       for j in range(c + 1, n)]
+        prev = pc[c]
+    return Fraction(sign * prev, d ** n)
 
 
 def charpoly_exact(a: np.ndarray) -> tuple[Fraction, ...]:
     """Characteristic polynomial det(X*I - a), constant term first.
 
-    Faddeev-LeVerrier recursion; exact over the rationals.
+    Faddeev-LeVerrier recursion on the integer matrix d * a, whose
+    coefficients are integers, so every division by k is exact. The
+    coefficient of X**(n-k) for a is the one for d * a divided by d**k.
     """
-    n = a.shape[0]
-    coeffs_high = [Fraction(1)]  # X^n downward
-    m = eye_array(n, EXACT)
+    ai, d = to_scaled(a)
+    n = ai.shape[0]
+    eye = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        eye[i, i] = 1
+    coeffs_high = [1]  # X^n downward
+    m = eye
     for k in range(1, n + 1):
-        am = a @ m
-        c = -Fraction(sum(am[i, i] for i in range(n)), k)
-        coeffs_high.append(as_fraction(c))
-        m = am + c * eye_array(n, EXACT)
-    return tuple(reversed(coeffs_high))
+        am = ai @ m
+        c = -(np.trace(am) // k)
+        coeffs_high.append(c)
+        m = am + c * eye
+    return tuple(Fraction(c, d ** k) for k, c in reversed(list(enumerate(coeffs_high))))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +248,7 @@ def float_solve(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy) -> Optional[
 
 def matrix_rank(a: np.ndarray, mode: Mode, tol: TolerancePolicy) -> int:
     if mode == EXACT:
-        rank, _ = _exact_rank_nullspace(a)
-        return rank
+        return len(_echelon(_int_rows(a))[1])
     rank, _ = _float_rank_nullspace(a, tol)
     return rank
 
@@ -345,28 +377,15 @@ def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
 
     Column convention on coordinates; None when the span is not invariant.
     """
-    images = basis_rows @ a.T  # row i = a(basis_i)
+    if mode == EXACT:
+        bi, ai, d = to_scaled(basis_rows, a)
+        images = from_scaled(bi @ ai.T, d * d)  # row i = a(basis_i)
+    else:
+        images = basis_rows @ a.T
     m = coords_in_rowbasis(images, basis_rows, mode, tol)
     if m is None:
         return None
     return m.T
-
-
-def integer_scaled(m: np.ndarray) -> np.ndarray:
-    """Exact matrix times the lcm of its denominators, as plain int entries.
-
-    Scaling by a positive rational changes no span, kernel, or commutation
-    constraint, and products of int matrices skip the gcd normalization
-    that dominates Fraction arithmetic in hot loops. Convert results back
-    with exact_array before any row reduction: a pivot division on raw int
-    entries would fall through to floats.
-    """
-    flat = m.reshape(-1)
-    lcm = 1
-    for x in flat:
-        d = x.denominator
-        lcm = lcm * d // math.gcd(lcm, d)
-    return np.array([int(x * lcm) for x in flat], dtype=object).reshape(m.shape)
 
 
 def canonical_rows(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> np.ndarray:
@@ -374,7 +393,7 @@ def canonical_rows(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> np.nda
     if rows.shape[0] == 0:
         return rows
     if mode == EXACT:
-        rref, _ = _rref(_fraction_rows(rows))
+        rref, _ = _rref(rows)
         return np.array(rref, dtype=object).reshape(len(rref), rows.shape[1])
     out = np.array(rows, dtype=np.float64)
     for i in range(out.shape[0]):
@@ -409,25 +428,12 @@ class _ExactEchelon:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    @staticmethod
-    def _primitive(v: list[int]) -> list[int]:
-        g = 0
-        for x in v:
-            g = math.gcd(g, x)
-            if g == 1:
-                return v
-        if g <= 1:
-            return v
-        return [x // g for x in v]
-
     def residual(self, vec: np.ndarray) -> list[int]:
-        v = integer_scaled(vec).tolist()
+        v = _primitive(to_scaled(vec)[0].tolist())
         for row, p in zip(self.rows, self.pivots):
             if v[p] != 0:
-                g = math.gcd(row[p], v[p])
-                a, b = row[p] // g, v[p] // g
-                v = [a * x - b * y for x, y in zip(v, row)]
-        return self._primitive(v)
+                v = _cancel(v, row, p)
+        return v
 
     def insert(self, vec: np.ndarray) -> bool:
         v = self.residual(vec)
@@ -437,9 +443,7 @@ class _ExactEchelon:
         # back-reduce existing rows at the new pivot column
         for k, row in enumerate(self.rows):
             if row[pivot] != 0:
-                g = math.gcd(v[pivot], row[pivot])
-                a, b = v[pivot] // g, row[pivot] // g
-                self.rows[k] = self._primitive([a * x - b * y for x, y in zip(row, v)])
+                self.rows[k] = _cancel(row, v, pivot)
         ins = 0
         while ins < len(self.pivots) and self.pivots[ins] < pivot:
             ins += 1
@@ -481,11 +485,16 @@ class _FloatOrtho:
 
 
 def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequence[np.ndarray]],
-                 mode: Mode, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
+                 mode: Mode, tol: TolerancePolicy = DEFAULT_TOL,
+                 max_dim: Optional[int] = None) -> Subspace:
     """Smallest subspace of matrix space containing ``seed`` and closed under ``step``.
 
     ``step`` must be linear. Returns the accepted generators as subspace
     rows (each row one flattened matrix), so callers can reshape them back.
+    In exact mode the matrices may be Fractions or plain ints; the rows
+    come back as Fractions. ``max_dim`` is the dimension of a space known
+    to contain the closure: once the span reaches it, every remaining
+    candidate would be rejected, so the search stops.
     """
     if not seed:
         raise InputError("span_closure needs at least one seed matrix")
@@ -494,7 +503,7 @@ def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequen
     store = _ExactEchelon(width) if mode == EXACT else _FloatOrtho(width, tol)
     accepted: list[np.ndarray] = []
     work = list(seed)
-    while work:
+    while work and store.dim != max_dim:
         m = work.pop(0)
         if m.shape != shape:
             raise InputError("span_closure matrices must share one shape")
@@ -504,7 +513,7 @@ def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequen
     if not accepted:
         return zero_subspace(width, mode)
     rows = np.stack([m.reshape(-1) for m in accepted])
-    return Subspace(width, rows, mode)
+    return Subspace(width, exact_array(rows) if mode == EXACT else rows, mode)
 
 
 # ---------------------------------------------------------------------------

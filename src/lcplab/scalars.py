@@ -1,11 +1,19 @@
 """Scalar domains shared by every module.
 
-Two backends: exact rationals (``fractions.Fraction`` held in numpy object
-arrays) and binary64 floats (float64 arrays). A single computation never
-mixes the two; promotion exact -> float is explicit and one-way.
+Two backends: exact rationals and binary64 floats (float64 arrays). A
+single computation never mixes the two; promotion exact -> float is
+explicit and one-way.
+
+Exact arrays cross module boundaries as numpy object arrays of
+``fractions.Fraction``. The hot paths work on a scaled-integer form of
+the same data instead: an object array of Python ints plus one common
+denominator (:func:`to_scaled` and :func:`from_scaled`). Integer products
+skip the gcd normalisation that dominates ``Fraction`` arithmetic, and
+scaling by a positive rational changes no span, kernel or zero test.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -93,6 +101,30 @@ def exact_array(data: Any) -> np.ndarray:
     """Build an object array of Fractions; floats are rejected."""
     arr = np.array(data, dtype=object)
     return _TO_FRACTION(arr)
+
+
+def _exact_scalar(x: Any) -> Any:
+    return x if type(x) is Fraction or type(x) is int else as_fraction(x)
+
+
+def to_scaled(*arrays: Any) -> tuple:
+    """Exact arrays as object arrays of ints over one common denominator.
+
+    Returns ``(ints_1, ..., ints_k, den)`` with ``arrays[i] == ints_i / den``.
+    ``den`` is the least common denominator, so a single array comes back
+    in lowest terms.
+    """
+    flats = [[_exact_scalar(x) for x in np.asarray(a, dtype=object).reshape(-1)] for a in arrays]
+    den = math.lcm(*{x.denominator for flat in flats for x in flat})
+    ints = [np.array([x.numerator * (den // x.denominator) for x in flat],
+                     dtype=object).reshape(np.shape(a)) for flat, a in zip(flats, arrays)]
+    return (*ints, den)
+
+
+def from_scaled(ints: np.ndarray, den: int) -> np.ndarray:
+    """The Fraction array ``ints / den``, undoing :func:`to_scaled`."""
+    return np.array([Fraction(x, den) for x in ints.reshape(-1)],
+                    dtype=object).reshape(ints.shape)
 
 
 def float_array(data: Any) -> np.ndarray:
