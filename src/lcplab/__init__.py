@@ -29,7 +29,7 @@ from .lcp import (DecomposabilityReport, LcpData, LcpReport,
                   make_lcp_data, validate_lcp, weyl_connection)
 from .liealg import (InvariantConnection, MetricLieAlgebra, ValidationReport,
                      ad_matrix, bracket_table, curvature_operator,
-                     direct_sum_algebra, is_subalgebra, is_unimodular,
+                     curvature_tensor, direct_sum_algebra, is_subalgebra, is_unimodular,
                      levi_civita, make_algebra, metric_defect,
                      to_float_algebra, torsion_defect, transform_algebra,
                      validate_algebra)
@@ -49,7 +49,7 @@ __all__ = [
     "UnitRootProfile", "ValidationReport",
     "ad_matrix", "algebra_to_dict", "all_entries", "bracket_table",
     "canonical_json", "char_poly", "check_reducing_pair",
-    "common_kernel", "companion", "curvature_operator",
+    "common_kernel", "companion", "curvature_operator", "curvature_tensor",
     "de_rham_splitting", "dict_to_algebra", "direct_sum_algebra",
     "discreteness_probe", "exact_array", "expanding_rate", "float_array",
     "fundamental_example", "holonomy_algebra", "is_irreducible_over_Z",

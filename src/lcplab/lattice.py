@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .errors import InputError
 from .linalg import charpoly_exact, divisors, exact_det
-from .scalars import as_fraction, exact_array
+from .scalars import as_fraction
 
 
 def _as_int_matrix(m: Sequence) -> np.ndarray:
@@ -40,7 +40,7 @@ def _as_int_matrix(m: Sequence) -> np.ndarray:
 
 def char_poly(m: Sequence) -> tuple[int, ...]:
     """Characteristic polynomial of an integer matrix, constant term first."""
-    return tuple(int(c) for c in charpoly_exact(exact_array(_as_int_matrix(m))))
+    return tuple(int(c) for c in charpoly_exact(_as_int_matrix(m)))
 
 
 def companion(coeffs: Sequence[int]) -> np.ndarray:
@@ -61,7 +61,7 @@ def companion(coeffs: Sequence[int]) -> np.ndarray:
 
 
 def is_unimodular_matrix(m: Sequence) -> bool:
-    return abs(exact_det(exact_array(_as_int_matrix(m)))) == 1
+    return abs(exact_det(_as_int_matrix(m))) == 1
 
 
 # ---------------------------------------------------------------------------
