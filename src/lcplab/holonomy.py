@@ -159,8 +159,7 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
             continue
         if mode == EXACT:
             stacked = np.stack([p.reshape(-1) for p in work])
-            work = [(to_scaled(null.basis[r])[0] @ stacked).reshape(n, n)
-                    for r in range(null.dim)]
+            work = [(to_scaled(coeffs)[0] @ stacked).reshape(n, n) for coeffs in null.basis]
             basis = [exact_array(p) for p in work]
         else:
             new_basis = []
