@@ -144,6 +144,7 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
         ops = [to_scaled(a)[0] for a in ops]
     else:
         work = basis
+    reduced = False
     for a in ops:
         if len(work) <= 1:
             break
@@ -157,10 +158,10 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
         _, null = rank_and_nullspace(k, mode, tol)
         if null.dim == len(work):
             continue
+        reduced = True
         if mode == EXACT:
             stacked = np.stack([p.reshape(-1) for p in work])
             work = [(to_scaled(coeffs)[0] @ stacked).reshape(n, n) for coeffs in null.basis]
-            basis = [exact_array(p) for p in work]
         else:
             new_basis = []
             for r in range(null.dim):
@@ -169,8 +170,10 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
                 for c, p in zip(coeffs, work):
                     combo = combo + c * p
                 new_basis.append(combo)
-            basis = work = new_basis
-    return basis
+            work = new_basis
+    if not reduced:
+        return basis
+    return [exact_array(p) for p in work] if mode == EXACT else work
 
 
 def nabla_commutant(g: MetricLieAlgebra,

@@ -103,10 +103,6 @@ def exact_array(data: Any) -> np.ndarray:
     return _TO_FRACTION(arr)
 
 
-def _exact_scalar(x: Any) -> Any:
-    return x if type(x) is Fraction or type(x) is int else as_fraction(x)
-
-
 def to_scaled(*arrays: Any) -> tuple:
     """Exact arrays as object arrays of ints over one common denominator.
 
@@ -114,7 +110,8 @@ def to_scaled(*arrays: Any) -> tuple:
     ``den`` is the least common denominator, so a single array comes back
     in lowest terms.
     """
-    flats = [[_exact_scalar(x) for x in np.asarray(a, dtype=object).reshape(-1)] for a in arrays]
+    flats = [[x if type(x) is Fraction or type(x) is int else as_fraction(x)
+              for x in np.asarray(a, dtype=object).reshape(-1).tolist()] for a in arrays]
     den = math.lcm(*{x.denominator for flat in flats for x in flat})
     ints = [np.array([x.numerator * (den // x.denominator) for x in flat],
                      dtype=object).reshape(np.shape(a)) for flat, a in zip(flats, arrays)]
