@@ -5,9 +5,10 @@ Exact matrices come in and go out as numpy object arrays of
 fraction-free (rows scaled to integers, integer row operations, one
 division by the pivot at the end), and products use the scaled-integer
 form of :mod:`lcplab.scalars`. Float computations run on float64 arrays,
-with every zero decision governed by a :class:`TolerancePolicy`. Rank decisions in float mode use singular
-values relative to the largest one; residual and identity checks use a
-10 * rank_tol band relative to the data scale.
+with every zero decision governed by a :class:`TolerancePolicy`. Rank
+decisions in float mode use singular values relative to the largest one;
+residual and identity checks use a 10 * rank_tol band relative to the
+data scale.
 """
 from __future__ import annotations
 
@@ -117,10 +118,10 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 def _rref(a: np.ndarray) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of an exact matrix: (nonzero rows, pivot cols).
 
-    Fraction-free (after Bareiss 1968): rows are scaled to integers,
-    eliminated with integer row operations, and divided by their pivot
-    only at the end. The RREF is unique, so it is the one Fraction
-    Gauss-Jordan elimination gives.
+    Fraction-free: rows are scaled to integers, eliminated with integer
+    row operations (each result divided by the gcd of its entries), and
+    divided by their pivot only at the end. The RREF is unique, so it is
+    the one Fraction Gauss-Jordan elimination gives.
     """
     rows, pivots = _echelon(_int_rows(a))
     return [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)], pivots
@@ -205,9 +206,7 @@ def charpoly_exact(a: np.ndarray) -> tuple[Fraction, ...]:
     """
     ai, d = to_scaled(a)
     n = ai.shape[0]
-    eye = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        eye[i, i] = 1
+    eye = np.identity(n, dtype=int).astype(object)
     coeffs_high = [1]  # X^n downward
     m = eye
     for k in range(1, n + 1):
