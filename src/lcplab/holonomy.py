@@ -54,7 +54,6 @@ from .scalars import (
     exact_array,
     from_scaled,
     to_scaled,
-    zeros_array,
 )
 
 
@@ -87,14 +86,13 @@ def holonomy_algebra(g: MetricLieAlgebra,
     if not seeds:
         return OperatorAlgebra(n, (), g.mode)
     nabla = [conn.operator(k) for k in range(n)]
-    max_dim = None
     if g.mode == EXACT:
         # each matrix scaled to ints on its own: rescaling candidates changes
         # no span, and the closure then runs on ints end to end
         nabla = [to_scaled(a)[0] for a in nabla]
         seeds = [to_scaled(r)[0] for r in seeds]
-        if conn.kind == LEVI_CIVITA:
-            max_dim = n * (n - 1) // 2  # the holonomy lies in so(g)
+    # the Levi-Civita holonomy lies in so(g)
+    max_dim = n * (n - 1) // 2 if conn.kind == LEVI_CIVITA else None
 
     def step(m: np.ndarray) -> list[np.ndarray]:
         return [a @ m - m @ a for a in nabla]
@@ -140,40 +138,32 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
         # on its own: rescaling a column rescales the matching nullspace
         # coordinate, and a rescaled nullspace vector is still one, so the
         # recombined basis spans the same commutant
-        work = [to_scaled(p)[0] for p in basis]
+        work = np.stack([to_scaled(p)[0] for p in basis])
         ops = [to_scaled(a)[0] for a in ops]
     else:
-        work = basis
+        work = np.stack(basis)
     reduced = False
     for a in ops:
         if len(work) <= 1:
             break
-        k = np.stack([(p @ a - a @ p).reshape(-1) for p in work], axis=1)
+        # column j is the commutator of working basis matrix j with a
+        k = (work @ a - a @ work).reshape(len(work), -1).T
         # a commutator that is zero at the scale of its inputs is no
         # constraint at all; without this cutoff pure roundoff noise would
         # read as a rank-one condition and eat a commutant direction
-        sc = scale_of(a) * max(scale_of(p) for p in work) if mode == FLOAT else 1.0
+        sc = scale_of(a) * scale_of(work) if mode == FLOAT else 1.0
         if is_zero_matrix(k, mode, tol, scale=max(1.0, sc)):
             continue
         _, null = rank_and_nullspace(k, mode, tol)
         if null.dim == len(work):
             continue
         reduced = True
-        if mode == EXACT:
-            stacked = np.stack([p.reshape(-1) for p in work])
-            work = [(to_scaled(coeffs)[0] @ stacked).reshape(n, n) for coeffs in null.basis]
-        else:
-            new_basis = []
-            for r in range(null.dim):
-                coeffs = null.basis[r]
-                combo = zeros_array((n, n), mode)
-                for c, p in zip(coeffs, work):
-                    combo = combo + c * p
-                new_basis.append(combo)
-            work = new_basis
+        coeffs = (np.stack([to_scaled(c)[0] for c in null.basis]) if mode == EXACT
+                  else null.basis)
+        work = (coeffs @ work.reshape(len(work), -1)).reshape(-1, n, n)
     if not reduced:
         return basis
-    return [exact_array(p) for p in work] if mode == EXACT else work
+    return [exact_array(p) for p in work] if mode == EXACT else list(work)
 
 
 def nabla_commutant(g: MetricLieAlgebra,
@@ -219,11 +209,12 @@ def _candidates(comm: list[np.ndarray], mode: Mode, tol: TolerancePolicy,
 
 
 def _first_eigensplit(comm: list[np.ndarray], gram: np.ndarray, mode: Mode,
-                      tol: TolerancePolicy, rng: random.Random) -> EigenSplit:
+                      tol: TolerancePolicy, rng: random.Random, stage: str) -> EigenSplit:
     """Eigensplit of the first candidate that has two or more eigenspaces.
 
     When no candidate splits, raises the last ambiguity met on the way, or
-    a fresh one if there was none.
+    a fresh one if there was none; its message starts with ``stage``, the
+    name of the step that needed the split.
     """
     ambiguity: Optional[NumericalAmbiguityError] = None
     for cand in _candidates(comm, mode, tol, rng):
@@ -235,9 +226,10 @@ def _first_eigensplit(comm: list[np.ndarray], gram: np.ndarray, mode: Mode,
         if len(split.pairs) >= 2:
             return split
     if ambiguity is not None:
-        raise ambiguity
+        raise NumericalAmbiguityError(f"{stage}: {ambiguity}",
+                                      suggestion=ambiguity.suggestion) from ambiguity
     raise NumericalAmbiguityError(
-        "commutant has dimension >= 2 but no candidate produced a stable eigensplit",
+        f"{stage}: commutant has dimension >= 2 but no candidate produced a stable eigensplit",
         suggestion="rerun with a different seed or loosen eigen_cluster_tol",
     )
 
@@ -253,7 +245,7 @@ def _split_blocks(ops: list[np.ndarray], gram: np.ndarray, mode: Mode,
     comm = symmetric_commutant(ops, gram, mode, tol)
     if len(comm) <= 1:
         return [full_subspace(n, mode)]
-    chosen = _first_eigensplit(comm, gram, mode, tol, rng)
+    chosen = _first_eigensplit(comm, gram, mode, tol, rng, "de Rham splitting")
     if chosen.promoted_to_float:
         raise _PromoteToFloat()
     blocks: list[Subspace] = []
@@ -490,7 +482,8 @@ def reducibility_witness(g: MetricLieAlgebra, seed: int = 0,
     comm = nabla_commutant(gg, conn)
     # a flat block of dimension >= 2 always splits; when no candidate gives
     # a clear eigen-gap the NumericalAmbiguityError says so (exit 3)
-    split = _first_eigensplit(comm, gg.gram, gg.mode, gg.tol, random.Random(seed))
+    split = _first_eigensplit(comm, gg.gram, gg.mode, gg.tol, random.Random(seed),
+                              "flat reducing pair")
     h = to_float_algebra(gg) if split.promoted_to_float else gg
     s1 = split.pairs[0][1]
     s2 = subspace_sum([p for _, p in split.pairs[1:]], h.tol)

@@ -6,16 +6,18 @@ fraction-free (rows scaled to integers, integer row operations, one
 division by the pivot at the end), and products use the scaled-integer
 form of :mod:`lcplab.scalars`. Float computations run on float64 arrays,
 with every zero decision governed by a :class:`TolerancePolicy`. Rank
-decisions in float mode use singular values relative to the largest one;
-residual and identity checks use a 10 * rank_tol band relative to the
-data scale.
+decisions in float mode use singular values relative to the largest one,
+from a thin SVD unless the matrix is wide; residual and identity checks
+use a 10 * rank_tol band relative to the data scale. A float span closure
+keeps its orthonormal basis as one matrix and projects each candidate
+against all of it at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -223,7 +225,9 @@ def charpoly_exact(a: np.ndarray) -> tuple[Fraction, ...]:
 
 def _float_rank_nullspace(a: np.ndarray, tol: TolerancePolicy) -> tuple[int, np.ndarray]:
     af = np.asarray(a, dtype=np.float64)
-    _, s, vt = np.linalg.svd(af)
+    # a tall or square matrix has all of V in its thin SVD; a wide one needs
+    # the full V, whose rows past the row count span part of the nullspace
+    _, s, vt = np.linalg.svd(af, full_matrices=af.shape[0] < af.shape[1])
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > tol.rank_tol * smax))
     return rank, vt[rank:]
@@ -456,31 +460,35 @@ class _ExactEchelon:
 
 
 class _FloatOrtho:
-    """Orthonormal row store with a relative-residual novelty test."""
+    """Orthonormal rows in one growing float64 matrix, with a relative-residual novelty test.
+
+    Each insert projects the vector against all stored rows at once, in two
+    classical Gram-Schmidt passes: the second pass restores orthogonality
+    to working precision ("twice is enough", Giraud, Langou and Rozloznik
+    2005). The vector is new when its residual exceeds rank_tol times
+    max(1, its norm).
+    """
 
     def __init__(self, width: int, tol: TolerancePolicy):
-        self.width = width
         self.tol = tol
-        self.rows: list[np.ndarray] = []
+        self.q = np.empty((0, width))
 
-    def insert(self, vec: Iterable[Any]) -> bool:
-        v = np.asarray(list(vec), dtype=np.float64)
+    def insert(self, vec: np.ndarray) -> bool:
+        v = np.asarray(vec, dtype=np.float64)
         norm0 = float(np.linalg.norm(v))
         if norm0 == 0.0:
             return False
-        r = v.copy()
-        for _ in range(2):  # two Gram-Schmidt passes for stability
-            for q in self.rows:
-                r = r - np.dot(r, q) * q
+        r = v - (self.q @ v) @ self.q
+        r = r - (self.q @ r) @ self.q
         res = float(np.linalg.norm(r))
         if res <= self.tol.rank_tol * max(1.0, norm0):
             return False
-        self.rows.append(r / res)
+        self.q = np.vstack([self.q, r / res])
         return True
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self.q.shape[0]
 
 
 def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequence[np.ndarray]],

@@ -190,7 +190,7 @@ class TestExitCodes:
     def test_ambiguous_eigensplit_exits_3(self, so3_pair_file, capsys):
         assert main(["analyze", so3_pair_file, "--tol", "3e-3"]) == 3
         err = capsys.readouterr().err
-        assert "numerical ambiguity" in err
+        assert "numerical ambiguity: de Rham splitting: " in err
         assert "suggestion" in err
 
     def test_ambiguous_flat_witness_exits_3(self, tmp_path, capsys):
@@ -201,7 +201,7 @@ class TestExitCodes:
                                     "metric": [[1.0, 0.0], [0.0, 1.0]]}))
         assert main(["analyze", str(path), "--tol", "3e-3"]) == 3
         err = capsys.readouterr().err
-        assert "numerical ambiguity" in err
+        assert "numerical ambiguity: flat reducing pair: " in err
         assert "structure violation" not in err
 
     def test_same_file_passes_at_default_tolerance(self, so3_pair_file):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (
     ConditionReport,
     check_reducing_pair,
@@ -16,6 +17,7 @@ from lcplab.holonomy import (
 )
 from lcplab.liealg import (
     bracket_table,
+    curvature_tensor,
     direct_sum_algebra,
     levi_civita,
     make_algebra,
@@ -23,7 +25,7 @@ from lcplab.liealg import (
     transform_algebra,
     with_gram,
 )
-from lcplab.linalg import make_subspace, subspaces_equal
+from lcplab.linalg import Subspace, make_subspace, span_closure, subspaces_equal
 from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array
 
 F = Fraction
@@ -92,6 +94,33 @@ def test_product_holonomy_adds_up():
 def test_holonomy_float_matches_exact():
     g = hyperbolic3()
     assert holonomy_algebra(to_float_algebra(g)).dim == holonomy_algebra(g).dim
+
+
+@pytest.mark.parametrize("name", [e.name for e in all_entries()])
+def test_float_holonomy_dim_matches_exact_on_gallery(name):
+    g = next(e for e in all_entries() if e.name == name).algebra
+    assert holonomy_algebra(to_float_algebra(g)).dim == holonomy_algebra(g).dim
+
+
+def test_float_holonomy_dim_matches_exact_on_corpus_slice(random_corpus):
+    for g in random_corpus[:30]:
+        assert holonomy_algebra(to_float_algebra(g)).dim == holonomy_algebra(g).dim
+
+
+def test_float_closure_stop_at_so_g_keeps_the_span():
+    # hol = so(14): the closure stops at dim so(g) and must still span
+    # what the full closure, run over every candidate, spans
+    g = to_float_algebra(sl_example(2).algebra)
+    n = g.dim
+    conn = levi_civita(g)
+    curv = curvature_tensor(g, conn)
+    nabla = [conn.operator(k) for k in range(n)]
+    full = span_closure([curv[i, j] for i in range(n) for j in range(i + 1, n)],
+                        lambda m: [a @ m - m @ a for a in nabla], FLOAT, g.tol)
+    hol = holonomy_algebra(g, conn)
+    assert hol.dim == full.dim == n * (n - 1) // 2
+    stopped = Subspace(n * n, np.stack([m.reshape(-1) for m in hol.basis]), FLOAT)
+    assert subspaces_equal(stopped, full, g.tol)
 
 
 def test_common_kernel_of_no_ops_is_everything():
@@ -335,3 +364,26 @@ def test_witness_agrees_with_commutant_dimension():
         comm = symmetric_commutant(hol.basis, g.gram, g.mode, g.tol)
         has_witness = reducibility_witness(g) is not None
         assert has_witness == (len(comm) >= 2)
+
+
+# ---------------------------------------------------------------------------
+# verdicts on the large float inputs
+
+
+@pytest.mark.parametrize("second,hol_dim,factor_dims,pair", [
+    (None, 91, [14], None),
+    ("fundamental", 94, [14, 3], (14, 3)),
+    ("sl2_semidirect", 182, [14, 14], (14, 14)),
+], ids=["sl2_semidirect", "plus_fundamental", "plus_sl2_semidirect"])
+def test_large_float_verdicts(second, hol_dim, factor_dims, pair):
+    # float twins of sl2_semidirect and of its sums with a gallery entry
+    g = sl_example(2).algebra
+    if second is not None:
+        g = direct_sum_algebra(g, next(e for e in all_entries() if e.name == second).algebra)
+    g = to_float_algebra(g)
+    spl = de_rham_splitting(g)
+    assert spl.holonomy_dim == hol_dim
+    assert list(spl.factor_dims) == factor_dims
+    assert spl.flat_factor is None
+    w = reducibility_witness(g, splitting=spl)
+    assert (None if w is None else (w.s1.dim, w.s2.dim)) == pair

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lcplab.errors import InputError
 from lcplab.linalg import (
     EigenSplit,
+    _FloatOrtho,
     Subspace,
     canonical_rows,
     charpoly_exact,
@@ -84,6 +85,27 @@ def test_rank_matches_between_backends(rows):
     assert matrix_rank(ae, EXACT, DEFAULT_TOL) == matrix_rank(
         np.array(rows, dtype=np.float64), FLOAT, DEFAULT_TOL
     )
+
+
+# tall, square and wide matrices, full rank and planted rank (None: full);
+# the float SVD is thin unless the matrix is wide, which needs the full V
+_RANK_SHAPES = [(9, 4, None), (5, 5, None), (3, 7, None), (10, 6, 3),
+                (6, 6, 4), (4, 9, 2), (7, 3, 0), (4, 6, 0)]
+
+
+@pytest.mark.parametrize("rows,cols,planted", _RANK_SHAPES)
+def test_float_rank_and_nullspace_match_exact_on_every_shape(rows, cols, planted):
+    rng = np.random.default_rng(97 * rows + cols)
+    if planted is None:
+        a = rng.integers(-5, 6, (rows, cols))
+    else:
+        a = rng.integers(-3, 4, (rows, planted)) @ rng.integers(-3, 4, (planted, cols))
+    af = a.astype(np.float64)
+    rank, null = rank_and_nullspace(af, FLOAT)
+    assert rank == matrix_rank(af, FLOAT, DEFAULT_TOL) == matrix_rank(E(a.tolist()), EXACT, DEFAULT_TOL)
+    assert rank + null.dim == cols
+    assert np.allclose(null.basis @ null.basis.T, np.eye(null.dim), atol=1e-12)
+    assert np.max(np.abs(af @ null.basis.T), initial=0.0) <= 1e-10 * max(1.0, np.abs(af).max())
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +288,23 @@ def test_span_closure_float_agrees():
     e21 = float_array([[0, 0], [1, 0]])
     out = span_closure([e12], lambda m: [_comm(e21, m)], FLOAT)
     assert out.dim == 3
+
+
+def test_float_store_rejects_roundoff_and_accepts_new_directions():
+    rng = np.random.default_rng(5)
+    store = _FloatOrtho(40, DEFAULT_TOL)
+    vecs = rng.standard_normal((6, 40))
+    assert all(store.insert(v) for v in vecs)
+    assert np.allclose(store.q @ store.q.T, np.eye(6), atol=1e-14)
+    # a combination of stored vectors, perturbed at roundoff level, is old
+    inside = rng.standard_normal(6) @ vecs
+    assert not store.insert(inside + 1e-15 * np.abs(inside).max() * rng.standard_normal(40))
+    assert not store.insert(np.zeros(40))
+    assert store.dim == 6
+    # a vector with a component outside the span well above rank_tol is new
+    assert store.insert(inside + 1e-6 * rng.standard_normal(40))
+    assert store.dim == 7
+    assert np.allclose(store.q @ store.q.T, np.eye(7), atol=1e-14)
 
 
 def test_span_closure_rejects_empty_seed():
