@@ -262,6 +262,20 @@ class TestLattice:
         coeffs = json.dumps([1] + [0] * 8 + [1])
         assert main(["lattice", "irreducible", coeffs]) == 2
 
+    @pytest.mark.parametrize("command", ["irreducible", "roots"])
+    @pytest.mark.parametrize("coeffs", ["[]", "[1.5,2,1]"])
+    def test_bad_coefficients_exit_2(self, command, coeffs, capsys):
+        assert main(["lattice", command, coeffs]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["roots", "[1,0,1]"],
+                                      ["conjugacy", "[[1,1],[1,2]]"],
+                                      ["probe", "[0.5, 1.5]"]])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_nonpositive_tol_exits_2(self, argv, tol, capsys):
+        assert main(["lattice", *argv, "--tol", tol]) == 2
+        assert "positive" in capsys.readouterr().err
+
     def test_roots_profile(self, capsys):
         assert main(["lattice", "roots", "[1,-3,3,-3,1]", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

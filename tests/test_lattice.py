@@ -98,6 +98,14 @@ class TestIrreducibility:
     def test_content_is_stripped(self):
         assert is_irreducible_over_Z((2, 0, 2))  # 2(X^2 + 1)
 
+    @pytest.mark.parametrize("coeffs", [(), (1.5, 2, 1), (Fraction(3, 2), 2, 1)])
+    def test_rejects_empty_and_non_integer_coefficients(self, coeffs):
+        # truncating 3/2 to 1 would answer for X^2 + 2X + 1 instead
+        with pytest.raises(InputError):
+            is_irreducible_over_Z(coeffs)
+        with pytest.raises(InputError):
+            unit_root_profile(coeffs)
+
 
 class TestUnitRootProfile:
     def test_mixed_quartic(self):
