@@ -52,9 +52,15 @@ def resolve_tolerance(tol_arg: Optional[float]) -> TolerancePolicy:
                 raise InputError(f"LCPLAB_TOL is not a number: {env!r}") from None
     if raw is None:
         return DEFAULT_TOL
+    raw = _positive_tol(raw)
+    return TolerancePolicy(rank_tol=raw, eigen_cluster_tol=100.0 * raw)
+
+
+def _positive_tol(raw: float) -> float:
+    # written so that NaN fails too
     if not raw > 0:
         raise InputError(f"tolerance must be positive, got {raw}")
-    return TolerancePolicy(rank_tol=raw, eigen_cluster_tol=100.0 * raw)
+    return raw
 
 
 def _tool_versions() -> dict:
@@ -273,7 +279,7 @@ def cmd_lattice_irreducible(args: argparse.Namespace) -> int:
 
 def cmd_lattice_roots(args: argparse.Namespace) -> int:
     coeffs = _vector_arg(args.coeffs, "coefficients")
-    profile = unit_root_profile(coeffs, tol=args.tol)
+    profile = unit_root_profile(coeffs, tol=_positive_tol(args.tol))
     payload = {
         "degree": profile.degree,
         "on_circle": profile.on_circle,
@@ -291,7 +297,7 @@ def cmd_lattice_roots(args: argparse.Namespace) -> int:
 
 def cmd_lattice_conjugacy(args: argparse.Namespace) -> int:
     matrix = _matrix_arg(args.matrix)
-    solution = solve_conjugacy(matrix, tol=args.tol)
+    solution = solve_conjugacy(matrix, tol=_positive_tol(args.tol))
     if solution is None:
         _emit(args, {"solved": False, "reason": "matrix is not diagonalizable"},
               ["no solution: matrix is not diagonalizable"])
@@ -314,7 +320,7 @@ def cmd_lattice_conjugacy(args: argparse.Namespace) -> int:
 
 def cmd_lattice_probe(args: argparse.Namespace) -> int:
     values = _vector_arg(args.values, "values")
-    result = discreteness_probe(values, tol=args.tol)
+    result = discreteness_probe(values, tol=_positive_tol(args.tol))
     payload = {
         "discrete": result.discrete,
         "accumulation_detected": not result.discrete,

@@ -23,6 +23,13 @@ from .linalg import charpoly_exact, divisors, exact_det
 from .scalars import as_fraction
 
 
+def _as_int(x, where: str) -> int:
+    f = as_fraction(int(x) if isinstance(x, (bool, np.bool_)) else x)
+    if f.denominator != 1:
+        raise InputError(f"{where} = {x} is not an integer")
+    return int(f)
+
+
 def _as_int_matrix(m: Sequence) -> np.ndarray:
     arr = np.array(m, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -30,11 +37,7 @@ def _as_int_matrix(m: Sequence) -> np.ndarray:
     out = np.empty(arr.shape, dtype=object)
     for i in range(arr.shape[0]):
         for j in range(arr.shape[1]):
-            x = arr[i, j]
-            f = as_fraction(int(x) if isinstance(x, (bool, np.bool_)) else x)
-            if f.denominator != 1:
-                raise InputError(f"entry ({i}, {j}) = {x} is not an integer")
-            out[i, j] = int(f)
+            out[i, j] = _as_int(arr[i, j], f"entry ({i}, {j})")
     return out
 
 
@@ -69,7 +72,9 @@ def is_unimodular_matrix(m: Sequence) -> bool:
 
 
 def _strip(coeffs: Sequence[int]) -> list[int]:
-    cs = [int(c) for c in coeffs]
+    if len(coeffs) == 0:
+        raise InputError("a polynomial needs at least one coefficient")
+    cs = [_as_int(c, f"coefficient {k}") for k, c in enumerate(coeffs)]
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
     return cs
