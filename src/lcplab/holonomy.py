@@ -21,6 +21,7 @@ from .liealg import (
     InvariantConnection,
     MetricLieAlgebra,
     LEVI_CIVITA,
+    bracket_vec,
     curvature_tensor,
     inner,
     is_subalgebra,
@@ -48,10 +49,9 @@ from .linalg import (
 )
 from .scalars import (
     EXACT,
-    FLOAT,
     Mode,
     TolerancePolicy,
-    exact_array,
+    eye_array,
     from_scaled,
     to_scaled,
 )
@@ -79,18 +79,15 @@ def holonomy_algebra(g: MetricLieAlgebra,
     if conn is None:
         conn = levi_civita(g)
     n = g.dim
-    sc = scale_of(g.bracket, g.gram) if g.mode == FLOAT else 1.0
+    sc = scale_of(g.bracket, g.gram)
     curv = curvature_tensor(g, conn)
-    seeds = [curv[i, j] for i in range(n) for j in range(i + 1, n)
-             if not is_zero_matrix(curv[i, j], g.mode, g.tol, scale=max(1.0, sc * sc))]
+    # each exact matrix scaled to ints on its own: rescaling candidates
+    # changes no span, and the closure then runs on ints end to end
+    seeds = [to_scaled(curv[i, j])[0] for i in range(n) for j in range(i + 1, n)
+             if not is_zero_matrix(curv[i, j], g.mode, g.tol, scale=sc * sc)]
     if not seeds:
         return OperatorAlgebra(n, (), g.mode)
-    nabla = [conn.operator(k) for k in range(n)]
-    if g.mode == EXACT:
-        # each matrix scaled to ints on its own: rescaling candidates changes
-        # no span, and the closure then runs on ints end to end
-        nabla = [to_scaled(a)[0] for a in nabla]
-        seeds = [to_scaled(r)[0] for r in seeds]
+    nabla = [to_scaled(conn.operator(k))[0] for k in range(n)]
     # the Levi-Civita holonomy lies in so(g)
     max_dim = n * (n - 1) // 2 if conn.kind == LEVI_CIVITA else None
 
@@ -123,25 +120,20 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
     identity always survives.
     """
     n = gram.shape[0]
-    ginv = invert(gram, mode, tol)
-    if mode == EXACT:
-        ginv, den = to_scaled(ginv)
+    ginv, den = to_scaled(invert(gram, mode, tol))
     basis: list[np.ndarray] = []
     for i in range(n):
         for j in range(i, n):
             s = np.zeros((n, n), dtype=ginv.dtype)
             s[i, j] = 1
             s[j, i] = 1
-            basis.append(from_scaled(ginv @ s, den) if mode == EXACT else ginv @ s)
-    if mode == EXACT:
-        # the work runs on each basis matrix and each operator scaled to ints
-        # on its own: rescaling a column rescales the matching nullspace
-        # coordinate, and a rescaled nullspace vector is still one, so the
-        # recombined basis spans the same commutant
-        work = np.stack([to_scaled(p)[0] for p in basis])
-        ops = [to_scaled(a)[0] for a in ops]
-    else:
-        work = np.stack(basis)
+            basis.append(from_scaled(ginv @ s, den))
+    # the work runs on each basis matrix and each operator scaled to ints
+    # on its own: rescaling a column rescales the matching nullspace
+    # coordinate, and a rescaled nullspace vector is still one, so the
+    # recombined basis spans the same commutant
+    work = np.stack([to_scaled(p)[0] for p in basis])
+    ops = [to_scaled(a)[0] for a in ops]
     reduced = False
     for a in ops:
         if len(work) <= 1:
@@ -151,19 +143,18 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
         # a commutator that is zero at the scale of its inputs is no
         # constraint at all; without this cutoff pure roundoff noise would
         # read as a rank-one condition and eat a commutant direction
-        sc = scale_of(a) * scale_of(work) if mode == FLOAT else 1.0
-        if is_zero_matrix(k, mode, tol, scale=max(1.0, sc)):
+        if is_zero_matrix(k, mode, tol, scale=scale_of(a) * scale_of(work)):
             continue
         _, null = rank_and_nullspace(k, mode, tol)
         if null.dim == len(work):
             continue
         reduced = True
-        coeffs = (np.stack([to_scaled(c)[0] for c in null.basis]) if mode == EXACT
-                  else null.basis)
+        coeffs = np.array([to_scaled(c)[0] for c in null.basis]).reshape(null.dim, len(work))
         work = (coeffs @ work.reshape(len(work), -1)).reshape(-1, n, n)
     if not reduced:
         return basis
-    return [exact_array(p) for p in work] if mode == EXACT else list(work)
+    # each work matrix is a rescaled commutant element: its own scaled form
+    return [from_scaled(p, 1) for p in work]
 
 
 def nabla_commutant(g: MetricLieAlgebra,
@@ -176,13 +167,8 @@ def nabla_commutant(g: MetricLieAlgebra,
 
 def _is_scalar_matrix(p: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:
     n = p.shape[0]
-    trace = sum(p[i, i] for i in range(n))
-    if mode == EXACT:
-        lam = trace / n
-        return all((p[i, j] == (lam if i == j else 0)) for i in range(n) for j in range(n))
-    lam = float(trace) / n
-    d = np.asarray(p, dtype=np.float64) - lam * np.eye(n)
-    return is_zero_matrix(d, mode, tol, scale=scale_of(p))
+    lam = sum(p[i, i] for i in range(n)) / n
+    return is_zero_matrix(p - lam * eye_array(n, mode), mode, tol, scale=scale_of(p))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +295,7 @@ def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace],
     stacked = np.concatenate([f.basis for f in factors], axis=0)
     if total != n or matrix_rank(stacked, g.mode, g.tol) != n:
         raise TheoremViolationError("factors do not span the whole algebra")
-    sc = scale_of(g.gram) if g.mode == FLOAT else 1.0
+    sc = scale_of(g.gram)
     for a in range(len(factors)):
         for b in range(a + 1, len(factors)):
             prods = factors[a].basis @ g.gram @ factors[b].basis.T
@@ -423,16 +409,14 @@ def _cross_vanishes(g: MetricLieAlgebra, linear_rows: np.ndarray,
     sums is equivalent to vanishing identically; both are covered by the
     polarized values below.
     """
-    from .liealg import bracket_vec
-
-    sc = scale_of(g.bracket, g.gram) if g.mode == FLOAT else 1.0
+    sc = scale_of(g.bracket, g.gram)
     for a_idx in range(linear_rows.shape[0]):
         a = linear_rows[a_idx]
         for i in range(quad_rows.shape[0]):
             for j in range(i, quad_rows.shape[0]):
                 u, v = quad_rows[i], quad_rows[j]
                 val = inner(g, bracket_vec(g, a, u), v) + inner(g, bracket_vec(g, a, v), u)
-                if not is_zero_scalar(val, g.mode, g.tol, scale=max(1.0, sc * sc)):
+                if not is_zero_scalar(val, g.mode, g.tol, scale=sc * sc):
                     return False
     return True
 
@@ -440,7 +424,7 @@ def _cross_vanishes(g: MetricLieAlgebra, linear_rows: np.ndarray,
 def check_reducing_pair(g: MetricLieAlgebra, s1: Subspace, s2: Subspace) -> ConditionReport:
     if s1.mode != g.mode or s2.mode != g.mode:
         raise InputError("pair and algebra must use the same scalar mode")
-    sc = scale_of(g.gram) if g.mode == FLOAT else 1.0
+    sc = scale_of(g.gram)
     prods = s1.basis @ g.gram @ s2.basis.T if s1.dim and s2.dim else None
     orthogonal = prods is None or is_zero_matrix(prods, g.mode, g.tol, scale=sc)
     stacked = np.concatenate([s1.basis, s2.basis], axis=0)

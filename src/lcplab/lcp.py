@@ -25,6 +25,7 @@ from .liealg import (
     InvariantConnection,
     MetricLieAlgebra,
     WEYL,
+    bracket_vec,
     curvature_tensor,
     is_ideal,
     is_subalgebra,
@@ -37,6 +38,7 @@ from .linalg import (
     invert,
     is_zero_matrix,
     is_zero_scalar,
+    make_subspace,
     matrix_rank,
     restrict_operator,
     scale_of,
@@ -44,7 +46,6 @@ from .linalg import (
     subspace_sum,
 )
 from .scalars import (
-    EXACT,
     FLOAT,
     Mode,
     array_for_mode,
@@ -71,8 +72,6 @@ class LcpData:
 
 def make_lcp_data(g: MetricLieAlgebra, ideal_rows: Any, lee_covector: Any,
                   complement_rows: Any = None) -> LcpData:
-    from .linalg import make_subspace
-
     u = make_subspace(array_for_mode(ideal_rows, g.mode) if not isinstance(ideal_rows, np.ndarray)
                       else ideal_rows, g.dim, g.mode, g.tol)
     theta = lee_covector if isinstance(lee_covector, np.ndarray) \
@@ -112,27 +111,22 @@ def weyl_connection(g: MetricLieAlgebra, theta: np.ndarray) -> InvariantConnecti
     diag = np.arange(g.dim)
     base = levi_civita(g).coeffs
     sharp = lee_sharp(g, theta)
-    gram = g.gram
-    if g.mode == EXACT:
-        # every term over d * d: the last one is a product of two over d
-        base, theta, gram, sharp, d = to_scaled(base, theta, gram, sharp)
-        base, theta = base * d, theta * d
-    coeffs = base.copy()
-    coeffs[:, diag, diag] += theta[:, None]  # coeffs[i, j, j] += theta[i]
-    coeffs[diag, :, diag] += theta[None, :]  # coeffs[i, j, i] += theta[j]
+    # every term over d * d: the last one is a product of two over d
+    base, theta, gram, sharp, d = to_scaled(base, theta, g.gram, sharp)
+    coeffs = base * d
+    coeffs[:, diag, diag] += theta[:, None] * d  # coeffs[i, j, j] += theta[i]
+    coeffs[diag, :, diag] += theta[None, :] * d  # coeffs[i, j, i] += theta[j]
     coeffs -= gram[:, :, None] * sharp
-    if g.mode == EXACT:
-        coeffs = from_scaled(coeffs, d * d)
-    return InvariantConnection(coeffs, WEYL, g.mode)
+    return InvariantConnection(from_scaled(coeffs, d * d), WEYL, g.mode)
 
 
 def is_closed_covector(g: MetricLieAlgebra, theta: np.ndarray) -> bool:
     """True when the covector kills every bracket."""
-    sc = scale_of(g.bracket, theta) if g.mode == FLOAT else 1.0
+    sc = scale_of(g.bracket, theta)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             val = g.bracket[i, j, :] @ theta
-            if not is_zero_scalar(val, g.mode, g.tol, scale=max(1.0, sc * sc)):
+            if not is_zero_scalar(val, g.mode, g.tol, scale=sc * sc):
                 return False
     return True
 
@@ -149,8 +143,6 @@ def lee_form_from_splitting(g: MetricLieAlgebra, u: Subspace, h: Subspace) -> np
     where q is the dimension of u. Requires h to be a subalgebra and the
     two parts to be complementary.
     """
-    from .liealg import bracket_vec
-
     if not is_unimodular(g):
         raise InputError("the trace identity needs a unimodular algebra")
     if u.dim + h.dim != g.dim:
@@ -238,19 +230,19 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     if u.mode != g.mode:
         raise InputError("structure data and algebra must share one scalar mode")
     n = g.dim
-    sc_theta = scale_of(theta) if g.mode == FLOAT else 1.0
+    sc_theta = scale_of(theta)
     proper = 0 < u.dim < n
     nonzero = not is_zero_matrix(theta.reshape(1, -1), g.mode, g.tol, scale=1.0)
     closed = is_closed_covector(g, theta)
     adapted = is_zero_matrix((u.basis @ theta).reshape(1, -1), g.mode, g.tol,
-                             scale=max(1.0, sc_theta * (scale_of(u.basis) if g.mode == FLOAT else 1.0)))
+                             scale=sc_theta * scale_of(u.basis))
     ideal = is_ideal(g, u)
     unimod = is_unimodular(g)
     conn = weyl_connection(g, theta)
     parallel = all(restrict_operator(conn.operator(k), u.basis, g.mode, g.tol) is not None
                    for k in range(n))
-    sc_r = scale_of(conn.coeffs) if g.mode == FLOAT else 1.0
-    sc_r = max(1.0, sc_r * sc_r)
+    sc_r = scale_of(conn.coeffs)
+    sc_r = sc_r * sc_r
     flat_on_u = True
     nonflat = False
     curv = curvature_tensor(g, conn)
@@ -260,15 +252,14 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
             if not is_zero_matrix(r, g.mode, g.tol, scale=sc_r):
                 nonflat = True
             restricted = u.basis @ r.T
-            if not is_zero_matrix(restricted, g.mode, g.tol,
-                                  scale=sc_r * (scale_of(u.basis) if g.mode == FLOAT else 1.0)):
+            if not is_zero_matrix(restricted, g.mode, g.tol, scale=sc_r * scale_of(u.basis)):
                 flat_on_u = False
     formula: Optional[bool] = None
     if data.complement is not None:
         try:
             recovered = lee_form_from_splitting(g, u, data.complement)
             diff = (recovered - theta).reshape(1, -1)
-            formula = is_zero_matrix(diff, g.mode, g.tol, scale=max(1.0, sc_theta))
+            formula = is_zero_matrix(diff, g.mode, g.tol, scale=sc_theta)
         except InputError:
             formula = False
     return LcpReport(
@@ -315,12 +306,12 @@ def _touched_factor_indices(splitting: DeRhamSplitting, rows: np.ndarray,
     if coords is None:
         raise TheoremViolationError("structure data does not lie in the factor span")
     coords = coords.T  # one row of coordinates per input row
-    sc = scale_of(coords) if g.mode == FLOAT else 1.0
+    sc = scale_of(coords)
     touched = []
     offset = 0
     for idx, f in enumerate(splitting.factors):
         block = coords[:, offset:offset + f.dim]
-        if not is_zero_matrix(block, g.mode, g.tol, scale=max(1.0, sc)):
+        if not is_zero_matrix(block, g.mode, g.tol, scale=sc):
             touched.append(idx)
         offset += f.dim
     return tuple(touched)

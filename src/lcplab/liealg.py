@@ -60,7 +60,7 @@ class MetricLieAlgebra:
 
     @cached_property
     def scaled_bracket(self) -> tuple[np.ndarray, int]:
-        """Exact mode: the bracket tensor as (ints, den), see ``to_scaled``."""
+        """The bracket tensor as (ints, den), see ``to_scaled``."""
         return to_scaled(self.bracket)
 
     def __repr__(self) -> str:
@@ -96,14 +96,11 @@ def make_algebra(bracket: Any, gram: Any = None, mode: Mode = EXACT,
                  basis_names: Optional[Sequence[str]] = None,
                  tol: TolerancePolicy = DEFAULT_TOL, check: bool = True) -> MetricLieAlgebra:
     check_mode(mode)
-    c = bracket if isinstance(bracket, np.ndarray) else array_for_mode(bracket, mode)
+    c = array_for_mode(bracket, mode)
     if c.ndim != 3 or len(set(c.shape)) != 1:
         raise InputError("bracket tensor must have shape (n, n, n)")
     n = c.shape[0]
-    if gram is None:
-        g = eye_array(n, mode)
-    else:
-        g = gram if isinstance(gram, np.ndarray) else array_for_mode(gram, mode)
+    g = eye_array(n, mode) if gram is None else array_for_mode(gram, mode)
     if g.shape != (n, n):
         raise InputError(f"gram matrix must have shape ({n}, {n})")
     if basis_names is None:
@@ -128,7 +125,7 @@ def to_float_algebra(g: MetricLieAlgebra) -> MetricLieAlgebra:
 
 
 def with_gram(g: MetricLieAlgebra, gram: Any) -> MetricLieAlgebra:
-    new = gram if isinstance(gram, np.ndarray) else array_for_mode(gram, g.mode)
+    new = array_for_mode(gram, g.mode)
     if new.shape != (g.dim, g.dim):
         raise InputError("replacement gram has the wrong shape")
     return MetricLieAlgebra(g.bracket, new, g.mode, g.basis_names, g.tol)
@@ -176,13 +173,10 @@ def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
 
 
 def bracket_vec(g: MetricLieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if g.mode == EXACT:
-        c, dc = g.scaled_bracket
-        xi, yi, d = to_scaled(x, y)
-        t = np.tensordot(xi, c, axes=(0, 0))
-        return from_scaled(np.tensordot(yi, t, axes=(0, 0)), d * d * dc)
-    t = np.tensordot(x, g.bracket, axes=(0, 0))  # t[j, k] = sum_i x_i c[i,j,k]
-    return np.tensordot(y, t, axes=(0, 0))
+    c, dc = g.scaled_bracket
+    xi, yi, d = to_scaled(x, y)
+    t = np.tensordot(xi, c, axes=(0, 0))  # t[j, k] = sum_i x_i c[i,j,k]
+    return from_scaled(np.tensordot(yi, t, axes=(0, 0)), d * d * dc)
 
 
 def ad_matrix(g: MetricLieAlgebra, i: int) -> np.ndarray:
@@ -208,16 +202,16 @@ def is_subalgebra(g: MetricLieAlgebra, s: Subspace) -> bool:
 
 def is_ideal(g: MetricLieAlgebra, s: Subspace) -> bool:
     rows = s.basis
+    eye = eye_array(g.dim, g.mode)
     for i in range(g.dim):
-        basis_vec = eye_array(g.dim, g.mode)[i]
         for j in range(rows.shape[0]):
-            if not in_rowspan(bracket_vec(g, basis_vec, rows[j]), rows, g.mode, g.tol):
+            if not in_rowspan(bracket_vec(g, eye[i], rows[j]), rows, g.mode, g.tol):
                 return False
     return True
 
 
 def is_unimodular(g: MetricLieAlgebra) -> bool:
-    sc = scale_of(g.bracket) if g.mode == FLOAT else 1.0
+    sc = scale_of(g.bracket)
     for i in range(g.dim):
         trace = sum(g.bracket[i, j, j] for j in range(g.dim))
         if not is_zero_scalar(trace, g.mode, g.tol, scale=sc):
@@ -273,9 +267,9 @@ def _is_positive_definite(gram: np.ndarray, mode: Mode, tol: TolerancePolicy) ->
 
 def validate_algebra(g: MetricLieAlgebra) -> ValidationReport:
     n = g.dim
-    # exact zero tests do not see a common positive scale, so they run on ints
-    c = g.scaled_bracket[0] if g.mode == EXACT else g.bracket
-    sc = scale_of(c) if g.mode == FLOAT else 1.0
+    # zero tests do not see a common positive scale, so exact ones run on ints
+    c = g.scaled_bracket[0]
+    sc = scale_of(c)
     sym = c + np.transpose(c, (1, 0, 2))  # sym[i, j] = c[i, j, :] + c[j, i, :]
     anti = [(i, j) for i in range(n) for j in range(i, n)
             if not is_zero_matrix(sym[i, j], g.mode, g.tol, scale=sc)]
@@ -283,11 +277,9 @@ def validate_algebra(g: MetricLieAlgebra) -> ValidationReport:
     t = np.tensordot(c, c, axes=(2, 0))
     # total[i, j, k] = t[i, j, k] + t[j, k, i] + t[k, i, j]
     total = t + np.transpose(t, (2, 0, 1, 3)) + np.transpose(t, (1, 2, 0, 3))
-    sc2 = sc * sc
     jac = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
-           if not is_zero_matrix(total[i, j, k], g.mode, g.tol, scale=max(1.0, sc2))]
-    gram_sym = is_zero_matrix(g.gram - g.gram.T, g.mode, g.tol,
-                              scale=scale_of(g.gram) if g.mode == FLOAT else 1.0)
+           if not is_zero_matrix(total[i, j, k], g.mode, g.tol, scale=sc * sc)]
+    gram_sym = is_zero_matrix(g.gram - g.gram.T, g.mode, g.tol, scale=scale_of(g.gram))
     gram_pd = gram_sym and _is_positive_definite(g.gram, g.mode, g.tol)
     return ValidationReport(tuple(anti), tuple(jac), gram_sym, gram_pd)
 
@@ -329,20 +321,12 @@ def levi_civita(g: MetricLieAlgebra) -> InvariantConnection:
     Defined by 2<D_x y, z> = <[x,y],z> + <[z,x],y> - <[y,z],x> on
     left-invariant fields.
     """
-    ginv = invert(g.gram, g.mode, g.tol)
-    if g.mode == EXACT:
-        c, dc = g.scaled_bracket
-        gram, ginv, d = to_scaled(g.gram, ginv)
-    else:
-        c, gram = g.bracket, g.gram
+    c, dc = g.scaled_bracket
+    gram, ginv, d = to_scaled(g.gram, invert(g.gram, g.mode, g.tol))
     b = np.tensordot(c, gram, axes=(2, 0))  # b[i,j,z] = <[e_i,e_j], e_z>
     # rhs[i, j, z] = b[i, j, z] + b[z, i, j] - b[j, z, i]
     rhs = b + np.transpose(b, (1, 2, 0)) - np.transpose(b, (2, 0, 1))
-    coeffs = np.tensordot(rhs, ginv, axes=(2, 0))
-    if g.mode == EXACT:
-        coeffs = from_scaled(coeffs, 2 * dc * d * d)
-    else:
-        coeffs = coeffs * 0.5
+    coeffs = from_scaled(np.tensordot(rhs, ginv, axes=(2, 0)), 2 * dc * d * d)
     return InvariantConnection(coeffs, LEVI_CIVITA, g.mode)
 
 
@@ -377,25 +361,25 @@ def curvature_tensor(g: MetricLieAlgebra, conn: InvariantConnection) -> np.ndarr
                        da * da * dc)
 
 
+def _max_abs(d: np.ndarray):
+    # a Fraction for exact entries; 0 when there are none
+    return np.max(np.abs(d), initial=0)
+
+
 def torsion_defect(g: MetricLieAlgebra, conn: InvariantConnection):
     """Largest component of D_x y - D_y x - [x, y] over basis pairs."""
-    d = conn.coeffs - np.transpose(conn.coeffs, (1, 0, 2)) - g.bracket
-    if g.mode == EXACT:
-        return max((abs(x) for x in d.reshape(-1)), default=0)
-    return float(np.max(np.abs(d))) if d.size else 0.0
+    return _max_abs(conn.coeffs - np.transpose(conn.coeffs, (1, 0, 2)) - g.bracket)
 
 
 def metric_defect(g: MetricLieAlgebra, conn: InvariantConnection,
                   theta: Optional[np.ndarray] = None):
     """Largest component of G A_i + A_i^T G - 2 theta_i G over basis directions;
     theta is the Lee covector of a Weyl connection, None for a metric one."""
-    worst = None
+    parts = []
     for i in range(g.dim):
         a = conn.operator(i)
         d = g.gram @ a + a.T @ g.gram
         if theta is not None:
             d = d - 2 * theta[i] * g.gram
-        m = max((abs(x) for x in d.reshape(-1)), default=0) if g.mode == EXACT \
-            else float(np.max(np.abs(d)))
-        worst = m if worst is None or m > worst else worst
-    return worst if worst is not None else (0 if g.mode == EXACT else 0.0)
+        parts.append(d)
+    return _max_abs(np.array(parts))

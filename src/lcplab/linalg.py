@@ -8,9 +8,14 @@ form of :mod:`lcplab.scalars`. Float computations run on float64 arrays,
 with every zero decision governed by a :class:`TolerancePolicy`. Rank
 decisions in float mode use singular values relative to the largest one,
 from a thin SVD unless the matrix is wide; residual and identity checks
-use a 10 * rank_tol band relative to the data scale. A float span closure
-keeps its orthonormal basis as one matrix and projects each candidate
-against all of it at once.
+use a 10 * rank_tol band relative to the data scale, :func:`scale_of`,
+which is 1 on exact arrays: their zero tests ignore the scale. A float
+span closure keeps its orthonormal basis as one matrix and projects each
+candidate against all of it at once.
+
+Code that runs in both modes works on the scaled form of
+:mod:`lcplab.scalars`, where a float array is its own scaled form over
+denominator 1, so it is written once.
 """
 from __future__ import annotations
 
@@ -47,9 +52,10 @@ def residual_band(tol: TolerancePolicy) -> float:
 
 
 def scale_of(*arrays: np.ndarray) -> float:
+    """max(1, largest float magnitude); exact arrays count as 1."""
     s = 1.0
     for a in arrays:
-        if a.size:
+        if a.size and a.dtype == np.float64:
             s = max(s, float(np.max(np.abs(np.asarray(a, dtype=np.float64)))))
     return s
 
@@ -239,7 +245,7 @@ def float_solve(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy) -> Optional[
     bb = np.asarray(b, dtype=np.float64).reshape(a.shape[0], -1)
     x, *_ = np.linalg.lstsq(af, bb, rcond=None)
     res = af @ x - bb
-    band = residual_band(tol) * max(1.0, scale_of(af), scale_of(bb))
+    band = residual_band(tol) * scale_of(af, bb)
     if res.size and float(np.max(np.abs(res))) > band:
         return None
     return x.reshape((a.shape[1],) + b.shape[1:]) if b.ndim == 1 else x
@@ -322,7 +328,7 @@ def coords_in_rowbasis(vecs: np.ndarray, basis_rows: np.ndarray, mode: Mode,
     """Coefficients X with X @ basis_rows = vecs, or None if not in the span."""
     v = np.atleast_2d(vecs)
     if basis_rows.shape[0] == 0:
-        if is_zero_matrix(v, mode, tol, scale=scale_of(v) if mode == FLOAT else 1.0):
+        if is_zero_matrix(v, mode, tol, scale=scale_of(v)):
             out = zeros_array((v.shape[0], 0), mode)
             return out[0] if vecs.ndim == 1 else out
         return None
@@ -357,7 +363,7 @@ def subspace_sum(parts: Sequence[Subspace], tol: TolerancePolicy = DEFAULT_TOL,
     mode = parts[0].mode
     n = parts[0].ambient_dim
     rows = np.concatenate([p.basis for p in parts], axis=0)
-    if verify_direct and matrix_rank(rows, mode, DEFAULT_TOL if mode == EXACT else tol) != rows.shape[0]:
+    if verify_direct and matrix_rank(rows, mode, tol) != rows.shape[0]:
         raise InputError("subspace sum is not direct")
     return Subspace(n, rows, mode)
 
@@ -380,11 +386,8 @@ def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
 
     Column convention on coordinates; None when the span is not invariant.
     """
-    if mode == EXACT:
-        bi, ai, d = to_scaled(basis_rows, a)
-        images = from_scaled(bi @ ai.T, d * d)  # row i = a(basis_i)
-    else:
-        images = basis_rows @ a.T
+    bi, ai, d = to_scaled(basis_rows, a)
+    images = from_scaled(bi @ ai.T, d * d)  # row i = a(basis_i)
     m = coords_in_rowbasis(images, basis_rows, mode, tol)
     if m is None:
         return None
@@ -415,7 +418,7 @@ def support_indices(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> tuple
     if mode == EXACT:
         return tuple(j for j in range(rows.shape[1]) if any(rows[i, j] != 0 for i in range(rows.shape[0])))
     af = np.abs(np.asarray(rows, dtype=np.float64))
-    cut = residual_band(tol) * max(1.0, float(af.max()))
+    cut = residual_band(tol) * scale_of(af)
     return tuple(j for j in range(rows.shape[1]) if float(af[:, j].max()) > cut)
 
 
@@ -677,8 +680,6 @@ def symmetric_eigensplit(m: np.ndarray, mode: Mode, tol: TolerancePolicy = DEFAU
     """Eigensplit of a plain symmetric matrix; rejects asymmetric input."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("symmetric_eigensplit expects a square matrix")
-    diff = m - m.T
-    sc = scale_of(m) if mode == FLOAT else 1.0
-    if not is_zero_matrix(diff, mode, tol, scale=sc):
+    if not is_zero_matrix(m - m.T, mode, tol, scale=scale_of(m)):
         raise InputError("matrix is not symmetric")
     return selfadjoint_eigensplit(m, eye_array(m.shape[0], mode), mode, tol)

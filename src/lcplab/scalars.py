@@ -10,6 +10,11 @@ the same data instead: an object array of Python ints plus one common
 denominator (:func:`to_scaled` and :func:`from_scaled`). Integer products
 skip the gcd normalisation that dominates ``Fraction`` arithmetic, and
 scaling by a positive rational changes no span, kernel or zero test.
+
+A float64 array is its own scaled form over denominator 1, so an
+algorithm written once on the scaled form runs in either mode: these two
+helpers, and ``linalg.scale_of``, read the mode from the array's dtype.
+Object and integer arrays take the exact path.
 """
 from __future__ import annotations
 
@@ -108,8 +113,10 @@ def to_scaled(*arrays: Any) -> tuple:
 
     Returns ``(ints_1, ..., ints_k, den)`` with ``arrays[i] == ints_i / den``.
     ``den`` is the least common denominator, so a single array comes back
-    in lowest terms.
+    in lowest terms. Float64 arrays come back unchanged over ``den = 1``.
     """
+    if all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in arrays):
+        return (*arrays, 1)
     flats = [[x if type(x) is Fraction or type(x) is int else as_fraction(x)
               for x in np.asarray(a, dtype=object).reshape(-1).tolist()] for a in arrays]
     den = math.lcm(*{x.denominator for flat in flats for x in flat})
@@ -119,7 +126,10 @@ def to_scaled(*arrays: Any) -> tuple:
 
 
 def from_scaled(ints: np.ndarray, den: int) -> np.ndarray:
-    """The Fraction array ``ints / den``, undoing :func:`to_scaled`."""
+    """The array ``ints / den``, undoing :func:`to_scaled`: Fractions, or
+    floats for a float64 ``ints``."""
+    if ints.dtype == np.float64:
+        return ints / den
     return np.array([Fraction(x, den) for x in ints.reshape(-1)],
                     dtype=object).reshape(ints.shape)
 

@@ -98,6 +98,15 @@ def test_make_algebra_shape_checks():
         make_algebra(bracket_table(2, {}), basis_names=("a",))
 
 
+def test_make_algebra_rejects_float_arrays_in_exact_mode():
+    # float64 arrays are the float lane's scaled form, so the exact lane
+    # would take them as they are; they must be refused on the way in
+    with pytest.raises(InputError, match="float scalar"):
+        make_algebra(np.zeros((2, 2, 2)), mode="exact")
+    with pytest.raises(InputError, match="float scalar"):
+        make_algebra(bracket_table(2, {}), gram=np.eye(2), mode="exact")
+
+
 def test_inner_uses_gram():
     g = make_algebra(bracket_table(2, {}), gram=[[2, 0], [0, 3]])
     assert inner(g, exact_array([1, 1]), exact_array([1, 1])) == 5
