@@ -56,7 +56,7 @@ def scale_of(*arrays: np.ndarray) -> float:
     s = 1.0
     for a in arrays:
         if a.size and a.dtype == np.float64:
-            s = max(s, float(np.max(np.abs(np.asarray(a, dtype=np.float64)))))
+            s = max(s, float(np.max(np.abs(a))))
     return s
 
 

@@ -16,8 +16,8 @@ from lcplab.gallery import all_entries
 from lcplab.lcp import weyl_connection
 from lcplab.liealg import (curvature_operator, curvature_tensor, levi_civita,
                            to_float_algebra)
-from lcplab.linalg import _rref, charpoly_exact, exact_det
-from lcplab.scalars import EXACT, exact_array, from_scaled, to_scaled
+from lcplab.linalg import _rref, charpoly_exact, exact_det, scale_of
+from lcplab.scalars import EXACT, exact_array, from_scaled, to_float_array, to_scaled
 
 
 def _reference_rref(rows):
@@ -108,6 +108,18 @@ def test_scaled_round_trip(rows):
     assert (from_scaled(ints, den) == a).all()
     # lowest terms: no common factor left between den and the numerators
     assert np.gcd.reduce([den, *ints.reshape(-1)]) == 1
+    # exact zero tests ignore the scale, so an exact array counts as 1
+    assert scale_of(a) == 1.0
+    # a float64 array is its own scaled form over denominator 1
+    f = to_float_array(a)
+    same, one = to_scaled(f)
+    assert same is f and one == 1
+    assert from_scaled(f, 2).tobytes() == (f * 0.5).tobytes()
+    # integer arrays keep the exact path
+    z = np.array([[x.numerator for x in row] for row in rows])
+    zi, zden = to_scaled(z)
+    assert zden == 1 and all(type(x) is int for x in zi.reshape(-1))
+    assert all(type(x) is Fraction for x in from_scaled(zi, zden).reshape(-1))
 
 
 @settings(max_examples=100, deadline=None)
