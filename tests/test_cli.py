@@ -141,6 +141,8 @@ class TestToleranceResolution:
     def test_nonpositive_rejected(self):
         with pytest.raises(InputError, match="positive"):
             resolve_tolerance(0.0)
+        with pytest.raises(InputError, match="positive"):
+            resolve_tolerance(math.inf)
 
 
 class TestExitCodes:
@@ -271,8 +273,10 @@ class TestLattice:
     @pytest.mark.parametrize("argv", [["roots", "[1,0,1]"],
                                       ["conjugacy", "[[1,1],[1,2]]"],
                                       ["probe", "[0.5, 1.5]"]])
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-    def test_nonpositive_tol_exits_2(self, argv, tol, capsys):
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_exits_2(self, argv, tol, capsys):
+        # an infinite band would put the roots 2.618... and 0.381... of
+        # X^2 - 3X + 1 on the unit circle
         assert main(["lattice", *argv, "--tol", tol]) == 2
         assert "positive" in capsys.readouterr().err
 
