@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -58,8 +59,8 @@ def resolve_tolerance(tol_arg: Optional[float]) -> TolerancePolicy:
 
 def _positive_tol(raw: float) -> float:
     # written so that NaN fails too
-    if not raw > 0:
-        raise InputError(f"tolerance must be positive, got {raw}")
+    if not 0 < raw < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {raw}")
     return raw
 
 
