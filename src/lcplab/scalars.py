@@ -100,6 +100,7 @@ def format_scalar(value: Any, mode: Mode) -> Any:
 
 
 _TO_FRACTION = np.frompyfunc(as_fraction, 1, 1)
+_FLOAT64 = np.dtype(np.float64)
 
 
 def exact_array(data: Any) -> np.ndarray:
@@ -115,7 +116,8 @@ def to_scaled(*arrays: Any) -> tuple:
     ``den`` is the least common denominator, so a single array comes back
     in lowest terms. Float64 arrays come back unchanged over ``den = 1``.
     """
-    if all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in arrays):
+    # the first test alone settles the common exact call cheaply
+    if arrays[0].dtype == _FLOAT64 and all(a.dtype == _FLOAT64 for a in arrays[1:]):
         return (*arrays, 1)
     flats = [[x if type(x) is Fraction or type(x) is int else as_fraction(x)
               for x in np.asarray(a, dtype=object).reshape(-1).tolist()] for a in arrays]
@@ -128,7 +130,7 @@ def to_scaled(*arrays: Any) -> tuple:
 def from_scaled(ints: np.ndarray, den: int) -> np.ndarray:
     """The array ``ints / den``, undoing :func:`to_scaled`: Fractions, or
     floats for a float64 ``ints``."""
-    if ints.dtype == np.float64:
+    if ints.dtype == _FLOAT64:
         return ints / den
     return np.array([Fraction(x, den) for x in ints.reshape(-1)],
                     dtype=object).reshape(ints.shape)
