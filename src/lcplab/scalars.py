@@ -109,7 +109,7 @@ def exact_array(data: Any) -> np.ndarray:
     return _TO_FRACTION(arr)
 
 
-def to_scaled(*arrays: Any) -> tuple:
+def to_scaled(*arrays: np.ndarray) -> tuple:
     """Exact arrays as object arrays of ints over one common denominator.
 
     Returns ``(ints_1, ..., ints_k, den)`` with ``arrays[i] == ints_i / den``.
