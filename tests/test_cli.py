@@ -270,6 +270,18 @@ class TestLattice:
         assert main(["lattice", command, coeffs]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, where", [
+        (["irreducible", "[1.5,2,1]"], "coefficient 0"),
+        (["roots", "[1,2.5,1]"], "coefficient 1"),
+        (["charpoly", "[[1.0,1],[1,2]]"], "entry (0, 0)"),
+    ])
+    def test_float_input_named_as_not_an_integer(self, argv, where, capsys):
+        # the lattice commands have no scalar mode; the message must not cite one
+        assert main(["lattice", *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"{where} = " in err and "is not an integer" in err
+        assert "exact mode" not in err
+
     @pytest.mark.parametrize("argv", [["roots", "[1,0,1]"],
                                       ["conjugacy", "[[1,1],[1,2]]"],
                                       ["probe", "[0.5, 1.5]"]])
