@@ -24,8 +24,13 @@ from .scalars import as_fraction
 
 
 def _as_int(x, where: str) -> int:
-    f = as_fraction(int(x) if isinstance(x, (bool, np.bool_)) else x)
-    if f.denominator != 1:
+    # as_fraction's own message for a float speaks of an exact mode, which
+    # the lattice commands do not have
+    try:
+        f = as_fraction(int(x) if isinstance(x, (bool, np.bool_)) else x)
+    except InputError:
+        f = None
+    if f is None or f.denominator != 1:
         raise InputError(f"{where} = {x} is not an integer")
     return int(f)
 
