@@ -32,6 +32,7 @@ from .linalg import (
     EigenSplit,
     Subspace,
     canonical_rows,
+    closure_dim_mod_p,
     full_subspace,
     invert,
     is_zero_matrix,
@@ -54,6 +55,7 @@ from .scalars import (
     eye_array,
     from_scaled,
     to_scaled,
+    zeros_array,
 )
 
 
@@ -73,21 +75,35 @@ class OperatorAlgebra:
         return f"OperatorAlgebra(dim={self.dim}, ambient={self.ambient_dim}, mode={self.mode})"
 
 
-def holonomy_algebra(g: MetricLieAlgebra,
-                     conn: Optional[InvariantConnection] = None) -> OperatorAlgebra:
-    """Span of curvature operators, closed under bracketing with the connection."""
-    if conn is None:
-        conn = levi_civita(g)
+# A prime below 2**25 (it is 2**25 - 39). With entries reduced below it, a
+# product of two n x n matrices sums n terms below 2**50, which int64 holds
+# for n < 2**13.
+CERTIFICATE_PRIME = 33554393
+
+
+def _closure_inputs(g: MetricLieAlgebra,
+                    conn: InvariantConnection) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The nonzero curvature operators and the connection operators.
+
+    Each exact matrix is scaled to ints on its own: rescaling a candidate
+    changes no span, and the closure then runs on ints end to end. No
+    seeds means no operators either: the holonomy is 0.
+    """
     n = g.dim
     sc = scale_of(g.bracket, g.gram)
     curv = curvature_tensor(g, conn)
-    # each exact matrix scaled to ints on its own: rescaling candidates
-    # changes no span, and the closure then runs on ints end to end
     seeds = [to_scaled(curv[i, j])[0] for i in range(n) for j in range(i + 1, n)
              if not is_zero_matrix(curv[i, j], g.mode, g.tol, scale=sc * sc)]
     if not seeds:
+        return [], []
+    return seeds, [to_scaled(conn.operator(k))[0] for k in range(n)]
+
+
+def _closed_holonomy(g: MetricLieAlgebra, conn: InvariantConnection,
+                     seeds: list[np.ndarray], nabla: list[np.ndarray]) -> OperatorAlgebra:
+    n = g.dim
+    if not seeds:
         return OperatorAlgebra(n, (), g.mode)
-    nabla = [to_scaled(conn.operator(k))[0] for k in range(n)]
     # the Levi-Civita holonomy lies in so(g)
     max_dim = n * (n - 1) // 2 if conn.kind == LEVI_CIVITA else None
 
@@ -96,6 +112,64 @@ def holonomy_algebra(g: MetricLieAlgebra,
     span = span_closure(seeds, step, g.mode, g.tol, max_dim)
     mats = tuple(span.basis[i].reshape(n, n) for i in range(span.dim))
     return OperatorAlgebra(n, mats, g.mode)
+
+
+def holonomy_algebra(g: MetricLieAlgebra,
+                     conn: Optional[InvariantConnection] = None) -> OperatorAlgebra:
+    """Span of curvature operators, closed under bracketing with the connection."""
+    if conn is None:
+        conn = levi_civita(g)
+    return _closed_holonomy(g, conn, *_closure_inputs(g, conn))
+
+
+def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
+                        nabla: list[np.ndarray]) -> int:
+    """A lower bound for the dimension of the Levi-Civita holonomy.
+
+    ``seeds`` and ``nabla`` are the integer matrices of
+    :func:`_closure_inputs` in exact mode. The closure runs on G h in place
+    of h: since G a = -a^T G for each a = D_z, G times the holonomy is the
+    closure of the G R(x, y) under s -> a^T s + s a. Those are skew, so
+    each is kept as its strict upper triangle, dim so(g) = n(n-1)/2 wide.
+
+    Let V be that closure over Q. The lattice of integer matrices in V is
+    saturated of rank dim V, so it reduces mod p to a GF(p) space of the
+    same dimension, which holds the reduced seeds and is closed under the
+    reduced step. The closure of the reduced seeds over GF(p) therefore
+    has dimension at most dim V; an unlucky prime only makes it smaller.
+    """
+    if not seeds:
+        return 0
+    n = g.dim
+    p = CERTIFICATE_PRIME
+    iu, ju = np.triu_indices(n, 1)
+    gram = (to_scaled(g.gram)[0] % p).astype(np.int64)
+    ops = np.stack([(a % p).astype(np.int64) for a in nabla])
+    ops_t = ops.transpose(0, 2, 1)
+
+    def step(u: np.ndarray) -> list[np.ndarray]:
+        s = np.zeros((n, n), dtype=np.int64)
+        s[iu, ju] = u
+        s[ju, iu] = -u
+        return list(((ops_t @ s + s @ ops) % p)[:, iu, ju])
+    upper = [((gram @ (r % p).astype(np.int64)) % p)[iu, ju] for r in seeds]
+    return closure_dim_mod_p(upper, step, p, len(iu))
+
+
+def _orthogonal_algebra(g: MetricLieAlgebra) -> OperatorAlgebra:
+    """so(g), with basis G^-1 (E_ij - E_ji) for i < j.
+
+    That matrix is zero but in two columns: column j is column i of G^-1,
+    and column i is minus column j of G^-1.
+    """
+    n = g.dim
+    ginv = invert(g.gram, g.mode, g.tol)
+    iu, ju = np.triu_indices(n, 1)
+    k = np.arange(len(iu))
+    mats = zeros_array((len(iu), n, n), g.mode)
+    mats[k, :, ju] = ginv[:, iu].T
+    mats[k, :, iu] = -ginv[:, ju].T
+    return OperatorAlgebra(n, tuple(mats), g.mode)
 
 
 def common_kernel(ops: Sequence[np.ndarray], ambient_dim: int, mode: Mode,
@@ -327,8 +401,23 @@ def de_rham_splitting(g: MetricLieAlgebra, seed: int = 0) -> DeRhamSplitting:
 def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -> DeRhamSplitting:
     n = g.dim
     conn = levi_civita(g)
-    hol = holonomy_algebra(g, conn)
-    rng = random.Random(seed)
+    seeds, nabla = _closure_inputs(g, conn)
+    if g.mode == EXACT and n >= 2 and _holonomy_dim_mod_p(g, seeds, nabla) == n * (n - 1) // 2:
+        # hol = so(g), certified: it has no common kernel, and for n >= 2
+        # its symmetric commutant is the scalars, so one irreducible factor
+        hol = _orthogonal_algebra(g)
+        factors, flags = [full_subspace(n, g.mode)], [False]
+    else:
+        hol = _closed_holonomy(g, conn, seeds, nabla)
+        factors, flags = _factors(g, hol, random.Random(seed))
+    _verify_splitting(g, factors, flags, hol, conn)
+    return DeRhamSplitting(tuple(factors), tuple(flags), hol, conn, g.mode, promoted)
+
+
+def _factors(g: MetricLieAlgebra, hol: OperatorAlgebra,
+             rng: random.Random) -> tuple[list[Subspace], list[bool]]:
+    """The flat block, if any, then the irreducible blocks in canonical order."""
+    n = g.dim
     flat = common_kernel(hol.basis, n, g.mode, g.tol)
     factors: list[Subspace] = []
     flags: list[bool] = []
@@ -354,10 +443,7 @@ def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -
     tail = sorted(((f, fl) for f, fl in zip(factors, flags) if not fl),
                   key=lambda p: _sort_key(p[0], g.mode, g.tol))
     ordered = head + tail
-    factors = [f for f, _ in ordered]
-    flags = [fl for _, fl in ordered]
-    _verify_splitting(g, factors, flags, hol, conn)
-    return DeRhamSplitting(tuple(factors), tuple(flags), hol, conn, g.mode, promoted)
+    return [f for f, _ in ordered], [fl for _, fl in ordered]
 
 
 def verify_factor_subalgebras(g: MetricLieAlgebra, splitting: DeRhamSplitting,

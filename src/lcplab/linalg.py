@@ -20,6 +20,7 @@ denominator 1, so it is written once.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -494,6 +495,67 @@ class _FloatOrtho:
         return self.q.shape[0]
 
 
+class _ModpEchelon:
+    """Reduced echelon rows over GF(p), stored by their free columns.
+
+    Entries stay in [0, p). Each row is 1 at its own pivot column and 0 at
+    every other row's, so only the other, free columns are kept: one int64
+    matrix with a row per free column and a column per echelon row. A
+    vector's residual is then 0 at every pivot, and on the free columns it
+    is one product with that matrix. Each term of the product is below
+    p**2; the echelon rows are taken in chunks small enough that a chunk's
+    sum fits in int64.
+    """
+
+    def __init__(self, width: int, p: int):
+        self.p = p
+        self.chunk = max(1, 2 ** 62 // (p * p))
+        self.free = np.arange(width)
+        self.pivots = np.empty(0, dtype=np.intp)
+        self.cols = np.empty((width, 0), dtype=np.int64)
+
+    def insert(self, vec: np.ndarray) -> bool:
+        """Add an int64 vector with entries in [0, p); False if already spanned."""
+        p, c = self.p, self.chunk
+        head = vec[self.pivots]
+        r = vec[self.free]
+        for s in range(0, len(self.pivots), c):
+            r = (r - self.cols[:, s:s + c] @ head[s:s + c]) % p
+        nonzero = np.flatnonzero(r)
+        if nonzero.size == 0:
+            return False
+        f = int(nonzero[0])
+        r = r * pow(int(r[f]), -1, p) % p
+        # clear the new pivot column from the stored rows, then drop it
+        cols = (self.cols - np.outer(r, self.cols[f])) % p
+        self.cols = np.delete(np.column_stack([cols, r]), f, axis=0)
+        self.pivots = np.append(self.pivots, self.free[f])
+        self.free = np.delete(self.free, f)
+        return True
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+
+def _close(store, seed: Sequence[np.ndarray],
+           step: Callable[[np.ndarray], Sequence[np.ndarray]],
+           max_dim: Optional[int]) -> list[np.ndarray]:
+    """Insert ``seed`` and the ``step`` images of every kept matrix into
+    ``store`` until nothing new turns up; returns the kept matrices."""
+    shape = seed[0].shape
+    accepted: list[np.ndarray] = []
+    work = deque(seed)
+    while work and store.dim != max_dim:
+        m = work.popleft()
+        if m.shape != shape:
+            raise InputError("span_closure matrices must share one shape")
+        if store.insert(m.reshape(-1)):
+            accepted.append(m)
+            work.extend(step(m))
+    return accepted
+
+
 def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequence[np.ndarray]],
                  mode: Mode, tol: TolerancePolicy = DEFAULT_TOL,
                  max_dim: Optional[int] = None) -> Subspace:
@@ -508,22 +570,29 @@ def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequen
     """
     if not seed:
         raise InputError("span_closure needs at least one seed matrix")
-    shape = seed[0].shape
-    width = int(np.prod(shape))
+    width = int(np.prod(seed[0].shape))
     store = _ExactEchelon(width) if mode == EXACT else _FloatOrtho(width, tol)
-    accepted: list[np.ndarray] = []
-    work = list(seed)
-    while work and store.dim != max_dim:
-        m = work.pop(0)
-        if m.shape != shape:
-            raise InputError("span_closure matrices must share one shape")
-        if store.insert(m.reshape(-1)):
-            accepted.append(m)
-            work.extend(step(m))
+    accepted = _close(store, seed, step, max_dim)
     if not accepted:
         return zero_subspace(width, mode)
     rows = np.stack([m.reshape(-1) for m in accepted])
     return Subspace(width, exact_array(rows) if mode == EXACT else rows, mode)
+
+
+def closure_dim_mod_p(seed: Sequence[np.ndarray],
+                      step: Callable[[np.ndarray], Sequence[np.ndarray]],
+                      p: int, max_dim: Optional[int] = None) -> int:
+    """Dimension over GF(p) of the span closure of ``seed`` under ``step``.
+
+    The matrices are int64 with entries in [0, p), and ``step`` must
+    return them reduced the same way. ``max_dim`` stops the search as in
+    :func:`span_closure`.
+    """
+    if not seed:
+        raise InputError("closure_dim_mod_p needs at least one seed matrix")
+    store = _ModpEchelon(int(np.prod(seed[0].shape)), p)
+    _close(store, seed, step, max_dim)
+    return store.dim
 
 
 # ---------------------------------------------------------------------------
