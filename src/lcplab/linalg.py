@@ -11,7 +11,9 @@ from a thin SVD unless the matrix is wide; residual and identity checks
 use a 10 * rank_tol band relative to the data scale, :func:`scale_of`,
 which is 1 on exact arrays: their zero tests ignore the scale. A float
 span closure keeps its orthonormal basis as one matrix and projects each
-candidate against all of it at once.
+candidate against all of it at once. The same closure loop also runs
+over GF(p) on int64 vectors, for a dimension alone
+(:func:`closure_dim_mod_p`).
 
 Code that runs in both modes works on the scaled form of
 :mod:`lcplab.scalars`, where a float array is its own scaled form over
