@@ -93,3 +93,36 @@ def test_modular_closure_dim_is_rank_mod_p():
     swap = lambda v: [v[::-1].copy()]
     assert closure_dim_mod_p([np.array([1, 2], dtype=np.int64)], swap, 5) == 2
     assert closure_dim_mod_p([np.array([1, 1], dtype=np.int64)], swap, 5) == 1
+
+
+def _rank_mod_p(rows, p):
+    # plain Gaussian elimination on Python ints, the reference
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [3, 33554393, 2 ** 31 - 1])
+def test_modular_rank_matches_reference(p):
+    # 2**31 - 1 leaves room for one product term per int64 sum, so the
+    # stored rows are taken one at a time
+    rng = np.random.default_rng(p)
+    for _ in range(5):
+        basis = rng.integers(0, p, size=(6, 12), dtype=np.int64)
+        mix = rng.integers(0, 3, size=(14, 6), dtype=np.int64)
+        vecs = [np.array([int(x) % p for x in row], dtype=np.int64)
+                for row in mix.astype(object) @ basis.astype(object)]
+        assert closure_dim_mod_p(vecs, lambda v: [], p) == _rank_mod_p(
+            [v.tolist() for v in vecs], p)
