@@ -88,8 +88,9 @@ class OperatorAlgebra:
 
 
 # A prime below 2**25 (it is 2**25 - 39). With entries reduced below it, a
-# product of two n x n matrices sums n terms below 2**50, which int64 holds
-# for n < 2**13.
+# product of two n x n matrices sums n terms below 2**50 in size. The
+# closure step adds two such products, 2n terms, which int64 holds for
+# n < 2**12.
 CERTIFICATE_PRIME = 33554393
 
 
@@ -163,7 +164,7 @@ def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
         s[ju, iu] = -u
         return list(((ops_t @ s + s @ ops) % p)[:, iu, ju])
     upper = [((gram @ (r % p).astype(np.int64)) % p)[iu, ju] for r in seeds]
-    return closure_dim_mod_p(upper, step, p, len(iu))
+    return closure_dim_mod_p(upper, step, p)
 
 
 def _orthogonal_algebra(g: MetricLieAlgebra) -> OperatorAlgebra:

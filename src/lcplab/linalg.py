@@ -583,17 +583,18 @@ def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequen
 
 def closure_dim_mod_p(seed: Sequence[np.ndarray],
                       step: Callable[[np.ndarray], Sequence[np.ndarray]],
-                      p: int, max_dim: Optional[int] = None) -> int:
+                      p: int) -> int:
     """Dimension over GF(p) of the span closure of ``seed`` under ``step``.
 
     The matrices are int64 with entries in [0, p), and ``step`` must
-    return them reduced the same way. ``max_dim`` stops the search as in
-    :func:`span_closure`.
+    return them reduced the same way. The search stops once the span fills
+    the whole matrix space.
     """
     if not seed:
         raise InputError("closure_dim_mod_p needs at least one seed matrix")
-    store = _ModpEchelon(int(np.prod(seed[0].shape)), p)
-    _close(store, seed, step, max_dim)
+    width = int(np.prod(seed[0].shape))
+    store = _ModpEchelon(width, p)
+    _close(store, seed, step, width)
     return store.dim
 
 
