@@ -330,3 +330,10 @@ class TestLattice:
     def test_probe_rejects_non_numbers(self, capsys):
         assert main(["lattice", "probe", '["a", 1]']) == 2
         assert "list of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["[NaN]", "[1e309]", "[1,NaN]", "[-Infinity, 2]"])
+    def test_probe_rejects_non_finite_values(self, values, capsys):
+        # the JSON reader takes NaN and Infinity and turns 1e309 into inf
+        assert main(["lattice", "probe", values]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "finite" in err

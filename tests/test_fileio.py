@@ -172,6 +172,31 @@ class TestParseErrors:
         with pytest.raises(InputError, match="square"):
             dict_to_algebra(d)
 
+    @pytest.mark.parametrize("t0", ["abc", "1.5", [1], True, False,
+                                    float("nan"), float("inf")])
+    def test_lattice_rejects_bad_t0(self, t0):
+        # a boolean is no number in this format, and "1.5" is a string
+        d = _base_dict()
+        d["lattice"]["t0"] = t0
+        with pytest.raises(InputError, match=r"lattice\.t0"):
+            dict_to_algebra(d)
+
+    @pytest.mark.parametrize("parts", [["x"], [None], [1.0, True], [[1.0]],
+                                       [1.0, float("nan")], "1.0", 1.0])
+    def test_lattice_rejects_bad_translation_parts(self, parts):
+        d = _base_dict()
+        d["lattice"]["translation_parts"] = parts
+        with pytest.raises(InputError, match=r"lattice\.translation_parts"):
+            dict_to_algebra(d)
+
+    def test_lattice_accepts_integer_t0_and_parts(self):
+        d = _base_dict()
+        d["lattice"]["t0"] = 2
+        d["lattice"]["translation_parts"] = [1, 0.5]
+        _, _, lat = dict_to_algebra(d)
+        assert lat.t0 == 2.0 and isinstance(lat.t0, float)
+        assert lat.translation_parts == (1.0, 0.5)
+
 
 def test_malformed_json_reports_location(tmp_path):
     path = tmp_path / "bad.json"

@@ -209,3 +209,11 @@ class TestDiscretenessProbe:
     def test_float_fuzz_collapses(self):
         r = discreteness_probe([1.0, 1.0 + 1e-14])
         assert r.discrete and r.rank == 1
+
+    @pytest.mark.parametrize("values", [[math.nan], [math.inf], [-math.inf],
+                                        [1.0, math.nan], [0.5, 1.5, math.inf]])
+    def test_non_finite_values_rejected(self, values):
+        # NaN compares false everywhere: it used to drop out of the reduction
+        # and leave "discrete", and an infinity left an empty work list
+        with pytest.raises(InputError, match="finite"):
+            discreteness_probe(values)
