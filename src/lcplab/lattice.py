@@ -320,6 +320,16 @@ class LatticeData:
     translation_parts: Optional[tuple[float, ...]] = None
 
 
+def _finite_float(x, where: str) -> float:
+    try:
+        v = float(x)
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise InputError(f"{where} = {x} is not finite")
+    return v
+
+
 def discreteness_probe(values: Sequence[float], tol: float = 1e-6,
                        max_rounds: int = 256) -> ProbeResult:
     """Numeric probe: do the values generate a discrete subgroup of the line?
@@ -330,7 +340,7 @@ def discreteness_probe(values: Sequence[float], tol: float = 1e-6,
     as non-discrete. A probe, not a proof: exact rationality questions
     about nearly commensurable inputs are beyond float inputs.
     """
-    vals = [abs(float(x)) for x in values]
+    vals = [abs(_finite_float(x, f"value {k}")) for k, x in enumerate(values)]
     scale = max(vals, default=0.0)
     if scale == 0.0:
         return ProbeResult(discrete=True, rank=0, generator=None)

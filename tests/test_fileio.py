@@ -182,7 +182,7 @@ class TestParseErrors:
             dict_to_algebra(d)
 
     @pytest.mark.parametrize("parts", [["x"], [None], [1.0, True], [[1.0]],
-                                       [1.0, float("nan")], "1.0", 1.0])
+                                       [1.0, float("nan")], "1.0", 1.0, [10 ** 400]])
     def test_lattice_rejects_bad_translation_parts(self, parts):
         d = _base_dict()
         d["lattice"]["translation_parts"] = parts
