@@ -8,13 +8,12 @@ float contamination; float files use plain JSON numbers.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Optional
 
 import numpy as np
 
 from .errors import InputError
-from .lattice import LatticeData
+from .lattice import LatticeData, finite_float
 from .lcp import LcpData, make_lcp_data
 from .liealg import MetricLieAlgebra, bracket_table, make_algebra
 from .scalars import (DEFAULT_TOL, Mode, TolerancePolicy, check_mode,
@@ -76,17 +75,6 @@ def algebra_to_dict(g: MetricLieAlgebra, lcp: Optional[LcpData] = None,
 def _is_int(x: Any) -> bool:
     # JSON true/false load as bool, which is an int subclass
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _finite_float(x: Any, what: str) -> float:
-    # a JSON number: no string, no boolean, nothing beyond the float range
-    try:
-        v = float(x) if _is_int(x) or isinstance(x, float) else math.nan
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise InputError(f"{what} must be a finite number, got {x!r}")
-    return v
 
 
 def _parse_rows(raw: Any, mode: Mode, what: str) -> list[list]:
@@ -190,11 +178,11 @@ def dict_to_algebra(data: dict, tol: TolerancePolicy = DEFAULT_TOL,
             raw_p = block["translation_parts"]
             if not isinstance(raw_p, list):
                 raise InputError("lattice.translation_parts must be a list")
-            parts = tuple(_finite_float(x, f"lattice.translation_parts[{k}]")
+            parts = tuple(finite_float(x, f"lattice.translation_parts[{k}]")
                           for k, x in enumerate(raw_p))
         t0 = block.get("t0")
         lattice = LatticeData(integer_matrix=mat,
-                              t0=None if t0 is None else _finite_float(t0, "lattice.t0"),
+                              t0=None if t0 is None else finite_float(t0, "lattice.t0"),
                               translation_parts=parts)
     return g, lcp, lattice
 

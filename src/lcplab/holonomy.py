@@ -305,9 +305,10 @@ def _first_eigensplit(comm: list[np.ndarray], gram: np.ndarray, mode: Mode,
     )
 
 
-def _split_blocks(ops: list[np.ndarray], gram: np.ndarray, mode: Mode,
+def _split_blocks(ops: np.ndarray, gram: np.ndarray, mode: Mode,
                   tol: TolerancePolicy, rng: random.Random) -> list[Subspace]:
-    """Decompose coordinate space into minimal invariant blocks of ``ops``.
+    """Decompose coordinate space into minimal invariant blocks of the
+    operator stack ``ops``.
 
     Requires the setting of the factor theory: the commutant restricted to
     a minimal block is scalar, so commutant dimension 1 means done.
@@ -321,13 +322,10 @@ def _split_blocks(ops: list[np.ndarray], gram: np.ndarray, mode: Mode,
         raise _PromoteToFloat()
     blocks: list[Subspace] = []
     for _, eig in chosen.pairs:
-        sub_ops = []
-        for a in ops:
-            ra = restrict_operator(a, eig.basis, mode, tol)
-            if ra is None:
-                raise TheoremViolationError(
-                    "eigenspace of a commutant element is not invariant under the operators")
-            sub_ops.append(ra)
+        sub_ops = restrict_operator(ops, eig.basis, mode, tol)
+        if sub_ops is None:
+            raise TheoremViolationError(
+                "eigenspace of a commutant element is not invariant under the operators")
         sub_gram = restricted_gram(eig.basis, gram)
         for inner_block in _split_blocks(sub_ops, sub_gram, mode, tol, rng):
             blocks.append(Subspace(n, inner_block.basis @ eig.basis, mode))
@@ -387,13 +385,11 @@ def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace],
             if not is_zero_matrix(prods, g.mode, g.tol, scale=sc):
                 raise TheoremViolationError("factors are not pairwise orthogonal")
     for f in factors:
-        for h in hol.basis:
-            if restrict_operator(h, f.basis, g.mode, g.tol) is None:
-                raise TheoremViolationError("factor is not holonomy invariant")
-        for k in range(n):
-            if restrict_operator(conn.operator(k), f.basis, g.mode, g.tol) is None:
-                raise TheoremViolationError(
-                    "holonomy invariant factor is not connection invariant")
+        if hol.dim and restrict_operator(np.stack(hol.basis), f.basis, g.mode, g.tol) is None:
+            raise TheoremViolationError("factor is not holonomy invariant")
+        if restrict_operator(conn.operators, f.basis, g.mode, g.tol) is None:
+            raise TheoremViolationError(
+                "holonomy invariant factor is not connection invariant")
 
 
 def de_rham_splitting(g: MetricLieAlgebra, seed: int = 0) -> DeRhamSplitting:
@@ -440,12 +436,9 @@ def _factors(g: MetricLieAlgebra, hol: OperatorAlgebra,
             factors.append(flat)
             flags.append(True)
         w = orthocomplement(flat, g.gram, g.tol)
-        sub_ops = []
-        for h in hol.basis:
-            rh = restrict_operator(h, w.basis, g.mode, g.tol)
-            if rh is None:
-                raise TheoremViolationError("holonomy does not preserve the curved block")
-            sub_ops.append(rh)
+        sub_ops = restrict_operator(np.stack(hol.basis), w.basis, g.mode, g.tol)
+        if sub_ops is None:
+            raise TheoremViolationError("holonomy does not preserve the curved block")
         blocks = _split_blocks(sub_ops, restricted_gram(w.basis, g.gram), g.mode, g.tol, rng)
         for b in blocks:
             factors.append(Subspace(n, b.basis @ w.basis, g.mode))

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError
-from .linalg import charpoly_exact, divisors, exact_det
+from .linalg import charpoly_exact, exact_det
 from .scalars import as_fraction
 
 
@@ -83,6 +83,13 @@ def _strip(coeffs: Sequence[int]) -> list[int]:
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
     return cs
+
+
+def divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in increasing order."""
+    n = abs(n)
+    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
+    return sorted(set(out + [n // d for d in out]))
 
 
 def _divides_exactly(f: list[int], g: list[int]) -> bool:
@@ -320,13 +327,14 @@ class LatticeData:
     translation_parts: Optional[tuple[float, ...]] = None
 
 
-def _finite_float(x, where: str) -> float:
+def finite_float(x, where: str) -> float:
+    """x as a float; InputError unless it is a finite number, not a string or bool."""
     try:
-        v = float(x)
-    except OverflowError:  # an int beyond the float range
-        v = math.inf
+        v = math.nan if isinstance(x, (str, bool, np.bool_)) else float(x)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        v = math.nan
     if not math.isfinite(v):
-        raise InputError(f"{where} = {x} is not finite")
+        raise InputError(f"{where} = {x!r} is not a finite number")
     return v
 
 
@@ -340,7 +348,7 @@ def discreteness_probe(values: Sequence[float], tol: float = 1e-6,
     as non-discrete. A probe, not a proof: exact rationality questions
     about nearly commensurable inputs are beyond float inputs.
     """
-    vals = [abs(_finite_float(x, f"value {k}")) for k, x in enumerate(values)]
+    vals = [abs(finite_float(x, f"value {k}")) for k, x in enumerate(values)]
     scale = max(vals, default=0.0)
     if scale == 0.0:
         return ProbeResult(discrete=True, rank=0, generator=None)

@@ -239,8 +239,7 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     ideal = is_ideal(g, u)
     unimod = is_unimodular(g)
     conn = weyl_connection(g, theta)
-    parallel = all(restrict_operator(conn.operator(k), u.basis, g.mode, g.tol) is not None
-                   for k in range(n))
+    parallel = restrict_operator(conn.operators, u.basis, g.mode, g.tol) is not None
     sc_r = scale_of(conn.coeffs)
     sc_r = sc_r * sc_r
     flat_on_u = True

@@ -307,6 +307,11 @@ class InvariantConnection:
     def operator(self, i: int) -> np.ndarray:
         return self.coeffs[i].T
 
+    @property
+    def operators(self) -> np.ndarray:
+        """All operators as one (n, n, n) stack: ``operators[i] == operator(i)``."""
+        return np.transpose(self.coeffs, (0, 2, 1))
+
     def derivative_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         t = np.tensordot(x, self.coeffs, axes=(0, 0))
         return np.tensordot(y, t, axes=(0, 0))
@@ -330,35 +335,35 @@ def levi_civita(g: MetricLieAlgebra) -> InvariantConnection:
     return InvariantConnection(coeffs, LEVI_CIVITA, g.mode)
 
 
+def _curvature(g: MetricLieAlgebra, conn: InvariantConnection,
+               rows: slice, cols: slice) -> np.ndarray:
+    """``R[i, j]`` = R(e_i, e_j) = [D_i, D_j] - D_{[e_i, e_j]} for i in rows, j in cols.
+
+    Runs on the scaled form: integers over one denominator in exact mode,
+    the float64 arrays themselves in float mode. Every pair is one matmul
+    of the same operands whether it is computed alone or among all, so a
+    single operator and the whole tensor agree bit for bit in float mode.
+    """
+    n = g.dim
+    c, dc = g.scaled_bracket
+    a, da = to_scaled(conn.operators)
+    prod = a[rows, None] @ a[None, cols]  # prod[i, j] = a[i] @ a[j]
+    back = prod if rows == cols else a[cols, None] @ a[None, rows]
+    # mixed[i, j] = the operator of [e_i, e_j]
+    mixed = (c[rows, cols, None, :] @ a.reshape(n, n * n)).reshape(prod.shape)
+    return from_scaled((prod - np.transpose(back, (1, 0, 2, 3))) * dc - mixed * da,
+                       da * da * dc)
+
+
 def curvature_operator(g: MetricLieAlgebra, conn: InvariantConnection,
                        i: int, j: int) -> np.ndarray:
     """Matrix of R(e_i, e_j) = [D_i, D_j] - D_{[e_i, e_j]}."""
-    a_i = conn.operator(i)
-    a_j = conn.operator(j)
-    mixed = conn.operator_vec(g.bracket[i, j, :])
-    return a_i @ a_j - a_j @ a_i - mixed
+    return _curvature(g, conn, slice(i, i + 1), slice(j, j + 1))[0, 0]
 
 
 def curvature_tensor(g: MetricLieAlgebra, conn: InvariantConnection) -> np.ndarray:
-    """All curvature operators at once: ``R[i, j]`` is the matrix of R(e_i, e_j).
-
-    Exact mode computes the whole tensor in two integer contractions; float
-    mode stacks the matrices of :func:`curvature_operator`, pair by pair.
-    """
-    n = g.dim
-    if g.mode == FLOAT:
-        out = np.empty((n, n, n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = curvature_operator(g, conn, i, j)
-        return out
-    c, dc = g.scaled_bracket
-    a, da = to_scaled(np.transpose(conn.coeffs, (0, 2, 1)))  # a[k] = operator(k)
-    # prod[i, j] = a[i] @ a[j], mixed[i, j] = operator of [e_i, e_j]
-    prod = np.transpose(np.tensordot(a, a, axes=(2, 1)), (0, 2, 1, 3))
-    mixed = np.tensordot(c, a, axes=(2, 0))
-    return from_scaled((prod - np.transpose(prod, (1, 0, 2, 3))) * dc - mixed * da,
-                       da * da * dc)
+    """All curvature operators at once: ``R[i, j]`` is the matrix of R(e_i, e_j)."""
+    return _curvature(g, conn, slice(None), slice(None))
 
 
 def _max_abs(d: np.ndarray):

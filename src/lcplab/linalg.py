@@ -13,7 +13,15 @@ which is 1 on exact arrays: their zero tests ignore the scale. A float
 span closure keeps its orthonormal basis as one matrix and projects each
 candidate against all of it at once. The same closure loop also runs
 over GF(p) on int64 vectors, for a dimension alone
-(:func:`closure_dim_mod_p`).
+(:func:`closure_dim_mod_p`). :func:`restrict_operator` takes a whole
+stack of operators and solves for all their images at once.
+
+Both modes split a self-adjoint operator from one float generalized
+eigendecomposition. Exact mode rounds the exact Rayleigh quotient of
+each float eigenvector to the grid its rational eigenvalues lie on and
+confirms each candidate by an exact nullspace, in any dimension; when
+the eigenspaces found do not fill the space it promotes to the float
+split, so no float error can make an exact answer wrong.
 
 Code that runs in both modes works on the scaled form of
 :mod:`lcplab.scalars`, where a float array is its own scaled form over
@@ -294,13 +302,13 @@ class Subspace:
 
 
 def make_subspace(rows: Any, ambient_dim: int, mode: Mode,
-                  tol: TolerancePolicy = DEFAULT_TOL, verify: bool = True) -> Subspace:
+                  tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     arr = np.array(rows, dtype=object if mode == EXACT else np.float64)
     if arr.size == 0:
         arr = arr.reshape(0, ambient_dim)
     if arr.ndim != 2 or arr.shape[1] != ambient_dim:
         raise InputError(f"basis rows must have length {ambient_dim}")
-    if verify and arr.shape[0] and matrix_rank(arr, mode, tol) != arr.shape[0]:
+    if arr.shape[0] and matrix_rank(arr, mode, tol) != arr.shape[0]:
         raise InputError("basis vectors are linearly dependent at the active tolerance")
     return Subspace(ambient_dim, arr, mode)
 
@@ -358,15 +366,14 @@ def subspaces_equal(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL
     return subspace_contains(a, b, tol) and subspace_contains(b, a, tol)
 
 
-def subspace_sum(parts: Sequence[Subspace], tol: TolerancePolicy = DEFAULT_TOL,
-                 verify_direct: bool = True) -> Subspace:
+def subspace_sum(parts: Sequence[Subspace], tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     parts = [p for p in parts if p.dim > 0]
     if not parts:
         raise InputError("subspace_sum needs at least one nonzero part")
     mode = parts[0].mode
     n = parts[0].ambient_dim
     rows = np.concatenate([p.basis for p in parts], axis=0)
-    if verify_direct and matrix_rank(rows, mode, tol) != rows.shape[0]:
+    if matrix_rank(rows, mode, tol) != rows.shape[0]:
         raise InputError("subspace sum is not direct")
     return Subspace(n, rows, mode)
 
@@ -388,13 +395,34 @@ def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
     """Matrix of operator a on the invariant subspace spanned by basis_rows.
 
     Column convention on coordinates; None when the span is not invariant.
+    ``a`` may also be a (k, n, n) stack of operators: the images of all of
+    them are solved for in one system, and the result is the (k, m, m)
+    stack of their matrices, or None when any one of them leaves the span.
+    In float mode each operator is held to its own residual band, set by
+    the basis and its own images.
     """
-    bi, ai, d = to_scaled(basis_rows, a)
-    images = from_scaled(bi @ ai.T, d * d)  # row i = a(basis_i)
-    m = coords_in_rowbasis(images, basis_rows, mode, tol)
-    if m is None:
+    stack = a if a.ndim == 3 else a[None]
+    k, m, n = stack.shape[0], basis_rows.shape[0], basis_rows.shape[1]
+    bi, ai, d = to_scaled(basis_rows, stack)
+    # images[j, :, i] = a_j(basis_i), the right-hand side of one solve
+    images = from_scaled(np.tensordot(ai, bi, axes=(2, 1)), d * d)
+    rhs = np.transpose(images, (1, 0, 2)).reshape(n, k * m)
+    if m == 0:
+        x = zeros_array((0, 0), mode)
+    elif mode == EXACT:
+        x = exact_solve(basis_rows.T, rhs)
+    else:
+        x, *_ = np.linalg.lstsq(basis_rows.T, rhs, rcond=None)
+        res = np.abs(basis_rows.T @ x - rhs).reshape(n, k, m).max(axis=(0, 2))
+        sizes = np.abs(images).max(axis=(1, 2))
+        band = residual_band(tol) * np.maximum(scale_of(basis_rows), sizes)
+        if np.any(res > band):
+            x = None
+    if x is None:
         return None
-    return m.T
+    # column i of operator j's matrix: the coordinates of a_j(basis_i)
+    out = np.transpose(x.reshape(m, k, m), (1, 0, 2))
+    return out if a.ndim == 3 else out[0]
 
 
 def canonical_rows(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> np.ndarray:
@@ -602,6 +630,10 @@ def closure_dim_mod_p(seed: Sequence[np.ndarray],
 # eigensplitting of self-adjoint operators
 
 
+# a float64 array as the exact Fractions its entries are
+_EXACT_FLOAT = np.frompyfunc(Fraction, 1, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSplit:
     """Eigenvalue -> eigenspace pairs of a self-adjoint operator."""
@@ -610,103 +642,42 @@ class EigenSplit:
     promoted_to_float: bool
 
 
-def divisors(n: int) -> list[int]:
-    """Positive divisors of |n| in increasing order."""
-    n = abs(n)
-    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
+def _exact_selfadjoint_eigensplit(p: np.ndarray, gram: np.ndarray,
+                                  v: np.ndarray) -> Optional[list[tuple[Fraction, Subspace]]]:
+    """The exact eigensplit when every eigenvalue is rational, else None.
 
-
-def _rational_roots_with_multiplicity(coeffs: Sequence[Fraction]) -> Optional[list[tuple[Fraction, int]]]:
-    """All roots with multiplicity if every root is rational, else None."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ic = [int(c * den) for c in coeffs]
-    while len(ic) > 1 and ic[-1] == 0:
-        ic.pop()
-    deg = len(ic) - 1
-    if deg == 0:
-        return []
-    work = list(ic)
-    roots: list[tuple[Fraction, int]] = []
-
-    def deflate(poly: list[int], root: Fraction) -> Optional[list[int]]:
-        # synthetic division by (X - root); None if remainder nonzero
-        out: list[Fraction] = []
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * root + c
-            out.append(acc)
-        if out[-1] != 0:
-            return None
-        quotient = list(reversed(out[:-1]))  # constant first
-        den_q = 1
-        for q in quotient:
-            den_q = den_q * q.denominator // math.gcd(den_q, q.denominator)
-        return [int(q * den_q) for q in quotient]
-
-    while len(work) > 1:
-        # strip root zero
-        if work[0] == 0:
-            mult = 0
-            while len(work) > 1 and work[0] == 0:
-                work = work[1:]
-                mult += 1
-            roots.append((Fraction(0), mult))
-            continue
-        found = None
-        for q in divisors(work[-1]):
-            for p in divisors(work[0]):
-                for sign in (1, -1):
-                    cand = Fraction(sign * p, q)
-                    nxt = deflate(work, cand)
-                    if nxt is not None:
-                        found = (cand, nxt)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            return None  # an irrational (or complex) root remains
-        root, work = found
-        mult = 1
-        while True:
-            nxt = deflate(work, root)
-            if nxt is None:
-                break
-            work = nxt
-            mult += 1
-        roots.append((root, mult))
-    return roots
-
-
-def _exact_selfadjoint_eigensplit(p: np.ndarray, tol: TolerancePolicy) -> Optional[list[tuple[Fraction, Subspace]]]:
+    p is c/d times a primitive integer matrix P, whose characteristic
+    polynomial is monic with integer coefficients, so each rational
+    eigenvalue of p is c/d times an integer. Each float eigenvector (a
+    column of ``v``) is read as the exact rational its floats are; its
+    Rayleigh quotient for P, computed exactly, is rounded to the nearest
+    integer k. A candidate is kept when P - k I has a nonzero exact
+    nullspace, and the split is accepted once the nullities add up to n.
+    A float error can only cost a candidate, never produce a wrong one, so
+    the answer is None (promote to float) or exactly right.
+    """
     n = p.shape[0]
-    coeffs = charpoly_exact(p)
-    roots = _rational_roots_with_multiplicity(list(coeffs))
-    if roots is None or sum(m for _, m in roots) != n:
-        return None
+    pi, d = to_scaled(p)
+    c = math.gcd(*pi.reshape(-1).tolist()) or 1
+    pi = pi // c
+    gi = to_scaled(gram)[0]
+    vi = to_scaled(_EXACT_FLOAT(v))[0]
+    # the Rayleigh quotient num / den of column j in the gram inner product;
+    # the common denominators cancel
+    num = ((gi @ pi) @ vi * vi).sum(axis=0)
+    den = ((gi @ vi) * vi).sum(axis=0)
     pairs: list[tuple[Fraction, Subspace]] = []
-    for root, mult in sorted(roots):
-        shifted = p - root * eye_array(n, EXACT)
-        _, null = rank_and_nullspace(shifted, EXACT, tol)
-        if null.dim != mult:
-            return None  # defective: input was not self-adjoint after all
-        pairs.append((root, null))
-    return pairs
+    for k in sorted({(2 * a + b) // (2 * b) for a, b in zip(num, den)}):  # round(a / b)
+        _, null = rank_and_nullspace(pi - k * np.identity(n, dtype=object), EXACT)
+        if null.dim:
+            pairs.append((Fraction(k * c, d), null))
+    return pairs if sum(s.dim for _, s in pairs) == n else None
 
 
-def _float_selfadjoint_eigensplit(p: np.ndarray, gram: np.ndarray,
+def _float_selfadjoint_eigensplit(w: np.ndarray, v: np.ndarray,
                                   tol: TolerancePolicy) -> list[tuple[float, Subspace]]:
-    n = p.shape[0]
-    pf = np.asarray(p, dtype=np.float64)
-    gf = np.asarray(gram, dtype=np.float64)
-    s = gf @ pf
-    s = (s + s.T) / 2.0
-    gsym = (gf + gf.T) / 2.0
-    w, v = scipy.linalg.eigh(s, gsym)
+    """Cluster the eigenvalues ``w`` within the tolerance, with their columns of ``v``."""
+    n = len(w)
     merge = tol.eigen_cluster_tol * max(1.0, float(np.max(np.abs(w))) if n else 1.0)
     groups: list[list[int]] = [[0]]
     for i in range(1, n):
@@ -733,19 +704,19 @@ def selfadjoint_eigensplit(p: np.ndarray, gram: np.ndarray, mode: Mode,
                            tol: TolerancePolicy = DEFAULT_TOL) -> EigenSplit:
     """Eigensplit of a gram-self-adjoint operator (column convention).
 
-    Exact mode factors the characteristic polynomial over the rationals for
-    ambient dimension <= 5 and promotes to float otherwise or when an
-    irrational eigenvalue shows up; the promotion is flagged.
+    Both modes start from one float generalized eigendecomposition. Exact
+    mode confirms its eigenvalues exactly when all are rational (see
+    :func:`_exact_selfadjoint_eigensplit`), in any dimension; otherwise it
+    promotes to the float split, and the promotion is flagged.
     """
-    n = p.shape[0]
+    gf = to_float_array(gram)
+    s = gf @ to_float_array(p)
+    w, v = scipy.linalg.eigh((s + s.T) / 2.0, (gf + gf.T) / 2.0)
     if mode == EXACT:
-        if n <= 5:
-            pairs = _exact_selfadjoint_eigensplit(p, tol)
-            if pairs is not None:
-                return EigenSplit(tuple(pairs), False)
-        fpairs = _float_selfadjoint_eigensplit(to_float_array(p), to_float_array(gram), tol)
-        return EigenSplit(tuple(fpairs), True)
-    return EigenSplit(tuple(_float_selfadjoint_eigensplit(p, gram, tol)), False)
+        pairs = _exact_selfadjoint_eigensplit(p, gram, v)
+        if pairs is not None:
+            return EigenSplit(tuple(pairs), False)
+    return EigenSplit(tuple(_float_selfadjoint_eigensplit(w, v, tol)), mode == EXACT)
 
 
 def symmetric_eigensplit(m: np.ndarray, mode: Mode, tol: TolerancePolicy = DEFAULT_TOL) -> EigenSplit:

@@ -209,9 +209,8 @@ def test_double_product_ordering_by_support():
     s = de_rham_splitting(g)
     assert s.factor_dims == (3, 3)
     assert s.factor_is_flat == (False, False)
-    # promotion kicks in because the exact eigensplit is only run
-    # in dimension at most five
-    assert s.promoted_to_float
+    # both factors are rational, so the exact eigensplit keeps it exact
+    assert not s.promoted_to_float
     lo = [float(abs(x)) for x in s.factors[0].basis[:, 3:].reshape(-1)]
     assert max(lo) < 1e-8  # first factor is supported on the first copy
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcplab.errors import InputError
+from lcplab.holonomy import holonomy_algebra, symmetric_commutant
 from lcplab.linalg import (
     EigenSplit,
     _FloatOrtho,
@@ -240,6 +242,34 @@ def test_restrict_operator_detects_noninvariance():
     assert restrict_operator(a, basis, EXACT, DEFAULT_TOL) is None
 
 
+def test_restrict_operator_stack_matches_each_operator():
+    a = E([[0, -1, 0], [1, 0, 0], [0, 0, 5]])
+    b = E([[2, 3, 0], [F(1, 2), 7, 0], [0, 0, 1]])
+    basis = E([[1, 1, 0], [1, -1, 0]])
+    stacked = restrict_operator(np.stack([a, b]), basis, EXACT, DEFAULT_TOL)
+    assert stacked.shape == (2, 2, 2)
+    for k, op in enumerate((a, b)):
+        assert np.array_equal(stacked[k], restrict_operator(op, basis, EXACT, DEFAULT_TOL))
+    leaves = E([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+    assert restrict_operator(np.stack([a, leaves, b]), basis, EXACT, DEFAULT_TOL) is None
+
+
+def test_restrict_operator_stack_keeps_each_float_band():
+    # the band scales with each operator's own images: a large invariant
+    # operator must not widen the band of a small one that leaves the plane
+    basis = float_array([[1, 0, 0], [0, 1, 0]])
+    large = 1e8 * float_array([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
+    small = np.zeros((3, 3))
+    small[2, 0] = 1e-6  # e0 -> 1e-6 e2, far above 10 * rank_tol at scale 1
+    assert restrict_operator(large, basis, FLOAT, DEFAULT_TOL) is not None
+    assert restrict_operator(small, basis, FLOAT, DEFAULT_TOL) is None
+    assert restrict_operator(np.stack([large, small]), basis, FLOAT, DEFAULT_TOL) is None
+    assert restrict_operator(np.stack([small, large]), basis, FLOAT, DEFAULT_TOL) is None
+    both = restrict_operator(np.stack([large, large / 1e8]), basis, FLOAT, DEFAULT_TOL)
+    assert np.allclose(both[0], 1e8 * both[1])
+    assert np.allclose(both[1], [[1, 2], [3, 4]])
+
+
 def test_restricted_gram():
     g = E([[2, 0], [0, 3]])
     basis = E([[1, 1]])
@@ -366,6 +396,69 @@ def test_selfadjoint_eigensplit_exact_rational_case():
     split = selfadjoint_eigensplit(p, g, EXACT)
     assert not split.promoted_to_float
     assert [v for v, _ in split.pairs] == [F(3), F(5)]
+
+
+def _conjugated_diagonal(seed):
+    """(p, gram, r): p = Q diag(r) Q^-1, self-adjoint for gram = Q^-T Q^-1.
+
+    Q is a product of unit triangular matrices with entries in {-1, 0, 1},
+    so it is unimodular; r repeats values near 2**55 over one denominator.
+    """
+    rng = random.Random(seed)
+    n = seed % 9 + 1
+    lower = [[1 if i == j else rng.randint(-1, 1) * (j < i) for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-1, 1) * (j > i) for j in range(n)] for i in range(n)]
+    q = E(lower) @ E(upper)
+    qinv = exact_inverse(q)
+    den = rng.choice([1, 3])
+    pool = [F(s * 2 ** 55 + rng.randint(-9, 9), den) for s in rng.sample([-3, -1, 1, 2, 5], 3)]
+    r = [pool[0]] + [rng.choice(pool) for _ in range(n - 1)]
+    return q @ np.diag(E(r)) @ qinv, qinv.T @ qinv, r
+
+
+@pytest.mark.parametrize("seed", range(27))
+def test_exact_eigensplit_of_conjugated_diagonal(seed):
+    p, gram, r = _conjugated_diagonal(seed)
+    n = len(r)
+    assert max(abs(x.numerator) for x in p.reshape(-1)) > 2 ** 53
+    split = selfadjoint_eigensplit(p, gram, EXACT)
+    assert not split.promoted_to_float
+    assert [v for v, _ in split.pairs] == sorted(set(r))
+    for val, space in split.pairs:
+        assert space.dim == r.count(val)
+        for v in space.basis:
+            assert all(x == 0 for x in p @ v - val * v)
+    assert matrix_rank(np.concatenate([s.basis for _, s in split.pairs]), EXACT, DEFAULT_TOL) == n
+
+
+def test_eigensplit_irrational_promotes_above_dimension_five():
+    # (3 +- sqrt 5)/2 next to five rational eigenvalues
+    m = np.zeros((7, 7), dtype=object)
+    m[:] = F(0)
+    m[:2, :2] = E([[1, 1], [1, 2]])
+    for i, val in enumerate([2, 2, 3, 3, 5]):
+        m[2 + i, 2 + i] = F(val)
+    split = symmetric_eigensplit(m, EXACT)
+    assert split.promoted_to_float
+    assert sum(s.dim for _, s in split.pairs) == 7
+    vals = [float(v) for v, _ in split.pairs]
+    assert vals == pytest.approx([(3 - 5 ** 0.5) / 2, 2, (3 + 5 ** 0.5) / 2, 3, 5])
+
+
+def test_every_corpus_commutant_element_splits(random_corpus):
+    exact = 0
+    for g in random_corpus:
+        hol = holonomy_algebra(g)
+        for p in symmetric_commutant(list(hol.basis), g.gram, EXACT, g.tol):
+            split = selfadjoint_eigensplit(p, g.gram, EXACT)
+            assert sum(s.dim for _, s in split.pairs) == g.dim
+            if split.promoted_to_float:
+                continue
+            exact += 1
+            for val, space in split.pairs:
+                for v in space.basis:
+                    assert all(x == 0 for x in p @ v - val * v)
+    assert exact > 0
 
 
 @settings(max_examples=40)

@@ -77,12 +77,11 @@ EXPECTED = {
         "unimodular": True,
         "validation": {"failures": [], "passed": True},
     },
-    # the exact eigensplit stops at dimension 5, so this sum of two
-    # rational factors is still recomputed in floats
+    # a sum of two rational factors: the eigensplit stays exact
     "fundamental_squared": {
         "de_rham": {"factor_dims": [3, 3], "factor_is_flat": [False, False],
                     "factors_are_subalgebras": [True, True],
-                    "flat_factor_index": None, "promoted_to_float": True},
+                    "flat_factor_index": None, "promoted_to_float": False},
         "decomposability": None,
         "dim": 6,
         "holonomy_dim": 6,
