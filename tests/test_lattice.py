@@ -213,7 +213,7 @@ class TestDiscretenessProbe:
     @pytest.mark.parametrize("values", [[math.nan], [math.inf], [-math.inf],
                                         [1.0, math.nan], [0.5, 1.5, math.inf]])
     def test_non_finite_values_rejected(self, values):
-        # NaN compares false everywhere: it used to drop out of the reduction
-        # and leave "discrete", and an infinity left an empty work list
+        # NaN compares false everywhere, so it would drop out of the
+        # reduction unseen; an infinity would empty the work list
         with pytest.raises(InputError, match="finite"):
             discreteness_probe(values)

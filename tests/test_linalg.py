@@ -252,6 +252,8 @@ def test_restrict_operator_stack_matches_each_operator():
         assert np.array_equal(stacked[k], restrict_operator(op, basis, EXACT, DEFAULT_TOL))
     leaves = E([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
     assert restrict_operator(np.stack([a, leaves, b]), basis, EXACT, DEFAULT_TOL) is None
+    # the zero subspace is invariant under everything
+    assert restrict_operator(np.stack([a, leaves]), basis[:0], EXACT, DEFAULT_TOL).shape == (2, 0, 0)
 
 
 def test_restrict_operator_stack_keeps_each_float_band():
@@ -459,6 +461,21 @@ def test_every_corpus_commutant_element_splits(random_corpus):
                 for v in space.basis:
                     assert all(x == 0 for x in p @ v - val * v)
     assert exact > 0
+
+
+@pytest.mark.parametrize("index, element", [(10, 0), (91, 1), (122, 0)])
+def test_commutant_element_with_large_content_stays_exact(random_corpus, index, element):
+    # entries near 10**31, all multiples of one large integer: dividing it
+    # out puts the candidates on a grid that the floats resolve
+    g = random_corpus[index]
+    p = symmetric_commutant(list(holonomy_algebra(g).basis), g.gram, EXACT, g.tol)[element]
+    assert max(abs(x) for x in p.reshape(-1)) > 10 ** 20
+    split = selfadjoint_eigensplit(p, g.gram, EXACT)
+    assert not split.promoted_to_float
+    assert sum(s.dim for _, s in split.pairs) == g.dim
+    for val, space in split.pairs:
+        for v in space.basis:
+            assert all(x == 0 for x in p @ v - val * v)
 
 
 @settings(max_examples=40)
