@@ -260,6 +260,11 @@ class TestLattice:
         assert main(["lattice", "irreducible", "[1,0,2,0,1]"]) == 0
         assert capsys.readouterr().out.strip() == "reducible"
 
+    def test_irreducible_repeated_factor(self, capsys):
+        # (X^2 - 50X + 1)^2: rounding its double roots misses the factor
+        assert main(["lattice", "irreducible", "[1,-100,2502,-100,1]"]) == 0
+        assert capsys.readouterr().out.strip() == "reducible"
+
     def test_irreducible_degree_cap_exits_2(self, capsys):
         coeffs = json.dumps([1] + [0] * 8 + [1])
         assert main(["lattice", "irreducible", coeffs]) == 2

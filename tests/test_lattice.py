@@ -83,6 +83,16 @@ class TestIrreducibility:
         # (X^2+1)^2
         assert not is_irreducible_over_Z((1, 0, 2, 0, 1))
 
+    @pytest.mark.parametrize("coeffs", [
+        (1, -100, 2502, -100, 1),  # (X^2-50X+1)^2: its double roots round off
+        (1, -4, 6, -4, 1),  # (X-1)^4
+        (1, -6, 11, -6, 1),  # (X^2-3X+1)^2
+        (1, -100, 2502, -100, 2, -100, 2502, -100, 1),  # (X^2-50X+1)^2 (X^4+1)
+        (2, 0, 4, 0, 2),  # 2(X^2+1)^2
+    ])
+    def test_repeated_factor_is_reducible(self, coeffs):
+        assert not is_irreducible_over_Z(coeffs)
+
     def test_irreducible_quartics(self):
         assert is_irreducible_over_Z((1, 0, 0, 0, 1))  # X^4 + 1
         assert is_irreducible_over_Z((1, -3, 3, -3, 1))
