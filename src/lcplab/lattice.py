@@ -92,25 +92,36 @@ def divisors(n: int) -> list[int]:
     return sorted(set(out + [n // d for d in out]))
 
 
-def _divides_exactly(f: list[int], g: list[int]) -> bool:
-    """True when g divides f in Z[X] (both constant-first)."""
+def _divmod_q(f: Sequence, g: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of f by g over Q (both constant-first, g != 0)."""
     rem = [Fraction(c) for c in f]
     gq = [Fraction(c) for c in g]
     dg = len(gq) - 1
-    quot: list[Fraction] = []
+    quot = [Fraction(0)] * max(len(rem) - dg, 1)
     while len(rem) - 1 >= dg and any(c != 0 for c in rem):
         shift = len(rem) - 1 - dg
         factor = rem[-1] / gq[-1]
-        quot.append(factor)
+        quot[shift] = factor
         for k in range(len(gq)):
             rem[shift + k] -= factor * gq[k]
         while len(rem) > 1 and rem[-1] == 0:
             rem.pop()
-        if len(rem) - 1 < dg:
-            break
-    if any(c != 0 for c in rem):
-        return False
-    return all(q.denominator == 1 for q in quot)
+    return quot, rem
+
+
+def _divides_exactly(f: list[int], g: list[int]) -> bool:
+    """True when g divides f in Z[X] (both constant-first)."""
+    quot, rem = _divmod_q(f, g)
+    return all(c == 0 for c in rem) and all(q.denominator == 1 for q in quot)
+
+
+def _has_repeated_factor(f: list[int]) -> bool:
+    """True when gcd(f, f') over Q has positive degree (f constant-first)."""
+    a: list = f
+    b: list = [k * c for k, c in enumerate(f)][1:] or [0]
+    while any(c != 0 for c in b):
+        a, b = b, _divmod_q(a, b)[1]
+    return len(a) > 1
 
 
 def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
@@ -121,10 +132,8 @@ def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
     integer factors, each candidate confirmed by exact division. Exact
     division rules out a false "reducible" verdict, but not a false
     "irreducible" one: a factor is missed when rounding its numeric roots
-    does not give its integer coefficients. Repeated roots come back
-    perturbed by about the square root of machine precision, so inputs
-    with a repeated factor can be reported irreducible; (X^2 - 50X + 1)^2
-    is.
+    does not give its integer coefficients. A repeated factor is found
+    exactly, as a gcd of f and f' of positive degree over Q.
     """
     cs = _strip(coeffs)
     deg = len(cs) - 1
@@ -140,6 +149,8 @@ def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
         return deg == 1
     if deg == 1:
         return True
+    if _has_repeated_factor(cs):
+        return False
     for q in divisors(cs[-1]):
         for p in divisors(cs[0]):
             for sign in (1, -1):
