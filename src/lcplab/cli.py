@@ -19,7 +19,6 @@ import sys
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import InputError, NumericalAmbiguityError, TheoremViolationError
@@ -65,6 +64,8 @@ def _positive_tol(raw: float) -> float:
 
 
 def _tool_versions() -> dict:
+    import scipy  # only analyze reports pay its import
+
     return {
         "lcplab": __version__,
         "numpy": np.__version__,

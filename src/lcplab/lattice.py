@@ -16,7 +16,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError
 from .linalg import charpoly_exact, exact_det
@@ -311,6 +310,8 @@ def solve_conjugacy(m: Sequence, tol: float = 1e-9) -> Optional[ConjugacySolutio
 
 def verify_conjugacy(m: Sequence, solution: ConjugacySolution) -> float:
     """Largest entry of C^-1 A C - exp(t0 * generator)."""
+    import scipy.linalg  # deferred: importing it roughly doubles a cold CLI start
+
     arr = _as_int_matrix(m).astype(np.float64)
     c = solution.conjugator
     target = scipy.linalg.expm(solution.t0 * solution.generator)

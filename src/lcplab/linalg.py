@@ -36,7 +36,6 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericalAmbiguityError
 from .scalars import (
@@ -704,14 +703,21 @@ def selfadjoint_eigensplit(p: np.ndarray, gram: np.ndarray, mode: Mode,
                            tol: TolerancePolicy = DEFAULT_TOL) -> EigenSplit:
     """Eigensplit of a gram-self-adjoint operator (column convention).
 
-    Both modes start from one float generalized eigendecomposition. Exact
-    mode confirms its eigenvalues exactly when all are rational (see
+    Both modes start from one float generalized eigendecomposition of
+    S v = w G v, with S = G p symmetrised, by Cholesky reduction: G = L L^T,
+    C = L^-1 S L^-T, C y = w y, v = L^-T y (the reduction LAPACK's sygvd
+    makes), so the columns of v are G-orthonormal. A gram that is not
+    positive definite raises ``np.linalg.LinAlgError``. Exact mode confirms
+    its eigenvalues exactly when all are rational (see
     :func:`_exact_selfadjoint_eigensplit`), in any dimension; otherwise it
     promotes to the float split, and the promotion is flagged.
     """
     gf = to_float_array(gram)
     s = gf @ to_float_array(p)
-    w, v = scipy.linalg.eigh((s + s.T) / 2.0, (gf + gf.T) / 2.0)
+    low = np.linalg.cholesky((gf + gf.T) / 2.0)
+    c = np.linalg.solve(low, np.linalg.solve(low, (s + s.T) / 2.0).T)
+    w, y = np.linalg.eigh((c + c.T) / 2.0)
+    v = np.linalg.solve(low.T, y)
     if mode == EXACT:
         pairs = _exact_selfadjoint_eigensplit(p, gram, v)
         if pairs is not None:

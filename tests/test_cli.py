@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+import scipy
 
+import lcplab
 from lcplab.cli import main, resolve_tolerance, run_analysis
 from lcplab.errors import InputError
 from lcplab.fileio import save_algebra_file
@@ -342,3 +347,32 @@ class TestLattice:
         assert main(["lattice", "probe", values]) == 2
         err = capsys.readouterr().err
         assert "input error" in err and "finite" in err
+
+
+class TestColdImports:
+    """``import lcplab.cli`` leaves scipy out; the two commands that use it load it."""
+
+    @staticmethod
+    def _python(*argv):
+        src = os.path.dirname(os.path.dirname(lcplab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+    def test_import_loads_no_scipy_module(self):
+        proc = self._python("-c", "import sys, lcplab.cli; "
+                                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cold_conjugacy_still_solves(self):
+        proc = self._python("-m", "lcplab.cli", "lattice", "conjugacy", "[[1,1],[1,2]]", "--json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["solved"] is True
+        assert payload["defect"] < 1e-12
+
+    def test_report_names_the_scipy_version(self):
+        report, code = run_analysis(fundamental_example().algebra)
+        assert code == 0
+        assert report["tool_versions"]["scipy"] == scipy.__version__

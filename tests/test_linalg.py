@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -445,6 +446,58 @@ def test_eigensplit_irrational_promotes_above_dimension_five():
     assert sum(s.dim for _, s in split.pairs) == 7
     vals = [float(v) for v, _ in split.pairs]
     assert vals == pytest.approx([(3 - 5 ** 0.5) / 2, 2, (3 + 5 ** 0.5) / 2, 3, 5])
+
+
+def _spd_pencil(seed, cond, values):
+    """(p, gram): gram SPD with condition number ``cond``, p gram-self-adjoint
+    with eigenvalues ``values`` (repeats allowed)."""
+    rng = np.random.default_rng(seed)
+    n = len(values)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    gram = q @ np.diag(np.logspace(0, np.log10(cond), n)) @ q.T
+    gram = (gram + gram.T) / 2.0
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    low = np.linalg.cholesky(gram)
+    # G p = L C L^T is symmetric for symmetric C
+    return np.linalg.solve(low.T, u @ np.diag(values) @ u.T @ low.T), gram
+
+
+@pytest.mark.parametrize("seed, cond, values", [
+    (0, 1.0, [-2.0, 0.5, 1.0, 3.0]),
+    (1, 1e3, [-1.0, 1.0, 2.0, 4.0, 8.0]),
+    (2, 1e6, [-3.0, -1.0, 0.25, 2.0, 5.0, 7.0]),
+    (3, 1e6, [2.0, 2.0, 2.0, -1.0, -1.0, 5.0]),
+    (4, 1e2, [1.0, 1.0, 1.0, 1.0]),
+    (5, 1e6, [0.0, 0.0, 3.0, 3.0, 3.0, -4.0, 9.0]),
+])
+def test_float_eigensplit_matches_scipy_generalized_eigh(seed, cond, values):
+    p, gram = _spd_pencil(seed, cond, values)
+    assert np.linalg.cond(gram) == pytest.approx(cond, rel=1e-6)
+    s = gram @ p
+    want = scipy.linalg.eigh((s + s.T) / 2.0, gram, eigvals_only=True)
+    scale = float(np.max(np.abs(want)))
+    split = selfadjoint_eigensplit(p, gram, FLOAT)
+    assert not split.promoted_to_float
+    got = [val for val, space in split.pairs for _ in range(space.dim)]
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-9 * scale
+    assert [space.dim for _, space in split.pairs] == [values.count(x) for x in sorted(set(values))]
+    for val, space in split.pairs:
+        b = np.asarray(space.basis, dtype=np.float64).T
+        # G-orthonormal columns, and p b = val b measured in the gram norm
+        assert np.max(np.abs(b.T @ gram @ b - np.eye(space.dim))) <= 1e-9
+        r = p @ b - val * b
+        assert np.sqrt(np.max(np.diag(r.T @ gram @ r))) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+@pytest.mark.parametrize("gram", [[[1, 0], [0, -1]], [[1, 1], [1, 1]], [[0, 0], [0, 1]]])
+def test_eigensplit_rejects_a_gram_that_is_not_positive_definite(mode, gram):
+    p = [[1, 0], [0, 2]]
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.eigh(np.array(p, dtype=np.float64), np.array(gram, dtype=np.float64))
+    g, op = (E(gram), E(p)) if mode == EXACT else (float_array(gram), float_array(p))
+    with pytest.raises(np.linalg.LinAlgError):
+        selfadjoint_eigensplit(op, g, mode)
 
 
 def test_every_corpus_commutant_element_splits(random_corpus):
