@@ -177,6 +177,17 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "u_is_ideal: FAIL" in out
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_huge_float_coefficients_exit_2(self, exported, tmp_path, command, capsys):
+        # the square of 1e308 overflows float64, and every zero band with it
+        data = json.loads((exported / "strongly_irreducible.json").read_text())
+        data["brackets"][0]["coeffs"]["0"] = 1e308
+        data["brackets"][1]["coeffs"]["1"] = -1e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_broken_algebra_exits_1(self, tmp_path, capsys):
         data = {
             "dim": 3, "mode": "exact",
@@ -307,6 +318,14 @@ class TestLattice:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"degree": 4, "on_circle": 2,
                            "real_off_circle": 2, "complex_off_circle": 0}
+
+    @pytest.mark.parametrize("coeffs", ["[1,0,2,0,1]", "[1,-4,6,-4,1]"])
+    def test_roots_profile_counts_repeated_roots(self, coeffs, capsys):
+        # (X^2+1)^2 and (X-1)^4: all four roots lie on the circle
+        assert main(["lattice", "roots", coeffs, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"degree": 4, "on_circle": 4,
+                           "real_off_circle": 0, "complex_off_circle": 0}
 
     def test_conjugacy_golden(self, capsys):
         assert main(["lattice", "conjugacy", "[[1,1],[1,2]]", "--json"]) == 0

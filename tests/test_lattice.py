@@ -137,6 +137,19 @@ class TestUnitRootProfile:
                 p.complex_off_circle) == (3, 2, 1, 0)
 
 
+    @pytest.mark.parametrize("coeffs, profile", [
+        ((1, 0, 2, 0, 1), (4, 4, 0, 0)),  # (X^2+1)^2
+        ((1, -4, 6, -4, 1), (4, 4, 0, 0)),  # (X-1)^4
+        ((1, -6, 11, -6, 1), (4, 0, 4, 0)),  # (X^2-3X+1)^2
+        ((4, -4, 5, -4, 1), (4, 2, 2, 0)),  # (X-2)^2 (X^2+1)
+        ((1, 0, 3, 0, 3, 0, 1), (6, 6, 0, 0)),  # (X^2+1)^3
+        ((0, 0, 1), (2, 0, 2, 0)),  # X^2
+    ])
+    def test_repeated_roots_count_with_multiplicity(self, coeffs, profile):
+        p = unit_root_profile(coeffs)
+        assert (p.degree, p.on_circle, p.real_off_circle,
+                p.complex_off_circle) == profile
+
 class TestSolveConjugacy:
     def test_golden(self):
         sol = solve_conjugacy(GOLDEN)
