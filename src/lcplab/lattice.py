@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -91,46 +90,47 @@ def divisors(n: int) -> list[int]:
     return sorted(set(out + [n // d for d in out]))
 
 
-def _divides_exactly(f: list[int], g: list[int]) -> bool:
-    """True when g divides f in Z[X] (both constant-first)."""
-    rem = [Fraction(c) for c in f]
-    gq = [Fraction(c) for c in g]
-    dg = len(gq) - 1
-    quot: list[Fraction] = []
-    while len(rem) - 1 >= dg and any(c != 0 for c in rem):
-        shift = len(rem) - 1 - dg
-        factor = rem[-1] / gq[-1]
-        quot.append(factor)
-        for k in range(len(gq)):
-            rem[shift + k] -= factor * gq[k]
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-    if any(c != 0 for c in rem):
-        return False
-    return all(q.denominator == 1 for q in quot)
+def _primitive(f: list[int]) -> list[int]:
+    content = math.gcd(*f) or 1
+    return [c // content for c in f]
 
 
-def _has_repeated_factor(f: list[int]) -> bool:
-    """True when gcd(f, f') over Q has positive degree (f constant-first, deg f >= 1).
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Integer pseudo-division (constant-first lists, b nonzero).
 
-    Euclid's algorithm on integer pseudo-remainders, each divided by its
-    content, so that no ``Fraction`` arithmetic is needed.
+    Returns the primitive parts of q and r in lc(b)**k * a = q * b + r,
+    deg r < deg b: r is zero exactly when b divides a over Q, and q is
+    a / b up to a rational factor. No ``Fraction`` arithmetic is needed.
     """
+    q = [0] * max(1, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b) and any(r):
+        lead, shift = r[-1], len(r) - len(b)
+        q = [b[-1] * c for c in q]
+        q[shift] += lead
+        r = [b[-1] * c for c in r]
+        for k, c in enumerate(b):
+            r[shift + k] -= lead * c
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+    return _primitive(q), _primitive(r)
+
+
+def _gcd_with_derivative(f: list[int]) -> list[int]:
+    """gcd(f, f') over Q as a primitive integer polynomial (deg f >= 1),
+    by Euclid's algorithm on pseudo-remainders."""
     a, b = f, [k * c for k, c in enumerate(f)][1:]
     while any(b):
-        r = list(a)
-        while len(r) >= len(b) and any(r):
-            lead, shift = r[-1], len(r) - len(b)
-            r = [b[-1] * c for c in r]
-            for k, c in enumerate(b):
-                r[shift + k] -= lead * c
-            while len(r) > 1 and r[-1] == 0:
-                r.pop()
-        content = math.gcd(*r) or 1
-        a, b = b, [c // content for c in r]
-    return len(a) > 1
+        a, b = b, _pseudo_divide(a, b)[1]
+    return _primitive(a)
+
+
+def _has_root(f: list[int], p: int, q: int) -> bool:
+    """True when p/q is a root of f: Horner on sum f_k p^k q^(deg-k)."""
+    acc, qk = 0, 1
+    for c in reversed(f):
+        acc, qk = acc * p + c * qk, qk * q
+    return acc == 0
 
 
 def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
@@ -138,7 +138,7 @@ def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
 
     Linear factors are found by the rational root test; higher-degree
     factors by reassembling subsets of the numeric roots into candidate
-    integer factors, each candidate confirmed by exact division. Exact
+    integer factors, each candidate confirmed by exact division over Q. Exact
     division rules out a false "reducible" verdict, but not a false
     "irreducible" one: a factor is missed when rounding its numeric roots
     does not give its integer coefficients. A repeated factor is found
@@ -150,25 +150,17 @@ def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
         return False
     if deg > 8:
         raise InputError("irreducibility test is implemented through degree 8")
-    content = 0
-    for c in cs:
-        content = math.gcd(content, c)
-    cs = [c // content for c in cs]
+    cs = _primitive(cs)
     if cs[0] == 0:
         return deg == 1
     if deg == 1:
         return True
-    if _has_repeated_factor(cs):
+    if len(_gcd_with_derivative(cs)) > 1:
         return False
     for q in divisors(cs[-1]):
         for p in divisors(cs[0]):
-            for sign in (1, -1):
-                num = Fraction(sign * p, q)
-                acc = Fraction(0)
-                for c in reversed(cs):
-                    acc = acc * num + c
-                if acc == 0:
-                    return False
+            if _has_root(cs, p, q) or _has_root(cs, -p, q):
+                return False
     if deg <= 3:
         return True
     roots = np.roots([float(c) for c in reversed(cs)])
@@ -187,9 +179,9 @@ def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
                     if np.max(np.abs(np.array(cand, dtype=np.float64)
                                      - cand_f.real[::-1])) > 1e-6:
                         continue
-                    if abs(cand[-1]) == 0:
-                        continue
-                    if _divides_exactly(cs, cand):
+                    # a proper factor over Q makes f reducible over Z too
+                    # (Gauss's lemma)
+                    if not any(_pseudo_divide(cs, cand)[1]):
                         return False
     return True
 
@@ -206,17 +198,29 @@ class UnitRootProfile:
     complex_off_circle: int
 
 
+def _roots(cs: list[int]) -> np.ndarray:
+    """The complex roots of f (deg f >= 1) with multiplicity, each found as
+    a simple root: those of the square-free part f / gcd(f, f'), then those
+    of gcd(f, f'), which holds each repeated factor once less.
+    """
+    common = _gcd_with_derivative(cs)
+    if len(common) == 1:
+        return np.roots([float(c) for c in reversed(cs)])
+    return np.concatenate([_roots(_pseudo_divide(cs, common)[0]), _roots(common)])
+
+
 def unit_root_profile(coeffs: Sequence[int], tol: float = 1e-9) -> UnitRootProfile:
     """Count roots on the unit circle, real off it, and complex off it.
 
     A root within the relative tolerance of the circle counts as on it,
-    before any realness decision is made.
+    before any realness decision is made. Repeated roots count with their
+    multiplicity, without the spread a numeric multiple root would have.
     """
     cs = _strip(coeffs)
     deg = len(cs) - 1
     if deg == 0:
         return UnitRootProfile(0, 0, 0, 0)
-    roots = np.roots([float(c) for c in reversed(cs)])
+    roots = _roots(cs)
     on = real_off = complex_off = 0
     for r in roots:
         mod = abs(r)
