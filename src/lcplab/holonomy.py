@@ -19,6 +19,10 @@ spanning everything. The exact closure and the commutant are then
 skipped. A bound below n(n-1)/2, whether the holonomy is smaller or the
 prime is unlucky, falls back to the exact closure on the same seeds; it
 can never give a wrong answer. The float lane always closes.
+
+Invariance questions go through :func:`linalg.restrict_operator` on a
+stack of operators; orthogonality of the factors and the cross terms of
+a reducing pair are each one zero test of a whole tensor.
 """
 from __future__ import annotations
 
@@ -33,9 +37,7 @@ from .liealg import (
     InvariantConnection,
     MetricLieAlgebra,
     LEVI_CIVITA,
-    bracket_vec,
     curvature_tensor,
-    inner,
     is_subalgebra,
     levi_civita,
     to_float_algebra,
@@ -48,7 +50,6 @@ from .linalg import (
     full_subspace,
     invert,
     is_zero_matrix,
-    is_zero_scalar,
     matrix_rank,
     orthocomplement,
     rank_and_nullspace,
@@ -336,6 +337,7 @@ def _split_blocks(ops: np.ndarray, gram: np.ndarray, mode: Mode,
 class DeRhamSplitting:
     """Orthogonal factors of the metric: one flat block, then irreducible ones."""
 
+    algebra: MetricLieAlgebra  # the input in the split's mode: its float twin if promoted
     factors: tuple[Subspace, ...]
     factor_is_flat: tuple[bool, ...]
     holonomy: OperatorAlgebra
@@ -378,12 +380,12 @@ def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace],
     stacked = np.concatenate([f.basis for f in factors], axis=0)
     if total != n or matrix_rank(stacked, g.mode, g.tol) != n:
         raise TheoremViolationError("factors do not span the whole algebra")
-    sc = scale_of(g.gram)
-    for a in range(len(factors)):
-        for b in range(a + 1, len(factors)):
-            prods = factors[a].basis @ g.gram @ factors[b].basis.T
-            if not is_zero_matrix(prods, g.mode, g.tol, scale=sc):
-                raise TheoremViolationError("factors are not pairwise orthogonal")
+    # one gram matrix of all factor bases; its blocks off the diagonal must vanish
+    rows, gram, _ = to_scaled(stacked, g.gram)
+    label = np.repeat(np.arange(len(factors)), [f.dim for f in factors])
+    cross = (rows @ gram @ rows.T)[label[:, None] != label[None, :]]
+    if not is_zero_matrix(cross, g.mode, g.tol, scale=scale_of(g.gram)):
+        raise TheoremViolationError("factors are not pairwise orthogonal")
     for f in factors:
         if hol.dim and restrict_operator(np.stack(hol.basis), f.basis, g.mode, g.tol) is None:
             raise TheoremViolationError("factor is not holonomy invariant")
@@ -418,7 +420,7 @@ def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -
         hol = _closed_holonomy(g, conn, seeds, nabla)
         factors, flags = _factors(g, hol, random.Random(seed))
     _verify_splitting(g, factors, flags, hol, conn)
-    return DeRhamSplitting(tuple(factors), tuple(flags), hol, conn, g.mode, promoted)
+    return DeRhamSplitting(g, tuple(factors), tuple(flags), hol, conn, g.mode, promoted)
 
 
 def _factors(g: MetricLieAlgebra, hol: OperatorAlgebra,
@@ -452,11 +454,10 @@ def _factors(g: MetricLieAlgebra, hol: OperatorAlgebra,
 
 def verify_factor_subalgebras(g: MetricLieAlgebra, splitting: DeRhamSplitting,
                               strict: bool = True) -> list[bool]:
-    """Check that every factor is closed under the bracket."""
-    gg = g if splitting.mode == g.mode else to_float_algebra(g)
+    """Check that every factor is closed under the bracket of ``splitting.algebra``."""
     out = []
     for f in splitting.factors:
-        ok = is_subalgebra(gg, f)
+        ok = is_subalgebra(splitting.algebra, f)
         if strict and not ok:
             raise TheoremViolationError("a metric factor is not a subalgebra")
         out.append(ok)
@@ -500,15 +501,12 @@ def _cross_vanishes(g: MetricLieAlgebra, linear_rows: np.ndarray,
     polarized values below.
     """
     sc = scale_of(g.bracket, g.gram)
-    for a_idx in range(linear_rows.shape[0]):
-        a = linear_rows[a_idx]
-        for i in range(quad_rows.shape[0]):
-            for j in range(i, quad_rows.shape[0]):
-                u, v = quad_rows[i], quad_rows[j]
-                val = inner(g, bracket_vec(g, a, u), v) + inner(g, bracket_vec(g, a, v), u)
-                if not is_zero_scalar(val, g.mode, g.tol, scale=sc * sc):
-                    return False
-    return True
+    a, y, gram, _ = to_scaled(linear_rows, quad_rows, g.gram)
+    # br[a, k, i] = the k-th component of [a, y_i]
+    br = np.tensordot(np.tensordot(a, g.scaled_bracket[0], axes=(1, 0)), y, axes=(1, 1))
+    # val[a, i, j] = <[a, y_i], y_j>, then symmetrised in i, j
+    val = np.transpose(br, (0, 2, 1)) @ (gram @ y.T)
+    return is_zero_matrix(val + np.transpose(val, (0, 2, 1)), g.mode, g.tol, scale=sc * sc)
 
 
 def check_reducing_pair(g: MetricLieAlgebra, s1: Subspace, s2: Subspace) -> ConditionReport:
@@ -545,15 +543,14 @@ def reducibility_witness(g: MetricLieAlgebra, seed: int = 0,
     """
     if splitting is None:
         splitting = de_rham_splitting(g, seed=seed)
-    gg = g if splitting.mode == g.mode else to_float_algebra(g)
+    gg = splitting.algebra
     if len(splitting.factors) >= 2:
         s1 = splitting.factors[0]
         s2 = subspace_sum(splitting.factors[1:], gg.tol)
         return ReducingPair(s1, s2, splitting.mode)
     if not splitting.factor_is_flat[0] or g.dim < 2:
         return None
-    conn = levi_civita(gg)
-    comm = nabla_commutant(gg, conn)
+    comm = nabla_commutant(gg, splitting.connection)
     # a flat block of dimension >= 2 always splits; when no candidate gives
     # a clear eigen-gap the NumericalAmbiguityError says so (exit 3)
     split = _first_eigensplit(comm, gg.gram, gg.mode, gg.tol, random.Random(seed),

@@ -2,7 +2,10 @@
 
 The data of such a structure is a covector (the Lee form) together with a
 distinguished ideal that the associated Weyl connection leaves parallel
-and flat. The validator checks each defining condition separately; the
+and flat. The validator checks each defining condition separately, with
+one decision each: the ideal and parallel conditions are invariance
+tests of an operator stack through :func:`linalg.restrict_operator`, and
+closedness and (non-)flatness are zero tests of a whole tensor. The
 decomposability analysis asks whether the orthogonal factors of the
 metric that actually carry the structure form a proper part of the
 algebra.
@@ -25,19 +28,16 @@ from .liealg import (
     InvariantConnection,
     MetricLieAlgebra,
     WEYL,
-    bracket_vec,
-    curvature_tensor,
     is_ideal,
     is_subalgebra,
     is_unimodular,
     levi_civita,
-    to_float_algebra,
+    scaled_curvature,
 )
 from .linalg import (
     Subspace,
     invert,
     is_zero_matrix,
-    is_zero_scalar,
     make_subspace,
     matrix_rank,
     restrict_operator,
@@ -52,7 +52,6 @@ from .scalars import (
     from_scaled,
     to_float_array,
     to_scaled,
-    zeros_array,
 )
 
 
@@ -121,14 +120,10 @@ def weyl_connection(g: MetricLieAlgebra, theta: np.ndarray) -> InvariantConnecti
 
 
 def is_closed_covector(g: MetricLieAlgebra, theta: np.ndarray) -> bool:
-    """True when the covector kills every bracket."""
+    """True when the covector kills every bracket: c . theta vanishes."""
     sc = scale_of(g.bracket, theta)
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            val = g.bracket[i, j, :] @ theta
-            if not is_zero_scalar(val, g.mode, g.tol, scale=sc * sc):
-                return False
-    return True
+    return is_zero_matrix(g.scaled_bracket[0] @ to_scaled(theta)[0], g.mode, g.tol,
+                          scale=sc * sc)
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +150,17 @@ def lee_form_from_splitting(g: MetricLieAlgebra, u: Subspace, h: Subspace) -> np
     q = u.dim
     if q == 0:
         raise InputError("the ideal must be nonzero")
-    n = g.dim
-    theta = zeros_array((n,), g.mode)
-    for x in range(n):
-        xvec = zeros_array((n,), g.mode)
-        xvec[x] = xvec[x] + 1
-        images = np.stack([bracket_vec(g, xvec, h.basis[r]) for r in range(h.dim)])
-        coords = solve_linear(stacked.T, images.T, g.mode, g.tol)
-        if coords is None:
-            raise InputError("bracket left the algebra; invalid input data")
-        trace = sum(coords[r, r] for r in range(h.dim))
-        theta[x] = -trace / q
-    return theta
+    # images[x, :, r] = [e_x, h_r] over dc * dh, all solved for at once
+    c, dc = g.scaled_bracket
+    hb, dh = to_scaled(h.basis)
+    images = np.tensordot(c, hb, axes=(1, 1))
+    rhs = np.transpose(images, (1, 0, 2)).reshape(g.dim, -1)
+    coords = solve_linear(stacked.T, rhs, g.mode, g.tol)
+    if coords is None:
+        raise InputError("bracket left the algebra; invalid input data")
+    # the h-component of [e_x, h_r] along h_r, summed over r
+    traces = np.trace(coords[:h.dim].reshape(h.dim, g.dim, h.dim), axis1=0, axis2=2)
+    return -traces / (q * dc * dh)
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +236,11 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     parallel = restrict_operator(conn.operators, u.basis, g.mode, g.tol) is not None
     sc_r = scale_of(conn.coeffs)
     sc_r = sc_r * sc_r
-    flat_on_u = True
-    nonflat = False
-    curv = curvature_tensor(g, conn)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = curv[i, j]
-            if not is_zero_matrix(r, g.mode, g.tol, scale=sc_r):
-                nonflat = True
-            restricted = u.basis @ r.T
-            if not is_zero_matrix(restricted, g.mode, g.tol, scale=sc_r * scale_of(u.basis)):
-                flat_on_u = False
+    curv = scaled_curvature(g, conn)[0]
+    nonflat = not is_zero_matrix(curv, g.mode, g.tol, scale=sc_r)
+    # R(e_i, e_j) u_k for every i, j and basis vector u_k of u
+    ub = to_scaled(u.basis)[0]
+    flat_on_u = is_zero_matrix(curv @ ub.T, g.mode, g.tol, scale=sc_r * scale_of(u.basis))
     formula: Optional[bool] = None
     if data.complement is not None:
         try:
@@ -334,10 +322,8 @@ def lcp_decomposable(g: MetricLieAlgebra, data: LcpData, seed: int = 0,
                          + ", ".join(report.failures()))
     if splitting is None:
         splitting = de_rham_splitting(g, seed=seed)
-    if splitting.mode == g.mode:
-        gg, dd = g, data
-    else:
-        gg, dd = to_float_algebra(g), lcp_data_to_float(data)
+    gg = splitting.algebra
+    dd = data if gg.mode == g.mode else lcp_data_to_float(data)
     sharp = lee_sharp(gg, dd.lee_covector)
     rows = np.concatenate([dd.flat_ideal.basis, sharp.reshape(1, -1)], axis=0)
     touched = _touched_factor_indices(splitting, rows, gg)

@@ -6,9 +6,15 @@ Conventions, fixed once for the whole package:
 * operators act on column coordinate vectors, so the matrix of ``ad_{e_i}``
   is ``c[i].T``;
 * connection coefficient tensors follow the same layout as ``c``.
+
+Each structure condition is one decision on the scaled-integer bracket:
+subalgebra and ideal are one invariance test of the stacked ad operators
+through :func:`linalg.restrict_operator`, unimodularity one zero test of
+the whole trace vector.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Mapping, Optional, Sequence
@@ -19,10 +25,9 @@ from .errors import InputError
 from .linalg import (
     Subspace,
     exact_det,
-    in_rowspan,
     invert,
     is_zero_matrix,
-    is_zero_scalar,
+    restrict_operator,
     scale_of,
 )
 from .scalars import (
@@ -103,6 +108,9 @@ def make_algebra(bracket: Any, gram: Any = None, mode: Mode = EXACT,
     g = eye_array(n, mode) if gram is None else array_for_mode(gram, mode)
     if g.shape != (n, n):
         raise InputError(f"gram matrix must have shape ({n}, {n})")
+    sc = scale_of(c, g)  # float zero bands grow with its square
+    if not math.isfinite(sc * sc):
+        raise InputError(f"float entry of magnitude {sc:.3g} is too large: its square overflows")
     if basis_names is None:
         names = tuple(f"e{i}" for i in range(n))
     else:
@@ -192,31 +200,21 @@ def inner(g: MetricLieAlgebra, x: np.ndarray, y: np.ndarray):
 
 
 def is_subalgebra(g: MetricLieAlgebra, s: Subspace) -> bool:
-    rows = s.basis
-    for i in range(rows.shape[0]):
-        for j in range(i + 1, rows.shape[0]):
-            if not in_rowspan(bracket_vec(g, rows[i], rows[j]), rows, g.mode, g.tol):
-                return False
-    return True
+    """True when every ad_x, x in a basis of s, preserves s: one invariance
+    test, on the scaled bracket (a positive scale changes no invariant subspace)."""
+    ad = np.tensordot(to_scaled(s.basis)[0], g.scaled_bracket[0], axes=(1, 0))
+    return restrict_operator(np.transpose(ad, (0, 2, 1)), s.basis, g.mode, g.tol) is not None
 
 
 def is_ideal(g: MetricLieAlgebra, s: Subspace) -> bool:
-    rows = s.basis
-    eye = eye_array(g.dim, g.mode)
-    for i in range(g.dim):
-        for j in range(rows.shape[0]):
-            if not in_rowspan(bracket_vec(g, eye[i], rows[j]), rows, g.mode, g.tol):
-                return False
-    return True
+    """True when every ad_{e_i} preserves s, in one invariance test."""
+    ad = np.transpose(g.scaled_bracket[0], (0, 2, 1))
+    return restrict_operator(ad, s.basis, g.mode, g.tol) is not None
 
 
 def is_unimodular(g: MetricLieAlgebra) -> bool:
-    sc = scale_of(g.bracket)
-    for i in range(g.dim):
-        trace = sum(g.bracket[i, j, j] for j in range(g.dim))
-        if not is_zero_scalar(trace, g.mode, g.tol, scale=sc):
-            return False
-    return True
+    c = g.scaled_bracket[0]
+    return is_zero_matrix(np.trace(c, axis1=1, axis2=2), g.mode, g.tol, scale=scale_of(c))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +334,9 @@ def levi_civita(g: MetricLieAlgebra) -> InvariantConnection:
 
 
 def _curvature(g: MetricLieAlgebra, conn: InvariantConnection,
-               rows: slice, cols: slice) -> np.ndarray:
-    """``R[i, j]`` = R(e_i, e_j) = [D_i, D_j] - D_{[e_i, e_j]} for i in rows, j in cols.
+               rows: slice, cols: slice) -> tuple[np.ndarray, int]:
+    """``R[i, j]`` = R(e_i, e_j) = [D_i, D_j] - D_{[e_i, e_j]} for i in rows,
+    j in cols, as (ints, den), see ``to_scaled``.
 
     Runs on the scaled form: integers over one denominator in exact mode,
     the float64 arrays themselves in float mode. Every pair is one matmul
@@ -351,19 +350,24 @@ def _curvature(g: MetricLieAlgebra, conn: InvariantConnection,
     back = prod if rows == cols else a[cols, None] @ a[None, rows]
     # mixed[i, j] = the operator of [e_i, e_j]
     mixed = (c[rows, cols, None, :] @ a.reshape(n, n * n)).reshape(prod.shape)
-    return from_scaled((prod - np.transpose(back, (1, 0, 2, 3))) * dc - mixed * da,
-                       da * da * dc)
+    return (prod - np.transpose(back, (1, 0, 2, 3))) * dc - mixed * da, da * da * dc
 
 
 def curvature_operator(g: MetricLieAlgebra, conn: InvariantConnection,
                        i: int, j: int) -> np.ndarray:
     """Matrix of R(e_i, e_j) = [D_i, D_j] - D_{[e_i, e_j]}."""
-    return _curvature(g, conn, slice(i, i + 1), slice(j, j + 1))[0, 0]
+    r, den = _curvature(g, conn, slice(i, i + 1), slice(j, j + 1))
+    return from_scaled(r[0, 0], den)
+
+
+def scaled_curvature(g: MetricLieAlgebra, conn: InvariantConnection) -> tuple[np.ndarray, int]:
+    """The whole curvature tensor as (ints, den), see ``to_scaled``."""
+    return _curvature(g, conn, slice(None), slice(None))
 
 
 def curvature_tensor(g: MetricLieAlgebra, conn: InvariantConnection) -> np.ndarray:
     """All curvature operators at once: ``R[i, j]`` is the matrix of R(e_i, e_j)."""
-    return _curvature(g, conn, slice(None), slice(None))
+    return from_scaled(*scaled_curvature(g, conn))
 
 
 def _max_abs(d: np.ndarray):
@@ -380,11 +384,8 @@ def metric_defect(g: MetricLieAlgebra, conn: InvariantConnection,
                   theta: Optional[np.ndarray] = None):
     """Largest component of G A_i + A_i^T G - 2 theta_i G over basis directions;
     theta is the Lee covector of a Weyl connection, None for a metric one."""
-    parts = []
-    for i in range(g.dim):
-        a = conn.operator(i)
-        d = g.gram @ a + a.T @ g.gram
-        if theta is not None:
-            d = d - 2 * theta[i] * g.gram
-        parts.append(d)
-    return _max_abs(np.array(parts))
+    if theta is None:
+        theta = zeros_array((g.dim,), g.mode)
+    a, gram, t, d = to_scaled(conn.operators, g.gram, theta)
+    defect = gram @ a + np.transpose(a, (0, 2, 1)) @ gram - 2 * t[:, None, None] * gram
+    return _max_abs(from_scaled(defect, d * d))

@@ -14,7 +14,8 @@ span closure keeps its orthonormal basis as one matrix and projects each
 candidate against all of it at once. The same closure loop also runs
 over GF(p) on int64 vectors, for a dimension alone
 (:func:`closure_dim_mod_p`). :func:`restrict_operator` takes a whole
-stack of operators and solves for all their images at once.
+stack of operators and solves for all their images at once; it is the
+one test of whether operators preserve a subspace.
 
 Both modes split a self-adjoint operator from one float generalized
 eigendecomposition. Exact mode rounds the exact Rayleigh quotient of
@@ -76,12 +77,6 @@ def is_zero_matrix(a: np.ndarray, mode: Mode, tol: TolerancePolicy, scale: float
     if mode == EXACT:
         return all(x == 0 for x in a.reshape(-1))
     return float(np.max(np.abs(a))) <= residual_band(tol) * max(1.0, scale)
-
-
-def is_zero_scalar(x: Any, mode: Mode, tol: TolerancePolicy, scale: float = 1.0) -> bool:
-    if mode == EXACT:
-        return x == 0
-    return abs(float(x)) <= residual_band(tol) * max(1.0, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +342,6 @@ def coords_in_rowbasis(vecs: np.ndarray, basis_rows: np.ndarray, mode: Mode,
         return None
     xt = x.T
     return xt[0] if vecs.ndim == 1 else xt
-
-
-def in_rowspan(vec: np.ndarray, basis_rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:
-    return coords_in_rowbasis(vec, basis_rows, mode, tol) is not None
 
 
 def subspace_contains(outer: Subspace, inner: Subspace, tol: TolerancePolicy) -> bool:

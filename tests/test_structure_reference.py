@@ -1,0 +1,209 @@
+"""Stacked structure tests against the per-pair loops they replaced.
+
+The library decides each structure condition with one invariance test on
+a stack of operators or one zero test on a whole tensor. The references
+below are the loops it used to run instead: one row-span solve or one
+zero test per basis pair. Slow and obvious, they must give the same
+verdicts on every gallery entry and on 30 corpus algebras, exact and
+float.
+"""
+
+import numpy as np
+import pytest
+
+from lcplab.gallery import all_entries
+from lcplab.holonomy import _cross_vanishes, de_rham_splitting
+from lcplab.lcp import (LcpData, is_closed_covector, lcp_data_to_float, validate_lcp,
+                        weyl_connection)
+from lcplab.liealg import (bracket_vec, curvature_tensor, inner, is_ideal, is_subalgebra,
+                           is_unimodular, to_float_algebra, transform_algebra)
+from lcplab.linalg import (Subspace, canonical_rows, coords_in_rowbasis, invert,
+                           is_zero_matrix, residual_band, scale_of)
+from lcplab.scalars import EXACT, FLOAT, eye_array, to_float_array
+
+# ---------------------------------------------------------------------------
+# references: one decision per basis pair
+
+
+def _in_span(g, vec, rows):
+    return coords_in_rowbasis(vec, rows, g.mode, g.tol) is not None
+
+
+def _zero_scalar(g, x, scale):
+    if g.mode == EXACT:
+        return x == 0
+    return abs(float(x)) <= residual_band(g.tol) * max(1.0, scale)
+
+
+def ref_is_subalgebra(g, s):
+    rows = s.basis
+    return all(_in_span(g, bracket_vec(g, rows[i], rows[j]), rows)
+               for i in range(s.dim) for j in range(i + 1, s.dim))
+
+
+def ref_is_ideal(g, s):
+    eye = eye_array(g.dim, g.mode)
+    return all(_in_span(g, bracket_vec(g, eye[i], row), s.basis)
+               for i in range(g.dim) for row in s.basis)
+
+
+def ref_is_unimodular(g):
+    sc = scale_of(g.bracket)
+    return all(_zero_scalar(g, sum(g.bracket[i, j, j] for j in range(g.dim)), sc)
+               for i in range(g.dim))
+
+
+def ref_is_closed_covector(g, theta):
+    sc = scale_of(g.bracket, theta)
+    return all(_zero_scalar(g, g.bracket[i, j, :] @ theta, sc * sc)
+               for i in range(g.dim) for j in range(i + 1, g.dim))
+
+
+def ref_cross_vanishes(g, linear_rows, quad_rows):
+    sc = scale_of(g.bracket, g.gram)
+    m = quad_rows.shape[0]
+    return all(_zero_scalar(g, inner(g, bracket_vec(g, a, quad_rows[i]), quad_rows[j])
+                            + inner(g, bracket_vec(g, a, quad_rows[j]), quad_rows[i]), sc * sc)
+               for a in linear_rows for i in range(m) for j in range(i, m))
+
+
+def ref_lcp_flags(g, data):
+    """(u_is_ideal, u_weyl_flat, weyl_nonflat), one pair of e_i, e_j at a time."""
+    u = data.flat_ideal
+    conn = weyl_connection(g, data.lee_covector)
+    sc_r = scale_of(conn.coeffs) ** 2
+    curv = curvature_tensor(g, conn)
+    flat_on_u, nonflat = True, False
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            r = curv[i, j]
+            if not is_zero_matrix(r, g.mode, g.tol, scale=sc_r):
+                nonflat = True
+            if not is_zero_matrix(u.basis @ r.T, g.mode, g.tol,
+                                  scale=sc_r * scale_of(u.basis)):
+                flat_on_u = False
+    return ref_is_ideal(g, u), flat_on_u, nonflat
+
+
+# ---------------------------------------------------------------------------
+# inputs: subspaces, pairs and structure data on each algebra
+
+
+def _span(rows, g):
+    return Subspace(g.dim, rows, g.mode)
+
+
+def _exact_cases(g):
+    """Subspaces and complementary pairs of an exact algebra."""
+    n = g.dim
+    eye = eye_array(n, EXACT)
+    # the derived algebra is an ideal; leading coordinate spans may be anything
+    derived = canonical_rows(g.bracket.reshape(-1, n), EXACT, g.tol)
+    spaces = [_span(eye[:k], g) for k in range(1, n)] + [_span(derived, g)]
+    pairs = [(eye[:k], eye[k:]) for k in range(1, n)]
+    spl = de_rham_splitting(g)
+    if spl.mode == EXACT:
+        spaces += list(spl.factors)
+        pairs += [(f.basis, np.concatenate([h.basis for h in spl.factors if h is not f]))
+                  for f in spl.factors if len(spl.factors) > 1]
+    theta = np.array([(-1) ** k * (k % 3) for k in range(n)], dtype=object) * eye[0, 0]
+    lcps = [LcpData(_span(derived, g), theta), LcpData(_span(eye[-1:], g), eye[0])]
+    return [s for s in spaces if s.dim], pairs, [d for d in lcps if d.flat_ideal.dim]
+
+
+def _sheared(g, data):
+    """The algebra and its structure data in the basis e_i + e_(i+1)."""
+    q = eye_array(g.dim, EXACT)
+    q[:-1, 1:] += eye_array(g.dim - 1, EXACT)
+    qinv = invert(q, EXACT, g.tol)
+    comp = data.complement
+    return transform_algebra(g, q), LcpData(
+        _span(data.flat_ideal.basis @ qinv, g), q @ data.lee_covector,
+        None if comp is None else _span(comp.basis @ qinv, g))
+
+
+def _float_cases(spaces, pairs, lcps):
+    return ([Subspace(s.ambient_dim, to_float_array(s.basis), FLOAT) for s in spaces],
+            [(to_float_array(a), to_float_array(b)) for a, b in pairs],
+            [lcp_data_to_float(d) for d in lcps])
+
+
+@pytest.fixture(scope="module")
+def cases(random_corpus):
+    out = []
+    for e in all_entries():
+        g = e.algebra
+        if g.mode == EXACT:
+            spaces, pairs, lcps = _exact_cases(g)
+            if e.lcp is not None:
+                lcps.append(e.lcp)
+            out.append((g, spaces, pairs, lcps))
+            out.append((to_float_algebra(g), *_float_cases(spaces, pairs, lcps)))
+            if e.lcp is not None:
+                # the same structure in a basis that is not orthonormal
+                h, data = _sheared(g, e.lcp)
+                out.append((h, [], [], [data]))
+                out.append((to_float_algebra(h), [], [], [lcp_data_to_float(data)]))
+        else:
+            spl = de_rham_splitting(g)
+            pairs = [(spl.factors[0].basis, np.concatenate([f.basis for f in spl.factors[1:]]))
+                     ] if len(spl.factors) > 1 else []
+            out.append((g, list(spl.factors), pairs, [e.lcp] if e.lcp else []))
+    for g in random_corpus[:30]:
+        spaces, pairs, lcps = _exact_cases(g)
+        out.append((g, spaces, pairs, lcps))
+        out.append((to_float_algebra(g), *_float_cases(spaces, pairs, lcps)))
+    return out
+
+
+def _compare(cases, new, ref, inputs):
+    """Every verdict of ``new`` equals the reference; both verdicts occur."""
+    seen = set()
+    for g, *rest in cases:
+        for x in inputs(g, *rest):
+            verdict = new(g, *x)
+            assert verdict == ref(g, *x), (g, x)
+            seen.add(verdict)
+    return seen
+
+
+def test_is_subalgebra_matches_the_pair_loop(cases):
+    seen = _compare(cases, is_subalgebra, ref_is_subalgebra,
+                    lambda g, spaces, pairs, lcps: [(s,) for s in spaces])
+    assert seen == {True, False}
+
+
+def test_is_ideal_matches_the_pair_loop(cases):
+    seen = _compare(cases, is_ideal, ref_is_ideal,
+                    lambda g, spaces, pairs, lcps: [(s,) for s in spaces])
+    assert seen == {True, False}
+
+
+def test_is_unimodular_matches_the_trace_loop(cases):
+    seen = _compare(cases, is_unimodular, ref_is_unimodular, lambda g, *_: [()])
+    assert seen == {True, False}
+
+
+def test_is_closed_covector_matches_the_pair_loop(cases):
+    def covectors(g, spaces, pairs, lcps):
+        # each basis covector, and the Lee forms of the structure data
+        return [(row,) for row in eye_array(g.dim, g.mode)] + [(d.lee_covector,) for d in lcps]
+    seen = _compare(cases, is_closed_covector, ref_is_closed_covector, covectors)
+    assert seen == {True, False}
+
+
+def test_cross_vanishes_matches_the_polarized_loop(cases):
+    def both_ways(g, spaces, pairs, lcps):
+        return [p for a, b in pairs for p in ((a, b), (b, a))]
+    seen = _compare(cases, _cross_vanishes, ref_cross_vanishes, both_ways)
+    assert seen == {True, False}
+
+
+def test_validate_lcp_flags_match_the_pair_loop(cases):
+    def flags(g, data):
+        rep = validate_lcp(g, data)
+        return rep.u_is_ideal, rep.u_weyl_flat, rep.weyl_nonflat
+    seen = _compare(cases, flags, ref_lcp_flags,
+                    lambda g, spaces, pairs, lcps: [(d,) for d in lcps])
+    for k in range(3):
+        assert {s[k] for s in seen} == {True, False}
