@@ -13,8 +13,10 @@ import lcplab
 from lcplab.cli import main, resolve_tolerance, run_analysis
 from lcplab.errors import InputError
 from lcplab.fileio import save_algebra_file
+from lcplab.fileio import algebra_to_dict
 from lcplab.gallery import fundamental_example
-from lcplab.liealg import bracket_table, direct_sum_algebra, make_algebra
+from lcplab.lcp import lcp_data_to_float
+from lcplab.liealg import bracket_table, direct_sum_algebra, make_algebra, to_float_algebra
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,35 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert main([command, str(path)]) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["bracket", "metric", "lee_form"])
+    def test_non_finite_float_scalars_exit_2(self, tmp_path, field, value, capsys):
+        e = fundamental_example()
+        data = algebra_to_dict(to_float_algebra(e.algebra), lcp=lcp_data_to_float(e.lcp))
+        marker = 12345.0
+        if field == "bracket":
+            data["brackets"][0]["coeffs"]["0"] = marker
+        elif field == "metric":
+            data["metric"][1][1] = marker
+        else:
+            data["lcp"]["lee_form"][2] = marker
+        # the bare JSON tokens that Python's reader accepts
+        text = json.dumps(data).replace(str(marker), value)
+        assert value in text
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_huge_float_lee_form_exits_2(self, tmp_path, capsys):
+        e = fundamental_example()
+        data = algebra_to_dict(to_float_algebra(e.algebra), lcp=lcp_data_to_float(e.lcp))
+        data["lcp"]["lee_form"][2] = 1e160
+        path = tmp_path / "huge_lee.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path)]) == 2
+        assert "square overflows" in capsys.readouterr().err
 
     def test_broken_algebra_exits_1(self, tmp_path, capsys):
         data = {

@@ -7,7 +7,8 @@ from lcplab.errors import InputError
 from lcplab.fileio import (algebra_to_dict, canonical_json, dict_to_algebra,
                            load_algebra_file, save_algebra_file)
 from lcplab.gallery import all_entries, fundamental_example, product_example
-from lcplab.liealg import validate_algebra
+from lcplab.lcp import lcp_data_to_float, make_lcp_data
+from lcplab.liealg import to_float_algebra, validate_algebra
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,66 @@ def test_translation_parts_survive(tmp_path):
 def _base_dict():
     e = fundamental_example()
     return algebra_to_dict(e.algebra, lcp=e.lcp, lattice=e.lattice)
+
+
+def _float_dict():
+    e = fundamental_example()
+    return algebra_to_dict(to_float_algebra(e.algebra), lcp=lcp_data_to_float(e.lcp))
+
+
+def _set_first_coeff(d, value):
+    coeffs = d["brackets"][0]["coeffs"]
+    coeffs[next(iter(coeffs))] = value
+
+
+def _set_first(key):
+    def put(d, value):
+        d["metric" if key == "metric" else "lcp"][key][0][0] = value
+    return put
+
+
+_FLOAT_FIELDS = {
+    "bracket": (_set_first_coeff, r"brackets\[0\]\.coeffs"),
+    "metric": (_set_first("metric"), "metric"),
+    "flat_ideal": (_set_first("flat_ideal"), r"lcp\.flat_ideal"),
+    "lee_form": (lambda d, value: d["lcp"]["lee_form"].__setitem__(2, value), r"lcp\.lee_form"),
+}
+
+
+class TestFloatScalars:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       pytest.param(10 ** 400, id="int_beyond_float")])
+    @pytest.mark.parametrize("field", sorted(_FLOAT_FIELDS))
+    def test_non_finite_scalar_names_its_field(self, field, value):
+        # JSON readers accept NaN and Infinity; a float file must not
+        put, where = _FLOAT_FIELDS[field]
+        d = _float_dict()
+        put(d, value)
+        with pytest.raises(InputError, match=where + ".*not a finite number"):
+            dict_to_algebra(d)
+
+    @pytest.mark.parametrize("value", ["1.5", True])
+    def test_float_file_takes_numbers_only(self, value):
+        d = _float_dict()
+        _set_first_coeff(d, value)
+        with pytest.raises(InputError, match=r"brackets\[0\]\.coeffs"):
+            dict_to_algebra(d)
+
+    def test_huge_lee_form_rejected(self):
+        # the zero bands of the structure checks grow with the square
+        d = _float_dict()
+        d["lcp"]["lee_form"][2] = 1e160
+        with pytest.raises(InputError, match="square overflows"):
+            dict_to_algebra(d)
+        e = fundamental_example()
+        with pytest.raises(InputError, match="square overflows"):
+            make_lcp_data(to_float_algebra(e.algebra), [[1e160, 0.0, 0.0]], [0.0, 0.0, 1.0])
+
+    def test_large_finite_lee_form_still_loads(self):
+        d = _float_dict()
+        d["lcp"]["lee_form"][2] = 1e150
+        _, lcp, _ = dict_to_algebra(d)
+        assert lcp.lee_covector[2] == 1e150
 
 
 class TestParseErrors:
