@@ -13,11 +13,11 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import InputError
-from .lattice import LatticeData, finite_float
+from .lattice import LatticeData
 from .lcp import LcpData, make_lcp_data
 from .liealg import MetricLieAlgebra, bracket_table, make_algebra
 from .scalars import (DEFAULT_TOL, Mode, TolerancePolicy, check_mode,
-                      format_scalar, parse_scalar)
+                      finite_float, format_scalar, parse_scalar)
 
 __all__ = ["algebra_to_dict", "dict_to_algebra", "load_algebra_file",
            "save_algebra_file", "canonical_json"]

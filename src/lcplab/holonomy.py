@@ -37,9 +37,9 @@ from .liealg import (
     InvariantConnection,
     MetricLieAlgebra,
     LEVI_CIVITA,
-    curvature_tensor,
     is_subalgebra,
     levi_civita,
+    scaled_curvature,
     to_float_algebra,
 )
 from .linalg import (
@@ -96,22 +96,20 @@ CERTIFICATE_PRIME = 33554393
 
 
 def _closure_inputs(g: MetricLieAlgebra,
-                    conn: InvariantConnection) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The nonzero curvature operators and the connection operators.
-
-    Each exact matrix is scaled to ints on its own: rescaling a candidate
-    changes no span, and the closure then runs on ints end to end.
-    """
+                    conn: InvariantConnection) -> tuple[list[np.ndarray], np.ndarray]:
+    """The nonzero curvature operators and the stack of connection operators,
+    in exact mode as ints: each times its stack's common denominator, a
+    positive scale that changes no span, so the closure runs on ints."""
     n = g.dim
     sc = scale_of(g.bracket, g.gram)
-    curv = curvature_tensor(g, conn)
-    seeds = [to_scaled(curv[i, j])[0] for i in range(n) for j in range(i + 1, n)
+    curv = scaled_curvature(g, conn)[0]
+    seeds = [curv[i, j] for i in range(n) for j in range(i + 1, n)
              if not is_zero_matrix(curv[i, j], g.mode, g.tol, scale=sc * sc)]
-    return seeds, [to_scaled(conn.operator(k))[0] for k in range(n)]
+    return seeds, to_scaled(conn.operators)[0]
 
 
 def _closed_holonomy(g: MetricLieAlgebra, conn: InvariantConnection,
-                     seeds: list[np.ndarray], nabla: list[np.ndarray]) -> OperatorAlgebra:
+                     seeds: list[np.ndarray], nabla: np.ndarray) -> OperatorAlgebra:
     n = g.dim
     if not seeds:
         return OperatorAlgebra(n, (), g.mode)
@@ -134,7 +132,7 @@ def holonomy_algebra(g: MetricLieAlgebra,
 
 
 def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
-                        nabla: list[np.ndarray]) -> int:
+                        nabla: np.ndarray) -> int:
     """A lower bound for the dimension of the Levi-Civita holonomy.
 
     ``seeds`` and ``nabla`` are the integer matrices of
@@ -156,7 +154,7 @@ def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
     p = CERTIFICATE_PRIME
     iu, ju = np.triu_indices(n, 1)
     gram = (to_scaled(g.gram)[0] % p).astype(np.int64)
-    ops = np.stack([(a % p).astype(np.int64) for a in nabla])
+    ops = (nabla % p).astype(np.int64)
     ops_t = ops.transpose(0, 2, 1)
 
     def step(u: np.ndarray) -> list[np.ndarray]:
@@ -201,29 +199,24 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
                         tol: TolerancePolicy) -> list[np.ndarray]:
     """Basis of the gram-self-adjoint operators commuting with every op.
 
-    Starts from all self-adjoint operators and imposes one commutation
-    constraint at a time, so the working basis only ever shrinks; the
-    identity always survives.
+    Starts from all self-adjoint operators G^-1 (E_ij + E_ji), i <= j, and
+    imposes one commutation constraint at a time, so the working basis only
+    ever shrinks; the identity always survives. The work runs on the
+    scaled form, each operator and each recombination scaled on its own:
+    that changes no span, but the elements may come back rescaled.
     """
     n = gram.shape[0]
     ginv, den = to_scaled(invert(gram, mode, tol))
-    basis: list[np.ndarray] = []
-    for i in range(n):
-        for j in range(i, n):
-            s = np.zeros((n, n), dtype=ginv.dtype)
-            s[i, j] = 1
-            s[j, i] = 1
-            basis.append(from_scaled(ginv @ s, den))
-    # the work runs on each basis matrix and each operator scaled to ints
-    # on its own: rescaling a column rescales the matching nullspace
-    # coordinate, and a rescaled nullspace vector is still one, so the
-    # recombined basis spans the same commutant
-    work = np.stack([to_scaled(p)[0] for p in basis])
-    ops = [to_scaled(a)[0] for a in ops]
-    reduced = False
+    # G^-1 (E_ij + E_ji) is zero but in column j, which is column i of
+    # G^-1, and column i, which is column j of G^-1
+    iu, ju = np.triu_indices(n)
+    work = np.zeros((len(iu), n, n), dtype=ginv.dtype)
+    work[np.arange(len(iu)), :, ju] = ginv[:, iu].T
+    work[np.arange(len(iu)), :, iu] = ginv[:, ju].T
     for a in ops:
         if len(work) <= 1:
             break
+        a = to_scaled(a)[0]
         # column j is the commutator of working basis matrix j with a
         k = (work @ a - a @ work).reshape(len(work), -1).T
         # a commutator that is zero at the scale of its inputs is no
@@ -234,21 +227,16 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
         _, null = rank_and_nullspace(k, mode, tol)
         if null.dim == len(work):
             continue
-        reduced = True
         coeffs = np.array([to_scaled(c)[0] for c in null.basis]).reshape(null.dim, len(work))
         work = (coeffs @ work.reshape(len(work), -1)).reshape(-1, n, n)
-    if not reduced:
-        return basis
-    # each work matrix is a rescaled commutant element: its own scaled form
-    return [from_scaled(p, 1) for p in work]
+    return list(from_scaled(work, den))
 
 
 def nabla_commutant(g: MetricLieAlgebra,
                     conn: Optional[InvariantConnection] = None) -> list[np.ndarray]:
     if conn is None:
         conn = levi_civita(g)
-    ops = [conn.operator(k) for k in range(g.dim)]
-    return symmetric_commutant(ops, g.gram, g.mode, g.tol)
+    return symmetric_commutant(list(conn.operators), g.gram, g.mode, g.tol)
 
 
 def _is_scalar_matrix(p: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:
@@ -386,7 +374,8 @@ def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace],
     cross = (rows @ gram @ rows.T)[label[:, None] != label[None, :]]
     if not is_zero_matrix(cross, g.mode, g.tol, scale=scale_of(g.gram)):
         raise TheoremViolationError("factors are not pairwise orthogonal")
-    for f in factors:
+    # every operator preserves a factor that is the whole space
+    for f in (f for f in factors if f.dim < n):
         if hol.dim and restrict_operator(np.stack(hol.basis), f.basis, g.mode, g.tol) is None:
             raise TheoremViolationError("factor is not holonomy invariant")
         if restrict_operator(conn.operators, f.basis, g.mode, g.tol) is None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import charpoly_exact, exact_det
-from .scalars import as_fraction
+from .scalars import as_fraction, finite_float
 
 
 def _as_int(x, where: str) -> int:
@@ -351,17 +351,6 @@ class LatticeData:
     integer_matrix: np.ndarray
     t0: Optional[float] = None
     translation_parts: Optional[tuple[float, ...]] = None
-
-
-def finite_float(x, where: str) -> float:
-    """x as a float; InputError unless it is a finite number, not a string or bool."""
-    try:
-        v = math.nan if isinstance(x, (str, bool, np.bool_)) else float(x)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
-        v = math.nan
-    if not math.isfinite(v):
-        raise InputError(f"{where} = {x!r} is not a finite number")
-    return v
 
 
 def discreteness_probe(values: Sequence[float], tol: float = 1e-6,

@@ -36,6 +36,7 @@ from .liealg import (
 )
 from .linalg import (
     Subspace,
+    check_square_scale,
     invert,
     is_zero_matrix,
     make_subspace,
@@ -82,6 +83,7 @@ def make_lcp_data(g: MetricLieAlgebra, ideal_rows: Any, lee_covector: Any,
         rows = complement_rows if isinstance(complement_rows, np.ndarray) \
             else array_for_mode(complement_rows, g.mode)
         comp = make_subspace(rows, g.dim, g.mode, g.tol)
+    check_square_scale(u.basis, theta, *([] if comp is None else [comp.basis]))
     return LcpData(u, theta, comp)
 
 

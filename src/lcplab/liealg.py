@@ -14,7 +14,6 @@ the whole trace vector.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Mapping, Optional, Sequence
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import (
     Subspace,
+    check_square_scale,
     exact_det,
     invert,
     is_zero_matrix,
@@ -108,9 +108,7 @@ def make_algebra(bracket: Any, gram: Any = None, mode: Mode = EXACT,
     g = eye_array(n, mode) if gram is None else array_for_mode(gram, mode)
     if g.shape != (n, n):
         raise InputError(f"gram matrix must have shape ({n}, {n})")
-    sc = scale_of(c, g)  # float zero bands grow with its square
-    if not math.isfinite(sc * sc):
-        raise InputError(f"float entry of magnitude {sc:.3g} is too large: its square overflows")
+    check_square_scale(c, g)
     if basis_names is None:
         names = tuple(f"e{i}" for i in range(n))
     else:

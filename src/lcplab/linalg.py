@@ -1,7 +1,7 @@
 """Linear algebra over the two scalar backends.
 
-Exact matrices come in and go out as numpy object arrays of
-``fractions.Fraction``, but the work runs on Python ints: elimination is
+Exact matrices come in as numpy object arrays of Fractions or Python
+ints and go out as Fractions, but the work runs on ints: elimination is
 fraction-free (rows scaled to integers, integer row operations, one
 division by the pivot at the end), and products use the scaled-integer
 form of :mod:`lcplab.scalars`. Float computations run on float64 arrays,
@@ -47,7 +47,6 @@ from .scalars import (
     TolerancePolicy,
     exact_array,
     eye_array,
-    from_scaled,
     to_float_array,
     to_scaled,
     zeros_array,
@@ -69,6 +68,13 @@ def scale_of(*arrays: np.ndarray) -> float:
         if a.size and a.dtype == np.float64:
             s = max(s, float(np.max(np.abs(a))))
     return s
+
+
+def check_square_scale(*arrays: np.ndarray) -> None:
+    """Refuse float data whose square overflows: zero bands grow with it."""
+    sc = scale_of(*arrays)
+    if not math.isfinite(sc * sc):
+        raise InputError(f"float entry of magnitude {sc:.3g} is too large: its square overflows")
 
 
 def is_zero_matrix(a: np.ndarray, mode: Mode, tol: TolerancePolicy, scale: float = 1.0) -> bool:
@@ -386,21 +392,23 @@ def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
 
     Column convention on coordinates; None when the span is not invariant.
     ``a`` may also be a (k, n, n) stack of operators: the images of all of
-    them are solved for in one system, and the result is the (k, m, m)
-    stack of their matrices, or None when any one of them leaves the span.
-    In float mode each operator is held to its own residual band, set by
-    the basis and its own images.
+    them are solved for in one system, on the scaled form (an exact solve
+    never leaves the ints), and the result is the (k, m, m) stack of their
+    matrices, or None when any one of them leaves the span. In float mode
+    each operator is held to its own residual band, set by the basis and
+    its own images.
     """
     stack = a if a.ndim == 3 else a[None]
     k, m, n = stack.shape[0], basis_rows.shape[0], basis_rows.shape[1]
     bi, ai, d = to_scaled(basis_rows, stack)
-    # images[j, :, i] = a_j(basis_i), the right-hand side of one solve
-    images = from_scaled(np.tensordot(ai, bi, axes=(2, 1)), d * d)
+    # images[j, :, i] = d * d * a_j(basis_i), the right-hand side of one solve
+    images = np.tensordot(ai, bi, axes=(2, 1))
     rhs = np.transpose(images, (1, 0, 2)).reshape(n, k * m)
     if m == 0:
         x = zeros_array((0, 0), mode)
     elif mode == EXACT:
-        x = exact_solve(basis_rows.T, rhs)
+        # (bi / d)^T x = images / d^2 is the integer system d bi^T x = images
+        x = exact_solve(d * bi.T, rhs)
     else:
         x, *_ = np.linalg.lstsq(basis_rows.T, rhs, rcond=None)
         res = np.abs(basis_rows.T @ x - rhs).reshape(n, k, m).max(axis=(0, 2))

@@ -4,17 +4,20 @@ Two backends: exact rationals and binary64 floats (float64 arrays). A
 single computation never mixes the two; promotion exact -> float is
 explicit and one-way.
 
-Exact arrays cross module boundaries as numpy object arrays of
-``fractions.Fraction``. The hot paths work on a scaled-integer form of
-the same data instead: an object array of Python ints plus one common
-denominator (:func:`to_scaled` and :func:`from_scaled`). Integer products
-skip the gcd normalisation that dominates ``Fraction`` arithmetic, and
-scaling by a positive rational changes no span, kernel or zero test.
+Exact arrays that callers read are numpy object arrays of
+``fractions.Fraction``; the work runs on a scaled-integer form of the
+same data, an object array of Python ints plus one common denominator
+(:func:`to_scaled` and :func:`from_scaled`). An exact array becomes ints
+once, where it is made, and each later span, invariance or zero test
+takes those ints: a positive scale changes none of them, and integer
+products skip the gcd normalisation that dominates ``Fraction``
+arithmetic.
 
-A float64 array is its own scaled form over denominator 1, so an
-algorithm written once on the scaled form runs in either mode: these two
-helpers, and ``linalg.scale_of``, read the mode from the array's dtype.
-Object and integer arrays take the exact path.
+A float64 array is its own scaled form over denominator 1, and so is an
+object array of Python ints: an algorithm written once on the scaled
+form runs in either mode. These two helpers, and ``linalg.scale_of``,
+read the mode from the array's dtype; object and integer arrays take
+the exact path.
 """
 from __future__ import annotations
 
@@ -81,14 +84,21 @@ def as_fraction(value: Any) -> Fraction:
     raise InputError(f"not an exact scalar: {value!r}")
 
 
-def parse_scalar(value: Any, mode: Mode) -> Any:
-    """Parse one scalar in the declared mode ('p/q' strings or numbers)."""
-    if mode == EXACT:
-        return as_fraction(value)
+def finite_float(x: Any, where: str) -> float:
+    """x as a float; InputError unless it is a finite number, not a string or bool."""
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"cannot parse float scalar {value!r}: {exc}") from None
+        v = math.nan if isinstance(x, (str, bool, np.bool_)) else float(x)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        v = math.nan
+    if not math.isfinite(v):
+        raise InputError(f"{where} = {x!r} is not a finite number")
+    return v
+
+
+def parse_scalar(value: Any, mode: Mode) -> Any:
+    """Parse one scalar in the declared mode: a 'p/q' string or a number in
+    exact mode, a finite number in float mode."""
+    return as_fraction(value) if mode == EXACT else finite_float(value, "float scalar")
 
 
 def format_scalar(value: Any, mode: Mode) -> Any:
@@ -114,13 +124,17 @@ def to_scaled(*arrays: np.ndarray) -> tuple:
 
     Returns ``(ints_1, ..., ints_k, den)`` with ``arrays[i] == ints_i / den``.
     ``den`` is the least common denominator, so a single array comes back
-    in lowest terms. Float64 arrays come back unchanged over ``den = 1``.
+    in lowest terms. Float64 arrays, and object arrays of Python ints, come
+    back unchanged over ``den = 1``.
     """
     # the first test alone settles the common exact call cheaply
     if arrays[0].dtype == _FLOAT64 and all(a.dtype == _FLOAT64 for a in arrays[1:]):
         return (*arrays, 1)
-    flats = [[x if type(x) is Fraction or type(x) is int else as_fraction(x)
-              for x in np.asarray(a, dtype=object).reshape(-1).tolist()] for a in arrays]
+    flats = [np.asarray(a, dtype=object).reshape(-1).tolist() for a in arrays]
+    if all(a.dtype == object for a in arrays) and all(type(x) is int for f in flats for x in f):
+        return (*arrays, 1)
+    flats = [[x if type(x) is Fraction or type(x) is int else as_fraction(x) for x in flat]
+             for flat in flats]
     den = math.lcm(*{x.denominator for flat in flats for x in flat})
     ints = [np.array([x.numerator * (den // x.denominator) for x in flat],
                      dtype=object).reshape(np.shape(a)) for flat, a in zip(flats, arrays)]
@@ -158,9 +172,4 @@ def zeros_array(shape: Any, mode: Mode) -> np.ndarray:
 
 
 def eye_array(n: int, mode: Mode) -> np.ndarray:
-    if mode == EXACT:
-        out = np.full((n, n), Fraction(0), dtype=object)
-        for i in range(n):
-            out[i, i] = Fraction(1)
-        return out
-    return np.eye(n, dtype=np.float64)
+    return exact_array(np.eye(n, dtype=int)) if mode == EXACT else np.eye(n, dtype=np.float64)

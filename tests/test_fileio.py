@@ -81,16 +81,11 @@ def _set_first_coeff(d, value):
     coeffs[next(iter(coeffs))] = value
 
 
-def _set_first(key):
-    def put(d, value):
-        d["metric" if key == "metric" else "lcp"][key][0][0] = value
-    return put
-
-
 _FLOAT_FIELDS = {
     "bracket": (_set_first_coeff, r"brackets\[0\]\.coeffs"),
-    "metric": (_set_first("metric"), "metric"),
-    "flat_ideal": (_set_first("flat_ideal"), r"lcp\.flat_ideal"),
+    "metric": (lambda d, value: d["metric"][1].__setitem__(1, value), "metric"),
+    "flat_ideal": (lambda d, value: d["lcp"]["flat_ideal"][0].__setitem__(0, value),
+                   r"lcp\.flat_ideal"),
     "lee_form": (lambda d, value: d["lcp"]["lee_form"].__setitem__(2, value), r"lcp\.lee_form"),
 }
 

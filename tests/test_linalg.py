@@ -516,10 +516,13 @@ def test_every_corpus_commutant_element_splits(random_corpus):
 
 @pytest.mark.parametrize("index, element", [(10, 0), (91, 1), (122, 0)])
 def test_commutant_element_with_large_content_stays_exact(random_corpus, index, element):
-    # entries near 10**31, all multiples of one large integer: dividing it
-    # out puts the candidates on a grid that the floats resolve
+    # entries above 10**20, all multiples of one large integer: dividing it
+    # out puts the candidates on a grid that the floats resolve. A positive
+    # multiple of a commutant element is one too; the factor keeps the
+    # content large whatever scale the commutant basis comes back in
     g = random_corpus[index]
     p = symmetric_commutant(list(holonomy_algebra(g).basis), g.gram, EXACT, g.tol)[element]
+    p = p * 10 ** 12
     assert max(abs(x) for x in p.reshape(-1)) > 10 ** 20
     split = selfadjoint_eigensplit(p, g.gram, EXACT)
     assert not split.promoted_to_float
