@@ -61,8 +61,7 @@ class GalleryEntry:
 
 def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
                    v_dim: int, v_gram: Optional[np.ndarray] = None,
-                   v_names: Optional[Sequence[str]] = None,
-                   check: bool = True) -> MetricLieAlgebra:
+                   v_names: Optional[Sequence[str]] = None) -> MetricLieAlgebra:
     """Abelian ideal of dimension v_dim extended by h acting through rep.
 
     rep[k] is the matrix by which the k-th basis element of h acts on the
@@ -118,8 +117,7 @@ def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
     if v_names is None:
         v_names = tuple(f"v{i}" for i in range(v_dim))
     names = tuple(v_names) + tuple(h.basis_names)
-    return make_algebra(c, gram=gram, mode=h.mode, basis_names=names,
-                        tol=h.tol, check=check)
+    return make_algebra(c, gram=gram, mode=h.mode, basis_names=names, tol=h.tol)
 
 
 def _line(name: str = "s") -> MetricLieAlgebra:
@@ -322,7 +320,7 @@ def _sl_with_line(d: int) -> MetricLieAlgebra:
 
 
 @functools.cache
-def sl_example(d: int = 2, check: bool = True) -> GalleryEntry:
+def sl_example(d: int = 2) -> GalleryEntry:
     """Semidirect sum with semisimple part sl(d), dimension 2(d^2+1)+d^2.
 
     The ideal is (d x d matrices + a line) tensor a plane. sl(d) moves a
@@ -331,10 +329,6 @@ def sl_example(d: int = 2, check: bool = True) -> GalleryEntry:
     wrong order and fail the homomorphism check. The extra generator b
     scales the two plane coordinates by +1 and -1. For d = 2 the total
     dimension is 14.
-
-    check=False skips the quadratic-time Jacobi validation of the output;
-    the homomorphism precondition, which implies it for a semidirect sum
-    over a valid h, is checked either way.
     """
     if d < 2:
         raise InputError("the construction needs d >= 2")
@@ -354,7 +348,7 @@ def sl_example(d: int = 2, check: bool = True) -> GalleryEntry:
     rep = [np.kron(act_on_block(m), i2) for m in mats]
     rep.append(np.kron(eye_array(n + 1, EXACT), pm))
     v_names = tuple(f"w{i}{j}" for i in range(n + 1) for j in range(2))
-    g = semidirect_sum(h, rep, v_dim=2 * (n + 1), v_names=v_names, check=check)
+    g = semidirect_sum(h, rep, v_dim=2 * (n + 1), v_names=v_names)
     dim = g.dim
     fixed = 2 * n  # the fixed (n+1)-th block vector tensor the +1 direction
     ideal = [[0] * dim]

@@ -51,6 +51,7 @@ from .linalg import (
     invert,
     is_zero_matrix,
     matrix_rank,
+    nullspace_rows,
     orthocomplement,
     rank_and_nullspace,
     restrict_operator,
@@ -202,8 +203,9 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
     Starts from all self-adjoint operators G^-1 (E_ij + E_ji), i <= j, and
     imposes one commutation constraint at a time, so the working basis only
     ever shrinks; the identity always survives. The work runs on the
-    scaled form, each operator and each recombination scaled on its own:
-    that changes no span, but the elements may come back rescaled.
+    scaled form: each operator is scaled on its own, and each constraint's
+    nullspace comes as primitive integer rows. That changes no span, but
+    the elements may come back rescaled.
     """
     n = gram.shape[0]
     ginv, den = to_scaled(invert(gram, mode, tol))
@@ -224,11 +226,10 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
         # read as a rank-one condition and eat a commutant direction
         if is_zero_matrix(k, mode, tol, scale=scale_of(a) * scale_of(work)):
             continue
-        _, null = rank_and_nullspace(k, mode, tol)
-        if null.dim == len(work):
+        null = nullspace_rows(k, mode, tol)
+        if len(null) == len(work):
             continue
-        coeffs = np.array([to_scaled(c)[0] for c in null.basis]).reshape(null.dim, len(work))
-        work = (coeffs @ work.reshape(len(work), -1)).reshape(-1, n, n)
+        work = (null @ work.reshape(len(work), -1)).reshape(-1, n, n)
     return list(from_scaled(work, den))
 
 
@@ -253,12 +254,16 @@ class _PromoteToFloat(Exception):
     """Internal signal: an eigenvalue left the rationals, redo in float."""
 
 
+# random combinations of the commutant basis tried after the basis itself
+EXTRA_ATTEMPTS = 8
+
+
 def _candidates(comm: list[np.ndarray], mode: Mode, tol: TolerancePolicy,
-                rng: random.Random, extra_attempts: int = 8):
+                rng: random.Random):
     for p in comm:
         if not _is_scalar_matrix(p, mode, tol):
             yield p
-    for _ in range(extra_attempts):
+    for _ in range(EXTRA_ATTEMPTS):
         combo = None
         for p in comm:
             c = rng.randint(-9, 9)

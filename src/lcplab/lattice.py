@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .linalg import charpoly_exact, exact_det
+from .linalg import _primitive, charpoly_exact, exact_det
 from .scalars import as_fraction, finite_float
 
 
@@ -88,11 +88,6 @@ def divisors(n: int) -> list[int]:
     n = abs(n)
     out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
     return sorted(set(out + [n // d for d in out]))
-
-
-def _primitive(f: list[int]) -> list[int]:
-    content = math.gcd(*f) or 1
-    return [c // content for c in f]
 
 
 def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

@@ -189,10 +189,6 @@ def ad_matrix(g: MetricLieAlgebra, i: int) -> np.ndarray:
     return g.bracket[i].T
 
 
-def ad_vec(g: MetricLieAlgebra, x: np.ndarray) -> np.ndarray:
-    return np.tensordot(x, g.bracket, axes=(0, 0)).T
-
-
 def inner(g: MetricLieAlgebra, x: np.ndarray, y: np.ndarray):
     return x @ g.gram @ y
 
@@ -307,13 +303,6 @@ class InvariantConnection:
     def operators(self) -> np.ndarray:
         """All operators as one (n, n, n) stack: ``operators[i] == operator(i)``."""
         return np.transpose(self.coeffs, (0, 2, 1))
-
-    def derivative_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        t = np.tensordot(x, self.coeffs, axes=(0, 0))
-        return np.tensordot(y, t, axes=(0, 0))
-
-    def operator_vec(self, x: np.ndarray) -> np.ndarray:
-        return np.tensordot(x, self.coeffs, axes=(0, 0)).T
 
 
 def levi_civita(g: MetricLieAlgebra) -> InvariantConnection:

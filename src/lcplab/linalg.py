@@ -1,17 +1,20 @@
 """Linear algebra over the two scalar backends.
 
 Exact matrices come in as numpy object arrays of Fractions or Python
-ints and go out as Fractions, but the work runs on ints: elimination is
-fraction-free (rows scaled to integers, integer row operations, one
-division by the pivot at the end), and products use the scaled-integer
-form of :mod:`lcplab.scalars`. Float computations run on float64 arrays,
+ints and go out as Fractions, but the work runs on ints. One
+fraction-free echelon store does every exact elimination: rank, RREF,
+nullspace, solve and the span closure (a matrix is scaled to integers
+once, its rows are added one at a time with integer row operations, and
+a row is divided by its pivot only at the end). Products use the
+scaled-integer form of :mod:`lcplab.scalars`. Float computations run on float64 arrays,
 with every zero decision governed by a :class:`TolerancePolicy`. Rank
 decisions in float mode use singular values relative to the largest one,
 from a thin SVD unless the matrix is wide; residual and identity checks
 use a 10 * rank_tol band relative to the data scale, :func:`scale_of`,
 which is 1 on exact arrays: their zero tests ignore the scale. A float
 span closure keeps its orthonormal basis as one matrix and projects each
-candidate against all of it at once. The same closure loop also runs
+candidate against all of it at once. A closure tests the images of one
+kept matrix before it expands the next. The same closure loop also runs
 over GF(p) on int64 vectors, for a dimension alone
 (:func:`closure_dim_mod_p`). :func:`restrict_operator` takes a whole
 stack of operators and solves for all their images at once; it is the
@@ -30,8 +33,8 @@ denominator 1, so it is written once.
 """
 from __future__ import annotations
 
+import bisect
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -101,65 +104,76 @@ def _cancel(v: list[int], row: list[int], p: int) -> list[int]:
     return _primitive([a * x - b * y for x, y in zip(v, row)])
 
 
-def _int_rows(a: np.ndarray) -> list[list[int]]:
-    # each row times the lcm of its own denominators: same span, same RREF
-    return [to_scaled(row)[0].tolist() for row in a]
+class _ExactEchelon:
+    """Primitive integer rows in reduced echelon form, added one at a time.
 
-
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan elimination over the integers, in place.
-
-    Returns the nonzero rows and their pivot columns. Every other row is
-    zero at each pivot column; a row divided by its pivot entry is the
-    matching row of the reduced row echelon form.
+    Each stored row starts at its own pivot column and is zero at every
+    other row's pivot; the rows are kept in pivot order. A row divided by
+    its pivot entry is the matching row of the reduced row echelon form,
+    which is unique, so the order the rows come in changes only the cost.
+    Built from a whole matrix, the store scales it to ints once.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pr = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                rows[i] = _cancel(rows[i], pr, c)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+
+    def __init__(self, a: Optional[np.ndarray] = None):
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        for v in [] if a is None else to_scaled(a)[0].tolist():
+            self.add(v)
+
+    def insert(self, vec: np.ndarray) -> bool:
+        """Add an exact vector of Fractions or ints; False if already spanned."""
+        return self.add(to_scaled(vec)[0].tolist())
+
+    def add(self, v: list[int]) -> bool:
+        """Add a row of ints; False if already spanned."""
+        for row, p in zip(self.rows, self.pivots):
+            if v[p] != 0:
+                v = _cancel(v, row, p)
+        pivot = next((i for i, x in enumerate(v) if x != 0), None)
+        if pivot is None:
+            return False
+        v = _primitive(v)
+        # back-reduce the stored rows at the new pivot column
+        for k, row in enumerate(self.rows):
+            if row[pivot] != 0:
+                self.rows[k] = _cancel(row, v, pivot)
+        k = bisect.bisect(self.pivots, pivot)
+        self.rows.insert(k, v)
+        self.pivots.insert(k, pivot)
+        return True
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
 
 def _rref(a: np.ndarray) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of an exact matrix: (nonzero rows, pivot cols).
 
-    Fraction-free: rows are scaled to integers, eliminated with integer
-    row operations (each result divided by the gcd of its entries), and
-    divided by their pivot only at the end. The RREF is unique, so it is
-    the one Fraction Gauss-Jordan elimination gives.
+    The echelon store's rows, each divided by its pivot entry. The RREF is
+    unique, so it is the one Fraction Gauss-Jordan elimination gives.
     """
-    rows, pivots = _echelon(_int_rows(a))
-    return [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)], pivots
+    e = _ExactEchelon(a)
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(e.rows, e.pivots)], e.pivots
 
 
-def _exact_rank_nullspace(a: np.ndarray) -> tuple[int, list[list[Fraction]]]:
-    ncols = a.shape[1]
-    rows, pivots = _echelon(_int_rows(a))
-    pivot_set = set(pivots)
-    null: list[list[Fraction]] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = Fraction(-row[f], row[p])
-        null.append(v)
-    return len(pivots), null
+def _exact_nullspace(a: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """Free columns of an exact matrix and its nullspace basis, one row per
+    free column: primitive integer rows, each positive at its own free
+    column and zero at the others."""
+    e = _ExactEchelon(a)
+    free = sorted(set(range(a.shape[1])) - set(e.pivots))
+    null: list[list[int]] = []
+    for f in free:
+        used = [(row, p) for row, p in zip(e.rows, e.pivots) if row[f] != 0]
+        # the basis vector that is 1 at f, times the lcm of its denominators
+        den = math.lcm(*(row[p] for row, p in used))
+        v = [0] * a.shape[1]
+        v[f] = den
+        for row, p in used:
+            v[p] = -row[f] * (den // row[p])
+        null.append(_primitive(v))
+    return free, null
 
 
 def exact_solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -171,9 +185,9 @@ def exact_solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     m, n = a.shape
     bb = b.reshape(m, -1)
     k = bb.shape[1]
-    rows, pivots = _echelon(_int_rows(np.concatenate([a, bb], axis=1)))
+    e = _ExactEchelon(np.concatenate([a, bb], axis=1))
     x = zeros_array((n, k), EXACT)
-    for row, p in zip(rows, pivots):
+    for row, p in zip(e.rows, e.pivots):
         if p >= n:
             return None  # pivot in the rhs block: inconsistent
         for j in range(k):
@@ -268,7 +282,7 @@ def float_solve(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy) -> Optional[
 
 def matrix_rank(a: np.ndarray, mode: Mode, tol: TolerancePolicy) -> int:
     if mode == EXACT:
-        return len(_echelon(_int_rows(a))[1])
+        return _ExactEchelon(a).dim
     rank, _ = _float_rank_nullspace(a, tol)
     return rank
 
@@ -327,11 +341,22 @@ def rank_and_nullspace(a: np.ndarray, mode: Mode, tol: TolerancePolicy = DEFAULT
         raise InputError("empty matrix has no rank/nullspace decomposition")
     n = a.shape[1]
     if mode == EXACT:
-        rank, null = _exact_rank_nullspace(a)
-        rows = np.array(null, dtype=object).reshape(len(null), n) if null else zeros_array((0, n), EXACT)
-        return rank, Subspace(n, rows, EXACT)
+        free, null = _exact_nullspace(a)
+        # each basis vector over its free entry: 1 there
+        rows = [[Fraction(x, v[f]) for x in v] for f, v in zip(free, null)]
+        return n - len(free), Subspace(n, np.array(rows, dtype=object).reshape(len(rows), n), EXACT)
     rank, null = _float_rank_nullspace(a, tol)
     return rank, Subspace(n, np.asarray(null, dtype=np.float64).reshape(-1, n), FLOAT)
+
+
+def nullspace_rows(a: np.ndarray, mode: Mode, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """A nullspace basis on the scaled form: in exact mode primitive integer
+    rows, one per free column and positive there (positive multiples of
+    the rows of :func:`rank_and_nullspace`), in float mode the same rows."""
+    if mode == EXACT:
+        null = _exact_nullspace(a)[1]
+        return np.array(null, dtype=object).reshape(len(null), a.shape[1])
+    return _float_rank_nullspace(a, tol)[1]
 
 
 def coords_in_rowbasis(vecs: np.ndarray, basis_rows: np.ndarray, mode: Mode,
@@ -452,43 +477,7 @@ def support_indices(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# incremental span bases (used by span_closure and the commutant filter)
-
-
-class _ExactEchelon:
-    """Primitive integer echelon rows with mutually reduced pivots."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def residual(self, vec: np.ndarray) -> list[int]:
-        v = _primitive(to_scaled(vec)[0].tolist())
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                v = _cancel(v, row, p)
-        return v
-
-    def insert(self, vec: np.ndarray) -> bool:
-        v = self.residual(vec)
-        pivot = next((i for i, x in enumerate(v) if x != 0), None)
-        if pivot is None:
-            return False
-        # back-reduce existing rows at the new pivot column
-        for k, row in enumerate(self.rows):
-            if row[pivot] != 0:
-                self.rows[k] = _cancel(row, v, pivot)
-        ins = 0
-        while ins < len(self.pivots) and self.pivots[ins] < pivot:
-            ins += 1
-        self.rows.insert(ins, v)
-        self.pivots.insert(ins, pivot)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+# span closures, on the exact store above, a float one or one over GF(p)
 
 
 class _FloatOrtho:
@@ -569,19 +558,25 @@ class _ModpEchelon:
 def _close(store, seed: Sequence[np.ndarray],
            step: Callable[[np.ndarray], Sequence[np.ndarray]],
            max_dim: Optional[int]) -> list[np.ndarray]:
-    """Insert ``seed`` and the ``step`` images of every kept matrix into
-    ``store`` until nothing new turns up; returns the kept matrices."""
+    """Insert ``seed``, then the ``step`` images of each kept matrix in the
+    order kept, into ``store`` until nothing new turns up or the span
+    reaches ``max_dim``; returns the kept matrices. Only one ``step``
+    batch is ever pending."""
     shape = seed[0].shape
     accepted: list[np.ndarray] = []
-    work = deque(seed)
-    while work and store.dim != max_dim:
-        m = work.popleft()
-        if m.shape != shape:
-            raise InputError("span_closure matrices must share one shape")
-        if store.insert(m.reshape(-1)):
-            accepted.append(m)
-            work.extend(step(m))
-    return accepted
+    batch, expanded = seed, 0
+    while True:
+        for m in batch:
+            if store.dim == max_dim:
+                return accepted
+            if m.shape != shape:
+                raise InputError("span_closure matrices must share one shape")
+            if store.insert(m.reshape(-1)):
+                accepted.append(m)
+        if expanded == len(accepted) or store.dim == max_dim:
+            return accepted
+        batch = step(accepted[expanded])
+        expanded += 1
 
 
 def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequence[np.ndarray]],
@@ -591,15 +586,18 @@ def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequen
 
     ``step`` must be linear. Returns the accepted generators as subspace
     rows (each row one flattened matrix), so callers can reshape them back.
-    In exact mode the matrices may be Fractions or plain ints; the rows
-    come back as Fractions. ``max_dim`` is the dimension of a space known
-    to contain the closure: once the span reaches it, every remaining
-    candidate would be rejected, so the search stops.
+    In exact mode the matrices may be Fractions or plain ints, inserted
+    into the same echelon store that every exact elimination uses; the
+    rows come back as Fractions. The candidates are the seeds, then the
+    ``step`` images of each kept matrix in the order kept, each tested as
+    it comes. ``max_dim`` is the dimension of a space known to contain
+    the closure: once the span reaches it, every remaining candidate
+    would be rejected, so the search stops and expands nothing more.
     """
     if not seed:
         raise InputError("span_closure needs at least one seed matrix")
     width = int(np.prod(seed[0].shape))
-    store = _ExactEchelon(width) if mode == EXACT else _FloatOrtho(width, tol)
+    store = _ExactEchelon() if mode == EXACT else _FloatOrtho(width, tol)
     accepted = _close(store, seed, step, max_dim)
     if not accepted:
         return zero_subspace(width, mode)

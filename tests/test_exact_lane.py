@@ -19,9 +19,9 @@ from lcplab.holonomy import de_rham_splitting, holonomy_algebra, symmetric_commu
 from lcplab.lcp import lcp_data_to_float, weyl_connection
 from lcplab.liealg import (curvature_operator, curvature_tensor, levi_civita,
                            to_float_algebra)
-from lcplab.linalg import (_rref, canonical_rows, charpoly_exact, exact_det, exact_solve,
-                           invert, is_zero_matrix, rank_and_nullspace, residual_band,
-                           restrict_operator, scale_of)
+from lcplab.linalg import (_ExactEchelon, _rref, canonical_rows, charpoly_exact, exact_det,
+                           exact_solve, invert, is_zero_matrix, nullspace_rows,
+                           rank_and_nullspace, residual_band, restrict_operator, scale_of)
 from lcplab.scalars import (EXACT, exact_array, from_scaled, to_float_array, to_scaled,
                             zeros_array)
 
@@ -47,6 +47,19 @@ def _reference_rref(rows):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def _reference_nullspace(rows, ncols):
+    """Nullspace basis read off the reference RREF: 1 at each free column."""
+    rref, pivots = _reference_rref(rows)
+    null = []
+    for f in (f for f in range(ncols) if f not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(rref, pivots):
+            v[p] = -row[f]
+        null.append(v)
+    return null
 
 
 def _reference_charpoly(a):
@@ -95,13 +108,42 @@ def _rational_matrices(draw, max_side=7):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_rational_matrices())
-def test_fraction_free_rref_matches_fraction_reference(rows):
-    got_rows, got_pivots = _rref(exact_array(rows))
+@given(_rational_matrices(), st.data())
+def test_fraction_free_rref_matches_fraction_reference(rows, data):
+    a = exact_array(rows)
+    nrows, ncols = a.shape
+    got_rows, got_pivots = _rref(a)
     want_rows, want_pivots = _reference_rref(rows)
     assert got_pivots == want_pivots
     assert got_rows == want_rows
     assert all(type(x) is Fraction for row in got_rows for x in row)
+
+    # rows fed to the store one at a time, in any order, reach the same RREF
+    store = _ExactEchelon()
+    for i in data.draw(st.permutations(range(nrows))):
+        store.insert(a[i])
+    assert store.pivots == want_pivots
+    assert [[Fraction(x, row[p]) for x in row]
+            for row, p in zip(store.rows, store.pivots)] == want_rows
+
+    # the nullspace: Fractions with a 1 at each free column, and on the
+    # scaled form the primitive integer multiples of the same rows
+    want_null = _reference_nullspace(rows, ncols)
+    rank, null = rank_and_nullspace(a, EXACT)
+    assert rank == len(want_pivots)
+    assert null.basis.tolist() == want_null
+    assert all(type(x) is Fraction for x in null.basis.reshape(-1))
+    assert nullspace_rows(a, EXACT).tolist() == [to_scaled(exact_array(v))[0].tolist()
+                                                 for v in want_null]
+
+    # a right-hand side in the column span solves exactly; adding a vector
+    # of the left nullspace takes it out of the span
+    x0 = exact_array(data.draw(st.lists(_rationals, min_size=ncols, max_size=ncols)))
+    b = a @ x0
+    x = exact_solve(a, b)
+    assert x is not None and (a @ x == b).all()
+    for y in _reference_nullspace(a.T.tolist(), nrows):
+        assert exact_solve(a, b + exact_array(y)) is None
 
 
 @settings(max_examples=100, deadline=None)

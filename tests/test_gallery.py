@@ -208,10 +208,7 @@ class TestSl2:
         assert report.lee_formula_consistent is True
 
     def test_general_d(self):
-        # Jacobi for the extension follows from the homomorphism
-        # precondition, so skipping the quadratic validation keeps this
-        # in test-suite time without weakening the construction check.
-        e = sl_example(3, check=False)
+        e = sl_example(3)
         g = e.algebra
         assert g.dim == 29
         assert is_unimodular(g)

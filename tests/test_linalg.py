@@ -7,8 +7,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcplab import holonomy, linalg
 from lcplab.errors import InputError
+from lcplab.gallery import all_entries
 from lcplab.holonomy import holonomy_algebra, symmetric_commutant
+from lcplab.liealg import to_float_algebra
 from lcplab.linalg import (
     EigenSplit,
     _FloatOrtho,
@@ -336,6 +339,41 @@ def test_float_store_rejects_roundoff_and_accepts_new_directions():
     assert store.insert(inside + 1e-6 * rng.standard_normal(40))
     assert store.dim == 7
     assert np.allclose(store.q @ store.q.T, np.eye(7), atol=1e-14)
+
+
+def test_closure_expands_one_kept_matrix_at_a_time(monkeypatch):
+    # the float holonomy closures of the gallery: every step image is
+    # tested before the next kept matrix is expanded, and none is
+    # expanded once the span reaches so(g)
+    state = {}
+    real_insert = linalg._FloatOrtho.insert
+
+    def insert(self, vec):
+        state["tested"] += 1
+        kept = real_insert(self, vec)
+        state["dim"] = self.dim
+        return kept
+
+    def closure(seed, step, mode, tol, max_dim):
+        state.update(made=len(seed), tested=0, dim=0)
+
+        def counted_step(m):
+            assert state["dim"] != max_dim
+            images = step(m)
+            state["made"] += len(images)
+            assert state["made"] - state["tested"] <= len(images)
+            return images
+        out = span_closure(seed, counted_step, mode, tol, max_dim)
+        filled.append(out.dim == max_dim)
+        return out
+
+    filled: list[bool] = []
+    monkeypatch.setattr(linalg._FloatOrtho, "insert", insert)
+    monkeypatch.setattr(holonomy, "span_closure", closure)
+    for e in all_entries():
+        holonomy_algebra(to_float_algebra(e.algebra))
+    # both ways a closure ends are exercised
+    assert True in filled and False in filled
 
 
 def test_span_closure_rejects_empty_seed():
