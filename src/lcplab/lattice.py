@@ -3,15 +3,18 @@
 A compact quotient of a solvable model needs a unimodular integer matrix
 conjugate to a point on a one-parameter subgroup, plus translation parts
 that generate a discrete subgroup of the line. This module provides the
-exact characteristic polynomial, an irreducibility test over the
-integers, classification of eigenvalue moduli, the conjugacy solver, and
-a numeric discreteness probe.
+exact characteristic polynomial, an exact irreducibility test over the
+integers through degree 8, classification of eigenvalue moduli, the
+conjugacy solver, and a numeric discreteness probe.
+Irreducibility is exact: "reducible" by an integer factor that divides,
+"irreducible" by trying every factor a lift past the Mignotte bound gives.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +25,8 @@ from .scalars import as_fraction, finite_float
 
 
 def _as_int(x, where: str) -> int:
+    if type(x) is int:  # not bool, which takes the checked path
+        return x
     # as_fraction's own message for a float speaks of an exact mode, which
     # the lattice commands do not have
     try:
@@ -83,13 +88,6 @@ def _strip(coeffs: Sequence[int]) -> list[int]:
     return cs
 
 
-def divisors(n: int) -> list[int]:
-    """Positive divisors of |n| in increasing order."""
-    n = abs(n)
-    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
-
-
 def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Integer pseudo-division (constant-first lists, b nonzero).
 
@@ -120,65 +118,228 @@ def _gcd_with_derivative(f: list[int]) -> list[int]:
     return _primitive(a)
 
 
-def _has_root(f: list[int], p: int, q: int) -> bool:
-    """True when p/q is a root of f: Horner on sum f_k p^k q^(deg-k)."""
-    acc, qk = 0, 1
-    for c in reversed(f):
-        acc, qk = acc * p + c * qk, qk * q
-    return acc == 0
+SIEVE_PRIMES = 2  # primes whose factor degrees the irreducibility sieve intersects
+
+# Polynomials mod m below are constant-first lists of residues without
+# trailing zeros; the zero polynomial is [].
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mul(a: list[int], b: list[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _prod(gs: list[list[int]], c: int, m: int) -> list[int]:
+    """c * prod(gs) mod m."""
+    out = [c % m]
+    for g in gs:
+        out = _mul(out, g, m)
+    return out
+
+
+def _sub(a: list[int], b: list[int], p: int) -> list[int]:
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b mod the prime p (b nonzero)."""
+    r, db, inv = list(a), len(b) - 1, pow(b[-1], -1, p)
+    q = [0] * (len(r) - db)
+    for s in range(len(q) - 1, -1, -1):
+        c = q[s] = r[s + db] * inv % p
+        if c:
+            for k in range(db):
+                r[s + k] -= c * b[k]
+    return _trim(q), _trim([c % p for c in r[:db]])
+
+
+def _monic_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
+    """a**e mod (g, p) for e >= 1 and a reduced mod g."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _divmod(_mul(out, out, p), g, p)[1]
+        if bit == "1":
+            out = _divmod(_mul(out, a, p), g, p)[1]
+    return out
+
+
+def _inverse(a: list[int], g: list[int], p: int) -> list[int]:
+    """a**-1 mod (g, p) for a coprime to g, by extended Euclid."""
+    r0, r1, s0, s1 = g, _divmod(a, g, p)[1], [], [1]
+    while len(r1) > 1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1, p), p)
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """(d, product of the degree-d irreducible factors) of a monic square-free
+    f mod p for each d that occurs: the factors that divide X^(p^d) - X."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _monic_gcd(f, _sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """The monic factors of g mod p, all irreducible of degree d, by Cantor-
+    Zassenhaus: gcd(g, a^((p^d - 1)/2) - 1) splits g for about half the a."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        h = _monic_gcd(g, _sub(_powmod(a, (p ** d - 1) // 2, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return (_equal_degree(h, d, p, rng)
+                    + _equal_degree(_divmod(g, h, p)[0], d, p, rng))
+
+
+def _hensel_lift(f: list[int], gs: list[list[int]], p: int, m: int,
+                 bound: int) -> tuple[list[list[int]], int]:
+    """Lift f = lc(f) * prod(gs) mod m, m a power of p, to mod the first
+    power of p above bound; the gs are monic and pairwise coprime mod p.
+
+    A step from m to m * p: with e = (f - lc * prod gs) / m mod p and s_i
+    the inverse of lc * prod_{j != i} g_j mod (g_i, p), g_i += m * (e * s_i
+    mod g_i). The error is then zero mod m * p, as sum_i s_i * lc *
+    prod_{j != i} g_j = 1 mod p: both sides agree mod each g_i.
+    """
+    base = [[c % p for c in g] for g in gs]
+    s = [_inverse(_prod(base[:i] + base[i + 1:], f[-1], p), g, p)
+         for i, g in enumerate(base)]
+    while m <= bound:
+        mp = m * p
+        e = _trim([(x - y) % mp // m for x, y
+                   in zip_longest(f, _prod(gs, f[-1], mp), fillvalue=0)])
+        gs = [[c + m * dc for c, dc in
+               zip_longest(g, _divmod(_mul(e, si, p), g0, p)[1], fillvalue=0)]
+              for g, g0, si in zip(gs, base, s)]
+        m = mp
+    return gs, m
+
+
+def _has_factor(f: list[int], gs: list[list[int]], m: int, sieve: int) -> bool:
+    """Whether lc(f) * prod(subset of gs) in symmetric residues mod m has a primitive
+    part dividing f over Z, for a subset of degree <= deg(f) / 2 the sieve allows."""
+    lc, half, n = f[-1], m // 2, len(f) - 1
+    for size in range(1, len(gs)):
+        for sub in combinations(gs, size):
+            d = sum(len(g) - 1 for g in sub)
+            if 2 * d > n or not sieve >> d & 1:
+                continue
+            c0 = math.prod([lc] + [g[0] for g in sub]) % m
+            c0 = c0 - m if c0 > half else c0
+            # the constant term of a factor's candidate divides lc * f(0)
+            if c0 == 0 or lc * f[0] % c0:
+                continue
+            cand = _primitive([c - m if c > half else c for c in _prod(sub, lc, m)])
+            if not any(_pseudo_divide(f, cand)[1]):
+                return True
+    return False
+
+
+def _primes_for(f: list[int]):
+    """(p, f made monic mod p) for the odd primes p that keep deg f and f
+    square-free: all but those dividing lc(f) or disc(f), which is not 0."""
+    p = 1
+    while True:
+        p += 2
+        if f[-1] % p == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        inv = pow(f[-1], -1, p)
+        fp = [c * inv % p for c in f]
+        if len(_monic_gcd(fp, _trim([k * c % p for k, c in enumerate(fp)][1:]), p)) == 1:
+            yield p, fp
 
 
 def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
     """Irreducibility in Z[X] up to units, implemented through degree 8.
 
-    Linear factors are found by the rational root test; higher-degree
-    factors by reassembling subsets of the numeric roots into candidate
-    integer factors, each candidate confirmed by exact division over Q. Exact
-    division rules out a false "reducible" verdict, but not a false
-    "irreducible" one: a factor is missed when rounding its numeric roots
-    does not give its integer coefficients. A repeated factor is found
-    exactly, as a gcd of f and f' of positive degree over Q.
+    Exact, by factoring mod p (Zassenhaus 1969; von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, ch. 14-15), after the content, X | f and a
+    repeated factor (gcd(f, f') over Q) are dealt with:
+
+    - sieve: mod SIEVE_PRIMES odd primes that keep deg f and f square-free,
+      the distinct-degree factorisation gives the factor degrees. A factor
+      over Z has a subset sum of them as its degree at every prime; if no
+      degree in 1..n-1 is one at all of them, f is irreducible;
+    - lift: else the prime with the fewest factors is split by seeded
+      Cantor-Zassenhaus, and its factors are lifted by linear Hensel steps
+      to p^k > 2 |lc| 2^(n//2) ||f||_2. That bounds (Mignotte) the
+      coefficients of lc/lc(h) * h for a factor h of degree <= n/2, so in
+      symmetric residues it is lc times the product of h's lifted factors;
+    - recombine: a subset of degree <= n/2 that the sieve allows whose
+      candidate has a primitive part dividing f proves "reducible"; when
+      none does, no such h exists. As a divisor is a proof at any
+      precision, smaller precisions are tried first.
+
+    The cap keeps the recombination, up to 2^8 subsets, small.
     """
     cs = _strip(coeffs)
-    deg = len(cs) - 1
-    if deg == 0:
+    n = len(cs) - 1
+    if n == 0:
         return False
-    if deg > 8:
+    if n > 8:
         raise InputError("irreducibility test is implemented through degree 8")
     cs = _primitive(cs)
     if cs[0] == 0:
-        return deg == 1
-    if deg == 1:
+        return n == 1
+    if n == 1:
         return True
     if len(_gcd_with_derivative(cs)) > 1:
         return False
-    for q in divisors(cs[-1]):
-        for p in divisors(cs[0]):
-            if _has_root(cs, p, q) or _has_root(cs, -p, q):
-                return False
-    if deg <= 3:
-        return True
-    roots = np.roots([float(c) for c in reversed(cs)])
-    lead = cs[-1]
-    for k in range(2, deg // 2 + 1):
-        for subset in combinations(range(deg), k):
-            chosen = [roots[i] for i in subset]
-            # elementary symmetric functions give the monic factor over C
-            esym = np.poly(chosen)  # highest degree first, leading 1
-            for d in divisors(lead):
-                for sign in (1, -1):
-                    cand_f = sign * d * esym
-                    if np.max(np.abs(cand_f.imag)) > 1e-6:
-                        continue
-                    cand = [int(round(float(c))) for c in cand_f.real[::-1]]
-                    if np.max(np.abs(np.array(cand, dtype=np.float64)
-                                     - cand_f.real[::-1])) > 1e-6:
-                        continue
-                    # a proper factor over Q makes f reducible over Z too
-                    # (Gauss's lemma)
-                    if not any(_pseudo_divide(cs, cand)[1]):
-                        return False
-    return True
+    sieve, best = (1 << n) - 2, None  # bit d: a factor of degree d is possible
+    for _, (p, fp) in zip(range(SIEVE_PRIMES), _primes_for(cs)):
+        parts = _distinct_degree(fp, p)
+        degrees, sums = [d for d, g in parts for _ in range((len(g) - 1) // d)], 1
+        for d in degrees:
+            sums |= sums << d
+        sieve &= sums
+        if not sieve:
+            return True
+        if best is None or len(degrees) < best[0]:
+            best = (len(degrees), p, parts)
+    _, p, parts = best
+    rng = random.Random(0)
+    gs = [h for d, g in parts for h in _equal_degree(g, d, p, rng)]
+    m, lc = p, abs(cs[-1])
+    bound = 2 * lc * 2 ** (n // 2) * (math.isqrt(sum(c * c for c in cs)) + 1)
+    bits = 8  # 8, 16, 32, ... bits beyond 2 |lc|, then the bound
+    while True:
+        stage = min(2 * lc << bits, bound)
+        gs, m = _hensel_lift(cs, gs, p, m, stage)
+        if _has_factor(cs, gs, m, sieve):
+            return False
+        if stage == bound:
+            return True
+        bits *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcplab import lattice
 from lcplab.errors import InputError
 from lcplab.lattice import (ConjugacySolution, ProbeResult, char_poly,
                             companion, discreteness_probe,
@@ -22,6 +24,13 @@ def test_char_poly_golden():
 
 def test_char_poly_identity():
     assert char_poly(np.eye(3, dtype=int)) == (-1, 3, -3, 1)
+
+
+def test_char_poly_bool_entries_become_ints():
+    # bool is a subclass of int; it takes the checked path, not the int one
+    cp = char_poly([[True, False], [False, True]])
+    assert cp == (1, -2, 1) and all(type(c) is int for c in cp)
+    assert type(lattice._as_int(True, "x")) is int
 
 
 def test_char_poly_rejects_fractions():
@@ -72,11 +81,11 @@ class TestIrreducibility:
         assert not is_irreducible_over_Z((-1, 0, 1))  # (X-1)(X+1)
 
     def test_nonmonic_linear_factor(self):
-        # (2X+1)(X+1), root -1/2 only visible with lead divisors
+        # (2X+1)(X+1)
         assert not is_irreducible_over_Z((1, 3, 2))
 
     def test_quartic_with_quadratic_factors(self):
-        # (X^2-2)(X^2-3): no rational roots, splits through root subsets
+        # (X^2-2)(X^2-3): no rational roots
         assert not is_irreducible_over_Z((6, 0, -5, 0, 1))
         # (X^2-2)(X^2+X+1)
         assert not is_irreducible_over_Z((-2, -2, -1, 1, 1))
@@ -106,6 +115,66 @@ class TestIrreducibility:
 
     def test_content_is_stripped(self):
         assert is_irreducible_over_Z((2, 0, 2))  # 2(X^2 + 1)
+
+    def test_seeded_products_read_reducible(self):
+        # products of two factors of degree 1..4, coefficients up to 1e12,
+        # leading coefficients 1 or up to 1e6; a factor whose numeric roots
+        # round badly, or a leading coefficient with huge divisors, must
+        # neither hide the split nor take seconds
+        rng = random.Random(20260819)
+        for _ in range(150):
+            f, g = ([rng.randint(-10**12, 10**12) for _ in range(rng.randint(1, 4))]
+                    + [rng.choice((1, rng.randint(1, 10**6)))] for _ in range(2))
+            prod = [0] * (len(f) + len(g) - 1)
+            for i, x in enumerate(f):
+                for j, y in enumerate(g):
+                    prod[i + j] += x * y
+            assert not is_irreducible_over_Z(prod), (f, g)
+
+    @pytest.mark.parametrize("coeffs", [
+        (1, 0, 0, 0, 0, 0, 0, 0, 1),  # X^8 + 1
+        (576, 0, -960, 0, 352, 0, -40, 0, 1),  # Swinnerton-Dyer, roots +-sqrt2 +-sqrt3 +-sqrt5
+    ])
+    def test_irreducible_octics_that_split_mod_every_prime(self, coeffs):
+        # no degree pattern rules out a factor, so the verdict rests on
+        # lifting and trying every subset
+        assert is_irreducible_over_Z(coeffs)
+
+    def test_large_eisenstein_octic(self):
+        p, rng = 999983, random.Random(5)
+        coeffs = [p * rng.randint(-10**6, 10**6) for _ in range(8)] + [1]
+        coeffs[0] = p * (p - 1)
+        assert is_irreducible_over_Z(coeffs)
+
+    def test_size_two_subsets(self):
+        # (X^4 + 1)(X^4 - 10X^2 + 1): both quartics split into two
+        # quadratics mod every prime, so a factor is a pair of them
+        assert not is_irreducible_over_Z((1, 0, -10, 0, 2, 0, -10, 0, 1))
+
+    @pytest.mark.parametrize("coeffs, irreducible", [
+        ((7, 0, 106, 0, 15), False),  # (15X^2 + 1)(X^2 + 7) = X^2 (X^2 + 1) mod 7
+        ((7, 7, 0, 0, 15), True),  # Eisenstein at 7, X^4 mod 7
+    ])
+    def test_primes_skip_the_leading_coefficient_and_repeated_factors(
+            self, coeffs, irreducible):
+        assert next(lattice._primes_for(list(coeffs)))[0] == 11
+        assert is_irreducible_over_Z(coeffs) == irreducible
+
+    def test_sieve_alone_proves_irreducible(self, monkeypatch):
+        # factor degrees (1, 3) mod 3 and (2, 2) mod 5 share no proper sum
+        def no_lift(*args):
+            raise AssertionError("lifted although the sieve decides")
+        monkeypatch.setattr(lattice, "_hensel_lift", no_lift)
+        assert is_irreducible_over_Z((4, -3, -1, -4, 1))
+
+    def test_hensel_lift_passes_the_bound(self):
+        # X^2 - 2 = (X + 4)(X + 3) mod 7; the lift stops at the first power
+        # of 7 above the bound and keeps f = prod mod that power
+        for bound in (48, 49, 10**30):
+            gs, m = lattice._hensel_lift([-2, 0, 1], [[4, 1], [3, 1]], 7, 7, bound)
+            assert m // 7 <= bound < m
+            (a, _), (b, _) = gs
+            assert (a * b + 2) % m == 0 and (a + b) % m == 0
 
     @pytest.mark.parametrize("coeffs", [(), (1.5, 2, 1), (Fraction(3, 2), 2, 1)])
     def test_rejects_empty_and_non_integer_coefficients(self, coeffs):
