@@ -135,8 +135,9 @@ def _mul(a: list[int], b: list[int], m: int) -> list[int]:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        for y in b:
+            out[i] += x * y
+            i += 1
     return _trim([c % m for c in out])
 
 
@@ -154,13 +155,15 @@ def _sub(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by b mod the prime p (b nonzero)."""
-    r, db, inv = list(a), len(b) - 1, pow(b[-1], -1, p)
+    r, db, inv, low = list(a), len(b) - 1, pow(b[-1], -1, p), b[:-1]
     q = [0] * (len(r) - db)
     for s in range(len(q) - 1, -1, -1):
         c = q[s] = r[s + db] * inv % p
         if c:
-            for k in range(db):
-                r[s + k] -= c * b[k]
+            k = s
+            for y in low:
+                r[k] -= c * y
+                k += 1
     return _trim(q), _trim([c % p for c in r[:db]])
 
 
