@@ -286,22 +286,18 @@ def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
     """Irreducibility in Z[X] up to units, implemented through degree 8.
 
     Exact, by factoring mod p (Zassenhaus 1969; von zur Gathen & Gerhard,
-    *Modern Computer Algebra*, ch. 14-15), after the content, X | f and a
-    repeated factor (gcd(f, f') over Q) are dealt with:
-
-    - sieve: mod SIEVE_PRIMES odd primes that keep deg f and f square-free,
-      the distinct-degree factorisation gives the factor degrees. A factor
-      over Z has a subset sum of them as its degree at every prime; if no
-      degree in 1..n-1 is one at all of them, f is irreducible;
-    - lift: else the prime with the fewest factors is split by seeded
-      Cantor-Zassenhaus, and its factors are lifted by linear Hensel steps
-      to p^k > 2 |lc| 2^(n//2) ||f||_2. That bounds (Mignotte) the
-      coefficients of lc/lc(h) * h for a factor h of degree <= n/2, so in
-      symmetric residues it is lc times the product of h's lifted factors;
-    - recombine: a subset of degree <= n/2 that the sieve allows whose
-      candidate has a primitive part dividing f proves "reducible"; when
-      none does, no such h exists. As a divisor is a proof at any
-      precision, smaller precisions are tried first.
+    *Modern Computer Algebra*, ch. 14-15), once the content, X | f and a
+    repeated factor (gcd(f, f') over Q) are dealt with. A factor over Z has
+    a subset sum of the factor degrees mod p as its degree at every prime p
+    (not dividing lc, f square-free mod p): if no degree in 1..n-1 is one at
+    all of SIEVE_PRIMES primes, f is irreducible. Else the prime with the
+    fewest factors is split by seeded Cantor-Zassenhaus and its factors are
+    lifted by Hensel to p^k > 2 |lc| 2^(n//2) ||f||_2, which bounds twice
+    the coefficients of lc/lc(h) * h for a factor h of degree <= n/2
+    (Mignotte), so that in symmetric residues is lc times the product of
+    h's lifted factors. Hence f is irreducible when no subset of degree
+    <= n/2 gives a candidate whose primitive part divides f; one that
+    divides proves "reducible" at any precision (lower ones go first).
 
     The cap keeps the recombination, up to 2^8 subsets, small.
     """
