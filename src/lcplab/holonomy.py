@@ -8,6 +8,12 @@ symmetric commutant yields the factors of the metric as an orthogonal
 product; the factors are unique, pairwise inequivalent as holonomy
 modules, and invariant under every connection operator.
 
+One commutant and one eigensplit suffice. On the curved block the
+symmetric commutant C is spanned by the projections onto the k curved
+factors (Kostant 1955; Kobayashi and Nomizu I, ch. II), so dim C = k,
+and an element of C with k eigenspaces has exactly the factors as its
+eigenspaces.
+
 In exact mode the splitting first bounds the holonomy dimension from
 below by running the same closure modulo the prime
 ``CERTIFICATE_PRIME`` in int64 (von zur Gathen and Gerhard, *Modern
@@ -247,7 +253,7 @@ def _is_scalar_matrix(p: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# recursive splitting
+# splitting along one eigensplit
 
 
 class _PromoteToFloat(Exception):
@@ -274,12 +280,13 @@ def _candidates(comm: list[np.ndarray], mode: Mode, tol: TolerancePolicy,
 
 
 def _first_eigensplit(comm: list[np.ndarray], gram: np.ndarray, mode: Mode,
-                      tol: TolerancePolicy, rng: random.Random, stage: str) -> EigenSplit:
-    """Eigensplit of the first candidate that has two or more eigenspaces.
+                      tol: TolerancePolicy, rng: random.Random, stage: str,
+                      parts: int) -> EigenSplit:
+    """Eigensplit of the first candidate that has ``parts`` or more eigenspaces.
 
-    When no candidate splits, raises the last ambiguity met on the way, or
-    a fresh one if there was none; its message starts with ``stage``, the
-    name of the step that needed the split.
+    When no candidate has that many, raises the last ambiguity met on the
+    way, or a fresh one if there was none; its message starts with
+    ``stage``, the name of the step that needed the split.
     """
     ambiguity: Optional[NumericalAmbiguityError] = None
     for cand in _candidates(comm, mode, tol, rng):
@@ -288,7 +295,7 @@ def _first_eigensplit(comm: list[np.ndarray], gram: np.ndarray, mode: Mode,
         except NumericalAmbiguityError as err:
             ambiguity = err
             continue
-        if len(split.pairs) >= 2:
+        if len(split.pairs) >= parts:
             return split
     if ambiguity is not None:
         raise NumericalAmbiguityError(f"{stage}: {ambiguity}",
@@ -297,33 +304,6 @@ def _first_eigensplit(comm: list[np.ndarray], gram: np.ndarray, mode: Mode,
         f"{stage}: commutant has dimension >= 2 but no candidate produced a stable eigensplit",
         suggestion="rerun with a different seed or loosen eigen_cluster_tol",
     )
-
-
-def _split_blocks(ops: np.ndarray, gram: np.ndarray, mode: Mode,
-                  tol: TolerancePolicy, rng: random.Random) -> list[Subspace]:
-    """Decompose coordinate space into minimal invariant blocks of the
-    operator stack ``ops``.
-
-    Requires the setting of the factor theory: the commutant restricted to
-    a minimal block is scalar, so commutant dimension 1 means done.
-    """
-    n = gram.shape[0]
-    comm = symmetric_commutant(ops, gram, mode, tol)
-    if len(comm) <= 1:
-        return [full_subspace(n, mode)]
-    chosen = _first_eigensplit(comm, gram, mode, tol, rng, "de Rham splitting")
-    if chosen.promoted_to_float:
-        raise _PromoteToFloat()
-    blocks: list[Subspace] = []
-    for _, eig in chosen.pairs:
-        sub_ops = restrict_operator(ops, eig.basis, mode, tol)
-        if sub_ops is None:
-            raise TheoremViolationError(
-                "eigenspace of a commutant element is not invariant under the operators")
-        sub_gram = restricted_gram(eig.basis, gram)
-        for inner_block in _split_blocks(sub_ops, sub_gram, mode, tol, rng):
-            blocks.append(Subspace(n, inner_block.basis @ eig.basis, mode))
-    return blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,31 +399,36 @@ def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -
 
 def _factors(g: MetricLieAlgebra, hol: OperatorAlgebra,
              rng: random.Random) -> tuple[list[Subspace], list[bool]]:
-    """The flat block, if any, then the irreducible blocks in canonical order."""
+    """The flat block, if any, then the irreducible blocks in canonical order.
+
+    The curved factors are the eigenspaces of the first candidate in the
+    commutant C of the curved block with dim C of them: were one of those
+    eigenspaces reducible, its projections would make dim C larger.
+    """
     n = g.dim
     flat = common_kernel(hol.basis, n, g.mode, g.tol)
-    factors: list[Subspace] = []
-    flags: list[bool] = []
-    if flat.dim == n:
-        factors.append(full_subspace(n, g.mode))
-        flags.append(True)
-    else:
-        if flat.dim > 0:
-            factors.append(flat)
-            flags.append(True)
+    flats = [flat] if flat.dim else []
+    curved: list[Subspace] = []
+    if flat.dim < n:
         w = orthocomplement(flat, g.gram, g.tol)
-        sub_ops = restrict_operator(np.stack(hol.basis), w.basis, g.mode, g.tol)
-        if sub_ops is None:
+        ops = restrict_operator(np.stack(hol.basis), w.basis, g.mode, g.tol)
+        if ops is None:
             raise TheoremViolationError("holonomy does not preserve the curved block")
-        blocks = _split_blocks(sub_ops, restricted_gram(w.basis, g.gram), g.mode, g.tol, rng)
-        for b in blocks:
-            factors.append(Subspace(n, b.basis @ w.basis, g.mode))
-            flags.append(False)
-    head = [(f, fl) for f, fl in zip(factors, flags) if fl]
-    tail = sorted(((f, fl) for f, fl in zip(factors, flags) if not fl),
-                  key=lambda p: _sort_key(p[0], g.mode, g.tol))
-    ordered = head + tail
-    return [f for f, _ in ordered], [fl for _, fl in ordered]
+        gram = restricted_gram(w.basis, g.gram)
+        comm = symmetric_commutant(ops, gram, g.mode, g.tol)
+        curved = [w]
+        if len(comm) > 1:
+            split = _first_eigensplit(comm, gram, g.mode, g.tol, rng,
+                                      "de Rham splitting", len(comm))
+            if split.promoted_to_float:
+                raise _PromoteToFloat()
+            for _, eig in split.pairs:
+                if restrict_operator(ops, eig.basis, g.mode, g.tol) is None:
+                    raise TheoremViolationError(
+                        "eigenspace of a commutant element is not invariant under the operators")
+            curved = sorted((Subspace(n, eig.basis @ w.basis, g.mode) for _, eig in split.pairs),
+                            key=lambda f: _sort_key(f, g.mode, g.tol))
+    return flats + curved, [True] * len(flats) + [False] * len(curved)
 
 
 def verify_factor_subalgebras(g: MetricLieAlgebra, splitting: DeRhamSplitting,
@@ -548,7 +533,7 @@ def reducibility_witness(g: MetricLieAlgebra, seed: int = 0,
     # a flat block of dimension >= 2 always splits; when no candidate gives
     # a clear eigen-gap the NumericalAmbiguityError says so (exit 3)
     split = _first_eigensplit(comm, gg.gram, gg.mode, gg.tol, random.Random(seed),
-                              "flat reducing pair")
+                              "flat reducing pair", 2)
     h = to_float_algebra(gg) if split.promoted_to_float else gg
     s1 = split.pairs[0][1]
     s2 = subspace_sum([p for _, p in split.pairs[1:]], h.tol)

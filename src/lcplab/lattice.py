@@ -372,6 +372,8 @@ def unit_root_profile(coeffs: Sequence[int], tol: float = 1e-9) -> UnitRootProfi
     multiplicity, without the spread a numeric multiple root would have.
     """
     cs = _strip(coeffs)
+    if cs == [0]:
+        raise InputError("the zero polynomial has every number as a root")
     deg = len(cs) - 1
     if deg == 0:
         return UnitRootProfile(0, 0, 0, 0)

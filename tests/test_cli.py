@@ -322,6 +322,12 @@ class TestLattice:
         assert main(["lattice", command, coeffs]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coeffs", ["[0]", "[0,0]"])
+    def test_roots_of_zero_polynomial_exit_2(self, coeffs, capsys):
+        assert main(["lattice", "roots", coeffs]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "zero polynomial" in err
+
     @pytest.mark.parametrize("argv, where", [
         (["irreducible", "[1.5,2,1]"], "coefficient 0"),
         (["roots", "[1,2.5,1]"], "coefficient 1"),

@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lcplab import holonomy
+from lcplab.cli import run_analysis
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (
     ConditionReport,
@@ -26,7 +28,7 @@ from lcplab.liealg import (
     with_gram,
 )
 from lcplab.linalg import Subspace, make_subspace, span_closure, subspaces_equal
-from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array
+from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array, zeros_array
 
 F = Fraction
 
@@ -363,6 +365,89 @@ def test_witness_agrees_with_commutant_dimension():
         comm = symmetric_commutant(hol.basis, g.gram, g.mode, g.tol)
         has_witness = reducibility_witness(g) is not None
         assert has_witness == (len(comm) >= 2)
+
+
+# ---------------------------------------------------------------------------
+# one commutant, one eigensplit
+
+
+def fundamental_power(k):
+    fund = next(e for e in all_entries() if e.name == "fundamental").algebra
+    g = fund
+    for _ in range(k - 1):
+        g = direct_sum_algebra(g, fund)
+    return g
+
+
+def restriction_of_scalars(h):
+    """h over Q(sqrt 2), read over Q: basis e_i, then sqrt(2) e_i.
+
+    The metric is the trace form of h's, so over R this is h x h with the
+    product metric. Its two curved factors are the eigenspaces of
+    multiplication by sqrt 2, and no rational basis spans either of them.
+    """
+    n = h.dim
+    e, f = slice(0, n), slice(n, 2 * n)
+    c = zeros_array((2 * n, 2 * n, 2 * n), h.mode)
+    c[e, e, e] = h.bracket
+    c[e, f, f] = h.bracket
+    c[f, e, f] = h.bracket
+    c[f, f, e] = 2 * h.bracket
+    gram = zeros_array((2 * n, 2 * n), h.mode)
+    gram[e, e] = 2 * h.gram
+    gram[f, f] = 4 * h.gram
+    return make_algebra(c, gram, h.mode)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fundamental_power(3),
+    lambda: to_float_algebra(fundamental_power(3)),
+    lambda: to_float_algebra(direct_sum_algebra(sl_example(2).algebra, fundamental_power(1))),
+], ids=["fundamental^3", "fundamental^3_float", "sl2_semidirect+fundamental_float"])
+def test_one_commutant_per_split(build, monkeypatch):
+    # a commutant per eigenspace would make 2k - 1 calls for k factors
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return symmetric_commutant(*args, **kwargs)
+    monkeypatch.setattr(holonomy, "symmetric_commutant", counting)
+    spl = de_rham_splitting(build())
+    assert len(spl.factors) >= 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k, mode, seeds", [(6, FLOAT, range(5)), (8, FLOAT, range(5)),
+                                            (4, EXACT, range(3))])
+def test_many_factors_in_one_split(k, mode, seeds):
+    # the eigensplit must find an element of the commutant with k distinct
+    # eigenvalues among its basis and random integer combinations of it
+    g = fundamental_power(k)
+    if mode == FLOAT:
+        g = to_float_algebra(g)
+    for seed in seeds:
+        spl = de_rham_splitting(g, seed=seed)
+        assert spl.factor_dims == (3,) * k
+        assert spl.factor_is_flat == (False,) * k
+        assert spl.mode == mode and not spl.promoted_to_float
+
+
+@pytest.mark.parametrize("name, factor_dims", [("fundamental", [3, 3]),
+                                               ("product", [2, 3, 3])])
+def test_promotion_through_de_rham_splitting(name, factor_dims):
+    g = restriction_of_scalars(next(e for e in all_entries() if e.name == name).algebra)
+    report, code = run_analysis(g)
+    assert code == 0
+    assert report["holonomy_dim"] == 6
+    assert report["de_rham"]["factor_dims"] == factor_dims
+    assert report["de_rham"]["promoted_to_float"] is True
+    twin, twin_code = run_analysis(to_float_algebra(g))
+    assert twin_code == code
+    assert twin["mode"] == FLOAT and twin["de_rham"]["promoted_to_float"] is False
+    for rep in (report, twin):
+        del rep["mode"]
+        del rep["de_rham"]["promoted_to_float"]
+    assert report == twin
 
 
 # ---------------------------------------------------------------------------

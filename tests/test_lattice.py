@@ -205,6 +205,18 @@ class TestUnitRootProfile:
         assert (p.degree, p.on_circle, p.real_off_circle,
                 p.complex_off_circle) == (3, 2, 1, 0)
 
+    @pytest.mark.parametrize("coeffs", [(0,), (0, 0), (0, 0, 0)])
+    def test_zero_polynomial_is_refused(self, coeffs):
+        # every number is a root of 0; "degree 0, no roots" is the answer
+        # for a nonzero constant
+        with pytest.raises(InputError, match="zero polynomial"):
+            unit_root_profile(coeffs)
+
+    def test_nonzero_constant_has_no_roots(self):
+        p = unit_root_profile((5, 0))
+        assert (p.degree, p.on_circle, p.real_off_circle,
+                p.complex_off_circle) == (0, 0, 0, 0)
+
 
     @pytest.mark.parametrize("coeffs, profile", [
         ((1, 0, 2, 0, 1), (4, 4, 0, 0)),  # (X^2+1)^2
