@@ -262,6 +262,10 @@ class _PromoteToFloat(Exception):
 
 # random combinations of the commutant basis tried after the basis itself
 EXTRA_ATTEMPTS = 8
+# their coefficients: distinct, from a range wide enough that k factor
+# projections, or multiples of them as the exact commutant basis often
+# is, combine to k distinct eigenvalues in all but rare draws
+COEFFICIENTS = range(-2**16, 2**16 + 1)
 
 
 def _candidates(comm: list[np.ndarray], mode: Mode, tol: TolerancePolicy,
@@ -271,8 +275,7 @@ def _candidates(comm: list[np.ndarray], mode: Mode, tol: TolerancePolicy,
             yield p
     for _ in range(EXTRA_ATTEMPTS):
         combo = None
-        for p in comm:
-            c = rng.randint(-9, 9)
+        for c, p in zip(rng.sample(COEFFICIENTS, len(comm)), comm):
             term = c * p
             combo = term if combo is None else combo + term
         if combo is not None and not _is_scalar_matrix(combo, mode, tol):
@@ -301,7 +304,8 @@ def _first_eigensplit(comm: list[np.ndarray], gram: np.ndarray, mode: Mode,
         raise NumericalAmbiguityError(f"{stage}: {ambiguity}",
                                       suggestion=ambiguity.suggestion) from ambiguity
     raise NumericalAmbiguityError(
-        f"{stage}: commutant has dimension >= 2 but no candidate produced a stable eigensplit",
+        f"{stage}: commutant has dimension {len(comm)} but no candidate produced"
+        f" {parts} stable eigenspaces",
         suggestion="rerun with a different seed or loosen eigen_cluster_tol",
     )
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from lcplab import holonomy
 from lcplab.cli import run_analysis
+from lcplab.errors import NumericalAmbiguityError
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (
     ConditionReport,
@@ -28,7 +30,7 @@ from lcplab.liealg import (
     with_gram,
 )
 from lcplab.linalg import Subspace, make_subspace, span_closure, subspaces_equal
-from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array, zeros_array
+from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array, eye_array, zeros_array
 
 F = Fraction
 
@@ -430,6 +432,47 @@ def test_many_factors_in_one_split(k, mode, seeds):
         assert spl.factor_dims == (3,) * k
         assert spl.factor_is_flat == (False,) * k
         assert spl.mode == mode and not spl.promoted_to_float
+
+
+def block_projections(k):
+    """The exact projections onto the k summands of fundamental^k."""
+    out = []
+    for j in range(k):
+        p = zeros_array((3 * k, 3 * k), EXACT)
+        for i in range(3 * j, 3 * j + 3):
+            p[i, i] = 1
+        out.append(p)
+    return out
+
+
+def test_exact_commutant_of_fundamental_power_is_the_block_projections():
+    g = fundamental_power(4)
+    comm = symmetric_commutant(np.stack(holonomy_algebra(g).basis), g.gram, EXACT, g.tol)
+    assert len(comm) == 4
+    assert all((p == q).all() for p, q in zip(comm, block_projections(4)))
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_equal_block_projections_split_at_every_seed(k):
+    # the exact commutant basis of fundamental^k (see above): the basis
+    # elements have two eigenspaces each, and a combination has k only when
+    # its k coefficients are distinct; the exact commutant of fundamental^8
+    # costs seconds, so the split starts from the basis it returns
+    comm = block_projections(k)
+    gram = eye_array(3 * k, EXACT)
+    for seed in range(10):
+        split = holonomy._first_eigensplit(comm, gram, EXACT, DEFAULT_TOL, random.Random(seed),
+                                           "de Rham splitting", k)
+        assert [eig.dim for _, eig in split.pairs] == [3] * k
+        assert not split.promoted_to_float
+
+
+def test_too_few_eigenspaces_names_the_count():
+    with pytest.raises(NumericalAmbiguityError) as err:
+        holonomy._first_eigensplit(block_projections(2), eye_array(6, EXACT), EXACT, DEFAULT_TOL,
+                                   random.Random(0), "de Rham splitting", 3)
+    assert str(err.value).startswith("de Rham splitting: ")
+    assert "3 stable eigenspaces" in str(err.value)
 
 
 @pytest.mark.parametrize("name, factor_dims", [("fundamental", [3, 3]),
