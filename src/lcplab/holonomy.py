@@ -33,7 +33,7 @@ a reducing pair are each one zero test of a whole tensor.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ from .liealg import (
     MetricLieAlgebra,
     LEVI_CIVITA,
     is_subalgebra,
-    levi_civita,
     scaled_curvature,
     to_float_algebra,
 )
@@ -54,7 +53,6 @@ from .linalg import (
     canonical_rows,
     closure_dim_mod_p,
     full_subspace,
-    invert,
     is_zero_matrix,
     matrix_rank,
     nullspace_rows,
@@ -63,20 +61,13 @@ from .linalg import (
     restrict_operator,
     restricted_gram,
     scale_of,
+    scaled_inverse,
     selfadjoint_eigensplit,
     span_closure,
     subspace_sum,
     support_indices,
 )
-from .scalars import (
-    EXACT,
-    Mode,
-    TolerancePolicy,
-    eye_array,
-    from_scaled,
-    to_scaled,
-    zeros_array,
-)
+from .scalars import EXACT, Mode, TolerancePolicy, to_scaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,13 +97,14 @@ def _closure_inputs(g: MetricLieAlgebra,
                     conn: InvariantConnection) -> tuple[list[np.ndarray], np.ndarray]:
     """The nonzero curvature operators and the stack of connection operators,
     in exact mode as ints: each times its stack's common denominator, a
-    positive scale that changes no span, so the closure runs on ints."""
+    positive scale that changes no span, so the closure runs on ints and
+    the holonomy basis it keeps is ints as well."""
     n = g.dim
     sc = scale_of(g.bracket, g.gram)
     curv = scaled_curvature(g, conn)[0]
     seeds = [curv[i, j] for i in range(n) for j in range(i + 1, n)
              if not is_zero_matrix(curv[i, j], g.mode, g.tol, scale=sc * sc)]
-    return seeds, to_scaled(conn.operators)[0]
+    return seeds, conn.scaled_operators
 
 
 def _closed_holonomy(g: MetricLieAlgebra, conn: InvariantConnection,
@@ -134,7 +126,7 @@ def holonomy_algebra(g: MetricLieAlgebra,
                      conn: Optional[InvariantConnection] = None) -> OperatorAlgebra:
     """Span of curvature operators, closed under bracketing with the connection."""
     if conn is None:
-        conn = levi_civita(g)
+        conn = g.levi_civita
     return _closed_holonomy(g, conn, *_closure_inputs(g, conn))
 
 
@@ -174,16 +166,16 @@ def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
 
 
 def _orthogonal_algebra(g: MetricLieAlgebra) -> OperatorAlgebra:
-    """so(g), with basis G^-1 (E_ij - E_ji) for i < j.
+    """so(g), with basis G^-1 (E_ij - E_ji) for i < j, on the scaled form of G^-1.
 
     That matrix is zero but in two columns: column j is column i of G^-1,
     and column i is minus column j of G^-1.
     """
     n = g.dim
-    ginv = invert(g.gram, g.mode, g.tol)
+    ginv = g.scaled_gram_inverse[0]
     iu, ju = np.triu_indices(n, 1)
     k = np.arange(len(iu))
-    mats = zeros_array((len(iu), n, n), g.mode)
+    mats = np.zeros((len(iu), n, n), dtype=ginv.dtype)
     mats[k, :, ju] = ginv[:, iu].T
     mats[k, :, iu] = -ginv[:, ju].T
     return OperatorAlgebra(n, tuple(mats), g.mode)
@@ -193,9 +185,7 @@ def common_kernel(ops: Sequence[np.ndarray], ambient_dim: int, mode: Mode,
                   tol: TolerancePolicy) -> Subspace:
     if not ops:
         return full_subspace(ambient_dim, mode)
-    stacked = np.concatenate(list(ops), axis=0)
-    _, null = rank_and_nullspace(stacked, mode, tol)
-    return null
+    return rank_and_nullspace(np.concatenate(list(ops), axis=0), mode, tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +200,11 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
     imposes one commutation constraint at a time, so the working basis only
     ever shrinks; the identity always survives. The work runs on the
     scaled form: each operator is scaled on its own, and each constraint's
-    nullspace comes as primitive integer rows. That changes no span, but
-    the elements may come back rescaled.
+    nullspace comes as primitive integer rows. That changes no span, and
+    the elements come back on that form: Python ints in exact mode.
     """
     n = gram.shape[0]
-    ginv, den = to_scaled(invert(gram, mode, tol))
+    ginv = scaled_inverse(gram, mode)[0]
     # G^-1 (E_ij + E_ji) is zero but in column j, which is column i of
     # G^-1, and column i, which is column j of G^-1
     iu, ju = np.triu_indices(n)
@@ -236,20 +226,20 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
         if len(null) == len(work):
             continue
         work = (null @ work.reshape(len(work), -1)).reshape(-1, n, n)
-    return list(from_scaled(work, den))
+    return list(work)
 
 
 def nabla_commutant(g: MetricLieAlgebra,
                     conn: Optional[InvariantConnection] = None) -> list[np.ndarray]:
     if conn is None:
-        conn = levi_civita(g)
-    return symmetric_commutant(list(conn.operators), g.gram, g.mode, g.tol)
+        conn = g.levi_civita
+    return symmetric_commutant(list(conn.scaled_operators), g.gram, g.mode, g.tol)
 
 
 def _is_scalar_matrix(p: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:
-    n = p.shape[0]
-    lam = sum(p[i, i] for i in range(n)) / n
-    return is_zero_matrix(p - lam * eye_array(n, mode), mode, tol, scale=scale_of(p))
+    # no mean of the diagonal: dividing Python ints gives a rounded float
+    eye = np.identity(p.shape[0], dtype=p.dtype)
+    return is_zero_matrix(p - p[0, 0] * eye, mode, tol, scale=scale_of(p))
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +348,15 @@ def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace],
     if total != n or matrix_rank(stacked, g.mode, g.tol) != n:
         raise TheoremViolationError("factors do not span the whole algebra")
     # one gram matrix of all factor bases; its blocks off the diagonal must vanish
-    rows, gram, _ = to_scaled(stacked, g.gram)
     label = np.repeat(np.arange(len(factors)), [f.dim for f in factors])
-    cross = (rows @ gram @ rows.T)[label[:, None] != label[None, :]]
+    cross = restricted_gram(stacked, g.gram)[label[:, None] != label[None, :]]
     if not is_zero_matrix(cross, g.mode, g.tol, scale=scale_of(g.gram)):
         raise TheoremViolationError("factors are not pairwise orthogonal")
     # every operator preserves a factor that is the whole space
     for f in (f for f in factors if f.dim < n):
         if hol.dim and restrict_operator(np.stack(hol.basis), f.basis, g.mode, g.tol) is None:
             raise TheoremViolationError("factor is not holonomy invariant")
-        if restrict_operator(conn.operators, f.basis, g.mode, g.tol) is None:
+        if restrict_operator(conn.scaled_operators, f.basis, g.mode, g.tol) is None:
             raise TheoremViolationError(
                 "holonomy invariant factor is not connection invariant")
 
@@ -387,7 +376,7 @@ def de_rham_splitting(g: MetricLieAlgebra, seed: int = 0) -> DeRhamSplitting:
 
 def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -> DeRhamSplitting:
     n = g.dim
-    conn = levi_civita(g)
+    conn = g.levi_civita
     seeds, nabla = _closure_inputs(g, conn)
     if g.mode == EXACT and n >= 2 and _holonomy_dim_mod_p(g, seeds, nabla) == n * (n - 1) // 2:
         # hol = so(g), certified: it has no common kernel, and for n >= 2
@@ -464,8 +453,7 @@ class ConditionReport:
 
     @property
     def passed(self) -> bool:
-        return (self.orthogonal and self.complementary and self.s1_subalgebra
-                and self.s2_subalgebra and self.cross_s1 and self.cross_s2)
+        return all(astuple(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,9 +483,8 @@ def _cross_vanishes(g: MetricLieAlgebra, linear_rows: np.ndarray,
 def check_reducing_pair(g: MetricLieAlgebra, s1: Subspace, s2: Subspace) -> ConditionReport:
     if s1.mode != g.mode or s2.mode != g.mode:
         raise InputError("pair and algebra must use the same scalar mode")
-    sc = scale_of(g.gram)
-    prods = s1.basis @ g.gram @ s2.basis.T if s1.dim and s2.dim else None
-    orthogonal = prods is None or is_zero_matrix(prods, g.mode, g.tol, scale=sc)
+    orthogonal = is_zero_matrix(s1.basis @ g.gram @ s2.basis.T, g.mode, g.tol,
+                                scale=scale_of(g.gram))
     stacked = np.concatenate([s1.basis, s2.basis], axis=0)
     complementary = (s1.dim + s2.dim == g.dim
                      and (stacked.shape[0] == 0

@@ -12,7 +12,7 @@ algebra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Optional
 
 import numpy as np
@@ -31,13 +31,11 @@ from .liealg import (
     is_ideal,
     is_subalgebra,
     is_unimodular,
-    levi_civita,
     scaled_curvature,
 )
 from .linalg import (
     Subspace,
     check_square_scale,
-    invert,
     is_zero_matrix,
     make_subspace,
     matrix_rank,
@@ -51,6 +49,7 @@ from .scalars import (
     Mode,
     array_for_mode,
     from_scaled,
+    lowest_terms,
     to_float_array,
     to_scaled,
 )
@@ -72,29 +71,24 @@ class LcpData:
 
 def make_lcp_data(g: MetricLieAlgebra, ideal_rows: Any, lee_covector: Any,
                   complement_rows: Any = None) -> LcpData:
-    u = make_subspace(array_for_mode(ideal_rows, g.mode) if not isinstance(ideal_rows, np.ndarray)
-                      else ideal_rows, g.dim, g.mode, g.tol)
-    theta = lee_covector if isinstance(lee_covector, np.ndarray) \
-        else array_for_mode(lee_covector, g.mode)
+    def array(x: Any) -> np.ndarray:
+        return x if isinstance(x, np.ndarray) else array_for_mode(x, g.mode)
+    u = make_subspace(array(ideal_rows), g.dim, g.mode, g.tol)
+    theta = array(lee_covector)
     if theta.shape != (g.dim,):
         raise InputError(f"lee covector must have length {g.dim}")
     comp = None
     if complement_rows is not None:
-        rows = complement_rows if isinstance(complement_rows, np.ndarray) \
-            else array_for_mode(complement_rows, g.mode)
-        comp = make_subspace(rows, g.dim, g.mode, g.tol)
+        comp = make_subspace(array(complement_rows), g.dim, g.mode, g.tol)
     check_square_scale(u.basis, theta, *([] if comp is None else [comp.basis]))
     return LcpData(u, theta, comp)
 
 
 def lcp_data_to_float(data: LcpData) -> LcpData:
-    u = data.flat_ideal
-    uf = Subspace(u.ambient_dim, to_float_array(u.basis), FLOAT)
-    comp = None
-    if data.complement is not None:
-        comp = Subspace(data.complement.ambient_dim,
-                        to_float_array(data.complement.basis), FLOAT)
-    return LcpData(uf, to_float_array(data.lee_covector), comp)
+    def twin(s: Optional[Subspace]) -> Optional[Subspace]:
+        return None if s is None else Subspace(s.ambient_dim, to_float_array(s.basis), FLOAT)
+    return LcpData(twin(data.flat_ideal), to_float_array(data.lee_covector),
+                   twin(data.complement))
 
 
 # ---------------------------------------------------------------------------
@@ -103,22 +97,21 @@ def lcp_data_to_float(data: LcpData) -> LcpData:
 
 def lee_sharp(g: MetricLieAlgebra, theta: np.ndarray) -> np.ndarray:
     """The vector dual to the covector via the inner product."""
-    ginv = invert(g.gram, g.mode, g.tol)
-    return ginv @ theta
+    ginv, d = g.scaled_gram_inverse
+    return from_scaled(ginv @ theta, d)
 
 
 def weyl_connection(g: MetricLieAlgebra, theta: np.ndarray) -> InvariantConnection:
     """D_x y = N_x y + t(x) y + t(y) x - <x, y> t#, on top of Levi-Civita N."""
     diag = np.arange(g.dim)
-    base = levi_civita(g).coeffs
-    sharp = lee_sharp(g, theta)
-    # every term over d * d: the last one is a product of two over d
-    base, theta, gram, sharp, d = to_scaled(base, theta, g.gram, sharp)
-    coeffs = base * d
-    coeffs[:, diag, diag] += theta[:, None] * d  # coeffs[i, j, j] += theta[i]
-    coeffs[diag, :, diag] += theta[None, :] * d  # coeffs[i, j, i] += theta[j]
-    coeffs -= gram[:, :, None] * sharp
-    return InvariantConnection(from_scaled(coeffs, d * d), WEYL, g.mode)
+    base, dl = g.levi_civita.scaled
+    gram, theta, sharp, d = to_scaled(g.gram, theta, lee_sharp(g, theta))
+    # every term over dl * d * d: the last one is a product of two over d
+    coeffs = base * (d * d)
+    coeffs[:, diag, diag] += theta[:, None] * (dl * d)  # coeffs[i, j, j] += theta[i]
+    coeffs[diag, :, diag] += theta[None, :] * (dl * d)  # coeffs[i, j, i] += theta[j]
+    coeffs -= gram[:, :, None] * sharp * dl
+    return InvariantConnection(lowest_terms(coeffs, dl * d * d), WEYL, g.mode)
 
 
 def is_closed_covector(g: MetricLieAlgebra, theta: np.ndarray) -> bool:
@@ -186,38 +179,14 @@ class LcpReport:
 
     @property
     def overall(self) -> bool:
-        values = [self.proper, self.nonzero, self.closed, self.adapted,
-                  self.u_is_ideal, self.unimodular, self.u_weyl_parallel,
-                  self.u_weyl_flat, self.weyl_nonflat]
-        if self.lee_formula_consistent is not None:
-            values.append(self.lee_formula_consistent)
-        return all(values)
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        names = ["proper", "nonzero", "closed", "adapted", "u_is_ideal",
-                 "unimodular", "u_weyl_parallel", "u_weyl_flat", "weyl_nonflat",
-                 "lee_formula_consistent"]
-        out = []
-        for name in names:
-            value = getattr(self, name)
-            if value is False:
-                out.append(name)
-        return out
+        """The names of the failed checks, in field order."""
+        return [f.name for f in fields(self) if getattr(self, f.name) is False]
 
     def as_dict(self) -> dict:
-        return {
-            "proper": self.proper,
-            "nonzero": self.nonzero,
-            "closed": self.closed,
-            "adapted": self.adapted,
-            "u_is_ideal": self.u_is_ideal,
-            "unimodular": self.unimodular,
-            "u_weyl_parallel": self.u_weyl_parallel,
-            "u_weyl_flat": self.u_weyl_flat,
-            "weyl_nonflat": self.weyl_nonflat,
-            "lee_formula_consistent": self.lee_formula_consistent,
-            "overall": self.overall,
-        }
+        return {**asdict(self), "overall": self.overall}
 
 
 def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
@@ -235,9 +204,8 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     ideal = is_ideal(g, u)
     unimod = is_unimodular(g)
     conn = weyl_connection(g, theta)
-    parallel = restrict_operator(conn.operators, u.basis, g.mode, g.tol) is not None
-    sc_r = scale_of(conn.coeffs)
-    sc_r = sc_r * sc_r
+    parallel = restrict_operator(conn.scaled_operators, u.basis, g.mode, g.tol) is not None
+    sc_r = scale_of(conn.scaled[0]) ** 2
     curv = scaled_curvature(g, conn)[0]
     nonflat = not is_zero_matrix(curv, g.mode, g.tol, scale=sc_r)
     # R(e_i, e_j) u_k for every i, j and basis vector u_k of u
@@ -294,16 +262,11 @@ def _touched_factor_indices(splitting: DeRhamSplitting, rows: np.ndarray,
     coords = solve_linear(full.T, rows.T, g.mode, g.tol)
     if coords is None:
         raise TheoremViolationError("structure data does not lie in the factor span")
-    coords = coords.T  # one row of coordinates per input row
+    # one block of coordinates per factor, one row per input row
+    blocks = np.split(coords.T, np.cumsum(splitting.factor_dims)[:-1], axis=1)
     sc = scale_of(coords)
-    touched = []
-    offset = 0
-    for idx, f in enumerate(splitting.factors):
-        block = coords[:, offset:offset + f.dim]
-        if not is_zero_matrix(block, g.mode, g.tol, scale=sc):
-            touched.append(idx)
-        offset += f.dim
-    return tuple(touched)
+    return tuple(i for i, b in enumerate(blocks)
+                 if not is_zero_matrix(b, g.mode, g.tol, scale=sc))
 
 
 def lcp_decomposable(g: MetricLieAlgebra, data: LcpData, seed: int = 0,
@@ -330,19 +293,12 @@ def lcp_decomposable(g: MetricLieAlgebra, data: LcpData, seed: int = 0,
     rows = np.concatenate([dd.flat_ideal.basis, sharp.reshape(1, -1)], axis=0)
     touched = _touched_factor_indices(splitting, rows, gg)
     nonflat_touched = [i for i in touched if not splitting.factor_is_flat[i]]
-    principal: Optional[int]
-    if len(nonflat_touched) == 1:
-        principal = nonflat_touched[0]
-    else:
-        if not force:
-            raise TheoremViolationError(
-                "the structure must touch exactly one non-flat factor, "
-                f"found {len(nonflat_touched)}")
-        principal = None
-    q = data.q
-    bound = None
-    if principal is not None:
-        bound = splitting.factors[principal].dim >= q + 2
+    if len(nonflat_touched) != 1 and not force:
+        raise TheoremViolationError(
+            "the structure must touch exactly one non-flat factor, "
+            f"found {len(nonflat_touched)}")
+    principal = nonflat_touched[0] if len(nonflat_touched) == 1 else None
+    bound = None if principal is None else splitting.factors[principal].dim >= data.q + 2
     decomposable = len(touched) < len(splitting.factors)
     witness = None
     if decomposable:
@@ -360,7 +316,7 @@ def lcp_decomposable(g: MetricLieAlgebra, data: LcpData, seed: int = 0,
         splitting=splitting,
         touched_factors=touched,
         principal_factor_index=principal,
-        q=q,
+        q=data.q,
         dim_bound_satisfied=bound,
         lcp_report=report,
         mode=gg.mode,

@@ -25,10 +25,10 @@ from .linalg import (
     Subspace,
     check_square_scale,
     exact_det,
-    invert,
     is_zero_matrix,
     restrict_operator,
     scale_of,
+    scaled_inverse,
 )
 from .scalars import (
     DEFAULT_TOL,
@@ -37,9 +37,11 @@ from .scalars import (
     Mode,
     TolerancePolicy,
     array_for_mode,
+    as_fraction,
     check_mode,
     eye_array,
     from_scaled,
+    lowest_terms,
     to_float_array,
     to_scaled,
     zeros_array,
@@ -67,6 +69,16 @@ class MetricLieAlgebra:
     def scaled_bracket(self) -> tuple[np.ndarray, int]:
         """The bracket tensor as (ints, den), see ``to_scaled``."""
         return to_scaled(self.bracket)
+
+    @cached_property
+    def scaled_gram_inverse(self) -> tuple[np.ndarray, int]:
+        """G^-1 as (ints, den), see ``linalg.scaled_inverse``."""
+        return scaled_inverse(self.gram, self.mode)
+
+    @cached_property
+    def levi_civita(self) -> InvariantConnection:
+        """The Levi-Civita connection, built once per algebra."""
+        return levi_civita(self)
 
     def __repr__(self) -> str:
         return f"MetricLieAlgebra(dim={self.dim}, mode={self.mode})"
@@ -163,15 +175,19 @@ def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
     """
     if q.shape != (g.dim, g.dim):
         raise InputError("change of basis matrix has the wrong shape")
-    qinv = invert(q, g.mode, g.tol)
-    n = g.dim
-    c = zeros_array((n, n, n), g.mode)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = bracket_vec(g, q[i], q[j]) @ qinv
-            c[i, j, :] = v
-            c[j, i, :] = -v
-    return MetricLieAlgebra(c, q @ g.gram @ q.T, g.mode, g.basis_names, g.tol)
+    c, dc = g.scaled_bracket
+    qi, dq = to_scaled(q)
+    qinv, di = scaled_inverse(q, g.mode)
+    # t[i, k, j] = the e_k component of [q_i, q_j]
+    t = np.tensordot(np.tensordot(qi, c, axes=(1, 0)), qi, axes=(1, 1))
+    full = np.tensordot(t, qinv, axes=(1, 0))
+    # the upper triangle, mirrored: float output stays exactly antisymmetric
+    iu, ju = np.triu_indices(g.dim, 1)
+    new = np.zeros_like(full)
+    new[iu, ju] = full[iu, ju]
+    new[ju, iu] = -full[iu, ju]
+    return MetricLieAlgebra(from_scaled(new, dc * dq * dq * di), q @ g.gram @ q.T,
+                            g.mode, g.basis_names, g.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +240,7 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return (not self.antisymmetry_violations and not self.jacobi_violations
-                and self.gram_symmetric and self.gram_positive_definite)
+        return not self.failures()
 
     def failures(self) -> list[str]:
         out = []
@@ -248,10 +263,7 @@ class ValidationReport:
 def _is_positive_definite(gram: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:
     n = gram.shape[0]
     if mode == EXACT:
-        for k in range(1, n + 1):
-            if exact_det(gram[:k, :k]) <= 0:
-                return False
-        return True
+        return all(exact_det(gram[:k, :k]) > 0 for k in range(1, n + 1))
     w = np.linalg.eigvalsh(np.asarray(gram, dtype=np.float64))
     top = float(np.max(np.abs(w))) if n else 0.0
     return bool(n == 0 or w[0] > tol.rank_tol * max(1.0, top))
@@ -285,16 +297,27 @@ class InvariantConnection:
     """Left-invariant connection given by its coefficient tensor.
 
     ``coeffs[i, j, k]`` is the ``e_k`` component of the derivative of ``e_j``
-    along ``e_i``.
+    along ``e_i``. The tensor is kept on the scaled form, ``scaled`` =
+    (ints, den) in lowest terms or (float64 tensor, 1); the Fraction view
+    ``coeffs`` is built only when a caller reads it.
     """
 
-    coeffs: np.ndarray  # (n, n, n)
+    scaled: tuple[np.ndarray, int]  # (n, n, n) coefficients over one denominator
     kind: str
     mode: Mode
 
     @property
     def dim(self) -> int:
-        return int(self.coeffs.shape[0])
+        return int(self.scaled[0].shape[0])
+
+    @property
+    def scaled_operators(self) -> np.ndarray:
+        """All operators on the scaled form, each ``scaled[1]`` times its matrix."""
+        return np.transpose(self.scaled[0], (0, 2, 1))
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return from_scaled(*self.scaled)
 
     def operator(self, i: int) -> np.ndarray:
         return self.coeffs[i].T
@@ -306,18 +329,19 @@ class InvariantConnection:
 
 
 def levi_civita(g: MetricLieAlgebra) -> InvariantConnection:
-    """The unique torsion-free metric connection.
+    """The unique torsion-free metric connection; ``g.levi_civita`` keeps it.
 
     Defined by 2<D_x y, z> = <[x,y],z> + <[z,x],y> - <[y,z],x> on
     left-invariant fields.
     """
     c, dc = g.scaled_bracket
-    gram, ginv, d = to_scaled(g.gram, invert(g.gram, g.mode, g.tol))
+    gram, dg = to_scaled(g.gram)
+    ginv, di = g.scaled_gram_inverse
     b = np.tensordot(c, gram, axes=(2, 0))  # b[i,j,z] = <[e_i,e_j], e_z>
     # rhs[i, j, z] = b[i, j, z] + b[z, i, j] - b[j, z, i]
     rhs = b + np.transpose(b, (1, 2, 0)) - np.transpose(b, (2, 0, 1))
-    coeffs = from_scaled(np.tensordot(rhs, ginv, axes=(2, 0)), 2 * dc * d * d)
-    return InvariantConnection(coeffs, LEVI_CIVITA, g.mode)
+    coeffs = np.tensordot(rhs, ginv, axes=(2, 0))
+    return InvariantConnection(lowest_terms(coeffs, 2 * dc * dg * di), LEVI_CIVITA, g.mode)
 
 
 def _curvature(g: MetricLieAlgebra, conn: InvariantConnection,
@@ -332,7 +356,7 @@ def _curvature(g: MetricLieAlgebra, conn: InvariantConnection,
     """
     n = g.dim
     c, dc = g.scaled_bracket
-    a, da = to_scaled(conn.operators)
+    a, da = conn.scaled_operators, conn.scaled[1]
     prod = a[rows, None] @ a[None, cols]  # prod[i, j] = a[i] @ a[j]
     back = prod if rows == cols else a[cols, None] @ a[None, rows]
     # mixed[i, j] = the operator of [e_i, e_j]
@@ -357,14 +381,17 @@ def curvature_tensor(g: MetricLieAlgebra, conn: InvariantConnection) -> np.ndarr
     return from_scaled(*scaled_curvature(g, conn))
 
 
-def _max_abs(d: np.ndarray):
-    # a Fraction for exact entries; 0 when there are none
-    return np.max(np.abs(d), initial=0)
+def _max_abs(ints: np.ndarray, den: int):
+    """Largest magnitude in ints / den: exact, or a float in float mode."""
+    top = np.max(np.abs(ints), initial=0)
+    return top / den if ints.dtype == np.float64 else as_fraction(top) / den
 
 
 def torsion_defect(g: MetricLieAlgebra, conn: InvariantConnection):
     """Largest component of D_x y - D_y x - [x, y] over basis pairs."""
-    return _max_abs(conn.coeffs - np.transpose(conn.coeffs, (1, 0, 2)) - g.bracket)
+    a, da = conn.scaled
+    c, dc = g.scaled_bracket
+    return _max_abs((a - np.transpose(a, (1, 0, 2))) * dc - c * da, da * dc)
 
 
 def metric_defect(g: MetricLieAlgebra, conn: InvariantConnection,
@@ -373,6 +400,8 @@ def metric_defect(g: MetricLieAlgebra, conn: InvariantConnection,
     theta is the Lee covector of a Weyl connection, None for a metric one."""
     if theta is None:
         theta = zeros_array((g.dim,), g.mode)
-    a, gram, t, d = to_scaled(conn.operators, g.gram, theta)
-    defect = gram @ a + np.transpose(a, (0, 2, 1)) @ gram - 2 * t[:, None, None] * gram
-    return _max_abs(from_scaled(defect, d * d))
+    a, da = conn.scaled_operators, conn.scaled[1]
+    gram, t, d = to_scaled(g.gram, theta)
+    defect = ((gram @ a + np.transpose(a, (0, 2, 1)) @ gram) * d
+              - 2 * da * t[:, None, None] * gram)
+    return _max_abs(defect, d * d * da)

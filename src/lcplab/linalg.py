@@ -1,12 +1,14 @@
 """Linear algebra over the two scalar backends.
 
 Exact matrices come in as numpy object arrays of Fractions or Python
-ints and go out as Fractions, but the work runs on ints. One
-fraction-free echelon store does every exact elimination: rank, RREF,
-nullspace, solve and the span closure (a matrix is scaled to integers
-once, its rows are added one at a time with integer row operations, and
-a row is divided by its pivot only at the end). Products use the
-scaled-integer form of :mod:`lcplab.scalars`. Float computations run on float64 arrays,
+ints, and the work runs on ints. Solves, nullspaces and RREFs go out as
+Fractions; a span closure returns its kept matrices as they came, so
+the integer holonomy basis stays ints, and :func:`scaled_inverse` gives
+an inverse as ints over one denominator. One fraction-free echelon store
+does every exact elimination: rank, RREF, nullspace, solve, inverse and
+the span closure (a matrix is scaled to integers once, its rows are
+added one at a time with integer row operations, and a row is divided
+by its pivot only at the end). Float computations run on float64 arrays,
 with every zero decision governed by a :class:`TolerancePolicy`. Rank
 decisions in float mode use singular values relative to the largest one,
 from a thin SVD unless the matrix is wide; residual and identity checks
@@ -48,8 +50,8 @@ from .scalars import (
     FLOAT,
     Mode,
     TolerancePolicy,
-    exact_array,
     eye_array,
+    from_scaled,
     to_float_array,
     to_scaled,
     zeros_array,
@@ -176,32 +178,44 @@ def _exact_nullspace(a: np.ndarray) -> tuple[list[int], list[list[int]]]:
     return free, null
 
 
+def _solve_scaled(a: np.ndarray, b: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
+    """One solution of a @ x = b for exact matrices, free variables set to
+    zero, as (ints, den); None if the system is inconsistent."""
+    n = a.shape[1]
+    e = _ExactEchelon(np.concatenate([a, b], axis=1))
+    if e.pivots and e.pivots[-1] >= n:
+        return None  # a pivot in the rhs block: inconsistent
+    den = math.lcm(*(row[p] for row, p in zip(e.rows, e.pivots)))
+    x = np.zeros((n, b.shape[1]), dtype=object)
+    for row, p in zip(e.rows, e.pivots):
+        x[p] = [v * (den // row[p]) for v in row[n:]]
+    return x, den
+
+
 def exact_solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """Solve a @ x = b exactly (b a vector or matrix); None if inconsistent.
 
     For underdetermined systems returns one particular solution (free
     variables set to zero).
     """
-    m, n = a.shape
-    bb = b.reshape(m, -1)
-    k = bb.shape[1]
-    e = _ExactEchelon(np.concatenate([a, bb], axis=1))
-    x = zeros_array((n, k), EXACT)
-    for row, p in zip(e.rows, e.pivots):
-        if p >= n:
-            return None  # pivot in the rhs block: inconsistent
-        for j in range(k):
-            x[p, j] = Fraction(row[n + j], row[p])
-    return x.reshape((n,) + b.shape[1:]) if b.ndim == 1 else x
+    x = _solve_scaled(a, b.reshape(a.shape[0], -1))
+    return None if x is None else from_scaled(*x).reshape((a.shape[1],) + b.shape[1:])
 
 
-def exact_inverse(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    # a singular a leaves a pivot in the identity block: inconsistent
-    x = exact_solve(a, eye_array(n, EXACT))
+def scaled_inverse(a: np.ndarray, mode: Mode) -> tuple[np.ndarray, int]:
+    """The inverse of a square matrix on the scaled form: (ints, den) in
+    exact mode, (inverse, 1) in float mode."""
+    if mode != EXACT:
+        return np.linalg.inv(np.asarray(a, dtype=np.float64)), 1
+    # a singular a leaves a pivot in the identity block
+    x = _solve_scaled(a, np.identity(a.shape[0], dtype=int).astype(object))
     if x is None:
         raise InputError("matrix is singular; cannot invert")
     return x
+
+
+def exact_inverse(a: np.ndarray) -> np.ndarray:
+    return invert(a, EXACT, DEFAULT_TOL)
 
 
 def exact_det(a: np.ndarray) -> Fraction:
@@ -294,9 +308,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray, mode: Mode, tol: TolerancePolicy)
 
 
 def invert(a: np.ndarray, mode: Mode, tol: TolerancePolicy) -> np.ndarray:
-    if mode == EXACT:
-        return exact_inverse(a)
-    return np.linalg.inv(np.asarray(a, dtype=np.float64))
+    return from_scaled(*scaled_inverse(a, mode))
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,7 +420,9 @@ def orthocomplement(s: Subspace, gram: np.ndarray, tol: TolerancePolicy = DEFAUL
 
 
 def restricted_gram(basis_rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    return basis_rows @ gram @ basis_rows.T
+    """B G B^T on the scaled form: in exact mode a positive multiple of it, in ints."""
+    b, g, _ = to_scaled(basis_rows, gram)
+    return b @ g @ b.T
 
 
 def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
@@ -449,21 +463,22 @@ def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
 
 
 def canonical_rows(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> np.ndarray:
-    """Canonical basis of the row span: exact RREF, or sign-fixed float rows."""
+    """Canonical basis of the row span of independent rows B: its RREF. In
+    float mode the pivots are the leftmost columns that raise the numerical
+    rank (a singular value above rank_tol times B's largest), and the rows
+    are B[:, piv]^-1 B."""
     if rows.shape[0] == 0:
         return rows
     if mode == EXACT:
         rref, _ = _rref(rows)
         return np.array(rref, dtype=object).reshape(len(rref), rows.shape[1])
-    out = np.array(rows, dtype=np.float64)
-    for i in range(out.shape[0]):
-        norm = np.linalg.norm(out[i])
-        if norm > 0:
-            out[i] = out[i] / norm
-            j = int(np.argmax(np.abs(out[i])))
-            if out[i][j] < 0:
-                out[i] = -out[i]
-    return out
+    b = np.asarray(rows, dtype=np.float64)
+    cut = tol.rank_tol * np.linalg.norm(b, 2)
+    piv: list[int] = []
+    for j in range(b.shape[1]):
+        if len(piv) < b.shape[0] and np.linalg.svd(b[:, piv + [j]], compute_uv=False)[-1] > cut:
+            piv.append(j)
+    return np.linalg.solve(b[:, piv], b)
 
 
 def support_indices(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> tuple[int, ...]:
@@ -588,7 +603,8 @@ def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequen
     rows (each row one flattened matrix), so callers can reshape them back.
     In exact mode the matrices may be Fractions or plain ints, inserted
     into the same echelon store that every exact elimination uses; the
-    rows come back as Fractions. The candidates are the seeds, then the
+    rows are the kept matrices as they came, so integer seeds and steps
+    give integer rows. The candidates are the seeds, then the
     ``step`` images of each kept matrix in the order kept, each tested as
     it comes. ``max_dim`` is the dimension of a space known to contain
     the closure: once the span reaches it, every remaining candidate
@@ -601,8 +617,7 @@ def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequen
     accepted = _close(store, seed, step, max_dim)
     if not accepted:
         return zero_subspace(width, mode)
-    rows = np.stack([m.reshape(-1) for m in accepted])
-    return Subspace(width, exact_array(rows) if mode == EXACT else rows, mode)
+    return Subspace(width, np.stack([m.reshape(-1) for m in accepted]), mode)
 
 
 def closure_dim_mod_p(seed: Sequence[np.ndarray],
@@ -653,10 +668,9 @@ def _exact_selfadjoint_eigensplit(p: np.ndarray, gram: np.ndarray,
     the answer is None (promote to float) or exactly right.
     """
     n = p.shape[0]
-    pi, d = to_scaled(p)
+    pi, gi, d = to_scaled(p, gram)
     c = math.gcd(*pi.reshape(-1).tolist()) or 1
     pi = pi // c
-    gi = to_scaled(gram)[0]
     vi = to_scaled(_EXACT_FLOAT(v))[0]
     # the Rayleigh quotient num / den of column j in the gram inner product;
     # the common denominators cancel

@@ -4,14 +4,17 @@ Two backends: exact rationals and binary64 floats (float64 arrays). A
 single computation never mixes the two; promotion exact -> float is
 explicit and one-way.
 
-Exact arrays that callers read are numpy object arrays of
-``fractions.Fraction``; the work runs on a scaled-integer form of the
-same data, an object array of Python ints plus one common denominator
-(:func:`to_scaled` and :func:`from_scaled`). An exact array becomes ints
-once, where it is made, and each later span, invariance or zero test
-takes those ints: a positive scale changes none of them, and integer
-products skip the gcd normalisation that dominates ``Fraction``
-arithmetic.
+Exact input arrays are numpy object arrays of ``fractions.Fraction``;
+the work runs on a scaled-integer form of the same data, an object array
+of Python ints plus one common denominator (:func:`to_scaled` and
+:func:`from_scaled`). An exact array becomes ints once, where it is
+made, and each later span, invariance or zero test takes those ints: a
+positive scale changes none of them, and integer products skip the gcd
+normalisation that dominates ``Fraction`` arithmetic. So the objects
+that own such data keep it on that form: a connection keeps its scaled
+coefficient tensor and builds the Fraction view only when it is read,
+and the holonomy basis and the symmetric commutant come back as Python
+ints, each element a positive multiple of the rational one.
 
 A float64 array is its own scaled form over denominator 1, and so is an
 object array of Python ints: an algorithm written once on the scaled
@@ -139,6 +142,16 @@ def to_scaled(*arrays: np.ndarray) -> tuple:
     ints = [np.array([x.numerator * (den // x.denominator) for x in flat],
                      dtype=object).reshape(np.shape(a)) for flat, a in zip(flats, arrays)]
     return (*ints, den)
+
+
+def lowest_terms(ints: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """``(ints, den)`` with the common factor of every entry and ``den``
+    divided out, which is the least common denominator form of ``ints / den``.
+    A float64 array is divided by ``den`` and comes back over 1."""
+    if ints.dtype == _FLOAT64:
+        return ints / den, 1
+    g = math.gcd(den, *ints.reshape(-1).tolist())
+    return ints // g, den // g
 
 
 def from_scaled(ints: np.ndarray, den: int) -> np.ndarray:

@@ -6,6 +6,7 @@ curvature, invariance solves, the closure seeds and the commutant. Each is
 checked here against a small Fraction reference that does the same job
 the obvious way, or against the Fraction route the code used to take.
 """
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcplab import holonomy
-from lcplab.gallery import all_entries
+from lcplab import holonomy, linalg
+from lcplab.cli import run_analysis
+from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import de_rham_splitting, holonomy_algebra, symmetric_commutant
 from lcplab.lcp import lcp_data_to_float, weyl_connection
-from lcplab.liealg import (curvature_operator, curvature_tensor, levi_civita,
-                           to_float_algebra)
+from lcplab.liealg import (LEVI_CIVITA, WEYL, InvariantConnection, curvature_operator,
+                           curvature_tensor, levi_civita, to_float_algebra)
 from lcplab.linalg import (_ExactEchelon, _rref, canonical_rows, charpoly_exact, exact_det,
                            exact_solve, invert, is_zero_matrix, nullspace_rows,
                            rank_and_nullspace, residual_band, restrict_operator, scale_of)
@@ -349,7 +351,7 @@ def test_commutant_matches_fraction_route(random_corpus):
             if g.mode == EXACT:
                 flat = [np.stack([p.reshape(-1) for p in c]) for c in (got, want)]
                 assert np.array_equal(*(canonical_rows(c, EXACT, g.tol) for c in flat)), g
-                assert all(type(x) is Fraction for p in got for x in p.reshape(-1))
+                assert all(type(x) is int for p in got for x in p.reshape(-1))
             else:
                 assert all(_same(p, q) for p, q in zip(got, want)), g
     assert reduced > 0
@@ -373,3 +375,30 @@ def test_closure_seeds_are_positive_multiples_of_the_curvature(random_corpus):
         else:
             assert all(_same(a, b) for a, b in zip(seeds, want)), g
             assert all(_same(a, conn.operator(k)) for k, a in enumerate(nabla)), g
+
+
+def test_one_levi_civita_and_one_gram_inverse_per_analysis(monkeypatch):
+    # the split, the Weyl connection, the Lee vector and the so(g) basis
+    # share them; separate builds made 2 Levi-Civita connections and 5
+    # inversions of the gram matrix here
+    entry = sl_example(2)
+    g = dataclasses.replace(entry.algebra)  # a fresh algebra: nothing cached yet
+    kinds, inversions = [], []
+    init = InvariantConnection.__init__
+
+    def counting_init(self, scaled, kind, mode):
+        kinds.append(kind)
+        init(self, scaled, kind, mode)
+    solve = linalg._solve_scaled
+
+    def counting_solve(a, b):
+        inversions.append(a is g.gram)
+        return solve(a, b)
+    # every connection is made through the one class and every exact
+    # inverse through the one solve, however they are imported
+    monkeypatch.setattr(InvariantConnection, "__init__", counting_init)
+    monkeypatch.setattr(linalg, "_solve_scaled", counting_solve)
+    report, code = run_analysis(g, entry.lcp)
+    assert code == 0 and report["lcp_report"]["overall"]
+    assert kinds == [LEVI_CIVITA, WEYL]
+    assert inversions.count(True) == 1

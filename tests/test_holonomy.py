@@ -180,6 +180,16 @@ def test_nabla_commutant_flat_rotation_plane():
     assert len(comm) == 2
 
 
+def test_scalar_test_does_not_divide():
+    # the mean of an int diagonal is a float, and 2**60 + 1 and 2**60 + 2
+    # round to the same float
+    p = np.diag(np.array([2**60 + 1, 2**60 + 2], dtype=object))
+    for q in (p, exact_array(p)):
+        assert not holonomy._is_scalar_matrix(q, EXACT, DEFAULT_TOL)
+    assert holonomy._is_scalar_matrix(np.diag(np.array([2**60 + 1] * 2, dtype=object)),
+                                      EXACT, DEFAULT_TOL)
+
+
 # ---------------------------------------------------------------------------
 # splitting
 
@@ -236,6 +246,27 @@ def test_three_way_product():
     assert s.factor_is_flat == (True, False, False)
     # support ordering puts the first plane before the second
     assert s.factors[1].basis[0][0] != 0 or s.factors[1].basis[1][0] != 0
+
+
+def test_float_sort_key_is_basis_free():
+    # one float subspace, its basis mixed by a rotation: the same key
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((3, 6))
+    b[:, 0] = 0
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    keys = [holonomy._sort_key(Subspace(6, rows, FLOAT), FLOAT, DEFAULT_TOL)
+            for rows in (b, rot @ b)]
+    assert keys[0] == keys[1]
+    assert keys[0][1] == (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("name", [e.name for e in all_entries() if e.algebra.mode == EXACT])
+def test_float_sort_key_equals_the_exact_one(name):
+    g = next(e for e in all_entries() if e.name == name).algebra
+    exact, float_twin = de_rham_splitting(g), de_rham_splitting(to_float_algebra(g))
+    assert exact.mode == EXACT and float_twin.factor_dims == exact.factor_dims
+    for fe, ff in zip(exact.factors, float_twin.factors):
+        assert holonomy._sort_key(ff, FLOAT, g.tol) == holonomy._sort_key(fe, EXACT, g.tol)
 
 
 def test_splitting_deterministic_across_seeds():

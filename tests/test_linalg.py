@@ -292,6 +292,20 @@ def test_canonical_rows_exact_is_rref():
     assert can[0, 0] == 1 and can[0, 1] == 0 and can[1, 0] == 0 and can[1, 1] == 1
 
 
+def test_canonical_rows_float_is_the_rref():
+    # two bases of one float subspace give the same rows: identity at the
+    # leftmost columns that raise the rank, past a column of roundoff
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((3, 7))
+    b[:, 0] = 1e-20 * rng.standard_normal(3)
+    b[:, 2] = 2 * b[:, 1]
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    can = canonical_rows(b, FLOAT, DEFAULT_TOL)
+    assert np.abs(can - canonical_rows(rot @ b, FLOAT, DEFAULT_TOL)).max() < 1e-9
+    assert np.abs(can[:, [1, 3, 4]] - np.eye(3)).max() < 1e-12
+    assert np.abs(can @ np.linalg.pinv(b) @ b - can).max() < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # span closure
 

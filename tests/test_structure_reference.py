@@ -5,8 +5,12 @@ a stack of operators or one zero test on a whole tensor. The references
 below are the loops it used to run instead: one row-span solve or one
 zero test per basis pair. Slow and obvious, they must give the same
 verdicts on every gallery entry and on 30 corpus algebras, exact and
-float.
+float. The same holds for two constructions that now run as one
+contraction on the scaled form: the change of basis and the Weyl
+connection, whose references build them the way they used to be built.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,11 +19,13 @@ from lcplab.gallery import all_entries
 from lcplab.holonomy import _cross_vanishes, de_rham_splitting
 from lcplab.lcp import (LcpData, is_closed_covector, lcp_data_to_float, validate_lcp,
                         weyl_connection)
-from lcplab.liealg import (bracket_vec, curvature_tensor, inner, is_ideal, is_subalgebra,
-                           is_unimodular, to_float_algebra, transform_algebra)
-from lcplab.linalg import (Subspace, canonical_rows, coords_in_rowbasis, invert,
+from lcplab.liealg import (MetricLieAlgebra, bracket_vec, curvature_tensor, inner, is_ideal,
+                           is_subalgebra, is_unimodular, levi_civita, to_float_algebra,
+                           transform_algebra)
+from lcplab.linalg import (Subspace, canonical_rows, coords_in_rowbasis, exact_det, invert,
                            is_zero_matrix, residual_band, scale_of)
-from lcplab.scalars import EXACT, FLOAT, eye_array, to_float_array
+from lcplab.scalars import (EXACT, FLOAT, array_for_mode, exact_array, eye_array, from_scaled,
+                            to_float_array, to_scaled, zeros_array)
 
 # ---------------------------------------------------------------------------
 # references: one decision per basis pair
@@ -83,6 +89,41 @@ def ref_lcp_flags(g, data):
                                   scale=sc_r * scale_of(u.basis)):
                 flat_on_u = False
     return ref_is_ideal(g, u), flat_on_u, nonflat
+
+
+def ref_transform_algebra(g, q):
+    """The change of basis as one bracket per basis pair."""
+    qinv = invert(q, g.mode, g.tol)
+    n = g.dim
+    c = zeros_array((n, n, n), g.mode)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = bracket_vec(g, q[i], q[j]) @ qinv
+            c[i, j, :] = v
+            c[j, i, :] = -v
+    return MetricLieAlgebra(c, q @ g.gram @ q.T, g.mode, g.basis_names, g.tol)
+
+
+def ref_levi_civita(g):
+    """Levi-Civita coefficients as Fractions, from a Fraction inverse of the gram."""
+    c, dc = g.scaled_bracket
+    gram, ginv, d = to_scaled(g.gram, invert(g.gram, g.mode, g.tol))
+    b = np.tensordot(c, gram, axes=(2, 0))
+    rhs = b + np.transpose(b, (1, 2, 0)) - np.transpose(b, (2, 0, 1))
+    return from_scaled(np.tensordot(rhs, ginv, axes=(2, 0)), 2 * dc * d * d)
+
+
+def ref_weyl_coeffs(g, theta):
+    """Weyl coefficients from the Fraction Levi-Civita coefficients, each
+    term scaled to one denominator."""
+    diag = np.arange(g.dim)
+    sharp = invert(g.gram, g.mode, g.tol) @ theta
+    base, theta, gram, sharp, d = to_scaled(ref_levi_civita(g), theta, g.gram, sharp)
+    coeffs = base * d
+    coeffs[:, diag, diag] += theta[:, None] * d
+    coeffs[diag, :, diag] += theta[None, :] * d
+    coeffs -= gram[:, :, None] * sharp
+    return from_scaled(coeffs, d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -207,3 +248,66 @@ def test_validate_lcp_flags_match_the_pair_loop(cases):
                     lambda g, spaces, pairs, lcps: [(d,) for d in lcps])
     for k in range(3):
         assert {s[k] for s in seen} == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# constructions against the way they used to be built
+
+
+def _invertible(rng, n):
+    while True:
+        q = exact_array([[Fraction(int(rng.integers(-2, 3)), int(rng.choice((1, 2))))
+                          for _ in range(n)] for _ in range(n)])
+        if exact_det(q) != 0:
+            return q
+
+
+def _equal_in_mode(g, got, want):
+    """Equal Fractions in exact mode, within the residual band in float mode."""
+    if g.mode == EXACT:
+        return np.array_equal(got, want) and all(type(x) is Fraction for x in got.reshape(-1))
+    return float(np.abs(got - want).max()) <= residual_band(g.tol) * scale_of(want)
+
+
+@pytest.fixture(scope="module")
+def construction_cases(random_corpus):
+    """(algebra, Lee covectors in its mode): every gallery entry with
+    structure data and 30 corpus algebras, each with a seeded covector as
+    well; exact algebras also come as float twins."""
+    rng = np.random.default_rng(20)
+    out = []
+    entries = [(e.algebra, [e.lcp.lee_covector]) for e in all_entries() if e.lcp is not None]
+    for g, thetas in entries + [(g, []) for g in random_corpus[:30]]:
+        seeded = [Fraction(int(rng.integers(-3, 4)), int(rng.choice((1, 2, 3))))
+                  for _ in range(g.dim)]
+        thetas = thetas + [array_for_mode(seeded, g.mode)]
+        out.append((g, thetas))
+        if g.mode == EXACT:
+            out.append((to_float_algebra(g), [to_float_array(t) for t in thetas]))
+    return out
+
+
+def test_transform_algebra_matches_the_pair_loop(construction_cases):
+    rng = np.random.default_rng(21)
+    for g, _ in construction_cases:
+        q = _invertible(rng, g.dim)
+        if g.mode == FLOAT:
+            q = to_float_array(q)
+        got, want = transform_algebra(g, q), ref_transform_algebra(g, q)
+        assert _equal_in_mode(g, got.bracket, want.bracket), g
+        assert np.array_equal(got.gram, want.gram)
+        # float output stays exactly antisymmetric
+        assert (got.bracket == -np.transpose(got.bracket, (1, 0, 2))).all()
+
+
+def test_weyl_connection_matches_the_fraction_formula(construction_cases):
+    for g, thetas in construction_cases:
+        lc = levi_civita(g)
+        assert _equal_in_mode(g, lc.coeffs, ref_levi_civita(g)), g
+        for theta in thetas:
+            assert _equal_in_mode(g, weyl_connection(g, theta).coeffs,
+                                  ref_weyl_coeffs(g, theta)), g
+        # a zero Lee form gives the Levi-Civita connection back
+        zero = weyl_connection(g, zeros_array((g.dim,), g.mode))
+        assert np.array_equal(zero.coeffs, lc.coeffs)
+        assert np.array_equal(zero.scaled[0], lc.scaled[0]) and zero.scaled[1] == lc.scaled[1]
