@@ -5,13 +5,18 @@ smallest solvable model, its product with a line, a five-dimensional
 solvable algebra with an irrational rotation rate that forces float
 mode, and a fourteen-dimensional semidirect sum with semisimple part.
 Entries are cached and shared; treat them as read-only.
+
+The builders run on ints. A semidirect sum checks its action and fills
+its bracket on the scaled form of the action matrices and of h's
+bracket (``scalars.to_scaled``), and sl(d) comes from an int stack of
+its basis matrices: its commutator coordinates and its trace form are
+each one product.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,8 +26,8 @@ from .lattice import LatticeData, companion
 from .lcp import LcpData, make_lcp_data
 from .liealg import (MetricLieAlgebra, bracket_table, direct_sum_algebra,
                      make_algebra)
-from .scalars import (EXACT, FLOAT, Mode, array_for_mode, as_fraction,
-                      exact_array, eye_array, zeros_array)
+from .scalars import (EXACT, FLOAT, Mode, array_for_mode, eye_array, from_scaled,
+                      to_scaled, zeros_array)
 
 __all__ = [
     "ExpectedVerdicts", "GalleryEntry", "semidirect_sum",
@@ -82,32 +87,24 @@ def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
             raise InputError(f"action matrix {k} has shape {arr.shape}, "
                              f"expected {(v_dim, v_dim)}")
         mats.append(arr)
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            commutator = mats[i] @ mats[j] - mats[j] @ mats[i]
-            expected = zeros_array((v_dim, v_dim), h.mode)
-            for k in range(h.dim):
-                expected = expected + h.bracket[i, j, k] * mats[k]
-            defect = commutator - expected
-            bad = max((abs(float(x)) for x in defect.flat), default=0.0)
-            if bad > (0.0 if h.mode is EXACT else 1e-12 * max(
-                    1.0, max(abs(float(x)) for m in mats for x in m.flat))):
-                ni, nj = h.basis_names[i], h.basis_names[j]
-                raise InputError(
-                    f"action is not a homomorphism: [rep({ni}), rep({nj})] "
-                    f"differs from rep([{ni}, {nj}])")
+    rho, hc, den = to_scaled(np.array(mats).reshape(h.dim, v_dim, v_dim), h.bracket)
+    # defect[i, j] = [rho_i, rho_j] - sum_k c_ijk rho_k, times den^2
+    prod = rho[:, None] @ rho[None, :]
+    defect = prod - np.transpose(prod, (1, 0, 2, 3)) - np.tensordot(hc, rho, axes=(2, 0))
+    worst = np.abs(defect).max(axis=(2, 3))
+    limit = 0 if h.mode is EXACT else 1e-12 * max(1.0, float(np.abs(rho).max(initial=0)))
+    for i, j in zip(*np.triu_indices(h.dim, 1)):
+        if worst[i, j] > limit:
+            ni, nj = h.basis_names[i], h.basis_names[j]
+            raise InputError(
+                f"action is not a homomorphism: [rep({ni}), rep({nj})] "
+                f"differs from rep([{ni}, {nj}])")
+    # [h_k, v_j] = sum_m rho_k[m, j] v_m, and h brackets as in h
     n = v_dim + h.dim
-    c = zeros_array((n, n, n), h.mode)
-    for k in range(h.dim):
-        for j in range(v_dim):
-            for m in range(v_dim):
-                val = mats[k][m, j]
-                c[v_dim + k, j, m] = val
-                c[j, v_dim + k, m] = -val
-    for i in range(h.dim):
-        for j in range(h.dim):
-            for k in range(h.dim):
-                c[v_dim + i, v_dim + j, v_dim + k] = h.bracket[i, j, k]
+    c = np.zeros((n, n, n), dtype=rho.dtype)
+    c[v_dim:, :v_dim, :v_dim] = np.transpose(rho, (0, 2, 1))
+    c[:v_dim, v_dim:, :v_dim] = -np.transpose(rho, (2, 0, 1))
+    c[v_dim:, v_dim:, v_dim:] = hc
     vg = eye_array(v_dim, h.mode) if v_gram is None else array_for_mode(v_gram, h.mode)
     if vg.shape != (v_dim, v_dim):
         raise InputError("v_gram has the wrong shape")
@@ -117,7 +114,8 @@ def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
     if v_names is None:
         v_names = tuple(f"v{i}" for i in range(v_dim))
     names = tuple(v_names) + tuple(h.basis_names)
-    return make_algebra(c, gram=gram, mode=h.mode, basis_names=names, tol=h.tol)
+    return make_algebra(from_scaled(c, den), gram=gram, mode=h.mode, basis_names=names,
+                        tol=h.tol)
 
 
 def _line(name: str = "s") -> MetricLieAlgebra:
@@ -258,65 +256,32 @@ def strongly_irreducible_example() -> GalleryEntry:
              "only realizes units of degree at most 2")
 
 
-def _sl_basis(d: int) -> tuple[list[np.ndarray], tuple[str, ...]]:
-    """Traceless d x d matrices: elementary off-diagonal units, then
-    consecutive diagonal differences."""
-    mats: list[np.ndarray] = []
-    names: list[str] = []
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            m = zeros_array((d, d), EXACT)
-            m[i, j] = Fraction(1)
-            mats.append(m)
-            names.append(f"E{i + 1}{j + 1}")
-    for k in range(d - 1):
-        m = zeros_array((d, d), EXACT)
-        m[k, k] = Fraction(1)
-        m[k + 1, k + 1] = Fraction(-1)
-        mats.append(m)
-        names.append("H" if d == 2 else f"H{k + 1}")
+def _sl_basis(d: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Traceless d x d matrices as one int stack: elementary off-diagonal
+    units, then consecutive diagonal differences."""
+    off = [(i, j) for i in range(d) for j in range(d) if i != j]
+    units = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
+    diag = units[::d + 1]
+    mats = np.concatenate([units[[i * d + j for i, j in off]], diag[:-1] - diag[1:]])
+    names = [f"E{i + 1}{j + 1}" for i, j in off]
+    names += ["H"] if d == 2 else [f"H{k + 1}" for k in range(d - 1)]
     return mats, tuple(names)
-
-
-def _traceless_coords(m: np.ndarray, d: int) -> list[Fraction]:
-    """Coordinates of a traceless matrix in the _sl_basis order."""
-    coords: list[Fraction] = []
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                coords.append(as_fraction(m[i, j]))
-    partial = Fraction(0)
-    for k in range(d - 1):
-        partial += as_fraction(m[k, k])
-        coords.append(partial)
-    return coords
 
 
 def _sl_with_line(d: int) -> MetricLieAlgebra:
     """sl(d) plus a central line b, with the trace form tr(M^T N)."""
     mats, names = _sl_basis(d)
     s = len(mats)
-    n = s + 1
-    c = zeros_array((n, n, n), EXACT)
-    for i in range(s):
-        for j in range(i + 1, s):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            coords = _traceless_coords(comm, d)
-            for k in range(s):
-                c[i, j, k] = coords[k]
-                c[j, i, k] = -coords[k]
-    gram = zeros_array((n, n), EXACT)
-    for i in range(s):
-        for j in range(s):
-            acc = Fraction(0)
-            for a in range(d):
-                for bb in range(d):
-                    acc += mats[i][a, bb] * mats[j][a, bb]
-            gram[i, j] = acc
-    gram[s, s] = Fraction(1)
-    return make_algebra(c, gram=gram, basis_names=names + ("b",))
+    flat = mats.reshape(s, d * d)
+    # coordinates in the _sl_basis order: the off-diagonal entries, then
+    # the partial sums of the diagonal
+    partial = np.zeros((d - 1, d * d), dtype=np.int64)
+    partial[:, ::d + 1] = np.tri(d - 1, d, dtype=np.int64)
+    coords = np.concatenate([flat[:1 - d], partial])
+    prod = mats[:, None] @ mats[None, :]
+    comm = (prod - np.transpose(prod, (1, 0, 2, 3))).reshape(s, s, d * d)
+    sl = make_algebra(comm @ coords.T, gram=flat @ flat.T, basis_names=names)
+    return direct_sum_algebra(sl, _line("b"))
 
 
 @functools.cache
@@ -335,18 +300,11 @@ def sl_example(d: int = 2) -> GalleryEntry:
     n = d * d
     h = _sl_with_line(d)
     mats, _ = _sl_basis(d)
-    i_d = eye_array(d, EXACT)
-    i2 = eye_array(2, EXACT)
-    pm = exact_array([[1, 0], [0, -1]])
-
-    def act_on_block(m: np.ndarray) -> np.ndarray:
-        # d x d matrices sit in the first n coordinates, the last is fixed
-        out = zeros_array((n + 1, n + 1), EXACT)
-        out[:n, :n] = np.kron(i_d, m)
-        return out
-
-    rep = [np.kron(act_on_block(m), i2) for m in mats]
-    rep.append(np.kron(eye_array(n + 1, EXACT), pm))
+    # M acts on the d x d block as kron(I, M) and fixes the last vector
+    blocks = np.zeros((len(mats), n + 1, n + 1), dtype=np.int64)
+    blocks[:, :n, :n] = np.kron(np.eye(d, dtype=np.int64), mats)
+    b_act = np.kron(np.eye(n + 1, dtype=np.int64), np.diag([1, -1]))
+    rep = np.concatenate([np.kron(blocks, np.eye(2, dtype=np.int64)), b_act[None]])
     v_names = tuple(f"w{i}{j}" for i in range(n + 1) for j in range(2))
     g = semidirect_sum(h, rep, v_dim=2 * (n + 1), v_names=v_names)
     dim = g.dim

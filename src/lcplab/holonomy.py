@@ -165,20 +165,26 @@ def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
     return closure_dim_mod_p(upper, step, p)
 
 
-def _orthogonal_algebra(g: MetricLieAlgebra) -> OperatorAlgebra:
-    """so(g), with basis G^-1 (E_ij - E_ji) for i < j, on the scaled form of G^-1.
+def _gram_inverse_basis(ginv: np.ndarray, sign: int) -> np.ndarray:
+    """The matrices G^-1 (E_ij + sign E_ji), i < j, on the scaled form of G^-1;
+    for sign +1 also G^-1 E_ii.
 
-    That matrix is zero but in two columns: column j is column i of G^-1,
-    and column i is minus column j of G^-1.
+    Each is zero but in two columns: column j is column i of G^-1, and
+    column i is sign times column j of G^-1.
     """
-    n = g.dim
-    ginv = g.scaled_gram_inverse[0]
-    iu, ju = np.triu_indices(n, 1)
+    n = ginv.shape[0]
+    iu, ju = np.triu_indices(n, 0 if sign > 0 else 1)
     k = np.arange(len(iu))
     mats = np.zeros((len(iu), n, n), dtype=ginv.dtype)
     mats[k, :, ju] = ginv[:, iu].T
-    mats[k, :, iu] = -ginv[:, ju].T
-    return OperatorAlgebra(n, tuple(mats), g.mode)
+    mats[k, :, iu] = sign * ginv[:, ju].T
+    return mats
+
+
+def _orthogonal_algebra(g: MetricLieAlgebra) -> OperatorAlgebra:
+    """so(g), with basis G^-1 (E_ij - E_ji) for i < j."""
+    return OperatorAlgebra(g.dim, tuple(_gram_inverse_basis(g.scaled_gram_inverse[0], -1)),
+                           g.mode)
 
 
 def common_kernel(ops: Sequence[np.ndarray], ambient_dim: int, mode: Mode,
@@ -203,14 +209,14 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
     nullspace comes as primitive integer rows. That changes no span, and
     the elements come back on that form: Python ints in exact mode.
     """
-    n = gram.shape[0]
-    ginv = scaled_inverse(gram, mode)[0]
-    # G^-1 (E_ij + E_ji) is zero but in column j, which is column i of
-    # G^-1, and column i, which is column j of G^-1
-    iu, ju = np.triu_indices(n)
-    work = np.zeros((len(iu), n, n), dtype=ginv.dtype)
-    work[np.arange(len(iu)), :, ju] = ginv[:, iu].T
-    work[np.arange(len(iu)), :, iu] = ginv[:, ju].T
+    return _commutant(ops, scaled_inverse(gram, mode)[0], mode, tol)
+
+
+def _commutant(ops: Sequence[np.ndarray], ginv: np.ndarray, mode: Mode,
+               tol: TolerancePolicy) -> list[np.ndarray]:
+    """symmetric_commutant from G^-1 on the scaled form."""
+    work = _gram_inverse_basis(ginv, 1)
+    n = ginv.shape[0]
     for a in ops:
         if len(work) <= 1:
             break
@@ -233,7 +239,7 @@ def nabla_commutant(g: MetricLieAlgebra,
                     conn: Optional[InvariantConnection] = None) -> list[np.ndarray]:
     if conn is None:
         conn = g.levi_civita
-    return symmetric_commutant(list(conn.scaled_operators), g.gram, g.mode, g.tol)
+    return _commutant(list(conn.scaled_operators), g.scaled_gram_inverse[0], g.mode, g.tol)
 
 
 def _is_scalar_matrix(p: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:
@@ -339,8 +345,7 @@ def _sort_key(factor: Subspace, mode: Mode, tol: TolerancePolicy):
     return (-factor.dim, supp, body)
 
 
-def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace],
-                      flat_flags: list[bool], hol: OperatorAlgebra,
+def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace], hol: OperatorAlgebra,
                       conn: InvariantConnection) -> None:
     n = g.dim
     total = sum(f.dim for f in factors)
@@ -386,7 +391,7 @@ def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -
     else:
         hol = _closed_holonomy(g, conn, seeds, nabla)
         factors, flags = _factors(g, hol, random.Random(seed))
-    _verify_splitting(g, factors, flags, hol, conn)
+    _verify_splitting(g, factors, hol, conn)
     return DeRhamSplitting(g, tuple(factors), tuple(flags), hol, conn, g.mode, promoted)
 
 

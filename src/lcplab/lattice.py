@@ -450,29 +450,24 @@ def solve_conjugacy(m: Sequence, tol: float = 1e-9) -> Optional[ConjugacySolutio
         rot_items.append((mu, vec.imag.copy(), vec.real.copy()))
         used[i] = True
         used[partner] = True
-    cols: list[np.ndarray] = []
-    for _, vec in sorted(real_items, key=lambda p: -p[0]):
-        cols.append(vec)
-    for _, vi, vr in sorted(rot_items, key=lambda p: -p[0]):
-        cols.append(vi)
-        cols.append(vr)
+    real_items.sort(key=lambda p: -p[0])
+    rot_items.sort(key=lambda p: -p[0])
+    cols = [vec for _, vec in real_items] + [v for _, vi, vr in rot_items for v in (vi, vr)]
     c = np.stack(cols, axis=1)
     if np.linalg.matrix_rank(c, tol=1e-9 * max(1.0, float(np.max(np.abs(c))))) < n:
         return None  # defective: eigenvectors do not fill the space
-    logs = sorted((lg for lg, _ in real_items), reverse=True)
-    angles = sorted((mu for mu, _, _ in rot_items), reverse=True)
-    if logs and logs[0] > 0:
-        t0 = logs[0]
-    elif angles:
-        t0 = angles[0]
+    if real_items and real_items[0][0] > 0:
+        t0 = real_items[0][0]
+    elif rot_items:
+        t0 = rot_items[0][0]
     else:
         t0 = 1.0  # identity-like: any time step works
     gen = np.zeros((n, n))
     pos = 0
-    for lg, _ in sorted(real_items, key=lambda p: -p[0]):
+    for lg, _ in real_items:
         gen[pos, pos] = lg / t0
         pos += 1
-    for mu, _, _ in sorted(rot_items, key=lambda p: -p[0]):
+    for mu, _, _ in rot_items:
         gen[pos, pos + 1] = -mu / t0
         gen[pos + 1, pos] = mu / t0
         pos += 2
@@ -527,14 +522,11 @@ def discreteness_probe(values: Sequence[float], tol: float = 1e-6,
     floor = 1e-13 * scale
     work = sorted({v for v in vals if v > floor})
     for _ in range(max_rounds):
-        if len(work) == 1:
-            g = work[0]
-            if g <= tol * scale:
-                return ProbeResult(discrete=False, rank=None, generator=None)
-            return ProbeResult(discrete=True, rank=1, generator=g)
         g = work[0]
         if g <= tol * scale:
             return ProbeResult(discrete=False, rank=None, generator=None)
+        if len(work) == 1:
+            return ProbeResult(discrete=True, rank=1, generator=g)
         reduced = {g}
         for v in work[1:]:
             r = math.fmod(v, g)

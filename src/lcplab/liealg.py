@@ -177,6 +177,7 @@ def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
         raise InputError("change of basis matrix has the wrong shape")
     c, dc = g.scaled_bracket
     qi, dq = to_scaled(q)
+    gram, dg = to_scaled(g.gram)
     qinv, di = scaled_inverse(q, g.mode)
     # t[i, k, j] = the e_k component of [q_i, q_j]
     t = np.tensordot(np.tensordot(qi, c, axes=(1, 0)), qi, axes=(1, 1))
@@ -186,7 +187,8 @@ def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
     new = np.zeros_like(full)
     new[iu, ju] = full[iu, ju]
     new[ju, iu] = -full[iu, ju]
-    return MetricLieAlgebra(from_scaled(new, dc * dq * dq * di), q @ g.gram @ q.T,
+    return MetricLieAlgebra(from_scaled(new, dc * dq * dq * di),
+                            from_scaled(qi @ gram @ qi.T, dq * dq * dg),
                             g.mode, g.basis_names, g.tol)
 
 

@@ -69,6 +69,18 @@ class TestSemidirect:
         g = semidirect_sum(sl2, rep_ok, v_dim=4)
         assert g.dim == 7
 
+    def test_rejects_untwisted_matrix_action_in_float(self):
+        c = bracket_table(3, {(0, 1): {2: 1.0}, (2, 0): {0: 2.0},
+                              (2, 1): {1: -2.0}}, FLOAT)
+        sl2 = make_algebra(c, mode=FLOAT, basis_names=("E12", "E21", "H"))
+        units = [np.array(m, dtype=float) for m in
+                 ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]])]
+        i2 = np.eye(2)
+        with pytest.raises(InputError, match="E12.*E21"):
+            semidirect_sum(sl2, [np.kron(i2, m.T) for m in units], v_dim=4)
+        g = semidirect_sum(sl2, [np.kron(i2, m) for m in units], v_dim=4)
+        assert g.dim == 7 and g.mode is FLOAT
+
     def test_shape_validation(self):
         h = self.affine()
         with pytest.raises(InputError):

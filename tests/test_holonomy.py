@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcplab import holonomy
+from lcplab import holonomy, linalg
 from lcplab.cli import run_analysis
 from lcplab.errors import NumericalAmbiguityError
 from lcplab.gallery import all_entries, sl_example
@@ -178,6 +178,22 @@ def test_commutant_members_commute_and_are_selfadjoint():
 def test_nabla_commutant_flat_rotation_plane():
     comm = nabla_commutant(euclidean_motions())
     assert len(comm) == 2
+
+
+def test_one_gram_inverse_per_algebra(monkeypatch):
+    # the flat reducing pair takes its commutant's G^-1 from the algebra
+    g = make_algebra(bracket_table(3, {}), gram=exact_array([[2, 1, 0], [1, 2, 0], [0, 0, 1]]))
+    solve = linalg._solve_scaled
+    calls = []
+
+    def counting(a, b):
+        if a.shape == g.gram.shape and np.array_equal(a, g.gram):
+            calls.append(1)
+        return solve(a, b)
+    monkeypatch.setattr(linalg, "_solve_scaled", counting)
+    report, code = run_analysis(g)
+    assert code == 0 and report["reducing_witness"] is not None
+    assert len(calls) == 1
 
 
 def test_scalar_test_does_not_divide():

@@ -5,9 +5,10 @@ a stack of operators or one zero test on a whole tensor. The references
 below are the loops it used to run instead: one row-span solve or one
 zero test per basis pair. Slow and obvious, they must give the same
 verdicts on every gallery entry and on 30 corpus algebras, exact and
-float. The same holds for two constructions that now run as one
-contraction on the scaled form: the change of basis and the Weyl
-connection, whose references build them the way they used to be built.
+float. The same holds for the constructions that now run as contractions
+on the scaled form: the change of basis, the Weyl connection and the
+gallery's semidirect sums and sl(d), whose references build them the way
+they used to be built, with Fraction loops.
 """
 
 from fractions import Fraction
@@ -15,17 +16,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcplab.gallery import all_entries
+from lcplab.errors import InputError
+from lcplab.gallery import _sl_with_line, all_entries, semidirect_sum, sl_example
 from lcplab.holonomy import _cross_vanishes, de_rham_splitting
 from lcplab.lcp import (LcpData, is_closed_covector, lcp_data_to_float, validate_lcp,
                         weyl_connection)
-from lcplab.liealg import (MetricLieAlgebra, bracket_vec, curvature_tensor, inner, is_ideal,
-                           is_subalgebra, is_unimodular, levi_civita, to_float_algebra,
-                           transform_algebra)
+from lcplab.liealg import (MetricLieAlgebra, bracket_table, bracket_vec, curvature_tensor, inner,
+                           is_ideal, is_subalgebra, is_unimodular, levi_civita, make_algebra,
+                           to_float_algebra, transform_algebra)
 from lcplab.linalg import (Subspace, canonical_rows, coords_in_rowbasis, exact_det, invert,
                            is_zero_matrix, residual_band, scale_of)
-from lcplab.scalars import (EXACT, FLOAT, array_for_mode, exact_array, eye_array, from_scaled,
-                            to_float_array, to_scaled, zeros_array)
+from lcplab.scalars import (DEFAULT_TOL, EXACT, FLOAT, array_for_mode, exact_array, eye_array,
+                            from_scaled, to_float_array, to_scaled, zeros_array)
 
 # ---------------------------------------------------------------------------
 # references: one decision per basis pair
@@ -311,3 +313,143 @@ def test_weyl_connection_matches_the_fraction_formula(construction_cases):
         zero = weyl_connection(g, zeros_array((g.dim,), g.mode))
         assert np.array_equal(zero.coeffs, lc.coeffs)
         assert np.array_equal(zero.scaled[0], lc.scaled[0]) and zero.scaled[1] == lc.scaled[1]
+
+
+# ---------------------------------------------------------------------------
+# gallery builders against the Fraction loops they replaced
+
+
+def ref_semidirect_sum(h, rep, v_dim):
+    """The semidirect sum with one Fraction homomorphism test per pair and
+    the bracket filled entry by entry."""
+    mats = [array_for_mode(r, h.mode) for r in rep]
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
+            expected = zeros_array((v_dim, v_dim), h.mode)
+            for k in range(h.dim):
+                expected = expected + h.bracket[i, j, k] * mats[k]
+            defect = mats[i] @ mats[j] - mats[j] @ mats[i] - expected
+            bad = max(abs(float(x)) for x in defect.flat)
+            if bad > (0.0 if h.mode == EXACT else 1e-12 * max(
+                    1.0, max(abs(float(x)) for m in mats for x in m.flat))):
+                ni, nj = h.basis_names[i], h.basis_names[j]
+                raise InputError(
+                    f"action is not a homomorphism: [rep({ni}), rep({nj})] "
+                    f"differs from rep([{ni}, {nj}])")
+    n = v_dim + h.dim
+    c = zeros_array((n, n, n), h.mode)
+    for k in range(h.dim):
+        for j in range(v_dim):
+            for m in range(v_dim):
+                c[v_dim + k, j, m] = mats[k][m, j]
+                c[j, v_dim + k, m] = -mats[k][m, j]
+    for i in range(h.dim):
+        for j in range(h.dim):
+            for k in range(h.dim):
+                c[v_dim + i, v_dim + j, v_dim + k] = h.bracket[i, j, k]
+    gram = zeros_array((n, n), h.mode)
+    gram[:v_dim, :v_dim] = eye_array(v_dim, h.mode)
+    gram[v_dim:, v_dim:] = h.gram
+    names = tuple(f"v{i}" for i in range(v_dim)) + h.basis_names
+    return MetricLieAlgebra(c, gram, h.mode, names, h.tol)
+
+
+def ref_sl_basis(d):
+    """Traceless Fraction matrices: off-diagonal units, then diagonal differences."""
+    mats, names = [], []
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                m = zeros_array((d, d), EXACT)
+                m[i, j] = Fraction(1)
+                mats.append(m)
+                names.append(f"E{i + 1}{j + 1}")
+    for k in range(d - 1):
+        m = zeros_array((d, d), EXACT)
+        m[k, k], m[k + 1, k + 1] = Fraction(1), Fraction(-1)
+        mats.append(m)
+        names.append("H" if d == 2 else f"H{k + 1}")
+    return mats, tuple(names)
+
+
+def ref_traceless_coords(m, d):
+    """Off-diagonal entries, then partial sums of the diagonal."""
+    coords = [m[i, j] for i in range(d) for j in range(d) if i != j]
+    partial = Fraction(0)
+    for k in range(d - 1):
+        partial += m[k, k]
+        coords.append(partial)
+    return coords
+
+
+def ref_sl_with_line(d):
+    """sl(d) plus a central line b, one commutator and one trace per pair."""
+    mats, names = ref_sl_basis(d)
+    s = len(mats)
+    c = zeros_array((s + 1, s + 1, s + 1), EXACT)
+    gram = zeros_array((s + 1, s + 1), EXACT)
+    for i in range(s):
+        for j in range(s):
+            c[i, j, :s] = ref_traceless_coords(mats[i] @ mats[j] - mats[j] @ mats[i], d)
+            gram[i, j] = sum(mats[i][a, b] * mats[j][a, b] for a in range(d) for b in range(d))
+    gram[s, s] = Fraction(1)
+    return MetricLieAlgebra(c, gram, EXACT, names + ("b",), DEFAULT_TOL)
+
+
+def ref_sl_example(d):
+    """The sl(d) semidirect sum with its action built one Fraction kron at a time."""
+    n = d * d
+    h = ref_sl_with_line(d)
+    i2 = eye_array(2, EXACT)
+    rep = []
+    for m in ref_sl_basis(d)[0]:
+        block = zeros_array((n + 1, n + 1), EXACT)
+        block[:n, :n] = np.kron(eye_array(d, EXACT), m)
+        rep.append(np.kron(block, i2))
+    rep.append(np.kron(eye_array(n + 1, EXACT), exact_array([[1, 0], [0, -1]])))
+    g = ref_semidirect_sum(h, rep, 2 * (n + 1))
+    names = tuple(f"w{i}{j}" for i in range(n + 1) for j in range(2)) + h.basis_names
+    return MetricLieAlgebra(g.bracket, g.gram, EXACT, names, g.tol)
+
+
+def _same_algebra(got, want):
+    assert got.basis_names == want.basis_names
+    for a, b in ((got.bracket, want.bracket), (got.gram, want.gram)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        if got.mode == EXACT:
+            assert all(type(x) is Fraction for x in a.reshape(-1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sl_builders_match_the_fraction_loops(d):
+    _same_algebra(_sl_with_line(d), ref_sl_with_line(d))
+    _same_algebra(sl_example(d).algebra, ref_sl_example(d))
+
+
+def _semidirect_inputs():
+    """The semidirect sum test inputs, exact and float, homomorphisms or not."""
+    affine = make_algebra(bracket_table(2, {(0, 1): {1: 1}}, EXACT))
+    sl2 = make_algebra(bracket_table(3, {(0, 1): {2: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}},
+                                     EXACT), basis_names=("E12", "E21", "H"))
+    i2 = np.eye(2, dtype=int)
+    units = [np.array(m) for m in ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]])]
+    out = {"affine": (affine, [np.diag([1, 2]), np.zeros((2, 2), dtype=int)], 2),
+           "affine_not_hom": (affine, [np.zeros((2, 2), dtype=int), -i2], 2),
+           "affine_half": (affine, [np.diag([Fraction(1, 2), 3]), np.zeros((2, 2), dtype=int)], 2),
+           "sl2": (sl2, [np.kron(i2, m) for m in units], 4),
+           "sl2_untwisted": (sl2, [np.kron(i2, m.T) for m in units], 4)}
+    return ([pytest.param(*x, id=name) for name, x in out.items()]
+            + [pytest.param(to_float_algebra(h), [np.array(r, dtype=float) for r in rep], v,
+                            id=f"{name}_float") for name, (h, rep, v) in out.items()])
+
+
+@pytest.mark.parametrize("h, rep, v_dim", _semidirect_inputs())
+def test_semidirect_sum_matches_the_fraction_loops(h, rep, v_dim):
+    try:
+        want = ref_semidirect_sum(h, rep, v_dim)
+    except InputError as err:
+        with pytest.raises(InputError) as got:
+            semidirect_sum(h, rep, v_dim)
+        assert str(got.value) == str(err)
+        return
+    _same_algebra(semidirect_sum(h, rep, v_dim), want)
