@@ -32,6 +32,7 @@ a reducing pair are each one zero test of a whole tensor.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
@@ -55,7 +56,6 @@ from .linalg import (
     full_subspace,
     is_zero_matrix,
     matrix_rank,
-    nullspace_rows,
     orthocomplement,
     rank_and_nullspace,
     restrict_operator,
@@ -205,9 +205,11 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
     Starts from all self-adjoint operators G^-1 (E_ij + E_ji), i <= j, and
     imposes one commutation constraint at a time, so the working basis only
     ever shrinks; the identity always survives. The work runs on the
-    scaled form: each operator is scaled on its own, and each constraint's
-    nullspace comes as primitive integer rows. That changes no span, and
-    the elements come back on that form: Python ints in exact mode.
+    scaled form: an exact op is an integer matrix, any nonzero multiple of
+    the operator, and is divided by the gcd of its entries; each
+    constraint's nullspace comes as primitive integer rows. That changes no
+    span, and the elements come back on that form: Python ints in exact
+    mode.
     """
     return _commutant(ops, scaled_inverse(gram, mode)[0], mode, tol)
 
@@ -220,7 +222,8 @@ def _commutant(ops: Sequence[np.ndarray], ginv: np.ndarray, mode: Mode,
     for a in ops:
         if len(work) <= 1:
             break
-        a = to_scaled(a)[0]
+        if mode == EXACT:  # smaller entries, the same constraints
+            a = a // (math.gcd(*a.reshape(-1).tolist()) or 1)
         # column j is the commutator of working basis matrix j with a
         k = (work @ a - a @ work).reshape(len(work), -1).T
         # a commutator that is zero at the scale of its inputs is no
@@ -228,7 +231,7 @@ def _commutant(ops: Sequence[np.ndarray], ginv: np.ndarray, mode: Mode,
         # read as a rank-one condition and eat a commutant direction
         if is_zero_matrix(k, mode, tol, scale=scale_of(a) * scale_of(work)):
             continue
-        null = nullspace_rows(k, mode, tol)
+        null = rank_and_nullspace(k, mode, tol)[1].basis
         if len(null) == len(work):
             continue
         work = (null @ work.reshape(len(work), -1)).reshape(-1, n, n)
@@ -409,9 +412,10 @@ def _factors(g: MetricLieAlgebra, hol: OperatorAlgebra,
     curved: list[Subspace] = []
     if flat.dim < n:
         w = orthocomplement(flat, g.gram, g.tol)
-        ops = restrict_operator(np.stack(hol.basis), w.basis, g.mode, g.tol)
-        if ops is None:
+        restricted = restrict_operator(np.stack(hol.basis), w.basis, g.mode, g.tol)
+        if restricted is None:
             raise TheoremViolationError("holonomy does not preserve the curved block")
+        ops = restricted[0]  # a positive multiple of the stack: the same commutant
         gram = restricted_gram(w.basis, g.gram)
         comm = symmetric_commutant(ops, gram, g.mode, g.tol)
         curved = [w]

@@ -74,7 +74,8 @@ def make_lcp_data(g: MetricLieAlgebra, ideal_rows: Any, lee_covector: Any,
     def array(x: Any) -> np.ndarray:
         return x if isinstance(x, np.ndarray) else array_for_mode(x, g.mode)
     u = make_subspace(array(ideal_rows), g.dim, g.mode, g.tol)
-    theta = array(lee_covector)
+    # each entry parsed in the algebra's mode: a float refused in exact mode
+    theta = array_for_mode(lee_covector, g.mode)
     if theta.shape != (g.dim,):
         raise InputError(f"lee covector must have length {g.dim}")
     comp = None
@@ -98,20 +99,23 @@ def lcp_data_to_float(data: LcpData) -> LcpData:
 def lee_sharp(g: MetricLieAlgebra, theta: np.ndarray) -> np.ndarray:
     """The vector dual to the covector via the inner product."""
     ginv, d = g.scaled_gram_inverse
-    return from_scaled(ginv @ theta, d)
+    t, dt = to_scaled(theta)
+    return from_scaled(ginv @ t, d * dt)
 
 
 def weyl_connection(g: MetricLieAlgebra, theta: np.ndarray) -> InvariantConnection:
     """D_x y = N_x y + t(x) y + t(y) x - <x, y> t#, on top of Levi-Civita N."""
     diag = np.arange(g.dim)
     base, dl = g.levi_civita.scaled
-    gram, theta, sharp, d = to_scaled(g.gram, theta, lee_sharp(g, theta))
-    # every term over dl * d * d: the last one is a product of two over d
-    coeffs = base * (d * d)
-    coeffs[:, diag, diag] += theta[:, None] * (dl * d)  # coeffs[i, j, j] += theta[i]
-    coeffs[diag, :, diag] += theta[None, :] * (dl * d)  # coeffs[i, j, i] += theta[j]
+    ginv, di = g.scaled_gram_inverse
+    gram, theta, d = to_scaled(g.gram, theta)
+    sharp = ginv @ theta  # t# over di * d
+    # every term over dl * di * d * d: the last one is gram over d times t#
+    coeffs = base * (di * d * d)
+    coeffs[:, diag, diag] += theta[:, None] * (dl * di * d)  # coeffs[i, j, j] += theta[i]
+    coeffs[diag, :, diag] += theta[None, :] * (dl * di * d)  # coeffs[i, j, i] += theta[j]
     coeffs -= gram[:, :, None] * sharp * dl
-    return InvariantConnection(lowest_terms(coeffs, dl * d * d), WEYL, g.mode)
+    return InvariantConnection(lowest_terms(coeffs, dl * di * d * d), WEYL, g.mode)
 
 
 def is_closed_covector(g: MetricLieAlgebra, theta: np.ndarray) -> bool:
@@ -150,12 +154,13 @@ def lee_form_from_splitting(g: MetricLieAlgebra, u: Subspace, h: Subspace) -> np
     hb, dh = to_scaled(h.basis)
     images = np.tensordot(c, hb, axes=(1, 1))
     rhs = np.transpose(images, (1, 0, 2)).reshape(g.dim, -1)
-    coords = solve_linear(stacked.T, rhs, g.mode, g.tol)
-    if coords is None:
+    solved = solve_linear(stacked.T, rhs, g.mode, g.tol)
+    if solved is None:
         raise InputError("bracket left the algebra; invalid input data")
+    coords, den = solved
     # the h-component of [e_x, h_r] along h_r, summed over r
     traces = np.trace(coords[:h.dim].reshape(h.dim, g.dim, h.dim), axis1=0, axis2=2)
-    return -traces / (q * dc * dh)
+    return from_scaled(-traces, q * dc * dh * den)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +264,10 @@ class DecomposabilityReport:
 def _touched_factor_indices(splitting: DeRhamSplitting, rows: np.ndarray,
                             g: MetricLieAlgebra) -> tuple[int, ...]:
     full = np.concatenate([f.basis for f in splitting.factors], axis=0)
-    coords = solve_linear(full.T, rows.T, g.mode, g.tol)
-    if coords is None:
+    solved = solve_linear(full.T, rows.T, g.mode, g.tol)
+    if solved is None:
         raise TheoremViolationError("structure data does not lie in the factor span")
+    coords = solved[0]  # a zero test ignores the common denominator
     # one block of coordinates per factor, one row per input row
     blocks = np.split(coords.T, np.cumsum(splitting.factor_dims)[:-1], axis=1)
     sc = scale_of(coords)

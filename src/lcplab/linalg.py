@@ -1,10 +1,13 @@
 """Linear algebra over the two scalar backends.
 
 Exact matrices come in as numpy object arrays of Fractions or Python
-ints, and the work runs on ints. Solves, nullspaces and RREFs go out as
-Fractions; a span closure returns its kept matrices as they came, so
-the integer holonomy basis stays ints, and :func:`scaled_inverse` gives
-an inverse as ints over one denominator. One fraction-free echelon store
+ints, and the work runs on ints. Answers that pass on to the next stage
+stay on that form: a nullspace is primitive integer rows, a solve, an
+inverse and a restricted operator stack are ints over one denominator,
+and a span closure takes integer matrices and keeps them as they came.
+Fractions go out only as values a caller reads: the RREF of a canonical
+basis, determinants, characteristic polynomials, eigenvalues and the
+coordinates of :func:`coords_in_rowbasis`. One fraction-free echelon store
 does every exact elimination: rank, RREF, nullspace, solve, inverse and
 the span closure (a matrix is scaled to integers once, its rows are
 added one at a time with integer row operations, and a row is divided
@@ -86,7 +89,7 @@ def is_zero_matrix(a: np.ndarray, mode: Mode, tol: TolerancePolicy, scale: float
     if a.size == 0:
         return True
     if mode == EXACT:
-        return all(x == 0 for x in a.reshape(-1))
+        return not a.any()
     return float(np.max(np.abs(a))) <= residual_band(tol) * max(1.0, scale)
 
 
@@ -113,7 +116,8 @@ class _ExactEchelon:
     other row's pivot; the rows are kept in pivot order. A row divided by
     its pivot entry is the matching row of the reduced row echelon form,
     which is unique, so the order the rows come in changes only the cost.
-    Built from a whole matrix, the store scales it to ints once.
+    Built from a whole matrix, the store scales it to ints once; a vector
+    inserted on its own must already be ints.
     """
 
     def __init__(self, a: Optional[np.ndarray] = None):
@@ -123,8 +127,8 @@ class _ExactEchelon:
             self.add(v)
 
     def insert(self, vec: np.ndarray) -> bool:
-        """Add an exact vector of Fractions or ints; False if already spanned."""
-        return self.add(to_scaled(vec)[0].tolist())
+        """Add an integer vector; False if already spanned."""
+        return self.add(vec.tolist())
 
     def add(self, v: list[int]) -> bool:
         """Add a row of ints; False if already spanned."""
@@ -192,16 +196,6 @@ def _solve_scaled(a: np.ndarray, b: np.ndarray) -> Optional[tuple[np.ndarray, in
     return x, den
 
 
-def exact_solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Solve a @ x = b exactly (b a vector or matrix); None if inconsistent.
-
-    For underdetermined systems returns one particular solution (free
-    variables set to zero).
-    """
-    x = _solve_scaled(a, b.reshape(a.shape[0], -1))
-    return None if x is None else from_scaled(*x).reshape((a.shape[1],) + b.shape[1:])
-
-
 def scaled_inverse(a: np.ndarray, mode: Mode) -> tuple[np.ndarray, int]:
     """The inverse of a square matrix on the scaled form: (ints, den) in
     exact mode, (inverse, 1) in float mode."""
@@ -212,10 +206,6 @@ def scaled_inverse(a: np.ndarray, mode: Mode) -> tuple[np.ndarray, int]:
     if x is None:
         raise InputError("matrix is singular; cannot invert")
     return x
-
-
-def exact_inverse(a: np.ndarray) -> np.ndarray:
-    return invert(a, EXACT, DEFAULT_TOL)
 
 
 def exact_det(a: np.ndarray) -> Fraction:
@@ -278,18 +268,6 @@ def _float_rank_nullspace(a: np.ndarray, tol: TolerancePolicy) -> tuple[int, np.
     return rank, vt[rank:]
 
 
-def float_solve(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy) -> Optional[np.ndarray]:
-    """Least-squares solve with residual check; None if inconsistent."""
-    af = np.asarray(a, dtype=np.float64)
-    bb = np.asarray(b, dtype=np.float64).reshape(a.shape[0], -1)
-    x, *_ = np.linalg.lstsq(af, bb, rcond=None)
-    res = af @ x - bb
-    band = residual_band(tol) * scale_of(af, bb)
-    if res.size and float(np.max(np.abs(res))) > band:
-        return None
-    return x.reshape((a.shape[1],) + b.shape[1:]) if b.ndim == 1 else x
-
-
 # ---------------------------------------------------------------------------
 # mode-dispatching API
 
@@ -301,14 +279,27 @@ def matrix_rank(a: np.ndarray, mode: Mode, tol: TolerancePolicy) -> int:
     return rank
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray, mode: Mode, tol: TolerancePolicy) -> Optional[np.ndarray]:
+def solve_linear(a: np.ndarray, b: np.ndarray, mode: Mode,
+                 tol: TolerancePolicy) -> Optional[tuple[np.ndarray, int]]:
+    """One solution x of a @ x = b (b a vector or matrix) on the scaled form,
+    (ints, den) in exact mode and (x, 1) in float mode; None if inconsistent.
+
+    Exact mode sets the free variables of an underdetermined system to
+    zero. Float mode takes the least-squares solution and holds its
+    residual to the band at the scale of a and b.
+    """
+    shape = (a.shape[1],) + b.shape[1:]
     if mode == EXACT:
-        return exact_solve(a, b)
-    return float_solve(a, b, tol)
-
-
-def invert(a: np.ndarray, mode: Mode, tol: TolerancePolicy) -> np.ndarray:
-    return from_scaled(*scaled_inverse(a, mode))
+        x = _solve_scaled(a, b.reshape(a.shape[0], -1))
+        return None if x is None else (x[0].reshape(shape), x[1])
+    af = np.asarray(a, dtype=np.float64)
+    bb = np.asarray(b, dtype=np.float64).reshape(a.shape[0], -1)
+    x, *_ = np.linalg.lstsq(af, bb, rcond=None)
+    res = af @ x - bb
+    band = residual_band(tol) * scale_of(af, bb)
+    if res.size and float(np.max(np.abs(res))) > band:
+        return None
+    return x.reshape(shape), 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,31 +335,24 @@ def zero_subspace(ambient_dim: int, mode: Mode) -> Subspace:
 
 
 def full_subspace(ambient_dim: int, mode: Mode) -> Subspace:
-    return Subspace(ambient_dim, eye_array(ambient_dim, mode), mode)
+    basis = np.identity(ambient_dim, dtype=object if mode == EXACT else np.float64)
+    return Subspace(ambient_dim, basis, mode)
 
 
 def rank_and_nullspace(a: np.ndarray, mode: Mode, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, Subspace]:
-    """Rank and a nullspace basis; rank + nullity = column count."""
+    """Rank and a nullspace basis; rank + nullity = column count.
+
+    In exact mode the basis is primitive integer rows, one per free column
+    and positive there; in float mode orthonormal rows from the SVD.
+    """
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise InputError("empty matrix has no rank/nullspace decomposition")
     n = a.shape[1]
     if mode == EXACT:
         free, null = _exact_nullspace(a)
-        # each basis vector over its free entry: 1 there
-        rows = [[Fraction(x, v[f]) for x in v] for f, v in zip(free, null)]
-        return n - len(free), Subspace(n, np.array(rows, dtype=object).reshape(len(rows), n), EXACT)
+        return n - len(free), Subspace(n, np.array(null, dtype=object).reshape(len(null), n), EXACT)
     rank, null = _float_rank_nullspace(a, tol)
     return rank, Subspace(n, np.asarray(null, dtype=np.float64).reshape(-1, n), FLOAT)
-
-
-def nullspace_rows(a: np.ndarray, mode: Mode, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """A nullspace basis on the scaled form: in exact mode primitive integer
-    rows, one per free column and positive there (positive multiples of
-    the rows of :func:`rank_and_nullspace`), in float mode the same rows."""
-    if mode == EXACT:
-        null = _exact_nullspace(a)[1]
-        return np.array(null, dtype=object).reshape(len(null), a.shape[1])
-    return _float_rank_nullspace(a, tol)[1]
 
 
 def coords_in_rowbasis(vecs: np.ndarray, basis_rows: np.ndarray, mode: Mode,
@@ -383,7 +367,7 @@ def coords_in_rowbasis(vecs: np.ndarray, basis_rows: np.ndarray, mode: Mode,
     x = solve_linear(basis_rows.T, v.T, mode, tol)
     if x is None:
         return None
-    xt = x.T
+    xt = from_scaled(*x).T
     return xt[0] if vecs.ndim == 1 else xt
 
 
@@ -415,8 +399,8 @@ def orthocomplement(s: Subspace, gram: np.ndarray, tol: TolerancePolicy = DEFAUL
     """Orthogonal complement of s with respect to the inner product gram."""
     if s.dim == 0:
         return full_subspace(s.ambient_dim, s.mode)
-    _, null = rank_and_nullspace(s.basis @ gram, s.mode, tol)
-    return null
+    b, gm, _ = to_scaled(s.basis, gram)
+    return rank_and_nullspace(b @ gm, s.mode, tol)[1]
 
 
 def restricted_gram(basis_rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -426,14 +410,15 @@ def restricted_gram(basis_rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
-                      tol: TolerancePolicy) -> Optional[np.ndarray]:
+                      tol: TolerancePolicy) -> Optional[tuple[np.ndarray, int]]:
     """Matrix of operator a on the invariant subspace spanned by basis_rows.
 
     Column convention on coordinates; None when the span is not invariant.
     ``a`` may also be a (k, n, n) stack of operators: the images of all of
-    them are solved for in one system, on the scaled form (an exact solve
-    never leaves the ints), and the result is the (k, m, m) stack of their
-    matrices, or None when any one of them leaves the span. In float mode
+    them are solved for in one system, and the result is the (k, m, m)
+    stack of their matrices, or None when any one of them leaves the span.
+    The matrix or stack comes on the scaled form of :func:`solve_linear`:
+    (ints, den) in exact mode, (floats, 1) in float mode. In float mode
     each operator is held to its own residual band, set by the basis and
     its own images.
     """
@@ -444,22 +429,22 @@ def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
     images = np.tensordot(ai, bi, axes=(2, 1))
     rhs = np.transpose(images, (1, 0, 2)).reshape(n, k * m)
     if m == 0:
-        x = zeros_array((0, 0), mode)
+        solved = zeros_array((0, 0), mode), 1
     elif mode == EXACT:
         # (bi / d)^T x = images / d^2 is the integer system d bi^T x = images
-        x = exact_solve(d * bi.T, rhs)
+        solved = _solve_scaled(d * bi.T, rhs)
     else:
         x, *_ = np.linalg.lstsq(basis_rows.T, rhs, rcond=None)
         res = np.abs(basis_rows.T @ x - rhs).reshape(n, k, m).max(axis=(0, 2))
         sizes = np.abs(images).max(axis=(1, 2))
         band = residual_band(tol) * np.maximum(scale_of(basis_rows), sizes)
-        if np.any(res > band):
-            x = None
-    if x is None:
+        solved = None if np.any(res > band) else (x, 1)
+    if solved is None:
         return None
+    x, den = solved
     # column i of operator j's matrix: the coordinates of a_j(basis_i)
     out = np.transpose(x.reshape(m, k, m), (1, 0, 2))
-    return out if a.ndim == 3 else out[0]
+    return (out if a.ndim == 3 else out[0]), den
 
 
 def canonical_rows(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> np.ndarray:
@@ -485,7 +470,7 @@ def support_indices(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> tuple
     if rows.shape[0] == 0:
         return ()
     if mode == EXACT:
-        return tuple(j for j in range(rows.shape[1]) if any(rows[i, j] != 0 for i in range(rows.shape[0])))
+        return tuple(np.flatnonzero(rows.any(axis=0)).tolist())
     af = np.abs(np.asarray(rows, dtype=np.float64))
     cut = residual_band(tol) * scale_of(af)
     return tuple(j for j in range(rows.shape[1]) if float(af[:, j].max()) > cut)
@@ -601,10 +586,10 @@ def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequen
 
     ``step`` must be linear. Returns the accepted generators as subspace
     rows (each row one flattened matrix), so callers can reshape them back.
-    In exact mode the matrices may be Fractions or plain ints, inserted
-    into the same echelon store that every exact elimination uses; the
-    rows are the kept matrices as they came, so integer seeds and steps
-    give integer rows. The candidates are the seeds, then the
+    In exact mode the seeds and the step's images are integer matrices
+    (positive multiples of rational ones change no span), inserted into the
+    same echelon store that every exact elimination uses; the rows are the
+    kept matrices as they came. The candidates are the seeds, then the
     ``step`` images of each kept matrix in the order kept, each tested as
     it comes. ``max_dim`` is the dimension of a space known to contain
     the closure: once the span reaches it, every remaining candidate

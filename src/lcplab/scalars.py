@@ -10,11 +10,13 @@ of Python ints plus one common denominator (:func:`to_scaled` and
 :func:`from_scaled`). An exact array becomes ints once, where it is
 made, and each later span, invariance or zero test takes those ints: a
 positive scale changes none of them, and integer products skip the gcd
-normalisation that dominates ``Fraction`` arithmetic. So the objects
-that own such data keep it on that form: a connection keeps its scaled
-coefficient tensor and builds the Fraction view only when it is read,
-and the holonomy basis and the symmetric commutant come back as Python
-ints, each element a positive multiple of the rational one.
+normalisation that dominates ``Fraction`` arithmetic. So exact answers
+pass between stages on that form, and rational values are built only
+where a caller reads them: a connection keeps its scaled coefficient
+tensor, nullspaces (and so every computed subspace) are primitive
+integer rows, solves are ints over one denominator, and the holonomy
+basis and the symmetric commutant are Python ints, each element a
+positive multiple of the rational one.
 
 A float64 array is its own scaled form over denominator 1, and so is an
 object array of Python ints: an algorithm written once on the scaled

@@ -7,6 +7,7 @@ checked here against a small Fraction reference that does the same job
 the obvious way, or against the Fraction route the code used to take.
 """
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,15 +18,17 @@ from hypothesis import strategies as st
 from lcplab import holonomy, linalg
 from lcplab.cli import run_analysis
 from lcplab.gallery import all_entries, sl_example
-from lcplab.holonomy import de_rham_splitting, holonomy_algebra, symmetric_commutant
-from lcplab.lcp import lcp_data_to_float, weyl_connection
+from lcplab.holonomy import (common_kernel, de_rham_splitting, holonomy_algebra,
+                             reducibility_witness, symmetric_commutant)
+from lcplab.lcp import lcp_data_to_float, lcp_decomposable, weyl_connection
 from lcplab.liealg import (LEVI_CIVITA, WEYL, InvariantConnection, curvature_operator,
                            curvature_tensor, levi_civita, to_float_algebra)
 from lcplab.linalg import (_ExactEchelon, _rref, canonical_rows, charpoly_exact, exact_det,
-                           exact_solve, invert, is_zero_matrix, nullspace_rows,
-                           rank_and_nullspace, residual_band, restrict_operator, scale_of)
-from lcplab.scalars import (EXACT, exact_array, from_scaled, to_float_array, to_scaled,
-                            zeros_array)
+                           is_zero_matrix, orthocomplement, rank_and_nullspace, residual_band,
+                           restrict_operator, scale_of, scaled_inverse, solve_linear,
+                           support_indices)
+from lcplab.scalars import (DEFAULT_TOL, EXACT, exact_array, from_scaled, to_float_array,
+                            to_scaled, zeros_array)
 
 
 def _reference_rref(rows):
@@ -62,6 +65,19 @@ def _reference_nullspace(rows, ncols):
             v[p] = -row[f]
         null.append(v)
     return null
+
+
+def _reference_solve(a, b):
+    """One solution of a @ x = b (b a matrix) read off the reference RREF of
+    [a | b], free variables zero; None if inconsistent."""
+    n = a.shape[1]
+    rref, pivots = _reference_rref(exact_array(np.concatenate([a, b], axis=1)).tolist())
+    if pivots and pivots[-1] >= n:
+        return None
+    x = np.full((n, b.shape[1]), Fraction(0), dtype=object)
+    for row, p in zip(rref, pivots):
+        x[p] = row[n:]
+    return x
 
 
 def _reference_charpoly(a):
@@ -120,32 +136,35 @@ def test_fraction_free_rref_matches_fraction_reference(rows, data):
     assert got_rows == want_rows
     assert all(type(x) is Fraction for row in got_rows for x in row)
 
-    # rows fed to the store one at a time, in any order, reach the same RREF
+    # integer rows fed to the store one at a time, in any order, reach the
+    # same RREF
     store = _ExactEchelon()
+    ints = to_scaled(a)[0]
     for i in data.draw(st.permutations(range(nrows))):
-        store.insert(a[i])
+        store.insert(ints[i])
     assert store.pivots == want_pivots
     assert [[Fraction(x, row[p]) for x in row]
             for row, p in zip(store.rows, store.pivots)] == want_rows
 
-    # the nullspace: Fractions with a 1 at each free column, and on the
-    # scaled form the primitive integer multiples of the same rows
+    # the nullspace: primitive integer rows, each a positive multiple of the
+    # reference row that is 1 at its free column
     want_null = _reference_nullspace(rows, ncols)
     rank, null = rank_and_nullspace(a, EXACT)
     assert rank == len(want_pivots)
-    assert null.basis.tolist() == want_null
-    assert all(type(x) is Fraction for x in null.basis.reshape(-1))
-    assert nullspace_rows(a, EXACT).tolist() == [to_scaled(exact_array(v))[0].tolist()
-                                                 for v in want_null]
+    free = [f for f in range(ncols) if f not in want_pivots]
+    assert [from_scaled(v, v[f]).tolist() for v, f in zip(null.basis, free)] == want_null
+    assert all(type(x) is int for x in null.basis.reshape(-1))
+    assert all(np.gcd.reduce(v.tolist()) == 1 for v in null.basis)
 
     # a right-hand side in the column span solves exactly; adding a vector
     # of the left nullspace takes it out of the span
     x0 = exact_array(data.draw(st.lists(_rationals, min_size=ncols, max_size=ncols)))
     b = a @ x0
-    x = exact_solve(a, b)
-    assert x is not None and (a @ x == b).all()
+    x, den = solve_linear(a, b, EXACT, DEFAULT_TOL)
+    assert den > 0 and all(type(v) is int for v in x)
+    assert (a @ from_scaled(x, den) == b).all()
     for y in _reference_nullspace(a.T.tolist(), nrows):
-        assert exact_solve(a, b + exact_array(y)) is None
+        assert solve_linear(a, b + exact_array(y), EXACT, DEFAULT_TOL) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -234,7 +253,7 @@ def _fraction_route_restrict(a, basis_rows, mode, tol):
     if m == 0:
         x = zeros_array((0, 0), mode)
     elif mode == EXACT:
-        x = exact_solve(basis_rows.T, rhs)
+        x = _reference_solve(basis_rows.T, rhs)
     else:
         x, *_ = np.linalg.lstsq(basis_rows.T, rhs, rcond=None)
         res = np.abs(basis_rows.T @ x - rhs).reshape(n, k, m).max(axis=(0, 2))
@@ -252,7 +271,7 @@ def _fraction_route_commutant(ops, gram, mode, tol):
     """symmetric_commutant as it ran when its starting basis was built as
     Fractions, one matrix product G^-1 (E_ij + E_ji) at a time."""
     n = gram.shape[0]
-    ginv, den = to_scaled(invert(gram, mode, tol))
+    ginv, den = to_scaled(from_scaled(*scaled_inverse(gram, mode)))
     basis = []
     for i in range(n):
         for j in range(i, n):
@@ -275,6 +294,11 @@ def _fraction_route_commutant(ops, gram, mode, tol):
         coeffs = np.array([to_scaled(c)[0] for c in null.basis]).reshape(null.dim, len(work))
         work = (coeffs @ work.reshape(len(work), -1)).reshape(-1, n, n)
     return basis if not reduced else [from_scaled(p, 1) for p in work]
+
+
+def _value(scaled):
+    """The matrix or stack that a scaled (values, den) pair stands for."""
+    return None if scaled is None else from_scaled(*scaled)
 
 
 def _same(got, want):
@@ -329,9 +353,9 @@ def test_restrict_operator_matches_fraction_route(random_corpus):
             stacks.append(weyl_connection(g, data.lee_covector).operators)
         for rows in _subspaces(g, data):
             for ops in stacks:
-                got = restrict_operator(ops, rows, g.mode, g.tol)
+                got = _value(restrict_operator(ops, rows, g.mode, g.tol))
                 assert _same(got, _fraction_route_restrict(ops, rows, g.mode, g.tol)), g
-                assert _same(restrict_operator(ops[0], rows, g.mode, g.tol),
+                assert _same(_value(restrict_operator(ops[0], rows, g.mode, g.tol)),
                              _fraction_route_restrict(ops[0], rows, g.mode, g.tol)), g
                 checked += 1
                 invariant += got is not None
@@ -343,7 +367,9 @@ def test_commutant_matches_fraction_route(random_corpus):
     reduced = 0
     for g, _ in _lane_cases(random_corpus):
         conn = levi_civita(g)
-        for ops in (list(holonomy_algebra(g, conn).basis), list(conn.operators)):
+        # the commutant takes each operator as any positive multiple of it:
+        # integers in exact mode
+        for ops in (list(holonomy_algebra(g, conn).basis), list(conn.scaled_operators)):
             got = symmetric_commutant(ops, g.gram, g.mode, g.tol)
             want = _fraction_route_commutant(ops, g.gram, g.mode, g.tol)
             assert len(got) == len(want), g
@@ -402,3 +428,164 @@ def test_one_levi_civita_and_one_gram_inverse_per_analysis(monkeypatch):
     assert code == 0 and report["lcp_report"]["overall"]
     assert kinds == [LEVI_CIVITA, WEYL]
     assert inversions.count(True) == 1
+
+
+# ---------------------------------------------------------------------------
+# zero tests, computed subspaces and the Fraction budget
+
+
+def test_exact_zero_tests_on_object_arrays():
+    big = 2 ** 70
+    zero = np.array([[0, Fraction(0)], [0, 0]], dtype=object)
+    assert is_zero_matrix(zero, EXACT, DEFAULT_TOL)
+    assert support_indices(zero, EXACT, DEFAULT_TOL) == ()
+    for x in (big, -big, -1, Fraction(-1, 3), 2 ** 64 + 1):
+        m = np.array([[0, Fraction(0), 0], [0, 0, x]], dtype=object)
+        assert not is_zero_matrix(m, EXACT, DEFAULT_TOL)
+        assert support_indices(m, EXACT, DEFAULT_TOL) == (2,)
+    # a sum that cancels only beyond 64 bits is zero
+    assert is_zero_matrix(np.array([big + 1 - big - 1, 0], dtype=object), EXACT, DEFAULT_TOL)
+    rows = np.array([[big, 0, 0, -big], [0, 0, Fraction(0), 3]], dtype=object)
+    assert support_indices(rows, EXACT, DEFAULT_TOL) == (0, 3)
+    for shape in ((0,), (0, 3), (2, 0)):
+        assert is_zero_matrix(np.zeros(shape, dtype=object), EXACT, DEFAULT_TOL)
+    assert support_indices(np.zeros((0, 3), dtype=object), EXACT, DEFAULT_TOL) == ()
+
+
+def test_commutant_divides_out_each_operators_content(monkeypatch):
+    # an operator given as a multiple of itself, as the common denominator
+    # of a restricted stack makes it, sets the same constraint matrices:
+    # their entries do not grow with the multiple
+    g = sl_example(2).algebra
+    ops = [a // math.gcd(*a.reshape(-1).tolist()) for a in holonomy_algebra(g).basis[:20]]
+    seen = []
+    real = holonomy.rank_and_nullspace
+
+    def recording(k, mode, tol):
+        seen.append(k)
+        return real(k, mode, tol)
+    monkeypatch.setattr(holonomy, "rank_and_nullspace", recording)
+    want = symmetric_commutant(ops, g.gram, EXACT, g.tol)
+    plain, seen[:] = list(seen), []
+    got = symmetric_commutant([(6 + k) * a for k, a in enumerate(ops)], g.gram, EXACT, g.tol)
+    assert plain and len(seen) == len(plain)
+    assert all(np.array_equal(k, m) for k, m in zip(seen, plain))
+    assert len(got) == len(want) and all(np.array_equal(p, q) for p, q in zip(got, want))
+
+
+def _fraction_nullspace(a):
+    """Nullspace rows of an exact matrix from the Fraction reference."""
+    n = a.shape[1]
+    return exact_array(_reference_nullspace(exact_array(a).tolist(), n)).reshape(-1, n)
+
+
+def _canonical(rows):
+    return canonical_rows(rows, EXACT, DEFAULT_TOL).tolist()
+
+
+def _check_integer_rows(s, reference):
+    """s is exact, holds only Python ints and spans what the reference rows span."""
+    assert s.mode == EXACT and s.dim == reference.shape[0]
+    assert all(type(x) is int for x in s.basis.reshape(-1))
+    assert _canonical(s.basis) == _canonical(reference)
+
+
+def _split_references(splits):
+    """Each eigenspace of each recorded exact split, with its reference: the
+    Fraction nullspace of p - lambda I."""
+    for p, split in splits:
+        for val, eig in split.pairs:
+            yield eig, _fraction_nullspace(exact_array(p) - val * np.identity(p.shape[0], dtype=int))
+
+
+def test_computed_subspaces_are_integer_rows_spanning_the_fraction_route(random_corpus,
+                                                                          monkeypatch):
+    """The kernel, its orthocomplement, every eigenspace, every factor and
+    both halves of every reducing pair, on the gallery and 30 corpus
+    algebras in exact mode, against nullspaces from Fraction elimination."""
+    splits = []
+    real_split = holonomy.selfadjoint_eigensplit
+
+    def recording(p, gram, mode, tol):
+        out = real_split(p, gram, mode, tol)
+        if not out.promoted_to_float:
+            splits.append((p, out))
+        return out
+    monkeypatch.setattr(holonomy, "selfadjoint_eigensplit", recording)
+    cases = ([(e.algebra, e.lcp) for e in all_entries() if e.algebra.mode == EXACT]
+             + [(g, None) for g in random_corpus[:30]])
+    checked = dict.fromkeys(("kernel", "complement", "eigenspace", "factor", "pair"), 0)
+    for g, data in cases:
+        n = g.dim
+        splits.clear()
+        spl = de_rham_splitting(g)
+        if spl.promoted_to_float:
+            continue
+        hol = spl.holonomy
+        kernel = common_kernel(hol.basis, n, EXACT, g.tol)
+        ref_kernel = (_fraction_nullspace(np.concatenate(hol.basis)) if hol.dim
+                      else np.identity(n, dtype=int))
+        _check_integer_rows(kernel, ref_kernel)
+        w = orthocomplement(kernel, g.gram, g.tol)
+        ref_w = (_fraction_nullspace(ref_kernel @ g.gram) if kernel.dim
+                 else np.identity(n, dtype=int))
+        _check_integer_rows(w, ref_w)
+        checked["kernel"] += kernel.dim > 0
+        checked["complement"] += 0 < w.dim
+        # the factors: the kernel, then the eigenspaces of the last split,
+        # the one that was taken, mapped into the algebra
+        refs = [ref_kernel] if kernel.dim else []
+        taken = [ref for _, ref in _split_references(splits[-1:])]
+        refs += [ref @ ref_w for ref in taken] if taken else [ref_w] if w.dim else []
+        assert len(refs) == len(spl.factors), g
+        ref_of = []
+        for f in spl.factors:
+            match = [r for r in refs if _canonical(r) == _canonical(f.basis)]
+            assert match, g
+            _check_integer_rows(f, match[0])
+            ref_of.append(match[0])
+            checked["factor"] += 1
+        pairs = []
+        witness = reducibility_witness(g, splitting=spl)
+        if witness is not None and len(spl.factors) >= 2:
+            pairs.append((witness, [0], range(1, len(spl.factors))))
+        if data is not None:
+            dec = lcp_decomposable(g, data, splitting=spl)
+            if dec.witness is not None:
+                rest = [i for i in range(len(spl.factors)) if i not in dec.touched_factors]
+                pairs.append((dec.witness, dec.touched_factors, rest))
+        for pair, one, two in pairs:
+            _check_integer_rows(pair.s1, np.concatenate([ref_of[i] for i in one]))
+            _check_integer_rows(pair.s2, np.concatenate([ref_of[i] for i in two]))
+            checked["pair"] += 1
+        if witness is not None and len(spl.factors) == 1 and witness.mode == EXACT:
+            # a flat block cut along the eigenspaces of the last split
+            (eig, ref), *rest = _split_references(splits[-1:])
+            _check_integer_rows(witness.s1, ref)
+            _check_integer_rows(witness.s2, np.concatenate([r for _, r in rest]))
+            checked["pair"] += 1
+        for eig, ref in _split_references(splits):
+            _check_integer_rows(eig, ref)
+            checked["eigenspace"] += 1
+    # every kind of subspace is exercised
+    assert min(checked.values()) > 0, checked
+
+
+def test_fraction_budget_of_one_exact_analysis(monkeypatch):
+    # exact answers pass between stages as ints: Fractions are built only
+    # where a value is read. One exact sl2_semidirect analysis with its
+    # structure data built 8,972 of them when solves and nullspaces
+    # returned Fractions, and about 300 since
+    entry = sl_example(2)
+    g = dataclasses.replace(entry.algebra)  # a fresh algebra: nothing cached yet
+    built = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    report, code = run_analysis(g, entry.lcp)
+    monkeypatch.undo()
+    assert code == 0 and report["lcp_report"]["overall"]
+    assert built[0] <= 1500, built[0]

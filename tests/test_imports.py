@@ -1,0 +1,60 @@
+"""Every name that a module of the package imports is used in that module.
+
+Deleting a function can leave its import behind. Each module is parsed
+with the standard library's ``ast``; a name counts as used when it is
+read anywhere in the module, in an annotation written as a string, or in
+the module's ``__all__``. The package ``__init__`` imports names in order
+to re-export them, so it is exempt.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lcplab"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names read in a string annotation, such as ``"Subspace"``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                if isinstance(n, ast.Name)}
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        if (isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                 for t in node.targets)):
+            used |= {e.value for e in ast.walk(node.value)
+                     if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_the_scan_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import math\nimport os.path\nfrom typing import Optional, Sequence\n"
+              "def f(x: 'Optional[int]') -> float:\n    return math.pi\n")
+    assert unused_imports(source) == ["line 3: os", "line 4: Sequence"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_name_it_imports(module):
+    assert unused_imports((SRC / module).read_text()) == []

@@ -124,6 +124,20 @@ def test_lee_form_recovers_t_flat():
     assert list(theta) == [F(0), F(0), F(1)]
 
 
+def test_lee_form_ignores_the_scale_of_the_bases():
+    # scaled rows give the solve a common denominator above 1, which the
+    # recovered covector must divide out
+    g, data = hyperbolic3_data()
+    from lcplab.linalg import make_subspace
+    u = make_subspace(exact_array([[5, 0, 0]]), 3, EXACT)
+    h = make_subspace(exact_array([[0, 2, 0], [0, 0, F(3, 7)]]), 3, EXACT)
+    assert list(lee_form_from_splitting(g, u, h)) == [F(0), F(0), F(1)]
+    gf = to_float_algebra(g)
+    hf = make_subspace(np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]), 3, FLOAT)
+    uf = make_subspace(np.array([[5.0, 0.0, 0.0]]), 3, FLOAT)
+    assert np.allclose(lee_form_from_splitting(gf, uf, hf), [0.0, 0.0, 1.0])
+
+
 def test_lee_form_rejects_bad_complement():
     g, data = hyperbolic3_data()
     # span{X + Y, T} is not a subalgebra
@@ -301,6 +315,19 @@ def test_classify_with_data():
     assert dec["principal_factor_dim"] == 3
     assert dec["q"] == 1
     assert dec["dim_bound_satisfied"] is True
+
+
+def test_make_lcp_data_refuses_a_float_lee_form_in_exact_mode():
+    # a float array is refused as a float ideal row is, naming the scalar,
+    # and does not reach validate_lcp as a bare TypeError
+    g = hyperbolic3()
+    with pytest.raises(InputError, match="float scalar 0.0 not allowed in exact mode"):
+        make_lcp_data(g, [[1, 0, 0]], np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(InputError, match="float scalar 1.0 not allowed in exact mode"):
+        make_lcp_data(g, np.array([[1.0, 0.0, 0.0]]), [0, 0, 1])
+    # an integer array is exact data
+    data = make_lcp_data(g, [[1, 0, 0]], np.array([0, 0, 1]))
+    assert validate_lcp(g, data).overall
 
 
 def test_make_lcp_data_shape_errors():

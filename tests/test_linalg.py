@@ -20,8 +20,6 @@ from lcplab.linalg import (
     charpoly_exact,
     coords_in_rowbasis,
     exact_det,
-    exact_inverse,
-    exact_solve,
     full_subspace,
     make_subspace,
     matrix_rank,
@@ -29,7 +27,9 @@ from lcplab.linalg import (
     rank_and_nullspace,
     restrict_operator,
     restricted_gram,
+    scaled_inverse,
     selfadjoint_eigensplit,
+    solve_linear,
     span_closure,
     subspace_contains,
     subspace_sum,
@@ -38,7 +38,8 @@ from lcplab.linalg import (
     support_indices,
     zero_subspace,
 )
-from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array, eye_array, float_array
+from lcplab.scalars import (DEFAULT_TOL, EXACT, FLOAT, exact_array, eye_array, float_array,
+                            from_scaled, to_scaled)
 
 F = Fraction
 
@@ -117,10 +118,16 @@ def test_float_rank_and_nullspace_match_exact_on_every_shape(rows, cols, planted
 # solving and inverses
 
 
+def _solve_exact(a, b):
+    """An exact solution as Fractions, or None."""
+    solved = solve_linear(a, b, EXACT, DEFAULT_TOL)
+    return None if solved is None else from_scaled(*solved)
+
+
 def test_exact_solve_unique():
     a = E([[2, 1], [1, 3]])
     b = E([5, 10])
-    x = exact_solve(a, b)
+    x = _solve_exact(a, b)
     assert x is not None
     assert list(a @ x) == [F(5), F(10)]
     assert x[0] == F(1) and x[1] == F(3)
@@ -128,25 +135,34 @@ def test_exact_solve_unique():
 
 def test_exact_solve_inconsistent_returns_none():
     a = E([[1, 1], [1, 1]])
-    assert exact_solve(a, E([1, 2])) is None
+    assert _solve_exact(a, E([1, 2])) is None
 
 
 def test_exact_solve_underdetermined_particular():
     a = E([[1, 1]])
-    x = exact_solve(a, E([7]))
+    x = _solve_exact(a, E([7]))
     assert x is not None and x[0] + x[1] == 7
+
+
+def test_float_solve_is_over_one():
+    a = float_array([[2, 1], [1, 3]])
+    x, den = solve_linear(a, float_array([5, 10]), FLOAT, DEFAULT_TOL)
+    assert den == 1 and x.shape == (2,) and np.allclose(x, [1, 3])
+    assert solve_linear(float_array([[1, 1], [1, 1]]), float_array([1, 2]), FLOAT,
+                        DEFAULT_TOL) is None
 
 
 def test_exact_inverse_round_trip():
     a = E([[2, 1], [7, 4]])
-    inv = exact_inverse(a)
-    prod = a @ inv
+    ints, den = scaled_inverse(a, EXACT)
+    assert all(type(x) is int for x in ints.reshape(-1))
+    prod = a @ from_scaled(ints, den)
     assert prod[0, 0] == 1 and prod[1, 1] == 1 and prod[0, 1] == 0 and prod[1, 0] == 0
 
 
 def test_exact_inverse_rejects_singular():
     with pytest.raises(InputError):
-        exact_inverse(E([[1, 2], [2, 4]]))
+        scaled_inverse(E([[1, 2], [2, 4]]), EXACT)
 
 
 def test_exact_det():
@@ -233,8 +249,7 @@ def test_restrict_operator_invariant_plane():
     # rotation-by-swap acts on span{e0, e1} inside R^3
     a = E([[0, -1, 0], [1, 0, 0], [0, 0, 5]])
     basis = E([[1, 0, 0], [0, 1, 0]])
-    m = restrict_operator(a, basis, EXACT, DEFAULT_TOL)
-    assert m is not None
+    m = from_scaled(*restrict_operator(a, basis, EXACT, DEFAULT_TOL))
     assert m[0, 0] == 0 and m[0, 1] == -1 and m[1, 0] == 1 and m[1, 1] == 0
 
 
@@ -248,14 +263,15 @@ def test_restrict_operator_stack_matches_each_operator():
     a = E([[0, -1, 0], [1, 0, 0], [0, 0, 5]])
     b = E([[2, 3, 0], [F(1, 2), 7, 0], [0, 0, 1]])
     basis = E([[1, 1, 0], [1, -1, 0]])
-    stacked = restrict_operator(np.stack([a, b]), basis, EXACT, DEFAULT_TOL)
+    stacked = from_scaled(*restrict_operator(np.stack([a, b]), basis, EXACT, DEFAULT_TOL))
     assert stacked.shape == (2, 2, 2)
     for k, op in enumerate((a, b)):
-        assert np.array_equal(stacked[k], restrict_operator(op, basis, EXACT, DEFAULT_TOL))
+        alone = restrict_operator(op, basis, EXACT, DEFAULT_TOL)
+        assert np.array_equal(stacked[k], from_scaled(*alone))
     leaves = E([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
     assert restrict_operator(np.stack([a, leaves, b]), basis, EXACT, DEFAULT_TOL) is None
     # the zero subspace is invariant under everything
-    assert restrict_operator(np.stack([a, leaves]), basis[:0], EXACT, DEFAULT_TOL).shape == (2, 0, 0)
+    assert restrict_operator(np.stack([a, leaves]), basis[:0], EXACT, DEFAULT_TOL)[0].shape == (2, 0, 0)
 
 
 def test_restrict_operator_stack_keeps_each_float_band():
@@ -269,7 +285,8 @@ def test_restrict_operator_stack_keeps_each_float_band():
     assert restrict_operator(small, basis, FLOAT, DEFAULT_TOL) is None
     assert restrict_operator(np.stack([large, small]), basis, FLOAT, DEFAULT_TOL) is None
     assert restrict_operator(np.stack([small, large]), basis, FLOAT, DEFAULT_TOL) is None
-    both = restrict_operator(np.stack([large, large / 1e8]), basis, FLOAT, DEFAULT_TOL)
+    both, den = restrict_operator(np.stack([large, large / 1e8]), basis, FLOAT, DEFAULT_TOL)
+    assert den == 1
     assert np.allclose(both[0], 1e8 * both[1])
     assert np.allclose(both[1], [[1, 2], [3, 4]])
 
@@ -319,14 +336,15 @@ def test_span_closure_sl2_from_one_generator():
     e12 = E([[0, 1], [0, 0]])
     e21 = E([[0, 0], [1, 0]])
     h = E([[1, 0], [0, -1]])
-    out = span_closure([e12], lambda m: [_comm(e21, m)], EXACT)
+    # exact closures run on integer matrices
+    out = span_closure([to_scaled(e12)[0]], lambda m: [_comm(to_scaled(e21)[0], m)], EXACT)
     assert out.dim == 3
     for mat in (e12, e21, h):
         assert coords_in_rowbasis(mat.reshape(-1), out.basis, EXACT, DEFAULT_TOL) is not None
 
 
 def test_span_closure_stops_on_fixed_span():
-    a = E([[1, 0], [0, 2]])
+    a = to_scaled(E([[1, 0], [0, 2]]))[0]
     out = span_closure([a], lambda m: [m], EXACT)
     assert out.dim == 1
 
@@ -462,7 +480,7 @@ def _conjugated_diagonal(seed):
     lower = [[1 if i == j else rng.randint(-1, 1) * (j < i) for j in range(n)] for i in range(n)]
     upper = [[1 if i == j else rng.randint(-1, 1) * (j > i) for j in range(n)] for i in range(n)]
     q = E(lower) @ E(upper)
-    qinv = exact_inverse(q)
+    qinv = from_scaled(*scaled_inverse(q, EXACT))
     den = rng.choice([1, 3])
     pool = [F(s * 2 ** 55 + rng.randint(-9, 9), den) for s in rng.sample([-3, -1, 1, 2, 5], 3)]
     r = [pool[0]] + [rng.choice(pool) for _ in range(n - 1)]

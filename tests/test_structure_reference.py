@@ -24,13 +24,18 @@ from lcplab.lcp import (LcpData, is_closed_covector, lcp_data_to_float, validate
 from lcplab.liealg import (MetricLieAlgebra, bracket_table, bracket_vec, curvature_tensor, inner,
                            is_ideal, is_subalgebra, is_unimodular, levi_civita, make_algebra,
                            to_float_algebra, transform_algebra)
-from lcplab.linalg import (Subspace, canonical_rows, coords_in_rowbasis, exact_det, invert,
-                           is_zero_matrix, residual_band, scale_of)
+from lcplab.linalg import (Subspace, canonical_rows, coords_in_rowbasis, exact_det,
+                           is_zero_matrix, residual_band, scale_of, scaled_inverse)
 from lcplab.scalars import (DEFAULT_TOL, EXACT, FLOAT, array_for_mode, exact_array, eye_array,
                             from_scaled, to_float_array, to_scaled, zeros_array)
 
 # ---------------------------------------------------------------------------
 # references: one decision per basis pair
+
+
+def _inverse(a, mode):
+    """The inverse as Fractions, or floats in float mode."""
+    return from_scaled(*scaled_inverse(a, mode))
 
 
 def _in_span(g, vec, rows):
@@ -95,7 +100,7 @@ def ref_lcp_flags(g, data):
 
 def ref_transform_algebra(g, q):
     """The change of basis as one bracket per basis pair."""
-    qinv = invert(q, g.mode, g.tol)
+    qinv = _inverse(q, g.mode)
     n = g.dim
     c = zeros_array((n, n, n), g.mode)
     for i in range(n):
@@ -109,7 +114,7 @@ def ref_transform_algebra(g, q):
 def ref_levi_civita(g):
     """Levi-Civita coefficients as Fractions, from a Fraction inverse of the gram."""
     c, dc = g.scaled_bracket
-    gram, ginv, d = to_scaled(g.gram, invert(g.gram, g.mode, g.tol))
+    gram, ginv, d = to_scaled(g.gram, _inverse(g.gram, g.mode))
     b = np.tensordot(c, gram, axes=(2, 0))
     rhs = b + np.transpose(b, (1, 2, 0)) - np.transpose(b, (2, 0, 1))
     return from_scaled(np.tensordot(rhs, ginv, axes=(2, 0)), 2 * dc * d * d)
@@ -119,7 +124,7 @@ def ref_weyl_coeffs(g, theta):
     """Weyl coefficients from the Fraction Levi-Civita coefficients, each
     term scaled to one denominator."""
     diag = np.arange(g.dim)
-    sharp = invert(g.gram, g.mode, g.tol) @ theta
+    sharp = _inverse(g.gram, g.mode) @ theta
     base, theta, gram, sharp, d = to_scaled(ref_levi_civita(g), theta, g.gram, sharp)
     coeffs = base * d
     coeffs[:, diag, diag] += theta[:, None] * d
@@ -158,7 +163,7 @@ def _sheared(g, data):
     """The algebra and its structure data in the basis e_i + e_(i+1)."""
     q = eye_array(g.dim, EXACT)
     q[:-1, 1:] += eye_array(g.dim - 1, EXACT)
-    qinv = invert(q, EXACT, g.tol)
+    qinv = _inverse(q, EXACT)
     comp = data.complement
     return transform_algebra(g, q), LcpData(
         _span(data.flat_ideal.basis @ qinv, g), q @ data.lee_covector,
