@@ -205,11 +205,11 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
     Starts from all self-adjoint operators G^-1 (E_ij + E_ji), i <= j, and
     imposes one commutation constraint at a time, so the working basis only
     ever shrinks; the identity always survives. The work runs on the
-    scaled form: an exact op is an integer matrix, any nonzero multiple of
-    the operator, and is divided by the gcd of its entries; each
-    constraint's nullspace comes as primitive integer rows. That changes no
-    span, and the elements come back on that form: Python ints in exact
-    mode.
+    scaled form: each op, rational or any nonzero integer multiple of the
+    operator, is scaled to integers and divided by the gcd of its entries;
+    each constraint's nullspace comes as primitive integer rows. That
+    changes no span, and the elements come back on that form: Python ints
+    in exact mode.
     """
     return _commutant(ops, scaled_inverse(gram, mode)[0], mode, tol)
 
@@ -222,6 +222,7 @@ def _commutant(ops: Sequence[np.ndarray], ginv: np.ndarray, mode: Mode,
     for a in ops:
         if len(work) <= 1:
             break
+        a = to_scaled(a)[0]
         if mode == EXACT:  # smaller entries, the same constraints
             a = a // (math.gcd(*a.reshape(-1).tolist()) or 1)
         # column j is the commutator of working basis matrix j with a

@@ -71,16 +71,15 @@ class LcpData:
 
 def make_lcp_data(g: MetricLieAlgebra, ideal_rows: Any, lee_covector: Any,
                   complement_rows: Any = None) -> LcpData:
-    def array(x: Any) -> np.ndarray:
-        return x if isinstance(x, np.ndarray) else array_for_mode(x, g.mode)
-    u = make_subspace(array(ideal_rows), g.dim, g.mode, g.tol)
     # each entry parsed in the algebra's mode: a float refused in exact mode
+    u = make_subspace(array_for_mode(ideal_rows, g.mode), g.dim, g.mode, g.tol)
     theta = array_for_mode(lee_covector, g.mode)
     if theta.shape != (g.dim,):
         raise InputError(f"lee covector must have length {g.dim}")
     comp = None
     if complement_rows is not None:
-        comp = make_subspace(array(complement_rows), g.dim, g.mode, g.tol)
+        comp = make_subspace(array_for_mode(complement_rows, g.mode), g.dim, g.mode,
+                             g.tol)
     check_square_scale(u.basis, theta, *([] if comp is None else [comp.basis]))
     return LcpData(u, theta, comp)
 

@@ -16,7 +16,7 @@ import pytest
 
 from lcplab.liealg import bracket_table, make_algebra, transform_algebra
 from lcplab.linalg import exact_det
-from lcplab.scalars import exact_array
+from lcplab.scalars import exact_array, from_scaled
 
 _SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
 _HEISENBERG = {(0, 1): {2: 1}}
@@ -111,6 +111,12 @@ def build_corpus(count: int = 200, seed: int = 20260819) -> list:
             g = transform_algebra(g, _invertible(rng, n))
         out.append(g)
     return out
+
+
+def scaled_value(scaled):
+    """The array that a scaled ``(values, den)`` pair stands for, or None:
+    Fractions in exact mode, floats in float mode."""
+    return None if scaled is None else from_scaled(*scaled)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scaled_value
+
 from lcplab import holonomy, linalg
 from lcplab.cli import run_analysis
 from lcplab.gallery import all_entries, sl_example
@@ -296,11 +298,6 @@ def _fraction_route_commutant(ops, gram, mode, tol):
     return basis if not reduced else [from_scaled(p, 1) for p in work]
 
 
-def _value(scaled):
-    """The matrix or stack that a scaled (values, den) pair stands for."""
-    return None if scaled is None else from_scaled(*scaled)
-
-
 def _same(got, want):
     """Equal as Fractions in exact mode, bit for bit in float mode; or both None."""
     if got is None or want is None:
@@ -353,9 +350,9 @@ def test_restrict_operator_matches_fraction_route(random_corpus):
             stacks.append(weyl_connection(g, data.lee_covector).operators)
         for rows in _subspaces(g, data):
             for ops in stacks:
-                got = _value(restrict_operator(ops, rows, g.mode, g.tol))
+                got = scaled_value(restrict_operator(ops, rows, g.mode, g.tol))
                 assert _same(got, _fraction_route_restrict(ops, rows, g.mode, g.tol)), g
-                assert _same(_value(restrict_operator(ops[0], rows, g.mode, g.tol)),
+                assert _same(scaled_value(restrict_operator(ops[0], rows, g.mode, g.tol)),
                              _fraction_route_restrict(ops[0], rows, g.mode, g.tol)), g
                 checked += 1
                 invariant += got is not None
@@ -367,9 +364,10 @@ def test_commutant_matches_fraction_route(random_corpus):
     reduced = 0
     for g, _ in _lane_cases(random_corpus):
         conn = levi_civita(g)
-        # the commutant takes each operator as any positive multiple of it:
-        # integers in exact mode
-        for ops in (list(holonomy_algebra(g, conn).basis), list(conn.scaled_operators)):
+        # the commutant takes each operator as rationals or as any positive
+        # integer multiple of it
+        for ops in (list(holonomy_algebra(g, conn).basis), list(conn.operators),
+                    list(conn.scaled_operators)):
             got = symmetric_commutant(ops, g.gram, g.mode, g.tol)
             want = _fraction_route_commutant(ops, g.gram, g.mode, g.tol)
             assert len(got) == len(want), g

@@ -7,6 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scaled_value
+
 from lcplab import holonomy, linalg
 from lcplab.errors import InputError
 from lcplab.gallery import all_entries
@@ -118,16 +120,10 @@ def test_float_rank_and_nullspace_match_exact_on_every_shape(rows, cols, planted
 # solving and inverses
 
 
-def _solve_exact(a, b):
-    """An exact solution as Fractions, or None."""
-    solved = solve_linear(a, b, EXACT, DEFAULT_TOL)
-    return None if solved is None else from_scaled(*solved)
-
-
 def test_exact_solve_unique():
     a = E([[2, 1], [1, 3]])
     b = E([5, 10])
-    x = _solve_exact(a, b)
+    x = scaled_value(solve_linear(a, b, EXACT, DEFAULT_TOL))
     assert x is not None
     assert list(a @ x) == [F(5), F(10)]
     assert x[0] == F(1) and x[1] == F(3)
@@ -135,12 +131,12 @@ def test_exact_solve_unique():
 
 def test_exact_solve_inconsistent_returns_none():
     a = E([[1, 1], [1, 1]])
-    assert _solve_exact(a, E([1, 2])) is None
+    assert scaled_value(solve_linear(a, E([1, 2]), EXACT, DEFAULT_TOL)) is None
 
 
 def test_exact_solve_underdetermined_particular():
     a = E([[1, 1]])
-    x = _solve_exact(a, E([7]))
+    x = scaled_value(solve_linear(a, E([7]), EXACT, DEFAULT_TOL))
     assert x is not None and x[0] + x[1] == 7
 
 
@@ -249,7 +245,7 @@ def test_restrict_operator_invariant_plane():
     # rotation-by-swap acts on span{e0, e1} inside R^3
     a = E([[0, -1, 0], [1, 0, 0], [0, 0, 5]])
     basis = E([[1, 0, 0], [0, 1, 0]])
-    m = from_scaled(*restrict_operator(a, basis, EXACT, DEFAULT_TOL))
+    m = scaled_value(restrict_operator(a, basis, EXACT, DEFAULT_TOL))
     assert m[0, 0] == 0 and m[0, 1] == -1 and m[1, 0] == 1 and m[1, 1] == 0
 
 
@@ -263,11 +259,11 @@ def test_restrict_operator_stack_matches_each_operator():
     a = E([[0, -1, 0], [1, 0, 0], [0, 0, 5]])
     b = E([[2, 3, 0], [F(1, 2), 7, 0], [0, 0, 1]])
     basis = E([[1, 1, 0], [1, -1, 0]])
-    stacked = from_scaled(*restrict_operator(np.stack([a, b]), basis, EXACT, DEFAULT_TOL))
+    stacked = scaled_value(restrict_operator(np.stack([a, b]), basis, EXACT, DEFAULT_TOL))
     assert stacked.shape == (2, 2, 2)
     for k, op in enumerate((a, b)):
         alone = restrict_operator(op, basis, EXACT, DEFAULT_TOL)
-        assert np.array_equal(stacked[k], from_scaled(*alone))
+        assert np.array_equal(stacked[k], scaled_value(alone))
     leaves = E([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
     assert restrict_operator(np.stack([a, leaves, b]), basis, EXACT, DEFAULT_TOL) is None
     # the zero subspace is invariant under everything
@@ -480,7 +476,7 @@ def _conjugated_diagonal(seed):
     lower = [[1 if i == j else rng.randint(-1, 1) * (j < i) for j in range(n)] for i in range(n)]
     upper = [[1 if i == j else rng.randint(-1, 1) * (j > i) for j in range(n)] for i in range(n)]
     q = E(lower) @ E(upper)
-    qinv = from_scaled(*scaled_inverse(q, EXACT))
+    qinv = scaled_value(scaled_inverse(q, EXACT))
     den = rng.choice([1, 3])
     pool = [F(s * 2 ** 55 + rng.randint(-9, 9), den) for s in rng.sample([-3, -1, 1, 2, 5], 3)]
     r = [pool[0]] + [rng.choice(pool) for _ in range(n - 1)]

@@ -16,6 +16,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import scaled_value
+
 from lcplab.errors import InputError
 from lcplab.gallery import _sl_with_line, all_entries, semidirect_sum, sl_example
 from lcplab.holonomy import _cross_vanishes, de_rham_splitting
@@ -31,11 +33,6 @@ from lcplab.scalars import (DEFAULT_TOL, EXACT, FLOAT, array_for_mode, exact_arr
 
 # ---------------------------------------------------------------------------
 # references: one decision per basis pair
-
-
-def _inverse(a, mode):
-    """The inverse as Fractions, or floats in float mode."""
-    return from_scaled(*scaled_inverse(a, mode))
 
 
 def _in_span(g, vec, rows):
@@ -100,7 +97,7 @@ def ref_lcp_flags(g, data):
 
 def ref_transform_algebra(g, q):
     """The change of basis as one bracket per basis pair."""
-    qinv = _inverse(q, g.mode)
+    qinv = scaled_value(scaled_inverse(q, g.mode))
     n = g.dim
     c = zeros_array((n, n, n), g.mode)
     for i in range(n):
@@ -114,7 +111,7 @@ def ref_transform_algebra(g, q):
 def ref_levi_civita(g):
     """Levi-Civita coefficients as Fractions, from a Fraction inverse of the gram."""
     c, dc = g.scaled_bracket
-    gram, ginv, d = to_scaled(g.gram, _inverse(g.gram, g.mode))
+    gram, ginv, d = to_scaled(g.gram, scaled_value(scaled_inverse(g.gram, g.mode)))
     b = np.tensordot(c, gram, axes=(2, 0))
     rhs = b + np.transpose(b, (1, 2, 0)) - np.transpose(b, (2, 0, 1))
     return from_scaled(np.tensordot(rhs, ginv, axes=(2, 0)), 2 * dc * d * d)
@@ -124,7 +121,7 @@ def ref_weyl_coeffs(g, theta):
     """Weyl coefficients from the Fraction Levi-Civita coefficients, each
     term scaled to one denominator."""
     diag = np.arange(g.dim)
-    sharp = _inverse(g.gram, g.mode) @ theta
+    sharp = scaled_value(scaled_inverse(g.gram, g.mode)) @ theta
     base, theta, gram, sharp, d = to_scaled(ref_levi_civita(g), theta, g.gram, sharp)
     coeffs = base * d
     coeffs[:, diag, diag] += theta[:, None] * d
@@ -163,7 +160,7 @@ def _sheared(g, data):
     """The algebra and its structure data in the basis e_i + e_(i+1)."""
     q = eye_array(g.dim, EXACT)
     q[:-1, 1:] += eye_array(g.dim - 1, EXACT)
-    qinv = _inverse(q, EXACT)
+    qinv = scaled_value(scaled_inverse(q, EXACT))
     comp = data.complement
     return transform_algebra(g, q), LcpData(
         _span(data.flat_ideal.basis @ qinv, g), q @ data.lee_covector,
