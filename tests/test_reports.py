@@ -112,6 +112,25 @@ EXPECTED = {
         "unimodular": True,
         "validation": {"failures": [], "passed": True},
     },
+    # the dim-29 rung of the size ladder, sl_example(3) with its structure
+    # data: the largest input whose whole analysis a test runs
+    "sl_example_3": {
+        "de_rham": {"factor_dims": [29], "factor_is_flat": [False],
+                    "factors_are_subalgebras": [True],
+                    "flat_factor_index": None, "promoted_to_float": False},
+        "decomposability": {"decomposable": False, "dim_bound_satisfied": True,
+                            "principal_factor_dim": 29, "q": 1,
+                            "touched_factors": [0], "witness": None},
+        "dim": 29,
+        "holonomy_dim": 406,
+        "lcp_report": _STRUCTURE_OK,
+        "mode": "exact",
+        "random_seed": 0,
+        "reducing_witness": None,
+        "tolerance_policy": _DEFAULT_POLICY,
+        "unimodular": True,
+        "validation": {"failures": [], "passed": True},
+    },
 }
 
 
@@ -119,6 +138,9 @@ def _input(name):
     if name == "fundamental_squared":
         g = fundamental_example().algebra
         return direct_sum_algebra(g, g), None
+    if name == "sl_example_3":
+        entry = sl_example(3)
+        return entry.algebra, entry.lcp
     entry = {"fundamental": fundamental_example, "product": product_example,
              "strongly_irreducible": strongly_irreducible_example,
              "sl2_semidirect": sl_example}[name]()
