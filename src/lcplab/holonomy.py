@@ -67,7 +67,15 @@ from .linalg import (
     subspace_sum,
     support_indices,
 )
-from .scalars import EXACT, Mode, TolerancePolicy, to_scaled
+from .scalars import (
+    EXACT,
+    Mode,
+    TolerancePolicy,
+    int_commutator,
+    int_matmul,
+    int_tensordot,
+    to_scaled,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +124,8 @@ def _closed_holonomy(g: MetricLieAlgebra, conn: InvariantConnection,
     max_dim = n * (n - 1) // 2 if conn.kind == LEVI_CIVITA else None
 
     def step(m: np.ndarray) -> list[np.ndarray]:
-        return [a @ m - m @ a for a in nabla]
+        # [a, m] for each a in nabla, in order, as one stacked product
+        return list(int_commutator(nabla, m))
     span = span_closure(seeds, step, g.mode, g.tol, max_dim)
     mats = tuple(span.basis[i].reshape(n, n) for i in range(span.dim))
     return OperatorAlgebra(n, mats, g.mode)
@@ -226,7 +235,7 @@ def _commutant(ops: Sequence[np.ndarray], ginv: np.ndarray, mode: Mode,
         if mode == EXACT:  # smaller entries, the same constraints
             a = a // (math.gcd(*a.reshape(-1).tolist()) or 1)
         # column j is the commutator of working basis matrix j with a
-        k = (work @ a - a @ work).reshape(len(work), -1).T
+        k = int_commutator(work, a).reshape(len(work), -1).T
         # a commutator that is zero at the scale of its inputs is no
         # constraint at all; without this cutoff pure roundoff noise would
         # read as a rank-one condition and eat a commutant direction
@@ -235,7 +244,7 @@ def _commutant(ops: Sequence[np.ndarray], ginv: np.ndarray, mode: Mode,
         null = rank_and_nullspace(k, mode, tol)[1].basis
         if len(null) == len(work):
             continue
-        work = (null @ work.reshape(len(work), -1)).reshape(-1, n, n)
+        work = int_matmul(null, work.reshape(len(work), -1)).reshape(-1, n, n)
     return list(work)
 
 
@@ -484,9 +493,9 @@ def _cross_vanishes(g: MetricLieAlgebra, linear_rows: np.ndarray,
     sc = scale_of(g.bracket, g.gram)
     a, y, gram, _ = to_scaled(linear_rows, quad_rows, g.gram)
     # br[a, k, i] = the k-th component of [a, y_i]
-    br = np.tensordot(np.tensordot(a, g.scaled_bracket[0], axes=(1, 0)), y, axes=(1, 1))
+    br = int_tensordot(int_tensordot(a, g.scaled_bracket[0], axes=(1, 0)), y, axes=(1, 1))
     # val[a, i, j] = <[a, y_i], y_j>, then symmetrised in i, j
-    val = np.transpose(br, (0, 2, 1)) @ (gram @ y.T)
+    val = int_matmul(np.transpose(br, (0, 2, 1)), int_matmul(gram, y.T))
     return is_zero_matrix(val + np.transpose(val, (0, 2, 1)), g.mode, g.tol, scale=sc * sc)
 
 

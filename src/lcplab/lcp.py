@@ -49,6 +49,8 @@ from .scalars import (
     Mode,
     array_for_mode,
     from_scaled,
+    int_matmul,
+    int_tensordot,
     lowest_terms,
     to_float_array,
     to_scaled,
@@ -151,7 +153,7 @@ def lee_form_from_splitting(g: MetricLieAlgebra, u: Subspace, h: Subspace) -> np
     # images[x, :, r] = [e_x, h_r] over dc * dh, all solved for at once
     c, dc = g.scaled_bracket
     hb, dh = to_scaled(h.basis)
-    images = np.tensordot(c, hb, axes=(1, 1))
+    images = int_tensordot(c, hb, axes=(1, 1))
     rhs = np.transpose(images, (1, 0, 2)).reshape(g.dim, -1)
     solved = solve_linear(stacked.T, rhs, g.mode, g.tol)
     if solved is None:
@@ -214,7 +216,7 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     nonflat = not is_zero_matrix(curv, g.mode, g.tol, scale=sc_r)
     # R(e_i, e_j) u_k for every i, j and basis vector u_k of u
     ub = to_scaled(u.basis)[0]
-    flat_on_u = is_zero_matrix(curv @ ub.T, g.mode, g.tol, scale=sc_r * scale_of(u.basis))
+    flat_on_u = is_zero_matrix(int_matmul(curv, ub.T), g.mode, g.tol, scale=sc_r * scale_of(u.basis))
     formula: Optional[bool] = None
     if data.complement is not None:
         try:

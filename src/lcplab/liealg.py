@@ -41,6 +41,9 @@ from .scalars import (
     check_mode,
     eye_array,
     from_scaled,
+    int_commutator,
+    int_matmul,
+    int_tensordot,
     lowest_terms,
     to_float_array,
     to_scaled,
@@ -180,15 +183,15 @@ def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
     gram, dg = to_scaled(g.gram)
     qinv, di = scaled_inverse(q, g.mode)
     # t[i, k, j] = the e_k component of [q_i, q_j]
-    t = np.tensordot(np.tensordot(qi, c, axes=(1, 0)), qi, axes=(1, 1))
-    full = np.tensordot(t, qinv, axes=(1, 0))
+    t = int_tensordot(int_tensordot(qi, c, axes=(1, 0)), qi, axes=(1, 1))
+    full = int_tensordot(t, qinv, axes=(1, 0))
     # the upper triangle, mirrored: float output stays exactly antisymmetric
     iu, ju = np.triu_indices(g.dim, 1)
     new = np.zeros_like(full)
     new[iu, ju] = full[iu, ju]
     new[ju, iu] = -full[iu, ju]
     return MetricLieAlgebra(from_scaled(new, dc * dq * dq * di),
-                            from_scaled(qi @ gram @ qi.T, dq * dq * dg),
+                            from_scaled(int_matmul(int_matmul(qi, gram), qi.T), dq * dq * dg),
                             g.mode, g.basis_names, g.tol)
 
 
@@ -199,8 +202,8 @@ def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
 def bracket_vec(g: MetricLieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     c, dc = g.scaled_bracket
     xi, yi, d = to_scaled(x, y)
-    t = np.tensordot(xi, c, axes=(0, 0))  # t[j, k] = sum_i x_i c[i,j,k]
-    return from_scaled(np.tensordot(yi, t, axes=(0, 0)), d * d * dc)
+    t = int_tensordot(xi, c, axes=(0, 0))  # t[j, k] = sum_i x_i c[i,j,k]
+    return from_scaled(int_tensordot(yi, t, axes=(0, 0)), d * d * dc)
 
 
 def ad_matrix(g: MetricLieAlgebra, i: int) -> np.ndarray:
@@ -214,7 +217,7 @@ def inner(g: MetricLieAlgebra, x: np.ndarray, y: np.ndarray):
 def is_subalgebra(g: MetricLieAlgebra, s: Subspace) -> bool:
     """True when every ad_x, x in a basis of s, preserves s: one invariance
     test, on the scaled bracket (a positive scale changes no invariant subspace)."""
-    ad = np.tensordot(to_scaled(s.basis)[0], g.scaled_bracket[0], axes=(1, 0))
+    ad = int_tensordot(to_scaled(s.basis)[0], g.scaled_bracket[0], axes=(1, 0))
     return restrict_operator(np.transpose(ad, (0, 2, 1)), s.basis, g.mode, g.tol) is not None
 
 
@@ -280,12 +283,13 @@ def validate_algebra(g: MetricLieAlgebra) -> ValidationReport:
     anti = [(i, j) for i in range(n) for j in range(i, n)
             if not is_zero_matrix(sym[i, j], g.mode, g.tol, scale=sc)]
     # t[i, j, k, m] = sum_l c[i, j, l] c[l, k, m], the m-th component of [[e_i, e_j], e_k]
-    t = np.tensordot(c, c, axes=(2, 0))
+    t = int_tensordot(c, c, axes=(2, 0))
     # total[i, j, k] = t[i, j, k] + t[j, k, i] + t[k, i, j]
     total = t + np.transpose(t, (2, 0, 1, 3)) + np.transpose(t, (1, 2, 0, 3))
     jac = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
            if not is_zero_matrix(total[i, j, k], g.mode, g.tol, scale=sc * sc)]
-    gram_sym = is_zero_matrix(g.gram - g.gram.T, g.mode, g.tol, scale=scale_of(g.gram))
+    gram = to_scaled(g.gram)[0]
+    gram_sym = is_zero_matrix(gram - gram.T, g.mode, g.tol, scale=scale_of(g.gram))
     gram_pd = gram_sym and _is_positive_definite(g.gram, g.mode, g.tol)
     return ValidationReport(tuple(anti), tuple(jac), gram_sym, gram_pd)
 
@@ -339,10 +343,10 @@ def levi_civita(g: MetricLieAlgebra) -> InvariantConnection:
     c, dc = g.scaled_bracket
     gram, dg = to_scaled(g.gram)
     ginv, di = g.scaled_gram_inverse
-    b = np.tensordot(c, gram, axes=(2, 0))  # b[i,j,z] = <[e_i,e_j], e_z>
+    b = int_tensordot(c, gram, axes=(2, 0))  # b[i,j,z] = <[e_i,e_j], e_z>
     # rhs[i, j, z] = b[i, j, z] + b[z, i, j] - b[j, z, i]
     rhs = b + np.transpose(b, (1, 2, 0)) - np.transpose(b, (2, 0, 1))
-    coeffs = np.tensordot(rhs, ginv, axes=(2, 0))
+    coeffs = int_tensordot(rhs, ginv, axes=(2, 0))
     return InvariantConnection(lowest_terms(coeffs, 2 * dc * dg * di), LEVI_CIVITA, g.mode)
 
 
@@ -359,11 +363,11 @@ def _curvature(g: MetricLieAlgebra, conn: InvariantConnection,
     n = g.dim
     c, dc = g.scaled_bracket
     a, da = conn.scaled_operators, conn.scaled[1]
-    prod = a[rows, None] @ a[None, cols]  # prod[i, j] = a[i] @ a[j]
-    back = prod if rows == cols else a[cols, None] @ a[None, rows]
-    # mixed[i, j] = the operator of [e_i, e_j]
-    mixed = (c[rows, cols, None, :] @ a.reshape(n, n * n)).reshape(prod.shape)
-    return (prod - np.transpose(back, (1, 0, 2, 3))) * dc - mixed * da, da * da * dc
+    # dc [a[i], a[j]] and da times the operator of [e_i, e_j], each scaled
+    # on its smaller factor
+    comm = int_commutator(a[rows, None] * dc, a[None, cols])
+    mixed = int_matmul(c[rows, cols, None, :] * da, a.reshape(n, n * n)).reshape(comm.shape)
+    return comm - mixed, da * da * dc
 
 
 def curvature_operator(g: MetricLieAlgebra, conn: InvariantConnection,
@@ -404,6 +408,6 @@ def metric_defect(g: MetricLieAlgebra, conn: InvariantConnection,
         theta = zeros_array((g.dim,), g.mode)
     a, da = conn.scaled_operators, conn.scaled[1]
     gram, t, d = to_scaled(g.gram, theta)
-    defect = ((gram @ a + np.transpose(a, (0, 2, 1)) @ gram) * d
+    defect = ((int_matmul(gram, a) + int_matmul(np.transpose(a, (0, 2, 1)), gram)) * d
               - 2 * da * t[:, None, None] * gram)
     return _max_abs(defect, d * d * da)

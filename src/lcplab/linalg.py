@@ -55,6 +55,8 @@ from .scalars import (
     TolerancePolicy,
     eye_array,
     from_scaled,
+    int_matmul,
+    int_tensordot,
     to_float_array,
     to_scaled,
     zeros_array,
@@ -406,7 +408,7 @@ def orthocomplement(s: Subspace, gram: np.ndarray, tol: TolerancePolicy = DEFAUL
 def restricted_gram(basis_rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """B G B^T on the scaled form: in exact mode a positive multiple of it, in ints."""
     b, g, _ = to_scaled(basis_rows, gram)
-    return b @ g @ b.T
+    return int_matmul(int_matmul(b, g), b.T)
 
 
 def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
@@ -426,7 +428,7 @@ def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
     k, m, n = stack.shape[0], basis_rows.shape[0], basis_rows.shape[1]
     bi, ai, d = to_scaled(basis_rows, stack)
     # images[j, :, i] = d * d * a_j(basis_i), the right-hand side of one solve
-    images = np.tensordot(ai, bi, axes=(2, 1))
+    images = int_tensordot(ai, bi, axes=(2, 1))
     rhs = np.transpose(images, (1, 0, 2)).reshape(n, k * m)
     if m == 0:
         solved = zeros_array((0, 0), mode), 1

@@ -23,14 +23,30 @@ object array of Python ints: an algorithm written once on the scaled
 form runs in either mode. These two helpers, and ``linalg.scale_of``,
 read the mode from the array's dtype; object and integer arrays take
 the exact path.
+
+Products on that form go through one kernel, :func:`int_matmul`, with
+:func:`int_commutator` and :func:`int_tensordot` beside it. On object
+arrays of Python ints whose product bound is below 2**53, they compute in
+float64 through BLAS and convert the answer back to Python ints. If every
+entry of a is at most A in magnitude and every entry of b at most B, each
+entry of the product sums ``inner`` terms of magnitude at most A * B, so
+every term and every partial sum, in any order, is an integer of
+magnitude at most A * B * inner. When that is below 2**53, float64 holds each of them
+exactly, and the answer is exact by the bound, not by a test. The bound is
+checked on the Python ints before any cast. Above it, on any entry that
+is not a Python int (a ``Fraction``, say), and on products too small for
+the conversion to pay off, the object product runs as before. Float64
+arrays go straight to ``@`` and ``np.tensordot``, so float results are
+the same bits either way.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from numbers import Rational
-from typing import Any, Literal
+from typing import Any, Literal, Optional
 
 import numpy as np
 
@@ -144,6 +160,103 @@ def to_scaled(*arrays: np.ndarray) -> tuple:
     ints = [np.array([x.numerator * (den // x.denominator) for x in flat],
                      dtype=object).reshape(np.shape(a)) for flat, a in zip(flats, arrays)]
     return (*ints, den)
+
+
+# A product of object ints goes through float64 only when that saves
+# time: converting both operands to float64 and the answer back costs a
+# fixed 10 to 20 us per call and about 4 object multiply-adds per entry
+# converted. So it takes at least KERNEL_MIN_WORK multiply-adds, and at
+# least KERNEL_WORK_PER_ENTRY per entry of the operands and the answer.
+# Measured with entries below 2**8 on numpy 2.4 and OpenBLAS: the
+# crossover of square products lies at 1,000 to 1,700 multiply-adds
+# (n = 10 to 12), of stacks of 5 x 5 matrices near 3,500, and a (29**3, 29)
+# by (29, 1) product, one multiply-add per entry, took 0.11 s in float64
+# against 0.04 s on object ints.
+KERNEL_MIN_WORK = 2**12
+KERNEL_WORK_PER_ENTRY = 4
+# float64 holds every integer of magnitude below 2**53 exactly
+_FLOAT_EXACT = 2**53
+
+
+def _exact_floats(a: np.ndarray, b: np.ndarray, inner: int,
+                  work: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Object arrays a and b as float64 when their product, ``work``
+    multiply-adds with ``inner`` terms per entry, is worth computing in
+    float64 and exact there; else None.
+
+    Only Python ints qualify. The bound is checked on the Python ints
+    before any cast: with A = max(1, max|a|) and B = max(1, max|b|),
+    A * B * inner < 2**53 puts every entry of both operands, every term and
+    every partial sum of every entry of the product below 2**53 in
+    magnitude, so each is an integer that float64 holds exactly, in any
+    summation order and with or without fused multiply-adds.
+    """
+    entries = a.size + b.size + (work // inner if inner else 0)
+    if work < KERNEL_MIN_WORK or work < KERNEL_WORK_PER_ENTRY * entries:
+        return None
+    if not all(set(map(type, x.reshape(-1).tolist())) <= {int} for x in (a, b)):
+        return None  # a Fraction, a bool or a numpy scalar: the object product
+    ta, tb = (np.abs(x).max(initial=1) for x in (a, b))  # max(1, max|x|)
+    if ta * tb * inner >= _FLOAT_EXACT:
+        return None
+    return a.astype(np.float64), b.astype(np.float64)
+
+
+def _back_to_ints(r: Any) -> Any:
+    """A float64 product known to hold integers below 2**53, as Python ints."""
+    out = np.asarray(r).astype(np.int64).astype(object)
+    return out if out.ndim else out[()]
+
+
+def _matmul_work(a: np.ndarray, b: np.ndarray) -> int:
+    """The number of multiply-adds in ``a @ b``, broadcast stacks included."""
+    work = a.shape[-1] * (a.shape[-2] if a.ndim > 1 else 1) * (b.shape[-1] if b.ndim > 1 else 1)
+    for x, y in zip_longest(a.shape[-3::-1], b.shape[-3::-1], fillvalue=1):
+        work *= y if x == 1 else x
+    return work
+
+
+def int_matmul(a: np.ndarray, b: np.ndarray) -> Any:
+    """``a @ b``, computed in float64 when that is exact.
+
+    For object arrays of Python ints whose product is exact in float64
+    (see :func:`_exact_floats`), the product runs through BLAS and comes
+    back as an object array of Python ints equal to the object product.
+    Everything else, float64 arrays included, is ``a @ b`` itself.
+    """
+    if a.dtype != object or b.dtype != object:
+        return a @ b
+    floats = _exact_floats(a, b, a.shape[-1], _matmul_work(a, b))
+    return a @ b if floats is None else _back_to_ints(floats[0] @ floats[1])
+
+
+def int_commutator(a: np.ndarray, b: np.ndarray) -> Any:
+    """``a @ b - b @ a``, computed in float64 when that is exact, as
+    :func:`int_matmul` does: each entry is a sum of twice as many terms,
+    and each operand and the answer are converted once."""
+    if a.dtype != object or b.dtype != object:
+        return a @ b - b @ a
+    floats = _exact_floats(a, b, 2 * a.shape[-1], 2 * _matmul_work(a, b))
+    if floats is None:
+        return a @ b - b @ a
+    fa, fb = floats
+    return _back_to_ints(fa @ fb - fb @ fa)
+
+
+def int_tensordot(a: np.ndarray, b: np.ndarray, axes: Any = 2) -> Any:
+    """``np.tensordot(a, b, axes)``, computed in float64 when that is exact,
+    as :func:`int_matmul` does."""
+    if a.dtype != object or b.dtype != object:
+        return np.tensordot(a, b, axes)
+    if isinstance(axes, int):
+        summed = range(a.ndim - axes, a.ndim)
+    else:
+        summed = [axes[0]] if isinstance(axes[0], int) else axes[0]
+    inner = math.prod(a.shape[i] for i in summed)
+    floats = _exact_floats(a, b, inner, a.size * b.size // inner if inner else 0)
+    if floats is None:
+        return np.tensordot(a, b, axes)
+    return _back_to_ints(np.tensordot(*floats, axes))
 
 
 def lowest_terms(ints: np.ndarray, den: int) -> tuple[np.ndarray, int]:

@@ -8,6 +8,7 @@ the obvious way, or against the Fraction route the code used to take.
 """
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import scaled_value
 
-from lcplab import holonomy, linalg
+from lcplab import holonomy, linalg, scalars
 from lcplab.cli import run_analysis
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (common_kernel, de_rham_splitting, holonomy_algebra,
@@ -29,8 +30,8 @@ from lcplab.linalg import (_ExactEchelon, _rref, canonical_rows, charpoly_exact,
                            is_zero_matrix, orthocomplement, rank_and_nullspace, residual_band,
                            restrict_operator, scale_of, scaled_inverse, solve_linear,
                            support_indices)
-from lcplab.scalars import (DEFAULT_TOL, EXACT, exact_array, from_scaled, to_float_array,
-                            to_scaled, zeros_array)
+from lcplab.scalars import (DEFAULT_TOL, EXACT, exact_array, from_scaled, int_commutator,
+                            int_matmul, int_tensordot, to_float_array, to_scaled, zeros_array)
 
 
 def _reference_rref(rows):
@@ -573,7 +574,8 @@ def test_fraction_budget_of_one_exact_analysis(monkeypatch):
     # exact answers pass between stages as ints: Fractions are built only
     # where a value is read. One exact sl2_semidirect analysis with its
     # structure data built 8,972 of them when solves and nullspaces
-    # returned Fractions, and about 300 since
+    # returned Fractions, 279 while the Gram symmetry test ran on
+    # Fractions, and 83 since
     entry = sl_example(2)
     g = dataclasses.replace(entry.algebra)  # a fresh algebra: nothing cached yet
     built = [0]
@@ -586,4 +588,144 @@ def test_fraction_budget_of_one_exact_analysis(monkeypatch):
     report, code = run_analysis(g, entry.lcp)
     monkeypatch.undo()
     assert code == 0 and report["lcp_report"]["overall"]
-    assert built[0] <= 1500, built[0]
+    assert built[0] <= 300, built[0]
+
+
+# ---------------------------------------------------------------------------
+# the product kernel: float64 products of object ints below 2**53
+
+_MATMUL_SHAPES = [((5, 4), (4, 3)), ((3, 5, 4), (4, 2)), ((4, 4), (6, 4, 4)),
+                  ((2, 1, 3, 4), (1, 3, 4, 5)), ((7,), (7, 3)), ((3, 7), (7,)), ((6,), (6,)),
+                  ((0, 4), (4, 3)), ((3, 0), (0, 2)), ((2, 0, 3), (3, 3))]
+_TENSORDOT_CASES = [((3, 4, 5), (4, 5, 2), ([1, 2], [0, 1])), ((3, 4, 5), (5, 6), 1),
+                    ((2, 3, 4), (3, 4, 5), 2), ((4, 3), (5, 4), (0, 1)),
+                    ((3, 3, 3), (3, 3, 3), (2, 0)), ((0, 3), (3, 2), (1, 0))]
+_COMMUTATOR_SHAPES = [((6, 4, 4), (4, 4)), ((4, 4), (6, 4, 4)), ((3, 1, 4, 4), (1, 3, 4, 4))]
+
+
+def _regimes(inner):
+    """(lowest, highest) magnitudes of a's and b's entries: small, near 2**26,
+    just below and just above 2**53 for the whole sum, and far above 2**64.
+    In the two regimes at the bound every entry sits near its maximum with
+    one sign, so the sums come close to the bound."""
+    top_b = (2**53 - 1) // (2**26 * max(inner, 1))
+    return [((0, 16), (0, 16)), ((0, 2**26), (0, 2**26)),
+            ((2**26 - 7, 2**26), (max(top_b - 7, 0), top_b)),
+            ((2**26 - 7, 2**26), (top_b + 1, top_b + 9)),
+            ((0, 2**70), (0, 2**66))]
+
+
+def _ints(rng, shape, lo, hi, signed):
+    """An object array of Python ints with magnitudes in [lo, hi]."""
+    flat = [rng.randint(lo, hi) * (rng.choice((1, -1)) if signed else 1)
+            for _ in range(math.prod(shape))]
+    return np.array(flat + [0], dtype=object)[:-1].reshape(shape)
+
+
+def _same_product(got, want):
+    """Equal values of equal types: Python ints stay ints, Fractions Fractions."""
+    got, want = np.asarray(got, dtype=object), np.asarray(want, dtype=object)
+    assert got.dtype == object and got.shape == want.shape
+    assert [type(x) for x in got.reshape(-1)] == [type(x) for x in want.reshape(-1)]
+    assert got.tolist() == want.tolist()
+
+
+def _cases(shapes_of):
+    rng = random.Random(2026)
+    for shape_a, shape_b, inner, extra in shapes_of:
+        for (lo_a, hi_a), (lo_b, hi_b) in _regimes(inner):
+            for signed in (True, False):
+                yield (_ints(rng, shape_a, lo_a, hi_a, signed),
+                       _ints(rng, shape_b, lo_b, hi_b, signed), extra)
+
+
+def _no_size_cutoff(monkeypatch):
+    # small random shapes: only the bound decides which path a product takes
+    monkeypatch.setattr(scalars, "KERNEL_MIN_WORK", 0)
+    monkeypatch.setattr(scalars, "KERNEL_WORK_PER_ENTRY", 0)
+
+
+def test_int_matmul_equals_the_object_product(monkeypatch):
+    _no_size_cutoff(monkeypatch)
+    shapes = [(sa, sb, sa[-1], None) for sa, sb in _MATMUL_SHAPES]
+    for a, b, _ in _cases(shapes):
+        _same_product(int_matmul(a, b), a @ b)
+
+
+def test_int_tensordot_equals_the_object_product(monkeypatch):
+    _no_size_cutoff(monkeypatch)
+    shapes = []
+    for sa, sb, axes in _TENSORDOT_CASES:
+        summed = range(len(sa) - axes, len(sa)) if isinstance(axes, int) else np.atleast_1d(axes[0])
+        shapes.append((sa, sb, math.prod(sa[i] for i in summed), axes))
+    for a, b, axes in _cases(shapes):
+        _same_product(int_tensordot(a, b, axes), np.tensordot(a, b, axes))
+
+
+def test_int_commutator_equals_the_object_products(monkeypatch):
+    _no_size_cutoff(monkeypatch)
+    shapes = [(sa, sb, 2 * sa[-1], None) for sa, sb in _COMMUTATOR_SHAPES]
+    for a, b, _ in _cases(shapes):
+        _same_product(int_commutator(a, b), a @ b - b @ a)
+
+
+def test_kernel_takes_the_float_path_exactly_below_the_bound(monkeypatch):
+    # the float path is the one that calls _back_to_ints; count its calls
+    _no_size_cutoff(monkeypatch)
+    calls = [0]
+    back = scalars._back_to_ints
+
+    def counting_back(r):
+        calls[0] += 1
+        return back(r)
+    monkeypatch.setattr(scalars, "_back_to_ints", counting_back)
+
+    def float_path(a, b, product):
+        calls[0] = 0
+        product(a, b)
+        return calls[0] == 1
+    a = np.full((3, 2), 2**26, dtype=object)
+    b = np.full((2, 3), 2**26, dtype=object)
+    below = np.full((2, 3), 2**26 - 1, dtype=object)
+    # max|a| * max|b| * inner: 2**53 is not below the bound, 2**53 - 2**27 is
+    assert not float_path(a, b, int_matmul) and float_path(a, below, int_matmul)
+    assert not float_path(a, -b, int_matmul) and float_path(-a, below, int_matmul)
+    # a commutator sums two products: twice the inner length
+    sq, half = np.full((2, 2), 2**26, dtype=object), np.full((2, 2), 2**25, dtype=object)
+    assert not float_path(sq, half, int_commutator)
+    assert float_path(sq, half - 1, int_commutator)
+    # zeros times entries beyond the float range: max(1, max|a|) keeps them out
+    zeros, huge = np.zeros((3, 2), dtype=object), np.full((2, 3), 2**1100, dtype=object)
+    assert not float_path(zeros, huge, int_matmul)
+    _same_product(int_matmul(zeros, huge), zeros @ huge)
+    # a Fraction, a bool or a numpy integer anywhere keeps the object product
+    for odd in (Fraction(1, 2), Fraction(2), True, np.int64(1)):
+        c = below.copy()
+        c[1, 2] = odd
+        assert not float_path(a, c, int_matmul)
+        _same_product(int_matmul(a, c), a @ c)
+
+
+def test_kernel_size_cutoff():
+    # with the module's cutoffs a large product goes through float64 and a
+    # small or thin one stays on object ints; both agree with the object product
+    rng = random.Random(7)
+    big_a, big_b = _ints(rng, (40, 40), 0, 99, True), _ints(rng, (40, 40), 0, 99, True)
+    assert scalars._exact_floats(big_a, big_b, 40, 40**3) is not None
+    _same_product(int_matmul(big_a, big_b), big_a @ big_b)
+    small = big_a[:4, :4]
+    assert scalars._exact_floats(small, small, 4, 4**3) is None
+    thin_a, thin_b = _ints(rng, (20**3, 20), 0, 9, True), _ints(rng, (20, 1), 0, 9, True)
+    assert scalars._exact_floats(thin_a, thin_b, 20, 20**4) is None
+    _same_product(int_matmul(thin_a, thin_b), thin_a @ thin_b)
+
+
+def test_kernel_leaves_float64_products_alone():
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((6, 40, 40)), rng.standard_normal((40, 40))
+    for got, want in ((int_matmul(a, b), a @ b), (int_matmul(b, a), b @ a),
+                      (int_tensordot(a, b, (2, 0)), np.tensordot(a, b, (2, 0))),
+                      (int_tensordot(a, a, ([1, 2], [1, 2])),
+                       np.tensordot(a, a, ([1, 2], [1, 2]))),
+                      (int_commutator(a, b), a @ b - b @ a)):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
