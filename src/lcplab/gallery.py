@@ -27,7 +27,7 @@ from .lcp import LcpData, make_lcp_data
 from .liealg import (MetricLieAlgebra, bracket_table, direct_sum_algebra,
                      make_algebra)
 from .scalars import (EXACT, FLOAT, Mode, array_for_mode, eye_array, from_scaled,
-                      int_commutator, int_tensordot, to_scaled, zeros_array)
+                      int_matmul, int_tensordot, to_scaled, zeros_array)
 
 __all__ = [
     "ExpectedVerdicts", "GalleryEntry", "semidirect_sum",
@@ -89,7 +89,8 @@ def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
         mats.append(arr)
     rho, hc, den = to_scaled(np.array(mats).reshape(h.dim, v_dim, v_dim), h.bracket)
     # defect[i, j] = [rho_i, rho_j] - sum_k c_ijk rho_k, times den^2
-    defect = int_commutator(rho[:, None], rho[None, :]) - int_tensordot(hc, rho, axes=(2, 0))
+    prod = int_matmul(rho[:, None], rho[None, :])
+    defect = prod - np.transpose(prod, (1, 0, 2, 3)) - int_tensordot(hc, rho, axes=(2, 0))
     worst = np.abs(defect).max(axis=(2, 3))
     limit = 0 if h.mode is EXACT else 1e-12 * max(1.0, float(np.abs(rho).max(initial=0)))
     for i, j in zip(*np.triu_indices(h.dim, 1)):

@@ -41,7 +41,6 @@ from .scalars import (
     check_mode,
     eye_array,
     from_scaled,
-    int_commutator,
     int_matmul,
     int_tensordot,
     lowest_terms,
@@ -363,11 +362,12 @@ def _curvature(g: MetricLieAlgebra, conn: InvariantConnection,
     n = g.dim
     c, dc = g.scaled_bracket
     a, da = conn.scaled_operators, conn.scaled[1]
-    # dc [a[i], a[j]] and da times the operator of [e_i, e_j], each scaled
-    # on its smaller factor
-    comm = int_commutator(a[rows, None] * dc, a[None, cols])
-    mixed = int_matmul(c[rows, cols, None, :] * da, a.reshape(n, n * n)).reshape(comm.shape)
-    return comm - mixed, da * da * dc
+    # prod[i, j] = dc a[i] @ a[j], and mixed[i, j] = da times the operator of
+    # [e_i, e_j]: each scaled on its smaller factor
+    prod = int_matmul(a[rows, None] * dc, a[None, cols])
+    back = prod if rows == cols else int_matmul(a[cols, None] * dc, a[None, rows])
+    mixed = int_matmul(c[rows, cols, None, :] * da, a.reshape(n, n * n)).reshape(prod.shape)
+    return prod - np.transpose(back, (1, 0, 2, 3)) - mixed, da * da * dc
 
 
 def curvature_operator(g: MetricLieAlgebra, conn: InvariantConnection,

@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from numbers import Rational
 from typing import Any, Literal, Optional
 
@@ -179,41 +178,38 @@ _FLOAT_EXACT = 2**53
 
 
 def _exact_floats(a: np.ndarray, b: np.ndarray, inner: int,
-                  work: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Object arrays a and b as float64 when their product, ``work``
-    multiply-adds with ``inner`` terms per entry, is worth computing in
+                  products: int = 1) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Object arrays a and b as float64 when a sum of ``products`` products
+    of a and b, each with ``inner`` terms per entry, is worth computing in
     float64 and exact there; else None.
 
-    Only Python ints qualify. The bound is checked on the Python ints
-    before any cast: with A = max(1, max|a|) and B = max(1, max|b|),
-    A * B * inner < 2**53 puts every entry of both operands, every term and
-    every partial sum of every entry of the product below 2**53 in
-    magnitude, so each is an integer that float64 holds exactly, in any
-    summation order and with or without fused multiply-adds.
+    A product takes a.size * b.size / inner multiply-adds, fewer only when
+    both operands are stacks that broadcast. Only Python ints qualify. The
+    bound is checked on the Python ints before any cast: with
+    A = max(1, max|a|) and B = max(1, max|b|),
+    A * B * inner * products < 2**53 puts every entry of both operands,
+    every term and every partial sum of every entry of the answer below
+    2**53 in magnitude, so each is an integer that float64 holds exactly,
+    in any summation order and with or without fused multiply-adds.
     """
-    entries = a.size + b.size + (work // inner if inner else 0)
-    if work < KERNEL_MIN_WORK or work < KERNEL_WORK_PER_ENTRY * entries:
+    if inner == 0:
+        return None  # an empty sum: the object product gives its zeros
+    size = a.size * b.size // inner  # the multiply-adds of one product
+    work = products * size
+    if work < KERNEL_MIN_WORK or work < KERNEL_WORK_PER_ENTRY * (a.size + b.size + size // inner):
         return None
     if not all(set(map(type, x.reshape(-1).tolist())) <= {int} for x in (a, b)):
         return None  # a Fraction, a bool or a numpy scalar: the object product
     ta, tb = (np.abs(x).max(initial=1) for x in (a, b))  # max(1, max|x|)
-    if ta * tb * inner >= _FLOAT_EXACT:
+    if ta * tb * inner * products >= _FLOAT_EXACT:
         return None
     return a.astype(np.float64), b.astype(np.float64)
 
 
 def _back_to_ints(r: Any) -> Any:
-    """A float64 product known to hold integers below 2**53, as Python ints."""
+    """A float64 answer known to hold integers below 2**53, as Python ints."""
     out = np.asarray(r).astype(np.int64).astype(object)
     return out if out.ndim else out[()]
-
-
-def _matmul_work(a: np.ndarray, b: np.ndarray) -> int:
-    """The number of multiply-adds in ``a @ b``, broadcast stacks included."""
-    work = a.shape[-1] * (a.shape[-2] if a.ndim > 1 else 1) * (b.shape[-1] if b.ndim > 1 else 1)
-    for x, y in zip_longest(a.shape[-3::-1], b.shape[-3::-1], fillvalue=1):
-        work *= y if x == 1 else x
-    return work
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> Any:
@@ -226,17 +222,16 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> Any:
     """
     if a.dtype != object or b.dtype != object:
         return a @ b
-    floats = _exact_floats(a, b, a.shape[-1], _matmul_work(a, b))
+    floats = _exact_floats(a, b, a.shape[-1])
     return a @ b if floats is None else _back_to_ints(floats[0] @ floats[1])
 
 
 def int_commutator(a: np.ndarray, b: np.ndarray) -> Any:
     """``a @ b - b @ a``, computed in float64 when that is exact, as
-    :func:`int_matmul` does: each entry is a sum of twice as many terms,
-    and each operand and the answer are converted once."""
+    :func:`int_matmul` does, with each operand and the answer converted once."""
     if a.dtype != object or b.dtype != object:
         return a @ b - b @ a
-    floats = _exact_floats(a, b, 2 * a.shape[-1], 2 * _matmul_work(a, b))
+    floats = _exact_floats(a, b, a.shape[-1], 2)
     if floats is None:
         return a @ b - b @ a
     fa, fb = floats
@@ -252,8 +247,7 @@ def int_tensordot(a: np.ndarray, b: np.ndarray, axes: Any = 2) -> Any:
         summed = range(a.ndim - axes, a.ndim)
     else:
         summed = [axes[0]] if isinstance(axes[0], int) else axes[0]
-    inner = math.prod(a.shape[i] for i in summed)
-    floats = _exact_floats(a, b, inner, a.size * b.size // inner if inner else 0)
+    floats = _exact_floats(a, b, math.prod(a.shape[i] for i in summed))
     if floats is None:
         return np.tensordot(a, b, axes)
     return _back_to_ints(np.tensordot(*floats, axes))
