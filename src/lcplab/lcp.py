@@ -216,7 +216,8 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     nonflat = not is_zero_matrix(curv, g.mode, g.tol, scale=sc_r)
     # R(e_i, e_j) u_k for every i, j and basis vector u_k of u
     ub = to_scaled(u.basis)[0]
-    flat_on_u = is_zero_matrix(int_matmul(curv, ub.T), g.mode, g.tol, scale=sc_r * scale_of(u.basis))
+    flat_on_u = is_zero_matrix(int_matmul(curv, ub.T), g.mode, g.tol,
+                               scale=sc_r * scale_of(u.basis))
     formula: Optional[bool] = None
     if data.complement is not None:
         try:

@@ -201,8 +201,8 @@ def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
 def bracket_vec(g: MetricLieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     c, dc = g.scaled_bracket
     xi, yi, d = to_scaled(x, y)
-    t = int_tensordot(xi, c, axes=(0, 0))  # t[j, k] = sum_i x_i c[i,j,k]
-    return from_scaled(int_tensordot(yi, t, axes=(0, 0)), d * d * dc)
+    t = np.tensordot(xi, c, axes=(0, 0))  # t[j, k] = sum_i x_i c[i,j,k]
+    return from_scaled(np.tensordot(yi, t, axes=(0, 0)), d * d * dc)
 
 
 def ad_matrix(g: MetricLieAlgebra, i: int) -> np.ndarray:

@@ -31,13 +31,13 @@ float64 through BLAS and convert the answer back to Python ints. If every
 entry of a is at most A in magnitude and every entry of b at most B, each
 entry of the product sums ``inner`` terms of magnitude at most A * B, so
 every term and every partial sum, in any order, is an integer of
-magnitude at most A * B * inner. When that is below 2**53, float64 holds each of them
-exactly, and the answer is exact by the bound, not by a test. The bound is
-checked on the Python ints before any cast. Above it, on any entry that
-is not a Python int (a ``Fraction``, say), and on products too small for
-the conversion to pay off, the object product runs as before. Float64
-arrays go straight to ``@`` and ``np.tensordot``, so float results are
-the same bits either way.
+magnitude at most A * B * inner. When that is below 2**53, float64 holds
+each of them exactly, and the answer is exact by the bound, not by a
+test. The bound is checked on the Python ints before any cast. Above it,
+on any entry that is not a Python int (a ``Fraction``, say), and on
+products too small for the conversion to pay off, the object product
+runs. Float64 arrays go straight to ``@`` and ``np.tensordot``, so float
+results are the same bits either way.
 """
 from __future__ import annotations
 
@@ -196,7 +196,8 @@ def _exact_floats(a: np.ndarray, b: np.ndarray, inner: int,
         return None  # an empty sum: the object product gives its zeros
     size = a.size * b.size // inner  # the multiply-adds of one product
     work = products * size
-    if work < KERNEL_MIN_WORK or work < KERNEL_WORK_PER_ENTRY * (a.size + b.size + size // inner):
+    converted = a.size + b.size + size // inner  # both operands and the answer
+    if work < KERNEL_MIN_WORK or work < KERNEL_WORK_PER_ENTRY * converted:
         return None
     if not all(set(map(type, x.reshape(-1).tolist())) <= {int} for x in (a, b)):
         return None  # a Fraction, a bool or a numpy scalar: the object product
