@@ -139,6 +139,12 @@ def exact_array(data: Any) -> np.ndarray:
     return _TO_FRACTION(arr)
 
 
+def _python_ints(flat: list) -> bool:
+    """True when every entry is a Python int: not a bool, a Fraction or a
+    numpy integer."""
+    return set(map(type, flat)) <= {int}
+
+
 def to_scaled(*arrays: np.ndarray) -> tuple:
     """Exact arrays as object arrays of ints over one common denominator.
 
@@ -151,7 +157,7 @@ def to_scaled(*arrays: np.ndarray) -> tuple:
     if arrays[0].dtype == _FLOAT64 and all(a.dtype == _FLOAT64 for a in arrays[1:]):
         return (*arrays, 1)
     flats = [np.asarray(a, dtype=object).reshape(-1).tolist() for a in arrays]
-    if all(a.dtype == object for a in arrays) and all(type(x) is int for f in flats for x in f):
+    if all(a.dtype == object for a in arrays) and all(map(_python_ints, flats)):
         return (*arrays, 1)
     flats = [[x if type(x) is Fraction or type(x) is int else as_fraction(x) for x in flat]
              for flat in flats]
@@ -199,8 +205,8 @@ def _exact_floats(a: np.ndarray, b: np.ndarray, inner: int,
     converted = a.size + b.size + size // inner  # both operands and the answer
     if work < KERNEL_MIN_WORK or work < KERNEL_WORK_PER_ENTRY * converted:
         return None
-    if not all(set(map(type, x.reshape(-1).tolist())) <= {int} for x in (a, b)):
-        return None  # a Fraction, a bool or a numpy scalar: the object product
+    if not (_python_ints(a.reshape(-1).tolist()) and _python_ints(b.reshape(-1).tolist())):
+        return None  # the object product, which keeps a Fraction a Fraction
     ta, tb = (np.abs(x).max(initial=1) for x in (a, b))  # max(1, max|x|)
     if ta * tb * inner * products >= _FLOAT_EXACT:
         return None
