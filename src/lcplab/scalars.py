@@ -34,10 +34,10 @@ every term and every partial sum, in any order, is an integer of
 magnitude at most A * B * inner. When that is below 2**53, float64 holds
 each of them exactly, and the answer is exact by the bound, not by a
 test. The bound is checked on the Python ints before any cast. Above it,
-on any entry that is not a Python int (a ``Fraction``, say), and on
-products too small for the conversion to pay off, the object product
-runs. Float64 arrays go straight to ``@`` and ``np.tensordot``, so float
-results are the same bits either way.
+on any entry that is not a Python int, and on products too small for
+the conversion to pay off, the object product runs. Float64 arrays go
+straight to ``@`` and ``np.tensordot``, so float results are the same
+bits either way.
 """
 from __future__ import annotations
 
@@ -140,7 +140,7 @@ def exact_array(data: Any) -> np.ndarray:
 
 
 def _python_ints(flat: list) -> bool:
-    """True when every entry is a Python int: not a bool, a Fraction or a
+    """True when every entry is a Python int: not a bool, a rational or a
     numpy integer."""
     return set(map(type, flat)) <= {int}
 
@@ -206,7 +206,7 @@ def _exact_floats(a: np.ndarray, b: np.ndarray, inner: int,
     if work < KERNEL_MIN_WORK or work < KERNEL_WORK_PER_ENTRY * converted:
         return None
     if not (_python_ints(a.reshape(-1).tolist()) and _python_ints(b.reshape(-1).tolist())):
-        return None  # the object product, which keeps a Fraction a Fraction
+        return None  # the object product, which keeps every entry's type
     ta, tb = (np.abs(x).max(initial=1) for x in (a, b))  # max(1, max|x|)
     if ta * tb * inner * products >= _FLOAT_EXACT:
         return None
