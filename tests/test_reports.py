@@ -13,7 +13,7 @@ from lcplab.cli import run_analysis
 from lcplab.fileio import canonical_json
 from lcplab.gallery import (fundamental_example, product_example,
                             sl_example, strongly_irreducible_example)
-from lcplab.liealg import direct_sum_algebra
+from lcplab.liealg import direct_sum_algebra, to_float_algebra
 
 _DEFAULT_POLICY = {"eigen_cluster_tol": 1e-07, "rank_tol": 1e-09}
 _STRUCTURE_OK = {
@@ -131,6 +131,24 @@ EXPECTED = {
         "unimodular": True,
         "validation": {"failures": [], "passed": True},
     },
+    # the float twin of sl2_semidirect summed with itself: two curved
+    # factors, and the one input where the commutant's constraints cut a
+    # working basis of 406 symmetric operators down to a few at once
+    "sl2_sl2_float": {
+        "de_rham": {"factor_dims": [14, 14], "factor_is_flat": [False, False],
+                    "factors_are_subalgebras": [True, True],
+                    "flat_factor_index": None, "promoted_to_float": False},
+        "decomposability": None,
+        "dim": 28,
+        "holonomy_dim": 182,
+        "lcp_report": None,
+        "mode": "float",
+        "random_seed": 0,
+        "reducing_witness": {"s1_dim": 14, "s2_dim": 14},
+        "tolerance_policy": _DEFAULT_POLICY,
+        "unimodular": True,
+        "validation": {"failures": [], "passed": True},
+    },
 }
 
 
@@ -138,6 +156,9 @@ def _input(name):
     if name == "fundamental_squared":
         g = fundamental_example().algebra
         return direct_sum_algebra(g, g), None
+    if name == "sl2_sl2_float":
+        g = sl_example().algebra
+        return to_float_algebra(direct_sum_algebra(g, g)), None
     if name == "sl_example_3":
         entry = sl_example(3)
         return entry.algebra, entry.lcp
