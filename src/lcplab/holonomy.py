@@ -225,9 +225,22 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
 
 def _commutant(ops: Sequence[np.ndarray], ginv: np.ndarray, mode: Mode,
                tol: TolerancePolicy) -> list[np.ndarray]:
-    """symmetric_commutant from G^-1 on the scaled form."""
+    """symmetric_commutant from G^-1 on the scaled form.
+
+    Float mode first imposes the constraint of one generic element of the
+    operators' span, the combination sum (i + 1) a_i. The commutant of a
+    set equals that of the set plus any element of its span, so the answer
+    is the same subspace. An SVD costs the same at any rank, and the
+    commutant of one generic element is already small, so the working
+    basis shrinks at once and the remaining constraints are narrow. Exact
+    mode keeps the incremental order: fraction-free elimination grows
+    with the rank, and a full-rank first constraint costs more than the
+    small ones it saves.
+    """
     work = _gram_inverse_basis(ginv, 1)
     n = ginv.shape[0]
+    if mode != EXACT and len(ops) > 1:
+        ops = [np.tensordot(np.arange(1.0, len(ops) + 1), np.asarray(ops), axes=1), *ops]
     for a in ops:
         if len(work) <= 1:
             break

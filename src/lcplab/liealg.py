@@ -26,6 +26,7 @@ from .linalg import (
     check_square_scale,
     exact_det,
     is_zero_matrix,
+    residual_band,
     restrict_operator,
     scale_of,
     scaled_inverse,
@@ -279,18 +280,31 @@ def validate_algebra(g: MetricLieAlgebra) -> ValidationReport:
     c = g.scaled_bracket[0]
     sc = scale_of(c)
     sym = c + np.transpose(c, (1, 0, 2))  # sym[i, j] = c[i, j, :] + c[j, i, :]
-    anti = [(i, j) for i in range(n) for j in range(i, n)
-            if not is_zero_matrix(sym[i, j], g.mode, g.tol, scale=sc)]
     # t[i, j, k, m] = sum_l c[i, j, l] c[l, k, m], the m-th component of [[e_i, e_j], e_k]
     t = int_tensordot(c, c, axes=(2, 0))
     # total[i, j, k] = t[i, j, k] + t[j, k, i] + t[k, i, j]
     total = t + np.transpose(t, (2, 0, 1, 3)) + np.transpose(t, (1, 2, 0, 3))
-    jac = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
-           if not is_zero_matrix(total[i, j, k], g.mode, g.tol, scale=sc * sc)]
+    # the failing pairs i <= j and triples i < j < k, in lexicographic order
+    anti = np.argwhere(np.triu(_nonzero_vectors(sym, g.mode, g.tol, sc)))
+    i, j, k = np.ogrid[:n, :n, :n]
+    jac = np.argwhere(_nonzero_vectors(total, g.mode, g.tol, sc * sc) & (i < j) & (j < k))
     gram = to_scaled(g.gram)[0]
     gram_sym = is_zero_matrix(gram - gram.T, g.mode, g.tol, scale=scale_of(g.gram))
     gram_pd = gram_sym and _is_positive_definite(g.gram, g.mode, g.tol)
-    return ValidationReport(tuple(anti), tuple(jac), gram_sym, gram_pd)
+    return ValidationReport(tuple(map(tuple, anti.tolist())), tuple(map(tuple, jac.tolist())),
+                            gram_sym, gram_pd)
+
+
+def _nonzero_vectors(a: np.ndarray, mode: Mode, tol: TolerancePolicy,
+                     scale: float) -> np.ndarray:
+    """Where the vectors along the last axis of ``a`` fail is_zero_matrix,
+    as one reduction over that axis with the same comparison: a NaN entry
+    fails it, as it does there."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1], dtype=bool)
+    if mode == EXACT:
+        return a.any(axis=-1).astype(bool)
+    return ~(np.abs(a).max(axis=-1) <= residual_band(tol) * max(1.0, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from lcplab.holonomy import (common_kernel, de_rham_splitting, holonomy_algebra,
 from lcplab.lcp import lcp_data_to_float, lcp_decomposable, weyl_connection
 from lcplab.liealg import (LEVI_CIVITA, WEYL, InvariantConnection, curvature_operator,
                            curvature_tensor, levi_civita, to_float_algebra)
-from lcplab.linalg import (_ExactEchelon, _rref, canonical_rows, charpoly_exact, exact_det,
-                           is_zero_matrix, orthocomplement, rank_and_nullspace, residual_band,
-                           restrict_operator, scale_of, scaled_inverse, solve_linear,
-                           support_indices)
+from lcplab.linalg import (Subspace, _ExactEchelon, _rref, canonical_rows, charpoly_exact,
+                           exact_det, is_zero_matrix, orthocomplement, rank_and_nullspace,
+                           residual_band, restrict_operator, scale_of, scaled_inverse,
+                           solve_linear, subspaces_equal, support_indices)
 from lcplab.scalars import (DEFAULT_TOL, EXACT, exact_array, from_scaled, int_commutator,
                             int_matmul, int_tensordot, to_float_array, to_scaled, zeros_array)
 
@@ -270,9 +270,11 @@ def _fraction_route_restrict(a, basis_rows, mode, tol):
     return out if a.ndim == 3 else out[0]
 
 
-def _fraction_route_commutant(ops, gram, mode, tol):
+def _fraction_route_commutant(ops, gram, mode, tol, combination_first=True):
     """symmetric_commutant as it ran when its starting basis was built as
-    Fractions, one matrix product G^-1 (E_ij + E_ji) at a time."""
+    Fractions, one matrix product G^-1 (E_ij + E_ji) at a time. In float
+    mode the constraint of sum (i + 1) a_i comes first, as it does there,
+    unless ``combination_first`` is False."""
     n = gram.shape[0]
     ginv, den = to_scaled(from_scaled(*scaled_inverse(gram, mode)))
     basis = []
@@ -284,7 +286,10 @@ def _fraction_route_commutant(ops, gram, mode, tol):
             basis.append(from_scaled(ginv @ s, den))
     work = np.stack([to_scaled(p)[0] for p in basis])
     reduced = False
-    for a in [to_scaled(a)[0] for a in ops]:
+    scaled = [to_scaled(a)[0] for a in ops]
+    if combination_first and mode != EXACT and len(ops) > 1:
+        scaled.insert(0, np.tensordot(np.arange(1.0, len(ops) + 1), np.asarray(scaled), axes=1))
+    for a in scaled:
         if len(work) <= 1:
             break
         k = (work @ a - a @ work).reshape(len(work), -1).T
@@ -379,6 +384,24 @@ def test_commutant_matches_fraction_route(random_corpus):
                 assert all(type(x) is int for p in got for x in p.reshape(-1))
             else:
                 assert all(_same(p, q) for p, q in zip(got, want)), g
+    assert reduced > 0
+
+
+def test_float_commutant_spans_what_the_incremental_order_spans(random_corpus):
+    # the combination sum (i + 1) a_i lies in the operators' span, so
+    # imposing it first changes the basis the commutant comes in, not its span
+    reduced = 0
+    for g, _ in _lane_cases(random_corpus):
+        if g.mode == EXACT:
+            continue
+        conn = levi_civita(g)
+        for ops in (list(holonomy_algebra(g, conn).basis), list(conn.operators)):
+            got = symmetric_commutant(ops, g.gram, g.mode, g.tol)
+            want = _fraction_route_commutant(ops, g.gram, g.mode, g.tol, combination_first=False)
+            spans = [Subspace(g.dim ** 2, np.stack([p.reshape(-1) for p in c]), g.mode)
+                     for c in (got, want)]
+            assert subspaces_equal(*spans, g.tol), g
+            reduced += len(got) < g.dim * (g.dim + 1) // 2
     assert reduced > 0
 
 

@@ -127,6 +127,73 @@ def test_float_closure_stop_at_so_g_keeps_the_span():
     assert subspaces_equal(stopped, full, g.tol)
 
 
+class _TwoPassOrtho:
+    """The float closure store with both Gram-Schmidt passes on every
+    candidate, as it was before the one-pass rejections."""
+
+    def __init__(self, width, tol):
+        self.tol = tol
+        self.q = np.empty((0, width))
+
+    def insert(self, vec):
+        v = np.asarray(vec, dtype=np.float64)
+        norm0 = float(np.linalg.norm(v))
+        if norm0 == 0.0:
+            return False
+        r = v - (self.q @ v) @ self.q
+        r = r - (self.q @ r) @ self.q
+        res = float(np.linalg.norm(r))
+        if res <= self.tol.rank_tol * max(1.0, norm0):
+            return False
+        self.q = np.vstack([self.q, r / res])
+        return True
+
+    @property
+    def dim(self):
+        return self.q.shape[0]
+
+
+def _closure_with(store, g, monkeypatch):
+    """The float holonomy of g closed in ``store``, and the stores made."""
+    made = []
+
+    class Recording(store):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_FloatOrtho", Recording)
+        return holonomy_algebra(g), made
+
+
+def test_float_closure_keeps_what_two_passes_keep(random_corpus, monkeypatch):
+    fundamental = next(e for e in all_entries() if e.name == "fundamental").algebra
+    cases = [e.algebra for e in all_entries()] + random_corpus[:30]
+    cases.append(direct_sum_algebra(sl_example(2).algebra, fundamental))
+    kept = 0
+    for g in map(to_float_algebra, cases):
+        got, stores = _closure_with(linalg._FloatOrtho, g, monkeypatch)
+        want, ref_stores = _closure_with(_TwoPassOrtho, g, monkeypatch)
+        assert got.dim == want.dim, g
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.basis, want.basis)), g
+        assert [s.q.tobytes() for s in stores] == [s.q.tobytes() for s in ref_stores], g
+        kept += got.dim
+    assert kept > 100
+
+
+def test_float_store_second_pass_runs_above_half_the_cut():
+    # a stored row of length sqrt(5) is no projector: each pass multiplies
+    # the first coordinate by 1 - 5 = -4, so the passes can be told apart.
+    # The candidates have norm below 1, so the cut is rank_tol.
+    cut = DEFAULT_TOL.rank_tol
+    for first, kept in ((0.6 * cut, True), (0.4 * cut, False)):
+        store = linalg._FloatOrtho(2, DEFAULT_TOL)
+        store.q = np.array([[np.sqrt(5.0), 0.0]])
+        # the first pass leaves `first`; the second would leave 4 * first
+        assert store.insert(np.array([first / 4, 0.0])) is kept
+        assert store.dim == 1 + kept
+
+
 def test_common_kernel_of_no_ops_is_everything():
     assert common_kernel([], 4, EXACT, DEFAULT_TOL).dim == 4
 

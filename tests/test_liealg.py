@@ -22,7 +22,7 @@ from lcplab.liealg import (
     validate_algebra,
     with_gram,
 )
-from lcplab.linalg import make_subspace
+from lcplab.linalg import is_zero_matrix, make_subspace, residual_band, scale_of
 from lcplab.scalars import EXACT, FLOAT, exact_array
 
 F = Fraction
@@ -140,6 +140,57 @@ def test_validate_reports_indefinite_gram():
 def test_validate_reports_asymmetric_gram():
     g = make_algebra(bracket_table(2, {}), gram=[[1, 1], [0, 1]], check=False)
     assert not validate_algebra(g).gram_symmetric
+
+
+def _bracket_failures_one_test_each(g):
+    """validate_algebra's bracket failures from one zero test per pair
+    i <= j and per triple i < j < k, as they were once computed."""
+    n = g.dim
+    c = g.scaled_bracket[0]
+    sc = scale_of(c)
+    sym = c + np.transpose(c, (1, 0, 2))
+    anti = tuple((i, j) for i in range(n) for j in range(i, n)
+                 if not is_zero_matrix(sym[i, j], g.mode, g.tol, scale=sc))
+    t = np.tensordot(c, c, axes=(2, 0))
+    total = t + np.transpose(t, (2, 0, 1, 3)) + np.transpose(t, (1, 2, 0, 3))
+    jac = tuple((i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+                if not is_zero_matrix(total[i, j, k], g.mode, g.tol, scale=sc * sc))
+    return anti, jac
+
+
+def _broken_brackets(random_corpus):
+    """Corpus brackets with entries changed, in both lanes: by one, by a
+    float just below and just above the zero band, and to NaN."""
+    rng = np.random.default_rng(7)
+    for g in random_corpus[:40]:
+        n = g.dim
+        for _ in range(2):
+            c = g.bracket.copy()
+            i, j, k = (int(x) for x in rng.integers(0, n, size=3))
+            c[i, j, k] += 1
+            yield make_algebra(c, gram=g.gram, check=False)
+        h = to_float_algebra(g)
+        band = residual_band(h.tol) * scale_of(h.bracket)
+        for bump in (0.5 * band, 2 * band, np.nan):
+            c = h.bracket.copy()
+            i, j, k = (int(x) for x in rng.integers(0, n, size=3))
+            c[i, j, k] += bump
+            yield make_algebra(c, gram=h.gram, mode=FLOAT, check=False)
+
+
+def test_validate_lists_the_failures_of_one_test_each(random_corpus):
+    failing = 0
+    cases = [make_algebra(bracket_table(0, {}), check=False)]
+    cases += [*random_corpus, *_broken_brackets(random_corpus)]
+    for g in cases:
+        for h in (g, to_float_algebra(g)) if g.mode == EXACT else (g,):
+            rep = validate_algebra(h)
+            want = _bracket_failures_one_test_each(h)
+            assert (rep.antisymmetry_violations, rep.jacobi_violations) == want, h
+            assert all(type(x) is int for t in rep.antisymmetry_violations + rep.jacobi_violations
+                       for x in t)
+            failing += bool(want[0] or want[1])
+    assert failing > 100
 
 
 def test_make_algebra_raises_on_invalid_when_checking():
