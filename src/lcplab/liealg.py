@@ -14,6 +14,7 @@ the whole trace vector.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Mapping, Optional, Sequence
@@ -284,10 +285,11 @@ def validate_algebra(g: MetricLieAlgebra) -> ValidationReport:
     t = int_tensordot(c, c, axes=(2, 0))
     # total[i, j, k] = t[i, j, k] + t[j, k, i] + t[k, i, j]
     total = t + np.transpose(t, (2, 0, 1, 3)) + np.transpose(t, (1, 2, 0, 3))
-    # the failing pairs i <= j and triples i < j < k, in lexicographic order
-    anti = np.argwhere(np.triu(_nonzero_vectors(sym, g.mode, g.tol, sc)))
-    i, j, k = np.ogrid[:n, :n, :n]
-    jac = np.argwhere(_nonzero_vectors(total, g.mode, g.tol, sc * sc) & (i < j) & (j < k))
+    # the pairs i <= j and triples i < j < k, in lexicographic order
+    pairs = np.array([(i, j) for i in range(n) for j in range(i, n)], dtype=np.intp).reshape(-1, 2)
+    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    anti = pairs[_nonzero_vectors(sym[tuple(pairs.T)], g.mode, g.tol, sc)]
+    jac = triples[_nonzero_vectors(total[tuple(triples.T)], g.mode, g.tol, sc * sc)]
     gram = to_scaled(g.gram)[0]
     gram_sym = is_zero_matrix(gram - gram.T, g.mode, g.tol, scale=scale_of(g.gram))
     gram_pd = gram_sym and _is_positive_definite(g.gram, g.mode, g.tol)
