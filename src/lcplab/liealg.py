@@ -301,12 +301,10 @@ def _nonzero_vectors(a: np.ndarray, mode: Mode, tol: TolerancePolicy,
                      scale: float) -> np.ndarray:
     """Where the vectors along the last axis of ``a`` fail is_zero_matrix,
     as one reduction over that axis with the same comparison: a NaN entry
-    fails it, as it does there."""
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1], dtype=bool)
+    fails it, as it does there, and an empty vector passes."""
     if mode == EXACT:
         return a.any(axis=-1).astype(bool)
-    return ~(np.abs(a).max(axis=-1) <= residual_band(tol) * max(1.0, scale))
+    return ~(np.abs(a).max(axis=-1, initial=0.0) <= residual_band(tol) * max(1.0, scale))
 
 
 # ---------------------------------------------------------------------------
