@@ -132,8 +132,8 @@ EXPECTED = {
         "validation": {"failures": [], "passed": True},
     },
     # the float twin of sl2_semidirect summed with itself: two curved
-    # factors, and the one input where the commutant's constraints cut a
-    # working basis of 406 symmetric operators down to a few at once
+    # factors, found by a commutant that starts from 406 symmetric
+    # operators on the 28-dimensional curved block
     "sl2_sl2_float": {
         "de_rham": {"factor_dims": [14, 14], "factor_is_flat": [False, False],
                     "factors_are_subalgebras": [True, True],
