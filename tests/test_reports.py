@@ -131,6 +131,23 @@ EXPECTED = {
         "unimodular": True,
         "validation": {"failures": [], "passed": True},
     },
+    # exact sl2_semidirect summed with fundamental: hol 94 is below the
+    # so(17) cap of 136, so the split runs without the so(g) certificate
+    "sl2_fundamental": {
+        "de_rham": {"factor_dims": [14, 3], "factor_is_flat": [False, False],
+                    "factors_are_subalgebras": [True, True],
+                    "flat_factor_index": None, "promoted_to_float": False},
+        "decomposability": None,
+        "dim": 17,
+        "holonomy_dim": 94,
+        "lcp_report": None,
+        "mode": "exact",
+        "random_seed": 0,
+        "reducing_witness": {"s1_dim": 14, "s2_dim": 3},
+        "tolerance_policy": _DEFAULT_POLICY,
+        "unimodular": True,
+        "validation": {"failures": [], "passed": True},
+    },
     # the float twin of sl2_semidirect summed with itself: two curved
     # factors, found by a commutant that starts from 406 symmetric
     # operators on the 28-dimensional curved block
@@ -156,6 +173,8 @@ def _input(name):
     if name == "fundamental_squared":
         g = fundamental_example().algebra
         return direct_sum_algebra(g, g), None
+    if name == "sl2_fundamental":
+        return direct_sum_algebra(sl_example().algebra, fundamental_example().algebra), None
     if name == "sl2_sl2_float":
         g = sl_example().algebra
         return to_float_algebra(direct_sum_algebra(g, g)), None
