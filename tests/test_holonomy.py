@@ -361,6 +361,18 @@ def test_splitting_deterministic_across_seeds():
         assert subspaces_equal(f0, f1)
 
 
+def test_float_twin_of_corpus_92_splits_as_the_exact_lane(random_corpus):
+    # an ill-conditioned Gram: closing the whole holonomy first left a
+    # holonomy-invariant factor that failed the connection-invariance guard
+    g = random_corpus[92]
+    exact, twin = de_rham_splitting(g), de_rham_splitting(to_float_algebra(g))
+    assert exact.mode == EXACT and twin.mode == FLOAT
+    for spl in (exact, twin):
+        assert spl.holonomy_dim == 3
+        assert spl.factor_dims == (1, 3)
+        assert spl.factor_is_flat == (True, False)
+
+
 def test_splitting_survives_change_of_basis():
     g = hyp3_plus_line()
     q = exact_array([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]])
