@@ -25,8 +25,8 @@ class TheoremViolationError(LcplabError):
     """An internal structural guarantee failed.
 
     Raised when computed data contradicts a fact the analysis relies on,
-    for example a de Rham factor that is not a subalgebra, a holonomy
-    invariant subspace that is not connection invariant, or a principal
+    for example a de Rham factor that is not a subalgebra, a factor that
+    the curvature or the connection does not preserve, or a principal
     factor spread over several factors. Such a state means corrupted
     input or an implementation bug and is never silently reconciled.
     """

@@ -1,18 +1,37 @@
 """Holonomy of the Levi-Civita connection and orthogonal decompositions.
 
-The holonomy algebra of a left-invariant metric is the span of the
-curvature operators, closed under commutator with the connection
-operators. Splitting off the common kernel (the flat directions, kept as
-one block) and then cutting the complement along eigenspaces of the
-symmetric commutant yields the factors of the metric as an orthogonal
-product; the factors are unique, pairwise inequivalent as holonomy
-modules, and invariant under every connection operator.
+The holonomy algebra hol of a left-invariant metric is the span of the
+curvature operators R(x, y), closed under commutator with the connection
+operators D_z. The metric is an orthogonal product of one flat block,
+the common kernel of hol, and irreducible curved factors; the factors are
+unique, pairwise inequivalent as holonomy modules, and invariant under
+every connection operator.
 
-One commutant and one eigensplit suffice. On the curved block the
-symmetric commutant C is spanned by the projections onto the k curved
-factors (Kostant 1955; Kobayashi and Nomizu I, ch. II), so dim C = k,
-and an element of C with k eigenspaces has exactly the factors as its
-eigenspaces.
+The split does not need hol closed; it comes first, from the seeds (the
+nonzero R(e_i, e_j)) and the D_z, in one code path for both lanes:
+
+(a) The flat factor, ker(hol), is the largest subspace that every seed
+    kills and every D_z preserves. ker(hol) is one such subspace: since
+    hol is stable under [D_z, .], h D_z v = D_z h v - [D_z, h] v = 0 for v
+    in it. And [D_z, h] kills every D_z-invariant subspace that h kills,
+    so the whole closure kills each of them. A fixed-point iteration on
+    R^n finds it: the common kernel of the seeds, shrunk until the D_z
+    preserve it, a test :func:`linalg.restrict_operator` decides.
+(b) On the curved block W, the orthocomplement of the flat factor, the
+    symmetric commutant C of hol is spanned by the projections onto the k
+    curved factors (Kostant 1955; Kobayashi and Nomizu I, ch. II). The
+    factors are D_z-invariant, so those projections commute with every
+    D_z, and C is also the commutant of hol and the D_z, which is that of
+    the seeds and the D_z: an operator commuting with D_z and m commutes
+    with [D_z, m]. So dim C = k, and an element of C with k eigenspaces
+    has exactly the factors as its eigenspaces: one commutant and one
+    eigensplit suffice.
+(c) The curvature of an orthogonal product is the sum of the factors'
+    curvatures, so hol is the direct sum of its restrictions to the
+    curved factors, each zero off its own factor. On a factor V it is the
+    closure of the restricted seeds under the restricted D_z, inside
+    so(V): a span closure dim(V)^2 wide that stops at dim so(V). The
+    restrictions that close it are the guard's invariance test as well.
 
 In exact mode the splitting first bounds the holonomy dimension from
 below by running the same closure modulo the prime
@@ -21,10 +40,9 @@ Computer Algebra*, ch. 5). The Levi-Civita holonomy lies in so(g), so
 when the bound reaches n(n-1)/2 the holonomy is so(g), proved exactly:
 it has no common kernel and, for n >= 2, only scalar symmetric
 operators commute with it, so the answer is one irreducible factor
-spanning everything. The exact closure and the commutant are then
-skipped. A bound below n(n-1)/2, whether the holonomy is smaller or the
-prime is unlucky, falls back to the exact closure on the same seeds; it
-can never give a wrong answer. The float lane always closes.
+spanning everything, and (a) to (c) are skipped. A bound below
+n(n-1)/2, whether the holonomy is smaller or the prime is unlucky, falls
+back to (a) to (c) on the same seeds; it can never give a wrong answer.
 
 Invariance questions go through :func:`linalg.restrict_operator` on a
 stack of operators; orthogonality of the factors and the cross terms of
@@ -115,20 +133,19 @@ def _closure_inputs(g: MetricLieAlgebra,
     return seeds, conn.scaled_operators
 
 
-def _closed_holonomy(g: MetricLieAlgebra, conn: InvariantConnection,
-                     seeds: list[np.ndarray], nabla: np.ndarray) -> OperatorAlgebra:
-    n = g.dim
+def _closure(seeds: Sequence[np.ndarray], nabla: np.ndarray, mode: Mode,
+             tol: TolerancePolicy, max_dim: Optional[int]) -> list[np.ndarray]:
+    """The kept matrices of the span closure of ``seeds`` under m -> [a, m]
+    for each a in the stack ``nabla``; none when there is no seed."""
     if not seeds:
-        return OperatorAlgebra(n, (), g.mode)
-    # the Levi-Civita holonomy lies in so(g)
-    max_dim = n * (n - 1) // 2 if conn.kind == LEVI_CIVITA else None
+        return []
+    shape = seeds[0].shape
 
     def step(m: np.ndarray) -> list[np.ndarray]:
         # [a, m] for each a in nabla, in order, as one stacked product
         return list(int_commutator(nabla, m))
-    span = span_closure(seeds, step, g.mode, g.tol, max_dim)
-    mats = tuple(span.basis[i].reshape(n, n) for i in range(span.dim))
-    return OperatorAlgebra(n, mats, g.mode)
+    span = span_closure(seeds, step, mode, tol, max_dim)
+    return [row.reshape(shape) for row in span.basis]
 
 
 def holonomy_algebra(g: MetricLieAlgebra,
@@ -136,7 +153,11 @@ def holonomy_algebra(g: MetricLieAlgebra,
     """Span of curvature operators, closed under bracketing with the connection."""
     if conn is None:
         conn = g.levi_civita
-    return _closed_holonomy(g, conn, *_closure_inputs(g, conn))
+    n = g.dim
+    # the Levi-Civita holonomy lies in so(g)
+    max_dim = n * (n - 1) // 2 if conn.kind == LEVI_CIVITA else None
+    mats = _closure(*_closure_inputs(g, conn), g.mode, g.tol, max_dim)
+    return OperatorAlgebra(n, tuple(mats), g.mode)
 
 
 def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
@@ -371,8 +392,13 @@ def _sort_key(factor: Subspace, mode: Mode, tol: TolerancePolicy):
     return (-factor.dim, supp, body)
 
 
-def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace], hol: OperatorAlgebra,
-                      conn: InvariantConnection) -> None:
+def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace]) -> None:
+    """The factors span the algebra and are pairwise orthogonal.
+
+    Their invariance is settled where it is computed: the flat factor by
+    the stop of :func:`_flat_factor`, each curved one by the restriction
+    of the seeds and the connection operators that its closure starts from.
+    """
     n = g.dim
     total = sum(f.dim for f in factors)
     stacked = np.concatenate([f.basis for f in factors], axis=0)
@@ -383,13 +409,6 @@ def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace], hol: Operato
     cross = restricted_gram(stacked, g.gram)[label[:, None] != label[None, :]]
     if not is_zero_matrix(cross, g.mode, g.tol, scale=scale_of(g.gram)):
         raise TheoremViolationError("factors are not pairwise orthogonal")
-    # every operator preserves a factor that is the whole space
-    for f in (f for f in factors if f.dim < n):
-        if hol.dim and restrict_operator(np.stack(hol.basis), f.basis, g.mode, g.tol) is None:
-            raise TheoremViolationError("factor is not holonomy invariant")
-        if restrict_operator(conn.scaled_operators, f.basis, g.mode, g.tol) is None:
-            raise TheoremViolationError(
-                "holonomy invariant factor is not connection invariant")
 
 
 def de_rham_splitting(g: MetricLieAlgebra, seed: int = 0) -> DeRhamSplitting:
@@ -415,45 +434,95 @@ def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -
         hol = _orthogonal_algebra(g)
         factors, flags = [full_subspace(n, g.mode)], [False]
     else:
-        hol = _closed_holonomy(g, conn, seeds, nabla)
-        factors, flags = _factors(g, hol, random.Random(seed))
-    _verify_splitting(g, factors, hol, conn)
+        factors, flags, hol = _split_then_close(g, seeds, nabla, random.Random(seed))
+    _verify_splitting(g, factors)
     return DeRhamSplitting(g, tuple(factors), tuple(flags), hol, conn, g.mode, promoted)
 
 
-def _factors(g: MetricLieAlgebra, hol: OperatorAlgebra,
-             rng: random.Random) -> tuple[list[Subspace], list[bool]]:
-    """The flat block, if any, then the irreducible blocks in canonical order.
+def _flat_factor(g: MetricLieAlgebra, seeds: list[np.ndarray], nabla: np.ndarray) -> Subspace:
+    """The largest subspace that every seed kills and every operator of
+    ``nabla`` preserves: the kernel of the holonomy.
 
-    The curved factors are the eigenspaces of the first candidate in the
-    commutant C of the curved block with dim C of them: were one of those
-    eigenspaces reducible, its projections would make dim C larger.
+    Starts from the common kernel K of the seeds. While ``nabla`` does not
+    preserve K, K shrinks to the x in it whose images D_z x all lie in it,
+    that is, on which ann D_z vanishes for the rows ann that vanish on K.
+    Each pass removes at least one direction, so at most dim K passes run.
     """
     n = g.dim
-    flat = common_kernel(hol.basis, n, g.mode, g.tol)
-    flats = [flat] if flat.dim else []
-    curved: list[Subspace] = []
-    if flat.dim < n:
-        w = orthocomplement(flat, g.gram, g.tol)
-        restricted = restrict_operator(np.stack(hol.basis), w.basis, g.mode, g.tol)
+    flat = common_kernel(seeds, n, g.mode, g.tol)
+    while 0 < flat.dim < n and restrict_operator(nabla, flat.basis, g.mode, g.tol) is None:
+        ann = rank_and_nullspace(flat.basis, g.mode, g.tol)[1].basis
+        # leak[z] = ann D_z B^T, on the coordinates of K's basis B
+        leak = int_matmul(int_matmul(ann, nabla), flat.basis.T)
+        keep = common_kernel(list(leak), flat.dim, g.mode, g.tol)
+        flat = Subspace(n, int_matmul(keep.basis, flat.basis), g.mode)
+    return flat
+
+
+def _split_then_close(g: MetricLieAlgebra, seeds: list[np.ndarray], nabla: np.ndarray,
+                      rng: random.Random) -> tuple[list[Subspace], list[bool], OperatorAlgebra]:
+    """Steps (a) to (c) of the module docstring: the flat block, if any, then
+    the irreducible blocks in canonical order, and the holonomy, closed
+    inside each curved block."""
+    n = g.dim
+    flat = _flat_factor(g, seeds, nabla)
+    if flat.dim == n:
+        return [flat], [True], OperatorAlgebra(n, (), g.mode)
+    ops = np.concatenate([np.stack(seeds), nabla])
+    w = orthocomplement(flat, g.gram, g.tol)
+    if flat.dim:
+        restricted = restrict_operator(ops, w.basis, g.mode, g.tol)
         if restricted is None:
-            raise TheoremViolationError("holonomy does not preserve the curved block")
-        ops = restricted[0]  # a positive multiple of the stack: the same commutant
-        gram = restricted_gram(w.basis, g.gram)
-        comm = symmetric_commutant(ops, gram, g.mode, g.tol)
-        curved = [w]
-        if len(comm) > 1:
-            split = _first_eigensplit(comm, gram, g.mode, g.tol, rng,
-                                      "de Rham splitting", len(comm))
-            if split.promoted_to_float:
-                raise _PromoteToFloat()
-            for _, eig in split.pairs:
-                if restrict_operator(ops, eig.basis, g.mode, g.tol) is None:
-                    raise TheoremViolationError(
-                        "eigenspace of a commutant element is not invariant under the operators")
-            curved = sorted((Subspace(n, eig.basis @ w.basis, g.mode) for _, eig in split.pairs),
-                            key=lambda f: _sort_key(f, g.mode, g.tol))
-    return flats + curved, [True] * len(flats) + [False] * len(curved)
+            raise TheoremViolationError(
+                "curvature and connection do not preserve the curved block")
+        ops = restricted[0]  # a positive multiple of the stack: the same spans
+    gram = restricted_gram(w.basis, g.gram)
+    comm = symmetric_commutant(ops, gram, g.mode, g.tol)
+    curved = [(w, ops)]
+    if len(comm) > 1:
+        split = _first_eigensplit(comm, gram, g.mode, g.tol, rng,
+                                  "de Rham splitting", len(comm))
+        if split.promoted_to_float:
+            raise _PromoteToFloat()
+        curved = []
+        for _, eig in split.pairs:
+            local = restrict_operator(ops, eig.basis, g.mode, g.tol)
+            if local is None:
+                raise TheoremViolationError(
+                    "factor is not invariant under the curvature and the connection")
+            curved.append((Subspace(n, eig.basis @ w.basis, g.mode), local[0]))
+        curved.sort(key=lambda c: _sort_key(c[0], g.mode, g.tol))
+    hol = [h for f, local in curved for h in _factor_holonomy(g, f, local, len(seeds))]
+    flats = [flat] if flat.dim else []
+    return (flats + [f for f, _ in curved], [True] * len(flats) + [False] * len(curved),
+            OperatorAlgebra(n, tuple(hol), g.mode))
+
+
+def _factor_holonomy(g: MetricLieAlgebra, factor: Subspace, local: np.ndarray,
+                     num_seeds: int) -> list[np.ndarray]:
+    """The holonomy on one curved factor, as operators on the whole algebra.
+
+    ``local`` is the stack of the seeds, then the connection operators,
+    restricted to the factor. The holonomy preserves the factor and kills
+    its orthocomplement, and there it is the closure of the restricted
+    seeds under the restricted operators, at most so(factor) in size.
+    Operators that restrict to zero at the data scale are dropped first;
+    D_z of another summand of a direct sum is one. A kept m x m matrix M
+    acts on the algebra as B^T M (B G B^T)^-1 B G, for the factor basis B.
+    """
+    m = factor.dim
+    parts = []
+    for stack in (local[:num_seeds], local[num_seeds:]):
+        sc = scale_of(stack)
+        parts.append([a for a in stack if not is_zero_matrix(a, g.mode, g.tol, scale=sc)])
+    fseeds, fnabla = parts
+    fnabla = np.stack(fnabla) if fnabla else local[:0]
+    kept = _closure(fseeds, fnabla, g.mode, g.tol, m * (m - 1) // 2)
+    if not kept:
+        return []
+    b, gram, _ = to_scaled(factor.basis, g.gram)
+    back = int_matmul(scaled_inverse(restricted_gram(b, gram), g.mode)[0], int_matmul(b, gram))
+    return list(int_matmul(int_matmul(b.T, np.stack(kept)), back))
 
 
 def verify_factor_subalgebras(g: MetricLieAlgebra, splitting: DeRhamSplitting,

@@ -19,6 +19,7 @@ from lcplab.holonomy import (
     symmetric_commutant,
     verify_factor_subalgebras,
 )
+from lcplab.lcp import weyl_connection
 from lcplab.liealg import (
     bracket_table,
     curvature_tensor,
@@ -29,7 +30,8 @@ from lcplab.liealg import (
     transform_algebra,
     with_gram,
 )
-from lcplab.linalg import Subspace, make_subspace, span_closure, subspaces_equal
+from lcplab.linalg import (Subspace, make_subspace, span_closure, subspaces_equal,
+                           zero_subspace)
 from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array, eye_array, zeros_array
 
 F = Fraction
@@ -640,3 +642,90 @@ def test_large_float_verdicts(second, hol_dim, factor_dims, pair):
     assert spl.flat_factor is None
     w = reducibility_witness(g, splitting=spl)
     assert (None if w is None else (w.s1.dim, w.s2.dim)) == pair
+
+
+# ---------------------------------------------------------------------------
+# split first, close per factor
+
+
+def _split_first_cases(random_corpus):
+    fund = fundamental_power(1)
+    exact = ([e.algebra for e in all_entries() if e.algebra.mode == EXACT]
+             + [fundamental_power(2), fundamental_power(3),
+                direct_sum_algebra(sl_example(2).algebra, fund)] + random_corpus[:30])
+    floats = [e.algebra for e in all_entries() if e.algebra.mode == FLOAT]
+    return exact + floats + [to_float_algebra(g) for g in exact]
+
+
+def _flattened(alg):
+    if not alg.dim:
+        return zero_subspace(alg.ambient_dim ** 2, alg.mode)
+    return Subspace(alg.ambient_dim ** 2, np.stack([h.reshape(-1) for h in alg.basis]),
+                    alg.mode)
+
+
+def test_split_first_holonomy_and_flat_factor_match_the_closed_holonomy(random_corpus):
+    # the holonomy closed inside each factor spans what the closure over the
+    # whole algebra spans, and the flat factor is that closure's kernel
+    for g in _split_first_cases(random_corpus):
+        spl = de_rham_splitting(g)
+        if spl.promoted_to_float:
+            g = to_float_algebra(g)
+        hol = holonomy_algebra(g)
+        assert spl.holonomy_dim == hol.dim, g
+        assert subspaces_equal(_flattened(spl.holonomy), _flattened(hol), g.tol), g
+        kernel = common_kernel(hol.basis, g.dim, g.mode, g.tol)
+        flat = spl.flat_factor or zero_subspace(g.dim, g.mode)
+        assert subspaces_equal(flat, kernel, g.tol), g
+
+
+def test_flat_factor_shrinks_the_curvature_kernel_to_the_holonomy_kernel(random_corpus):
+    # the common kernel of the curvature of a Weyl connection is often larger
+    # than the kernel of its holonomy; the fixed-point iteration must reach
+    # the latter. Levi-Civita inputs in the corpus never need a pass.
+    shrunk = {EXACT: 0, FLOAT: 0}
+    for k, g in enumerate(random_corpus[:40]):
+        theta = [(j % 3) - 1 + (k % 2) for j in range(g.dim)]
+        for h in (g, to_float_algebra(g)):
+            conn = weyl_connection(h, exact_array(theta) if h.mode == EXACT
+                                   else np.array(theta, dtype=float))
+            seeds, nabla = holonomy._closure_inputs(h, conn)
+            flat = holonomy._flat_factor(h, seeds, nabla)
+            kernel = common_kernel(holonomy_algebra(h, conn).basis, h.dim, h.mode, h.tol)
+            assert subspaces_equal(flat, kernel, h.tol), (k, h.mode)
+            shrunk[h.mode] += common_kernel(seeds, h.dim, h.mode, h.tol).dim > flat.dim
+    assert min(shrunk.values()) > 0, shrunk
+
+
+def test_per_factor_closure_stops_at_each_factors_cap(monkeypatch):
+    # exact sl2_semidirect + fundamental is below the so(17) cap, so its two
+    # curved factors are closed one by one, each stopping at so(14) and so(3)
+    caps = []
+    real = holonomy.span_closure
+
+    def recording(seed, step, mode, tol, max_dim=None):
+        span = real(seed, step, mode, tol, max_dim)
+        caps.append((span.ambient_dim, span.dim, max_dim))
+        return span
+    monkeypatch.setattr(holonomy, "span_closure", recording)
+    g = direct_sum_algebra(sl_example(2).algebra, fundamental_power(1))
+    spl = de_rham_splitting(g)
+    assert spl.mode == EXACT and spl.factor_dims == (14, 3) and spl.holonomy_dim == 94
+    assert caps == [(196, 91, 91), (9, 3, 3)]
+
+
+@pytest.mark.parametrize("build", [hyperbolic3, heisenberg3, so3])
+def test_split_needs_only_the_closure_of_the_seeds(build):
+    # the split depends on the seeds only through their closure under the
+    # connection: one curvature operator of an irreducible algebra kills a
+    # line and commutes with a 2-dimensional space of symmetric operators,
+    # yet with the connection operators it gives the same single factor and
+    # the same holonomy as all the seeds
+    for g in (build(), to_float_algebra(build())):
+        seeds, nabla = holonomy._closure_inputs(g, g.levi_civita)
+        for seed in seeds:
+            assert common_kernel([seed], 3, g.mode, g.tol).dim == 1
+            assert len(symmetric_commutant([seed], g.gram, g.mode, g.tol)) == 2
+            factors, flags, hol = holonomy._split_then_close(g, [seed], nabla, random.Random(0))
+            assert [f.dim for f in factors] == [3] and flags == [False]
+            assert subspaces_equal(_flattened(hol), _flattened(holonomy_algebra(g)), g.tol)
