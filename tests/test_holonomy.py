@@ -364,8 +364,8 @@ def test_splitting_deterministic_across_seeds():
 
 
 def test_float_twin_of_corpus_92_splits_as_the_exact_lane(random_corpus):
-    # an ill-conditioned Gram: closing the whole holonomy first left a
-    # holonomy-invariant factor that failed the connection-invariance guard
+    # an ill-conditioned Gram, on which the float twin must still find the
+    # exact lane's flat line, curved factor and holonomy
     g = random_corpus[92]
     exact, twin = de_rham_splitting(g), de_rham_splitting(to_float_algebra(g))
     assert exact.mode == EXACT and twin.mode == FLOAT
@@ -649,10 +649,10 @@ def test_large_float_verdicts(second, hol_dim, factor_dims, pair):
 
 
 def _split_first_cases(random_corpus):
-    fund = fundamental_power(1)
     exact = ([e.algebra for e in all_entries() if e.algebra.mode == EXACT]
              + [fundamental_power(2), fundamental_power(3),
-                direct_sum_algebra(sl_example(2).algebra, fund)] + random_corpus[:30])
+                direct_sum_algebra(sl_example(2).algebra, fundamental_power(1))]
+             + random_corpus[:30])
     floats = [e.algebra for e in all_entries() if e.algebra.mode == FLOAT]
     return exact + floats + [to_float_algebra(g) for g in exact]
 
@@ -669,8 +669,7 @@ def test_split_first_holonomy_and_flat_factor_match_the_closed_holonomy(random_c
     # whole algebra spans, and the flat factor is that closure's kernel
     for g in _split_first_cases(random_corpus):
         spl = de_rham_splitting(g)
-        if spl.promoted_to_float:
-            g = to_float_algebra(g)
+        assert not spl.promoted_to_float, g
         hol = holonomy_algebra(g)
         assert spl.holonomy_dim == hol.dim, g
         assert subspaces_equal(_flattened(spl.holonomy), _flattened(hol), g.tol), g
