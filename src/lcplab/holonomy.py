@@ -16,7 +16,9 @@ nonzero R(e_i, e_j)) and the D_z, in one code path for both lanes:
     in it. And [D_z, h] kills every D_z-invariant subspace that h kills,
     so the whole closure kills each of them. A fixed-point iteration on
     R^n finds it: the common kernel of the seeds, shrunk until the D_z
-    preserve it, a test :func:`linalg.restrict_operator` decides.
+    preserve it, a test :func:`linalg.restrict_operator` decides. In
+    float mode a pass removes only directions whose images leave the
+    kernel at the scale of the D_z; when none does, the kernel stands.
 (b) On the curved block W, the orthocomplement of the flat factor, the
     symmetric commutant C of hol is spanned by the projections onto the k
     curved factors (Kostant 1955; Kobayashi and Nomizu I, ch. II). The
@@ -444,18 +446,23 @@ def _flat_factor(g: MetricLieAlgebra, seeds: list[np.ndarray], nabla: np.ndarray
     ``nabla`` preserves: the kernel of the holonomy.
 
     Starts from the common kernel K of the seeds. While ``nabla`` does not
-    preserve K, K shrinks to the x in it whose images D_z x all lie in it,
-    that is, on which ann D_z vanishes for the rows ann that vanish on K.
-    Each pass removes at least one direction, so at most dim K passes run.
+    preserve K, K shrinks to the x in it whose images D_z x all lie in it:
+    the common kernel of the rows ann that vanish on K and of every
+    ann D_z. Each pass removes at least one direction, so at most dim K
+    passes run. In float mode that kernel's rank cut is relative to the
+    whole stack, whose scale is that of the D_z, and K comes from a rank
+    cut at the scale of the seeds: a leak that the residual band of
+    :func:`linalg.restrict_operator` flags but that is noise at the scale
+    of the D_z removes nothing, and K stands as it is.
     """
     n = g.dim
     flat = common_kernel(seeds, n, g.mode, g.tol)
     while 0 < flat.dim < n and restrict_operator(nabla, flat.basis, g.mode, g.tol) is None:
         ann = rank_and_nullspace(flat.basis, g.mode, g.tol)[1].basis
-        # leak[z] = ann D_z B^T, on the coordinates of K's basis B
-        leak = int_matmul(int_matmul(ann, nabla), flat.basis.T)
-        keep = common_kernel(list(leak), flat.dim, g.mode, g.tol)
-        flat = Subspace(n, int_matmul(keep.basis, flat.basis), g.mode)
+        shrunk = common_kernel([ann, *int_matmul(ann, nabla)], n, g.mode, g.tol)
+        if shrunk.dim == flat.dim:
+            break
+        flat = shrunk
     return flat
 
 

@@ -375,6 +375,56 @@ def test_float_twin_of_corpus_92_splits_as_the_exact_lane(random_corpus):
         assert spl.factor_is_flat == (True, False)
 
 
+# three corpus algebras whose Gram matrices have condition numbers 4.6e7,
+# 3.1e8 and 4.6e5: each has a flat factor, and in float mode the
+# connection operators move the curvature kernel by float noise only
+_ILL_CONDITIONED = [
+    (5, {(0, 1): {0: "363", 1: "357/2", 2: "39/2", 3: "387/2", 4: "-273/2"},
+         (0, 2): {0: "-605", 1: "-595/2", 2: "-65/2", 3: "-645/2", 4: "455/2"},
+         (0, 3): {0: "-121/2", 1: "-119/4", 2: "-13/4", 3: "-129/4", 4: "91/4"},
+         (0, 4): {0: "605/2", 1: "595/4", 2: "65/4", 3: "645/4", 4: "-455/4"},
+         (1, 2): {0: "968", 1: "476", 2: "52", 3: "516", 4: "-364"},
+         (1, 3): {0: "242", 1: "119", 2: "13", 3: "129", 4: "-91"},
+         (1, 4): {0: "-484", 1: "-238", 2: "-26", 3: "-258", 4: "182"},
+         (2, 3): {0: "-242", 1: "-119", 2: "-13", 3: "-129", 4: "91"},
+         (3, 4): {0: "-121", 1: "-119/2", 2: "-13/2", 3: "-129/2", 4: "91/2"}},
+     [["217/16", "1", "17/4", "-181/16", "177/8"], ["1", "265/4", "-25/2", "-213/8", "401/8"],
+      ["17/4", "-25/2", "49/2", "3", "11/4"], ["-181/16", "-213/8", "3", "195/8", "-483/16"],
+      ["177/8", "401/8", "11/4", "-483/16", "1321/16"]]),
+    (5, {(0, 1): {0: "-39", 1: "5/2", 2: "1", 3: "-3", 4: "-9"},
+         (0, 3): {0: "-39", 1: "5/2", 2: "1", 3: "-3", 4: "-9"},
+         (1, 3): {0: "-39", 1: "5/2", 2: "1", 3: "-3", 4: "-9"},
+         (1, 4): {0: "-156", 1: "10", 2: "4", 3: "-12", 4: "-36"},
+         (3, 4): {0: "-156", 1: "10", 2: "4", 3: "-12", 4: "-36"}},
+     [["4", "-5", "1", "-15/4", "-35/2"], ["-5", "95/4", "-13", "5/8", "27"],
+      ["1", "-13", "163/16", "3", "-8"], ["-15/4", "5/8", "3", "153/16", "55/4"],
+      ["-35/2", "27", "-8", "55/4", "157/2"]]),
+    (4, {(0, 2): {1: "-8/3", 2: "-2/3", 3: "-2/3"}, (0, 3): {1: "8/3", 2: "2/3", 3: "2/3"}},
+     [["81/16", "-1/2", "-73/8", "133/16"], ["-1/2", "139/8", "53/4", "-149/8"],
+      ["-73/8", "53/4", "101/4", "-221/8"], ["133/16", "-149/8", "-221/8", "689/16"]]),
+]
+
+
+@pytest.mark.parametrize("n, entries, gram", _ILL_CONDITIONED)
+def test_float_twin_keeps_a_flat_factor_that_moves_by_noise(n, entries, gram):
+    # a leak of the curvature kernel far below the scale of the connection
+    # operators must not shrink the flat factor: the twin gets the exact
+    # lane's factors, holonomy and whole verdict
+    g = make_algebra(bracket_table(n, {k: {i: F(c) for i, c in v.items()}
+                                       for k, v in entries.items()}),
+                     gram=exact_array([[F(x) for x in row] for row in gram]))
+    twin = to_float_algebra(g)
+    exact, fspl = de_rham_splitting(g), de_rham_splitting(twin)
+    assert exact.mode == EXACT and fspl.mode == FLOAT
+    assert fspl.factor_dims == exact.factor_dims == (n - 3, 3)
+    assert fspl.factor_is_flat == exact.factor_is_flat == (True, False)
+    assert fspl.holonomy_dim == exact.holonomy_dim == 3
+    (rep_e, code_e), (rep_f, code_f) = run_analysis(g), run_analysis(twin)
+    assert code_f == code_e
+    for key in ("holonomy_dim", "de_rham", "decomposability"):
+        assert rep_f[key] == rep_e[key], key
+
+
 def test_splitting_survives_change_of_basis():
     g = hyp3_plus_line()
     q = exact_array([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]])
