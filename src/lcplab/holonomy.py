@@ -27,24 +27,33 @@ nonzero R(e_i, e_j)) and the D_z, in one code path for both lanes:
     the seeds and the D_z: an operator commuting with D_z and m commutes
     with [D_z, m]. So dim C = k, and an element of C with k eigenspaces
     has exactly the factors as its eigenspaces: one commutant and one
-    eigensplit suffice.
+    eigensplit suffice. The seeds and the D_z are skew for the metric, so
+    C is found in the Gram frame: for w = G^-1 S, the constraint G [w, a]
+    is symmetric, and its upper triangle, n(n+1)/2 rows, is all of it.
 (c) The curvature of an orthogonal product is the sum of the factors'
     curvatures, so hol is the direct sum of its restrictions to the
     curved factors, each zero off its own factor. On a factor V it is the
     closure of the restricted seeds under the restricted D_z, inside
-    so(V): a span closure dim(V)^2 wide that stops at dim so(V). The
-    restrictions that close it are the guard's invariance test as well.
+    so(V): a span closure dim(V)^2 wide that stops at dim so(V). It first
+    expands each kept matrix under two fixed integer combinations of the
+    D_z only, the closure front of :func:`linalg.span_closure`; those
+    images lie in hol, so reaching dim so(V) proves hol = so(V), and only
+    a front that stalls below it goes on to the images under each D_z.
+    The restrictions that close it are the guard's invariance test as
+    well.
 
 In exact mode the splitting first bounds the holonomy dimension from
-below by running the same closure modulo the prime
+below by running the same closure, front first, modulo the prime
 ``CERTIFICATE_PRIME`` in int64 (von zur Gathen and Gerhard, *Modern
 Computer Algebra*, ch. 5). The Levi-Civita holonomy lies in so(g), so
 when the bound reaches n(n-1)/2 the holonomy is so(g), proved exactly:
 it has no common kernel and, for n >= 2, only scalar symmetric
 operators commute with it, so the answer is one irreducible factor
-spanning everything, and (a) to (c) are skipped. A bound below
-n(n-1)/2, whether the holonomy is smaller or the prime is unlucky, falls
-back to (a) to (c) on the same seeds; it can never give a wrong answer.
+spanning everything, and (a) to (c) are skipped. A front that stalls
+goes on to the full expansion, so a bound below n(n-1)/2 means that the
+holonomy is smaller or the prime unlucky, never that the front's
+combinations were; it falls back to (a) to (c) on the same seeds and
+can never give a wrong answer.
 
 Invariance questions go through :func:`linalg.restrict_operator` on a
 stack of operators; orthogonality of the factors and the cross terms of
@@ -70,6 +79,7 @@ from .liealg import (
 )
 from .linalg import (
     EigenSplit,
+    OperatorStep,
     Subspace,
     canonical_rows,
     closure_dim_mod_p,
@@ -142,11 +152,8 @@ def _closure(seeds: Sequence[np.ndarray], nabla: np.ndarray, mode: Mode,
     if not seeds:
         return []
     shape = seeds[0].shape
-
-    def step(m: np.ndarray) -> list[np.ndarray]:
-        # [a, m] for each a in nabla, in order, as one stacked product
-        return list(int_commutator(nabla, m))
-    span = span_closure(seeds, step, mode, tol, max_dim)
+    # [a, m] for each a of a stack, in order, as one stacked product
+    span = span_closure(seeds, OperatorStep(nabla, int_commutator), mode, tol, max_dim)
     return [row.reshape(shape) for row in span.basis]
 
 
@@ -186,36 +193,36 @@ def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
     iu, ju = np.triu_indices(n, 1)
     gram = (to_scaled(g.gram)[0] % p).astype(np.int64)
     ops = (nabla % p).astype(np.int64)
-    ops_t = ops.transpose(0, 2, 1)
 
-    def step(u: np.ndarray) -> list[np.ndarray]:
+    def images(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # the front's combinations of the operators come unreduced
+        a = stack % p
         s = np.zeros((n, n), dtype=np.int64)
         s[iu, ju] = u
         s[ju, iu] = -u
-        return list(((ops_t @ s + s @ ops) % p)[:, iu, ju])
+        return ((a.transpose(0, 2, 1) @ s + s @ a) % p)[:, iu, ju]
     upper = [((gram @ (r % p).astype(np.int64)) % p)[iu, ju] for r in seeds]
-    return closure_dim_mod_p(upper, step, p)
+    return closure_dim_mod_p(upper, OperatorStep(ops, images), p)
 
 
-def _gram_inverse_basis(ginv: np.ndarray, sign: int) -> np.ndarray:
-    """The matrices G^-1 (E_ij + sign E_ji), i < j, on the scaled form of G^-1;
-    for sign +1 also G^-1 E_ii.
+def _gram_inverse_basis(ginv: np.ndarray) -> np.ndarray:
+    """The matrices G^-1 (E_ij - E_ji), i < j, on the scaled form of G^-1.
 
     Each is zero but in two columns: column j is column i of G^-1, and
-    column i is sign times column j of G^-1.
+    column i is minus column j of G^-1.
     """
     n = ginv.shape[0]
-    iu, ju = np.triu_indices(n, 0 if sign > 0 else 1)
+    iu, ju = np.triu_indices(n, 1)
     k = np.arange(len(iu))
     mats = np.zeros((len(iu), n, n), dtype=ginv.dtype)
     mats[k, :, ju] = ginv[:, iu].T
-    mats[k, :, iu] = sign * ginv[:, ju].T
+    mats[k, :, iu] = -ginv[:, ju].T
     return mats
 
 
 def _orthogonal_algebra(g: MetricLieAlgebra) -> OperatorAlgebra:
     """so(g), with basis G^-1 (E_ij - E_ji) for i < j."""
-    return OperatorAlgebra(g.dim, tuple(_gram_inverse_basis(g.scaled_gram_inverse[0], -1)),
+    return OperatorAlgebra(g.dim, tuple(_gram_inverse_basis(g.scaled_gram_inverse[0])),
                            g.mode)
 
 
@@ -234,61 +241,109 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
                         tol: TolerancePolicy) -> list[np.ndarray]:
     """Basis of the gram-self-adjoint operators commuting with every op.
 
-    Starts from all self-adjoint operators G^-1 (E_ij + E_ji), i <= j, and
-    imposes one commutation constraint at a time, so the working basis only
-    ever shrinks; the identity always survives. The work runs on the
-    scaled form: each op, rational or any nonzero integer multiple of the
+    Every op must be gram-skew, G a = -a^T G, as curvature operators,
+    holonomy elements and the Levi-Civita connection operators are: the
+    constraint imposed is that of a skew operator (see :func:`_commutant`),
+    and for any other op the answer is wrong. The work runs on the scaled
+    form: each op, rational or any nonzero integer multiple of the
     operator, is scaled to integers and divided by the gcd of its entries;
     each constraint's nullspace comes as primitive integer rows. That
     changes no span, and the elements come back on that form: Python ints
     in exact mode.
     """
-    return _commutant(ops, scaled_inverse(gram, mode)[0], mode, tol)
+    return _commutant(ops, gram, scaled_inverse(gram, mode)[0], mode, tol)
 
 
-def _commutant(ops: Sequence[np.ndarray], ginv: np.ndarray, mode: Mode,
+def _symmetric_basis(n: int, dtype) -> np.ndarray:
+    """The symmetric matrices E_ii, then E_ij + E_ji, i < j, row by row."""
+    iu, ju = np.triu_indices(n)
+    mats = np.zeros((len(iu), n, n), dtype=dtype)
+    k = np.arange(len(iu))
+    mats[k, iu, ju] = 1
+    mats[k, ju, iu] = 1
+    return mats
+
+
+def _commutant(ops: Sequence[np.ndarray], gram: np.ndarray, ginv: np.ndarray, mode: Mode,
                tol: TolerancePolicy) -> list[np.ndarray]:
-    """symmetric_commutant from G^-1 on the scaled form.
+    """symmetric_commutant from G and G^-1 on the scaled form, in the Gram frame.
+
+    A G-self-adjoint w is G^-1 S for a symmetric S = G w, and for a
+    G-skew a the constraint G [w, a] = S a - (G a G^-1) S = S a + a^T S is
+    symmetric: its upper triangle, n(n+1)/2 rows, is the whole of it. The
+    working basis of symmetric S starts from all of them and only ever
+    shrinks; the elements go back by G^-1 once, at the end. Exact mode
+    takes G a G^-1 as -a^T. Float mode computes it, because a float a is
+    G-skew only to roundoff, which at an ill-conditioned G would otherwise
+    read as a constraint on the commutant's own elements, the identity
+    among them.
 
     Float mode first imposes the constraint of one generic element of the
     operators' span, the combination sum (i + 1) a_i. The commutant of a
     set equals that of the set plus any element of its span, so the answer
     is the same subspace. An SVD costs the same at any rank, and the
     commutant of one generic element is already small, so the working
-    basis shrinks at once and the remaining constraints are narrow. Exact
-    mode keeps the incremental order: fraction-free elimination grows
-    with the rank, and a full-rank first constraint costs more than the
-    small ones it saves.
+    basis shrinks at once; the constraints of all the remaining operators
+    on it then come from one stacked product, and an SVD runs only for one
+    that is nonzero at its own scale. Exact mode takes the operators one at
+    a time: fraction-free elimination grows with the rank, and a full-rank
+    first constraint costs more than the small ones it saves.
     """
-    work = _gram_inverse_basis(ginv, 1)
     n = ginv.shape[0]
-    if mode != EXACT and len(ops) > 1:
-        ops = [np.tensordot(np.arange(1.0, len(ops) + 1), np.asarray(ops), axes=1), *ops]
+    iu, ju = np.triu_indices(n)
+    work = _symmetric_basis(n, ginv.dtype)
+    scaled = []
     for a in ops:
-        if len(work) <= 1:
-            break
         a = to_scaled(a)[0]
         if mode == EXACT:  # smaller entries, the same constraints
             a = a // (math.gcd(*a.reshape(-1).tolist()) or 1)
-        # column j is the commutator of working basis matrix j with a
-        k = int_commutator(work, a).reshape(len(work), -1).T
-        # a commutator that is zero at the scale of its inputs is no
-        # constraint at all; without this cutoff pure roundoff noise would
-        # read as a rank-one condition and eat a commutant direction
-        if is_zero_matrix(k, mode, tol, scale=scale_of(a) * scale_of(work)):
-            continue
-        null = rank_and_nullspace(k, mode, tol)[1].basis
-        if len(null) == len(work):
-            continue
-        work = int_matmul(null, work.reshape(len(work), -1)).reshape(-1, n, n)
-    return list(work)
+        scaled.append(a)
+    if mode != EXACT and len(scaled) > 1:
+        scaled.insert(0, np.tensordot(np.arange(1.0, len(scaled) + 1), np.stack(scaled), axes=1))
+    done = 0
+    while done < len(scaled) and len(work) > 1:
+        # float mode stacks as many operators as keep the constraints no
+        # larger than the operator stack itself: while the working basis is
+        # all of the symmetric operators, one at a time
+        size = 1 if mode == EXACT else max(1, len(scaled) // len(work))
+        block = np.stack(scaled[done:done + size])
+        # G [w, a] = S a - (G a G^-1) S, where G a G^-1 = -a^T for G-skew a
+        sa = int_matmul(work[None], block[:, None])
+        if mode == EXACT:  # there (S a)^T = a^T S, and zero tests take no scale
+            hat, upper = block, sa[:, :, iu, ju] + sa[:, :, ju, iu]
+        else:
+            hat = gram @ block @ ginv
+            upper = sa[:, :, iu, ju] - (hat[:, None] @ work[None])[:, :, iu, ju]
+        # [j, r, i]: row r of the constraint of block[j] on working element i
+        cons = np.transpose(upper, (0, 2, 1))
+        sw = scale_of(work)
+        for a, h, k in zip(block, hat, cons):
+            done += 1
+            # a commutator that is zero at the scale of its inputs is no
+            # constraint at all; without this cutoff pure roundoff noise
+            # would read as a rank-one condition and eat a commutant direction
+            if is_zero_matrix(k, mode, tol, scale=scale_of(a, h) * sw):
+                continue
+            null = rank_and_nullspace(k, mode, tol)[1].basis
+            if len(null) < len(work):
+                work = int_matmul(null, work.reshape(len(work), -1)).reshape(-1, n, n)
+                break
+    return list(int_matmul(ginv, work))
 
 
 def nabla_commutant(g: MetricLieAlgebra,
                     conn: Optional[InvariantConnection] = None) -> list[np.ndarray]:
+    """The G-self-adjoint operators commuting with every operator of a
+    Levi-Civita connection, the default; its operators are G-skew, as
+    :func:`symmetric_commutant` requires. Another connection raises
+    ``InputError``."""
     if conn is None:
         conn = g.levi_civita
-    return _commutant(list(conn.scaled_operators), g.scaled_gram_inverse[0], g.mode, g.tol)
+    if conn.kind != LEVI_CIVITA:
+        raise InputError("nabla_commutant needs the Levi-Civita connection, whose"
+                         " operators are skew for the metric")
+    return _commutant(list(conn.scaled_operators), g.gram, g.scaled_gram_inverse[0], g.mode,
+                      g.tol)
 
 
 def _is_scalar_matrix(p: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:

@@ -6,24 +6,25 @@ stay on that form: a nullspace is primitive integer rows, a solve, an
 inverse and a restricted operator stack are ints over one denominator,
 and a span closure takes integer matrices and keeps them as they came.
 Fractions go out only as values a caller reads: the RREF of a canonical
-basis, determinants, characteristic polynomials, eigenvalues and the
-coordinates of :func:`coords_in_rowbasis`. One fraction-free echelon store
-does every exact elimination: rank, RREF, nullspace, solve, inverse and
-the span closure (a matrix is scaled to integers once, its rows are
-added one at a time with integer row operations, and a row is divided
-by its pivot only at the end). Float computations run on float64 arrays,
-with every zero decision governed by a :class:`TolerancePolicy`. Rank
-decisions in float mode use singular values relative to the largest one,
-from a thin SVD unless the matrix is wide; residual and identity checks
-use a 10 * rank_tol band relative to the data scale, :func:`scale_of`,
-which is 1 on exact arrays: their zero tests ignore the scale. A float
-span closure keeps its orthonormal basis as one matrix and projects each
-candidate against all of it at once. A closure tests the images of one
-kept matrix before it expands the next. The same closure loop also runs
-over GF(p) on int64 vectors, for a dimension alone
-(:func:`closure_dim_mod_p`). :func:`restrict_operator` takes a whole
-stack of operators and solves for all their images at once; it is the
-one test of whether operators preserve a subspace.
+basis, determinants, characteristic polynomials and eigenvalues. One
+fraction-free echelon store does every exact elimination: rank, RREF,
+nullspace, solve, inverse and the span closure (a matrix is scaled to
+integers once, its rows are added one at a time with integer row
+operations, and a row is divided by its pivot only at the end). Float
+computations run on float64 arrays, with every zero decision governed by
+a :class:`TolerancePolicy`. Rank decisions in float mode use singular
+values relative to the largest one, from a thin SVD unless the matrix is
+wide; residual and identity checks use a 10 * rank_tol band relative to
+the data scale, :func:`scale_of`, which is 1 on exact arrays: their zero
+tests ignore the scale. A float span closure keeps its orthonormal basis
+as one matrix and projects each candidate against all of it at once.
+One closure loop, :func:`_close`, serves the exact store, the float one
+and one over GF(p) on int64 vectors, for a dimension alone
+(:func:`closure_dim_mod_p`); with a cap it first expands each kept
+matrix under two fixed combinations of the step's operators alone, and
+it tests the images of one kept matrix before it expands the next. :func:`restrict_operator`
+takes a whole stack of operators and solves for all their images at
+once; it is the one test of whether operators preserve a subspace.
 
 Both modes split a self-adjoint operator from one float generalized
 eigendecomposition. Exact mode rounds the exact Rayleigh quotient of
@@ -54,7 +55,6 @@ from .scalars import (
     Mode,
     TolerancePolicy,
     eye_array,
-    from_scaled,
     int_matmul,
     int_tensordot,
     to_float_array,
@@ -357,34 +357,6 @@ def rank_and_nullspace(a: np.ndarray, mode: Mode, tol: TolerancePolicy = DEFAULT
     return rank, Subspace(n, np.asarray(null, dtype=np.float64).reshape(-1, n), FLOAT)
 
 
-def coords_in_rowbasis(vecs: np.ndarray, basis_rows: np.ndarray, mode: Mode,
-                       tol: TolerancePolicy) -> Optional[np.ndarray]:
-    """Coefficients X with X @ basis_rows = vecs, or None if not in the span."""
-    v = np.atleast_2d(vecs)
-    if basis_rows.shape[0] == 0:
-        if is_zero_matrix(v, mode, tol, scale=scale_of(v)):
-            out = zeros_array((v.shape[0], 0), mode)
-            return out[0] if vecs.ndim == 1 else out
-        return None
-    x = solve_linear(basis_rows.T, v.T, mode, tol)
-    if x is None:
-        return None
-    xt = from_scaled(*x).T
-    return xt[0] if vecs.ndim == 1 else xt
-
-
-def subspace_contains(outer: Subspace, inner: Subspace, tol: TolerancePolicy) -> bool:
-    if inner.dim == 0:
-        return True
-    return coords_in_rowbasis(inner.basis, outer.basis, outer.mode, tol) is not None
-
-
-def subspaces_equal(a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    if a.mode != b.mode or a.ambient_dim != b.ambient_dim or a.dim != b.dim:
-        return False
-    return subspace_contains(a, b, tol) and subspace_contains(b, a, tol)
-
-
 def subspace_sum(parts: Sequence[Subspace], tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     parts = [p for p in parts if p.dim > 0]
     if not parts:
@@ -570,28 +542,78 @@ class _ModpEchelon:
         return len(self.pivots)
 
 
+# The closure front: two fixed integer combinations sum_z c(z) a_z of a
+# closure step's operators a_0, a_1, ..., with c(z) = z + 1 and
+# c(z) = (-1)^z (2z + 1).
+CLOSURE_FRONT = (lambda z: z + 1, lambda z: (-1) ** z * (2 * z + 1))
+
+
+class OperatorStep:
+    """The closure step m -> ``apply(ops, m)``: the images of m under each
+    operator of the stack ``ops``, for an ``apply`` linear in the operator.
+
+    Its front, :meth:`front`, maps m under the ``CLOSURE_FRONT``
+    combinations of ``ops`` alone. By linearity those images are the same
+    combinations of the step's images, so they lie in the closure, at the
+    cost of two operators instead of all of them.
+    """
+
+    def __init__(self, ops: np.ndarray, apply: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.ops, self.apply = ops, apply
+        k, width = len(ops), int(np.prod(ops.shape[1:]))
+        z = np.arange(k)
+        coeffs = np.array([c(z) for c in CLOSURE_FRONT], dtype=ops.dtype).reshape(-1, k)
+        self.front_ops = int_matmul(coeffs, ops.reshape(k, width)).reshape(-1, *ops.shape[1:])
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        return self.apply(self.ops, m)
+
+    def front(self, m: np.ndarray) -> np.ndarray:
+        return self.apply(self.front_ops, m)
+
+
 def _close(store, seed: Sequence[np.ndarray],
            step: Callable[[np.ndarray], Sequence[np.ndarray]],
            max_dim: Optional[int]) -> list[np.ndarray]:
-    """Insert ``seed``, then the ``step`` images of each kept matrix in the
-    order kept, into ``store`` until nothing new turns up or the span
-    reaches ``max_dim``; returns the kept matrices. Only one ``step``
-    batch is ever pending."""
+    """Insert ``seed``, then images of the kept matrices, into ``store``
+    until nothing new turns up or the span reaches ``max_dim``; returns
+    the kept matrices.
+
+    With a cap and an :class:`OperatorStep`, the front comes first: each
+    kept matrix, in the order kept, contributes only its images under the
+    front's two operators. They lie in the closure, so a span that
+    reaches the cap is the closure. When the front stalls below the cap,
+    the same store goes on with the ``step`` images of every kept matrix
+    in the order kept, from the first: what the front kept stays, and its
+    images are not tried again. That is the whole closure, which is all
+    that runs without a cap or for any other step. At most one batch is
+    pending: the images of one kept matrix are all tested before the next
+    is expanded.
+    """
     shape = seed[0].shape
     accepted: list[np.ndarray] = []
-    batch, expanded = seed, 0
-    while True:
+
+    def full(batch: Sequence[np.ndarray]) -> bool:
+        # insert a batch; True once the span has reached max_dim
         for m in batch:
             if store.dim == max_dim:
-                return accepted
+                return True
             if m.shape != shape:
                 raise InputError("span_closure matrices must share one shape")
             if store.insert(m.reshape(-1)):
                 accepted.append(m)
-        if expanded == len(accepted) or store.dim == max_dim:
-            return accepted
-        batch = step(accepted[expanded])
-        expanded += 1
+        return store.dim == max_dim
+
+    if full(seed):
+        return accepted
+    fronted = max_dim is not None and isinstance(step, OperatorStep)
+    for expand in ([step.front] if fronted else []) + [step]:
+        expanded = 0
+        while expanded < len(accepted):
+            if full(expand(accepted[expanded])):
+                return accepted
+            expanded += 1
+    return accepted
 
 
 def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequence[np.ndarray]],
@@ -604,11 +626,13 @@ def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequen
     In exact mode the seeds and the step's images are integer matrices
     (positive multiples of rational ones change no span), inserted into the
     same echelon store that every exact elimination uses; the rows are the
-    kept matrices as they came. The candidates are the seeds, then the
-    ``step`` images of each kept matrix in the order kept, each tested as
-    it comes. ``max_dim`` is the dimension of a space known to contain
-    the closure: once the span reaches it, every remaining candidate
-    would be rejected, so the search stops and expands nothing more.
+    kept matrices as they came. ``max_dim`` is the dimension of a space
+    known to contain the closure: once the span reaches it, every
+    remaining candidate would be rejected, so the search stops and expands
+    nothing more. The candidates are the seeds, then, with a cap and an
+    :class:`OperatorStep`, the closure front of :func:`_close`, and then,
+    otherwise or when the front stalls below the cap, the ``step`` images
+    of each kept matrix in the order kept; each is tested as it comes.
     """
     if not seed:
         raise InputError("span_closure needs at least one seed matrix")
@@ -627,7 +651,8 @@ def closure_dim_mod_p(seed: Sequence[np.ndarray],
 
     The matrices are int64 with entries in [0, p), and ``step`` must
     return them reduced the same way. The search stops once the span fills
-    the whole matrix space.
+    the whole matrix space, and an :class:`OperatorStep` runs the closure
+    front first.
     """
     if not seed:
         raise InputError("closure_dim_mod_p needs at least one seed matrix")

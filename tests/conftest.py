@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from lcplab.liealg import bracket_table, make_algebra, transform_algebra
-from lcplab.linalg import exact_det
-from lcplab.scalars import exact_array, from_scaled
+from lcplab.linalg import exact_det, is_zero_matrix, scale_of, solve_linear
+from lcplab.scalars import DEFAULT_TOL, exact_array, from_scaled, zeros_array
 
 _SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
 _HEISENBERG = {(0, 1): {2: 1}}
@@ -117,6 +117,34 @@ def scaled_value(scaled):
     """The array that a scaled ``(values, den)`` pair stands for, or None:
     Fractions in exact mode, floats in float mode."""
     return None if scaled is None else from_scaled(*scaled)
+
+
+def coords_in_rowbasis(vecs, basis_rows, mode, tol):
+    """Coefficients X with X @ basis_rows = vecs, or None if not in the span:
+    Fractions in exact mode, floats in float mode."""
+    v = np.atleast_2d(vecs)
+    if basis_rows.shape[0] == 0:
+        if is_zero_matrix(v, mode, tol, scale=scale_of(v)):
+            out = zeros_array((v.shape[0], 0), mode)
+            return out[0] if vecs.ndim == 1 else out
+        return None
+    x = solve_linear(basis_rows.T, v.T, mode, tol)
+    if x is None:
+        return None
+    xt = from_scaled(*x).T
+    return xt[0] if vecs.ndim == 1 else xt
+
+
+def subspace_contains(outer, inner, tol):
+    if inner.dim == 0:
+        return True
+    return coords_in_rowbasis(inner.basis, outer.basis, outer.mode, tol) is not None
+
+
+def subspaces_equal(a, b, tol=DEFAULT_TOL):
+    if a.mode != b.mode or a.ambient_dim != b.ambient_dim or a.dim != b.dim:
+        return False
+    return subspace_contains(a, b, tol) and subspace_contains(b, a, tol)
 
 
 @pytest.fixture(scope="session")

@@ -11,12 +11,14 @@ import json
 import numpy as np
 import pytest
 
+from conftest import subspaces_equal
+
 from lcplab import holonomy
 from lcplab.cli import run_analysis
 from lcplab.gallery import all_entries, fundamental_example, sl_example
 from lcplab.holonomy import de_rham_splitting, holonomy_algebra
 from lcplab.liealg import levi_civita
-from lcplab.linalg import closure_dim_mod_p, make_subspace, subspaces_equal
+from lcplab.linalg import closure_dim_mod_p, make_subspace
 from lcplab.scalars import EXACT
 
 EXACT_GALLERY = [e for e in all_entries() if e.algebra.mode == EXACT]

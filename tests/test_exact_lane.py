@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scaled_value
+from conftest import scaled_value, subspaces_equal
 
 from lcplab import holonomy, linalg, scalars
 from lcplab.cli import run_analysis
@@ -29,7 +29,7 @@ from lcplab.liealg import (LEVI_CIVITA, WEYL, InvariantConnection, curvature_ope
 from lcplab.linalg import (Subspace, _ExactEchelon, _rref, canonical_rows, charpoly_exact,
                            exact_det, is_zero_matrix, orthocomplement, rank_and_nullspace,
                            residual_band, restrict_operator, scale_of, scaled_inverse,
-                           solve_linear, subspaces_equal, support_indices)
+                           solve_linear, support_indices)
 from lcplab.scalars import (DEFAULT_TOL, EXACT, exact_array, from_scaled, int_commutator,
                             int_matmul, int_tensordot, to_float_array, to_scaled, zeros_array)
 
@@ -271,37 +271,38 @@ def _fraction_route_restrict(a, basis_rows, mode, tol):
 
 
 def _fraction_route_commutant(ops, gram, mode, tol, combination_first=True):
-    """symmetric_commutant as it ran when its starting basis was built as
-    Fractions, one matrix product G^-1 (E_ij + E_ji) at a time. In float
+    """symmetric_commutant in the Gram frame, with its starting basis of
+    symmetric S built as Fractions, one constraint matrix per operator: the
+    upper triangle of G [G^-1 S, a] = S a - (G a G^-1) S, with G a G^-1 taken
+    as -a^T in exact mode, and each kept S mapped back to G^-1 S by one
+    Fraction product. In float
     mode the constraint of sum (i + 1) a_i comes first, as it does there,
     unless ``combination_first`` is False."""
     n = gram.shape[0]
-    ginv, den = to_scaled(from_scaled(*scaled_inverse(gram, mode)))
+    iu, ju = np.triu_indices(n)
+    ginv = from_scaled(*scaled_inverse(gram, mode))
     basis = []
-    for i in range(n):
-        for j in range(i, n):
-            s = np.zeros((n, n), dtype=ginv.dtype)
-            s[i, j] = 1
-            s[j, i] = 1
-            basis.append(from_scaled(ginv @ s, den))
-    work = np.stack([to_scaled(p)[0] for p in basis])
-    reduced = False
+    for i, j in zip(iu, ju):
+        s = zeros_array((n, n), mode)
+        s[i, j] = s[j, i] = 1
+        basis.append(s)
+    work = np.stack([to_scaled(s)[0] for s in basis])
     scaled = [to_scaled(a)[0] for a in ops]
     if combination_first and mode != EXACT and len(ops) > 1:
         scaled.insert(0, np.tensordot(np.arange(1.0, len(ops) + 1), np.asarray(scaled), axes=1))
     for a in scaled:
         if len(work) <= 1:
             break
-        k = (work @ a - a @ work).reshape(len(work), -1).T
-        if is_zero_matrix(k, mode, tol, scale=scale_of(a) * scale_of(work)):
+        hat = -a.T if mode == EXACT else gram @ a @ ginv
+        k = (work @ a - hat @ work)[:, iu, ju].T
+        if is_zero_matrix(k, mode, tol, scale=scale_of(a, hat) * scale_of(work)):
             continue
         _, null = rank_and_nullspace(k, mode, tol)
         if null.dim == len(work):
             continue
-        reduced = True
         coeffs = np.array([to_scaled(c)[0] for c in null.basis]).reshape(null.dim, len(work))
         work = (coeffs @ work.reshape(len(work), -1)).reshape(-1, n, n)
-    return basis if not reduced else [from_scaled(p, 1) for p in work]
+    return [ginv @ from_scaled(s, 1) for s in work]
 
 
 def _same(got, want):

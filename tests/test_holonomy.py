@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import subspaces_equal
+
 from lcplab import holonomy, linalg
 from lcplab.cli import run_analysis
-from lcplab.errors import NumericalAmbiguityError
+from lcplab.errors import InputError, NumericalAmbiguityError
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (
     ConditionReport,
@@ -30,8 +32,7 @@ from lcplab.liealg import (
     transform_algebra,
     with_gram,
 )
-from lcplab.linalg import (Subspace, make_subspace, span_closure, subspaces_equal,
-                           zero_subspace)
+from lcplab.linalg import Subspace, make_subspace, span_closure, zero_subspace
 from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array, eye_array, zeros_array
 
 F = Fraction
@@ -247,6 +248,15 @@ def test_commutant_members_commute_and_are_selfadjoint():
 def test_nabla_commutant_flat_rotation_plane():
     comm = nabla_commutant(euclidean_motions())
     assert len(comm) == 2
+
+
+def test_nabla_commutant_needs_the_levi_civita_connection():
+    # the commutant's constraint holds only for metric-skew operators, and
+    # a Weyl connection's are not
+    g = hyperbolic3()
+    for h, theta in ((g, exact_array([1, 0, 0])), (to_float_algebra(g), np.array([1.0, 0, 0]))):
+        with pytest.raises(InputError, match="Levi-Civita"):
+            nabla_commutant(h, weyl_connection(h, theta))
 
 
 def test_one_gram_inverse_per_algebra(monkeypatch):
@@ -778,3 +788,58 @@ def test_split_needs_only_the_closure_of_the_seeds(build):
             factors, flags, hol = holonomy._split_then_close(g, [seed], nabla, random.Random(0))
             assert [f.dim for f in factors] == [3] and flags == [False]
             assert subspaces_equal(_flattened(hol), _flattened(holonomy_algebra(g)), g.tol)
+
+
+# ---------------------------------------------------------------------------
+# the closure front below the cap
+
+
+def complex_hyperbolic(m):
+    """The Iwasawa algebra AN of complex hyperbolic space CH^m, dimension 2m,
+    with the identity Gram: basis A, X_1 .. X_{2m-2}, Z and brackets
+    [A, X_i] = X_i, [A, Z] = 2Z, [X_{2j-1}, X_{2j}] = 2Z. Its metric is the
+    symmetric Kähler one, so it is one irreducible curved factor with
+    holonomy u(m), of dimension m^2 below dim so(2m)."""
+    n, z = 2 * m, 2 * m - 1
+    entries = {(0, i): {i: 1} for i in range(1, z)}
+    entries[(0, z)] = {z: 2}
+    entries.update({(2 * j - 1, 2 * j): {z: 2} for j in range(1, m)})
+    return make_algebra(bracket_table(n, entries), basis_names=(
+        "A", *(f"X{i}" for i in range(1, z)), "Z"))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_complex_hyperbolic_closures_fall_back_below_the_cap(m, monkeypatch):
+    # u(m) lies below every cap: the mod-p bound's so(2m), the per-factor
+    # so(2m) and holonomy_algebra's so(2m), so every closure's front stalls
+    # and the full expansion runs after it, in each of the three stores
+    fronts, fell_back = set(), set()
+    real = linalg._close
+
+    def recording(store, seed, step, max_dim):
+        def counted(ops, mat):
+            (fell_back if ops is step.ops else fronts).add(type(store).__name__)
+            return step.apply(ops, mat)
+        return real(store, seed, linalg.OperatorStep(step.ops, counted), max_dim)
+    monkeypatch.setattr(linalg, "_close", recording)
+    g = complex_hyperbolic(m)
+    got = {}
+    for h in (g, to_float_algebra(g)):
+        spl = de_rham_splitting(h)
+        assert spl.mode == h.mode and not spl.promoted_to_float
+        assert spl.factor_dims == (2 * m,) and spl.factor_is_flat == (False,)
+        assert spl.holonomy_dim == holonomy_algebra(h).dim == m * m
+        seeds, nabla = holonomy._closure_inputs(h, h.levi_civita)
+        bound = holonomy._holonomy_dim_mod_p(h, seeds, nabla) if h.mode == EXACT else None
+        got[h.mode] = (spl.holonomy, bound)
+    assert got[EXACT][1] == m * m
+    assert fronts == fell_back == {"_ExactEchelon", "_FloatOrtho", "_ModpEchelon"}
+    # with the front bypassed every closure spans the same
+    monkeypatch.setattr(linalg, "CLOSURE_FRONT", ())
+    for h in (g, to_float_algebra(g)):
+        hol, bound = got[h.mode]
+        assert subspaces_equal(_flattened(de_rham_splitting(h).holonomy), _flattened(hol), h.tol)
+        assert subspaces_equal(_flattened(holonomy_algebra(h)), _flattened(hol), h.tol)
+        if h.mode == EXACT:
+            seeds, nabla = holonomy._closure_inputs(h, h.levi_civita)
+            assert holonomy._holonomy_dim_mod_p(h, seeds, nabla) == bound

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scaled_value
+from conftest import coords_in_rowbasis, scaled_value, subspace_contains, subspaces_equal
 
 from lcplab import holonomy, linalg
 from lcplab.errors import InputError
@@ -20,7 +20,6 @@ from lcplab.linalg import (
     Subspace,
     canonical_rows,
     charpoly_exact,
-    coords_in_rowbasis,
     exact_det,
     full_subspace,
     make_subspace,
@@ -33,9 +32,7 @@ from lcplab.linalg import (
     selfadjoint_eigensplit,
     solve_linear,
     span_closure,
-    subspace_contains,
     subspace_sum,
-    subspaces_equal,
     symmetric_eigensplit,
     support_indices,
     zero_subspace,
@@ -370,9 +367,10 @@ def test_float_store_rejects_roundoff_and_accepts_new_directions():
 
 
 def test_closure_expands_one_kept_matrix_at_a_time(monkeypatch):
-    # the float holonomy closures of the gallery: every step image is
-    # tested before the next kept matrix is expanded, and none is
-    # expanded once the span reaches so(g)
+    # the float holonomy closures of the gallery: the images of one kept
+    # matrix, under the front's two operators or under all of the step's,
+    # are tested before the next kept matrix is expanded; front expansions
+    # come first, and none is expanded once the span reaches so(g)
     state = {}
     real_insert = linalg._FloatOrtho.insert
 
@@ -383,25 +381,37 @@ def test_closure_expands_one_kept_matrix_at_a_time(monkeypatch):
         return kept
 
     def closure(seed, step, mode, tol, max_dim):
-        state.update(made=len(seed), tested=0, dim=0)
+        state.update(tested=0, dim=0)
+        tested_at, made, whole = [], [], []  # at each expansion
 
-        def counted_step(m):
+        def counted(ops, m):
             assert state["dim"] != max_dim
-            images = step(m)
-            state["made"] += len(images)
-            assert state["made"] - state["tested"] <= len(images)
+            tested_at.append(state["tested"])
+            images = step.apply(ops, m)
+            made.append(len(images))
+            whole.append(ops is step.ops)
             return images
-        out = span_closure(seed, counted_step, mode, tol, max_dim)
+        out = span_closure(seed, linalg.OperatorStep(step.ops, counted), mode, tol, max_dim)
+        tested_at.append(state["tested"])
+        batches = list(np.diff(tested_at))
+        if made:
+            assert tested_at[0] == len(seed)
+            # every batch but the last is tested whole, the last at most whole
+            assert batches[:-1] == made[:-1] and batches[-1] <= made[-1]
+            assert whole == sorted(whole)
+        fell_back.append(any(whole))
         filled.append(out.dim == max_dim)
         return out
 
     filled: list[bool] = []
+    fell_back: list[bool] = []
     monkeypatch.setattr(linalg._FloatOrtho, "insert", insert)
     monkeypatch.setattr(holonomy, "span_closure", closure)
     for e in all_entries():
         holonomy_algebra(to_float_algebra(e.algebra))
-    # both ways a closure ends are exercised
+    # both ways a closure ends are exercised, and both phases
     assert True in filled and False in filled
+    assert True in fell_back and False in fell_back
 
 
 def test_span_closure_rejects_empty_seed():

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import scaled_value
+from conftest import coords_in_rowbasis, scaled_value
 
 from lcplab.errors import InputError
 from lcplab.gallery import _sl_with_line, all_entries, semidirect_sum, sl_example
@@ -26,8 +26,8 @@ from lcplab.lcp import (LcpData, is_closed_covector, lcp_data_to_float, validate
 from lcplab.liealg import (MetricLieAlgebra, bracket_table, bracket_vec, curvature_tensor, inner,
                            is_ideal, is_subalgebra, is_unimodular, levi_civita, make_algebra,
                            to_float_algebra, transform_algebra)
-from lcplab.linalg import (Subspace, canonical_rows, coords_in_rowbasis, exact_det,
-                           is_zero_matrix, residual_band, scale_of, scaled_inverse)
+from lcplab.linalg import (Subspace, canonical_rows, exact_det, is_zero_matrix, residual_band,
+                           scale_of, scaled_inverse)
 from lcplab.scalars import (DEFAULT_TOL, EXACT, FLOAT, array_for_mode, exact_array, eye_array,
                             from_scaled, to_float_array, to_scaled, zeros_array)
 
