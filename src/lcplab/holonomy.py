@@ -43,17 +43,17 @@ nonzero R(e_i, e_j)) and the D_z, in one code path for both lanes:
     well.
 
 In exact mode the splitting first bounds the holonomy dimension from
-below by running the same closure, front first, modulo the prime
+below by running the closure under the front alone, modulo the prime
 ``CERTIFICATE_PRIME`` in int64 (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 5). The Levi-Civita holonomy lies in so(g), so
-when the bound reaches n(n-1)/2 the holonomy is so(g), proved exactly:
-it has no common kernel and, for n >= 2, only scalar symmetric
-operators commute with it, so the answer is one irreducible factor
-spanning everything, and (a) to (c) are skipped. A front that stalls
-goes on to the full expansion, so a bound below n(n-1)/2 means that the
-holonomy is smaller or the prime unlucky, never that the front's
-combinations were; it falls back to (a) to (c) on the same seeds and
-can never give a wrong answer.
+Computer Algebra*, ch. 5). That closure lies inside the holonomy mod p.
+The Levi-Civita holonomy lies in so(g), so when the bound reaches
+n(n-1)/2 the holonomy is so(g), proved exactly: it has no common kernel
+and, for n >= 2, only scalar symmetric operators commute with it, so the
+answer is one irreducible factor spanning everything, and (a) to (c) are
+skipped. The bound only picks the route: below n(n-1)/2, because the
+holonomy is smaller or the prime or the front unlucky, the splitting
+falls back to (a) to (c) on the same seeds, whose report is the same,
+so it can never give a wrong answer.
 
 Invariance questions go through :func:`linalg.restrict_operator` on a
 stack of operators; orthogonality of the factors and the cross terms of
@@ -79,10 +79,10 @@ from .liealg import (
 )
 from .linalg import (
     EigenSplit,
-    OperatorStep,
     Subspace,
     canonical_rows,
     closure_dim_mod_p,
+    closure_front,
     full_subspace,
     is_zero_matrix,
     matrix_rank,
@@ -145,18 +145,6 @@ def _closure_inputs(g: MetricLieAlgebra,
     return seeds, conn.scaled_operators
 
 
-def _closure(seeds: Sequence[np.ndarray], nabla: np.ndarray, mode: Mode,
-             tol: TolerancePolicy, max_dim: Optional[int]) -> list[np.ndarray]:
-    """The kept matrices of the span closure of ``seeds`` under m -> [a, m]
-    for each a in the stack ``nabla``; none when there is no seed."""
-    if not seeds:
-        return []
-    shape = seeds[0].shape
-    # [a, m] for each a of a stack, in order, as one stacked product
-    span = span_closure(seeds, OperatorStep(nabla, int_commutator), mode, tol, max_dim)
-    return [row.reshape(shape) for row in span.basis]
-
-
 def holonomy_algebra(g: MetricLieAlgebra,
                      conn: Optional[InvariantConnection] = None) -> OperatorAlgebra:
     """Span of curvature operators, closed under bracketing with the connection."""
@@ -165,7 +153,8 @@ def holonomy_algebra(g: MetricLieAlgebra,
     n = g.dim
     # the Levi-Civita holonomy lies in so(g)
     max_dim = n * (n - 1) // 2 if conn.kind == LEVI_CIVITA else None
-    mats = _closure(*_closure_inputs(g, conn), g.mode, g.tol, max_dim)
+    seeds, nabla = _closure_inputs(g, conn)
+    mats = span_closure(seeds, nabla, int_commutator, g.mode, g.tol, max_dim)
     return OperatorAlgebra(n, tuple(mats), g.mode)
 
 
@@ -182,27 +171,26 @@ def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
     Let V be that closure over Q. The lattice of integer matrices in V is
     saturated of rank dim V, so it reduces mod p to a GF(p) space of the
     same dimension. That space holds the reduced seeds, and since the step
-    has integer coefficients it is closed under the reduced step. The
-    closure of the reduced seeds over GF(p) therefore has dimension at
-    most dim V; an unlucky prime only makes it smaller.
+    has integer coefficients it is closed under the reduced step, and so
+    under the step of any integer combination of the D_z. The closure of
+    the reduced seeds over GF(p) under the two combinations of
+    :func:`linalg.closure_front` alone therefore lies inside V mod p, and
+    its dimension is at most dim V; an unlucky prime or an unlucky front
+    only makes it smaller.
     """
-    if not seeds:
-        return 0
     n = g.dim
     p = CERTIFICATE_PRIME
     iu, ju = np.triu_indices(n, 1)
     gram = (to_scaled(g.gram)[0] % p).astype(np.int64)
-    ops = (nabla % p).astype(np.int64)
+    front = closure_front((nabla % p).astype(np.int64)) % p
 
     def images(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # the front's combinations of the operators come unreduced
-        a = stack % p
         s = np.zeros((n, n), dtype=np.int64)
         s[iu, ju] = u
         s[ju, iu] = -u
-        return ((a.transpose(0, 2, 1) @ s + s @ a) % p)[:, iu, ju]
+        return ((stack.transpose(0, 2, 1) @ s + s @ stack) % p)[:, iu, ju]
     upper = [((gram @ (r % p).astype(np.int64)) % p)[iu, ju] for r in seeds]
-    return closure_dim_mod_p(upper, OperatorStep(ops, images), p)
+    return closure_dim_mod_p(upper, front, images, p)
 
 
 def _gram_inverse_basis(ginv: np.ndarray) -> np.ndarray:
@@ -537,7 +525,7 @@ def _split_then_close(g: MetricLieAlgebra, seeds: list[np.ndarray], nabla: np.nd
         if restricted is None:
             raise TheoremViolationError(
                 "curvature and connection do not preserve the curved block")
-        ops = restricted[0]  # a positive multiple of the stack: the same spans
+        ops = restricted  # a positive multiple of the stack: the same spans
     gram = restricted_gram(w.basis, g.gram)
     comm = symmetric_commutant(ops, gram, g.mode, g.tol)
     curved = [(w, ops)]
@@ -552,7 +540,7 @@ def _split_then_close(g: MetricLieAlgebra, seeds: list[np.ndarray], nabla: np.nd
             if local is None:
                 raise TheoremViolationError(
                     "factor is not invariant under the curvature and the connection")
-            curved.append((Subspace(n, eig.basis @ w.basis, g.mode), local[0]))
+            curved.append((Subspace(n, eig.basis @ w.basis, g.mode), local))
         curved.sort(key=lambda c: _sort_key(c[0], g.mode, g.tol))
     hol = [h for f, local in curved for h in _factor_holonomy(g, f, local, len(seeds))]
     flats = [flat] if flat.dim else []
@@ -579,7 +567,7 @@ def _factor_holonomy(g: MetricLieAlgebra, factor: Subspace, local: np.ndarray,
         parts.append([a for a in stack if not is_zero_matrix(a, g.mode, g.tol, scale=sc)])
     fseeds, fnabla = parts
     fnabla = np.stack(fnabla) if fnabla else local[:0]
-    kept = _closure(fseeds, fnabla, g.mode, g.tol, m * (m - 1) // 2)
+    kept = span_closure(fseeds, fnabla, int_commutator, g.mode, g.tol, m * (m - 1) // 2)
     if not kept:
         return []
     b, gram, _ = to_scaled(factor.basis, g.gram)

@@ -71,17 +71,26 @@ class LcpData:
         return self.flat_ideal.dim
 
 
+def _finite_array(data: Any, mode: Mode, name: str) -> np.ndarray:
+    """``data`` parsed in ``mode``, a float refused in exact mode; a NaN or
+    infinite float entry is refused by ``name``, since it passes or breaks
+    every zero band downstream."""
+    a = array_for_mode(data, mode)
+    if a.dtype == np.float64 and not np.isfinite(a).all():
+        raise InputError(f"{name} has a non-finite entry")
+    return a
+
+
 def make_lcp_data(g: MetricLieAlgebra, ideal_rows: Any, lee_covector: Any,
                   complement_rows: Any = None) -> LcpData:
-    # each entry parsed in the algebra's mode: a float refused in exact mode
-    u = make_subspace(array_for_mode(ideal_rows, g.mode), g.dim, g.mode, g.tol)
-    theta = array_for_mode(lee_covector, g.mode)
+    u = make_subspace(_finite_array(ideal_rows, g.mode, "flat ideal"), g.dim, g.mode, g.tol)
+    theta = _finite_array(lee_covector, g.mode, "lee covector")
     if theta.shape != (g.dim,):
         raise InputError(f"lee covector must have length {g.dim}")
     comp = None
     if complement_rows is not None:
-        comp = make_subspace(array_for_mode(complement_rows, g.mode), g.dim, g.mode,
-                             g.tol)
+        comp = make_subspace(_finite_array(complement_rows, g.mode, "complement"), g.dim,
+                             g.mode, g.tol)
     check_square_scale(u.basis, theta, *([] if comp is None else [comp.basis]))
     return LcpData(u, theta, comp)
 

@@ -84,6 +84,11 @@ class MetricLieAlgebra:
         """The Levi-Civita connection, built once per algebra."""
         return levi_civita(self)
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The :func:`validate_algebra` report, computed once per algebra."""
+        return _validation_report(self)
+
     def __repr__(self) -> str:
         return f"MetricLieAlgebra(dim={self.dim}, mode={self.mode})"
 
@@ -276,6 +281,13 @@ def _is_positive_definite(gram: np.ndarray, mode: Mode, tol: TolerancePolicy) ->
 
 
 def validate_algebra(g: MetricLieAlgebra) -> ValidationReport:
+    """Antisymmetry, Jacobi and the Gram tests of ``g``; the report is
+    cached on the algebra, whose arrays are not changed after it is built,
+    so an algebra that ``make_algebra`` checked is not validated again."""
+    return g.validation
+
+
+def _validation_report(g: MetricLieAlgebra) -> ValidationReport:
     n = g.dim
     # zero tests do not see a common positive scale, so exact ones run on ints
     c = g.scaled_bracket[0]

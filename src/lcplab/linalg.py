@@ -2,9 +2,10 @@
 
 Exact matrices come in as numpy object arrays of Fractions or Python
 ints, and the work runs on ints. Answers that pass on to the next stage
-stay on that form: a nullspace is primitive integer rows, a solve, an
-inverse and a restricted operator stack are ints over one denominator,
-and a span closure takes integer matrices and keeps them as they came.
+stay on that form: a nullspace is primitive integer rows, a solve and an
+inverse are ints over one denominator, a restricted operator stack is
+ints, a positive multiple of the rational one, and a span closure takes
+integer matrices and keeps them as they came.
 Fractions go out only as values a caller reads: the RREF of a canonical
 basis, determinants, characteristic polynomials and eigenvalues. One
 fraction-free echelon store does every exact elimination: rank, RREF,
@@ -20,11 +21,14 @@ tests ignore the scale. A float span closure keeps its orthonormal basis
 as one matrix and projects each candidate against all of it at once.
 One closure loop, :func:`_close`, serves the exact store, the float one
 and one over GF(p) on int64 vectors, for a dimension alone
-(:func:`closure_dim_mod_p`); with a cap it first expands each kept
-matrix under two fixed combinations of the step's operators alone, and
-it tests the images of one kept matrix before it expands the next. :func:`restrict_operator`
-takes a whole stack of operators and solves for all their images at
-once; it is the one test of whether operators preserve a subspace.
+(:func:`closure_dim_mod_p`). It takes operator stacks and a map, and
+expands every kept matrix under each stack its caller lists, in turn:
+:func:`span_closure` lists the :func:`closure_front` of its operators,
+then the operators, when it has a cap, and the operators alone without
+one; it tests the images of one kept matrix before it expands the next.
+:func:`restrict_operator` takes a whole stack of operators and solves
+for all their images at once; it is the one test of whether operators
+preserve a subspace.
 
 Both modes split a self-adjoint operator from one float generalized
 eigendecomposition. Exact mode rounds the exact Rayleigh quotient of
@@ -287,8 +291,8 @@ def solve_linear(a: np.ndarray, b: np.ndarray, mode: Mode,
     (ints, den) in exact mode and (x, 1) in float mode; None if inconsistent.
 
     Exact mode sets the free variables of an underdetermined system to
-    zero. Float mode takes the least-squares solution and holds its
-    residual to the band at the scale of a and b.
+    zero. Float mode takes the least-squares solution and holds every
+    residual entry to the band at the scale of a and b; a NaN one fails.
     """
     shape = (a.shape[1],) + b.shape[1:]
     if mode == EXACT:
@@ -297,9 +301,8 @@ def solve_linear(a: np.ndarray, b: np.ndarray, mode: Mode,
     af = np.asarray(a, dtype=np.float64)
     bb = np.asarray(b, dtype=np.float64).reshape(a.shape[0], -1)
     x, *_ = np.linalg.lstsq(af, bb, rcond=None)
-    res = af @ x - bb
-    band = residual_band(tol) * scale_of(af, bb)
-    if res.size and float(np.max(np.abs(res))) > band:
+    res = np.abs(af @ x - bb)
+    if not np.all(res <= residual_band(tol) * scale_of(af, bb)):
         return None
     return x.reshape(shape), 1
 
@@ -383,42 +386,41 @@ def restricted_gram(basis_rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return int_matmul(int_matmul(b, g), b.T)
 
 
-def restrict_operator(a: np.ndarray, basis_rows: np.ndarray, mode: Mode,
-                      tol: TolerancePolicy) -> Optional[tuple[np.ndarray, int]]:
-    """Matrix of operator a on the invariant subspace spanned by basis_rows.
+def restrict_operator(stack: np.ndarray, basis_rows: np.ndarray, mode: Mode,
+                      tol: TolerancePolicy) -> Optional[np.ndarray]:
+    """The (k, m, m) stack of the matrices of a (k, n, n) operator stack on
+    the span of the m rows ``basis_rows``; None when any operator leaves it.
 
-    Column convention on coordinates; None when the span is not invariant.
-    ``a`` may also be a (k, n, n) stack of operators: the images of all of
-    them are solved for in one system, and the result is the (k, m, m)
-    stack of their matrices, or None when any one of them leaves the span.
-    The matrix or stack comes on the scaled form of :func:`solve_linear`:
-    (ints, den) in exact mode, (floats, 1) in float mode. In float mode
-    each operator is held to its own residual band, set by the basis and
-    its own images.
+    Column convention on coordinates. The images of all the operators are
+    solved for in one system. In exact mode the answer is ints, one
+    positive multiple of the stack of rational matrices (the common
+    denominator of the solve), which changes no span and no zero test. In
+    float mode each operator is held to its own residual band, set by the
+    basis and its own images, and the span is invariant only when every
+    residual lies within its band.
     """
-    stack = a if a.ndim == 3 else a[None]
     k, m, n = stack.shape[0], basis_rows.shape[0], basis_rows.shape[1]
     bi, ai, d = to_scaled(basis_rows, stack)
     # images[j, :, i] = d * d * a_j(basis_i), the right-hand side of one solve
     images = int_tensordot(ai, bi, axes=(2, 1))
     rhs = np.transpose(images, (1, 0, 2)).reshape(n, k * m)
     if m == 0:
-        solved = zeros_array((0, 0), mode), 1
+        x = zeros_array((0, 0), mode)
     elif mode == EXACT:
         # (bi / d)^T x = images / d^2 is the integer system d bi^T x = images
         solved = _solve_scaled(d * bi.T, rhs)
+        x = None if solved is None else solved[0]
     else:
         x, *_ = np.linalg.lstsq(basis_rows.T, rhs, rcond=None)
         res = np.abs(basis_rows.T @ x - rhs).reshape(n, k, m).max(axis=(0, 2))
         sizes = np.abs(images).max(axis=(1, 2))
         band = residual_band(tol) * np.maximum(scale_of(basis_rows), sizes)
-        solved = None if np.any(res > band) else (x, 1)
-    if solved is None:
+        if not np.all(res <= band):
+            x = None
+    if x is None:
         return None
-    x, den = solved
     # column i of operator j's matrix: the coordinates of a_j(basis_i)
-    out = np.transpose(x.reshape(m, k, m), (1, 0, 2))
-    return (out if a.ndim == 3 else out[0]), den
+    return np.transpose(x.reshape(m, k, m), (1, 0, 2))
 
 
 def canonical_rows(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> np.ndarray:
@@ -542,55 +544,38 @@ class _ModpEchelon:
         return len(self.pivots)
 
 
-# The closure front: two fixed integer combinations sum_z c(z) a_z of a
-# closure step's operators a_0, a_1, ..., with c(z) = z + 1 and
+# The closure front: two fixed integer combinations sum_z c(z) a_z of the
+# operators a_0, a_1, ... of a closure's stack, with c(z) = z + 1 and
 # c(z) = (-1)^z (2z + 1).
 CLOSURE_FRONT = (lambda z: z + 1, lambda z: (-1) ** z * (2 * z + 1))
 
 
-class OperatorStep:
-    """The closure step m -> ``apply(ops, m)``: the images of m under each
-    operator of the stack ``ops``, for an ``apply`` linear in the operator.
-
-    Its front, :meth:`front`, maps m under the ``CLOSURE_FRONT``
-    combinations of ``ops`` alone. By linearity those images are the same
-    combinations of the step's images, so they lie in the closure, at the
-    cost of two operators instead of all of them.
-    """
-
-    def __init__(self, ops: np.ndarray, apply: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        self.ops, self.apply = ops, apply
-        k, width = len(ops), int(np.prod(ops.shape[1:]))
-        z = np.arange(k)
-        coeffs = np.array([c(z) for c in CLOSURE_FRONT], dtype=ops.dtype).reshape(-1, k)
-        self.front_ops = int_matmul(coeffs, ops.reshape(k, width)).reshape(-1, *ops.shape[1:])
-
-    def __call__(self, m: np.ndarray) -> np.ndarray:
-        return self.apply(self.ops, m)
-
-    def front(self, m: np.ndarray) -> np.ndarray:
-        return self.apply(self.front_ops, m)
+def closure_front(ops: np.ndarray) -> np.ndarray:
+    """The ``CLOSURE_FRONT`` combinations of the operator stack ``ops``, as a
+    stack. For a map linear in the operator, the images of m under them are
+    the same combinations of its images under ``ops``: they lie in the
+    closure, at the cost of two operators instead of all of them. An empty
+    stack gives zero operators of the same shape."""
+    k, width = len(ops), int(np.prod(ops.shape[1:]))
+    z = np.arange(k)
+    coeffs = np.array([c(z) for c in CLOSURE_FRONT], dtype=ops.dtype).reshape(-1, k)
+    return int_matmul(coeffs, ops.reshape(k, width)).reshape(-1, *ops.shape[1:])
 
 
-def _close(store, seed: Sequence[np.ndarray],
-           step: Callable[[np.ndarray], Sequence[np.ndarray]],
+def _close(store, seed: Sequence[np.ndarray], stacks: Sequence[np.ndarray],
+           apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
            max_dim: Optional[int]) -> list[np.ndarray]:
     """Insert ``seed``, then images of the kept matrices, into ``store``
     until nothing new turns up or the span reaches ``max_dim``; returns
     the kept matrices.
 
-    With a cap and an :class:`OperatorStep`, the front comes first: each
-    kept matrix, in the order kept, contributes only its images under the
-    front's two operators. They lie in the closure, so a span that
-    reaches the cap is the closure. When the front stalls below the cap,
-    the same store goes on with the ``step`` images of every kept matrix
-    in the order kept, from the first: what the front kept stays, and its
-    images are not tried again. That is the whole closure, which is all
-    that runs without a cap or for any other step. At most one batch is
+    The images come stack by stack: under each operator stack of
+    ``stacks`` in turn, ``apply(stack, m)`` for every kept matrix m in the
+    order kept, from the first. What an earlier stack kept stays, and its
+    images under that stack are not tried again. At most one batch is
     pending: the images of one kept matrix are all tested before the next
     is expanded.
     """
-    shape = seed[0].shape
     accepted: list[np.ndarray] = []
 
     def full(batch: Sequence[np.ndarray]) -> bool:
@@ -598,7 +583,7 @@ def _close(store, seed: Sequence[np.ndarray],
         for m in batch:
             if store.dim == max_dim:
                 return True
-            if m.shape != shape:
+            if m.shape != seed[0].shape:
                 raise InputError("span_closure matrices must share one shape")
             if store.insert(m.reshape(-1)):
                 accepted.append(m)
@@ -606,59 +591,57 @@ def _close(store, seed: Sequence[np.ndarray],
 
     if full(seed):
         return accepted
-    fronted = max_dim is not None and isinstance(step, OperatorStep)
-    for expand in ([step.front] if fronted else []) + [step]:
+    for stack in stacks:
         expanded = 0
         while expanded < len(accepted):
-            if full(expand(accepted[expanded])):
+            if full(apply(stack, accepted[expanded])):
                 return accepted
             expanded += 1
     return accepted
 
 
-def span_closure(seed: Sequence[np.ndarray], step: Callable[[np.ndarray], Sequence[np.ndarray]],
+def span_closure(seed: Sequence[np.ndarray], ops: np.ndarray,
+                 apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  mode: Mode, tol: TolerancePolicy = DEFAULT_TOL,
-                 max_dim: Optional[int] = None) -> Subspace:
-    """Smallest subspace of matrix space containing ``seed`` and closed under ``step``.
+                 max_dim: Optional[int] = None) -> list[np.ndarray]:
+    """The kept matrices of the smallest span of matrices containing ``seed``
+    and closed under m -> ``apply(ops, m)``, the images of m under each
+    operator of the stack ``ops``; ``apply`` must be linear in the operator
+    and in m. No seed closes to nothing.
 
-    ``step`` must be linear. Returns the accepted generators as subspace
-    rows (each row one flattened matrix), so callers can reshape them back.
-    In exact mode the seeds and the step's images are integer matrices
-    (positive multiples of rational ones change no span), inserted into the
-    same echelon store that every exact elimination uses; the rows are the
-    kept matrices as they came. ``max_dim`` is the dimension of a space
-    known to contain the closure: once the span reaches it, every
+    The kept matrices span the closure and are taken as they came: in exact
+    mode the seeds and the images are integer matrices (positive multiples
+    of rational ones change no span), inserted into the same echelon store
+    that every exact elimination uses. ``max_dim`` is the dimension of a
+    space known to contain the closure: once the span reaches it, every
     remaining candidate would be rejected, so the search stops and expands
-    nothing more. The candidates are the seeds, then, with a cap and an
-    :class:`OperatorStep`, the closure front of :func:`_close`, and then,
-    otherwise or when the front stalls below the cap, the ``step`` images
-    of each kept matrix in the order kept; each is tested as it comes.
+    nothing more. With a cap, each kept matrix is first expanded under the
+    :func:`closure_front` of ``ops`` alone; those images lie in the
+    closure, so a span that reaches the cap is the closure. Only when that
+    front stalls below the cap does the same store go on with the images
+    under ``ops``, which is all that runs without a cap.
     """
-    if not seed:
-        raise InputError("span_closure needs at least one seed matrix")
-    width = int(np.prod(seed[0].shape))
+    width = seed[0].size if seed else 0
     store = _ExactEchelon() if mode == EXACT else _FloatOrtho(width, tol)
-    accepted = _close(store, seed, step, max_dim)
-    if not accepted:
-        return zero_subspace(width, mode)
-    return Subspace(width, np.stack([m.reshape(-1) for m in accepted]), mode)
+    stacks = [ops] if max_dim is None else [closure_front(ops), ops]
+    return _close(store, seed, stacks, apply, max_dim)
 
 
-def closure_dim_mod_p(seed: Sequence[np.ndarray],
-                      step: Callable[[np.ndarray], Sequence[np.ndarray]],
+def closure_dim_mod_p(seed: Sequence[np.ndarray], ops: np.ndarray,
+                      apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       p: int) -> int:
-    """Dimension over GF(p) of the span closure of ``seed`` under ``step``.
+    """Dimension over GF(p) of the span closure of ``seed`` under
+    m -> ``apply(ops, m)``; 0 for no seed.
 
-    The matrices are int64 with entries in [0, p), and ``step`` must
+    The matrices are int64 with entries in [0, p), and ``apply`` must
     return them reduced the same way. The search stops once the span fills
-    the whole matrix space, and an :class:`OperatorStep` runs the closure
-    front first.
+    the whole matrix space. It expands under ``ops`` alone: a caller that
+    wants only a lower bound may pass the :func:`closure_front` of its
+    operators.
     """
-    if not seed:
-        raise InputError("closure_dim_mod_p needs at least one seed matrix")
-    width = int(np.prod(seed[0].shape))
+    width = seed[0].size if seed else 0
     store = _ModpEchelon(width, p)
-    _close(store, seed, step, width)
+    _close(store, seed, [ops], apply, width)
     return store.dim
 
 

@@ -119,6 +119,15 @@ def scaled_value(scaled):
     return None if scaled is None else from_scaled(*scaled)
 
 
+def positive_multiple(got, want):
+    """got = c * want for some c > 0 (any want, including zero)."""
+    got, want = got.reshape(-1), want.reshape(-1)
+    k = next((i for i, x in enumerate(want) if x != 0), None)
+    if k is None:
+        return all(x == 0 for x in got)
+    return got[k] * want[k] > 0 and all(x * want[k] == y * got[k] for x, y in zip(got, want))
+
+
 def coords_in_rowbasis(vecs, basis_rows, mode, tol):
     """Coefficients X with X @ basis_rows = vecs, or None if not in the span:
     Fractions in exact mode, floats in float mode."""

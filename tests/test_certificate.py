@@ -85,16 +85,25 @@ def test_certified_holonomy_is_so_g(entry):
     assert subspaces_equal(span(hol), span(holonomy_algebra(g)))
 
 
+def _images_mod(p):
+    # v -> a v mod p for each a of a stack
+    return lambda ops, v: (ops @ v) % p
+
+
+# no operator, and the one that swaps the two coordinates
+NONE = np.zeros((0, 2, 2), dtype=np.int64)
+SWAP = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
+
+
 def test_modular_closure_dim_is_rank_mod_p():
     # rows (1, 1) and (1, 3) are independent over Q and mod 3, not mod 2
     def seed(p):
         return [np.array(v, dtype=np.int64) % p for v in ([1, 1], [1, 1], [1, 3])]
-    assert closure_dim_mod_p(seed(2), lambda v: [], 2) == 1
-    assert closure_dim_mod_p(seed(3), lambda v: [], 3) == 2
+    assert closure_dim_mod_p(seed(2), NONE, _images_mod(2), 2) == 1
+    assert closure_dim_mod_p(seed(3), NONE, _images_mod(3), 3) == 2
     # the step adds the swapped vector: (1, 2) -> (2, 1) spans GF(5)^2 with it
-    swap = lambda v: [v[::-1].copy()]
-    assert closure_dim_mod_p([np.array([1, 2], dtype=np.int64)], swap, 5) == 2
-    assert closure_dim_mod_p([np.array([1, 1], dtype=np.int64)], swap, 5) == 1
+    assert closure_dim_mod_p([np.array([1, 2], dtype=np.int64)], SWAP, _images_mod(5), 5) == 2
+    assert closure_dim_mod_p([np.array([1, 1], dtype=np.int64)], SWAP, _images_mod(5), 5) == 1
 
 
 def _rank_mod_p(rows, p):
@@ -126,5 +135,6 @@ def test_modular_rank_matches_reference(p):
         mix = rng.integers(0, 3, size=(14, 6), dtype=np.int64)
         vecs = [np.array([int(x) % p for x in row], dtype=np.int64)
                 for row in mix.astype(object) @ basis.astype(object)]
-        assert closure_dim_mod_p(vecs, lambda v: [], p) == _rank_mod_p(
+        assert closure_dim_mod_p(vecs, np.zeros((0, 12, 12), dtype=np.int64), _images_mod(p),
+                                 p) == _rank_mod_p(
             [v.tolist() for v in vecs], p)

@@ -121,13 +121,14 @@ def test_float_closure_stop_at_so_g_keeps_the_span():
     n = g.dim
     conn = levi_civita(g)
     curv = curvature_tensor(g, conn)
-    nabla = [conn.operator(k) for k in range(n)]
+    nabla = np.stack([conn.operator(k) for k in range(n)])
     full = span_closure([curv[i, j] for i in range(n) for j in range(i + 1, n)],
-                        lambda m: [a @ m - m @ a for a in nabla], FLOAT, g.tol)
+                        nabla, lambda ops, m: ops @ m - m @ ops, FLOAT, g.tol)
     hol = holonomy_algebra(g, conn)
-    assert hol.dim == full.dim == n * (n - 1) // 2
+    assert hol.dim == len(full) == n * (n - 1) // 2
     stopped = Subspace(n * n, np.stack([m.reshape(-1) for m in hol.basis]), FLOAT)
-    assert subspaces_equal(stopped, full, g.tol)
+    assert subspaces_equal(stopped, Subspace(n * n, np.stack([m.reshape(-1) for m in full]), FLOAT),
+                           g.tol)
 
 
 class _TwoPassOrtho:
@@ -762,10 +763,10 @@ def test_per_factor_closure_stops_at_each_factors_cap(monkeypatch):
     caps = []
     real = holonomy.span_closure
 
-    def recording(seed, step, mode, tol, max_dim=None):
-        span = real(seed, step, mode, tol, max_dim)
-        caps.append((span.ambient_dim, span.dim, max_dim))
-        return span
+    def recording(seed, ops, apply, mode, tol, max_dim=None):
+        kept = real(seed, ops, apply, mode, tol, max_dim)
+        caps.append((seed[0].size, len(kept), max_dim))
+        return kept
     monkeypatch.setattr(holonomy, "span_closure", recording)
     g = direct_sum_algebra(sl_example(2).algebra, fundamental_power(1))
     spl = de_rham_splitting(g)
@@ -810,36 +811,37 @@ def complex_hyperbolic(m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_complex_hyperbolic_closures_fall_back_below_the_cap(m, monkeypatch):
-    # u(m) lies below every cap: the mod-p bound's so(2m), the per-factor
-    # so(2m) and holonomy_algebra's so(2m), so every closure's front stalls
-    # and the full expansion runs after it, in each of the three stores
-    fronts, fell_back = set(), set()
+    # u(m) lies below every cap: the per-factor so(2m) and holonomy_algebra's
+    # so(2m), so the front of every exact and float closure stalls and the
+    # full expansion runs after it. The mod-p bound expands under the front
+    # alone, and still reaches dim u(m)
+    expanded = {}  # store -> {(index of the stack expanded under, stacks listed)}
     real = linalg._close
 
-    def recording(store, seed, step, max_dim):
-        def counted(ops, mat):
-            (fell_back if ops is step.ops else fronts).add(type(store).__name__)
-            return step.apply(ops, mat)
-        return real(store, seed, linalg.OperatorStep(step.ops, counted), max_dim)
+    def recording(store, seed, stacks, apply, max_dim):
+        def counted(stack, mat):
+            k = next(i for i, s in enumerate(stacks) if s is stack)
+            expanded.setdefault(type(store).__name__, set()).add((k, len(stacks)))
+            if type(store) is linalg._ModpEchelon:
+                assert len(stack) == len(linalg.CLOSURE_FRONT)
+            return apply(stack, mat)
+        return real(store, seed, stacks, counted, max_dim)
     monkeypatch.setattr(linalg, "_close", recording)
     g = complex_hyperbolic(m)
-    got = {}
+    hols = {}
     for h in (g, to_float_algebra(g)):
         spl = de_rham_splitting(h)
         assert spl.mode == h.mode and not spl.promoted_to_float
         assert spl.factor_dims == (2 * m,) and spl.factor_is_flat == (False,)
         assert spl.holonomy_dim == holonomy_algebra(h).dim == m * m
-        seeds, nabla = holonomy._closure_inputs(h, h.levi_civita)
-        bound = holonomy._holonomy_dim_mod_p(h, seeds, nabla) if h.mode == EXACT else None
-        got[h.mode] = (spl.holonomy, bound)
-    assert got[EXACT][1] == m * m
-    assert fronts == fell_back == {"_ExactEchelon", "_FloatOrtho", "_ModpEchelon"}
-    # with the front bypassed every closure spans the same
+        hols[h.mode] = spl.holonomy
+    seeds, nabla = holonomy._closure_inputs(g, g.levi_civita)
+    assert holonomy._holonomy_dim_mod_p(g, seeds, nabla) == m * m
+    assert expanded == {"_ExactEchelon": {(0, 2), (1, 2)}, "_FloatOrtho": {(0, 2), (1, 2)},
+                        "_ModpEchelon": {(0, 1)}}
+    # with the front bypassed every exact and float closure spans the same
     monkeypatch.setattr(linalg, "CLOSURE_FRONT", ())
     for h in (g, to_float_algebra(g)):
-        hol, bound = got[h.mode]
+        hol = hols[h.mode]
         assert subspaces_equal(_flattened(de_rham_splitting(h).holonomy), _flattened(hol), h.tol)
         assert subspaces_equal(_flattened(holonomy_algebra(h)), _flattened(hol), h.tol)
-        if h.mode == EXACT:
-            seeds, nabla = holonomy._closure_inputs(h, h.levi_civita)
-            assert holonomy._holonomy_dim_mod_p(h, seeds, nabla) == bound

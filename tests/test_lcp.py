@@ -5,6 +5,7 @@ import pytest
 
 from lcplab.cli import run_analysis
 from lcplab.errors import InputError, TheoremViolationError
+from lcplab.gallery import fundamental_example
 from lcplab.lcp import (
     LcpData,
     is_closed_covector,
@@ -192,6 +193,18 @@ def test_validate_wrong_ideal_fails_parallel_and_flat():
     assert not rep.u_weyl_parallel
     assert not rep.u_weyl_flat
     assert rep.failures() == ["u_weyl_parallel", "u_weyl_flat"]
+
+
+@pytest.mark.parametrize("name, ideal, lee, comp", [
+    ("lee covector", [[1, 0, 0]], [0, np.nan, 1], None),
+    ("flat ideal", [[np.nan, 0, 0]], [0, 0, 1], None),
+    ("complement", [[1, 0, 0]], [0, 0, 1], [[0, np.inf, 0], [0, 0, 1]]),
+], ids=["lee_covector", "flat_ideal", "complement"])
+def test_non_finite_float_structure_data_is_refused(name, ideal, lee, comp):
+    # refused by name before any decision reads it: a NaN passes no zero band
+    g = to_float_algebra(fundamental_example().algebra)
+    with pytest.raises(InputError, match=f"{name} has a non-finite entry"):
+        make_lcp_data(g, ideal, lee, comp)
 
 
 def test_validate_abelian_three_space_counterexample():

@@ -3,7 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lcplab import liealg
+from lcplab.cli import run_analysis
 from lcplab.errors import InputError
+from lcplab.gallery import fundamental_example
 from lcplab.liealg import (
     LEVI_CIVITA,
     ad_matrix,
@@ -197,6 +200,19 @@ def test_make_algebra_raises_on_invalid_when_checking():
     c = bracket_table(3, {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {0: 1}})
     with pytest.raises(InputError):
         make_algebra(c)
+
+
+def test_gallery_built_analysis_validates_once(monkeypatch):
+    # make_algebra validates the entry; run_analysis reads the same report
+    # instead of validating the algebra a second time
+    validated = []
+    real = liealg._validation_report
+    monkeypatch.setattr(liealg, "_validation_report", lambda g: validated.append(g) or real(g))
+    entry = fundamental_example.__wrapped__()  # a fresh build, not the shared cached one
+    assert validated.count(entry.algebra) == 1
+    report, code = run_analysis(entry.algebra, entry.lcp)
+    assert code == 0 and report["validation"]["passed"]
+    assert validated.count(entry.algebra) == 1
 
 
 def test_float_validation_tolerates_roundoff():

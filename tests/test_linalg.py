@@ -7,7 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coords_in_rowbasis, scaled_value, subspace_contains, subspaces_equal
+from conftest import (coords_in_rowbasis, positive_multiple, scaled_value, subspace_contains,
+                      subspaces_equal)
 
 from lcplab import holonomy, linalg
 from lcplab.errors import InputError
@@ -20,6 +21,7 @@ from lcplab.linalg import (
     Subspace,
     canonical_rows,
     charpoly_exact,
+    closure_dim_mod_p,
     exact_det,
     full_subspace,
     make_subspace,
@@ -145,6 +147,12 @@ def test_float_solve_is_over_one():
                         DEFAULT_TOL) is None
 
 
+def test_float_residual_tests_fail_on_nan():
+    # a NaN residual is within no band: both solves report no solution
+    assert solve_linear(np.eye(2), np.array([np.nan, 1.0]), FLOAT, DEFAULT_TOL) is None
+    assert restrict_operator(np.full((1, 3, 3), np.nan), np.eye(2, 3), FLOAT, DEFAULT_TOL) is None
+
+
 def test_exact_inverse_round_trip():
     a = E([[2, 1], [7, 4]])
     ints, den = scaled_inverse(a, EXACT)
@@ -242,29 +250,31 @@ def test_restrict_operator_invariant_plane():
     # rotation-by-swap acts on span{e0, e1} inside R^3
     a = E([[0, -1, 0], [1, 0, 0], [0, 0, 5]])
     basis = E([[1, 0, 0], [0, 1, 0]])
-    m = scaled_value(restrict_operator(a, basis, EXACT, DEFAULT_TOL))
-    assert m[0, 0] == 0 and m[0, 1] == -1 and m[1, 0] == 1 and m[1, 1] == 0
+    m = restrict_operator(a[None], basis, EXACT, DEFAULT_TOL)
+    assert m.shape == (1, 2, 2) and positive_multiple(m, E([[0, -1], [1, 0]]))
 
 
 def test_restrict_operator_detects_noninvariance():
     a = E([[0, 0], [1, 0]])
     basis = E([[1, 0]])
-    assert restrict_operator(a, basis, EXACT, DEFAULT_TOL) is None
+    assert restrict_operator(a[None], basis, EXACT, DEFAULT_TOL) is None
 
 
 def test_restrict_operator_stack_matches_each_operator():
+    # the stack comes as one positive multiple of the rational matrices
     a = E([[0, -1, 0], [1, 0, 0], [0, 0, 5]])
     b = E([[2, 3, 0], [F(1, 2), 7, 0], [0, 0, 1]])
     basis = E([[1, 1, 0], [1, -1, 0]])
-    stacked = scaled_value(restrict_operator(np.stack([a, b]), basis, EXACT, DEFAULT_TOL))
+    stacked = restrict_operator(np.stack([a, b]), basis, EXACT, DEFAULT_TOL)
     assert stacked.shape == (2, 2, 2)
+    assert positive_multiple(stacked, E([[[0, 1], [-1, 0]],
+                                         [[F(25, 4), F(-15, 4)], [F(-5, 4), F(11, 4)]]]))
     for k, op in enumerate((a, b)):
-        alone = restrict_operator(op, basis, EXACT, DEFAULT_TOL)
-        assert np.array_equal(stacked[k], scaled_value(alone))
+        assert positive_multiple(stacked[k], restrict_operator(op[None], basis, EXACT, DEFAULT_TOL))
     leaves = E([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
     assert restrict_operator(np.stack([a, leaves, b]), basis, EXACT, DEFAULT_TOL) is None
     # the zero subspace is invariant under everything
-    assert restrict_operator(np.stack([a, leaves]), basis[:0], EXACT, DEFAULT_TOL)[0].shape == (2, 0, 0)
+    assert restrict_operator(np.stack([a, leaves]), basis[:0], EXACT, DEFAULT_TOL).shape == (2, 0, 0)
 
 
 def test_restrict_operator_stack_keeps_each_float_band():
@@ -274,12 +284,12 @@ def test_restrict_operator_stack_keeps_each_float_band():
     large = 1e8 * float_array([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
     small = np.zeros((3, 3))
     small[2, 0] = 1e-6  # e0 -> 1e-6 e2, far above 10 * rank_tol at scale 1
-    assert restrict_operator(large, basis, FLOAT, DEFAULT_TOL) is not None
-    assert restrict_operator(small, basis, FLOAT, DEFAULT_TOL) is None
+    assert restrict_operator(large[None], basis, FLOAT, DEFAULT_TOL) is not None
+    assert restrict_operator(small[None], basis, FLOAT, DEFAULT_TOL) is None
     assert restrict_operator(np.stack([large, small]), basis, FLOAT, DEFAULT_TOL) is None
     assert restrict_operator(np.stack([small, large]), basis, FLOAT, DEFAULT_TOL) is None
-    both, den = restrict_operator(np.stack([large, large / 1e8]), basis, FLOAT, DEFAULT_TOL)
-    assert den == 1
+    both = restrict_operator(np.stack([large, large / 1e8]), basis, FLOAT, DEFAULT_TOL)
+    assert both.dtype == np.float64
     assert np.allclose(both[0], 1e8 * both[1])
     assert np.allclose(both[1], [[1, 2], [3, 4]])
 
@@ -321,6 +331,7 @@ def test_canonical_rows_float_is_the_rref():
 
 
 def _comm(a, b):
+    # [a, b] for each a of a stack
     return a @ b - b @ a
 
 
@@ -330,23 +341,33 @@ def test_span_closure_sl2_from_one_generator():
     e21 = E([[0, 0], [1, 0]])
     h = E([[1, 0], [0, -1]])
     # exact closures run on integer matrices
-    out = span_closure([to_scaled(e12)[0]], lambda m: [_comm(to_scaled(e21)[0], m)], EXACT)
-    assert out.dim == 3
+    kept = span_closure([to_scaled(e12)[0]], to_scaled(e21)[0][None], _comm, EXACT)
+    assert len(kept) == 3
+    rows = np.stack([m.reshape(-1) for m in kept])
     for mat in (e12, e21, h):
-        assert coords_in_rowbasis(mat.reshape(-1), out.basis, EXACT, DEFAULT_TOL) is not None
+        assert coords_in_rowbasis(mat.reshape(-1), rows, EXACT, DEFAULT_TOL) is not None
 
 
 def test_span_closure_stops_on_fixed_span():
     a = to_scaled(E([[1, 0], [0, 2]]))[0]
-    out = span_closure([a], lambda m: [m], EXACT)
-    assert out.dim == 1
+    identity = to_scaled(eye_array(2, EXACT))[0][None]
+    assert len(span_closure([a], identity, lambda ops, m: ops @ m, EXACT)) == 1
 
 
 def test_span_closure_float_agrees():
     e12 = float_array([[0, 1], [0, 0]])
     e21 = float_array([[0, 0], [1, 0]])
-    out = span_closure([e12], lambda m: [_comm(e21, m)], FLOAT)
-    assert out.dim == 3
+    assert len(span_closure([e12], e21[None], _comm, FLOAT)) == 3
+
+
+def test_closure_of_no_seed_is_empty():
+    # in all three stores: the exact and the float closure keep no matrix,
+    # with a cap or without, and the one over GF(p) has dimension 0
+    ops = np.zeros((1, 2, 2), dtype=np.int64)
+    for mode in (EXACT, FLOAT):
+        for cap in (None, 3):
+            assert span_closure([], ops, _comm, mode, DEFAULT_TOL, cap) == []
+    assert closure_dim_mod_p([], ops, _comm, 5) == 0
 
 
 def test_float_store_rejects_roundoff_and_accepts_new_directions():
@@ -380,18 +401,18 @@ def test_closure_expands_one_kept_matrix_at_a_time(monkeypatch):
         state["dim"] = self.dim
         return kept
 
-    def closure(seed, step, mode, tol, max_dim):
+    def closure(seed, ops, apply, mode, tol, max_dim):
         state.update(tested=0, dim=0)
         tested_at, made, whole = [], [], []  # at each expansion
 
-        def counted(ops, m):
+        def counted(stack, m):
             assert state["dim"] != max_dim
             tested_at.append(state["tested"])
-            images = step.apply(ops, m)
+            images = apply(stack, m)
             made.append(len(images))
-            whole.append(ops is step.ops)
+            whole.append(stack is ops)
             return images
-        out = span_closure(seed, linalg.OperatorStep(step.ops, counted), mode, tol, max_dim)
+        out = span_closure(seed, ops, counted, mode, tol, max_dim)
         tested_at.append(state["tested"])
         batches = list(np.diff(tested_at))
         if made:
@@ -400,7 +421,7 @@ def test_closure_expands_one_kept_matrix_at_a_time(monkeypatch):
             assert batches[:-1] == made[:-1] and batches[-1] <= made[-1]
             assert whole == sorted(whole)
         fell_back.append(any(whole))
-        filled.append(out.dim == max_dim)
+        filled.append(len(out) == max_dim)
         return out
 
     filled: list[bool] = []
@@ -412,11 +433,6 @@ def test_closure_expands_one_kept_matrix_at_a_time(monkeypatch):
     # both ways a closure ends are exercised, and both phases
     assert True in filled and False in filled
     assert True in fell_back and False in fell_back
-
-
-def test_span_closure_rejects_empty_seed():
-    with pytest.raises(InputError):
-        span_closure([], lambda m: [], EXACT)
 
 
 # ---------------------------------------------------------------------------
