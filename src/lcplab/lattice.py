@@ -396,7 +396,12 @@ def unit_root_profile(coeffs: Sequence[int], tol: float = 1e-9) -> UnitRootProfi
 
 @dataclass(frozen=True, eq=False)
 class ConjugacySolution:
-    """C^-1 A C = exp(t0 * generator), generator in block form."""
+    """C^-1 A C = exp(t0 * generator), generator in block form.
+
+    Block form: 1x1 blocks lambda, then 2x2 blocks [[0, -mu], [mu, 0]] on
+    the diagonal, and exactly 0 at every other entry. :func:`verify_conjugacy`
+    raises InputError for a generator of any other form.
+    """
 
     t0: float
     generator: np.ndarray
@@ -474,13 +479,49 @@ def solve_conjugacy(m: Sequence, tol: float = 1e-9) -> Optional[ConjugacySolutio
     return ConjugacySolution(t0=t0, generator=gen, conjugator=c)
 
 
-def verify_conjugacy(m: Sequence, solution: ConjugacySolution) -> float:
-    """Largest entry of C^-1 A C - exp(t0 * generator)."""
-    import scipy.linalg  # deferred: importing it roughly doubles a cold CLI start
+def _block_form_exp(t0: float, gen: np.ndarray) -> np.ndarray:
+    """exp(t0 * gen) for a generator in block form, in closed form.
 
+    A 1x1 block lambda gives e^(t0 lambda); a 2x2 block [[0, -mu], [mu, 0]]
+    gives the rotation by t0 mu. A pair of entries just off the diagonal
+    that is not both 0 opens a 2x2 block, which must then be exactly that
+    skew form; every entry outside the blocks must be exactly 0.
+    """
+    n = gen.shape[0]
+    if gen.shape != (n, n):
+        raise InputError("generator is not a square matrix")
+    out = np.zeros((n, n))
+    rest = gen.copy()  # the entries outside the blocks, once these are cleared
+    pos = 0
+    while pos < n:
+        if pos + 1 < n and (gen[pos, pos + 1] != 0 or gen[pos + 1, pos] != 0):
+            mu = gen[pos + 1, pos]
+            if gen[pos, pos] != 0 or gen[pos + 1, pos + 1] != 0 or gen[pos, pos + 1] != -mu:
+                raise InputError(f"generator block at row {pos} is not of the form "
+                                 "[[0, -mu], [mu, 0]]")
+            c, s = math.cos(t0 * mu), math.sin(t0 * mu)
+            out[pos:pos + 2, pos:pos + 2] = [[c, -s], [s, c]]
+            rest[pos:pos + 2, pos:pos + 2] = 0
+            pos += 2
+        else:
+            out[pos, pos] = math.exp(t0 * gen[pos, pos])
+            rest[pos, pos] = 0
+            pos += 1
+    if rest.any():
+        raise InputError("generator has a nonzero entry outside its diagonal blocks")
+    return out
+
+
+def verify_conjugacy(m: Sequence, solution: ConjugacySolution) -> float:
+    """Largest entry of C^-1 A C - exp(t0 * generator).
+
+    The exponential is taken in closed form, so the generator must be in
+    the block form :func:`solve_conjugacy` builds (see
+    :class:`ConjugacySolution`); any other generator raises InputError.
+    """
     arr = _as_int_matrix(m).astype(np.float64)
     c = solution.conjugator
-    target = scipy.linalg.expm(solution.t0 * solution.generator)
+    target = _block_form_exp(solution.t0, solution.generator)
     defect = np.linalg.solve(c, arr @ c) - target
     return float(np.max(np.abs(defect)))
 

@@ -447,9 +447,11 @@ def support_indices(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> tuple
         return ()
     if mode == EXACT:
         return tuple(np.flatnonzero(rows.any(axis=0)).tolist())
-    af = np.abs(np.asarray(rows, dtype=np.float64))
-    cut = residual_band(tol) * scale_of(af)
-    return tuple(j for j in range(rows.shape[1]) if float(af[:, j].max()) > cut)
+    peaks = np.abs(np.asarray(rows, dtype=np.float64)).max(axis=0)
+    if not np.isfinite(peaks).all():
+        raise InputError("support rows have a non-finite entry")
+    cut = residual_band(tol) * scale_of(peaks)
+    return tuple(np.flatnonzero(peaks > cut).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +487,9 @@ class _FloatOrtho:
         norm0 = float(np.linalg.norm(v))
         if norm0 == 0.0:
             return False
+        # the norm is finite for every finite vector short of overflow
+        if not math.isfinite(norm0) and not np.isfinite(v).all():
+            raise InputError("closure candidate has a non-finite entry")
         cut = self.tol.rank_tol * max(1.0, norm0)
         r = v - (self.q @ v) @ self.q
         if float(np.linalg.norm(r)) <= 0.5 * cut:

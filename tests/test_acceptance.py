@@ -29,7 +29,7 @@ from lcplab.lcp import (lcp_decomposable, lee_form_from_splitting,
 from lcplab.liealg import (ad_matrix, is_unimodular, levi_civita,
                            make_algebra, metric_defect, to_float_algebra,
                            torsion_defect, validate_algebra)
-from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array
+from lcplab.scalars import EXACT, FLOAT, exact_array
 
 FLOAT_RANK_TOL = 1e-9
 CONJUGACY_DEFECT_TOL = 1e-8

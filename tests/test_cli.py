@@ -406,7 +406,8 @@ class TestLattice:
 
 
 class TestColdImports:
-    """``import lcplab.cli`` leaves scipy out; the two commands that use it load it."""
+    """``import lcplab.cli`` and every command compute on numpy alone; only an
+    ``analyze`` report imports scipy, for the version in ``tool_versions``."""
 
     @staticmethod
     def _python(*argv):
@@ -420,6 +421,35 @@ class TestColdImports:
                                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_commands_load_no_scipy_module(self, exported):
+        # one child runs the commands in turn and lists the scipy modules
+        # loaded after each; none is ever unloaded, so each list holds every
+        # module that command or an earlier one imported
+        fundamental = str(exported / "fundamental.json")
+        commands = {
+            "charpoly": ["lattice", "charpoly", "[[1,1],[1,2]]"],
+            "irreducible": ["lattice", "irreducible", "[1,-3,1]"],
+            "roots": ["lattice", "roots", "[1,-3,3,-3,1]"],
+            "conjugacy": ["lattice", "conjugacy", "[[0,0,0,-1],[1,0,0,3],[0,1,0,-3],[0,0,1,3]]"],
+            "probe": ["lattice", "probe", "[1, 1.5]"],
+            "validate": ["validate", fundamental],
+            "analyze": ["analyze", fundamental, "--json"],
+        }
+        script = ("import contextlib, io, json, sys\n"
+                  "from lcplab.cli import main\n"
+                  "seen = {}\n"
+                  "for name, argv in json.loads(sys.argv[1]).items():\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        code = main(argv)\n"
+                  "    seen[name] = (code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+                  "print(json.dumps(seen))\n")
+        proc = self._python("-c", script, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        code, analyze = seen.pop("analyze")
+        assert seen == {name: [0, []] for name in seen}
+        assert code == 0 and "scipy" in analyze and "scipy.linalg" not in analyze
 
     def test_cold_conjugacy_still_solves(self):
         proc = self._python("-m", "lcplab.cli", "lattice", "conjugacy", "[[1,1],[1,2]]", "--json")

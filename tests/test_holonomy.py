@@ -11,7 +11,6 @@ from lcplab.cli import run_analysis
 from lcplab.errors import InputError, NumericalAmbiguityError
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (
-    ConditionReport,
     check_reducing_pair,
     common_kernel,
     de_rham_splitting,

@@ -1,4 +1,5 @@
-"""Every name that a module of the package imports is used in that module.
+"""Every name that a module of the package or of its tests imports is used
+in that module.
 
 Deleting a function can leave its import behind. Each module is parsed
 with the standard library's ``ast``; a name counts as used when it is
@@ -11,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lcplab"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lcplab"
+MODULES = ([pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))
+            if p.name != "__init__.py"]
+           + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))])
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -57,4 +61,4 @@ def test_the_scan_finds_an_unused_import():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports(module.read_text()) == []

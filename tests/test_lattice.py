@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcplab import lattice
 from lcplab.errors import InputError
+from lcplab.gallery import all_entries
 from lcplab.lattice import (ConjugacySolution, ProbeResult, char_poly,
                             companion, discreteness_probe,
                             is_irreducible_over_Z, is_unimodular_matrix,
@@ -217,6 +219,15 @@ class TestUnitRootProfile:
         assert (p.degree, p.on_circle, p.real_off_circle,
                 p.complex_off_circle) == (0, 0, 0, 0)
 
+    @pytest.mark.xfail(strict=True, reason="np.roots sees N^2 - 1 rounded to N^2 "
+                                           "(ROADMAP item 5)")
+    def test_roots_just_off_the_circle(self):
+        # N^2 (X - 1)^2 - 1: the roots 1 +- 1/N are real and off the circle
+        n = 10 ** 8
+        p = unit_root_profile([n * n - 1, -2 * n * n, n * n])
+        assert (p.degree, p.on_circle, p.real_off_circle,
+                p.complex_off_circle) == (2, 0, 2, 0)
+
 
     @pytest.mark.parametrize("coeffs, profile", [
         ((1, 0, 2, 0, 1), (4, 4, 0, 0)),  # (X^2+1)^2
@@ -279,6 +290,66 @@ class TestSolveConjugacy:
         bad = ConjugacySolution(t0=sol.t0 + 0.1, generator=sol.generator,
                                 conjugator=sol.conjugator)
         assert verify_conjugacy(GOLDEN, bad) > 1e-2
+
+
+def _random_block_generator(rng: np.random.Generator, n: int) -> np.ndarray:
+    rotations = int(rng.integers(0, n // 2 + 1))
+    gen = np.zeros((n, n))
+    reals = n - 2 * rotations
+    gen[range(reals), range(reals)] = rng.uniform(-2.0, 2.0, reals)
+    for pos in range(reals, n, 2):
+        mu = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0)
+        gen[pos, pos + 1], gen[pos + 1, pos] = -mu, mu
+    return gen
+
+
+def _assert_matches_expm(t0, gen):
+    want = scipy.linalg.expm(t0 * gen)
+    got = lattice._block_form_exp(t0, gen)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestBlockFormExp:
+    @pytest.mark.parametrize("m", [e.lattice.integer_matrix for e in all_entries()
+                                   if e.lattice is not None]
+                             + [companion((1, -3, 3, -3, 1))])
+    def test_matches_expm_on_solved_lattice_matrices(self, m):
+        sol = solve_conjugacy(m)
+        _assert_matches_expm(sol.t0, sol.generator)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_expm_on_random_block_generators(self, seed):
+        rng = np.random.default_rng(seed)
+        gen = _random_block_generator(rng, int(rng.integers(1, 9)))
+        _assert_matches_expm(float(rng.uniform(0.1, 2.0)), gen)
+
+    @pytest.mark.parametrize("where", [(0, 2), (2, 0), (2, 3), (3, 0)])
+    def test_an_entry_outside_the_blocks_is_refused(self, where):
+        # blocks: lambda at 0, a rotation at 1..2, lambda at 3
+        gen = np.zeros((4, 4))
+        gen[0, 0] = 0.5
+        gen[1, 2], gen[2, 1] = -1.0, 1.0
+        gen[3, 3] = -0.5
+        gen[where] = 1e-300
+        with pytest.raises(InputError, match="outside its diagonal blocks"):
+            lattice._block_form_exp(1.0, gen)
+
+    @pytest.mark.parametrize("block", [
+        [[0.0, -1.0], [1.0 + 1e-15, 0.0]],  # not skew
+        [[0.0, 1.0], [1.0, 0.0]],  # symmetric
+        [[1e-300, -1.0], [1.0, 0.0]],  # nonzero diagonal
+        [[0.0, np.nan], [1.0, 0.0]],
+    ])
+    def test_a_two_by_two_block_that_is_not_skew_is_refused(self, block):
+        sol = solve_conjugacy(GOLDEN)
+        bad = ConjugacySolution(t0=sol.t0, generator=np.array(block),
+                                conjugator=sol.conjugator)
+        with pytest.raises(InputError, match=r"\[\[0, -mu\], \[mu, 0\]\]"):
+            verify_conjugacy(GOLDEN, bad)
+
+    def test_a_non_square_generator_is_refused(self):
+        with pytest.raises(InputError, match="square"):
+            lattice._block_form_exp(1.0, np.zeros((2, 3)))
 
 
 class TestDiscretenessProbe:

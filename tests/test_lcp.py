@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from lcplab.cli import run_analysis
-from lcplab.errors import InputError, TheoremViolationError
+from lcplab.errors import InputError
 from lcplab.gallery import fundamental_example
 from lcplab.lcp import (
-    LcpData,
     is_closed_covector,
     lcp_data_to_float,
     lcp_decomposable,

@@ -16,9 +16,7 @@ from lcplab.gallery import all_entries
 from lcplab.holonomy import holonomy_algebra, symmetric_commutant
 from lcplab.liealg import to_float_algebra
 from lcplab.linalg import (
-    EigenSplit,
     _FloatOrtho,
-    Subspace,
     canonical_rows,
     charpoly_exact,
     closure_dim_mod_p,
@@ -151,6 +149,28 @@ def test_float_residual_tests_fail_on_nan():
     # a NaN residual is within no band: both solves report no solution
     assert solve_linear(np.eye(2), np.array([np.nan, 1.0]), FLOAT, DEFAULT_TOL) is None
     assert restrict_operator(np.full((1, 3, 3), np.nan), np.eye(2, 3), FLOAT, DEFAULT_TOL) is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_store_refuses_a_non_finite_candidate(bad):
+    store = _FloatOrtho(3, DEFAULT_TOL)
+    with pytest.raises(InputError, match="non-finite"):
+        store.insert(np.array([bad, 0.0, 0.0]))
+    assert store.dim == 0
+
+
+def test_float_store_keeps_a_finite_candidate_whose_norm_overflows():
+    # the norm of a finite vector can overflow; the store decides as before
+    store = _FloatOrtho(2, DEFAULT_TOL)
+    with np.errstate(over="ignore"):
+        assert not store.insert(np.array([1e300, 1e300]))
+    assert store.dim == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_float_support_refuses_a_non_finite_entry(bad):
+    with pytest.raises(InputError, match="non-finite"):
+        support_indices(np.array([[bad, 1.0, 0.0]]), FLOAT, DEFAULT_TOL)
 
 
 def test_exact_inverse_round_trip():
@@ -303,6 +323,10 @@ def test_restricted_gram():
 def test_support_indices():
     rows = E([[0, 1, 0, 2], [0, 0, 0, 1]])
     assert support_indices(rows, EXACT, DEFAULT_TOL) == (1, 3)
+    # float mode: a column counts when its largest entry clears the band
+    # relative to max(1, the largest entry)
+    rows = np.array([[0.0, 1e-12, 5.0, -1e-7], [0.0, 0.0, 0.0, 0.0]])
+    assert support_indices(rows, FLOAT, DEFAULT_TOL) == (2, 3)
 
 
 def test_canonical_rows_exact_is_rref():
