@@ -6,6 +6,11 @@ exports the built-in worked examples, and ``lattice`` exposes the
 integer-matrix helpers. Exit codes: 0 all checks pass, 1 a domain check
 failed, 2 the input could not be read or parsed, 3 a float-mode decision
 was too close to call.
+
+Each command imports only the modules it uses, inside the function that
+runs it: ``lattice charpoly``, ``irreducible`` and ``probe`` run on the
+standard library alone, and only ``validate``, ``analyze`` and
+``examples`` load the algebra modules.
 """
 
 from __future__ import annotations
@@ -14,22 +19,20 @@ import argparse
 import json
 import math
 import os
-import platform
 import sys
-from typing import Optional
-
-import numpy as np
+from importlib import import_module
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
+from .base import canonical_json
 from .errors import InputError, NumericalAmbiguityError, TheoremViolationError
-from .fileio import canonical_json, load_algebra_file, save_algebra_file
-from .gallery import all_entries
-from .holonomy import de_rham_splitting, reducibility_witness, verify_factor_subalgebras
 from .lattice import (char_poly, discreteness_probe, is_irreducible_over_Z,
                       solve_conjugacy, unit_root_profile, verify_conjugacy)
-from .lcp import LcpData, lcp_decomposable, validate_lcp
-from .liealg import MetricLieAlgebra, is_unimodular, validate_algebra
-from .scalars import DEFAULT_TOL, TolerancePolicy
+
+if TYPE_CHECKING:
+    from .lcp import LcpData
+    from .liealg import MetricLieAlgebra
+    from .scalars import TolerancePolicy
 
 EXIT_PASS = 0
 EXIT_DOMAIN = 1
@@ -40,8 +43,30 @@ EXIT_AMBIGUOUS = 3
 CONJUGACY_DEFECT_TOL = 1e-8
 
 
+# The stages run_analysis calls and their home modules. A stage is
+# imported on first use and then kept as a module attribute, which is where
+# run_analysis looks it up, so a caller can swap in a wrapper there
+# (bench/spans.py times the stages that way).
+_STAGES = {
+    "validate_algebra": "liealg", "is_unimodular": "liealg",
+    "de_rham_splitting": "holonomy", "verify_factor_subalgebras": "holonomy",
+    "reducibility_witness": "holonomy",
+    "validate_lcp": "lcp", "lcp_decomposable": "lcp",
+}
+
+
+def __getattr__(name: str):
+    home = _STAGES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{home}", __package__), name)
+    return value
+
+
 def resolve_tolerance(tol_arg: Optional[float]) -> TolerancePolicy:
     """--tol beats the LCPLAB_TOL environment variable beats the default."""
+    from .scalars import DEFAULT_TOL, TolerancePolicy
+
     raw = tol_arg
     if raw is None:
         env = os.environ.get("LCPLAB_TOL")
@@ -64,6 +89,9 @@ def _positive_tol(raw: float) -> float:
 
 
 def _tool_versions() -> dict:
+    import platform
+
+    import numpy as np
     import scipy  # only analyze reports pay its import
 
     return {
@@ -83,6 +111,7 @@ def run_analysis(g: MetricLieAlgebra, data: Optional[LcpData] = None,
     The report layout is stable so that identical input, seed, and
     tolerance give byte-identical serialized output.
     """
+    stage = sys.modules[__name__]  # the stages, as this module's attributes
     report: dict = {
         "dim": g.dim,
         "mode": g.mode,
@@ -97,33 +126,33 @@ def run_analysis(g: MetricLieAlgebra, data: Optional[LcpData] = None,
         "lcp_report": None,
         "decomposability": None,
     }
-    val = validate_algebra(g)
+    val = stage.validate_algebra(g)
     report["validation"] = {"passed": val.passed, "failures": val.failures()}
     if not val.passed:
         return report, EXIT_DOMAIN
 
-    report["unimodular"] = is_unimodular(g)
-    spl = de_rham_splitting(g, seed=seed)
+    report["unimodular"] = stage.is_unimodular(g)
+    spl = stage.de_rham_splitting(g, seed=seed)
     flat_index = spl.factor_is_flat.index(True) if True in spl.factor_is_flat else None
     report["holonomy_dim"] = spl.holonomy_dim
     report["de_rham"] = {
         "factor_dims": list(spl.factor_dims),
         "factor_is_flat": list(spl.factor_is_flat),
         "flat_factor_index": flat_index,
-        "factors_are_subalgebras": verify_factor_subalgebras(g, spl, strict=False),
+        "factors_are_subalgebras": stage.verify_factor_subalgebras(g, spl, strict=False),
         "promoted_to_float": spl.promoted_to_float,
     }
-    witness = reducibility_witness(g, seed=seed, splitting=spl)
+    witness = stage.reducibility_witness(g, seed=seed, splitting=spl)
     report["reducing_witness"] = (None if witness is None else
                                   {"s1_dim": witness.s1.dim, "s2_dim": witness.s2.dim})
 
     code = EXIT_PASS
     if data is not None:
-        lrep = validate_lcp(g, data)
+        lrep = stage.validate_lcp(g, data)
         report["lcp_report"] = lrep.as_dict()
         if lrep.overall:
-            dec = lcp_decomposable(g, data, seed=seed,
-                                   splitting=spl, lcp_report=lrep)
+            dec = stage.lcp_decomposable(g, data, seed=seed,
+                                         splitting=spl, lcp_report=lrep)
             principal = dec.principal_factor
             report["decomposability"] = {
                 "decomposable": dec.decomposable,
@@ -187,6 +216,10 @@ def _print_report(report: dict) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .fileio import load_algebra_file
+    from .lcp import validate_lcp
+    from .liealg import validate_algebra
+
     g, lcp, _ = load_algebra_file(args.file, tol=resolve_tolerance(None))
     val = validate_algebra(g)
     if not val.passed:
@@ -205,6 +238,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .fileio import load_algebra_file
+
     tol = resolve_tolerance(args.tol)
     g, lcp, _ = load_algebra_file(args.file, tol=tol)
     report, code = run_analysis(g, lcp, seed=args.seed)
@@ -216,6 +251,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_examples(args: argparse.Namespace) -> int:
+    from .fileio import save_algebra_file
+    from .gallery import all_entries
+
     entries = all_entries()
     if args.list:
         for e in entries:

@@ -12,6 +12,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .base import canonical_json
 from .errors import InputError
 from .lattice import LatticeData
 from .lcp import LcpData, make_lcp_data
@@ -21,12 +22,6 @@ from .scalars import (DEFAULT_TOL, Mode, TolerancePolicy, check_mode,
 
 __all__ = ["algebra_to_dict", "dict_to_algebra", "load_algebra_file",
            "save_algebra_file", "canonical_json"]
-
-
-def canonical_json(obj: Any) -> str:
-    """One stable byte representation per report: sorted keys, two-space
-    indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _format_rows(rows: np.ndarray, mode: Mode) -> list[list]:

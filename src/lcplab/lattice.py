@@ -8,6 +8,15 @@ integers through degree 8, classification of eigenvalue moduli, the
 conjugacy solver, and a numeric discreteness probe.
 Irreducibility is exact: "reducible" by an integer factor that divides,
 "irreducible" by trying every factor a lift past the Mignotte bound gives.
+
+The integer side runs on lists of Python ints and the standard library
+alone: :func:`char_poly`, :func:`is_unimodular_matrix`,
+:func:`is_irreducible_over_Z` and :func:`discreteness_probe` never import
+numpy. The float side imports numpy where it runs: :func:`unit_root_profile`
+(through ``_roots``), :func:`solve_conjugacy`, :func:`verify_conjugacy`
+(through ``_block_form_exp``) and :func:`companion`, which returns an
+object array. Those that take an integer to a float refuse one beyond
+float range with an InputError naming it.
 """
 from __future__ import annotations
 
@@ -15,13 +24,14 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, zip_longest
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-import numpy as np
-
+from .base import (_primitive, as_fraction, finite_float, int_charpoly, int_det, is_bool,
+                   is_numpy)
 from .errors import InputError
-from .linalg import _primitive, charpoly_exact, exact_det
-from .scalars import as_fraction, finite_float
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _as_int(x, where: str) -> int:
@@ -30,7 +40,7 @@ def _as_int(x, where: str) -> int:
     # as_fraction's own message for a float speaks of an exact mode, which
     # the lattice commands do not have
     try:
-        f = as_fraction(int(x) if isinstance(x, (bool, np.bool_)) else x)
+        f = as_fraction(int(x) if is_bool(x) else x)
     except InputError:
         f = None
     if f is None or f.denominator != 1:
@@ -38,24 +48,70 @@ def _as_int(x, where: str) -> int:
     return int(f)
 
 
-def _as_int_matrix(m: Sequence) -> np.ndarray:
-    arr = np.array(m, dtype=object)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+def _items(x: Any) -> Optional[list]:
+    """The items of x if numpy reads x as a sequence: a list, a tuple, a
+    range, or an array of at least one dimension, whose items come as the
+    Python scalars its object conversion gives; else None."""
+    if isinstance(x, (list, tuple, range)):
+        return list(x)
+    if is_numpy(x, "ndarray") and x.ndim:
+        return x.tolist()
+    return None
+
+
+def _as_int_matrix(m: Any) -> list[list[int]]:
+    """m as a square matrix of Python ints, with the rows and entries that
+    ``np.array(m, dtype=object)`` would find; InputError if it is not one.
+
+    As for numpy, a matrix is two levels of sequences of one length each,
+    and a third level of sequences that all have one length makes it 3-D.
+    """
+    if is_numpy(m, "ndarray"):
+        rows = m.tolist() if m.ndim == 2 and m.shape[0] == m.shape[1] else None
+    else:
+        rows = _items(m)
+        if rows is not None:
+            rows = [_items(r) for r in rows]
+        if not rows or any(r is None or len(r) != len(rows) for r in rows):
+            rows = None
+        else:
+            cells = (_items(x) for r in rows for x in r)
+            first = next(cells)
+            if first is not None and all(c is not None and len(c) == len(first) for c in cells):
+                rows = None
+    if rows is None:
         raise InputError("expected a square matrix")
-    out = np.empty(arr.shape, dtype=object)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            out[i, j] = _as_int(arr[i, j], f"entry ({i}, {j})")
-    return out
+    return [[_as_int(x, f"entry ({i}, {j})") for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def _to_float(x: int, where: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(f"{where} is beyond float range") from None
+
+
+def _float_matrix(m: Any) -> np.ndarray:
+    """The integer matrix m as a float64 array; InputError names an entry
+    beyond float range."""
+    import numpy as np
+
+    rows = _as_int_matrix(m)
+    n = len(rows)
+    return np.array([[_to_float(x, f"entry ({i}, {j})") for j, x in enumerate(row)]
+                     for i, row in enumerate(rows)], dtype=np.float64).reshape(n, n)
 
 
 def char_poly(m: Sequence) -> tuple[int, ...]:
     """Characteristic polynomial of an integer matrix, constant term first."""
-    return tuple(int(c) for c in charpoly_exact(_as_int_matrix(m)))
+    return tuple(int_charpoly(_as_int_matrix(m)))
 
 
 def companion(coeffs: Sequence[int]) -> np.ndarray:
     """Companion matrix of a monic integer polynomial, constant term first."""
+    import numpy as np
+
     cs = [int(c) for c in coeffs]
     if len(cs) < 2:
         raise InputError("polynomial must have degree at least one")
@@ -72,7 +128,7 @@ def companion(coeffs: Sequence[int]) -> np.ndarray:
 
 
 def is_unimodular_matrix(m: Sequence) -> bool:
-    return abs(exact_det(_as_int_matrix(m))) == 1
+    return abs(int_det(_as_int_matrix(m))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +414,11 @@ def _roots(cs: list[int]) -> np.ndarray:
     a simple root: those of the square-free part f / gcd(f, f'), then those
     of gcd(f, f'), which holds each repeated factor once less.
     """
+    import numpy as np
+
     common = _gcd_with_derivative(cs)
     if len(common) == 1:
-        return np.roots([float(c) for c in reversed(cs)])
+        return np.roots([_to_float(c, "a coefficient of a factor") for c in reversed(cs)])
     return np.concatenate([_roots(_pseudo_divide(cs, common)[0]), _roots(common)])
 
 
@@ -377,6 +435,8 @@ def unit_root_profile(coeffs: Sequence[int], tol: float = 1e-9) -> UnitRootProfi
     deg = len(cs) - 1
     if deg == 0:
         return UnitRootProfile(0, 0, 0, 0)
+    for k, c in enumerate(cs):
+        _to_float(c, f"coefficient {k}")
     roots = _roots(cs)
     on = real_off = complex_off = 0
     for r in roots:
@@ -418,7 +478,9 @@ def solve_conjugacy(m: Sequence, tol: float = 1e-9) -> Optional[ConjugacySolutio
     of the largest real eigenvalue when one exceeds 1, else to the
     largest rotation angle.
     """
-    arr = _as_int_matrix(m).astype(np.float64)
+    import numpy as np
+
+    arr = _float_matrix(m)
     n = arr.shape[0]
     w, v = np.linalg.eig(arr)
     scale = float(np.max(np.abs(w)))
@@ -487,6 +549,8 @@ def _block_form_exp(t0: float, gen: np.ndarray) -> np.ndarray:
     that is not both 0 opens a 2x2 block, which must then be exactly that
     skew form; every entry outside the blocks must be exactly 0.
     """
+    import numpy as np
+
     n = gen.shape[0]
     if gen.shape != (n, n):
         raise InputError("generator is not a square matrix")
@@ -519,7 +583,9 @@ def verify_conjugacy(m: Sequence, solution: ConjugacySolution) -> float:
     the block form :func:`solve_conjugacy` builds (see
     :class:`ConjugacySolution`); any other generator raises InputError.
     """
-    arr = _as_int_matrix(m).astype(np.float64)
+    import numpy as np
+
+    arr = _float_matrix(m)
     c = solution.conjugator
     target = _block_form_exp(solution.t0, solution.generator)
     defect = np.linalg.solve(c, arr @ c) - target

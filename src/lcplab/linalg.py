@@ -51,6 +51,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from .base import _primitive, int_charpoly, int_det
 from .errors import InputError, NumericalAmbiguityError
 from .scalars import (
     DEFAULT_TOL,
@@ -101,11 +102,6 @@ def is_zero_matrix(a: np.ndarray, mode: Mode, tol: TolerancePolicy, scale: float
 
 # ---------------------------------------------------------------------------
 # exact elimination core (fraction-free, on lists of Python ints)
-
-
-def _primitive(v: list[int]) -> list[int]:
-    g = math.gcd(*v)
-    return v if g <= 1 else [x // g for x in v]
 
 
 def _cancel(v: list[int], row: list[int], p: int) -> list[int]:
@@ -215,49 +211,22 @@ def scaled_inverse(a: np.ndarray, mode: Mode) -> tuple[np.ndarray, int]:
 
 
 def exact_det(a: np.ndarray) -> Fraction:
-    """Determinant by Bareiss elimination on the integer matrix d * a.
-
-    Every division inside the elimination is exact (Bareiss 1968), and
-    det(a) = det(d * a) / d**n.
-    """
+    """Determinant, by Bareiss elimination (:func:`lcplab.base.int_det`) on
+    the integer matrix d * a: det(a) = det(d * a) / d**n."""
     ai, d = to_scaled(a)
-    rows = ai.tolist()
-    n = len(rows)
-    sign, prev = 1, 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        pc = rows[c]
-        for i in range(c + 1, n):
-            ri = rows[i]
-            rows[i] = [0] * (c + 1) + [(ri[j] * pc[c] - ri[c] * pc[j]) // prev
-                                       for j in range(c + 1, n)]
-        prev = pc[c]
-    return Fraction(sign * prev, d ** n)
+    return Fraction(int_det(ai.tolist()), d ** ai.shape[0])
 
 
 def charpoly_exact(a: np.ndarray) -> tuple[Fraction, ...]:
     """Characteristic polynomial det(X*I - a), constant term first.
 
-    Faddeev-LeVerrier recursion on the integer matrix d * a, whose
-    coefficients are integers, so every division by k is exact. The
-    coefficient of X**(n-k) for a is the one for d * a divided by d**k.
+    Berkowitz's algorithm (:func:`lcplab.base.int_charpoly`) on the
+    integer matrix d * a; the coefficient of X**(n-k) for a is the one for
+    d * a divided by d**k.
     """
     ai, d = to_scaled(a)
     n = ai.shape[0]
-    eye = np.identity(n, dtype=int).astype(object)
-    coeffs_high = [1]  # X^n downward
-    m = eye
-    for k in range(1, n + 1):
-        am = ai @ m
-        c = -(np.trace(am) // k)
-        coeffs_high.append(c)
-        m = am + c * eye
-    return tuple(Fraction(c, d ** k) for k, c in reversed(list(enumerate(coeffs_high))))
+    return tuple(Fraction(c, d ** (n - j)) for j, c in enumerate(int_charpoly(ai.tolist())))
 
 
 # ---------------------------------------------------------------------------

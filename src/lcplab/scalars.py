@@ -38,17 +38,21 @@ on any entry that is not a Python int, and on products too small for
 the conversion to pay off, the object product runs. Float64 arrays go
 straight to ``@`` and ``np.tensordot``, so float results are the same
 bits either way.
+
+The readers of a single value, :func:`as_fraction` and
+:func:`finite_float`, live in :mod:`lcplab.base`, which needs no numpy,
+and are re-exported here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Any, Literal, Optional
 
 import numpy as np
 
+from .base import as_fraction, finite_float
 from .errors import InputError
 
 Mode = Literal["exact", "float"]
@@ -84,35 +88,6 @@ def check_mode(mode: str) -> Mode:
     if mode not in _MODES:
         raise InputError(f"unknown scalar mode {mode!r}; expected 'exact' or 'float'")
     return mode  # type: ignore[return-value]
-
-
-def as_fraction(value: Any) -> Fraction:
-    """Coerce to Fraction, rejecting binary floats (lossy in exact mode)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (bool, float, np.floating)):
-        raise InputError(f"float scalar {value!r} not allowed in exact mode")
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse exact scalar {value!r}: {exc}") from None
-    if isinstance(value, Rational):
-        return Fraction(value.numerator, value.denominator)
-    raise InputError(f"not an exact scalar: {value!r}")
-
-
-def finite_float(x: Any, where: str) -> float:
-    """x as a float; InputError unless it is a finite number, not a string or bool."""
-    try:
-        v = math.nan if isinstance(x, (str, bool, np.bool_)) else float(x)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
-        v = math.nan
-    if not math.isfinite(v):
-        raise InputError(f"{where} = {x!r} is not a finite number")
-    return v
 
 
 def parse_scalar(value: Any, mode: Mode) -> Any:

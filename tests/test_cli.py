@@ -380,6 +380,32 @@ class TestLattice:
         assert main(["lattice", "conjugacy", "[[-1,0],[0,-1]]"]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, where", [
+        (["conjugacy", f"[[{10**400},0],[0,1]]"], "entry (0, 0)"),
+        (["conjugacy", f"[[1,0],[0,{-10**400}]]", "--json"], "entry (1, 1)"),
+        (["roots", f"[1,{10**400},1]"], "coefficient 1"),
+        (["roots", f"[{10**400},1]", "--json"], "coefficient 0"),
+    ])
+    def test_integer_beyond_float_range_exits_2(self, argv, where, capsys):
+        # the float-lane commands cannot take it; they name it instead of
+        # ending in an OverflowError traceback
+        assert main(["lattice", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert f"{where} is beyond float range" in captured.err
+
+    def test_integer_commands_answer_exactly_beyond_float_range(self, capsys):
+        big = 10**400
+        assert main(["lattice", "charpoly", f"[[{big},0],[0,1]]", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["char_poly"] == [big, -big - 1, 1]
+        # X^2 + 10^400 X + 1: its discriminant 10^800 - 4 is no square
+        assert main(["lattice", "irreducible", f"[1,{big},1]"]) == 0
+        assert capsys.readouterr().out == "irreducible\n"
+        # X^2 + (10^400 + 1) X + 10^400 = (X + 1)(X + 10^400)
+        assert main(["lattice", "irreducible", f"[{big},{big + 1},1]", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["irreducible"] is False
+
     def test_probe_accumulation(self, capsys):
         values = json.dumps([1.0, math.sqrt(2)])
         assert main(["lattice", "probe", values, "--json"]) == 0
@@ -406,8 +432,27 @@ class TestLattice:
 
 
 class TestColdImports:
-    """``import lcplab.cli`` and every command compute on numpy alone; only an
-    ``analyze`` report imports scipy, for the version in ``tool_versions``."""
+    """What a cold process imports. ``import lcplab`` and ``import
+    lcplab.cli`` load no numpy; ``lattice charpoly``, ``irreducible`` and
+    ``probe`` run on the standard library alone; ``lattice roots`` and
+    ``conjugacy`` load numpy but none of the algebra modules; every command
+    computes without scipy, and only an ``analyze`` report imports it, for
+    the version in ``tool_versions``."""
+
+    # one child runs the commands in turn and lists the modules of the given
+    # packages loaded after each; none is ever unloaded, so each list holds
+    # every module that command or an earlier one imported
+    _SCRIPT = ("import contextlib, io, json, sys\n"
+               "from lcplab.cli import main\n"
+               "commands, packages = json.loads(sys.argv[1]), sys.argv[2:]\n"
+               "seen = {}\n"
+               "for name, argv in commands.items():\n"
+               "    with contextlib.redirect_stdout(io.StringIO()):\n"
+               "        code = main(argv)\n"
+               "    seen[name] = (code, sorted(m for m in sys.modules\n"
+               "                               if any(m == p or m.startswith(p + '.')\n"
+               "                                      for p in packages)))\n"
+               "print(json.dumps(seen))\n")
 
     @staticmethod
     def _python(*argv):
@@ -416,16 +461,53 @@ class TestColdImports:
         return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
+    def _loaded_after(self, commands, *packages):
+        proc = self._python("-c", self._SCRIPT, json.dumps(commands), *packages)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
     def test_import_loads_no_scipy_module(self):
         proc = self._python("-c", "import sys, lcplab.cli; "
                                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("statement", ["import lcplab", "import lcplab.cli",
+                                           "from lcplab import canonical_json, char_poly"])
+    def test_import_loads_no_numpy(self, statement):
+        proc = self._python("-c", f"import sys; {statement}; "
+                                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_integer_commands_load_no_numpy(self):
+        commands = {}
+        for flags in ([], ["--json"]):
+            commands.update({
+                f"charpoly{flags}": ["lattice", "charpoly", "[[1,1],[1,2]]", *flags],
+                f"irreducible{flags}": ["lattice", "irreducible", "[1,-3,1]", *flags],
+                f"reducible{flags}": ["lattice", "irreducible", "[1,-100,2502,-100,1]", *flags],
+                f"probe{flags}": ["lattice", "probe", "[1, 1.5]", *flags],
+                f"accumulation{flags}": ["lattice", "probe", "[1, 1.4142135623730951]", *flags],
+            })
+        commands["bad input"] = ["lattice", "charpoly", "[[1.5]]"]
+        seen = self._loaded_after(commands, "numpy")
+        assert seen.pop("bad input") == [2, []]
+        assert seen == {name: [0, []] for name in commands if name != "bad input"}
+
+    def test_float_lattice_commands_load_no_algebra_module(self):
+        commands = {
+            "roots": ["lattice", "roots", "[1,-3,3,-3,1]", "--json"],
+            "conjugacy": ["lattice", "conjugacy", "[[0,0,0,-1],[1,0,0,3],[0,1,0,-3],[0,0,1,3]]"],
+        }
+        algebra = [f"lcplab.{m}" for m in ("holonomy", "lcp", "liealg", "gallery", "fileio")]
+        seen = self._loaded_after(commands, "numpy", *algebra)
+        for name in commands:
+            code, loaded = seen[name]
+            assert code == 0 and "numpy" in loaded, name
+            assert not [m for m in loaded if m.startswith("lcplab.")], name
+
     def test_commands_load_no_scipy_module(self, exported):
-        # one child runs the commands in turn and lists the scipy modules
-        # loaded after each; none is ever unloaded, so each list holds every
-        # module that command or an earlier one imported
         fundamental = str(exported / "fundamental.json")
         commands = {
             "charpoly": ["lattice", "charpoly", "[[1,1],[1,2]]"],
@@ -436,17 +518,7 @@ class TestColdImports:
             "validate": ["validate", fundamental],
             "analyze": ["analyze", fundamental, "--json"],
         }
-        script = ("import contextlib, io, json, sys\n"
-                  "from lcplab.cli import main\n"
-                  "seen = {}\n"
-                  "for name, argv in json.loads(sys.argv[1]).items():\n"
-                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
-                  "        code = main(argv)\n"
-                  "    seen[name] = (code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
-                  "print(json.dumps(seen))\n")
-        proc = self._python("-c", script, json.dumps(commands))
-        assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout)
+        seen = self._loaded_after(commands, "scipy")
         code, analyze = seen.pop("analyze")
         assert seen == {name: [0, []] for name in seen}
         assert code == 0 and "scipy" in analyze and "scipy.linalg" not in analyze

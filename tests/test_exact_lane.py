@@ -1,7 +1,7 @@
 """The scaled-integer lane against plain Fraction arithmetic.
 
 Exact work runs on Python ints over a common denominator: fraction-free
-elimination, integer Faddeev-LeVerrier and Bareiss, whole-tensor
+elimination, integer Berkowitz and Bareiss, whole-tensor
 curvature, invariance solves, the closure seeds and the commutant. Each is
 checked here against a small Fraction reference that does the same job
 the obvious way, or against the Fraction route the code used to take.
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import positive_multiple, subspaces_equal
 
 from lcplab import holonomy, linalg, scalars
+from lcplab.base import int_charpoly, int_det
 from lcplab.cli import run_analysis
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (common_kernel, de_rham_splitting, holonomy_algebra,
@@ -210,6 +211,44 @@ def test_bareiss_det_matches_cofactor_expansion(rows):
     n = len(rows)
     a = exact_array(rows).reshape(n, n)
     assert exact_det(a) == _reference_det(a)
+
+
+def _seeded_int_matrix(rng, n, bound):
+    """An n x n integer matrix with entries in [-bound, bound]; some get a
+    zero row, a repeated row or all-small entries."""
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(4)
+    if n and kind == 1:
+        rows[rng.randrange(n)] = [0] * n
+    elif n > 1 and kind == 2:
+        rows[0] = list(rows[-1])
+    elif kind == 3:
+        rows = [[x % 7 - 3 for x in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_kernels_match_the_fraction_references(seed):
+    # entries up to 10**40, n <= 10; the cofactor expansion runs to n = 7,
+    # beyond that det(a) is checked as (-1)**n times the constant term
+    rng = random.Random(seed)
+    for n in range(11):
+        rows = _seeded_int_matrix(rng, n, 10**40 if seed % 2 else 10**3)
+        a = exact_array(rows).reshape(n, n)
+        poly = int_charpoly(rows)
+        assert all(type(c) is int for c in poly)
+        assert tuple(poly) == _reference_charpoly(a)
+        det = int_det(rows)
+        assert type(det) is int and det == (-1) ** n * poly[0]
+        if n <= 7:
+            assert det == _reference_det(a)
+
+
+def test_integer_kernels_leave_their_input_unchanged():
+    rows = [[0, 2, 1], [3, 0, 4], [5, 6, 0]]
+    copy = [list(r) for r in rows]
+    assert int_det(rows) == 58 and int_charpoly(rows) == [-58, -35, 0, 1]
+    assert rows == copy
 
 
 def _assert_tensor_stacks_operators(g, conn):

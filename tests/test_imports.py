@@ -1,21 +1,24 @@
 """Every name that a module of the package or of its tests imports is used
-in that module.
+in that module, and every public name resolves lazily to its home module.
 
 Deleting a function can leave its import behind. Each module is parsed
 with the standard library's ``ast``; a name counts as used when it is
 read anywhere in the module, in an annotation written as a string, or in
-the module's ``__all__``. The package ``__init__`` imports names in order
-to re-export them, so it is exempt.
+the module's ``__all__``. The package ``__init__`` imports no public name
+itself: it maps each to its home module and imports that on first access.
 """
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
 
+import lcplab
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "lcplab"
-MODULES = ([pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))
-            if p.name != "__init__.py"]
+MODULES = ([pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))]
            + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))])
 
 
@@ -62,3 +65,44 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# the lazy package namespace
+
+
+def test_every_public_name_has_one_home():
+    assert sorted(lcplab._HOMES) == sorted(lcplab.__all__)
+    assert len(set(lcplab.__all__)) == len(lcplab.__all__)
+
+
+@pytest.mark.parametrize("name", lcplab.__all__)
+def test_public_name_is_its_home_modules_object(name):
+    home = importlib.import_module(f"lcplab.{lcplab._HOMES[name]}")
+    obj = getattr(lcplab, name)
+    assert obj is getattr(home, name)
+    # a function or class is defined there, not only re-exported
+    if getattr(obj, "__module__", "").startswith("lcplab."):
+        assert obj.__module__ == home.__name__
+
+
+def test_star_import_gives_the_same_objects():
+    namespace: dict = {}
+    exec("from lcplab import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(lcplab.__all__)
+    assert all(namespace[name] is getattr(lcplab, name) for name in namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lcplab.no_such_name  # noqa: B018
+    assert not hasattr(lcplab, "exact_det")  # public in linalg, not in the package
+
+
+def test_dir_lists_the_public_names_and_submodules_stay_modules():
+    from lcplab import holonomy, lattice
+    assert set(lcplab.__all__) <= set(dir(lcplab))
+    assert "__version__" in dir(lcplab)
+    assert isinstance(holonomy, types.ModuleType) and holonomy.__name__ == "lcplab.holonomy"
+    assert isinstance(lattice, types.ModuleType) and lattice.__name__ == "lcplab.lattice"

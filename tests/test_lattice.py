@@ -214,6 +214,16 @@ class TestUnitRootProfile:
         with pytest.raises(InputError, match="zero polynomial"):
             unit_root_profile(coeffs)
 
+    @pytest.mark.parametrize("coeffs, where, irreducible", [
+        ([1, 10**400, 1], "coefficient 1", True),
+        ([-10**310, 0, 1], "coefficient 0", False),  # (X - 10^155)(X + 10^155)
+    ])
+    def test_integer_beyond_float_range_is_named(self, coeffs, where, irreducible):
+        with pytest.raises(InputError, match=f"^{where} is beyond float range"):
+            unit_root_profile(coeffs)
+        # the exact answer needs no float
+        assert is_irreducible_over_Z(coeffs) is irreducible
+
     def test_nonzero_constant_has_no_roots(self):
         p = unit_root_profile((5, 0))
         assert (p.degree, p.on_circle, p.real_off_circle,
@@ -290,6 +300,14 @@ class TestSolveConjugacy:
         bad = ConjugacySolution(t0=sol.t0 + 0.1, generator=sol.generator,
                                 conjugator=sol.conjugator)
         assert verify_conjugacy(GOLDEN, bad) > 1e-2
+
+    def test_integer_beyond_float_range_is_named(self):
+        big = 10**400
+        with pytest.raises(InputError, match=r"^entry \(1, 0\) is beyond float range"):
+            solve_conjugacy([[1, 0], [big, 1]])
+        sol = solve_conjugacy(GOLDEN)
+        with pytest.raises(InputError, match=r"^entry \(0, 1\) is beyond float range"):
+            verify_conjugacy([[1, -big], [1, 2]], sol)
 
 
 def _random_block_generator(rng: np.random.Generator, n: int) -> np.ndarray:
