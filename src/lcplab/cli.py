@@ -8,9 +8,9 @@ failed, 2 the input could not be read or parsed, 3 a float-mode decision
 was too close to call.
 
 Each command imports only the modules it uses, inside the function that
-runs it: ``lattice charpoly``, ``irreducible`` and ``probe`` run on the
-standard library alone, and only ``validate``, ``analyze`` and
-``examples`` load the algebra modules.
+runs it: ``lattice charpoly``, ``irreducible``, ``roots`` and ``probe`` run
+on the standard library alone, ``lattice conjugacy`` loads numpy, and only
+``validate``, ``analyze`` and ``examples`` load the algebra modules.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def cmd_lattice_irreducible(args: argparse.Namespace) -> int:
 
 def cmd_lattice_roots(args: argparse.Namespace) -> int:
     coeffs = _vector_arg(args.coeffs, "coefficients")
-    profile = unit_root_profile(coeffs, tol=_positive_tol(args.tol))
+    profile = unit_root_profile(coeffs)
     payload = {
         "degree": profile.degree,
         "on_circle": profile.on_circle,
@@ -424,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ro = lsub.add_parser("roots", help="root profile relative to the unit circle")
     ro.add_argument("coeffs", help="JSON integer coefficients, constant first")
-    ro.add_argument("--tol", type=float, default=1e-9)
     ro.add_argument("--json", action="store_true")
     ro.set_defaults(func=cmd_lattice_roots)
 

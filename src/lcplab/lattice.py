@@ -4,25 +4,26 @@ A compact quotient of a solvable model needs a unimodular integer matrix
 conjugate to a point on a one-parameter subgroup, plus translation parts
 that generate a discrete subgroup of the line. This module provides the
 exact characteristic polynomial, an exact irreducibility test over the
-integers through degree 8, classification of eigenvalue moduli, the
-conjugacy solver, and a numeric discreteness probe.
+integers through degree 8, an exact count of the roots on, and off, the
+unit circle, the conjugacy solver, and a numeric discreteness probe.
 Irreducibility is exact: "reducible" by an integer factor that divides,
 "irreducible" by trying every factor a lift past the Mignotte bound gives.
+The unit-circle count is exact too: Sturm sequences on the polynomial and
+on the image of its reciprocal part under y = X + 1/X.
 
 The integer side runs on lists of Python ints and the standard library
 alone: :func:`char_poly`, :func:`is_unimodular_matrix`,
-:func:`is_irreducible_over_Z` and :func:`discreteness_probe` never import
-numpy. The float side imports numpy where it runs: :func:`unit_root_profile`
-(through ``_roots``), :func:`solve_conjugacy`, :func:`verify_conjugacy`
+:func:`is_irreducible_over_Z`, :func:`unit_root_profile` and
+:func:`discreteness_probe` never import numpy. The float side imports
+numpy where it runs: :func:`solve_conjugacy`, :func:`verify_conjugacy`
 (through ``_block_form_exp``) and :func:`companion`, which returns an
-object array. Those that take an integer to a float refuse one beyond
-float range with an InputError naming it.
+object array. The first two refuse an integer beyond float range with an
+InputError naming it.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations, zip_longest
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -32,6 +33,51 @@ from .errors import InputError
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+class _Record:
+    """An immutable record of the fields named in ``_fields``, given by
+    position or keyword (``_defaults`` may fill the last ones) and shown
+    as ``Name(field=value, ...)``. Equality is identity; :class:`_Value`
+    compares the fields. This is what a frozen dataclass gives, without
+    importing ``dataclasses``, which loads ``inspect``: a cost every cold
+    lattice command would pay at start-up.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        given = dict(zip(self._fields, args))
+        values = {**self._defaults, **given, **kwargs}
+        if (len(args) > len(given) or given.keys() & kwargs.keys()
+                or values.keys() != set(self._fields)):
+            raise TypeError(f"{type(self).__name__} takes each of the fields {self._fields} "
+                            f"once, got {len(args)} by position and {sorted(kwargs)} by keyword")
+        self.__dict__.update((f, values[f]) for f in self._fields)
+
+    def __setattr__(self, key: str, value: Any):
+        raise AttributeError(f"cannot assign to field {key!r} of a {type(self).__name__}")
+
+    def __delattr__(self, key: str):
+        raise AttributeError(f"cannot delete field {key!r} of a {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A record equal to another of its type with equal fields, and hashable."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _as_int(x, where: str) -> int:
@@ -147,17 +193,19 @@ def _strip(coeffs: Sequence[int]) -> list[int]:
 def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Integer pseudo-division (constant-first lists, b nonzero).
 
-    Returns the primitive parts of q and r in lc(b)**k * a = q * b + r,
-    deg r < deg b: r is zero exactly when b divides a over Q, and q is
-    a / b up to a rational factor. No ``Fraction`` arithmetic is needed.
+    Returns the primitive parts of q and r in |lc(b)|**k * a = q * b + r,
+    deg r < deg b: r is zero exactly when b divides a over Q, and q and r
+    are a / b and the remainder over Q times a positive factor, so r keeps
+    the sign a Sturm chain reads. No ``Fraction`` arithmetic is needed.
     """
+    m, s = abs(b[-1]), 1 if b[-1] > 0 else -1
     q = [0] * max(1, len(a) - len(b) + 1)
     r = list(a)
     while len(r) >= len(b) and any(r):
-        lead, shift = r[-1], len(r) - len(b)
-        q = [b[-1] * c for c in q]
+        lead, shift = s * r[-1], len(r) - len(b)
+        q = [m * c for c in q]
         q[shift] += lead
-        r = [b[-1] * c for c in r]
+        r = [m * c for c in r]
         for k, c in enumerate(b):
             r[shift + k] -= lead * c
         while len(r) > 1 and r[-1] == 0:
@@ -165,13 +213,30 @@ def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return _primitive(q), _primitive(r)
 
 
-def _gcd_with_derivative(f: list[int]) -> list[int]:
-    """gcd(f, f') over Q as a primitive integer polynomial (deg f >= 1),
-    by Euclid's algorithm on pseudo-remainders."""
-    a, b = f, [k * c for k, c in enumerate(f)][1:]
-    while any(b):
-        a, b = b, _pseudo_divide(a, b)[1]
-    return _primitive(a)
+def _derivative(f: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b, then minus the remainder of the two before, up to the last
+    nonzero term, which is gcd(a, b) over Q up to a factor (a, b nonzero).
+
+    Each term is a positive multiple of its value in Euclid's algorithm over
+    Q with negated remainders, so for b = f' this is the Sturm chain of f.
+    """
+    chain = [a, b]
+    while len(b) > 1:
+        r = _pseudo_divide(a, b)[1]
+        if not any(r):
+            break
+        a, b = b, [-c for c in r]
+        chain.append(b)
+    return chain
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd(a, b) over Q as a primitive integer polynomial (a, b nonzero)."""
+    return _primitive(_remainders(a, b)[-1])
 
 
 SIEVE_PRIMES = 2  # primes whose factor degrees the irreducibility sieve intersects
@@ -368,7 +433,7 @@ def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
         return n == 1
     if n == 1:
         return True
-    if len(_gcd_with_derivative(cs)) > 1:
+    if len(_gcd(cs, _derivative(cs))) > 1:
         return False
     sieve, best = (1 << n) - 2, None  # bit d: a factor of degree d is possible
     for _, (p, fp) in zip(range(SIEVE_PRIMES), _primes_for(cs)):
@@ -401,61 +466,120 @@ def is_irreducible_over_Z(coeffs: Sequence[int]) -> bool:
 # eigenvalue classification
 
 
-@dataclass(frozen=True)
-class UnitRootProfile:
-    degree: int
-    on_circle: int
-    real_off_circle: int
-    complex_off_circle: int
+class UnitRootProfile(_Value):
+    _fields = ("degree", "on_circle", "real_off_circle", "complex_off_circle")
 
 
-def _roots(cs: list[int]) -> np.ndarray:
-    """The complex roots of f (deg f >= 1) with multiplicity, each found as
-    a simple root: those of the square-free part f / gcd(f, f'), then those
-    of gcd(f, f'), which holds each repeated factor once less.
+def _value(f: list[int], t: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = v * t + c
+    return v
+
+
+def _variations(chain: list[list[int]], t: int | float) -> int:
+    """Sign changes along the chain at t, an integer or +-math.inf."""
+    if math.isinf(t):
+        # the sign of the leading term, flipped at -inf for an odd degree
+        values = [p[-1] if t > 0 or len(p) % 2 else -p[-1] for p in chain]
+    else:
+        values = [_value(p, t) for p in chain]
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _trace_image(h: list[int]) -> list[int]:
+    """q with X^-k h(X) = q(X + 1/X), for h palindromic of degree 2k.
+
+    At y = X + 1/X, X^j + X^-j = D_j(y) with D_0 = 2, D_1 = y and
+    D_(j+1) = y D_j - D_(j-1).
     """
-    import numpy as np
+    k = (len(h) - 1) // 2
+    q = [h[k]] + [0] * k
+    before, d = [2], [0, 1]
+    for j in range(1, k + 1):
+        for i, c in enumerate(d):
+            q[i] += h[k + j] * c
+        before, d = d, [x - y for x, y in zip_longest([0] + d, before, fillvalue=0)]
+    return _primitive(q)
 
-    common = _gcd_with_derivative(cs)
-    if len(common) == 1:
-        return np.roots([_to_float(c, "a coefficient of a factor") for c in reversed(cs)])
-    return np.concatenate([_roots(_pseudo_divide(cs, common)[0]), _roots(common)])
+
+COPRIME_PRIME = 2 ** 31 - 1  # the prime of the reciprocal part's coprimality check
 
 
-def unit_root_profile(coeffs: Sequence[int], tol: float = 1e-9) -> UnitRootProfile:
+def _coprime_mod(a: list[int], b: list[int], p: int) -> bool:
+    """Whether a and b are coprime mod the prime p, which proves them
+    coprime over Q if p divides neither leading coefficient: the reduction
+    of gcd(a, b) then keeps its degree and divides both reductions."""
+    if a[-1] % p == 0 or b[-1] % p == 0:
+        return False
+    return len(_monic_gcd([c % p for c in a], [c % p for c in b], p)) == 1
+
+
+def _circle_counts(f: list[int], chain: list[list[int]]) -> tuple[int, int]:
+    """(roots on the unit circle, real roots off it) of a square-free f
+    of degree >= 1 whose Sturm chain is ``chain``.
+
+    Sturm's theorem counts the real roots. A root on the circle other than
+    +-1 comes with its conjugate, which is its inverse, so it is a root of
+    the reciprocal part h = gcd(f0, X^deg f0 * f0(1/X)), f0 being f without
+    a root 0. Without its roots +-1, h is palindromic of degree 2k; the map
+    y = X + 1/X takes each pair of its roots x, 1/x to one root of a q of
+    degree k, and x is on the circle exactly when y is real in (-2, 2).
+    """
+    real = _variations(chain, -math.inf) - _variations(chain, math.inf)
+    f0 = f[1:] if f[0] == 0 else f
+    rev = f0[::-1]
+    if f0 == rev or f0 == [-c for c in rev]:
+        h = f0
+    elif _coprime_mod(f0, rev, COPRIME_PRIME):
+        h = [1]
+    else:
+        h = _gcd(f0, rev)
+    ends = 0
+    for root, factor in ((1, [-1, 1]), (-1, [1, 1])):
+        if _value(f, root) == 0:
+            ends += 1
+            h = _pseudo_divide(h, factor)[0]
+    on = ends
+    if len(h) > 1:
+        q = _trace_image(h)
+        inside = _remainders(q, _derivative(q))
+        on += 2 * (_variations(inside, -2) - _variations(inside, 2))
+    return on, real - ends
+
+
+def unit_root_profile(coeffs: Sequence[int]) -> UnitRootProfile:
     """Count roots on the unit circle, real off it, and complex off it.
 
-    A root within the relative tolerance of the circle counts as on it,
-    before any realness decision is made. Repeated roots count with their
-    multiplicity, without the spread a numeric multiple root would have.
+    Exact, on the integer coefficients of any size (Basu, Pollack & Roy,
+    *Algorithms in Real Algebraic Geometry*, ch. 2; see ``_circle_counts``):
+    the square-free part f / gcd(f, f') is counted, then gcd(f, f'), which
+    holds each repeated factor once less, so repeated roots count with
+    their multiplicity.
     """
     cs = _strip(coeffs)
     if cs == [0]:
         raise InputError("the zero polynomial has every number as a root")
+    on = real_off = 0
+    f = cs
+    while len(f) > 1:
+        chain = _remainders(f, _derivative(f))
+        rest = _primitive(chain[-1])  # gcd(f, f')
+        if len(rest) > 1:
+            f = _pseudo_divide(f, rest)[0]
+            chain = _remainders(f, _derivative(f))
+        o, r = _circle_counts(f, chain)
+        on, real_off, f = on + o, real_off + r, rest
     deg = len(cs) - 1
-    if deg == 0:
-        return UnitRootProfile(0, 0, 0, 0)
-    for k, c in enumerate(cs):
-        _to_float(c, f"coefficient {k}")
-    roots = _roots(cs)
-    on = real_off = complex_off = 0
-    for r in roots:
-        mod = abs(r)
-        if abs(mod - 1.0) <= tol * max(1.0, mod):
-            on += 1
-        elif abs(r.imag) <= tol * max(1.0, mod):
-            real_off += 1
-        else:
-            complex_off += 1
-    return UnitRootProfile(deg, on, real_off, complex_off)
+    return UnitRootProfile(deg, on, real_off, deg - on - real_off)
 
 
 # ---------------------------------------------------------------------------
 # conjugacy onto a one-parameter subgroup
 
 
-@dataclass(frozen=True, eq=False)
-class ConjugacySolution:
+class ConjugacySolution(_Record):
     """C^-1 A C = exp(t0 * generator), generator in block form.
 
     Block form: 1x1 blocks lambda, then 2x2 blocks [[0, -mu], [mu, 0]] on
@@ -463,9 +587,7 @@ class ConjugacySolution:
     raises InputError for a generator of any other form.
     """
 
-    t0: float
-    generator: np.ndarray
-    conjugator: np.ndarray
+    _fields = ("t0", "generator", "conjugator")  # float, ndarray, ndarray
 
 
 def solve_conjugacy(m: Sequence, tol: float = 1e-9) -> Optional[ConjugacySolution]:
@@ -596,20 +718,16 @@ def verify_conjugacy(m: Sequence, solution: ConjugacySolution) -> float:
 # discreteness of translation parts
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    discrete: bool
-    rank: Optional[int]
-    generator: Optional[float]
+class ProbeResult(_Value):
+    _fields = ("discrete", "rank", "generator")  # bool, int or None, float or None
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeData:
+class LatticeData(_Record):
     """Integer data attached to a worked example."""
 
-    integer_matrix: np.ndarray
-    t0: Optional[float] = None
-    translation_parts: Optional[tuple[float, ...]] = None
+    # integer_matrix an ndarray, t0 a float, translation_parts a tuple of floats
+    _fields = ("integer_matrix", "t0", "translation_parts")
+    _defaults = {"t0": None, "translation_parts": None}
 
 
 def discreteness_probe(values: Sequence[float], tol: float = 1e-6,

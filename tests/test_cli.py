@@ -340,15 +340,20 @@ class TestLattice:
         assert f"{where} = " in err and "is not an integer" in err
         assert "exact mode" not in err
 
-    @pytest.mark.parametrize("argv", [["roots", "[1,0,1]"],
-                                      ["conjugacy", "[[1,1],[1,2]]"],
+    @pytest.mark.parametrize("argv", [["conjugacy", "[[1,1],[1,2]]"],
                                       ["probe", "[0.5, 1.5]"]])
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tol_exits_2(self, argv, tol, capsys):
-        # an infinite band would put the roots 2.618... and 0.381... of
-        # X^2 - 3X + 1 on the unit circle
         assert main(["lattice", *argv, "--tol", tol]) == 2
         assert "positive" in capsys.readouterr().err
+
+    def test_roots_has_no_tol(self, capsys):
+        # the count is exact: there is no band to set
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", "roots", "[1,-3,1]", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --tol 1e-9" in captured.err
 
     def test_roots_profile(self, capsys):
         assert main(["lattice", "roots", "[1,-3,3,-3,1]", "--json"]) == 0
@@ -383,11 +388,9 @@ class TestLattice:
     @pytest.mark.parametrize("argv, where", [
         (["conjugacy", f"[[{10**400},0],[0,1]]"], "entry (0, 0)"),
         (["conjugacy", f"[[1,0],[0,{-10**400}]]", "--json"], "entry (1, 1)"),
-        (["roots", f"[1,{10**400},1]"], "coefficient 1"),
-        (["roots", f"[{10**400},1]", "--json"], "coefficient 0"),
     ])
     def test_integer_beyond_float_range_exits_2(self, argv, where, capsys):
-        # the float-lane commands cannot take it; they name it instead of
+        # the float-lane command cannot take it; it names it instead of
         # ending in an OverflowError traceback
         assert main(["lattice", *argv]) == 2
         captured = capsys.readouterr()
@@ -405,6 +408,16 @@ class TestLattice:
         # X^2 + (10^400 + 1) X + 10^400 = (X + 1)(X + 10^400)
         assert main(["lattice", "irreducible", f"[{big},{big + 1},1]", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["irreducible"] is False
+        # X^2 + 10^400 X + 1: two real roots, near -10^400 and -10^-400
+        assert main(["lattice", "roots", f"[1,{big},1]"]) == 0
+        assert capsys.readouterr().out == ("degree 2\non unit circle: 0\n"
+                                           "real off circle: 2\ncomplex off circle: 0\n")
+        # X + 10^400 and X^2 - 10^310: real roots -10^400 and +-10^155
+        for coeffs, profile in [([big, 1], (1, 0, 1, 0)), ([-10**310, 0, 1], (2, 0, 2, 0))]:
+            assert main(["lattice", "roots", json.dumps(coeffs), "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert (payload["degree"], payload["on_circle"], payload["real_off_circle"],
+                    payload["complex_off_circle"]) == profile
 
     def test_probe_accumulation(self, capsys):
         values = json.dumps([1.0, math.sqrt(2)])
@@ -433,9 +446,10 @@ class TestLattice:
 
 class TestColdImports:
     """What a cold process imports. ``import lcplab`` and ``import
-    lcplab.cli`` load no numpy; ``lattice charpoly``, ``irreducible`` and
-    ``probe`` run on the standard library alone; ``lattice roots`` and
-    ``conjugacy`` load numpy but none of the algebra modules; every command
+    lcplab.cli`` load no numpy; ``lattice charpoly``, ``irreducible``,
+    ``roots`` and ``probe`` run on the standard library alone, and
+    ``charpoly`` loads neither ``dataclasses`` nor ``inspect``; ``lattice
+    conjugacy`` loads numpy but none of the algebra modules; every command
     computes without scipy, and only an ``analyze`` report imports it, for
     the version in ``tool_versions``."""
 
@@ -489,15 +503,22 @@ class TestColdImports:
                 f"reducible{flags}": ["lattice", "irreducible", "[1,-100,2502,-100,1]", *flags],
                 f"probe{flags}": ["lattice", "probe", "[1, 1.5]", *flags],
                 f"accumulation{flags}": ["lattice", "probe", "[1, 1.4142135623730951]", *flags],
+                f"roots{flags}": ["lattice", "roots", "[1,-3,3,-3,1]", *flags],
+                f"near circle{flags}": ["lattice", "roots", json.dumps(
+                    [10**16 - 1, -2 * 10**16, 10**16]), *flags],
             })
         commands["bad input"] = ["lattice", "charpoly", "[[1.5]]"]
         seen = self._loaded_after(commands, "numpy")
         assert seen.pop("bad input") == [2, []]
         assert seen == {name: [0, []] for name in commands if name != "bad input"}
 
+    def test_charpoly_loads_no_dataclasses(self):
+        seen = self._loaded_after({"charpoly": ["lattice", "charpoly", "[[1,1],[1,2]]"]},
+                                  "dataclasses", "inspect")
+        assert seen == {"charpoly": [0, []]}
+
     def test_float_lattice_commands_load_no_algebra_module(self):
         commands = {
-            "roots": ["lattice", "roots", "[1,-3,3,-3,1]", "--json"],
             "conjugacy": ["lattice", "conjugacy", "[[0,0,0,-1],[1,0,0,3],[0,1,0,-3],[0,0,1,3]]"],
         }
         algebra = [f"lcplab.{m}" for m in ("holonomy", "lcp", "liealg", "gallery", "fileio")]

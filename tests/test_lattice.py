@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from lcplab import lattice
 from lcplab.errors import InputError
 from lcplab.gallery import all_entries
-from lcplab.lattice import (ConjugacySolution, ProbeResult, char_poly,
-                            companion, discreteness_probe,
-                            is_irreducible_over_Z, is_unimodular_matrix,
-                            solve_conjugacy, unit_root_profile,
-                            verify_conjugacy)
+from lcplab.lattice import (ConjugacySolution, LatticeData, ProbeResult,
+                            UnitRootProfile, char_poly, companion,
+                            discreteness_probe, is_irreducible_over_Z,
+                            is_unimodular_matrix, solve_conjugacy,
+                            unit_root_profile, verify_conjugacy)
 
 GOLDEN = [[1, 1], [1, 2]]  # eigenvalues (3 +- sqrt 5)/2
 
@@ -187,6 +187,55 @@ class TestIrreducibility:
             unit_root_profile(coeffs)
 
 
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _divide_monic(f: list[int], g: list[int]) -> list[int]:
+    """f / g for a monic g that divides f."""
+    f, q = list(f), [0] * (len(f) - len(g) + 1)
+    for s in range(len(q) - 1, -1, -1):
+        q[s] = c = f[s + len(g) - 1]
+        for k, y in enumerate(g):
+            f[s + k] -= c * y
+    assert not any(f)
+    return q
+
+
+def _cyclotomic(n: int) -> list[int]:
+    """Phi_n: X^n - 1 divided by Phi_d for every proper divisor d of n."""
+    f = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            f = _divide_monic(f, _cyclotomic(d))
+    return f
+
+
+_SIGN = st.sampled_from([1, -1])
+
+# (factor, (roots on the circle, real roots off it, complex roots off it)),
+# each profile known from the factor's construction
+_KNOWN_FACTORS = st.one_of(
+    st.sampled_from([_cyclotomic(n) for n in range(1, 31) if len(_cyclotomic(n)) <= 9])
+    .map(lambda f: (f, (len(f) - 1, 0, 0))),
+    st.integers(-1, 1).map(lambda t: ([1, -t, 1], (2, 0, 0))),
+    st.tuples(st.integers(3, 40), _SIGN).map(lambda t: ([1, -t[0] * t[1], 1], (0, 2, 0))),
+    st.tuples(st.integers(2, 50), _SIGN).map(lambda a: ([-a[0] * a[1], 1], (0, 1, 0))),
+    st.integers(2, 30).flatmap(  # X^2 + bX + c, b^2 < 4c: roots of modulus sqrt(c)
+        lambda c: st.integers(-math.isqrt(4 * c - 1), math.isqrt(4 * c - 1))
+        .map(lambda b: ([c, b, 1], (0, 0, 2)))),
+    st.just((LEHMER, (8, 2, 0))),
+    st.just(([0, 1], (0, 1, 0))),
+)
+
+
 class TestUnitRootProfile:
     def test_mixed_quartic(self):
         p = unit_root_profile((1, -3, 3, -3, 1))
@@ -214,14 +263,15 @@ class TestUnitRootProfile:
         with pytest.raises(InputError, match="zero polynomial"):
             unit_root_profile(coeffs)
 
-    @pytest.mark.parametrize("coeffs, where, irreducible", [
-        ([1, 10**400, 1], "coefficient 1", True),
-        ([-10**310, 0, 1], "coefficient 0", False),  # (X - 10^155)(X + 10^155)
+    @pytest.mark.parametrize("coeffs, profile, irreducible", [
+        ([1, 10**400, 1], (2, 0, 2, 0), True),
+        ([10**400, 1], (1, 0, 1, 0), True),
+        ([-10**310, 0, 1], (2, 0, 2, 0), False),  # (X - 10^155)(X + 10^155)
     ])
-    def test_integer_beyond_float_range_is_named(self, coeffs, where, irreducible):
-        with pytest.raises(InputError, match=f"^{where} is beyond float range"):
-            unit_root_profile(coeffs)
-        # the exact answer needs no float
+    def test_beyond_float_range_is_exact(self, coeffs, profile, irreducible):
+        # no coefficient is taken to a float, so none is too large
+        p = unit_root_profile(coeffs)
+        assert (p.degree, p.on_circle, p.real_off_circle, p.complex_off_circle) == profile
         assert is_irreducible_over_Z(coeffs) is irreducible
 
     def test_nonzero_constant_has_no_roots(self):
@@ -229,14 +279,20 @@ class TestUnitRootProfile:
         assert (p.degree, p.on_circle, p.real_off_circle,
                 p.complex_off_circle) == (0, 0, 0, 0)
 
-    @pytest.mark.xfail(strict=True, reason="np.roots sees N^2 - 1 rounded to N^2 "
-                                           "(ROADMAP item 5)")
     def test_roots_just_off_the_circle(self):
-        # N^2 (X - 1)^2 - 1: the roots 1 +- 1/N are real and off the circle
+        # N^2 (X - 1)^2 - 1: the roots 1 +- 1/N are real and off the circle;
+        # in float64, N^2 - 1 rounds to N^2 and both roots to 1
         n = 10 ** 8
         p = unit_root_profile([n * n - 1, -2 * n * n, n * n])
         assert (p.degree, p.on_circle, p.real_off_circle,
                 p.complex_off_circle) == (2, 0, 2, 0)
+
+    def test_lehmer_polynomial(self):
+        # Lehmer's degree-10 polynomial: a Salem number, its inverse, and
+        # eight roots on the circle
+        p = unit_root_profile(LEHMER)
+        assert (p.degree, p.on_circle, p.real_off_circle,
+                p.complex_off_circle) == (10, 8, 2, 0)
 
 
     @pytest.mark.parametrize("coeffs, profile", [
@@ -251,6 +307,67 @@ class TestUnitRootProfile:
         p = unit_root_profile(coeffs)
         assert (p.degree, p.on_circle, p.real_off_circle,
                 p.complex_off_circle) == profile
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_KNOWN_FACTORS, st.integers(1, 3)), min_size=1, max_size=4)
+           .filter(lambda fs: sum((len(f) - 1) * k for (f, _), k in fs) <= 30),
+           st.sampled_from([1, -1, 2, -3]))
+    def test_products_of_known_factors(self, factors, unit):
+        f, want = [unit], [0, 0, 0]
+        for (g, counts), mult in factors:
+            for _ in range(mult):
+                f = _poly_mul(f, g)
+            want = [w + mult * c for w, c in zip(want, counts)]
+        p = unit_root_profile(f)
+        assert (p.degree, p.on_circle, p.real_off_circle, p.complex_off_circle) \
+            == (len(f) - 1, *want)
+        assert p.on_circle + p.real_off_circle + p.complex_off_circle == p.degree
+        # x -> -x and, without a root 0, x -> 1/x keep every count
+        assert unit_root_profile([c if k % 2 == 0 else -c for k, c in enumerate(f)]) == p
+        if f[0] != 0:
+            assert unit_root_profile(f[::-1]) == p
+
+class TestRecords:
+    def test_value_records_compare_and_hash_by_field(self):
+        p = UnitRootProfile(degree=2, on_circle=0, real_off_circle=2, complex_off_circle=0)
+        assert p == UnitRootProfile(2, 0, 2, 0) and hash(p) == hash(UnitRootProfile(2, 0, 2, 0))
+        assert p != UnitRootProfile(2, 2, 0, 0) and p != (2, 0, 2, 0)
+        assert repr(p) == ("UnitRootProfile(degree=2, on_circle=0, real_off_circle=2, "
+                           "complex_off_circle=0)")
+        r = ProbeResult(discrete=True, rank=1, generator=0.5)
+        assert r == ProbeResult(True, 1, 0.5) and {r, ProbeResult(True, 1, 0.5)} == {r}
+        assert repr(r) == "ProbeResult(discrete=True, rank=1, generator=0.5)"
+
+    def test_array_records_compare_by_identity(self):
+        m = np.eye(2, dtype=int)
+        data = LatticeData(integer_matrix=m)
+        assert data.t0 is None and data.translation_parts is None
+        assert data == data and data != LatticeData(m)
+        assert repr(data) == f"LatticeData(integer_matrix={m!r}, t0=None, translation_parts=None)"
+        sol = ConjugacySolution(t0=1.0, generator=m, conjugator=m)
+        assert sol == sol and sol != ConjugacySolution(1.0, m, m)
+        assert (sol.t0, sol.generator, sol.conjugator) == (1.0, m, m)
+
+    def test_records_are_immutable(self):
+        p = UnitRootProfile(2, 0, 2, 0)
+        with pytest.raises(AttributeError):
+            p.degree = 3
+        with pytest.raises(AttributeError):
+            del p.on_circle
+        with pytest.raises(AttributeError):
+            LatticeData([[1]]).t0 = 1.0
+        assert p == UnitRootProfile(2, 0, 2, 0)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((True, 1), {}),  # a field missing
+        ((True, 1, 0.5, 2), {}),  # one too many
+        ((True,), {"discrete": False, "rank": 1, "generator": 0.5}),  # given twice
+        ((True, 1), {"gen": 0.5}),  # no such field
+    ])
+    def test_construction_names_every_field_once(self, args, kwargs):
+        with pytest.raises(TypeError):
+            ProbeResult(*args, **kwargs)
+
 
 class TestSolveConjugacy:
     def test_golden(self):
