@@ -340,12 +340,14 @@ class TestLattice:
         assert f"{where} = " in err and "is not an integer" in err
         assert "exact mode" not in err
 
-    @pytest.mark.parametrize("argv", [["conjugacy", "[[1,1],[1,2]]"],
+    @pytest.mark.parametrize("argv", [["conjugacy", "[[1,1],[1,2]]", "--json"],
+                                      ["conjugacy", "[[1,1],[1,2]]"],
                                       ["probe", "[0.5, 1.5]"]])
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tol_exits_2(self, argv, tol, capsys):
         assert main(["lattice", *argv, "--tol", tol]) == 2
-        assert "positive" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and "positive" in captured.err
 
     def test_roots_has_no_tol(self, capsys):
         # the count is exact: there is no band to set
@@ -408,16 +410,28 @@ class TestLattice:
         # X^2 + (10^400 + 1) X + 10^400 = (X + 1)(X + 10^400)
         assert main(["lattice", "irreducible", f"[{big},{big + 1},1]", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["irreducible"] is False
+
+    @pytest.mark.parametrize("argv, profile", [
         # X^2 + 10^400 X + 1: two real roots, near -10^400 and -10^-400
-        assert main(["lattice", "roots", f"[1,{big},1]"]) == 0
-        assert capsys.readouterr().out == ("degree 2\non unit circle: 0\n"
-                                           "real off circle: 2\ncomplex off circle: 0\n")
+        (["roots", f"[1,{10**400},1]"], (2, 0, 2, 0)),
         # X + 10^400 and X^2 - 10^310: real roots -10^400 and +-10^155
-        for coeffs, profile in [([big, 1], (1, 0, 1, 0)), ([-10**310, 0, 1], (2, 0, 2, 0))]:
-            assert main(["lattice", "roots", json.dumps(coeffs), "--json"]) == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert (payload["degree"], payload["on_circle"], payload["real_off_circle"],
-                    payload["complex_off_circle"]) == profile
+        (["roots", f"[{10**400},1]", "--json"], (1, 0, 1, 0)),
+        (["roots", json.dumps([-10**310, 0, 1]), "--json"], (2, 0, 2, 0)),
+    ])
+    def test_roots_answer_exactly_beyond_float_range(self, argv, profile, capsys):
+        # the count is exact: an integer beyond float range is no input error
+        assert main(["lattice", *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        degree, on_circle, real_off, complex_off = profile
+        if "--json" in argv:
+            assert json.loads(captured.out) == {
+                "degree": degree, "on_circle": on_circle,
+                "real_off_circle": real_off, "complex_off_circle": complex_off}
+        else:
+            assert captured.out == (f"degree {degree}\non unit circle: {on_circle}\n"
+                                    f"real off circle: {real_off}\n"
+                                    f"complex off circle: {complex_off}\n")
 
     def test_probe_accumulation(self, capsys):
         values = json.dumps([1.0, math.sqrt(2)])
