@@ -28,8 +28,11 @@ nonzero R(e_i, e_j)) and the D_z, in one code path for both lanes:
     with [D_z, m]. So dim C = k, and an element of C with k eigenspaces
     has exactly the factors as its eigenspaces: one commutant and one
     eigensplit suffice. The seeds and the D_z are skew for the metric, so
-    C is found in the Gram frame: for w = G^-1 S, the constraint G [w, a]
-    is symmetric, and its upper triangle, n(n+1)/2 rows, is all of it.
+    C is found among symmetric matrices S: w = G^-1 S in exact mode, and
+    w = L^-T S L^T for G = L L^T in float mode, where the float lane starts
+    from the eigenspaces of one generic operator (see :func:`_commutant`).
+    Either way the constraint [w, a] is symmetric, and its upper triangle,
+    n(n+1)/2 rows, is all of it.
 (c) The curvature of an orthogonal product is the sum of the factors'
     curvatures, so hol is the direct sum of its restrictions to the
     curved factors, each zero off its own factor. On a factor V it is the
@@ -61,6 +64,7 @@ a reducing pair are each one zero test of a whole tensor.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import astuple, dataclass
@@ -96,6 +100,7 @@ from .linalg import (
     span_closure,
     subspace_sum,
     support_indices,
+    zero_slices,
 )
 from .scalars import (
     EXACT,
@@ -237,14 +242,24 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
     operator, is scaled to integers and divided by the gcd of its entries;
     each constraint's nullspace comes as primitive integer rows. That
     changes no span, and the elements come back on that form: Python ints
-    in exact mode.
+    in exact mode. In float mode a gram that is not positive definite
+    raises ``np.linalg.LinAlgError``.
     """
-    return _commutant(ops, gram, scaled_inverse(gram, mode)[0], mode, tol)
+    return _commutant(ops, gram, mode, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n), built once per n and read-only."""
+    iu, ju = np.triu_indices(n)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def _symmetric_basis(n: int, dtype) -> np.ndarray:
     """The symmetric matrices E_ii, then E_ij + E_ji, i < j, row by row."""
-    iu, ju = np.triu_indices(n)
+    iu, ju = _upper_indices(n)
     mats = np.zeros((len(iu), n, n), dtype=dtype)
     k = np.arange(len(iu))
     mats[k, iu, ju] = 1
@@ -252,71 +267,120 @@ def _symmetric_basis(n: int, dtype) -> np.ndarray:
     return mats
 
 
-def _commutant(ops: Sequence[np.ndarray], gram: np.ndarray, ginv: np.ndarray, mode: Mode,
-               tol: TolerancePolicy) -> list[np.ndarray]:
-    """symmetric_commutant from G and G^-1 on the scaled form, in the Gram frame.
+# The float commutant starts from the eigenvalue groups of M = A^T A for
+# one generic skew A (see _commutant): eigenvalues of M closer than
+# merge_band(tol) * ||M|| share a group. The band is SPECTRAL_MARGIN times
+# the larger of eps / rank_tol and rank_tol:
+# - eigh gives the invariant subspace of a group whose gap to the rest
+#   exceeds the band to about eps * ||M|| / gap <= rank_tol / SPECTRAL_MARGIN,
+#   so every commutant element lies in the start to a thousandth of the
+#   rank cut;
+# - two rotation speeds of A that the rank cut cannot tell apart differ
+#   in M by a few rank_tol * ||M||, so the start never separates what the
+#   constraint of A would keep together.
+SPECTRAL_MARGIN = 1e3
 
-    A G-self-adjoint w is G^-1 S for a symmetric S = G w, and for a
-    G-skew a the constraint G [w, a] = S a - (G a G^-1) S = S a + a^T S is
-    symmetric: its upper triangle, n(n+1)/2 rows, is the whole of it. The
-    working basis of symmetric S starts from all of them and only ever
-    shrinks; the elements go back by G^-1 once, at the end. Exact mode
-    takes G a G^-1 as -a^T. Float mode computes it, because a float a is
-    G-skew only to roundoff, which at an ill-conditioned G would otherwise
-    read as a constraint on the commutant's own elements, the identity
-    among them.
 
-    Float mode first imposes the constraint of one generic element of the
-    operators' span, the combination sum (i + 1) a_i. The commutant of a
-    set equals that of the set plus any element of its span, so the answer
-    is the same subspace. An SVD costs the same at any rank, and the
-    commutant of one generic element is already small, so the working
-    basis shrinks at once; the constraints of all the remaining operators
-    on it then come from one stacked product, and an SVD runs only for one
-    that is nonzero at its own scale. Exact mode takes the operators one at
-    a time: fraction-free elimination grows with the rank, and a full-rank
-    first constraint costs more than the small ones it saves.
+def merge_band(tol: TolerancePolicy) -> float:
+    """The eigenvalue gap, relative to ||M||, at or below which the float
+    commutant's start merges two eigenspaces of M."""
+    return SPECTRAL_MARGIN * max(float(np.finfo(np.float64).eps) / tol.rank_tol, tol.rank_tol)
+
+
+def _spectral_start(a: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """The symmetric matrices that preserve every eigenspace group of
+    a^T a: y_i y_j^T + y_j y_i^T for eigenvectors y_i, y_j of one group."""
+    lam, y = np.linalg.eigh(a.T @ a)
+    group = np.concatenate(([0], np.cumsum(np.diff(lam) > merge_band(tol) * lam[-1])))
+    if not group[-1]:
+        return _symmetric_basis(len(lam), np.float64)
+    iu, ju = _upper_indices(len(lam))
+    keep = group[iu] == group[ju]
+    half = y[:, iu[keep]].T[:, :, None] * y[:, ju[keep]].T[:, None, :]
+    return half + half.transpose(0, 2, 1)
+
+
+def _commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
+               tol: TolerancePolicy, ginv: Optional[np.ndarray] = None) -> list[np.ndarray]:
+    """symmetric_commutant; ``ginv`` is the scaled form of G^-1 when the
+    caller has it (exact mode only reads it).
+
+    Each lane works on symmetric matrices S, which stand for the
+    self-adjoint w, and imposes S a - hat S, the constraint [w, a] in its
+    frame. For skew a that constraint is symmetric, so its upper triangle,
+    n(n+1)/2 rows, is the whole of it. The working basis of S only ever
+    shrinks, and the elements go back to w once, at the end.
+
+    Exact mode works in the Gram frame, S = G w and hat = -a^T: there
+    G [w, a] = S a + a^T S, and w = G^-1 S at the end. It takes the
+    operators one at a time from the full symmetric basis: fraction-free
+    elimination grows with the rank, and a full-rank first constraint
+    costs more than the small ones it saves.
+
+    Float mode works in the unit frame. With G = L L^T it maps each a to
+    A = L^T a L^-T, skew up to roundoff, and the commutant of the A in
+    the symmetric matrices comes back as w = L^-T S L^T. The constraint
+    is the commutator S A - A S itself, which is exactly zero in floats
+    for S = I: the identity cannot be lost to roundoff, as it can in the
+    Gram frame, where G a G^-1 carries roundoff times the condition number
+    of G and reads as a constraint on the commutant's own elements.
+    The start comes from one generic element A of the operators' span,
+    the frame image of sum (i + 1) a_i; the commutant of a set equals that
+    of the set plus any element of its span. A symmetric S with S A = A S
+    also commutes with A^T, and so with M = A^T A, whether or not A is
+    exactly skew: it preserves every eigenspace of M. So the symmetric
+    matrices that preserve each eigenvalue group of M (one eigh, groups
+    merged within :func:`merge_band`, whose eigenspace error stays far
+    below the rank cut) contain the commutant; merging only makes that
+    start larger, and a single group starts from every symmetric matrix.
+    The generic element is imposed again first, then every operator: the
+    constraints of as many operators as keep them no larger than the
+    operator stack come from one stacked product, and an SVD runs only for
+    one that is nonzero at its own scale.
     """
-    n = ginv.shape[0]
-    iu, ju = np.triu_indices(n)
-    work = _symmetric_basis(n, ginv.dtype)
-    scaled = []
-    for a in ops:
-        a = to_scaled(a)[0]
-        if mode == EXACT:  # smaller entries, the same constraints
-            a = a // (math.gcd(*a.reshape(-1).tolist()) or 1)
-        scaled.append(a)
-    if mode != EXACT and len(scaled) > 1:
-        scaled.insert(0, np.tensordot(np.arange(1.0, len(scaled) + 1), np.stack(scaled), axes=1))
+    n = gram.shape[0]
+    iu, ju = _upper_indices(n)
+    if mode == EXACT:
+        # smaller entries, the same constraints
+        scaled = np.array([a // (math.gcd(*a.reshape(-1).tolist()) or 1)
+                           for a in (to_scaled(op)[0] for op in ops)], dtype=object)
+        work = _symmetric_basis(n, object)
+    else:
+        low = np.linalg.cholesky((gram + gram.T) / 2.0)
+        linv = np.linalg.inv(low)
+        scaled = low.T @ np.asarray(ops, dtype=np.float64).reshape(-1, n, n) @ linv.T
+        if len(scaled) > 1:
+            generic = np.arange(1.0, len(scaled) + 1) @ scaled.reshape(len(scaled), -1)
+            scaled = np.concatenate([generic.reshape(1, n, n), scaled])
+        work = _spectral_start(scaled[0], tol) if len(scaled) else _symmetric_basis(n, np.float64)
     done = 0
     while done < len(scaled) and len(work) > 1:
         # float mode stacks as many operators as keep the constraints no
-        # larger than the operator stack itself: while the working basis is
-        # all of the symmetric operators, one at a time
+        # larger than the operator stack itself
         size = 1 if mode == EXACT else max(1, len(scaled) // len(work))
-        block = np.stack(scaled[done:done + size])
-        # G [w, a] = S a - (G a G^-1) S, where G a G^-1 = -a^T for G-skew a
+        block = scaled[done:done + size]
         sa = int_matmul(work[None], block[:, None])
-        if mode == EXACT:  # there (S a)^T = a^T S, and zero tests take no scale
-            hat, upper = block, sa[:, :, iu, ju] + sa[:, :, ju, iu]
-        else:
-            hat = gram @ block @ ginv
-            upper = sa[:, :, iu, ju] - (hat[:, None] @ work[None])[:, :, iu, ju]
+        if mode == EXACT:  # hat S = -a^T S = -(S a)^T; zero tests take no scale
+            upper, scales = sa[:, :, iu, ju] + sa[:, :, ju, iu], None
+        else:  # hat = A
+            upper = sa[:, :, iu, ju] - (block[:, None] @ work[None])[:, :, iu, ju]
+            scales = np.maximum(1.0, np.abs(block).max(axis=(1, 2))) * scale_of(work)
+        # a commutator that is zero at the scale of its inputs is no
+        # constraint at all; without this cutoff pure roundoff noise would
+        # read as a rank-one condition and eat a commutant direction
+        zero = zero_slices(upper, mode, tol, scales)
         # [j, r, i]: row r of the constraint of block[j] on working element i
-        cons = np.transpose(upper, (0, 2, 1))
-        sw = scale_of(work)
-        for a, h, k in zip(block, hat, cons):
+        for k, skip in zip(np.transpose(upper, (0, 2, 1)), zero):
             done += 1
-            # a commutator that is zero at the scale of its inputs is no
-            # constraint at all; without this cutoff pure roundoff noise
-            # would read as a rank-one condition and eat a commutant direction
-            if is_zero_matrix(k, mode, tol, scale=scale_of(a, h) * sw):
+            if skip:
                 continue
             null = rank_and_nullspace(k, mode, tol)[1].basis
             if len(null) < len(work):
                 work = int_matmul(null, work.reshape(len(work), -1)).reshape(-1, n, n)
                 break
-    return list(int_matmul(ginv, work))
+    if mode == EXACT:
+        return list(int_matmul(scaled_inverse(gram, mode)[0] if ginv is None else ginv, work))
+    return list(linv.T @ work @ low.T)
 
 
 def nabla_commutant(g: MetricLieAlgebra,
@@ -330,8 +394,8 @@ def nabla_commutant(g: MetricLieAlgebra,
     if conn.kind != LEVI_CIVITA:
         raise InputError("nabla_commutant needs the Levi-Civita connection, whose"
                          " operators are skew for the metric")
-    return _commutant(list(conn.scaled_operators), g.gram, g.scaled_gram_inverse[0], g.mode,
-                      g.tol)
+    return _commutant(list(conn.scaled_operators), g.gram, g.mode, g.tol,
+                      g.scaled_gram_inverse[0] if g.mode == EXACT else None)
 
 
 def _is_scalar_matrix(p: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:

@@ -100,6 +100,18 @@ def is_zero_matrix(a: np.ndarray, mode: Mode, tol: TolerancePolicy, scale: float
     return float(np.max(np.abs(a))) <= residual_band(tol) * max(1.0, scale)
 
 
+def zero_slices(stack: np.ndarray, mode: Mode, tol: TolerancePolicy,
+                scales: Optional[np.ndarray]) -> np.ndarray:
+    """is_zero_matrix of each stack[i] at scale scales[i], in one reduction;
+    exact mode reads no scale."""
+    flat = stack.reshape(len(stack), -1)
+    if flat.shape[1] == 0:
+        return np.ones(len(stack), dtype=bool)
+    if mode == EXACT:
+        return ~flat.any(axis=1).astype(bool)
+    return np.abs(flat).max(axis=1) <= residual_band(tol) * np.maximum(1.0, scales)
+
+
 # ---------------------------------------------------------------------------
 # exact elimination core (fraction-free, on lists of Python ints)
 

@@ -26,7 +26,8 @@ from lcplab.holonomy import (common_kernel, de_rham_splitting, holonomy_algebra,
                              reducibility_witness, symmetric_commutant)
 from lcplab.lcp import lcp_data_to_float, lcp_decomposable, weyl_connection
 from lcplab.liealg import (LEVI_CIVITA, WEYL, InvariantConnection, curvature_operator,
-                           curvature_tensor, levi_civita, to_float_algebra)
+                           curvature_tensor, direct_sum_algebra, levi_civita,
+                           to_float_algebra)
 from lcplab.linalg import (Subspace, _ExactEchelon, _rref, canonical_rows, charpoly_exact,
                            exact_det, is_zero_matrix, orthocomplement, rank_and_nullspace,
                            residual_band, restrict_operator, scale_of, scaled_inverse,
@@ -308,29 +309,46 @@ def _fraction_route_restrict(stack, basis_rows, mode, tol):
 
 
 def _fraction_route_commutant(ops, gram, mode, tol, combination_first=True):
-    """symmetric_commutant in the Gram frame, with its starting basis of
-    symmetric S built as Fractions, one constraint matrix per operator: the
-    upper triangle of G [G^-1 S, a] = S a - (G a G^-1) S, with G a G^-1 taken
-    as -a^T in exact mode, and each kept S mapped back to G^-1 S by one
-    Fraction product. In float
-    mode the constraint of sum (i + 1) a_i comes first, as it does there,
-    unless ``combination_first`` is False."""
+    """symmetric_commutant with one constraint matrix per operator, the
+    upper triangle of S a - hat S. Exact mode works in the Gram frame: the
+    starting basis of symmetric S is built as Fractions, hat = -a^T, and
+    each kept S goes back to G^-1 S by one Fraction product. Float mode
+    works in the unit frame, G = L L^T: each a becomes L^T a L^-T, which
+    is also hat, and each kept S goes back to L^-T S L^T. There the
+    constraint of sum (i + 1) a_i comes first, on the symmetric matrices
+    y_i y_j^T + y_j y_i^T for eigenvectors y_i, y_j of one eigenvalue group
+    of its M = A^T A, as it does there; with ``combination_first`` False
+    the operators come one at a time, in order, on every symmetric S."""
     n = gram.shape[0]
     iu, ju = np.triu_indices(n)
-    ginv = from_scaled(*scaled_inverse(gram, mode))
     basis = []
     for i, j in zip(iu, ju):
         s = zeros_array((n, n), mode)
         s[i, j] = s[j, i] = 1
         basis.append(s)
+    if mode == EXACT:
+        ginv = from_scaled(*scaled_inverse(gram, mode))
+        scaled = [to_scaled(a)[0] for a in ops]
+    else:
+        low = np.linalg.cholesky((gram + gram.T) / 2.0)
+        linv = np.linalg.inv(low)
+        scaled = [low.T @ a @ linv.T for a in ops]
+    if combination_first and mode != EXACT and ops:
+        if len(ops) > 1:
+            combo = np.arange(1.0, len(ops) + 1) @ np.reshape(scaled, (len(ops), -1))
+            scaled.insert(0, combo.reshape(n, n))
+        lam, y = np.linalg.eigh(scaled[0].T @ scaled[0])
+        group = [0]
+        for gap in np.diff(lam):
+            group.append(group[-1] + (gap > holonomy.merge_band(tol) * lam[-1]))
+        if group[-1]:
+            basis = [np.outer(y[:, i], y[:, j]) + np.outer(y[:, i], y[:, j]).T
+                     for i, j in zip(iu, ju) if group[i] == group[j]]
     work = np.stack([to_scaled(s)[0] for s in basis])
-    scaled = [to_scaled(a)[0] for a in ops]
-    if combination_first and mode != EXACT and len(ops) > 1:
-        scaled.insert(0, np.tensordot(np.arange(1.0, len(ops) + 1), np.asarray(scaled), axes=1))
     for a in scaled:
         if len(work) <= 1:
             break
-        hat = -a.T if mode == EXACT else gram @ a @ ginv
+        hat = -a.T if mode == EXACT else a
         k = (work @ a - hat @ work)[:, iu, ju].T
         if is_zero_matrix(k, mode, tol, scale=scale_of(a, hat) * scale_of(work)):
             continue
@@ -339,7 +357,9 @@ def _fraction_route_commutant(ops, gram, mode, tol, combination_first=True):
             continue
         coeffs = np.array([to_scaled(c)[0] for c in null.basis]).reshape(null.dim, len(work))
         work = (coeffs @ work.reshape(len(work), -1)).reshape(-1, n, n)
-    return [ginv @ from_scaled(s, 1) for s in work]
+    if mode == EXACT:
+        return [ginv @ from_scaled(s, 1) for s in work]
+    return [linv.T @ s @ low.T for s in work]
 
 
 def _same(got, want):
@@ -440,6 +460,113 @@ def test_float_commutant_spans_what_the_incremental_order_spans(random_corpus):
             assert subspaces_equal(*spans, g.tol), g
             reduced += len(got) < g.dim * (g.dim + 1) // 2
     assert reduced > 0
+
+
+# ---------------------------------------------------------------------------
+# the float commutant's start: known commutants in ill-conditioned frames
+
+
+def _rotation(theta):
+    return np.array([[0.0, -theta], [theta, 0.0]])
+
+
+def _so3():
+    basis = []
+    for i, j in ((1, 2), (2, 0), (0, 1)):
+        x = np.zeros((3, 3))
+        x[i, j], x[j, i] = -1.0, 1.0
+        basis.append(x)
+    return basis
+
+
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    out, k = np.zeros((n, n)), 0
+    for b in blocks:
+        out[k:k + len(b), k:k + len(b)] = b
+        k += len(b)
+    return out
+
+
+def _known_commutants(tol):
+    """name -> (skew matrices, dimension of their symmetric commutant)."""
+    # the two speeds of the last case are within the merge band of the
+    # start: 1 - t**2 is half the band times ||M|| = 9
+    t = math.sqrt(1.0 - holonomy.merge_band(tol) * 9.0 / 2.0)
+    zero1, zero2 = np.zeros((1, 1)), np.zeros((2, 2))
+    return {
+        # two equal copies of so(3) and a kernel line, as in sl2 + sl2: the
+        # commutant mixes the copies, [[a, b], [b, c]] on them and d on the line
+        "isotypic": ([_block_diagonal(x, x, zero1) for x in _so3()], 4),
+        # one operator, two planes turning at the same speed: Hermitian 2 x 2
+        # on them, and the scalars on the third plane and on the line
+        "equal_speeds": ([_block_diagonal(_rotation(1.0), _rotation(1.0), _rotation(2.0),
+                                          zero1)], 6),
+        # so(3) beside a plane that every operator kills: Sym(2) there
+        "kernel_block": ([_block_diagonal(x, zero2) for x in _so3()], 4),
+        # two different speeds that the start merges: the constraint itself
+        # separates them, and each plane keeps only the scalars
+        "close_speeds": ([_block_diagonal(_rotation(1.0), _rotation(t), _rotation(3.0))], 3),
+    }
+
+
+def _unit_frame_span(comm, low):
+    """Orthonormal columns spanning the L^T w L^-T, symmetric for G = L L^T."""
+    rows = np.stack([(low.T @ w @ np.linalg.inv(low).T).reshape(-1) for w in comm])
+    return np.linalg.qr(rows.T)[0]
+
+
+@pytest.mark.parametrize("rank_tol", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("spread", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("case", ["isotypic", "equal_speeds", "kernel_block", "close_speeds"])
+def test_float_commutant_spans_the_known_commutant(case, spread, rank_tol):
+    # G = L L^T with L = diag(1 .. spread) (I + random strictly lower part),
+    # so cond(G) is from about 30 to 1.5e9; a = L^-T R A R^T L^T is G-skew
+    # for a random rotation R, and its commutant that of the skew A, mapped
+    tol = scalars.TolerancePolicy(rank_tol=rank_tol)
+    hats, dim = _known_commutants(tol)[case]
+    n = hats[0].shape[0]
+    rng = np.random.default_rng(n)
+    r = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lower = np.eye(n) + np.tril(rng.uniform(-1, 1, (n, n)), -1)
+    low = np.diag(np.geomspace(1.0, spread, n)) @ lower
+    gram = low @ low.T
+    ops = [np.linalg.solve(low.T, r @ h @ r.T @ low.T) for h in hats]
+    got = symmetric_commutant(ops, gram, scalars.FLOAT, tol)
+    want = _fraction_route_commutant(ops, gram, scalars.FLOAT, tol, combination_first=False)
+    assert len(got) == len(want) == dim
+    a, b = _unit_frame_span(got, low), _unit_frame_span(want, low)
+    assert np.linalg.norm(a @ a.T - b @ b.T, 2) <= 1e-9
+
+
+def test_float_commutant_runs_no_svd_over_every_symmetric_operator(monkeypatch):
+    # the float sum of sl2_semidirect with itself (dimension 28): the start
+    # from one eigendecomposition keeps every SVD of its commutant narrower
+    # than the n(n + 1)/2 = 406 symmetric operators
+    sl2 = sl_example(2).algebra
+    g = to_float_algebra(direct_sum_algebra(sl2, sl2))
+    seeds, nabla = holonomy._closure_inputs(g, g.levi_civita)
+    widths = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    comm = symmetric_commutant(np.concatenate([np.stack(seeds), nabla]), g.gram, g.mode, g.tol)
+    monkeypatch.undo()
+    # two curved factors, two projections
+    assert len(comm) == 2
+    assert widths and max(widths) < 28 * 29 // 2, widths
+
+
+def test_float_commutant_refuses_a_gram_that_is_not_positive_definite():
+    # a boost is skew for the Lorentz form, which has no unit frame
+    boost, lorentz = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        symmetric_commutant([boost], lorentz, scalars.FLOAT, DEFAULT_TOL)
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.selfadjoint_eigensplit(boost, lorentz, scalars.FLOAT, DEFAULT_TOL)
 
 
 def test_closure_seeds_are_positive_multiples_of_the_curvature(random_corpus):

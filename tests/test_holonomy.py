@@ -435,6 +435,63 @@ def test_float_twin_keeps_a_flat_factor_that_moves_by_noise(n, entries, gram):
         assert rep_f[key] == rep_e[key], key
 
 
+def _disguised_twin(g, key):
+    """The float twin of g pulled back along a rational basis change q =
+    diag(10**e) U, e in 0..2, U with entries in -2..2, both drawn from
+    ``key``: an isometric copy whose Gram matrix can be ill-conditioned."""
+    rng = np.random.default_rng(key)
+    n = g.dim
+    while True:
+        u = exact_array([[F(int(rng.integers(-2, 3))) for _ in range(n)] for _ in range(n)])
+        if linalg.exact_det(u) != 0:
+            break
+    s = exact_array([F(10) ** int(rng.integers(0, 3)) for _ in range(n)])
+    return to_float_algebra(transform_algebra(g, s[:, None] * u))
+
+
+def _identity_residual(comm, gram):
+    """How far the identity is from the span of the G-self-adjoint ``comm``,
+    in the unit frame of G = L L^T, where they are symmetric: the norm of
+    the identity's component outside the span, over the identity's norm."""
+    m = gram.shape[0]
+    if not comm:
+        return 1.0
+    low = np.linalg.cholesky(gram)
+    rows = np.stack([(low.T @ w @ np.linalg.inv(low).T).reshape(-1) for w in comm])
+    q = np.linalg.qr(rows.T)[0]
+    e = np.eye(m).reshape(-1) / np.sqrt(m)
+    return float(np.linalg.norm(e - q @ (q.T @ e)))
+
+
+# (corpus index, draw of the basis change): Gram condition numbers 1.0e4,
+# 7.0e4, 3.9e5, 8.4e5, 3.9e6, 9.8e6, 1.9e7, 4.0e7, 5.4e7, 6.8e7, 8.4e7 and
+# 9.6e7. The Gram-frame constraint, G a G^-1 computed in floats, lost the
+# identity on all but the first two and the ninth, and on the ninth kept
+# an element 5.5e-3 off it
+_DISGUISES = [(165, 0), (39, 1), (102, 4), (43, 23), (5, 19), (189, 13), (65, 5), (65, 4),
+              (92, 23), (33, 1), (22, 16), (34, 7)]
+
+
+@pytest.mark.parametrize("index, draw", _DISGUISES)
+def test_float_commutant_keeps_the_identity_at_ill_conditioned_grams(random_corpus, index,
+                                                                     draw, monkeypatch):
+    # the commutant of the restricted seeds and connection operators always
+    # holds the identity; in the unit frame its constraint is exactly zero
+    h = _disguised_twin(random_corpus[index], (index, draw))
+    assert 1e4 <= np.linalg.cond(h.gram) <= 1e8
+    calls = []
+    commutant = holonomy.symmetric_commutant
+
+    def recording(ops, gram, mode, tol):
+        calls.append((gram, commutant(ops, gram, mode, tol)))
+        return calls[-1][1]
+    monkeypatch.setattr(holonomy, "symmetric_commutant", recording)
+    de_rham_splitting(h)
+    assert calls
+    for gram, comm in calls:
+        assert _identity_residual(comm, gram) <= 1e-6, len(comm)
+
+
 def test_splitting_survives_change_of_basis():
     g = hyp3_plus_line()
     q = exact_array([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]])

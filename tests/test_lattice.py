@@ -236,6 +236,14 @@ _KNOWN_FACTORS = st.one_of(
 )
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda b: b[-1] != 0))
+def test_pseudo_remainder_is_the_remainder_of_the_pseudo_division(a, b):
+    # Euclid, Sturm and the factor test take the remainder without the quotient
+    assert lattice._pseudo_remainder(a, b) == lattice._pseudo_divide(a, b)[1]
+
+
 class TestUnitRootProfile:
     def test_mixed_quartic(self):
         p = unit_root_profile((1, -3, 3, -3, 1))
