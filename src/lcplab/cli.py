@@ -43,23 +43,19 @@ EXIT_AMBIGUOUS = 3
 CONJUGACY_DEFECT_TOL = 1e-8
 
 
-# The stages run_analysis calls and their home modules. A stage is
-# imported on first use and then kept as a module attribute, which is where
+# The stages run_analysis calls. A stage is taken from the package
+# namespace on first use and then kept as a module attribute, which is where
 # run_analysis looks it up, so a caller can swap in a wrapper there
 # (bench/spans.py times the stages that way).
-_STAGES = {
-    "validate_algebra": "liealg", "is_unimodular": "liealg",
-    "de_rham_splitting": "holonomy", "verify_factor_subalgebras": "holonomy",
-    "reducibility_witness": "holonomy",
-    "validate_lcp": "lcp", "lcp_decomposable": "lcp",
-}
+_STAGES = ("validate_algebra", "is_unimodular", "de_rham_splitting",
+           "verify_factor_subalgebras", "reducibility_witness", "validate_lcp",
+           "lcp_decomposable")
 
 
 def __getattr__(name: str):
-    home = _STAGES.get(name)
-    if home is None:
+    if name not in _STAGES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{home}", __package__), name)
+    value = globals()[name] = getattr(import_module(__package__), name)
     return value
 
 
@@ -92,13 +88,11 @@ def _tool_versions() -> dict:
     import platform
 
     import numpy as np
-    import scipy  # only analyze reports pay its import
 
     return {
         "lcplab": __version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
-        "scipy": scipy.__version__,
     }
 
 

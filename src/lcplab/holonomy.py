@@ -100,7 +100,6 @@ from .linalg import (
     span_closure,
     subspace_sum,
     support_indices,
-    zero_slices,
 )
 from .scalars import (
     EXACT,
@@ -361,14 +360,14 @@ def _commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
         block = scaled[done:done + size]
         sa = int_matmul(work[None], block[:, None])
         if mode == EXACT:  # hat S = -a^T S = -(S a)^T; zero tests take no scale
-            upper, scales = sa[:, :, iu, ju] + sa[:, :, ju, iu], None
+            upper, scales = sa[:, :, iu, ju] + sa[:, :, ju, iu], 1.0
         else:  # hat = A
             upper = sa[:, :, iu, ju] - (block[:, None] @ work[None])[:, :, iu, ju]
             scales = np.maximum(1.0, np.abs(block).max(axis=(1, 2))) * scale_of(work)
         # a commutator that is zero at the scale of its inputs is no
         # constraint at all; without this cutoff pure roundoff noise would
         # read as a rank-one condition and eat a commutant direction
-        zero = zero_slices(upper, mode, tol, scales)
+        zero = is_zero_matrix(upper, mode, tol, scales, axis=(1, 2))
         # [j, r, i]: row r of the constraint of block[j] on working element i
         for k, skip in zip(np.transpose(upper, (0, 2, 1)), zero):
             done += 1
@@ -458,7 +457,7 @@ def _first_eigensplit(comm: list[np.ndarray], gram: np.ndarray, mode: Mode,
     raise NumericalAmbiguityError(
         f"{stage}: commutant has dimension {len(comm)} but no candidate produced"
         f" {parts} stable eigenspaces",
-        suggestion="rerun with a different seed or loosen eigen_cluster_tol",
+        suggestion="rerun with a smaller --tol or a different --seed",
     )
 
 

@@ -27,7 +27,6 @@ from .linalg import (
     check_square_scale,
     exact_det,
     is_zero_matrix,
-    residual_band,
     restrict_operator,
     scale_of,
     scaled_inverse,
@@ -149,13 +148,6 @@ def to_float_algebra(g: MetricLieAlgebra) -> MetricLieAlgebra:
         return g
     return MetricLieAlgebra(to_float_array(g.bracket), to_float_array(g.gram),
                             FLOAT, g.basis_names, g.tol)
-
-
-def with_gram(g: MetricLieAlgebra, gram: Any) -> MetricLieAlgebra:
-    new = array_for_mode(gram, g.mode)
-    if new.shape != (g.dim, g.dim):
-        raise InputError("replacement gram has the wrong shape")
-    return MetricLieAlgebra(g.bracket, new, g.mode, g.basis_names, g.tol)
 
 
 def direct_sum_algebra(a: MetricLieAlgebra, b: MetricLieAlgebra) -> MetricLieAlgebra:
@@ -300,23 +292,13 @@ def _validation_report(g: MetricLieAlgebra) -> ValidationReport:
     # the pairs i <= j and triples i < j < k, in lexicographic order
     pairs = np.array([(i, j) for i in range(n) for j in range(i, n)], dtype=np.intp).reshape(-1, 2)
     triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
-    anti = pairs[_nonzero_vectors(sym[tuple(pairs.T)], g.mode, g.tol, sc)]
-    jac = triples[_nonzero_vectors(total[tuple(triples.T)], g.mode, g.tol, sc * sc)]
+    anti = pairs[~is_zero_matrix(sym[tuple(pairs.T)], g.mode, g.tol, sc, axis=-1)]
+    jac = triples[~is_zero_matrix(total[tuple(triples.T)], g.mode, g.tol, sc * sc, axis=-1)]
     gram = to_scaled(g.gram)[0]
     gram_sym = is_zero_matrix(gram - gram.T, g.mode, g.tol, scale=scale_of(g.gram))
     gram_pd = gram_sym and _is_positive_definite(g.gram, g.mode, g.tol)
     return ValidationReport(tuple(map(tuple, anti.tolist())), tuple(map(tuple, jac.tolist())),
                             gram_sym, gram_pd)
-
-
-def _nonzero_vectors(a: np.ndarray, mode: Mode, tol: TolerancePolicy,
-                     scale: float) -> np.ndarray:
-    """Where the vectors along the last axis of ``a`` fail is_zero_matrix,
-    as one reduction over that axis with the same comparison: a NaN entry
-    fails it, as it does there, and an empty vector passes."""
-    if mode == EXACT:
-        return a.any(axis=-1).astype(bool)
-    return ~(np.abs(a).max(axis=-1, initial=0.0) <= residual_band(tol) * max(1.0, scale))
 
 
 # ---------------------------------------------------------------------------

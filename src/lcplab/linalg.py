@@ -51,7 +51,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .base import _primitive, int_charpoly, int_det
+from .base import _primitive, int_det
 from .errors import InputError, NumericalAmbiguityError
 from .scalars import (
     DEFAULT_TOL,
@@ -59,7 +59,6 @@ from .scalars import (
     FLOAT,
     Mode,
     TolerancePolicy,
-    eye_array,
     int_matmul,
     int_tensordot,
     to_float_array,
@@ -92,24 +91,28 @@ def check_square_scale(*arrays: np.ndarray) -> None:
         raise InputError(f"float entry of magnitude {sc:.3g} is too large: its square overflows")
 
 
-def is_zero_matrix(a: np.ndarray, mode: Mode, tol: TolerancePolicy, scale: float = 1.0) -> bool:
-    if a.size == 0:
-        return True
-    if mode == EXACT:
-        return not a.any()
-    return float(np.max(np.abs(a))) <= residual_band(tol) * max(1.0, scale)
+def is_zero_matrix(a: np.ndarray, mode: Mode, tol: TolerancePolicy,
+                   scale: float | np.ndarray = 1.0,
+                   axis: int | tuple[int, ...] | None = None) -> bool | np.ndarray:
+    """The one zero test: in float mode max|a| <= residual_band(tol) *
+    max(1, scale), which a NaN entry fails; exact arrays are zero when no
+    entry is nonzero, and read no scale. An empty array is zero.
 
-
-def zero_slices(stack: np.ndarray, mode: Mode, tol: TolerancePolicy,
-                scales: Optional[np.ndarray]) -> np.ndarray:
-    """is_zero_matrix of each stack[i] at scale scales[i], in one reduction;
-    exact mode reads no scale."""
-    flat = stack.reshape(len(stack), -1)
-    if flat.shape[1] == 0:
-        return np.ones(len(stack), dtype=bool)
+    With ``axis``, one answer per slice over the other axes, as a bool
+    array, and ``scale`` broadcasts against that array.
+    """
+    if axis is None:
+        if a.size == 0:
+            return True
+        if mode == EXACT:
+            return not a.any()
+        return float(np.max(np.abs(a))) <= residual_band(tol) * max(1.0, scale)
     if mode == EXACT:
-        return ~flat.any(axis=1).astype(bool)
-    return np.abs(flat).max(axis=1) <= residual_band(tol) * np.maximum(1.0, scales)
+        return ~np.asarray(a.any(axis=axis), dtype=bool)
+    # a reduction over a strided view, such as a fancy-indexed stack, runs
+    # several times slower than over the same values in C order
+    peaks = np.abs(a, order="C").max(axis=axis, initial=0.0)
+    return peaks <= residual_band(tol) * np.maximum(1.0, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +232,6 @@ def exact_det(a: np.ndarray) -> Fraction:
     return Fraction(int_det(ai.tolist()), d ** ai.shape[0])
 
 
-def charpoly_exact(a: np.ndarray) -> tuple[Fraction, ...]:
-    """Characteristic polynomial det(X*I - a), constant term first.
-
-    Berkowitz's algorithm (:func:`lcplab.base.int_charpoly`) on the
-    integer matrix d * a; the coefficient of X**(n-k) for a is the one for
-    d * a divided by d**k.
-    """
-    ai, d = to_scaled(a)
-    n = ai.shape[0]
-    return tuple(Fraction(c, d ** (n - j)) for j, c in enumerate(int_charpoly(ai.tolist())))
-
-
 # ---------------------------------------------------------------------------
 # float core
 
@@ -282,8 +273,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray, mode: Mode,
     af = np.asarray(a, dtype=np.float64)
     bb = np.asarray(b, dtype=np.float64).reshape(a.shape[0], -1)
     x, *_ = np.linalg.lstsq(af, bb, rcond=None)
-    res = np.abs(af @ x - bb)
-    if not np.all(res <= residual_band(tol) * scale_of(af, bb)):
+    if not is_zero_matrix(af @ x - bb, FLOAT, tol, scale_of(af, bb)):
         return None
     return x.reshape(shape), 1
 
@@ -393,10 +383,10 @@ def restrict_operator(stack: np.ndarray, basis_rows: np.ndarray, mode: Mode,
         x = None if solved is None else solved[0]
     else:
         x, *_ = np.linalg.lstsq(basis_rows.T, rhs, rcond=None)
-        res = np.abs(basis_rows.T @ x - rhs).reshape(n, k, m).max(axis=(0, 2))
+        res = (basis_rows.T @ x - rhs).reshape(n, k, m)
         sizes = np.abs(images).max(axis=(1, 2))
-        band = residual_band(tol) * np.maximum(scale_of(basis_rows), sizes)
-        if not np.all(res <= band):
+        if not is_zero_matrix(res, FLOAT, tol, np.maximum(scale_of(basis_rows), sizes),
+                              axis=(0, 2)).all():
             x = None
     if x is None:
         return None
@@ -424,15 +414,13 @@ def canonical_rows(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> np.nda
 
 
 def support_indices(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> tuple[int, ...]:
-    if rows.shape[0] == 0:
-        return ()
-    if mode == EXACT:
-        return tuple(np.flatnonzero(rows.any(axis=0)).tolist())
-    peaks = np.abs(np.asarray(rows, dtype=np.float64)).max(axis=0)
-    if not np.isfinite(peaks).all():
-        raise InputError("support rows have a non-finite entry")
-    cut = residual_band(tol) * scale_of(peaks)
-    return tuple(np.flatnonzero(peaks > cut).tolist())
+    """The columns where some row is nonzero, at the scale of all the rows."""
+    if mode == FLOAT:
+        rows = np.asarray(rows, dtype=np.float64)
+        if not np.isfinite(rows).all():
+            raise InputError("support rows have a non-finite entry")
+    zero = is_zero_matrix(rows, mode, tol, scale_of(rows), axis=0)
+    return tuple(np.flatnonzero(~zero).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +681,7 @@ def _float_selfadjoint_eigensplit(w: np.ndarray, v: np.ndarray,
                 raise NumericalAmbiguityError(
                     f"eigenvalue gap {gap:.3e} sits inside the ambiguity band near the "
                     f"cluster tolerance {merge:.3e}",
-                    suggestion="tighten eigen_cluster_tol or rerun with a different seed",
+                    suggestion="rerun with a smaller --tol or a different --seed",
                 )
             groups.append([i])
     pairs: list[tuple[float, Subspace]] = []
@@ -728,12 +716,3 @@ def selfadjoint_eigensplit(p: np.ndarray, gram: np.ndarray, mode: Mode,
         if pairs is not None:
             return EigenSplit(tuple(pairs), False)
     return EigenSplit(tuple(_float_selfadjoint_eigensplit(w, v, tol)), mode == EXACT)
-
-
-def symmetric_eigensplit(m: np.ndarray, mode: Mode, tol: TolerancePolicy = DEFAULT_TOL) -> EigenSplit:
-    """Eigensplit of a plain symmetric matrix; rejects asymmetric input."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("symmetric_eigensplit expects a square matrix")
-    if not is_zero_matrix(m - m.T, mode, tol, scale=scale_of(m)):
-        raise InputError("matrix is not symmetric")
-    return selfadjoint_eigensplit(m, eye_array(m.shape[0], mode), mode, tol)

@@ -1,20 +1,24 @@
 """Exit codes, report contents, and output determinism of the command line."""
 
+import argparse
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-import scipy
 
 import lcplab
-from lcplab.cli import main, resolve_tolerance, run_analysis
-from lcplab.errors import InputError
-from lcplab.fileio import save_algebra_file
-from lcplab.fileio import algebra_to_dict
+from lcplab.base import canonical_json
+from lcplab.cli import build_parser, main, resolve_tolerance, run_analysis
+from lcplab.errors import InputError, NumericalAmbiguityError
+from lcplab.fileio import algebra_to_dict, load_algebra_file, save_algebra_file
 from lcplab.gallery import fundamental_example
+from lcplab.holonomy import _first_eigensplit
 from lcplab.lcp import lcp_data_to_float
 from lcplab.liealg import bracket_table, direct_sum_algebra, make_algebra, to_float_algebra
 
@@ -34,6 +38,16 @@ def so3_pair_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("pair") / "so3so3.json"
     save_algebra_file(str(path), direct_sum_algebra(a, a))
     return str(path)
+
+
+def _suggestion_names_analyze_options(err):
+    """The suggestion line of an exit-3 message names options that
+    ``analyze`` has, and no other setting."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in sub.choices["analyze"]._actions for s in a.option_strings}
+    suggestion = err.split("suggestion: ", 1)[1]
+    named = set(re.findall(r"--[a-z][a-z-]*", suggestion))
+    return bool(named) and named <= options and not re.search(r"[a-z]_[a-z]", suggestion)
 
 
 def _analyze_json(path, *extra):
@@ -240,7 +254,7 @@ class TestExitCodes:
         assert main(["analyze", so3_pair_file, "--tol", "3e-3"]) == 3
         err = capsys.readouterr().err
         assert "numerical ambiguity: de Rham splitting: " in err
-        assert "suggestion" in err
+        assert _suggestion_names_analyze_options(err)
 
     def test_ambiguous_flat_witness_exits_3(self, tmp_path, capsys):
         # the same close eigen-gap, met while cutting a flat block for the
@@ -252,6 +266,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical ambiguity: flat reducing pair: " in err
         assert "structure violation" not in err
+        assert _suggestion_names_analyze_options(err)
+
+    def test_no_stable_split_suggests_analyze_options(self):
+        # only scalar candidates: none has two eigenspaces, and none is ambiguous
+        tol = resolve_tolerance(None)
+        with pytest.raises(NumericalAmbiguityError) as info:
+            _first_eigensplit([np.eye(2)], np.eye(2), "float", tol, random.Random(0), "stage", 2)
+        assert _suggestion_names_analyze_options(f"suggestion: {info.value.suggestion}")
 
     def test_same_file_passes_at_default_tolerance(self, so3_pair_file):
         report, code = _analyze_json(so3_pair_file)
@@ -463,9 +485,9 @@ class TestColdImports:
     lcplab.cli`` load no numpy; ``lattice charpoly``, ``irreducible``,
     ``roots`` and ``probe`` run on the standard library alone, and
     ``charpoly`` loads neither ``dataclasses`` nor ``inspect``; ``lattice
-    conjugacy`` loads numpy but none of the algebra modules; every command
-    computes without scipy, and only an ``analyze`` report imports it, for
-    the version in ``tool_versions``."""
+    conjugacy`` loads numpy but none of the algebra modules; no command
+    loads scipy, and every gallery entry is analyzed in a process where
+    ``import scipy`` fails."""
 
     # one child runs the commands in turn and lists the modules of the given
     # packages loaded after each; none is ever unloaded, so each list holds
@@ -554,9 +576,22 @@ class TestColdImports:
             "analyze": ["analyze", fundamental, "--json"],
         }
         seen = self._loaded_after(commands, "scipy")
-        code, analyze = seen.pop("analyze")
-        assert seen == {name: [0, []] for name in seen}
-        assert code == 0 and "scipy" in analyze and "scipy.linalg" not in analyze
+        assert seen == {name: [0, []] for name in commands}
+
+    def test_analyze_runs_without_scipy(self, exported):
+        # the child blocks scipy before lcplab.cli is imported, so any import
+        # of it raises ImportError; the report is the in-process one
+        script = ("import sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from lcplab.cli import main\n"
+                  "sys.exit(main(['analyze', sys.argv[1], '--json']))\n")
+        for path in sorted(exported.iterdir()):
+            proc = self._python("-c", script, str(path))
+            assert proc.returncode == 0, (path.name, proc.stderr)
+            g, lcp, _ = load_algebra_file(str(path), tol=resolve_tolerance(None))
+            report, code = run_analysis(g, lcp)
+            assert code == 0
+            assert proc.stdout == canonical_json(report), path.name
 
     def test_cold_conjugacy_still_solves(self):
         proc = self._python("-m", "lcplab.cli", "lattice", "conjugacy", "[[1,1],[1,2]]", "--json")
@@ -564,8 +599,3 @@ class TestColdImports:
         payload = json.loads(proc.stdout)
         assert payload["solved"] is True
         assert payload["defect"] < 1e-12
-
-    def test_report_names_the_scipy_version(self):
-        report, code = run_analysis(fundamental_example().algebra)
-        assert code == 0
-        assert report["tool_versions"]["scipy"] == scipy.__version__

@@ -24,7 +24,6 @@ from lcplab.liealg import (
     make_algebra,
     metric_defect,
     to_float_algebra,
-    with_gram,
 )
 from lcplab.scalars import EXACT, FLOAT, exact_array
 
@@ -249,7 +248,7 @@ def test_validate_float_version_passes():
 
 def test_validate_gram_scaling_invariance():
     g, data = hyperbolic3_data()
-    rep = validate_lcp(with_gram(g, 7 * g.gram), data)
+    rep = validate_lcp(make_algebra(g.bracket, 7 * g.gram, g.mode, g.basis_names, g.tol), data)
     assert rep.overall
 
 

@@ -1,5 +1,8 @@
+import ast
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +21,10 @@ from lcplab.liealg import to_float_algebra
 from lcplab.linalg import (
     _FloatOrtho,
     canonical_rows,
-    charpoly_exact,
     closure_dim_mod_p,
     exact_det,
     full_subspace,
+    is_zero_matrix,
     make_subspace,
     matrix_rank,
     orthocomplement,
@@ -33,7 +36,6 @@ from lcplab.linalg import (
     solve_linear,
     span_closure,
     subspace_sum,
-    symmetric_eigensplit,
     support_indices,
     zero_subspace,
 )
@@ -193,20 +195,59 @@ def test_exact_det():
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial (constant term first)
+# the one zero test
 
 
-def test_charpoly_2x2():
-    # X^2 - 3X + 1 for [[1,1],[1,2]]
-    assert charpoly_exact(E([[1, 1], [1, 2]])) == (F(1), F(-3), F(1))
+# around the band 10 * rank_tol = 1e-8 at scales below and above 1
+_FLOAT_ENTRIES = st.sampled_from([0.0, -0.0, 3e-9, -8e-9, 2e-8, -5e-8, 1e-3, 7.0,
+                                  np.nan, np.inf, -np.inf])
+_INT_ENTRIES = st.sampled_from([0, 0, 1, -3, 2**63, -(2**70) + 1])
+_SCALES = st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0, 1e3])
 
 
-def test_charpoly_matches_det_and_trace():
-    a = E([[2, 0, 1], [1, 1, 0], [0, 3, 1]])
-    c = charpoly_exact(a)
-    assert c[3] == 1
-    assert c[2] == -(a[0, 0] + a[1, 1] + a[2, 2])
-    assert c[0] == -exact_det(a)  # det(X I - a) at X = 0 is (-1)^n det a
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+       st.sampled_from([0, -1, (1, 2), (0, 2), (0, 1, 2)]), st.booleans(), st.data())
+def test_axis_zero_test_is_the_per_slice_one(shape, axis, exact, data):
+    mode = EXACT if exact else FLOAT
+    flat = data.draw(st.lists(_INT_ENTRIES if exact else _FLOAT_ENTRIES,
+                              min_size=math.prod(shape), max_size=math.prod(shape)))
+    a = np.array(flat, dtype=object if exact else np.float64).reshape(shape)
+    # the slices, indexed as the answers: the kept axes first
+    reduced = {d % 3 for d in np.atleast_1d(axis)}
+    kept = [d for d in range(3) if d not in reduced]
+    slices = np.moveaxis(a, kept, list(range(len(kept))))
+    kept_shape = tuple(shape[d] for d in kept)
+    scale = data.draw(st.one_of(_SCALES, st.lists(_SCALES, min_size=math.prod(kept_shape),
+                                                   max_size=math.prod(kept_shape))))
+    if isinstance(scale, list):
+        scale = np.array(scale).reshape(kept_shape)
+    got = is_zero_matrix(a, mode, DEFAULT_TOL, scale, axis=axis)
+    assert got.dtype == bool and got.shape == kept_shape
+    band = 10 * DEFAULT_TOL.rank_tol
+    for idx in np.ndindex(*kept_shape):
+        sc = scale if np.ndim(scale) == 0 else scale[idx]
+        entries = slices[idx].reshape(-1).tolist()
+        # the rule itself: exact entries all 0; float ones all within the
+        # band at max(1, scale), which NaN never is
+        rule = all(x == 0 if exact else abs(x) <= band * max(1.0, sc) for x in entries)
+        assert got[idx] == is_zero_matrix(slices[idx], mode, DEFAULT_TOL, sc) == rule
+
+
+def test_residual_band_is_read_only_by_is_zero_matrix():
+    calls, zero_test = [], set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "zero_slices" not in text and "_nonzero_vectors" not in text, path.name
+        tree = ast.parse(text)
+        calls += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "residual_band"]
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "is_zero_matrix":
+                zero_test = {(path.name, node.lineno) for node in ast.walk(fn)
+                             if isinstance(node, ast.Call)
+                             and getattr(node.func, "id", None) == "residual_band"}
+    assert zero_test and set(calls) == zero_test
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +505,7 @@ def test_closure_expands_one_kept_matrix_at_a_time(monkeypatch):
 
 
 def test_symmetric_eigensplit_swap_exact():
-    split = symmetric_eigensplit(E([[0, 1], [1, 0]]), EXACT)
+    split = selfadjoint_eigensplit(E([[0, 1], [1, 0]]), eye_array(2, EXACT), EXACT)
     assert not split.promoted_to_float
     vals = [v for v, _ in split.pairs]
     assert vals == [F(-1), F(1)]
@@ -474,14 +515,9 @@ def test_symmetric_eigensplit_swap_exact():
         assert v[1] == val * v[0]
 
 
-def test_symmetric_eigensplit_rejects_asymmetric():
-    with pytest.raises(InputError):
-        symmetric_eigensplit(E([[0, 1], [0, 0]]), EXACT)
-
-
 def test_eigensplit_irrational_promotes():
     # eigenvalues (3 +- sqrt(5))/2 are irrational
-    split = symmetric_eigensplit(E([[1, 1], [1, 2]]), EXACT)
+    split = selfadjoint_eigensplit(E([[1, 1], [1, 2]]), eye_array(2, EXACT), EXACT)
     assert split.promoted_to_float
     vals = sorted(float(v) for v, _ in split.pairs)
     assert vals[0] == pytest.approx((3 - 5 ** 0.5) / 2)
@@ -490,7 +526,7 @@ def test_eigensplit_irrational_promotes():
 
 def test_eigensplit_repeated_eigenvalue_block():
     m = E([[2, 0, 0], [0, 2, 0], [0, 0, 7]])
-    split = symmetric_eigensplit(m, EXACT)
+    split = selfadjoint_eigensplit(m, eye_array(3, EXACT), EXACT)
     dims = {float(v): s.dim for v, s in split.pairs}
     assert dims == {2.0: 2, 7.0: 1}
 
@@ -555,7 +591,7 @@ def test_eigensplit_irrational_promotes_above_dimension_five():
     m[:2, :2] = E([[1, 1], [1, 2]])
     for i, val in enumerate([2, 2, 3, 3, 5]):
         m[2 + i, 2 + i] = F(val)
-    split = symmetric_eigensplit(m, EXACT)
+    split = selfadjoint_eigensplit(m, eye_array(7, EXACT), EXACT)
     assert split.promoted_to_float
     assert sum(s.dim for _, s in split.pairs) == 7
     vals = [float(v) for v, _ in split.pairs]
@@ -654,7 +690,7 @@ def test_float_eigensplit_reconstructs_operator(rows):
     a = np.array(rows, dtype=np.float64)
     m = (a + a.T) / 2.0
     try:
-        split = symmetric_eigensplit(m, FLOAT)
+        split = selfadjoint_eigensplit(m, eye_array(3, FLOAT), FLOAT)
     except Exception:
         return  # ambiguity band hit: acceptable for random input
     n = 3
