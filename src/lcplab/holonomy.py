@@ -45,18 +45,17 @@ nonzero R(e_i, e_j)) and the D_z, in one code path for both lanes:
     The restrictions that close it are the guard's invariance test as
     well.
 
-In exact mode the splitting first bounds the holonomy dimension from
-below by running the closure under the front alone, modulo the prime
-``CERTIFICATE_PRIME`` in int64 (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 5). That closure lies inside the holonomy mod p.
-The Levi-Civita holonomy lies in so(g), so when the bound reaches
-n(n-1)/2 the holonomy is so(g), proved exactly: it has no common kernel
-and, for n >= 2, only scalar symmetric operators commute with it, so the
-answer is one irreducible factor spanning everything, and (a) to (c) are
-skipped. The bound only picks the route: below n(n-1)/2, because the
-holonomy is smaller or the prime or the front unlucky, the splitting
-falls back to (a) to (c) on the same seeds, whose report is the same,
-so it can never give a wrong answer.
+In exact mode, after (a), a lower bound for the holonomy dimension on
+W, of dimension m, comes from the closure of the restricted seeds under
+the front alone, modulo the prime ``CERTIFICATE_PRIME`` in int64 (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 5), which lies inside
+the holonomy on W mod p. That holonomy lies in so(W), so a bound of
+m(m-1)/2 proves it is so(W): so(W) acts irreducibly on W for m >= 2 and
+the holonomy kills the flat factor, so W is the one curved factor, and
+the rest of (b) and (c) is skipped. The bound only picks the route:
+below m(m-1)/2, because the holonomy is smaller or the prime or the
+front unlucky, (b) and (c) run on the same restricted stacks, whose
+report is the same, so it can never give a wrong answer.
 
 Invariance questions go through :func:`linalg.restrict_operator` on a
 stack of operators; orthogonality of the factors and the cross terms of
@@ -162,15 +161,17 @@ def holonomy_algebra(g: MetricLieAlgebra,
     return OperatorAlgebra(n, tuple(mats), g.mode)
 
 
-def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
+def _holonomy_dim_mod_p(gram: np.ndarray, seeds: Sequence[np.ndarray],
                         nabla: np.ndarray) -> int:
-    """A lower bound for the dimension of the Levi-Civita holonomy.
+    """A lower bound for the dimension of the Levi-Civita holonomy on a
+    block W that the seeds and the connection operators preserve.
 
-    ``seeds`` and ``nabla`` are the integer matrices of
-    :func:`_closure_inputs` in exact mode. The closure runs on G h in place
-    of h: since G a = -a^T G for each a = D_z, G times the holonomy is the
-    closure of the G R(x, y) under s -> a^T s + s a. Those are skew, so
-    each is kept as its strict upper triangle, dim so(g) = n(n-1)/2 wide.
+    ``gram`` is W's Gram matrix G and ``seeds`` and ``nabla`` the stacks on
+    W, integer matrices as :func:`linalg.restricted_gram` and
+    :func:`linalg.restrict_operator` give them. The closure runs on G h in
+    place of h: since G a = -a^T G for each a = D_z, G times the holonomy
+    is the closure of the G R(x, y) under s -> a^T s + s a. Those are
+    skew, so each is kept as its strict upper triangle, m(m-1)/2 wide.
 
     Let V be that closure over Q. The lattice of integer matrices in V is
     saturated of rank dim V, so it reduces mod p to a GF(p) space of the
@@ -182,14 +183,14 @@ def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
     its dimension is at most dim V; an unlucky prime or an unlucky front
     only makes it smaller.
     """
-    n = g.dim
+    m = gram.shape[0]
     p = CERTIFICATE_PRIME
-    iu, ju = np.triu_indices(n, 1)
-    gram = (to_scaled(g.gram)[0] % p).astype(np.int64)
+    iu, ju = np.triu_indices(m, 1)
+    gram = (gram % p).astype(np.int64)
     front = closure_front((nabla % p).astype(np.int64)) % p
 
     def images(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
-        s = np.zeros((n, n), dtype=np.int64)
+        s = np.zeros((m, m), dtype=np.int64)
         s[iu, ju] = u
         s[ju, iu] = -u
         return ((stack.transpose(0, 2, 1) @ s + s @ stack) % p)[:, iu, ju]
@@ -197,25 +198,19 @@ def _holonomy_dim_mod_p(g: MetricLieAlgebra, seeds: list[np.ndarray],
     return closure_dim_mod_p(upper, front, images, p)
 
 
-def _gram_inverse_basis(ginv: np.ndarray) -> np.ndarray:
-    """The matrices G^-1 (E_ij - E_ji), i < j, on the scaled form of G^-1.
-
-    Each is zero but in two columns: column j is column i of G^-1, and
-    column i is minus column j of G^-1.
-    """
-    n = ginv.shape[0]
-    iu, ju = np.triu_indices(n, 1)
+def _so_basis(w: Subspace, gram: np.ndarray) -> tuple[np.ndarray, ...]:
+    """so(W) on the algebra, in ints: x -> w_i <w_j, x> - w_j <w_i, x>, i < j,
+    for the rows w_i of W's basis B. Each is B^T E, where E is zero but for
+    row i, row j of B G, and row j, minus row i of B G. When W is the whole
+    algebra, B is a multiple of the identity and E is enough."""
+    b, gm, _ = to_scaled(w.basis, gram)
+    bg = int_matmul(b, gm)
+    iu, ju = np.triu_indices(w.dim, 1)
     k = np.arange(len(iu))
-    mats = np.zeros((len(iu), n, n), dtype=ginv.dtype)
-    mats[k, :, ju] = ginv[:, iu].T
-    mats[k, :, iu] = -ginv[:, ju].T
-    return mats
-
-
-def _orthogonal_algebra(g: MetricLieAlgebra) -> OperatorAlgebra:
-    """so(g), with basis G^-1 (E_ij - E_ji) for i < j."""
-    return OperatorAlgebra(g.dim, tuple(_gram_inverse_basis(g.scaled_gram_inverse[0])),
-                           g.mode)
+    mats = np.zeros((len(iu), w.dim, w.ambient_dim), dtype=bg.dtype)
+    mats[k, iu] = bg[ju]
+    mats[k, ju] = -bg[iu]
+    return tuple(mats if w.dim == w.ambient_dim else int_matmul(b.T, mats))
 
 
 def common_kernel(ops: Sequence[np.ndarray], ambient_dim: int, mode: Mode,
@@ -504,8 +499,8 @@ def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace]) -> None:
     """The factors span the algebra and are pairwise orthogonal.
 
     Their invariance is settled where it is computed: the flat factor by
-    the stop of :func:`_flat_factor`, each curved one by the restriction
-    of the seeds and the connection operators that its closure starts from.
+    the stop of :func:`_flat_factor`, the curved ones by restricting the
+    seeds and the connection operators to them.
     """
     n = g.dim
     total = sum(f.dim for f in factors)
@@ -536,15 +531,44 @@ def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -
     n = g.dim
     conn = g.levi_civita
     seeds, nabla = _closure_inputs(g, conn)
-    if g.mode == EXACT and n >= 2 and _holonomy_dim_mod_p(g, seeds, nabla) == n * (n - 1) // 2:
-        # hol = so(g), certified: it has no common kernel, and for n >= 2
-        # its symmetric commutant is the scalars, so one irreducible factor
-        hol = _orthogonal_algebra(g)
-        factors, flags = [full_subspace(n, g.mode)], [False]
-    else:
-        factors, flags, hol = _split_then_close(g, seeds, nabla, random.Random(seed))
+    flat = _flat_factor(g, seeds, nabla)
+    flats = [flat] if flat.dim else []
+    curved, hol = [], ()
+    if flat.dim < n:
+        ops = np.concatenate([np.stack(seeds), nabla])
+        w = orthocomplement(flat, g.gram, g.tol)
+        if flat.dim:  # a positive multiple of the stack: the same spans
+            ops = restrict_operator(ops, w.basis, g.mode, g.tol)
+            if ops is None:
+                raise TheoremViolationError(
+                    "curvature and connection do not preserve the curved block")
+        gram = restricted_gram(w.basis, g.gram)
+        m, k = w.dim, len(seeds)
+        if (g.mode == EXACT and m >= 2
+                and _holonomy_dim_mod_p(gram, ops[:k], ops[k:]) == m * (m - 1) // 2):
+            curved, hol = [w], _so_basis(w, g.gram)
+        else:
+            comm = symmetric_commutant(ops, gram, g.mode, g.tol)
+            blocks = [(w, ops)]
+            if len(comm) > 1:
+                split = _first_eigensplit(comm, gram, g.mode, g.tol, random.Random(seed),
+                                          "de Rham splitting", len(comm))
+                if split.promoted_to_float:
+                    raise _PromoteToFloat()
+                blocks = []
+                for _, eig in split.pairs:
+                    local = restrict_operator(ops, eig.basis, g.mode, g.tol)
+                    if local is None:
+                        raise TheoremViolationError(
+                            "factor is not invariant under the curvature and the connection")
+                    blocks.append((Subspace(n, eig.basis @ w.basis, g.mode), local))
+                blocks.sort(key=lambda c: _sort_key(c[0], g.mode, g.tol))
+            curved = [f for f, _ in blocks]
+            hol = tuple(h for f, local in blocks for h in _factor_holonomy(g, f, local, k))
+    factors = flats + curved
     _verify_splitting(g, factors)
-    return DeRhamSplitting(g, tuple(factors), tuple(flags), hol, conn, g.mode, promoted)
+    return DeRhamSplitting(g, tuple(factors), (True,) * len(flats) + (False,) * len(curved),
+                           OperatorAlgebra(n, hol, g.mode), conn, g.mode, promoted)
 
 
 def _flat_factor(g: MetricLieAlgebra, seeds: list[np.ndarray], nabla: np.ndarray) -> Subspace:
@@ -570,45 +594,6 @@ def _flat_factor(g: MetricLieAlgebra, seeds: list[np.ndarray], nabla: np.ndarray
             break
         flat = shrunk
     return flat
-
-
-def _split_then_close(g: MetricLieAlgebra, seeds: list[np.ndarray], nabla: np.ndarray,
-                      rng: random.Random) -> tuple[list[Subspace], list[bool], OperatorAlgebra]:
-    """Steps (a) to (c) of the module docstring: the flat block, if any, then
-    the irreducible blocks in canonical order, and the holonomy, closed
-    inside each curved block."""
-    n = g.dim
-    flat = _flat_factor(g, seeds, nabla)
-    if flat.dim == n:
-        return [flat], [True], OperatorAlgebra(n, (), g.mode)
-    ops = np.concatenate([np.stack(seeds), nabla])
-    w = orthocomplement(flat, g.gram, g.tol)
-    if flat.dim:
-        restricted = restrict_operator(ops, w.basis, g.mode, g.tol)
-        if restricted is None:
-            raise TheoremViolationError(
-                "curvature and connection do not preserve the curved block")
-        ops = restricted  # a positive multiple of the stack: the same spans
-    gram = restricted_gram(w.basis, g.gram)
-    comm = symmetric_commutant(ops, gram, g.mode, g.tol)
-    curved = [(w, ops)]
-    if len(comm) > 1:
-        split = _first_eigensplit(comm, gram, g.mode, g.tol, rng,
-                                  "de Rham splitting", len(comm))
-        if split.promoted_to_float:
-            raise _PromoteToFloat()
-        curved = []
-        for _, eig in split.pairs:
-            local = restrict_operator(ops, eig.basis, g.mode, g.tol)
-            if local is None:
-                raise TheoremViolationError(
-                    "factor is not invariant under the curvature and the connection")
-            curved.append((Subspace(n, eig.basis @ w.basis, g.mode), local))
-        curved.sort(key=lambda c: _sort_key(c[0], g.mode, g.tol))
-    hol = [h for f, local in curved for h in _factor_holonomy(g, f, local, len(seeds))]
-    flats = [flat] if flat.dim else []
-    return (flats + [f for f, _ in curved], [True] * len(flats) + [False] * len(curved),
-            OperatorAlgebra(n, tuple(hol), g.mode))
 
 
 def _factor_holonomy(g: MetricLieAlgebra, factor: Subspace, local: np.ndarray,

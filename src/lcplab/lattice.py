@@ -610,9 +610,10 @@ def solve_conjugacy(m: Sequence, tol: float = 1e-9) -> Optional[ConjugacySolutio
 
     Eigenvalues must be positive reals or unit-circle pairs; negative
     reals and off-circle complex pairs are rejected since no real
-    one-parameter subgroup of the allowed block type reaches them. A
-    defective matrix returns None. The time step is normalized to the log
-    of the largest real eigenvalue when one exceeds 1, else to the
+    one-parameter subgroup of the allowed block type reaches them; an even
+    count of real eigenvalues within ``tol`` of -1 pairs up into rotations
+    by pi. A defective matrix returns None. The time step is normalized to
+    the log of the largest real eigenvalue when one exceeds 1, else to the
     largest rotation angle.
     """
     import numpy as np
@@ -624,17 +625,20 @@ def solve_conjugacy(m: Sequence, tol: float = 1e-9) -> Optional[ConjugacySolutio
     used = [False] * n
     real_items: list[tuple[float, np.ndarray]] = []  # (log lambda, eigenvector)
     rot_items: list[tuple[float, np.ndarray, np.ndarray]] = []  # (angle, vi, vr)
+    minus_one: list[np.ndarray] = []  # eigenvectors of real eigenvalues at -1
+    refused = "is not positive; no admissible one-parameter subgroup reaches this matrix"
     for i in range(n):
         if used[i]:
             continue
         lam = w[i]
         if abs(lam.imag) <= tol * max(1.0, scale):
             lam_r = float(lam.real)
-            if lam_r <= 0:
-                raise InputError(
-                    f"eigenvalue {lam_r:.6g} is not positive; no admissible "
-                    "one-parameter subgroup reaches this matrix")
-            real_items.append((math.log(lam_r), v[:, i].real))
+            if abs(lam_r + 1.0) <= tol * max(1.0, scale):
+                minus_one.append(v[:, i].real)
+            elif lam_r <= 0:
+                raise InputError(f"eigenvalue {lam_r:.6g} {refused}")
+            else:
+                real_items.append((math.log(lam_r), v[:, i].real))
             used[i] = True
             continue
         if abs(abs(lam) - 1.0) > tol * max(1.0, scale):
@@ -654,6 +658,9 @@ def solve_conjugacy(m: Sequence, tol: float = 1e-9) -> Optional[ConjugacySolutio
         rot_items.append((mu, vec.imag.copy(), vec.real.copy()))
         used[i] = True
         used[partner] = True
+    if len(minus_one) % 2:
+        raise InputError(f"eigenvalue -1 {refused}")
+    rot_items += [(math.pi, a, b) for a, b in zip(minus_one[::2], minus_one[1::2])]
     real_items.sort(key=lambda p: -p[0])
     rot_items.sort(key=lambda p: -p[0])
     cols = [vec for _, vec in real_items] + [v for _, vi, vr in rot_items for v in (vi, vr)]

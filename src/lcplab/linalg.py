@@ -133,15 +133,22 @@ class _ExactEchelon:
     other row's pivot; the rows are kept in pivot order. A row divided by
     its pivot entry is the matching row of the reduced row echelon form,
     which is unique, so the order the rows come in changes only the cost.
-    Built from a whole matrix, the store scales it to ints once; a vector
-    inserted on its own must already be ints.
+    Built from a whole matrix, the store scales its rows to ints in blocks
+    that double in size, each over its own denominator, which changes no
+    span, and stops at full rank. A vector inserted alone must be ints.
     """
 
     def __init__(self, a: Optional[np.ndarray] = None):
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-        for v in [] if a is None else to_scaled(a)[0].tolist():
-            self.add(v)
+        width = 0 if a is None else a.shape[1]
+        start, size = 0, width
+        while len(self.rows) < width and start < a.shape[0]:
+            for v in to_scaled(a[start:start + size])[0].tolist():
+                if len(self.rows) == len(v):
+                    break  # full rank: every later row is spanned
+                self.add(v)
+            start, size = start + size, 2 * size
 
     def insert(self, vec: np.ndarray) -> bool:
         """Add an integer vector; False if already spanned."""

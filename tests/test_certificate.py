@@ -1,10 +1,12 @@
-"""The modular certificate for hol = so(g) in the exact de Rham splitting.
+"""The modular certificate for hol = so(W) in the exact de Rham splitting.
 
-The closure over GF(p) bounds the holonomy dimension from below; when the
-bound reaches dim so(g) the splitting skips the exact closure and the
-commutant. These tests check the bound against the exact closure, the
+The splitting takes the flat factor first; on the curved block W, its
+orthocomplement, the closure over GF(p) bounds the holonomy dimension
+from below. When the bound reaches dim so(W), W is the one curved factor
+and the splitting skips the exact closure, the commutant and the
+eigensplit. These tests check the bound against the exact closure, the
 fallback under primes small enough to be unlucky, and the certified
-answer itself.
+answer itself, with and without a flat factor.
 """
 import json
 
@@ -15,18 +17,18 @@ from conftest import subspaces_equal
 
 from lcplab import holonomy
 from lcplab.cli import run_analysis
-from lcplab.gallery import all_entries, fundamental_example, sl_example
+from lcplab.gallery import all_entries, fundamental_example, product_example, sl_example
 from lcplab.holonomy import de_rham_splitting, holonomy_algebra
-from lcplab.liealg import levi_civita
+from lcplab.liealg import bracket_table, levi_civita, make_algebra, to_float_algebra
 from lcplab.linalg import closure_dim_mod_p, make_subspace
-from lcplab.scalars import EXACT
+from lcplab.scalars import EXACT, to_scaled
 
 EXACT_GALLERY = [e for e in all_entries() if e.algebra.mode == EXACT]
 
 
 def _bound(g):
     seeds, nabla = holonomy._closure_inputs(g, levi_civita(g))
-    return holonomy._holonomy_dim_mod_p(g, seeds, nabla)
+    return holonomy._holonomy_dim_mod_p(to_scaled(g.gram)[0], seeds, nabla)
 
 
 def _report(g, data=None):
@@ -83,6 +85,72 @@ def test_certified_holonomy_is_so_g(entry):
     def span(alg):
         return make_subspace([h.reshape(-1) for h in alg.basis], n * n, EXACT)
     assert subspaces_equal(span(hol), span(holonomy_algebra(g)))
+
+
+def normal_model(flat, curved):
+    """The almost-abelian algebra R T x_A R^(flat + curved) with the
+    identity Gram: A rotates the first two of the flat coordinates and is
+    diag(1, -1, 2, -2, ...) on the curved ones. The flat coordinates span
+    the flat factor, and T with the curved coordinates is one curved factor
+    with holonomy so(curved + 1)."""
+    n = 1 + flat + curved
+    entries = {(0, 1): {2: 1}, (0, 2): {1: -1}}
+    for i in range(curved):
+        x = 1 + flat + i
+        entries[(0, x)] = {x: (i // 2 + 1) * (-1) ** i}
+    return make_algebra(bracket_table(n, entries))
+
+
+def _count_commutants(monkeypatch):
+    calls = []
+    real = holonomy._commutant
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(holonomy, "_commutant", counting)
+    return calls
+
+
+@pytest.mark.parametrize("build, dims, hol_dim", [
+    (lambda: product_example().algebra, (1, 3), 3),
+    (lambda: normal_model(4, 12), (4, 13), 78),
+], ids=["product", "normal17"])
+def test_flat_factor_then_certificate_on_the_curved_block(build, dims, hol_dim, monkeypatch):
+    g = build()
+    calls = _count_commutants(monkeypatch)
+    spl = de_rham_splitting(g)
+    assert not calls
+    assert spl.mode == EXACT and not spl.promoted_to_float
+    assert spl.factor_dims == dims and spl.factor_is_flat == (True, False)
+    assert spl.holonomy_dim == hol_dim
+    # the certified basis spans the holonomy and kills the flat factor
+    n = g.dim
+    flat = spl.flat_factor.basis
+    for h in spl.holonomy.basis:
+        assert not np.any(g.gram @ h + h.T @ g.gram) and not np.any(h @ flat.T)
+
+    def span(alg):
+        return make_subspace([h.reshape(-1) for h in alg.basis], n * n, EXACT)
+    assert subspaces_equal(span(spl.holonomy), span(holonomy_algebra(g)))
+    # the float twin gives the same report
+    reports = [run_analysis(h, seed=0) for h in (g, to_float_algebra(g))]
+    for report, _ in reports:
+        report.pop("mode")
+        report.pop("tool_versions")
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_unlucky_prime_on_the_curved_block_gives_the_same_split(prime, monkeypatch):
+    # both primes fall short of dim so(13) = 78, so the commutant runs
+    g = normal_model(4, 12)
+    calls = _count_commutants(monkeypatch)
+    monkeypatch.setattr(holonomy, "CERTIFICATE_PRIME", prime)
+    spl = de_rham_splitting(g)
+    assert len(calls) == 1
+    assert spl.factor_dims == (4, 13) and spl.factor_is_flat == (True, False)
+    assert spl.holonomy_dim == 78 and spl.mode == EXACT
 
 
 def _images_mod(p):

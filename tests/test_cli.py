@@ -406,8 +406,14 @@ class TestLattice:
         assert "not diagonalizable" in capsys.readouterr().out
 
     def test_conjugacy_negative_eigenvalue_exits_2(self, capsys):
-        assert main(["lattice", "conjugacy", "[[-1,0],[0,-1]]"]) == 2
+        assert main(["lattice", "conjugacy", "[[-3,1],[-1,0]]"]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_conjugacy_minus_identity(self, capsys):
+        assert main(["lattice", "conjugacy", "[[-1,0],[0,-1]]", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["solved"] is True and payload["t0"] == math.pi
+        assert payload["defect"] < 1e-12
 
     @pytest.mark.parametrize("argv, where", [
         (["conjugacy", f"[[{10**400},0],[0,1]]"], "entry (0, 0)"),

@@ -172,6 +172,62 @@ def test_fraction_free_rref_matches_fraction_reference(rows, data):
         assert solve_linear(a, b + exact_array(y), EXACT, DEFAULT_TOL) is None
 
 
+@st.composite
+def _tall_integer_matrices(draw):
+    """Integer matrices with more rows than columns, often full rank well
+    before the last row and sometimes short of it."""
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(ncols + 1, 4 * ncols + 4))
+    rank = draw(st.integers(0, ncols))
+    basis = [draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
+             for _ in range(rank)]
+    rows = [[sum(c * b[j] for c, b in zip(mix, basis)) for j in range(ncols)]
+            for mix in draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank,
+                                              max_size=rank),
+                                     min_size=nrows, max_size=nrows))]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tall_integer_matrices(), st.data())
+def test_tall_integer_matrices_match_fraction_reference(rows, data):
+    # the store stops once it holds as many rows as there are columns
+    a = np.array(rows, dtype=object)
+    nrows, ncols = a.shape
+    want_rows, want_pivots = _reference_rref([[Fraction(x) for x in row] for row in rows])
+    assert _rref(a) == (want_rows, want_pivots)
+    rank, null = rank_and_nullspace(a, EXACT)
+    assert rank == len(want_pivots) == linalg.matrix_rank(a, EXACT, DEFAULT_TOL)
+    free = [f for f in range(ncols) if f not in want_pivots]
+    assert ([from_scaled(v, v[f]).tolist() for v, f in zip(null.basis, free)]
+            == _reference_nullspace(exact_array(rows).tolist(), ncols))
+    b = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=nrows, max_size=nrows)),
+                 dtype=object).reshape(nrows, 1)
+    got, want = solve_linear(a, b, EXACT, DEFAULT_TOL), _reference_solve(a, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (from_scaled(*got) == want).all()
+
+
+def test_echelon_store_stops_at_full_rank(monkeypatch):
+    # 400 rows of width 6, the first 6 independent: only they are added
+    rng = np.random.default_rng(6)
+    head = np.triu(rng.integers(1, 9, size=(6, 6))).astype(object)
+    tail = rng.integers(-4, 5, size=(394, 6)).astype(object) @ head
+    a = np.concatenate([head, tail])
+    calls = []
+    add = _ExactEchelon.add
+
+    def counting(self, v):
+        calls.append(1)
+        return add(self, v)
+    monkeypatch.setattr(_ExactEchelon, "add", counting)
+    assert linalg.matrix_rank(a, EXACT, DEFAULT_TOL) == 6 and len(calls) == 6
+    calls.clear()
+    rank, null = rank_and_nullspace(a, EXACT)
+    assert rank == 6 and null.dim == 0 and len(calls) == 6
+
+
 @settings(max_examples=100, deadline=None)
 @given(_rational_matrices())
 def test_scaled_round_trip(rows):

@@ -31,7 +31,8 @@ from lcplab.liealg import (
     transform_algebra,
 )
 from lcplab.linalg import Subspace, make_subspace, span_closure, zero_subspace
-from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array, eye_array, zeros_array
+from lcplab.scalars import (DEFAULT_TOL, EXACT, FLOAT, exact_array, eye_array, to_scaled,
+                            zeros_array)
 
 F = Fraction
 
@@ -830,7 +831,7 @@ def test_per_factor_closure_stops_at_each_factors_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [hyperbolic3, heisenberg3, so3])
-def test_split_needs_only_the_closure_of_the_seeds(build):
+def test_split_needs_only_the_closure_of_the_seeds(build, monkeypatch):
     # the split depends on the seeds only through their closure under the
     # connection: one curvature operator of an irreducible algebra kills a
     # line and commutes with a 2-dimensional space of symmetric operators,
@@ -841,9 +842,14 @@ def test_split_needs_only_the_closure_of_the_seeds(build):
         for seed in seeds:
             assert common_kernel([seed], 3, g.mode, g.tol).dim == 1
             assert len(symmetric_commutant([seed], g.gram, g.mode, g.tol)) == 2
-            factors, flags, hol = holonomy._split_then_close(g, [seed], nabla, random.Random(0))
-            assert [f.dim for f in factors] == [3] and flags == [False]
-            assert subspaces_equal(_flattened(hol), _flattened(holonomy_algebra(g)), g.tol)
+            monkeypatch.setattr(holonomy, "_closure_inputs", lambda *_, s=seed: ([s], nabla))
+            # no certificate, so the exact lane too splits by the commutant
+            monkeypatch.setattr(holonomy, "_holonomy_dim_mod_p", lambda *_: 0)
+            spl = de_rham_splitting(g)
+            monkeypatch.undo()
+            assert spl.factor_dims == (3,) and spl.factor_is_flat == (False,)
+            assert subspaces_equal(_flattened(spl.holonomy), _flattened(holonomy_algebra(g)),
+                                   g.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +897,7 @@ def test_complex_hyperbolic_closures_fall_back_below_the_cap(m, monkeypatch):
         assert spl.holonomy_dim == holonomy_algebra(h).dim == m * m
         hols[h.mode] = spl.holonomy
     seeds, nabla = holonomy._closure_inputs(g, g.levi_civita)
-    assert holonomy._holonomy_dim_mod_p(g, seeds, nabla) == m * m
+    assert holonomy._holonomy_dim_mod_p(to_scaled(g.gram)[0], seeds, nabla) == m * m
     assert expanded == {"_ExactEchelon": {(0, 2), (1, 2)}, "_FloatOrtho": {(0, 2), (1, 2)},
                         "_ModpEchelon": {(0, 1)}}
     # with the front bypassed every exact and float closure spans the same

@@ -1,11 +1,13 @@
 """Every name that a module of the package or of its tests imports is used
-in that module, and every public name resolves lazily to its home module.
+in that module, every private module-level name of the package is read
+in the package, and every public name resolves lazily to its home module.
 
-Deleting a function can leave its import behind. Each module is parsed
-with the standard library's ``ast``; a name counts as used when it is
-read anywhere in the module, in an annotation written as a string, or in
-the module's ``__all__``. The package ``__init__`` imports no public name
-itself: it maps each to its home module and imports that on first access.
+Deleting a function can leave its import behind, and deleting a route can
+leave behind a helper that only tests call. Each module is parsed with the
+standard library's ``ast``; a name counts as used when it is read anywhere
+in the module, in an annotation written as a string, or in the module's
+``__all__``. The package ``__init__`` imports no public name itself: it
+maps each to its home module and imports that on first access.
 """
 import ast
 import importlib
@@ -53,6 +55,57 @@ def unused_imports(source: str) -> list[str]:
                      if isinstance(e, ast.Constant) and isinstance(e.value, str)}
     return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
             if name not in used]
+
+
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Names read in a node: loaded, taken as an attribute, imported, or in
+    a string annotation."""
+    out: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out |= {alias.name for alias in sub.names}
+        elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation is not None:
+            out |= _annotation_names(sub.annotation)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.returns:
+            out |= _annotation_names(sub.returns)
+    return out
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level names that start with one underscore and are read in no
+    module of ``sources`` outside the statement that defines them."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = _defined_names(stmt)
+            defined += [(module, name) for name in sorted(names)
+                        if name.startswith("_") and not name.startswith("__")]
+            read |= _read_names(stmt) - names
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_the_scan_finds_an_unread_private_name():
+    sources = {"a": "_USED = 1\n_ALONE = 2\ndef _rec(n):\n    return _rec(n - 1)\n",
+               "b": "from a import _USED\nclass _Kept:\n    x = _USED\ny: '_Kept'\n"}
+    assert unread_private_names(sources) == ["a: _ALONE", "a: _rec"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def test_the_scan_finds_an_unused_import():

@@ -412,8 +412,36 @@ class TestSolveConjugacy:
         assert solve_conjugacy([[1, 1], [0, 1]]) is None
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(InputError):
-            solve_conjugacy([[-1, 0], [0, -1]])
+        # eigenvalues (-3 +- sqrt 5) / 2: negative and off the circle
+        with pytest.raises(InputError, match="is not positive"):
+            solve_conjugacy([[-3, 1], [-1, 0]])
+
+    def test_minus_identity_is_a_rotation_by_pi(self):
+        # -1, -1 is a unit-circle pair
+        m = [[-1, 0], [0, -1]]
+        sol = solve_conjugacy(m)
+        assert sol.t0 == math.pi
+        assert np.array_equal(sol.generator, [[0.0, -1.0], [1.0, 0.0]])
+        assert verify_conjugacy(m, sol) < 1e-12
+
+    def test_minus_identity_beside_a_hyperbolic_block(self):
+        m = np.zeros((4, 4), dtype=int)
+        m[:2, :2] = GOLDEN
+        m[2:, 2:] = -np.eye(2, dtype=int)
+        sol = solve_conjugacy(m)
+        lam = (3 + math.sqrt(5)) / 2
+        assert abs(sol.t0 - math.log(lam)) < 1e-12
+        assert abs(sol.generator[3, 2] - math.pi / math.log(lam)) < 1e-12
+        assert verify_conjugacy(m, sol) < 1e-12
+
+    @pytest.mark.parametrize("m", [[[-1]], [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]],
+                             ids=["1x1", "3x3"])
+    def test_odd_count_of_minus_one_rejected(self, m):
+        with pytest.raises(InputError, match="eigenvalue -1 is not positive"):
+            solve_conjugacy(m)
+
+    def test_defective_minus_one_returns_none(self):
+        assert solve_conjugacy([[-1, 1], [0, -1]]) is None
 
     def test_off_circle_complex_rejected(self):
         # eigenvalues 1 +- 2i, modulus sqrt 5
