@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from importlib import import_module
 from typing import TYPE_CHECKING, Optional
 
@@ -74,7 +75,9 @@ def resolve_tolerance(tol_arg: Optional[float]) -> TolerancePolicy:
     if raw is None:
         return DEFAULT_TOL
     raw = _positive_tol(raw)
-    return TolerancePolicy(rank_tol=raw, eigen_cluster_tol=100.0 * raw)
+    # 100 times the decimal as written, rounded once: 1e-9 gives 1e-07, as
+    # the default does, where 100.0 * 1e-9 rounds twice
+    return TolerancePolicy(rank_tol=raw, eigen_cluster_tol=float(100 * Fraction(repr(raw))))
 
 
 def _positive_tol(raw: float) -> float:
@@ -145,13 +148,11 @@ def run_analysis(g: MetricLieAlgebra, data: Optional[LcpData] = None,
         lrep = stage.validate_lcp(g, data)
         report["lcp_report"] = lrep.as_dict()
         if lrep.overall:
-            dec = stage.lcp_decomposable(g, data, seed=seed,
-                                         splitting=spl, lcp_report=lrep)
-            principal = dec.principal_factor
+            dec = stage.lcp_decomposable(g, data, splitting=spl, lcp_report=lrep)
             report["decomposability"] = {
                 "decomposable": dec.decomposable,
                 "touched_factors": list(dec.touched_factors),
-                "principal_factor_dim": None if principal is None else principal.dim,
+                "principal_factor_dim": dec.principal_factor.dim,
                 "q": dec.q,
                 "dim_bound_satisfied": dec.dim_bound_satisfied,
                 "witness": (None if dec.witness is None else
@@ -203,10 +204,9 @@ def _print_report(report: dict) -> None:
     if dec is None:
         return
     print(f"decomposable: {'yes' if dec['decomposable'] else 'no'}")
-    if dec["principal_factor_dim"] is not None:
-        print(f"principal factor: dim {dec['principal_factor_dim']}, "
-              f"q = {dec['q']}, bound "
-              f"{'satisfied' if dec['dim_bound_satisfied'] else 'VIOLATED'}")
+    print(f"principal factor: dim {dec['principal_factor_dim']}, "
+          f"q = {dec['q']}, bound "
+          f"{'satisfied' if dec['dim_bound_satisfied'] else 'VIOLATED'}")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

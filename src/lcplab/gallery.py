@@ -65,9 +65,10 @@ class GalleryEntry:
 
 
 def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
-                   v_dim: int, v_gram: Optional[np.ndarray] = None,
+                   v_dim: int,
                    v_names: Optional[Sequence[str]] = None) -> MetricLieAlgebra:
-    """Abelian ideal of dimension v_dim extended by h acting through rep.
+    """Abelian ideal of dimension v_dim extended by h acting through rep,
+    with the identity Gram matrix on the ideal.
 
     rep[k] is the matrix by which the k-th basis element of h acts on the
     ideal. The map must be a Lie algebra homomorphism; an action twisted
@@ -105,11 +106,8 @@ def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
     c[v_dim:, :v_dim, :v_dim] = np.transpose(rho, (0, 2, 1))
     c[:v_dim, v_dim:, :v_dim] = -np.transpose(rho, (2, 0, 1))
     c[v_dim:, v_dim:, v_dim:] = hc
-    vg = eye_array(v_dim, h.mode) if v_gram is None else array_for_mode(v_gram, h.mode)
-    if vg.shape != (v_dim, v_dim):
-        raise InputError("v_gram has the wrong shape")
     gram = zeros_array((n, n), h.mode)
-    gram[:v_dim, :v_dim] = vg
+    gram[:v_dim, :v_dim] = eye_array(v_dim, h.mode)
     gram[v_dim:, v_dim:] = h.gram
     if v_names is None:
         v_names = tuple(f"v{i}" for i in range(v_dim))

@@ -377,18 +377,10 @@ def _commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
     return list(linv.T @ work @ low.T)
 
 
-def nabla_commutant(g: MetricLieAlgebra,
-                    conn: Optional[InvariantConnection] = None) -> list[np.ndarray]:
-    """The G-self-adjoint operators commuting with every operator of a
-    Levi-Civita connection, the default; its operators are G-skew, as
-    :func:`symmetric_commutant` requires. Another connection raises
-    ``InputError``."""
-    if conn is None:
-        conn = g.levi_civita
-    if conn.kind != LEVI_CIVITA:
-        raise InputError("nabla_commutant needs the Levi-Civita connection, whose"
-                         " operators are skew for the metric")
-    return _commutant(list(conn.scaled_operators), g.gram, g.mode, g.tol,
+def nabla_commutant(g: MetricLieAlgebra) -> list[np.ndarray]:
+    """The G-self-adjoint operators commuting with every Levi-Civita
+    operator; those are G-skew, as :func:`symmetric_commutant` requires."""
+    return _commutant(list(g.levi_civita.scaled_operators), g.gram, g.mode, g.tol,
                       g.scaled_gram_inverse[0] if g.mode == EXACT else None)
 
 
@@ -464,7 +456,6 @@ class DeRhamSplitting:
     factors: tuple[Subspace, ...]
     factor_is_flat: tuple[bool, ...]
     holonomy: OperatorAlgebra
-    connection: InvariantConnection
     mode: Mode
     promoted_to_float: bool
 
@@ -529,8 +520,7 @@ def de_rham_splitting(g: MetricLieAlgebra, seed: int = 0) -> DeRhamSplitting:
 
 def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -> DeRhamSplitting:
     n = g.dim
-    conn = g.levi_civita
-    seeds, nabla = _closure_inputs(g, conn)
+    seeds, nabla = _closure_inputs(g, g.levi_civita)
     flat = _flat_factor(g, seeds, nabla)
     flats = [flat] if flat.dim else []
     curved, hol = [], ()
@@ -568,7 +558,7 @@ def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -
     factors = flats + curved
     _verify_splitting(g, factors)
     return DeRhamSplitting(g, tuple(factors), (True,) * len(flats) + (False,) * len(curved),
-                           OperatorAlgebra(n, hol, g.mode), conn, g.mode, promoted)
+                           OperatorAlgebra(n, hol, g.mode), g.mode, promoted)
 
 
 def _flat_factor(g: MetricLieAlgebra, seeds: list[np.ndarray], nabla: np.ndarray) -> Subspace:
@@ -698,20 +688,17 @@ def check_reducing_pair(g: MetricLieAlgebra, s1: Subspace, s2: Subspace) -> Cond
     )
 
 
-def reducibility_witness(g: MetricLieAlgebra, seed: int = 0,
-                         splitting: Optional[DeRhamSplitting] = None,
-                         ) -> Optional[ReducingPair]:
+def reducibility_witness(g: MetricLieAlgebra, seed: int = 0, *,
+                         splitting: DeRhamSplitting) -> Optional[ReducingPair]:
     """An orthogonal reducing pair when the metric splits, else None.
 
     With two or more factors the first factor against the rest is such a
     pair. A single flat block of dimension at least two is cut along an
     eigensplit of the self-adjoint operators commuting with the connection;
     those cuts are connection invariant, which is enough for the pair
-    conditions. A splitting computed earlier for the same algebra and seed
-    may be passed in to avoid recomputing it.
+    conditions. ``splitting`` is :func:`de_rham_splitting` of ``g``, and
+    ``seed`` draws the candidates of that eigensplit.
     """
-    if splitting is None:
-        splitting = de_rham_splitting(g, seed=seed)
     gg = splitting.algebra
     if len(splitting.factors) >= 2:
         s1 = splitting.factors[0]
@@ -719,7 +706,7 @@ def reducibility_witness(g: MetricLieAlgebra, seed: int = 0,
         return ReducingPair(s1, s2, splitting.mode)
     if not splitting.factor_is_flat[0] or g.dim < 2:
         return None
-    comm = nabla_commutant(gg, splitting.connection)
+    comm = nabla_commutant(gg)
     # a flat block of dimension >= 2 always splits; when no candidate gives
     # a clear eigen-gap the NumericalAmbiguityError says so (exit 3)
     split = _first_eigensplit(comm, gg.gram, gg.mode, gg.tol, random.Random(seed),

@@ -752,8 +752,10 @@ class LatticeData(_Record):
     _defaults = {"t0": None, "translation_parts": None}
 
 
-def discreteness_probe(values: Sequence[float], tol: float = 1e-6,
-                       max_rounds: int = 256) -> ProbeResult:
+PROBE_ROUNDS = 256  # reduction rounds before the probe reports no discreteness
+
+
+def discreteness_probe(values: Sequence[float], tol: float = 1e-6) -> ProbeResult:
     """Numeric probe: do the values generate a discrete subgroup of the line?
 
     Runs subtractive reduction on the generators. Commensurable inputs
@@ -768,7 +770,7 @@ def discreteness_probe(values: Sequence[float], tol: float = 1e-6,
         return ProbeResult(discrete=True, rank=0, generator=None)
     floor = 1e-13 * scale
     work = sorted({v for v in vals if v > floor})
-    for _ in range(max_rounds):
+    for _ in range(PROBE_ROUNDS):
         g = work[0]
         if g <= tol * scale:
             return ProbeResult(discrete=False, rank=None, generator=None)

@@ -18,12 +18,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import InputError, TheoremViolationError
-from .holonomy import (
-    DeRhamSplitting,
-    ReducingPair,
-    check_reducing_pair,
-    de_rham_splitting,
-)
+from .holonomy import DeRhamSplitting, ReducingPair, check_reducing_pair
 from .liealg import (
     InvariantConnection,
     MetricLieAlgebra,
@@ -259,16 +254,14 @@ class DecomposabilityReport:
     witness: Optional[ReducingPair]
     splitting: DeRhamSplitting
     touched_factors: tuple[int, ...]
-    principal_factor_index: Optional[int]
+    principal_factor_index: int
     q: int
-    dim_bound_satisfied: Optional[bool]
+    dim_bound_satisfied: bool
     lcp_report: LcpReport
     mode: Mode
 
     @property
-    def principal_factor(self) -> Optional[Subspace]:
-        if self.principal_factor_index is None:
-            return None
+    def principal_factor(self) -> Subspace:
         return self.splitting.factors[self.principal_factor_index]
 
 
@@ -286,36 +279,31 @@ def _touched_factor_indices(splitting: DeRhamSplitting, rows: np.ndarray,
                  if not is_zero_matrix(b, g.mode, g.tol, scale=sc))
 
 
-def lcp_decomposable(g: MetricLieAlgebra, data: LcpData, seed: int = 0,
-                     force: bool = False,
-                     splitting: Optional[DeRhamSplitting] = None,
-                     lcp_report: Optional[LcpReport] = None) -> DecomposabilityReport:
+def lcp_decomposable(g: MetricLieAlgebra, data: LcpData, *, splitting: DeRhamSplitting,
+                     lcp_report: LcpReport) -> DecomposabilityReport:
     """Decide whether the structure lives on a proper orthogonal factor.
 
-    The factors that meet the ideal or the dual of the Lee form are the
-    ones the structure touches; the structure decomposes exactly when
-    some factor is untouched. Input failing validation is rejected unless
-    ``force`` is set. A splitting or validation report computed earlier
-    for the same algebra and data may be passed in to avoid recomputing.
+    ``splitting`` is :func:`de_rham_splitting` of ``g`` and ``lcp_report``
+    is :func:`validate_lcp` of ``g`` and ``data``. The factors that meet the
+    ideal or the dual of the Lee form are the ones the structure touches;
+    the structure decomposes exactly when some factor is untouched. Data
+    failing validation raises ``InputError``, and a structure that does
+    not touch exactly one non-flat factor raises ``TheoremViolationError``.
     """
-    report = validate_lcp(g, data) if lcp_report is None else lcp_report
-    if not report.overall and not force:
+    if not lcp_report.overall:
         raise InputError("structure data fails validation: "
-                         + ", ".join(report.failures()))
-    if splitting is None:
-        splitting = de_rham_splitting(g, seed=seed)
+                         + ", ".join(lcp_report.failures()))
     gg = splitting.algebra
     dd = data if gg.mode == g.mode else lcp_data_to_float(data)
     sharp = lee_sharp(gg, dd.lee_covector)
     rows = np.concatenate([dd.flat_ideal.basis, sharp.reshape(1, -1)], axis=0)
     touched = _touched_factor_indices(splitting, rows, gg)
     nonflat_touched = [i for i in touched if not splitting.factor_is_flat[i]]
-    if len(nonflat_touched) != 1 and not force:
+    if len(nonflat_touched) != 1:
         raise TheoremViolationError(
             "the structure must touch exactly one non-flat factor, "
             f"found {len(nonflat_touched)}")
-    principal = nonflat_touched[0] if len(nonflat_touched) == 1 else None
-    bound = None if principal is None else splitting.factors[principal].dim >= data.q + 2
+    principal = nonflat_touched[0]
     decomposable = len(touched) < len(splitting.factors)
     witness = None
     if decomposable:
@@ -334,8 +322,8 @@ def lcp_decomposable(g: MetricLieAlgebra, data: LcpData, seed: int = 0,
         touched_factors=touched,
         principal_factor_index=principal,
         q=data.q,
-        dim_bound_satisfied=bound,
-        lcp_report=report,
+        dim_bound_satisfied=splitting.factors[principal].dim >= data.q + 2,
+        lcp_report=lcp_report,
         mode=gg.mode,
     )
 

@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 import lcplab
+from lcplab import cli
 from lcplab.base import canonical_json
 from lcplab.cli import build_parser, main, resolve_tolerance, run_analysis
-from lcplab.errors import InputError, NumericalAmbiguityError
+from lcplab.errors import InputError, NumericalAmbiguityError, TheoremViolationError
 from lcplab.fileio import algebra_to_dict, load_algebra_file, save_algebra_file
 from lcplab.gallery import fundamental_example
 from lcplab.holonomy import _first_eigensplit
 from lcplab.lcp import lcp_data_to_float
-from lcplab.liealg import bracket_table, direct_sum_algebra, make_algebra, to_float_algebra
+from lcplab.liealg import (bracket_table, direct_sum_algebra, make_algebra, to_float_algebra,
+                           validate_algebra)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,20 @@ def so3_pair_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("pair") / "so3so3.json"
     save_algebra_file(str(path), direct_sum_algebra(a, a))
     return str(path)
+
+
+# so(3)'s brackets with [e0, e2] = e0: the Jacobi identity fails
+NON_JACOBI = {
+    "dim": 3, "mode": "exact",
+    "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"2": "1/1"}},
+        {"i": 1, "j": 2, "coeffs": {"0": "1/1"}},
+        {"i": 0, "j": 2, "coeffs": {"0": "1/1"}},
+    ],
+    "metric": [["1/1", "0/1", "0/1"],
+               ["0/1", "1/1", "0/1"],
+               ["0/1", "0/1", "1/1"]],
+}
 
 
 def _suggestion_names_analyze_options(err):
@@ -154,6 +170,20 @@ class TestToleranceResolution:
         report, _ = _analyze_json(exported / "fundamental.json", "--tol", "1e-5")
         assert report["tolerance_policy"]["rank_tol"] == 1e-5
 
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_default_written_out_gives_the_default_bytes(self, where, monkeypatch,
+                                                         exported, capsys):
+        # 100.0 * 1e-9 is 1.0000000000000001e-07 in binary, not the default 1e-07
+        path = str(exported / "fundamental.json")
+        monkeypatch.delenv("LCPLAB_TOL", raising=False)
+        assert main(["analyze", path, "--json"]) == 0
+        default = capsys.readouterr().out
+        extra = ["--tol", "1e-9"] if where == "flag" else []
+        if where == "env":
+            monkeypatch.setenv("LCPLAB_TOL", "1e-9")
+        assert main(["analyze", path, "--json", *extra]) == 0
+        assert capsys.readouterr().out == default
+
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("LCPLAB_TOL", "tiny")
         with pytest.raises(InputError, match="LCPLAB_TOL"):
@@ -234,21 +264,40 @@ class TestExitCodes:
         assert "square overflows" in capsys.readouterr().err
 
     def test_broken_algebra_exits_1(self, tmp_path, capsys):
-        data = {
-            "dim": 3, "mode": "exact",
-            "brackets": [
-                {"i": 0, "j": 1, "coeffs": {"2": "1/1"}},
-                {"i": 1, "j": 2, "coeffs": {"0": "1/1"}},
-                {"i": 0, "j": 2, "coeffs": {"0": "1/1"}},
-            ],
-            "metric": [["1/1", "0/1", "0/1"],
-                       ["0/1", "1/1", "0/1"],
-                       ["0/1", "0/1", "1/1"]],
-        }
         path = tmp_path / "nonjacobi.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(NON_JACOBI))
         assert main(["validate", str(path)]) == 1
         assert "jacobi" in capsys.readouterr().out
+
+    def test_broken_algebra_analyze_lists_each_failure_and_stops(self, tmp_path, capsys):
+        path = tmp_path / "nonjacobi.json"
+        path.write_text(json.dumps(NON_JACOBI))
+        failures = validate_algebra(load_algebra_file(str(path))[0]).failures()
+        assert failures
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "dim 3, mode exact", "validation: FAIL", *(f"  {f}" for f in failures)]
+
+    def test_validate_without_structure_data_exits_0(self, tmp_path, capsys):
+        path = str(tmp_path / "fundamental_algebra.json")
+        save_algebra_file(path, fundamental_example().algebra)
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out == "algebra: ok (dim 3, mode exact)\nstructure data: none\n"
+
+    def test_structure_violation_exits_1(self, exported, monkeypatch, capsys):
+        def violated(g, seed=0):
+            raise TheoremViolationError("factors do not span the whole algebra")
+
+        monkeypatch.setattr(cli, "de_rham_splitting", violated)
+        assert main(["analyze", str(exported / "fundamental.json")]) == 1
+        assert capsys.readouterr().err == ("structure violation: "
+                                           "factors do not span the whole algebra\n")
+
+    def test_io_error_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert main(["examples", "--export", str(blocker / "ex")]) == 2
+        assert capsys.readouterr().err.startswith("io error: ")
 
     def test_ambiguous_eigensplit_exits_3(self, so3_pair_file, capsys):
         assert main(["analyze", so3_pair_file, "--tol", "3e-3"]) == 3
@@ -404,6 +453,13 @@ class TestLattice:
     def test_conjugacy_defective_exits_1(self, capsys):
         assert main(["lattice", "conjugacy", "[[1,1],[0,1]]"]) == 1
         assert "not diagonalizable" in capsys.readouterr().out
+
+    def test_conjugacy_defect_above_tolerance_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_conjugacy",
+                            lambda matrix, solution: 2 * cli.CONJUGACY_DEFECT_TOL)
+        assert main(["lattice", "conjugacy", "[[1,1],[1,2]]"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["reconstruction defect = 2.000e-08", "FAIL: defect exceeds 1e-08"]
 
     def test_conjugacy_negative_eigenvalue_exits_2(self, capsys):
         assert main(["lattice", "conjugacy", "[[-3,1],[-1,0]]"]) == 2

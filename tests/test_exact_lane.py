@@ -24,7 +24,7 @@ from lcplab.cli import run_analysis
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (common_kernel, de_rham_splitting, holonomy_algebra,
                              reducibility_witness, symmetric_commutant)
-from lcplab.lcp import lcp_data_to_float, lcp_decomposable, weyl_connection
+from lcplab.lcp import lcp_data_to_float, lcp_decomposable, validate_lcp, weyl_connection
 from lcplab.liealg import (LEVI_CIVITA, WEYL, InvariantConnection, curvature_operator,
                            curvature_tensor, direct_sum_algebra, levi_civita,
                            to_float_algebra)
@@ -793,7 +793,7 @@ def test_computed_subspaces_are_integer_rows_spanning_the_fraction_route(random_
         if witness is not None and len(spl.factors) >= 2:
             pairs.append((witness, [0], range(1, len(spl.factors))))
         if data is not None:
-            dec = lcp_decomposable(g, data, splitting=spl)
+            dec = lcp_decomposable(g, data, splitting=spl, lcp_report=validate_lcp(g, data))
             if dec.witness is not None:
                 rest = [i for i in range(len(spl.factors)) if i not in dec.touched_factors]
                 pairs.append((dec.witness, dec.touched_factors, rest))

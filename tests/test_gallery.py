@@ -103,7 +103,8 @@ class TestFundamental:
         assert spl.factor_dims == e.expected.factor_dims
         assert spl.factor_is_flat == e.expected.factor_is_flat
         assert spl.holonomy_dim == e.expected.holonomy_dim
-        rep = lcp_decomposable(e.algebra, e.lcp, splitting=spl)
+        rep = lcp_decomposable(e.algebra, e.lcp, splitting=spl,
+                               lcp_report=validate_lcp(e.algebra, e.lcp))
         assert rep.decomposable is e.expected.decomposable
         assert rep.touched_factors == e.expected.touched_factors
         assert rep.q == e.expected.q
@@ -129,7 +130,8 @@ class TestProduct:
         spl = de_rham_splitting(e.algebra)
         assert spl.factor_dims == (1, 3)
         assert spl.factor_is_flat == (True, False)
-        rep = lcp_decomposable(e.algebra, e.lcp, splitting=spl)
+        rep = lcp_decomposable(e.algebra, e.lcp, splitting=spl,
+                               lcp_report=validate_lcp(e.algebra, e.lcp))
         assert rep.decomposable
         assert rep.touched_factors == (1,)
         assert rep.witness is not None
@@ -168,7 +170,8 @@ class TestStronglyIrreducible:
         assert spl.factor_dims == (2, 3)
         assert spl.factor_is_flat == (True, False)
         assert spl.holonomy_dim == 3
-        rep = lcp_decomposable(e.algebra, e.lcp, splitting=spl)
+        rep = lcp_decomposable(e.algebra, e.lcp, splitting=spl,
+                               lcp_report=validate_lcp(e.algebra, e.lcp))
         assert rep.decomposable
         assert rep.principal_factor.dim == 3
         assert rep.q == 1 and rep.dim_bound_satisfied

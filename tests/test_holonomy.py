@@ -7,8 +7,9 @@ import pytest
 from conftest import subspaces_equal
 
 from lcplab import holonomy, linalg
-from lcplab.cli import run_analysis
-from lcplab.errors import InputError, NumericalAmbiguityError
+from lcplab.cli import main, run_analysis
+from lcplab.errors import NumericalAmbiguityError
+from lcplab.fileio import save_algebra_file
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (
     check_reducing_pair,
@@ -248,15 +249,6 @@ def test_commutant_members_commute_and_are_selfadjoint():
 def test_nabla_commutant_flat_rotation_plane():
     comm = nabla_commutant(euclidean_motions())
     assert len(comm) == 2
-
-
-def test_nabla_commutant_needs_the_levi_civita_connection():
-    # the commutant's constraint holds only for metric-skew operators, and
-    # a Weyl connection's are not
-    g = hyperbolic3()
-    for h, theta in ((g, exact_array([1, 0, 0])), (to_float_algebra(g), np.array([1.0, 0, 0]))):
-        with pytest.raises(InputError, match="Levi-Civita"):
-            nabla_commutant(h, weyl_connection(h, theta))
 
 
 def test_one_gram_inverse_per_algebra(monkeypatch):
@@ -571,16 +563,16 @@ def test_check_pair_rejects_non_orthogonal():
 
 def test_witness_none_for_irreducible():
     for g in (hyperbolic3(), hyperbolic2(), heisenberg3(), so3()):
-        assert reducibility_witness(g) is None
+        assert reducibility_witness(g, splitting=de_rham_splitting(g)) is None
 
 
 def test_witness_none_for_line():
-    assert reducibility_witness(abelian(1)) is None
+    assert reducibility_witness(abelian(1), splitting=de_rham_splitting(abelian(1))) is None
 
 
 def test_witness_for_product_passes_checks():
     g = hyp3_plus_line()
-    w = reducibility_witness(g)
+    w = reducibility_witness(g, splitting=de_rham_splitting(g))
     assert w is not None
     assert {w.s1.dim, w.s2.dim} == {1, 3}
     assert check_reducing_pair(g, w.s1, w.s2).passed
@@ -588,7 +580,7 @@ def test_witness_for_product_passes_checks():
 
 def test_witness_for_flat_abelian_plane():
     g = abelian(2)
-    w = reducibility_witness(g)
+    w = reducibility_witness(g, splitting=de_rham_splitting(g))
     assert w is not None
     assert w.s1.dim + w.s2.dim == 2
     assert check_reducing_pair(g, w.s1, w.s2).passed
@@ -596,7 +588,7 @@ def test_witness_for_flat_abelian_plane():
 
 def test_witness_for_flat_motions():
     g = euclidean_motions()
-    w = reducibility_witness(g)
+    w = reducibility_witness(g, splitting=de_rham_splitting(g))
     assert w is not None
     assert w.s1.dim + w.s2.dim == 3
     gg = g if w.mode == EXACT else to_float_algebra(g)
@@ -610,7 +602,7 @@ def test_witness_agrees_with_commutant_dimension():
     for g in cases:
         hol = holonomy_algebra(g)
         comm = symmetric_commutant(hol.basis, g.gram, g.mode, g.tol)
-        has_witness = reducibility_witness(g) is not None
+        has_witness = reducibility_witness(g, splitting=de_rham_splitting(g)) is not None
         assert has_witness == (len(comm) >= 2)
 
 
@@ -736,6 +728,15 @@ def test_promotion_through_de_rham_splitting(name, factor_dims):
         del rep["mode"]
         del rep["de_rham"]["promoted_to_float"]
     assert report == twin
+
+
+def test_promoted_run_says_so(tmp_path, capsys):
+    path = str(tmp_path / "fundamental_over_q_sqrt2.json")
+    save_algebra_file(path, restriction_of_scalars(all_entries()[0].algebra))
+    assert main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert "metric factors: (3, 3), flat factor: none\n" in out
+    assert "note: an irrational eigenvalue forced a float recomputation\n" in out
 
 
 # ---------------------------------------------------------------------------

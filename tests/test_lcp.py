@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lcplab.cli import run_analysis
-from lcplab.errors import InputError
+from lcplab.errors import InputError, TheoremViolationError
 from lcplab.gallery import fundamental_example
 from lcplab.lcp import (
     is_closed_covector,
@@ -16,7 +17,7 @@ from lcplab.lcp import (
     validate_lcp,
     weyl_connection,
 )
-from lcplab.holonomy import check_reducing_pair
+from lcplab.holonomy import check_reducing_pair, de_rham_splitting
 from lcplab.liealg import (
     bracket_table,
     curvature_operator,
@@ -263,9 +264,14 @@ def product_with_structure():
     return g, data
 
 
+def decomposability(g, data, splitting=None):
+    return lcp_decomposable(g, data, splitting=splitting or de_rham_splitting(g),
+                            lcp_report=validate_lcp(g, data))
+
+
 def test_indecomposable_on_single_factor():
     g, data = hyperbolic3_data()
-    rep = lcp_decomposable(g, data)
+    rep = decomposability(g, data)
     assert not rep.decomposable
     assert rep.witness is None
     assert rep.touched_factors == (0,)
@@ -277,7 +283,7 @@ def test_indecomposable_on_single_factor():
 
 def test_decomposable_on_product():
     g, data = product_with_structure()
-    rep = lcp_decomposable(g, data)
+    rep = decomposability(g, data)
     assert rep.decomposable
     assert rep.splitting.factor_dims == (1, 3)
     assert rep.touched_factors == (1,)
@@ -293,15 +299,23 @@ def test_decomposable_on_product():
 def test_decomposable_rejects_invalid_data():
     g = hyperbolic3()
     data = make_lcp_data(g, [[0, 1, 0]], [0, 0, 1])
-    with pytest.raises(InputError):
-        lcp_decomposable(g, data)
-    rep = lcp_decomposable(g, data, force=True)
-    assert not rep.lcp_report.overall
+    with pytest.raises(InputError, match="fails validation: "):
+        decomposability(g, data)
+
+
+def test_decomposable_needs_exactly_one_non_flat_factor():
+    # the theorem puts the structure on exactly one non-flat factor; a
+    # splitting that flags the touched factor flat contradicts it
+    g, data = product_with_structure()
+    spl = de_rham_splitting(g)
+    flagged = dataclasses.replace(spl, factor_is_flat=(True, True))
+    with pytest.raises(TheoremViolationError, match="found 0"):
+        decomposability(g, data, flagged)
 
 
 def test_decomposable_float_product():
     g, data = product_with_structure()
-    rep = lcp_decomposable(to_float_algebra(g), lcp_data_to_float(data))
+    rep = decomposability(to_float_algebra(g), lcp_data_to_float(data))
     assert rep.decomposable
     assert rep.touched_factors == (1,)
 
