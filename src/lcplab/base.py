@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from numbers import Rational
 from operator import mul
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import InputError
 
@@ -110,6 +110,29 @@ def int_det(rows: list[list[int]]) -> int:
                                        for j in range(c + 1, n)]
         prev = pc[c]
     return sign * prev
+
+
+def leading_minors(rows: list[list[int]]) -> Iterator[int]:
+    """The leading principal minors of a square integer matrix, of orders
+    1, 2, ..., n, from one Bareiss elimination without row exchanges.
+
+    After step c the pivot entry is the minor of order c + 1 (Bareiss
+    1968), and every division is exact while the earlier pivots are
+    nonzero; so the minors stop after the first zero one. The rows are
+    not changed.
+    """
+    rows = list(rows)
+    n, prev = len(rows), 1
+    for c in range(n):
+        pc = rows[c]
+        yield pc[c]
+        if pc[c] == 0:
+            return
+        for i in range(c + 1, n):
+            ri = rows[i]
+            rows[i] = [0] * (c + 1) + [(ri[j] * pc[c] - ri[c] * pc[j]) // prev
+                                       for j in range(c + 1, n)]
+        prev = pc[c]
 
 
 def int_charpoly(rows: list[list[int]]) -> list[int]:

@@ -104,6 +104,8 @@ from .scalars import (
     EXACT,
     Mode,
     TolerancePolicy,
+    back_to_ints,
+    exact_floats,
     int_commutator,
     int_matmul,
     int_tensordot,
@@ -284,7 +286,12 @@ def merge_band(tol: TolerancePolicy) -> float:
 def _spectral_start(a: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     """The symmetric matrices that preserve every eigenspace group of
     a^T a: y_i y_j^T + y_j y_i^T for eigenvectors y_i, y_j of one group."""
-    lam, y = np.linalg.eigh(a.T @ a)
+    try:
+        lam, y = np.linalg.eigh(a.T @ a)
+    except np.linalg.LinAlgError:
+        raise InputError(
+            f"float operators of magnitude {float(np.abs(a).max()):.3g} are too large: the "
+            "eigendecomposition of the symmetric commutant's start did not converge") from None
     group = np.concatenate(([0], np.cumsum(np.diff(lam) > merge_band(tol) * lam[-1])))
     if not group[-1]:
         return _symmetric_basis(len(lam), np.float64)
@@ -339,6 +346,9 @@ def _commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
         scaled = np.array([a // (math.gcd(*a.reshape(-1).tolist()) or 1)
                            for a in (to_scaled(op)[0] for op in ops)], dtype=object)
         work = _symmetric_basis(n, object)
+        # max(1, max|a|): each entry of a constraint S a + a^T S sums 2n
+        # terms, each at most max|S| times this
+        top = np.abs(scaled).max(initial=1)
     else:
         low = np.linalg.cholesky((gram + gram.T) / 2.0)
         linv = np.linalg.inv(low)
@@ -347,18 +357,29 @@ def _commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
             generic = np.arange(1.0, len(scaled) + 1) @ scaled.reshape(len(scaled), -1)
             scaled = np.concatenate([generic.reshape(1, n, n), scaled])
         work = _spectral_start(scaled[0], tol) if len(scaled) else _symmetric_basis(n, np.float64)
-    done = 0
+    done, ws, stack, lifted_ops = 0, None, scaled, None
     while done < len(scaled) and len(work) > 1:
+        if ws is None:
+            # the working stack as the constraints read it: exact mode lifts
+            # it once per shrink, the operators once, and converts back only
+            # a nonzero constraint, for the exact nullspace
+            ws, stack = work, scaled
+            floats = mode == EXACT and exact_floats(
+                [work], lambda tw: 2 * n * tw * top, len(work) * (len(scaled) - done) * n ** 3)
+            if floats:
+                if lifted_ops is None:
+                    lifted_ops = scaled.astype(np.float64)  # exact: top < 2**53
+                ws, stack = floats[0], lifted_ops
         # float mode stacks as many operators as keep the constraints no
         # larger than the operator stack itself
         size = 1 if mode == EXACT else max(1, len(scaled) // len(work))
-        block = scaled[done:done + size]
-        sa = int_matmul(work[None], block[:, None])
+        block = stack[done:done + size]
+        sa = int_matmul(ws[None], block[:, None])
         if mode == EXACT:  # hat S = -a^T S = -(S a)^T; zero tests take no scale
             upper, scales = sa[:, :, iu, ju] + sa[:, :, ju, iu], 1.0
         else:  # hat = A
-            upper = sa[:, :, iu, ju] - (block[:, None] @ work[None])[:, :, iu, ju]
-            scales = np.maximum(1.0, np.abs(block).max(axis=(1, 2))) * scale_of(work)
+            upper = sa[:, :, iu, ju] - (block[:, None] @ ws[None])[:, :, iu, ju]
+            scales = np.maximum(1.0, np.abs(block).max(axis=(1, 2))) * scale_of(ws)
         # a commutator that is zero at the scale of its inputs is no
         # constraint at all; without this cutoff pure roundoff noise would
         # read as a rank-one condition and eat a commutant direction
@@ -368,9 +389,10 @@ def _commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
             done += 1
             if skip:
                 continue
-            null = rank_and_nullspace(k, mode, tol)[1].basis
+            null = rank_and_nullspace(back_to_ints(k) if ws is not work else k, mode, tol)[1].basis
             if len(null) < len(work):
                 work = int_matmul(null, work.reshape(len(work), -1)).reshape(-1, n, n)
+                ws = None
                 break
     if mode == EXACT:
         return list(int_matmul(scaled_inverse(gram, mode)[0] if ginv is None else ginv, work))
@@ -661,9 +683,17 @@ def _cross_vanishes(g: MetricLieAlgebra, linear_rows: np.ndarray,
     polarized values below.
     """
     sc = scale_of(g.bracket, g.gram)
+    n, p, m = g.dim, len(linear_rows), len(quad_rows)
     a, y, gram, _ = to_scaled(linear_rows, quad_rows, g.gram)
+    c = g.scaled_bracket[0]
+    # only a zero test reads val: |br| <= n**2 A C Y, |gram y^T| <= n G Y, and
+    # each entry of val + val^T sums 2n terms of their product
+    lifted = exact_floats([a, c, y, gram],
+                          lambda ta, tc, ty, tg: 2 * n ** 4 * ta * tc * tg * ty * ty,
+                          p * n ** 3 + p * m * n * n + n * n * m + p * m * m * n)
+    a, c, y, gram = lifted or (a, c, y, gram)
     # br[a, k, i] = the k-th component of [a, y_i]
-    br = int_tensordot(int_tensordot(a, g.scaled_bracket[0], axes=(1, 0)), y, axes=(1, 1))
+    br = int_tensordot(int_tensordot(a, c, axes=(1, 0)), y, axes=(1, 1))
     # val[a, i, j] = <[a, y_i], y_j>, then symmetrised in i, j
     val = int_matmul(np.transpose(br, (0, 2, 1)), int_matmul(gram, y.T))
     return is_zero_matrix(val + np.transpose(val, (0, 2, 1)), g.mode, g.tol, scale=sc * sc)

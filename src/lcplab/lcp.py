@@ -23,10 +23,11 @@ from .liealg import (
     InvariantConnection,
     MetricLieAlgebra,
     WEYL,
+    curvature_bound,
+    curvature_terms,
     is_ideal,
     is_subalgebra,
     is_unimodular,
-    scaled_curvature,
 )
 from .linalg import (
     Subspace,
@@ -43,6 +44,7 @@ from .scalars import (
     FLOAT,
     Mode,
     array_for_mode,
+    exact_floats,
     from_scaled,
     int_matmul,
     int_tensordot,
@@ -216,10 +218,18 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     conn = weyl_connection(g, theta)
     parallel = restrict_operator(conn.scaled_operators, u.basis, g.mode, g.tol) is not None
     sc_r = scale_of(conn.scaled[0]) ** 2
-    curv = scaled_curvature(g, conn)[0]
+    c, dc = g.scaled_bracket
+    a, da = conn.scaled_operators, conn.scaled[1]
+    ub = to_scaled(u.basis)[0]
+    # only zero tests read the curvature: with every entry of R(e_i, e_j) u_k
+    # a sum of n terms, each at most max|R| max|ub|, it is never converted
+    lifted = exact_floats([c, a, ub],
+                          lambda tc, ta, tu: n * tu * curvature_bound(n, dc, da, tc, ta),
+                          2 * n ** 5 + n ** 4 * u.dim)
+    c, a, ub = lifted or (c, a, ub)
+    curv = curvature_terms(c, dc, a, da, slice(None), slice(None))
     nonflat = not is_zero_matrix(curv, g.mode, g.tol, scale=sc_r)
     # R(e_i, e_j) u_k for every i, j and basis vector u_k of u
-    ub = to_scaled(u.basis)[0]
     flat_on_u = is_zero_matrix(int_matmul(curv, ub.T), g.mode, g.tol,
                                scale=sc_r * scale_of(u.basis))
     formula: Optional[bool] = None

@@ -21,11 +21,11 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .base import leading_minors
 from .errors import InputError
 from .linalg import (
     Subspace,
     check_square_scale,
-    exact_det,
     is_zero_matrix,
     restrict_operator,
     scale_of,
@@ -39,7 +39,9 @@ from .scalars import (
     TolerancePolicy,
     array_for_mode,
     as_fraction,
+    back_to_ints,
     check_mode,
+    exact_floats,
     eye_array,
     from_scaled,
     int_matmul,
@@ -266,7 +268,9 @@ class ValidationReport:
 def _is_positive_definite(gram: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:
     n = gram.shape[0]
     if mode == EXACT:
-        return all(exact_det(gram[:k, :k]) > 0 for k in range(1, n + 1))
+        # Sylvester's criterion on the integer matrix d * gram, d > 0, whose
+        # leading minors have the signs of gram's
+        return all(m > 0 for m in leading_minors(to_scaled(gram)[0].tolist()))
     w = np.linalg.eigvalsh(np.asarray(gram, dtype=np.float64))
     top = float(np.max(np.abs(w))) if n else 0.0
     return bool(n == 0 or w[0] > tol.rank_tol * max(1.0, top))
@@ -284,11 +288,14 @@ def _validation_report(g: MetricLieAlgebra) -> ValidationReport:
     # zero tests do not see a common positive scale, so exact ones run on ints
     c = g.scaled_bracket[0]
     sc = scale_of(c)
+    # every entry, term and partial sum below is at most 3 n max|c|**2
+    c, = exact_floats([c], lambda tc: 3 * n * tc * tc, n ** 5) or (c,)
     sym = c + np.transpose(c, (1, 0, 2))  # sym[i, j] = c[i, j, :] + c[j, i, :]
     # t[i, j, k, m] = sum_l c[i, j, l] c[l, k, m], the m-th component of [[e_i, e_j], e_k]
     t = int_tensordot(c, c, axes=(2, 0))
     # total[i, j, k] = t[i, j, k] + t[j, k, i] + t[k, i, j]
-    total = t + np.transpose(t, (2, 0, 1, 3)) + np.transpose(t, (1, 2, 0, 3))
+    total = t + np.transpose(t, (2, 0, 1, 3))
+    total += np.transpose(t, (1, 2, 0, 3))
     # the pairs i <= j and triples i < j < k, in lexicographic order
     pairs = np.array([(i, j) for i in range(n) for j in range(i, n)], dtype=np.intp).reshape(-1, 2)
     triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
@@ -347,47 +354,75 @@ def levi_civita(g: MetricLieAlgebra) -> InvariantConnection:
     Defined by 2<D_x y, z> = <[x,y],z> + <[z,x],y> - <[y,z],x> on
     left-invariant fields.
     """
+    n = g.dim
     c, dc = g.scaled_bracket
     gram, dg = to_scaled(g.gram)
     ginv, di = g.scaled_gram_inverse
+    # |b| <= n max|c| max|gram|, |rhs| <= 3 times that, and every entry and
+    # partial sum of coeffs is at most n times max|rhs| max|ginv|
+    lifted = exact_floats([c, gram, ginv], lambda tc, tg, ti: 3 * n * n * tc * tg * ti,
+                          2 * n ** 4, n ** 3)
+    c, gram, ginv = lifted or (c, gram, ginv)
     b = int_tensordot(c, gram, axes=(2, 0))  # b[i,j,z] = <[e_i,e_j], e_z>
     # rhs[i, j, z] = b[i, j, z] + b[z, i, j] - b[j, z, i]
     rhs = b + np.transpose(b, (1, 2, 0)) - np.transpose(b, (2, 0, 1))
     coeffs = int_tensordot(rhs, ginv, axes=(2, 0))
+    if lifted:
+        coeffs = back_to_ints(coeffs)
     return InvariantConnection(lowest_terms(coeffs, 2 * dc * dg * di), LEVI_CIVITA, g.mode)
 
 
-def _curvature(g: MetricLieAlgebra, conn: InvariantConnection,
-               rows: slice, cols: slice) -> tuple[np.ndarray, int]:
-    """``R[i, j]`` = R(e_i, e_j) = [D_i, D_j] - D_{[e_i, e_j]} for i in rows,
-    j in cols, as (ints, den), see ``to_scaled``.
+def curvature_bound(n: int, dc: int, da: int, tc: int, ta: int) -> int:
+    """A bound on every entry, term and partial sum of :func:`curvature_terms`
+    for an (n, n, n) bracket tensor c and operator stack a with
+    max|c| <= tc and max|a| <= ta: a product sums n terms, so
+    |dc a_i a_j| <= n dc ta**2 and the bracket term is at most n da tc ta."""
+    return n * (2 * dc * ta * ta + da * tc * ta)
 
-    Runs on the scaled form: integers over one denominator in exact mode,
-    the float64 arrays themselves in float mode. Every pair is one matmul
-    of the same operands whether it is computed alone or among all, so a
-    single operator and the whole tensor agree bit for bit in float mode.
+
+def curvature_terms(c: np.ndarray, dc: int, a: np.ndarray, da: int,
+                    rows: slice, cols: slice) -> np.ndarray:
+    """``R[i, j]`` for i in rows, j in cols, times da * da * dc, from the
+    bracket tensor c over dc and the connection operators a over da.
+
+    Runs on whatever arrays it is handed: object ints, their float64 lift
+    or the float64 arrays of float mode. Every pair is one matmul of the
+    same operands whether it is computed alone or among all, so a single
+    operator and the whole tensor agree bit for bit in float mode.
     """
-    n = g.dim
-    c, dc = g.scaled_bracket
-    a, da = conn.scaled_operators, conn.scaled[1]
+    n = c.shape[0]
     # prod[i, j] = dc a[i] @ a[j], and mixed[i, j] = da times the operator of
     # [e_i, e_j]: each scaled on its smaller factor
     prod = int_matmul(a[rows, None] * dc, a[None, cols])
     back = prod if rows == cols else int_matmul(a[cols, None] * dc, a[None, rows])
     mixed = int_matmul(c[rows, cols, None, :] * da, a.reshape(n, n * n)).reshape(prod.shape)
-    return prod - np.transpose(back, (1, 0, 2, 3)) - mixed, da * da * dc
+    return prod - np.transpose(back, (1, 0, 2, 3)) - mixed
 
 
 def curvature_operator(g: MetricLieAlgebra, conn: InvariantConnection,
                        i: int, j: int) -> np.ndarray:
     """Matrix of R(e_i, e_j) = [D_i, D_j] - D_{[e_i, e_j]}."""
-    r, den = _curvature(g, conn, slice(i, i + 1), slice(j, j + 1))
-    return from_scaled(r[0, 0], den)
+    c, dc = g.scaled_bracket
+    a, da = conn.scaled_operators, conn.scaled[1]
+    # one pair is never lifted: its 3 n**3 multiply-adds are fewer than
+    # KERNEL_WORK_PER_ENTRY times the 2 n**3 entries of c and a
+    r = curvature_terms(c, dc, a, da, slice(i, i + 1), slice(j, j + 1))
+    return from_scaled(r[0, 0], da * da * dc)
 
 
 def scaled_curvature(g: MetricLieAlgebra, conn: InvariantConnection) -> tuple[np.ndarray, int]:
-    """The whole curvature tensor as (ints, den), see ``to_scaled``."""
-    return _curvature(g, conn, slice(None), slice(None))
+    """The whole curvature tensor as (ints, den), see ``to_scaled``: the
+    integers of :func:`curvature_terms`, the float64 tensor itself in float
+    mode."""
+    n = g.dim
+    c, dc = g.scaled_bracket
+    a, da = conn.scaled_operators, conn.scaled[1]
+    # two products of n**5 multiply-adds each
+    lifted = exact_floats([c, a], lambda tc, ta: curvature_bound(n, dc, da, tc, ta),
+                          2 * n ** 5, n ** 4)
+    c, a = lifted or (c, a)
+    r = curvature_terms(c, dc, a, da, slice(None), slice(None))
+    return (back_to_ints(r) if lifted else r), da * da * dc
 
 
 def curvature_tensor(g: MetricLieAlgebra, conn: InvariantConnection) -> np.ndarray:

@@ -40,6 +40,17 @@ split, so no float error can make an exact answer wrong.
 Code that runs in both modes works on the scaled form of
 :mod:`lcplab.scalars`, where a float array is its own scaled form over
 denominator 1, so it is written once.
+
+Integer products here (the images that :func:`restrict_operator` solves
+for, :func:`restricted_gram`, :func:`closure_front`) go through the
+product kernel of :mod:`lcplab.scalars`, which computes one product in
+float64 when its own 2**53 bound allows. Whole expressions are lifted
+where they are written, each with its bound stated beside it: the
+validation totals, the Levi-Civita tensor and the curvature in
+:mod:`lcplab.liealg`, the flatness tests in :mod:`lcplab.lcp`, the
+commutant loop and the reducing-pair test in :mod:`lcplab.holonomy`.
+The exact zero test of :func:`is_zero_matrix` reads such a lifted
+float64 array as it reads the ints: an entry is zero or it is not.
 """
 from __future__ import annotations
 

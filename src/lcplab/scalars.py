@@ -24,20 +24,32 @@ form runs in either mode. These two helpers, and ``linalg.scale_of``,
 read the mode from the array's dtype; object and integer arrays take
 the exact path.
 
-Products on that form go through one kernel, :func:`int_matmul`, with
-:func:`int_commutator` and :func:`int_tensordot` beside it. On object
-arrays of Python ints whose product bound is below 2**53, they compute in
-float64 through BLAS and convert the answer back to Python ints. If every
-entry of a is at most A in magnitude and every entry of b at most B, each
-entry of the product sums ``inner`` terms of magnitude at most A * B, so
-every term and every partial sum, in any order, is an integer of
-magnitude at most A * B * inner. When that is below 2**53, float64 holds
-each of them exactly, and the answer is exact by the bound, not by a
-test. The bound is checked on the Python ints before any cast. Above it,
-on any entry that is not a Python int, and on products too small for
-the conversion to pay off, the object product runs. Float64 arrays go
-straight to ``@`` and ``np.tensordot``, so float results are the same
-bits either way.
+Integer expressions on that form run in float64 when that is exact, by
+one decision, :func:`exact_floats`. A site that evaluates an expression
+(a product, a whole tensor identity, a curvature) states, once and next
+to the expression, a bound on the magnitude of every entry, term and
+partial sum it forms, from the maxima of its operands, the number of
+terms per entry and its scalar factors. When every operand is an object
+array of Python ints and that bound is below 2**53, every one of those
+values is an integer that float64 holds exactly, in any summation order
+and with or without fused multiply-adds: the answer is exact by the
+bound, not by a test. So the site lifts its operands to float64 once,
+runs the same numpy expression on the copies, and converts the answer to
+Python ints once at the end (:func:`back_to_ints`), or never when only
+a zero test reads it. The bound is checked on the Python ints before any
+cast. Above it, on any entry that is not a Python int, and for
+expressions too small for the conversion to pay off, the expression runs
+on the object arrays themselves. Float64 arrays are never lifted, so
+float results are the same bits either way, and no lifted copy leaves
+the function that made it.
+
+The product kernel, :func:`int_matmul`, with :func:`int_commutator` and
+:func:`int_tensordot` beside it, is that decision for one product: with
+every entry of a at most A and of b at most B in magnitude, each entry of
+the product sums ``inner`` terms of magnitude at most A * B, so its bound
+is A * B * inner. Inside a lifted expression they receive float64
+arrays and are plain ``@`` and ``np.tensordot``; on the object route
+each product still takes the float64 path when its own bound allows.
 
 The readers of a single value, :func:`as_fraction` and
 :func:`finite_float`, live in :mod:`lcplab.base`, which needs no numpy,
@@ -48,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Literal, Optional
+from typing import Any, Callable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -142,53 +154,67 @@ def to_scaled(*arrays: np.ndarray) -> tuple:
     return (*ints, den)
 
 
-# A product of object ints goes through float64 only when that saves
-# time: converting both operands to float64 and the answer back costs a
+# An expression on object ints goes through float64 only when that saves
+# time: converting the operands to float64 and the answer back costs a
 # fixed 10 to 20 us per call and about 4 object multiply-adds per entry
 # converted. So it takes at least KERNEL_MIN_WORK multiply-adds, and at
 # least KERNEL_WORK_PER_ENTRY per entry of the operands and the answer.
-# Measured with entries below 2**8 on numpy 2.4 and OpenBLAS: the
-# crossover of square products lies at 1,000 to 1,700 multiply-adds
-# (n = 10 to 12), of stacks of 5 x 5 matrices near 3,500, and a (29**3, 29)
-# by (29, 1) product, one multiply-add per entry, took 0.11 s in float64
-# against 0.04 s on object ints.
+# Measured on products with entries below 2**8 on numpy 2.4 and OpenBLAS:
+# the crossover of square products lies at 1,000 to 1,700 multiply-adds
+# (n = 10 to 12), of stacks of 5 x 5 matrices near 3,500, and a
+# (29**3, 29) by (29, 1) product, one multiply-add per entry, took 0.11 s
+# in float64 against 0.04 s on object ints.
 KERNEL_MIN_WORK = 2**12
 KERNEL_WORK_PER_ENTRY = 4
 # float64 holds every integer of magnitude below 2**53 exactly
 _FLOAT_EXACT = 2**53
 
 
-def _exact_floats(a: np.ndarray, b: np.ndarray, inner: int,
-                  products: int = 1) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Object arrays a and b as float64 when a sum of ``products`` products
-    of a and b, each with ``inner`` terms per entry, is worth computing in
-    float64 and exact there; else None.
+def exact_floats(arrays: Sequence[np.ndarray], bound: Callable[..., int], work: int,
+                 out: int = 0) -> Optional[list[np.ndarray]]:
+    """Float64 copies of the object arrays ``arrays`` when an integer
+    expression on them is worth computing in float64 and exact there; else
+    None, and the expression runs on the arrays themselves.
 
-    A product takes a.size * b.size / inner multiply-adds, fewer only when
-    both operands are stacks that broadcast. Only Python ints qualify. The
-    bound is checked on the Python ints before any cast: with
-    A = max(1, max|a|) and B = max(1, max|b|),
-    A * B * inner * products < 2**53 puts every entry of both operands,
-    every term and every partial sum of every entry of the answer below
-    2**53 in magnitude, so each is an integer that float64 holds exactly,
-    in any summation order and with or without fused multiply-adds.
+    ``bound`` takes max(1, max|x|) of each array, in order, and returns a
+    bound on the magnitude of every entry, term and partial sum the
+    expression forms; the caller states it next to the expression. The
+    copies are made only when it is below 2**53, checked on the Python ints
+    before any cast: then every one of those values is an integer that
+    float64 holds exactly, in any summation order and with or without fused
+    multiply-adds. ``work`` is the expression's multiply-adds and ``out``
+    the entries of the answer converted back to ints, 0 when only a zero
+    test reads it. Only object arrays of Python ints qualify; an array of
+    any other dtype gives None.
     """
+    if any(a.dtype != object for a in arrays):
+        return None
+    converted = sum(a.size for a in arrays) + out
+    if work < KERNEL_MIN_WORK or work < KERNEL_WORK_PER_ENTRY * converted:
+        return None
+    if not all(_python_ints(a.reshape(-1).tolist()) for a in arrays):
+        return None  # the object route, which keeps every entry's type
+    if bound(*(np.abs(a).max(initial=1) for a in arrays)) >= _FLOAT_EXACT:
+        return None
+    return [a.astype(np.float64) for a in arrays]
+
+
+def _product_floats(a: np.ndarray, b: np.ndarray, inner: int,
+                    products: int = 1) -> Optional[list[np.ndarray]]:
+    """:func:`exact_floats` for a sum of ``products`` products of a and b,
+    each with ``inner`` terms per entry: with A = max(1, max|a|) and
+    B = max(1, max|b|), every term is at most A * B and every partial sum
+    at most A * B * inner * products. A product takes a.size * b.size /
+    inner multiply-adds, fewer only when both operands are stacks that
+    broadcast."""
     if inner == 0:
         return None  # an empty sum: the object product gives its zeros
     size = a.size * b.size // inner  # the multiply-adds of one product
-    work = products * size
-    converted = a.size + b.size + size // inner  # both operands and the answer
-    if work < KERNEL_MIN_WORK or work < KERNEL_WORK_PER_ENTRY * converted:
-        return None
-    if not (_python_ints(a.reshape(-1).tolist()) and _python_ints(b.reshape(-1).tolist())):
-        return None  # the object product, which keeps every entry's type
-    ta, tb = (np.abs(x).max(initial=1) for x in (a, b))  # max(1, max|x|)
-    if ta * tb * inner * products >= _FLOAT_EXACT:
-        return None
-    return a.astype(np.float64), b.astype(np.float64)
+    return exact_floats((a, b), lambda ta, tb: ta * tb * inner * products,
+                        products * size, size // inner)
 
 
-def _back_to_ints(r: Any) -> Any:
+def back_to_ints(r: Any) -> Any:
     """A float64 answer known to hold integers below 2**53, as Python ints."""
     out = np.asarray(r).astype(np.int64).astype(object)
     return out if out.ndim else out[()]
@@ -198,14 +224,14 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> Any:
     """``a @ b``, computed in float64 when that is exact.
 
     For object arrays of Python ints whose product is exact in float64
-    (see :func:`_exact_floats`), the product runs through BLAS and comes
+    (see :func:`_product_floats`), the product runs through BLAS and comes
     back as an object array of Python ints equal to the object product.
     Everything else, float64 arrays included, is ``a @ b`` itself.
     """
     if a.dtype != object or b.dtype != object:
         return a @ b
-    floats = _exact_floats(a, b, a.shape[-1])
-    return a @ b if floats is None else _back_to_ints(floats[0] @ floats[1])
+    floats = _product_floats(a, b, a.shape[-1])
+    return a @ b if floats is None else back_to_ints(floats[0] @ floats[1])
 
 
 def int_commutator(a: np.ndarray, b: np.ndarray) -> Any:
@@ -213,11 +239,11 @@ def int_commutator(a: np.ndarray, b: np.ndarray) -> Any:
     :func:`int_matmul` does, with each operand and the answer converted once."""
     if a.dtype != object or b.dtype != object:
         return a @ b - b @ a
-    floats = _exact_floats(a, b, a.shape[-1], 2)
+    floats = _product_floats(a, b, a.shape[-1], 2)
     if floats is None:
         return a @ b - b @ a
     fa, fb = floats
-    return _back_to_ints(fa @ fb - fb @ fa)
+    return back_to_ints(fa @ fb - fb @ fa)
 
 
 def int_tensordot(a: np.ndarray, b: np.ndarray, axes: Any = 2) -> Any:
@@ -229,10 +255,10 @@ def int_tensordot(a: np.ndarray, b: np.ndarray, axes: Any = 2) -> Any:
         summed = range(a.ndim - axes, a.ndim)
     else:
         summed = [axes[0]] if isinstance(axes[0], int) else axes[0]
-    floats = _exact_floats(a, b, math.prod(a.shape[i] for i in summed))
+    floats = _product_floats(a, b, math.prod(a.shape[i] for i in summed))
     if floats is None:
         return np.tensordot(a, b, axes)
-    return _back_to_ints(np.tensordot(*floats, axes))
+    return back_to_ints(np.tensordot(*floats, axes))
 
 
 def lowest_terms(ints: np.ndarray, den: int) -> tuple[np.ndarray, int]:

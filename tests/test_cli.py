@@ -263,6 +263,30 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 2
         assert "square overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale, code", [(1e77, 1), (1e100, 2), (1e150, 2)])
+    def test_float_bracket_scaled_past_the_commutant_eigendecomposition(
+            self, exported, tmp_path, scale, code):
+        # every bracket coefficient of the float entry times scale, through
+        # the command line, where a numpy warning is no error. At 1e77 the
+        # split is still right (the Lee form, not scaled, fails the
+        # structure: exit 1); from 1e100 the eigendecomposition of the
+        # commutant's start does not converge, and the input is refused
+        data = json.loads((exported / "strongly_irreducible.json").read_text())
+        for b in data["brackets"]:
+            b["coeffs"] = {k: v * scale for k, v in b["coeffs"].items()}
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(data))
+        proc = TestColdImports._python("-m", "lcplab.cli", "analyze", str(path), "--json")
+        assert proc.returncode == code, proc.stderr
+        if code == 2:
+            last = proc.stderr.splitlines()[-1]
+            assert last.startswith("input error: float operators of magnitude ")
+            assert "did not converge" in last and "Traceback" not in proc.stderr
+        else:
+            report = json.loads(proc.stdout)
+            assert report["holonomy_dim"] == 3
+            assert report["de_rham"]["factor_dims"] == [2, 3]
+
     def test_broken_algebra_exits_1(self, tmp_path, capsys):
         path = tmp_path / "nonjacobi.json"
         path.write_text(json.dumps(NON_JACOBI))

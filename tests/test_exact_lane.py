@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from conftest import positive_multiple, subspaces_equal
 
-from lcplab import holonomy, linalg, scalars
+from lcplab import holonomy, lcp, liealg, linalg, scalars
 from lcplab.base import int_charpoly, int_det
 from lcplab.cli import run_analysis
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (common_kernel, de_rham_splitting, holonomy_algebra,
                              reducibility_witness, symmetric_commutant)
-from lcplab.lcp import lcp_data_to_float, lcp_decomposable, validate_lcp, weyl_connection
+from lcplab.lcp import (LcpData, lcp_data_to_float, lcp_decomposable, validate_lcp,
+                        weyl_connection)
 from lcplab.liealg import (LEVI_CIVITA, WEYL, InvariantConnection, curvature_operator,
                            curvature_tensor, direct_sum_algebra, levi_civita,
                            to_float_algebra)
@@ -914,15 +915,15 @@ def test_int_commutator_equals_the_object_products(monkeypatch):
 
 
 def test_kernel_takes_the_float_path_exactly_below_the_bound(monkeypatch):
-    # the float path is the one that calls _back_to_ints; count its calls
+    # the float path is the one that calls back_to_ints; count its calls
     _no_size_cutoff(monkeypatch)
     calls = [0]
-    back = scalars._back_to_ints
+    back = scalars.back_to_ints
 
     def counting_back(r):
         calls[0] += 1
         return back(r)
-    monkeypatch.setattr(scalars, "_back_to_ints", counting_back)
+    monkeypatch.setattr(scalars, "back_to_ints", counting_back)
 
     def float_path(a, b, product):
         calls[0] = 0
@@ -955,12 +956,12 @@ def test_kernel_size_cutoff():
     # small or thin one stays on object ints; both agree with the object product
     rng = random.Random(7)
     big_a, big_b = _ints(rng, (40, 40), 0, 99, True), _ints(rng, (40, 40), 0, 99, True)
-    assert scalars._exact_floats(big_a, big_b, 40) is not None
+    assert scalars._product_floats(big_a, big_b, 40) is not None
     _same_product(int_matmul(big_a, big_b), big_a @ big_b)
     small = big_a[:4, :4]
-    assert scalars._exact_floats(small, small, 4) is None
+    assert scalars._product_floats(small, small, 4) is None
     thin_a, thin_b = _ints(rng, (20**3, 20), 0, 9, True), _ints(rng, (20, 1), 0, 9, True)
-    assert scalars._exact_floats(thin_a, thin_b, 20) is None
+    assert scalars._product_floats(thin_a, thin_b, 20) is None
     _same_product(int_matmul(thin_a, thin_b), thin_a @ thin_b)
 
 
@@ -973,3 +974,199 @@ def test_kernel_leaves_float64_products_alone():
                        np.tensordot(a, a, ([1, 2], [1, 2]))),
                       (int_commutator(a, b), a @ b - b @ a)):
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# whole expressions lifted to float64 under their stated bound
+
+def _edge(bound):
+    """The largest t >= 1 with bound(t) < 2**53, for an increasing bound."""
+    lo, hi = 1, 2**53
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(mid) < 2**53 else (lo, mid)
+    return lo
+
+
+def _small_ints(rng, shape, top):
+    """An object array of Python ints in [-3, 3], with 3 and ``top`` among
+    its entries, so that its largest magnitude is max(3, top)."""
+    flat = [rng.randint(-3, 3) for _ in range(math.prod(shape))]
+    flat[0], flat[-1] = top, 3
+    return np.array(flat + [0], dtype=object)[:-1].reshape(shape)
+
+
+def _metric_algebra(c):
+    """The bracket tensor c of object ints, with the unit Gram matrix and no checks."""
+    n = c.shape[0]
+    return liealg.MetricLieAlgebra(c, np.identity(n, dtype=int).astype(object), EXACT,
+                                   tuple(f"e{i}" for i in range(n)), DEFAULT_TOL)
+
+
+def _jacobi_site(t):
+    n = 6
+    g = _metric_algebra(_small_ints(random.Random(1), (n, n, n), t))
+    return liealg, lambda: liealg._validation_report(g), 3 * n * max(3, t) ** 2
+
+
+def _levi_civita_site(t):
+    # the unit Gram matrix and its inverse have largest entry 1
+    n = 8
+    g = _metric_algebra(_small_ints(random.Random(2), (n, n, n), t))
+    return liealg, lambda: levi_civita(g).scaled, 3 * n * n * max(3, t)
+
+
+def _curvature_site(t):
+    n = 8
+    rng = random.Random(3)
+    g = _metric_algebra(_small_ints(rng, (n, n, n), t))
+    conn = InvariantConnection((_small_ints(rng, (n, n, n), 3), 1), LEVI_CIVITA, EXACT)
+    return (liealg, lambda: liealg.scaled_curvature(g, conn),
+            liealg.curvature_bound(n, 1, 1, max(3, t), 3))
+
+
+def _flatness_site(t):
+    # the flat ideal's basis row carries t; the rest of the bound is that of
+    # the Weyl curvature
+    n = 8
+    rng = random.Random(4)
+    g = _metric_algebra(_small_ints(rng, (n, n, n), 3))
+    theta = _small_ints(rng, (n,), 1)
+    row = _small_ints(rng, (1, n), t)
+    data = LcpData(Subspace(n, row, EXACT), theta)
+    conn = weyl_connection(g, theta)
+    a, da = conn.scaled
+    top_a = max(1, max(abs(x) for x in a.reshape(-1).tolist()))
+    return (lcp, lambda: validate_lcp(g, data),
+            n * max(3, t) * liealg.curvature_bound(n, 1, da, 3, top_a))
+
+
+def _commutant_site(t):
+    # the first working stack, the symmetric basis, has largest entry 1
+    n = 6
+    ops = [_small_ints(random.Random(5), (n, n), t), _small_ints(random.Random(6), (n, n), 2)]
+    gram = np.identity(n, dtype=int).astype(object)
+    return holonomy, lambda: holonomy._commutant(ops, gram, EXACT, DEFAULT_TOL), 2 * n * max(3, t)
+
+
+def _cross_site(t):
+    n, rng = 10, random.Random(7)
+    g = _metric_algebra(_small_ints(rng, (n, n, n), 3))
+    linear, quad = _small_ints(rng, (4, n), t), _small_ints(rng, (4, n), 3)
+    return (holonomy, lambda: holonomy._cross_vanishes(g, linear, quad),
+            2 * n ** 4 * max(3, t) * 3 * 1 * 3 * 3)
+
+
+_LIFT_SITES = {"jacobi": _jacobi_site, "levi_civita": _levi_civita_site,
+               "curvature": _curvature_site, "flatness": _flatness_site,
+               "commutant": _commutant_site, "cross_vanishes": _cross_site}
+
+
+def _plain(x):
+    """Nested lists of arrays and values as plain Python values, with each
+    entry's type kept beside it."""
+    if isinstance(x, np.ndarray):
+        return [(type(v).__name__, v) for v in x.reshape(-1).tolist()], x.shape, str(x.dtype)
+    if isinstance(x, (tuple, list)):
+        return [_plain(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("site", sorted(_LIFT_SITES))
+def test_each_lift_takes_float64_exactly_below_its_bound(site, monkeypatch):
+    # the route each site's first lift decision takes, recorded through its
+    # own module's name for the helper
+    make = _LIFT_SITES[site]
+    edge = _edge(lambda t: make(t)[2])
+    assert 3 < edge
+    for t, lifted in ((edge, True), (edge + 1, False)):
+        module, compute, bound = make(t)
+        assert (bound < 2**53) == lifted
+        routes = []
+
+        def spy(*args, **kwargs):
+            got = scalars.exact_floats(*args, **kwargs)
+            routes.append(got is not None)
+            return got
+        monkeypatch.setattr(module, "exact_floats", spy)
+        got = compute()
+        assert routes[0] == lifted, (site, t)
+        # the same expression on the object arrays themselves
+        monkeypatch.setattr(module, "exact_floats", lambda *args, **kwargs: None)
+        assert _plain(got) == _plain(compute()), (site, t)
+
+
+def _walk_arrays(x, seen=None):
+    """Every numpy array inside x: in tuples, lists, dicts and the fields of dataclasses."""
+    seen = set() if seen is None else seen
+    if id(x) in seen:
+        return
+    seen.add(id(x))
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (tuple, list)):
+        for v in x:
+            yield from _walk_arrays(v, seen)
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _walk_arrays(v, seen)
+    elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+        for f in dataclasses.fields(x):
+            yield from _walk_arrays(getattr(x, f.name), seen)
+
+
+def _is_float_input(x) -> bool:
+    """An argument in float mode: a float64 array, the mode name, or an
+    object (algebra, subspace, split) in that mode."""
+    if isinstance(x, str):
+        return x == "float"
+    if getattr(x, "mode", None) == "float" or getattr(x, "promoted_to_float", False):
+        return True
+    return any(a.dtype == np.float64 for a in _walk_arrays(x))
+
+
+# explicit one-way promotions to float64
+_PROMOTIONS = {"to_float_array", "to_float_algebra", "lcp_data_to_float", "float_array"}
+
+
+def test_no_exact_function_returns_a_float64_array(random_corpus, monkeypatch):
+    import sys
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("lcplab.") and m is not None]
+    public = {}
+    for m in modules:
+        for name, fn in vars(m).items():
+            if (callable(fn) and not name.startswith("_") and not isinstance(fn, type)
+                    and getattr(fn, "__module__", "").startswith("lcplab")
+                    and name not in _PROMOTIONS):
+                public[id(fn)] = (name, fn)
+    leaks, calls = [], [0]
+
+    def wrap(name, fn):
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            inputs = list(args) + list(kwargs.values())
+            if not any(_is_float_input(x) for x in inputs) and not _is_float_input(out):
+                calls[0] += 1
+                leaks.extend(name for a in _walk_arrays(out) if a.dtype == np.float64)
+            return out
+        return recorded
+    wrapped = {key: wrap(name, fn) for key, (name, fn) in public.items()}
+    for m in modules:
+        for name, fn in list(vars(m).items()):
+            if id(fn) in wrapped:
+                monkeypatch.setattr(m, name, wrapped[id(fn)])
+    exact = [e for e in all_entries() if e.algebra.mode == EXACT]
+    cases = [(dataclasses.replace(e.algebra), e.lcp) for e in exact]
+    cases += [(dataclasses.replace(g), None) for g in random_corpus[:30]]
+    for g, data in cases:
+        run_analysis(g, data)
+        conn = g.levi_civita
+        curvature_tensor(g, conn)
+        curvature_operator(g, conn, 0, g.dim - 1)
+        symmetric_commutant(list(holonomy_algebra(g).basis), g.gram, EXACT, g.tol)
+        if data is not None:
+            weyl_connection(g, data.lee_covector)
+    monkeypatch.undo()
+    assert calls[0] > 1000
+    assert not leaks, sorted(set(leaks))

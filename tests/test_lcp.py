@@ -183,6 +183,22 @@ def test_validate_skips_formula_without_complement():
     assert rep.overall
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_validate_marks_a_complement_the_trace_identity_refuses(mode):
+    # span{X + Y, T} is no subalgebra: lee_form_from_splitting refuses it,
+    # and the formula check reads False instead of raising
+    g, data = hyperbolic3_data()
+    bad = make_lcp_data(g, [[1, 0, 0]], [0, 0, 1], [[1, 1, 0], [0, 0, 1]])
+    if mode == FLOAT:
+        g, bad = to_float_algebra(g), lcp_data_to_float(bad)
+    with pytest.raises(InputError):
+        lee_form_from_splitting(g, bad.flat_ideal, bad.complement)
+    rep = validate_lcp(g, bad)
+    assert rep.lee_formula_consistent is False
+    assert rep.failures() == ["lee_formula_consistent"]
+    assert not rep.overall
+
+
 def test_validate_wrong_ideal_fails_parallel_and_flat():
     g = hyperbolic3()
     data = make_lcp_data(g, [[0, 1, 0]], [0, 0, 1])

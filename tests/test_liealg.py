@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lcplab import liealg
+from lcplab.base import leading_minors
 from lcplab.cli import run_analysis
 from lcplab.errors import InputError
 from lcplab.gallery import fundamental_example
@@ -24,8 +26,8 @@ from lcplab.liealg import (
     torsion_defect,
     validate_algebra,
 )
-from lcplab.linalg import is_zero_matrix, make_subspace, residual_band, scale_of
-from lcplab.scalars import EXACT, FLOAT, exact_array
+from lcplab.linalg import exact_det, is_zero_matrix, make_subspace, residual_band, scale_of
+from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array
 
 F = Fraction
 
@@ -142,6 +144,52 @@ def test_validate_reports_indefinite_gram():
 def test_validate_reports_asymmetric_gram():
     g = make_algebra(bracket_table(2, {}), gram=[[1, 1], [0, 1]], check=False)
     assert not validate_algebra(g).gram_symmetric
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("gram, messages", [
+    # a Gram matrix that is not symmetric is not positive definite either
+    ([[1, 1], [0, 1]], ["gram matrix is not symmetric", "gram matrix is not positive definite"]),
+    ([[1, 2], [2, 1]], ["gram matrix is not positive definite"]),
+])
+def test_gram_failures_are_named_and_refused(mode, gram, messages):
+    g = make_algebra(bracket_table(2, {}, mode), gram=gram, mode=mode, check=False)
+    assert validate_algebra(g).failures() == messages
+    with pytest.raises(InputError, match="; ".join(messages)):
+        make_algebra(bracket_table(2, {}, mode), gram=gram, mode=mode)
+
+
+def _minors_by_determinants(gram):
+    """Sylvester's criterion from its definition: one determinant per order."""
+    return all(exact_det(gram[:k, :k]) > 0 for k in range(1, gram.shape[0] + 1))
+
+
+def _spd_gram(rng, n):
+    q = np.array([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                  for _ in range(n)], dtype=object)
+    return q @ q.T + np.identity(n, dtype=int) * F(1, rng.randint(1, 5))
+
+
+def test_positive_definite_minors_agree_with_the_determinants():
+    rng = random.Random(11)
+    grams = [_spd_gram(rng, n) for n in range(1, 7) for _ in range(5)]
+    # a zero leading minor, then negative ones of each order
+    grams.append(exact_array([[0, 1], [1, 2]]))
+    grams.append(exact_array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+    grams.append(exact_array([[-1, 0], [0, 1]]))
+    grams.append(exact_array([[1, 2, 0], [2, 3, 0], [0, 0, 1]]))
+    grams.append(exact_array([["1/2", 0, 0], [0, 1, 0], [0, 0, "-1/3"]]))
+    verdicts = []
+    for gram in grams:
+        want = _minors_by_determinants(gram)
+        assert liealg._is_positive_definite(gram, EXACT, DEFAULT_TOL) == want
+        verdicts.append(want)
+    assert verdicts.count(True) == 30 and verdicts.count(False) == 5
+    # the minors are those of the scaled integer matrix, up to positive
+    # factors, and stop after the first zero one
+    assert list(leading_minors([[0, 1], [1, 2]])) == [0]
+    assert list(leading_minors([[2, 1, 0], [1, 2, 1], [0, 1, 2]])) == [2, 3, 4]
+    assert list(leading_minors([[1, 2, 0], [2, 3, 0], [0, 0, 1]])) == [1, -1, -1]
 
 
 def _bracket_failures_one_test_each(g):
