@@ -47,8 +47,9 @@ nonzero R(e_i, e_j)) and the D_z, in one code path for both lanes:
 
 In exact mode, after (a), a lower bound for the holonomy dimension on
 W, of dimension m, comes from the closure of the restricted seeds under
-the front alone, modulo the prime ``CERTIFICATE_PRIME`` in int64 (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, ch. 5), which lies inside
+the front alone, modulo the prime ``CERTIFICATE_PRIME`` on the blocked
+GF(p) basis of :mod:`lcplab.linalg` (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 5), which lies inside
 the holonomy on W mod p. That holonomy lies in so(W), so a bound of
 m(m-1)/2 proves it is so(W): so(W) acts irreducibly on W for m >= 2 and
 the holonomy kills the flat factor, so W is the one curved factor, and
@@ -81,6 +82,7 @@ from .liealg import (
     to_float_algebra,
 )
 from .linalg import (
+    MODP_PANEL,
     EigenSplit,
     Subspace,
     canonical_rows,
@@ -88,6 +90,7 @@ from .linalg import (
     closure_front,
     full_subspace,
     is_zero_matrix,
+    matmul_mod,
     matrix_rank,
     orthocomplement,
     rank_and_nullspace,
@@ -129,11 +132,12 @@ class OperatorAlgebra:
         return f"OperatorAlgebra(dim={self.dim}, ambient={self.ambient_dim}, mode={self.mode})"
 
 
-# A prime below 2**25 (it is 2**25 - 39). With entries reduced below it, a
-# product of two n x n matrices sums n terms below 2**50 in size. The
-# closure step adds two such products, 2n terms, which int64 holds for
-# n < 2**12.
-CERTIFICATE_PRIME = 33554393
+# The largest prime below 2**20, the bound of the GF(p) engine of
+# :mod:`lcplab.linalg`: residues are below 2**20 and a product of two
+# below 2**40, so a float64 sum of at most 2**13 products is an exact
+# integer below 2**53, and every product there splits a longer sum into
+# chunks of at most 2**13 terms.
+CERTIFICATE_PRIME = 1048573
 
 
 def _closure_inputs(g: MetricLieAlgebra,
@@ -142,11 +146,11 @@ def _closure_inputs(g: MetricLieAlgebra,
     in exact mode as ints: each times its stack's common denominator, a
     positive scale that changes no span, so the closure runs on ints and
     the holonomy basis it keeps is ints as well."""
-    n = g.dim
     sc = scale_of(g.bracket, g.gram)
     curv = scaled_curvature(g, conn)[0]
-    seeds = [curv[i, j] for i in range(n) for j in range(i + 1, n)
-             if not is_zero_matrix(curv[i, j], g.mode, g.tol, scale=sc * sc)]
+    iu, ju = np.triu_indices(g.dim, 1)
+    zero = is_zero_matrix(curv[iu, ju], g.mode, g.tol, scale=sc * sc, axis=(1, 2))
+    seeds = [curv[i, j] for i, j in zip(iu[~zero], ju[~zero])]
     return seeds, conn.scaled_operators
 
 
@@ -184,20 +188,37 @@ def _holonomy_dim_mod_p(gram: np.ndarray, seeds: Sequence[np.ndarray],
     :func:`linalg.closure_front` alone therefore lies inside V mod p, and
     its dimension is at most dim V; an unlucky prime or an unlucky front
     only makes it smaller.
+
+    The residues are int64 and every product is a float64 one under the
+    bound of :func:`linalg.matmul_mod`: G times a slab of seeds side by
+    side, and s a for a slab of rows and both operators of the front
+    side by side.
     """
+    if not len(seeds):
+        return 0
     m = gram.shape[0]
     p = CERTIFICATE_PRIME
     iu, ju = np.triu_indices(m, 1)
     gram = (gram % p).astype(np.int64)
     front = closure_front((nabla % p).astype(np.int64)) % p
 
-    def images(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
-        s = np.zeros((m, m), dtype=np.int64)
-        s[iu, ju] = u
-        s[ju, iu] = -u
-        return ((stack.transpose(0, 2, 1) @ s + s @ stack) % p)[:, iu, ju]
-    upper = [((gram @ (r % p).astype(np.int64)) % p)[iu, ju] for r in seeds]
-    return closure_dim_mod_p(upper, front, images, p)
+    def upper(slab: np.ndarray) -> np.ndarray:
+        # the strict upper triangles of G h for the seeds h of a slab
+        h = (np.asarray(slab, dtype=object) % p).astype(np.int64)
+        gh = matmul_mod(gram, h.transpose(1, 0, 2).reshape(m, -1), p)
+        return gh.reshape(m, len(slab), m).transpose(1, 0, 2)[:, iu, ju]
+
+    def images(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # a^T s + s a = t - t^T for t = s a, as s is skew
+        s = np.zeros((len(rows), m, m), dtype=np.int64)
+        s[:, iu, ju] = rows
+        s[:, ju, iu] = -rows
+        t = matmul_mod(s.reshape(-1, m), stack.transpose(1, 0, 2).reshape(m, -1), p)
+        t = t.reshape(len(rows), m, len(stack), m).transpose(2, 0, 1, 3)
+        return ((t[:, :, iu, ju] - t[:, :, ju, iu]) % p).reshape(-1, len(iu))
+    # MODP_PANEL seeds at a time, which bounds the memory of their products
+    rows = [upper(seeds[s:s + MODP_PANEL]) for s in range(0, len(seeds), MODP_PANEL)]
+    return closure_dim_mod_p(np.concatenate(rows), front, images, p)
 
 
 def _so_basis(w: Subspace, gram: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -621,13 +642,9 @@ def _factor_holonomy(g: MetricLieAlgebra, factor: Subspace, local: np.ndarray,
     acts on the algebra as B^T M (B G B^T)^-1 B G, for the factor basis B.
     """
     m = factor.dim
-    parts = []
-    for stack in (local[:num_seeds], local[num_seeds:]):
-        sc = scale_of(stack)
-        parts.append([a for a in stack if not is_zero_matrix(a, g.mode, g.tol, scale=sc)])
-    fseeds, fnabla = parts
-    fnabla = np.stack(fnabla) if fnabla else local[:0]
-    kept = span_closure(fseeds, fnabla, int_commutator, g.mode, g.tol, m * (m - 1) // 2)
+    fseeds, fnabla = (stack[~is_zero_matrix(stack, g.mode, g.tol, scale_of(stack), axis=(1, 2))]
+                      for stack in (local[:num_seeds], local[num_seeds:]))
+    kept = span_closure(list(fseeds), fnabla, int_commutator, g.mode, g.tol, m * (m - 1) // 2)
     if not kept:
         return []
     b, gram, _ = to_scaled(factor.basis, g.gram)

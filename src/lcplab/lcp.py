@@ -282,11 +282,11 @@ def _touched_factor_indices(splitting: DeRhamSplitting, rows: np.ndarray,
     if solved is None:
         raise TheoremViolationError("structure data does not lie in the factor span")
     coords = solved[0]  # a zero test ignores the common denominator
-    # one block of coordinates per factor, one row per input row
-    blocks = np.split(coords.T, np.cumsum(splitting.factor_dims)[:-1], axis=1)
-    sc = scale_of(coords)
-    return tuple(i for i, b in enumerate(blocks)
-                 if not is_zero_matrix(b, g.mode, g.tol, scale=sc))
+    # one row of coordinates per factor basis vector, one column per input
+    # row; a factor is untouched when each of its rows is zero
+    zero = is_zero_matrix(coords, g.mode, g.tol, scale_of(coords), axis=1)
+    starts = np.cumsum((0,) + splitting.factor_dims[:-1])
+    return tuple(np.flatnonzero(~np.logical_and.reduceat(zero, starts)).tolist())
 
 
 def lcp_decomposable(g: MetricLieAlgebra, data: LcpData, *, splitting: DeRhamSplitting,

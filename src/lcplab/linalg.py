@@ -19,13 +19,17 @@ wide; residual and identity checks use a 10 * rank_tol band relative to
 the data scale, :func:`scale_of`, which is 1 on exact arrays: their zero
 tests ignore the scale. A float span closure keeps its orthonormal basis
 as one matrix and projects each candidate against all of it at once.
-One closure loop, :func:`_close`, serves the exact store, the float one
-and one over GF(p) on int64 vectors, for a dimension alone
-(:func:`closure_dim_mod_p`). It takes operator stacks and a map, and
-expands every kept matrix under each stack its caller lists, in turn:
-:func:`span_closure` lists the :func:`closure_front` of its operators,
-then the operators, when it has a cap, and the operators alone without
-one; it tests the images of one kept matrix before it expands the next.
+One closure loop, :func:`_close`, serves the exact store and the float
+one. It takes operator stacks and a map, and expands every kept matrix
+under each stack its caller lists, in turn: :func:`span_closure` lists
+the :func:`closure_front` of its operators, then the operators, when it
+has a cap, and the operators alone without one; it tests the images of
+one kept matrix before it expands the next. A dimension over GF(p)
+alone (:func:`closure_dim_mod_p`) runs by generations on one blocked
+basis, :class:`_ModpBasis`: int64 residues, float64 products under one
+2**53 bound (:func:`matmul_mod`), and elimination in panels of rows
+with reduction mod p delayed (Dumas, Giorgi and Pernet, FFLAS-FFPACK,
+ACM TOMS 34, 2008).
 :func:`restrict_operator` takes a whole stack of operators and solves
 for all their images at once; it is the one test of whether operators
 preserve a subspace.
@@ -442,7 +446,7 @@ def support_indices(rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# span closures, on the exact store above, a float one or one over GF(p)
+# span closures, on the exact store above, a float one or a GF(p) basis
 
 
 class _FloatOrtho:
@@ -493,43 +497,124 @@ class _FloatOrtho:
         return self.q.shape[0]
 
 
-class _ModpEchelon:
-    """Reduced echelon rows over GF(p), stored by their free columns.
+# GF(p) elimination runs on int64 residues and float64 products. A prime
+# below MODP_LIMIT = 2**20 keeps every residue below 2**20 and every
+# product of two below 2**40; a float64 sum of terms of magnitude at most
+# (p - 1)**2 is an exact integer while (p - 1)**2 * terms < 2**53 (see
+# :func:`modp_terms`: 2**13 terms for the largest such prime), in any
+# order and with or without fused multiply-adds. Every product splits a
+# longer inner length into chunks of that many terms.
+MODP_LIMIT = 2**20
+# rows eliminated together, with reduction mod p delayed until a row or a
+# column is read: entries stay below MODP_PANEL * 2**40 + 2**20 in int64
+MODP_PANEL = 64
 
-    Entries stay in [0, p). Each row is 1 at its own pivot column and 0 at
-    every other row's, so only the other, free columns are kept: one int64
-    matrix with a row per free column and a column per echelon row. A
-    vector's residual is then 0 at every pivot, and on the free columns it
-    is one product with that matrix. Each term of the product is below
-    p**2; the echelon rows are taken in chunks small enough that a chunk's
-    sum fits in int64.
+
+def _check_prime(p: int) -> None:
+    if not 2 <= p < MODP_LIMIT:
+        raise InputError(f"GF(p) elimination takes primes below 2**20, not {p}")
+
+
+def modp_terms(p: int) -> int:
+    """The most products of two residues mod p, each of magnitude at most
+    (p - 1)**2, that one float64 sum adds exactly: the largest count with
+    (p - 1)**2 * terms < 2**53. A prime of 2**20 or more is refused."""
+    _check_prime(p)
+    return (2**53 - 1) // (p - 1) ** 2
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int, c: Any = 0) -> np.ndarray:
+    """(c + a @ b) mod p, entries in [0, p), for 2-d int64 arrays a and b
+    with entries of magnitude below p and c, an int64 array or a scalar,
+    in [0, p): one float64 product per chunk of at most :func:`modp_terms`
+    terms of the inner length, each exact, added to c in int64 and
+    reduced there."""
+    af, bf, step = a.astype(np.float64), b.astype(np.float64), modp_terms(p)
+    for s in range(0, max(1, a.shape[1]), step):
+        part = (af[:, s:s + step] @ bf[s:s + step]).astype(np.int64)
+        part += c
+        c = np.remainder(part, p, out=part)
+    return c
+
+
+def _eliminate(panel: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced echelon rows over GF(p) of a panel of at most
+    ``MODP_PANEL`` int64 rows, and their pivot columns.
+
+    Gauss-Jordan elimination, one row at a time, with reduction mod p
+    delayed until a row or a column is read: a row is reduced when it
+    becomes the next pivot row, a column when it gives the multipliers.
+    Each update subtracts a product of two residues, below 2**40 in size,
+    from an entry at most once per pivot, and a pivot row is zero left of
+    its pivot, so only the columns from it on are updated.
+    """
+    c = panel.copy()
+    kept: list[int] = []
+    pivots: list[int] = []
+    for i in range(len(c)):
+        row = c[i] % p
+        nonzero = row.nonzero()[0]
+        if not len(nonzero):
+            continue
+        f = int(nonzero[0])
+        row = row * pow(int(row[f]), -1, p) % p
+        c[i] = row
+        mult = c[:, f] % p
+        mult[i] = 0
+        c[:, f:] -= mult[:, None] * row[None, f:]
+        kept.append(i)
+        pivots.append(f)
+    return c[kept] % p, np.array(pivots, dtype=np.intp)
+
+
+class _ModpBasis:
+    """Reduced echelon rows over GF(p), kept by their free columns and
+    grown by panels of rows.
+
+    Each row is 1 at its own pivot column and 0 at every other row's, so
+    only the other, free columns are kept: one int64 matrix ``cols`` with
+    a row per echelon row and a column per free column, entries in [0, p).
+    A vector minus its entries at the pivots times the rows is then zero
+    at every pivot, and on the free columns it is one :func:`matmul_mod`.
+    Every cost scales with the free columns, which shrink as the span
+    fills the width.
     """
 
     def __init__(self, width: int, p: int):
+        _check_prime(p)
         self.p = p
-        self.chunk = max(1, 2 ** 62 // (p * p))
+        self.width = width
+        self.pivots = np.zeros(0, dtype=np.intp)
         self.free = np.arange(width)
-        self.pivots = np.empty(0, dtype=np.intp)
-        self.cols = np.empty((width, 0), dtype=np.int64)
+        self.cols = np.zeros((0, width), dtype=np.int64)
 
-    def insert(self, vec: np.ndarray) -> bool:
-        """Add an int64 vector with entries in [0, p); False if already spanned."""
-        p, c = self.p, self.chunk
-        head = vec[self.pivots]
-        r = vec[self.free]
-        for s in range(0, len(self.pivots), c):
-            r = (r - self.cols[:, s:s + c] @ head[s:s + c]) % p
-        nonzero = np.flatnonzero(r)
-        if nonzero.size == 0:
-            return False
-        f = int(nonzero[0])
-        r = r * pow(int(r[f]), -1, p) % p
-        # clear the new pivot column from the stored rows, then drop it
-        cols = (self.cols - np.outer(r, self.cols[f])) % p
-        self.cols = np.delete(np.column_stack([cols, r]), f, axis=0)
-        self.pivots = np.append(self.pivots, self.free[f])
-        self.free = np.delete(self.free, f)
-        return True
+    def add(self, block: np.ndarray) -> np.ndarray:
+        """Add the rows of an int64 block with entries in [0, p); returns
+        new rows, full width, that span the new span modulo the old one.
+
+        The block goes in by panels of ``MODP_PANEL`` rows. A panel is
+        reduced against every stored row in one product, which leaves its
+        free columns, and eliminated (:func:`_eliminate`). Its new rows
+        then clear their pivot columns from the stored rows in one product,
+        join them, and those columns stop being free.
+        """
+        p, new = self.p, []
+        for s in range(0, len(block), MODP_PANEL):
+            panel = block[s:s + MODP_PANEL]
+            panel = matmul_mod(-panel[:, self.pivots], self.cols, p, panel[:, self.free])
+            rows, piv = _eliminate(panel, p)
+            if not len(rows):
+                continue
+            full = np.zeros((len(rows), self.width), dtype=np.int64)
+            full[:, self.free] = rows
+            new.append(full)
+            keep = np.ones(len(self.free), dtype=bool)
+            keep[piv] = False
+            cols = matmul_mod(-self.cols[:, piv], rows, p, self.cols)
+            self.cols = np.concatenate([cols, rows])[:, keep]
+            self.pivots = np.concatenate([self.pivots, self.free[piv]])
+            self.free = self.free[keep]
+        return np.concatenate(new) if new else block[:0]
 
     @property
     def dim(self) -> int:
@@ -619,22 +704,43 @@ def span_closure(seed: Sequence[np.ndarray], ops: np.ndarray,
     return _close(store, seed, stacks, apply, max_dim)
 
 
-def closure_dim_mod_p(seed: Sequence[np.ndarray], ops: np.ndarray,
+def closure_dim_mod_p(seed: np.ndarray, ops: np.ndarray,
                       apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       p: int) -> int:
-    """Dimension over GF(p) of the span closure of ``seed`` under
-    m -> ``apply(ops, m)``; 0 for no seed.
+    """Dimension over GF(p) of the smallest span that holds the rows of
+    ``seed`` and is closed under rows -> ``apply(ops, rows)``; 0 for no
+    seed. ``p`` is a prime below ``MODP_LIMIT``; a larger one is refused.
 
-    The matrices are int64 with entries in [0, p), and ``apply`` must
-    return them reduced the same way. The search stops once the span fills
-    the whole matrix space. It expands under ``ops`` alone: a caller that
-    wants only a lower bound may pass the :func:`closure_front` of its
-    operators.
+    ``seed`` is an int64 block, one vector per row, with entries in
+    [0, p), and ``apply`` maps such a block to a block of the images of
+    its rows, reduced the same way. The closure runs by generations on one
+    :class:`_ModpBasis`: the seeds go in as one block, whose new rows N_0
+    are a basis of V_0 = span(seed); then, while a generation brings new
+    rows and the span is short of the whole space, the images of the last
+    new rows N_i go in, those of ``MODP_PANEL`` rows at a time, and
+    V_(i+1) = V_i + span(images of N_i). That is the closure. Each V_i
+    lies in it. The N_j, j <= i, span V_i, and the images of N_j lie in
+    V_(j+1), so every image of V_i lies in V_i + span(images of N_i),
+    whichever basis of V_i modulo V_(i-1) the N_i are; so when a
+    generation adds nothing, V_i is closed, and it holds the seed. A span
+    that fills the width is the whole space. The closure runs under
+    ``ops`` alone: a caller that wants only a lower bound may pass the
+    :func:`closure_front` of its operators.
     """
-    width = seed[0].size if seed else 0
-    store = _ModpEchelon(width, p)
-    _close(store, seed, [ops], apply, width)
-    return store.dim
+    if len(seed) == 0:
+        return 0
+    width = seed.shape[1]
+    basis = _ModpBasis(width, p)
+    new = basis.add(seed)
+    while len(new) and basis.dim < width:
+        found = []
+        # a panel's images at a time, which bounds the memory of their products
+        for s in range(0, len(new), MODP_PANEL):
+            found.append(basis.add(apply(ops, new[s:s + MODP_PANEL])))
+            if basis.dim == width:
+                break
+        new = np.concatenate(found)
+    return basis.dim
 
 
 # ---------------------------------------------------------------------------

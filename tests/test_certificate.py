@@ -15,8 +15,9 @@ import pytest
 
 from conftest import subspaces_equal
 
-from lcplab import holonomy
+from lcplab import holonomy, linalg
 from lcplab.cli import run_analysis
+from lcplab.errors import InputError
 from lcplab.gallery import all_entries, fundamental_example, product_example, sl_example
 from lcplab.holonomy import de_rham_splitting, holonomy_algebra
 from lcplab.liealg import bracket_table, levi_civita, make_algebra, to_float_algebra
@@ -154,8 +155,8 @@ def test_unlucky_prime_on_the_curved_block_gives_the_same_split(prime, monkeypat
 
 
 def _images_mod(p):
-    # v -> a v mod p for each a of a stack
-    return lambda ops, v: (ops @ v) % p
+    # a block of rows v -> the block of a v mod p for each a of a stack
+    return lambda ops, rows: (rows @ ops.transpose(0, 2, 1)).reshape(-1, rows.shape[1]) % p
 
 
 # no operator, and the one that swaps the two coordinates
@@ -166,12 +167,12 @@ SWAP = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
 def test_modular_closure_dim_is_rank_mod_p():
     # rows (1, 1) and (1, 3) are independent over Q and mod 3, not mod 2
     def seed(p):
-        return [np.array(v, dtype=np.int64) % p for v in ([1, 1], [1, 1], [1, 3])]
+        return np.array([[1, 1], [1, 1], [1, 3]], dtype=np.int64) % p
     assert closure_dim_mod_p(seed(2), NONE, _images_mod(2), 2) == 1
     assert closure_dim_mod_p(seed(3), NONE, _images_mod(3), 3) == 2
     # the step adds the swapped vector: (1, 2) -> (2, 1) spans GF(5)^2 with it
-    assert closure_dim_mod_p([np.array([1, 2], dtype=np.int64)], SWAP, _images_mod(5), 5) == 2
-    assert closure_dim_mod_p([np.array([1, 1], dtype=np.int64)], SWAP, _images_mod(5), 5) == 1
+    assert closure_dim_mod_p(np.array([[1, 2]], dtype=np.int64), SWAP, _images_mod(5), 5) == 2
+    assert closure_dim_mod_p(np.array([[1, 1]], dtype=np.int64), SWAP, _images_mod(5), 5) == 1
 
 
 def _rank_mod_p(rows, p):
@@ -193,16 +194,65 @@ def _rank_mod_p(rows, p):
     return rank
 
 
-@pytest.mark.parametrize("p", [3, 33554393, 2 ** 31 - 1])
+def _mixed_rows(p, count, rank, width, rng):
+    # count rows mod p that span a space of dimension at most rank
+    basis = rng.integers(0, p, size=(rank, width), dtype=np.int64).astype(object)
+    mix = rng.integers(0, p, size=(count, rank), dtype=np.int64).astype(object)
+    return np.array((mix @ basis) % p, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, holonomy.CERTIFICATE_PRIME])
 def test_modular_rank_matches_reference(p):
-    # 2**31 - 1 leaves room for one product term per int64 sum, so the
-    # stored rows are taken one at a time
+    # blocks wider and taller than one panel of MODP_PANEL rows, added to a
+    # basis in two calls, so that the second is reduced against stored rows
     rng = np.random.default_rng(p)
-    for _ in range(5):
-        basis = rng.integers(0, p, size=(6, 12), dtype=np.int64)
-        mix = rng.integers(0, 3, size=(14, 6), dtype=np.int64)
-        vecs = [np.array([int(x) % p for x in row], dtype=np.int64)
-                for row in mix.astype(object) @ basis.astype(object)]
-        assert closure_dim_mod_p(vecs, np.zeros((0, 12, 12), dtype=np.int64), _images_mod(p),
-                                 p) == _rank_mod_p(
-            [v.tolist() for v in vecs], p)
+    for count, rank, width in [(14, 6, 12), (150, 70, 90), (200, 90, 90)]:
+        vecs = _mixed_rows(p, count, rank, width, rng)
+        want = _rank_mod_p(vecs.tolist(), p)
+        ops = np.zeros((0, width, width), dtype=np.int64)
+        assert closure_dim_mod_p(vecs, ops, _images_mod(p), p) == want
+        basis = linalg._ModpBasis(width, p)
+        new = basis.add(vecs[:count // 3])
+        new2 = basis.add(vecs[count // 3:])
+        assert basis.dim == len(new) + len(new2) == want
+        # the stored rows, 1 at their own pivot and 0 at the others', span
+        # the new rows, and every input row reduces to zero against them
+        rows = np.zeros((want, width), dtype=np.int64)
+        rows[:, basis.pivots] = np.identity(want, dtype=np.int64)
+        rows[:, basis.free] = basis.cols
+        assert basis.cols.min(initial=0) >= 0 and basis.cols.max(initial=0) < p
+        for v in (vecs, new, new2):
+            left = (v - v[:, basis.pivots].astype(object) @ rows.astype(object)) % p
+            assert not left.any()
+
+
+def test_modular_arithmetic_refuses_primes_past_its_bound():
+    # 2**20 and up, such as the smallest prime above it or 2**31 - 1, could
+    # overflow a float64 sum or the int64 panel silently; they are refused
+    block = np.ones((1, 2), dtype=np.int64)
+    for p in (1048583, 2**31 - 1):
+        with pytest.raises(InputError, match="below 2\\*\\*20"):
+            closure_dim_mod_p(block, NONE, _images_mod(p), p)
+        with pytest.raises(InputError):
+            linalg.matmul_mod(block, block.T, p)
+
+
+def test_float64_products_are_exact_up_to_the_bound():
+    # the certificate prime is the largest below 2**20, and one float64 sum
+    # takes 2**13 products of residues: just below 2**53, and one more is past it
+    p = holonomy.CERTIFICATE_PRIME
+    assert all(p % d for d in range(2, 1025))
+    assert all(any(q % d == 0 for d in range(2, 1025)) for q in range(p + 1, 2**20))
+    terms = linalg.modp_terms(p)
+    assert terms == 2**13
+    assert (p - 1) ** 2 * terms < 2**53 <= (p - 1) ** 2 * (terms + 1)
+    # odd products: a float64 sum past 2**53 cannot hold their odd total
+    for count in (terms, terms + 1, 3 * terms + 5):
+        a = np.full((1, count), p - 2, dtype=np.int64)
+        exact = count * (p - 2) ** 2
+        if count > terms:
+            assert int((a.astype(np.float64) @ a.T.astype(np.float64))[0, 0]) != exact
+        assert linalg.matmul_mod(a, a.T, p).tolist() == [[exact % p]]
+        # and subtracted from residues, as the basis reduces a block
+        c = np.array([[5]], dtype=np.int64)
+        assert linalg.matmul_mod(-a, a.T, p, c).tolist() == [[(5 - exact) % p]]

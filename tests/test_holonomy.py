@@ -884,11 +884,18 @@ def test_complex_hyperbolic_closures_fall_back_below_the_cap(m, monkeypatch):
         def counted(stack, mat):
             k = next(i for i, s in enumerate(stacks) if s is stack)
             expanded.setdefault(type(store).__name__, set()).add((k, len(stacks)))
-            if type(store) is linalg._ModpEchelon:
-                assert len(stack) == len(linalg.CLOSURE_FRONT)
             return apply(stack, mat)
         return real(store, seed, stacks, counted, max_dim)
     monkeypatch.setattr(linalg, "_close", recording)
+    real_modp = holonomy.closure_dim_mod_p
+
+    def recording_modp(seed, ops, apply, p):
+        def counted(stack, rows):
+            assert stack is ops and len(stack) == len(linalg.CLOSURE_FRONT)
+            expanded.setdefault("mod p", set()).add((0, 1))
+            return apply(stack, rows)
+        return real_modp(seed, ops, counted, p)
+    monkeypatch.setattr(holonomy, "closure_dim_mod_p", recording_modp)
     g = complex_hyperbolic(m)
     hols = {}
     for h in (g, to_float_algebra(g)):
@@ -900,7 +907,7 @@ def test_complex_hyperbolic_closures_fall_back_below_the_cap(m, monkeypatch):
     seeds, nabla = holonomy._closure_inputs(g, g.levi_civita)
     assert holonomy._holonomy_dim_mod_p(to_scaled(g.gram)[0], seeds, nabla) == m * m
     assert expanded == {"_ExactEchelon": {(0, 2), (1, 2)}, "_FloatOrtho": {(0, 2), (1, 2)},
-                        "_ModpEchelon": {(0, 1)}}
+                        "mod p": {(0, 1)}}
     # with the front bypassed every exact and float closure spans the same
     monkeypatch.setattr(linalg, "CLOSURE_FRONT", ())
     for h in (g, to_float_algebra(g)):
