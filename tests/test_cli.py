@@ -207,6 +207,22 @@ class TestExitCodes:
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # a UTF-16 byte order mark is no UTF-8
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["analyze", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_aliased_coefficient_keys_exit_2(self, exported, tmp_path, capsys):
+        # "00" names index 0 as "0" does; neither value may be dropped
+        data = json.loads((exported / "fundamental.json").read_text())
+        data["brackets"][0]["coeffs"] = {"0": "-1/1", "00": "5/1"}
+        path = tmp_path / "aliased.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_boolean_dim_exits_2(self, tmp_path, capsys):
         path = tmp_path / "booldim.json"
         path.write_text(json.dumps({"dim": True, "mode": "exact",

@@ -172,6 +172,21 @@ class TestParseErrors:
         with pytest.raises(InputError, match=r"brackets\[0\].*'x'"):
             dict_to_algebra(d)
 
+    @pytest.mark.parametrize("key", ["00", "01", "+1", "-0", " 1", "1 ", "0_1", "\u0661"])
+    def test_coefficient_key_not_canonical(self, key):
+        # int() reads each of these as an index, so "00" would alias "0"
+        # and one coefficient would be dropped without an error
+        d = _base_dict()
+        d["brackets"][0]["coeffs"][key] = "1/1"
+        with pytest.raises(InputError, match=r"brackets\[0\].*not a canonical index"):
+            dict_to_algebra(d)
+
+    def test_aliased_coefficient_keys_are_not_merged(self):
+        d = _base_dict()
+        d["brackets"][0]["coeffs"] = {"0": "-1", "00": "5"}
+        with pytest.raises(InputError, match="'00'"):
+            dict_to_algebra(d)
+
     def test_float_scalar_rejected_in_exact_mode(self):
         d = _base_dict()
         key = next(iter(d["brackets"][0]["coeffs"]))
@@ -258,6 +273,13 @@ def test_malformed_json_reports_location(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dim": 3,\n  "mode": oops}\n')
     with pytest.raises(InputError, match="line 2, column"):
+        load_algebra_file(str(path))
+
+
+def test_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(InputError, match="not UTF-8"):
         load_algebra_file(str(path))
 
 
