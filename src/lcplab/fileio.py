@@ -124,6 +124,10 @@ def dict_to_algebra(data: dict, tol: TolerancePolicy = DEFAULT_TOL,
             except ValueError:
                 raise InputError(f"{where}: coefficient key {ks!r} is not an "
                                  "integer") from None
+            # int() also reads "00", "+1" and "0_1": two keys could name one index
+            if ks != str(k):
+                raise InputError(f"{where}: coefficient key {ks!r} is not a "
+                                 "canonical index")
             if not 0 <= k < dim:
                 raise InputError(f"{where}: coefficient index {k} out of range")
             try:
@@ -197,6 +201,8 @@ def load_algebra_file(path: str, tol: TolerancePolicy = DEFAULT_TOL,
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from None
