@@ -124,10 +124,8 @@ def dict_to_algebra(data: dict, tol: TolerancePolicy = DEFAULT_TOL,
             except ValueError:
                 raise InputError(f"{where}: coefficient key {ks!r} is not an "
                                  "integer") from None
-            # int() also reads "00", "+1" and "0_1": two keys could name one index
-            if ks != str(k):
-                raise InputError(f"{where}: coefficient key {ks!r} is not a "
-                                 "canonical index")
+            if ks != str(k):  # int() also reads "00", "+1" and "0_1" as indices
+                raise InputError(f"{where}: coefficient key {ks!r} is not a canonical index")
             if not 0 <= k < dim:
                 raise InputError(f"{where}: coefficient index {k} out of range")
             try:

@@ -209,12 +209,12 @@ def _holonomy_dim_mod_p(gram: np.ndarray, seeds: Sequence[np.ndarray],
         return gh.reshape(m, len(slab), m).transpose(1, 0, 2)[:, iu, ju]
 
     def images(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # a^T s + s a = t - t^T for t = s a, as s is skew
+        # a^T s + s a = t - t^T for t = s a, as s is skew; row-major
         s = np.zeros((len(rows), m, m), dtype=np.int64)
         s[:, iu, ju] = rows
         s[:, ju, iu] = -rows
         t = matmul_mod(s.reshape(-1, m), stack.transpose(1, 0, 2).reshape(m, -1), p)
-        t = t.reshape(len(rows), m, len(stack), m).transpose(2, 0, 1, 3)
+        t = t.reshape(len(rows), m, len(stack), m).transpose(0, 2, 1, 3)
         return ((t[:, :, iu, ju] - t[:, :, ju, iu]) % p).reshape(-1, len(iu))
     # MODP_PANEL seeds at a time, which bounds the memory of their products
     rows = [upper(seeds[s:s + MODP_PANEL]) for s in range(0, len(seeds), MODP_PANEL)]

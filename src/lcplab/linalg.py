@@ -19,17 +19,15 @@ wide; residual and identity checks use a 10 * rank_tol band relative to
 the data scale, :func:`scale_of`, which is 1 on exact arrays: their zero
 tests ignore the scale. A float span closure keeps its orthonormal basis
 as one matrix and projects each candidate against all of it at once.
-One closure loop, :func:`_close`, serves the exact store and the float
-one. It takes operator stacks and a map, and expands every kept matrix
-under each stack its caller lists, in turn: :func:`span_closure` lists
-the :func:`closure_front` of its operators, then the operators, when it
-has a cap, and the operators alone without one; it tests the images of
-one kept matrix before it expands the next. A dimension over GF(p)
-alone (:func:`closure_dim_mod_p`) runs by generations on one blocked
-basis, :class:`_ModpBasis`: int64 residues, float64 products under one
-2**53 bound (:func:`matmul_mod`), and elimination in panels of rows
-with reduction mod p delayed (Dumas, Giorgi and Pernet, FFLAS-FFPACK,
-ACM TOMS 34, 2008).
+One closure loop, :func:`_closure`, runs by generations in three stores,
+each of which takes a block of rows and returns those it kept: the exact
+echelon store, the float one and a basis over GF(p), :class:`_ModpBasis`
+(int64 residues, float64 products under one 2**53 bound,
+:func:`matmul_mod`, and elimination in panels of rows with reduction
+mod p delayed; Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 34,
+2008). :func:`span_closure` closes under the :func:`closure_front` of its
+operators, then the operators, when it has a cap, and under the
+operators alone without one; :func:`closure_dim_mod_p` under its own.
 :func:`restrict_operator` takes a whole stack of operators and solves
 for all their images at once; it is the one test of whether operators
 preserve a subspace.
@@ -150,7 +148,7 @@ class _ExactEchelon:
     which is unique, so the order the rows come in changes only the cost.
     Built from a whole matrix, the store scales its rows to ints in blocks
     that double in size, each over its own denominator, which changes no
-    span, and stops at full rank. A vector inserted alone must be ints.
+    span, and stops at full rank. A block inserted later must be ints.
     """
 
     def __init__(self, a: Optional[np.ndarray] = None):
@@ -165,9 +163,9 @@ class _ExactEchelon:
                 self.add(v)
             start, size = start + size, 2 * size
 
-    def insert(self, vec: np.ndarray) -> bool:
-        """Add an integer vector; False if already spanned."""
-        return self.add(vec.tolist())
+    def insert(self, block: np.ndarray) -> np.ndarray:
+        """Add the rows of an integer block in turn; returns those that were new."""
+        return block[[self.add(v) for v in block.tolist()]]
 
     def add(self, v: list[int]) -> bool:
         """Add a row of ints; False if already spanned."""
@@ -473,8 +471,11 @@ class _FloatOrtho:
         self.tol = tol
         self.q = np.empty((0, width))
 
-    def insert(self, vec: np.ndarray) -> bool:
-        v = np.asarray(vec, dtype=np.float64)
+    def insert(self, block: np.ndarray) -> np.ndarray:
+        """Test the rows of a block in turn; returns those kept, as they came."""
+        return block[[self.add(v) for v in np.asarray(block, dtype=np.float64)]]
+
+    def add(self, v: np.ndarray) -> bool:
         norm0 = float(np.linalg.norm(v))
         if norm0 == 0.0:
             return False
@@ -506,7 +507,8 @@ class _FloatOrtho:
 # longer inner length into chunks of that many terms.
 MODP_LIMIT = 2**20
 # rows eliminated together, with reduction mod p delayed until a row or a
-# column is read: entries stay below MODP_PANEL * 2**40 + 2**20 in int64
+# column is read: entries stay below MODP_PANEL * 2**40 + 2**20 in int64.
+# Also the most images that one call of a closure's map makes (:func:`_closure`)
 MODP_PANEL = 64
 
 
@@ -588,7 +590,7 @@ class _ModpBasis:
         self.free = np.arange(width)
         self.cols = np.zeros((0, width), dtype=np.int64)
 
-    def add(self, block: np.ndarray) -> np.ndarray:
+    def insert(self, block: np.ndarray) -> np.ndarray:
         """Add the rows of an int64 block with entries in [0, p); returns
         new rows, full width, that span the new span modulo the old one.
 
@@ -639,42 +641,50 @@ def closure_front(ops: np.ndarray) -> np.ndarray:
     return int_matmul(coeffs, ops.reshape(k, width)).reshape(-1, *ops.shape[1:])
 
 
-def _close(store, seed: Sequence[np.ndarray], stacks: Sequence[np.ndarray],
-           apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
-           max_dim: Optional[int]) -> list[np.ndarray]:
-    """Insert ``seed``, then images of the kept matrices, into ``store``
-    until nothing new turns up or the span reaches ``max_dim``; returns
-    the kept matrices.
+def _closure(store, seed: np.ndarray, stacks: Sequence[np.ndarray],
+             apply: Callable[[np.ndarray, np.ndarray], np.ndarray], cap: int) -> np.ndarray:
+    """Insert the rows of ``seed``, then images of the rows kept, into
+    ``store`` until nothing new turns up or the span reaches ``cap``, the
+    dimension of a space known to hold the closure; returns the rows kept.
 
-    The images come stack by stack: under each operator stack of
-    ``stacks`` in turn, ``apply(stack, m)`` for every kept matrix m in the
-    order kept, from the first. What an earlier stack kept stays, and its
-    images under that stack are not tried again. At most one batch is
-    pending: the images of one kept matrix are all tested before the next
-    is expanded.
+    ``store.insert`` takes a block of rows and returns the rows it kept
+    (:class:`_ModpBasis`: new rows spanning the new span modulo the old),
+    and ``apply(stack, rows)`` the images of a block under each operator
+    of ``stack``, kept-row-major. By generations: the seeds' kept rows N_0
+    span V_0 = span(seed), and V_(i+1) = V_i + span(images of N_i) with
+    kept rows N_(i+1). Each V_i lies in the closure. The N_j, j <= i, span
+    V_i, and the images of N_j lie in V_(j+1), so every image of V_i lies
+    in V_(i+1), whichever basis of V_i modulo V_(i-1) the N_i are: a
+    generation that adds nothing leaves V_i closed. At the cap the span is
+    the closure, and no candidate is tested or image made; as a row adds
+    at most one dimension, below the width a block goes in by pieces no
+    longer than the room left.
+
+    The stacks run in turn, each from every row kept so far; when the
+    images under the earlier ones lie in the closure under the last, as
+    the :func:`closure_front`'s do, the kept rows span it. A generation is
+    mapped in order, at most ``MODP_PANEL`` images per call (one row's for
+    a longer stack), which bounds those pending, so a store tests the
+    candidates in the order of a first-in first-out queue of kept rows.
     """
-    accepted: list[np.ndarray] = []
+    width = seed.shape[1]
 
-    def full(batch: Sequence[np.ndarray]) -> bool:
-        # insert a batch; True once the span has reached max_dim
-        for m in batch:
-            if store.dim == max_dim:
-                return True
-            if m.shape != seed[0].shape:
-                raise InputError("span_closure matrices must share one shape")
-            if store.insert(m.reshape(-1)):
-                accepted.append(m)
-        return store.dim == max_dim
+    def insert(block: np.ndarray) -> np.ndarray:
+        kept, s = [block[:0]], 0
+        while s < len(block) and store.dim < cap:
+            step = cap - store.dim if cap < width else len(block)
+            kept.append(store.insert(block[s:s + step]))
+            s += step
+        return np.concatenate(kept)
 
-    if full(seed):
-        return accepted
+    kept = [insert(seed)]
     for stack in stacks:
-        expanded = 0
-        while expanded < len(accepted):
-            if full(apply(stack, accepted[expanded])):
-                return accepted
-            expanded += 1
-    return accepted
+        rows, new = MODP_PANEL // max(1, len(stack)) or 1, np.concatenate(kept)
+        while len(stack) and len(new) and store.dim < cap:
+            new = np.concatenate([insert(apply(stack, new[s:s + rows]).reshape(-1, width))
+                                  for s in range(0, len(new), rows) if store.dim < cap])
+            kept.append(new)
+    return np.concatenate(kept)
 
 
 def span_closure(seed: Sequence[np.ndarray], ops: np.ndarray,
@@ -682,64 +692,47 @@ def span_closure(seed: Sequence[np.ndarray], ops: np.ndarray,
                  mode: Mode, tol: TolerancePolicy = DEFAULT_TOL,
                  max_dim: Optional[int] = None) -> list[np.ndarray]:
     """The kept matrices of the smallest span of matrices containing ``seed``
-    and closed under m -> ``apply(ops, m)``, the images of m under each
-    operator of the stack ``ops``; ``apply`` must be linear in the operator
-    and in m. No seed closes to nothing.
+    and closed under m -> its images under each operator of the stack
+    ``ops``. ``apply(ops, block)``, linear in the operator and the matrix,
+    gets kept matrices as a block of shape (b, 1, *shape), so that a map
+    of one matrix that broadcasts over the stack, such as
+    :func:`lcplab.scalars.int_commutator`, gives their images
+    kept-matrix-major: the first matrix's under each operator, then the
+    second's. No seed closes to nothing.
 
     The kept matrices span the closure and are taken as they came: in exact
-    mode the seeds and the images are integer matrices (positive multiples
-    of rational ones change no span), inserted into the same echelon store
-    that every exact elimination uses. ``max_dim`` is the dimension of a
-    space known to contain the closure: once the span reaches it, every
-    remaining candidate would be rejected, so the search stops and expands
-    nothing more. With a cap, each kept matrix is first expanded under the
-    :func:`closure_front` of ``ops`` alone; those images lie in the
-    closure, so a span that reaches the cap is the closure. Only when that
-    front stalls below the cap does the same store go on with the images
-    under ``ops``, which is all that runs without a cap.
+    mode integer matrices (positive multiples of rational ones change no
+    span), in the echelon store that every exact elimination uses.
+    ``max_dim`` is the dimension of a space known to contain the closure.
+    With it, :func:`_closure` first expands under the :func:`closure_front`
+    of ``ops`` alone, whose images lie in the closure, so a span that
+    reaches the cap is the closure; only a front that stalls below the cap
+    goes on under ``ops``, which is all that runs without a cap.
     """
-    width = seed[0].size if seed else 0
+    if not len(seed):
+        return []
+    shape, width = seed[0].shape, seed[0].size
     store = _ExactEchelon() if mode == EXACT else _FloatOrtho(width, tol)
     stacks = [ops] if max_dim is None else [closure_front(ops), ops]
-    return _close(store, seed, stacks, apply, max_dim)
+    kept = _closure(store, np.array(seed).reshape(-1, width), stacks,
+                    lambda stack, rows: apply(stack, rows.reshape(-1, 1, *shape)),
+                    width if max_dim is None else max_dim)
+    return list(kept.reshape(-1, *shape))
 
 
 def closure_dim_mod_p(seed: np.ndarray, ops: np.ndarray,
                       apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       p: int) -> int:
-    """Dimension over GF(p) of the smallest span that holds the rows of
-    ``seed`` and is closed under rows -> ``apply(ops, rows)``; 0 for no
-    seed. ``p`` is a prime below ``MODP_LIMIT``; a larger one is refused.
-
-    ``seed`` is an int64 block, one vector per row, with entries in
-    [0, p), and ``apply`` maps such a block to a block of the images of
-    its rows, reduced the same way. The closure runs by generations on one
-    :class:`_ModpBasis`: the seeds go in as one block, whose new rows N_0
-    are a basis of V_0 = span(seed); then, while a generation brings new
-    rows and the span is short of the whole space, the images of the last
-    new rows N_i go in, those of ``MODP_PANEL`` rows at a time, and
-    V_(i+1) = V_i + span(images of N_i). That is the closure. Each V_i
-    lies in it. The N_j, j <= i, span V_i, and the images of N_j lie in
-    V_(j+1), so every image of V_i lies in V_i + span(images of N_i),
-    whichever basis of V_i modulo V_(i-1) the N_i are; so when a
-    generation adds nothing, V_i is closed, and it holds the seed. A span
-    that fills the width is the whole space. The closure runs under
-    ``ops`` alone: a caller that wants only a lower bound may pass the
-    :func:`closure_front` of its operators.
+    """Dimension over GF(p), ``p`` a prime below ``MODP_LIMIT``, of the
+    :func:`_closure` of the rows of ``seed`` under ``ops`` alone; 0 for no
+    seed. ``seed`` is an int64 block with entries in [0, p), and ``apply``
+    gives the images of such a block, kept-row-major and reduced the same
+    way. A caller that wants a lower bound may pass a :func:`closure_front`.
     """
     if len(seed) == 0:
         return 0
-    width = seed.shape[1]
-    basis = _ModpBasis(width, p)
-    new = basis.add(seed)
-    while len(new) and basis.dim < width:
-        found = []
-        # a panel's images at a time, which bounds the memory of their products
-        for s in range(0, len(new), MODP_PANEL):
-            found.append(basis.add(apply(ops, new[s:s + MODP_PANEL])))
-            if basis.dim == width:
-                break
-        new = np.concatenate(found)
+    basis = _ModpBasis(seed.shape[1], p)
+    _closure(basis, seed, [ops], apply, basis.width)
     return basis.dim
 
 

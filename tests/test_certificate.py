@@ -155,8 +155,8 @@ def test_unlucky_prime_on_the_curved_block_gives_the_same_split(prime, monkeypat
 
 
 def _images_mod(p):
-    # a block of rows v -> the block of a v mod p for each a of a stack
-    return lambda ops, rows: (rows @ ops.transpose(0, 2, 1)).reshape(-1, rows.shape[1]) % p
+    # a block of rows v -> a v mod p for each v, under each a of a stack in turn
+    return lambda ops, rows: np.einsum("kij,bj->bki", ops, rows).reshape(-1, rows.shape[1]) % p
 
 
 # no operator, and the one that swaps the two coordinates
@@ -212,8 +212,8 @@ def test_modular_rank_matches_reference(p):
         ops = np.zeros((0, width, width), dtype=np.int64)
         assert closure_dim_mod_p(vecs, ops, _images_mod(p), p) == want
         basis = linalg._ModpBasis(width, p)
-        new = basis.add(vecs[:count // 3])
-        new2 = basis.add(vecs[count // 3:])
+        new = basis.insert(vecs[:count // 3])
+        new2 = basis.insert(vecs[count // 3:])
         assert basis.dim == len(new) + len(new2) == want
         # the stored rows, 1 at their own pivot and 0 at the others', span
         # the new rows, and every input row reduces to zero against them

@@ -147,7 +147,7 @@ def test_fraction_free_rref_matches_fraction_reference(rows, data):
     store = _ExactEchelon()
     ints = to_scaled(a)[0]
     for i in data.draw(st.permutations(range(nrows))):
-        store.insert(ints[i])
+        store.insert(ints[i:i + 1])
     assert store.pivots == want_pivots
     assert [[Fraction(x, row[p]) for x in row]
             for row, p in zip(store.rows, store.pivots)] == want_rows

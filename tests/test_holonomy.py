@@ -32,8 +32,8 @@ from lcplab.liealg import (
     transform_algebra,
 )
 from lcplab.linalg import Subspace, make_subspace, span_closure, zero_subspace
-from lcplab.scalars import (DEFAULT_TOL, EXACT, FLOAT, exact_array, eye_array, to_scaled,
-                            zeros_array)
+from lcplab.scalars import (DEFAULT_TOL, EXACT, FLOAT, exact_array, eye_array, int_commutator,
+                            to_scaled, zeros_array)
 
 F = Fraction
 
@@ -139,8 +139,10 @@ class _TwoPassOrtho:
         self.tol = tol
         self.q = np.empty((0, width))
 
-    def insert(self, vec):
-        v = np.asarray(vec, dtype=np.float64)
+    def insert(self, block):
+        return block[[self.add(v) for v in np.asarray(block, dtype=np.float64)]]
+
+    def add(self, v):
         norm0 = float(np.linalg.norm(v))
         if norm0 == 0.0:
             return False
@@ -194,7 +196,7 @@ def test_float_store_second_pass_runs_above_half_the_cut():
         store = linalg._FloatOrtho(2, DEFAULT_TOL)
         store.q = np.array([[np.sqrt(5.0), 0.0]])
         # the first pass leaves `first`; the second would leave 4 * first
-        assert store.insert(np.array([first / 4, 0.0])) is kept
+        assert store.add(np.array([first / 4, 0.0])) is kept
         assert store.dim == 1 + kept
 
 
@@ -878,24 +880,22 @@ def test_complex_hyperbolic_closures_fall_back_below_the_cap(m, monkeypatch):
     # full expansion runs after it. The mod-p bound expands under the front
     # alone, and still reaches dim u(m)
     expanded = {}  # store -> {(index of the stack expanded under, stacks listed)}
-    real = linalg._close
+    real = linalg._closure
 
-    def recording(store, seed, stacks, apply, max_dim):
-        def counted(stack, mat):
-            k = next(i for i, s in enumerate(stacks) if s is stack)
-            expanded.setdefault(type(store).__name__, set()).add((k, len(stacks)))
-            return apply(stack, mat)
-        return real(store, seed, stacks, counted, max_dim)
-    monkeypatch.setattr(linalg, "_close", recording)
-    real_modp = holonomy.closure_dim_mod_p
+    def recording(store, seed, stacks, apply, cap):
+        name, order = type(store).__name__, []
 
-    def recording_modp(seed, ops, apply, p):
         def counted(stack, rows):
-            assert stack is ops and len(stack) == len(linalg.CLOSURE_FRONT)
-            expanded.setdefault("mod p", set()).add((0, 1))
+            k = next(i for i, s in enumerate(stacks) if s is stack)
+            # the front's expansions come before the full stack's
+            assert not order or order[-1] <= k
+            order.append(k)
+            if name == "_ModpBasis":
+                assert len(stack) == len(linalg.CLOSURE_FRONT)
+            expanded.setdefault(name, set()).add((k, len(stacks)))
             return apply(stack, rows)
-        return real_modp(seed, ops, counted, p)
-    monkeypatch.setattr(holonomy, "closure_dim_mod_p", recording_modp)
+        return real(store, seed, stacks, counted, cap)
+    monkeypatch.setattr(linalg, "_closure", recording)
     g = complex_hyperbolic(m)
     hols = {}
     for h in (g, to_float_algebra(g)):
@@ -907,10 +907,154 @@ def test_complex_hyperbolic_closures_fall_back_below_the_cap(m, monkeypatch):
     seeds, nabla = holonomy._closure_inputs(g, g.levi_civita)
     assert holonomy._holonomy_dim_mod_p(to_scaled(g.gram)[0], seeds, nabla) == m * m
     assert expanded == {"_ExactEchelon": {(0, 2), (1, 2)}, "_FloatOrtho": {(0, 2), (1, 2)},
-                        "mod p": {(0, 1)}}
+                        "_ModpBasis": {(0, 1)}}
     # with the front bypassed every exact and float closure spans the same
     monkeypatch.setattr(linalg, "CLOSURE_FRONT", ())
     for h in (g, to_float_algebra(g)):
         hol = hols[h.mode]
         assert subspaces_equal(_flattened(de_rham_splitting(h).holonomy), _flattened(hol), h.tol)
         assert subspaces_equal(_flattened(holonomy_algebra(h)), _flattened(hol), h.tol)
+
+
+# ---------------------------------------------------------------------------
+# the closure loop against a first-in first-out reference
+
+
+class _Logged:
+    """A closure store that records every candidate row it tests."""
+
+    def __init__(self, store):
+        self.store, self.tested = store, []
+
+    def insert(self, block):
+        self.tested.extend(block)
+        return self.store.insert(block)
+
+    @property
+    def dim(self):
+        return self.store.dim
+
+
+def _fifo_closure(store, seed, stacks, apply, cap):
+    """The reference closure, one candidate at a time: the seeds, then,
+    under each stack in turn, the images ``apply(stack, m)`` of one kept
+    matrix m at a time, first in first out, each tested before the next
+    kept matrix is expanded; nothing once the span reaches ``cap``."""
+    kept = []
+
+    def full(batch):
+        for m in batch:
+            if store.dim == cap:
+                return True
+            if len(store.insert(m.reshape(1, -1))):
+                kept.append(m)
+        return store.dim == cap
+
+    if full(seed):
+        return kept
+    for stack in stacks:
+        expanded = 0
+        while expanded < len(kept):
+            if full(apply(stack, kept[expanded])):
+                return kept
+            expanded += 1
+    return kept
+
+
+def _same_rows(a, b, mode):
+    # float rows bit for bit; exact ones as the same Python ints
+    if mode == FLOAT:
+        return [x.tobytes() for x in a] == [x.tobytes() for x in b]
+    return ([x.reshape(-1).tolist() for x in a] == [x.reshape(-1).tolist() for x in b]
+            and all(type(v) is int for x in a for v in x.reshape(-1).tolist()))
+
+
+def _oracle_cases(random_corpus):
+    fundamental = next(e for e in all_entries() if e.name == "fundamental").algebra
+    exact = ([e.algebra for e in all_entries() if e.algebra.mode == EXACT] + random_corpus[:30]
+             + [complex_hyperbolic(2), complex_hyperbolic(3),
+                direct_sum_algebra(sl_example(2).algebra, fundamental)])
+    floats = [e.algebra for e in all_entries() if e.algebra.mode == FLOAT]
+    return exact, exact + floats + [to_float_algebra(g) for g in exact]
+
+
+def test_closure_tests_the_candidates_of_a_fifo_queue(random_corpus, monkeypatch):
+    # exact and float span closures, with the so(g) cap and without one,
+    # test the same candidates in the same order as the reference and keep
+    # the same matrices, to the bit; no image is made at the cap
+    logs = []
+    real = linalg._closure
+
+    def logged(store, seed, stacks, apply, cap):
+        logs.append(_Logged(store))
+
+        def below_cap(stack, rows):
+            assert store.dim < cap
+            return apply(stack, rows)
+        return real(logs[-1], seed, stacks, below_cap, cap)
+    monkeypatch.setattr(linalg, "_closure", logged)
+    stalled = 0
+    for g in _oracle_cases(random_corpus)[1]:
+        seeds, nabla = holonomy._closure_inputs(g, g.levi_civita)
+        n = g.dim
+        for cap in (n * (n - 1) // 2, None):
+            got = span_closure(seeds, nabla, int_commutator, g.mode, g.tol, cap)
+            store = _Logged(linalg._ExactEchelon() if g.mode == EXACT
+                            else linalg._FloatOrtho(n * n, g.tol))
+            stacks = [nabla] if cap is None else [linalg.closure_front(nabla), nabla]
+            want = _fifo_closure(store, seeds, stacks, int_commutator, cap)
+            assert _same_rows(got, want, g.mode), (g, cap)
+            tested = logs.pop().tested if seeds else []
+            assert _same_rows(tested, store.tested, g.mode), (g, cap)
+            stalled += cap is not None and 0 < len(got) < cap
+    assert stalled >= 4  # CH^2 and CH^3 in both lanes at least
+
+
+class _ReferenceModp:
+    """Rows over GF(p) in Python ints, each reduced against the earlier
+    ones; a candidate is kept when it is not in their span."""
+
+    def __init__(self, p):
+        self.p, self.rows = p, []
+
+    def insert(self, block):
+        kept = []
+        for cand in block.tolist():
+            v = [x % self.p for x in cand]
+            for piv, row in self.rows:
+                if v[piv]:
+                    f = v[piv]
+                    v = [(x - f * y) % self.p for x, y in zip(v, row)]
+            piv = next((i for i, x in enumerate(v) if x), None)
+            if piv is not None:
+                inv = pow(v[piv], -1, self.p)
+                self.rows.append((piv, [x * inv % self.p for x in v]))
+                kept.append(cand)
+        return np.array(kept, dtype=np.int64).reshape(-1, block.shape[1])
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, holonomy.CERTIFICATE_PRIME])
+def test_modular_closure_dim_matches_a_fifo_reference(p, random_corpus, monkeypatch):
+    # the certificate's closure over GF(p) has the dimension of the
+    # reference's, on the exact oracle inputs' curved blocks
+    real = holonomy.closure_dim_mod_p
+    dims = []
+
+    def compared(seed, ops, apply, prime):
+        got = real(seed, ops, apply, prime)
+        store = _ReferenceModp(prime)
+        _fifo_closure(store, seed, [ops], lambda stack, row: apply(stack, row[None]),
+                      seed.shape[1])
+        assert got == store.dim
+        dims.append(got)
+        return got
+    monkeypatch.setattr(holonomy, "closure_dim_mod_p", compared)
+    monkeypatch.setattr(holonomy, "CERTIFICATE_PRIME", p)
+    for g in _oracle_cases(random_corpus)[0]:
+        seeds, nabla = holonomy._closure_inputs(g, g.levi_civita)
+        holonomy._holonomy_dim_mod_p(to_scaled(g.gram)[0], seeds, nabla)
+    assert max(dims) >= 8  # mod 2 the front is degenerate; above it, 94

@@ -157,7 +157,7 @@ def test_float_residual_tests_fail_on_nan():
 def test_float_store_refuses_a_non_finite_candidate(bad):
     store = _FloatOrtho(3, DEFAULT_TOL)
     with pytest.raises(InputError, match="non-finite"):
-        store.insert(np.array([bad, 0.0, 0.0]))
+        store.insert(np.array([[bad, 0.0, 0.0]]))
     assert store.dim == 0
 
 
@@ -165,7 +165,7 @@ def test_float_store_keeps_a_finite_candidate_whose_norm_overflows():
     # the norm of a finite vector can overflow; the store decides as before
     store = _FloatOrtho(2, DEFAULT_TOL)
     with np.errstate(over="ignore"):
-        assert not store.insert(np.array([1e300, 1e300]))
+        assert not len(store.insert(np.array([[1e300, 1e300]])))
     assert store.dim == 0
 
 
@@ -439,65 +439,80 @@ def test_float_store_rejects_roundoff_and_accepts_new_directions():
     rng = np.random.default_rng(5)
     store = _FloatOrtho(40, DEFAULT_TOL)
     vecs = rng.standard_normal((6, 40))
-    assert all(store.insert(v) for v in vecs)
+    assert store.insert(vecs).tobytes() == vecs.tobytes()
     assert np.allclose(store.q @ store.q.T, np.eye(6), atol=1e-14)
     # a combination of stored vectors, perturbed at roundoff level, is old
     inside = rng.standard_normal(6) @ vecs
-    assert not store.insert(inside + 1e-15 * np.abs(inside).max() * rng.standard_normal(40))
-    assert not store.insert(np.zeros(40))
+    old = [inside + 1e-15 * np.abs(inside).max() * rng.standard_normal(40), np.zeros(40)]
+    assert not len(store.insert(np.stack(old)))
     assert store.dim == 6
-    # a vector with a component outside the span well above rank_tol is new
-    assert store.insert(inside + 1e-6 * rng.standard_normal(40))
+    # a vector with a component outside the span well above rank_tol is new;
+    # a block keeps its new rows as they came, in order
+    new = inside + 1e-6 * rng.standard_normal(40)
+    assert store.insert(np.stack([old[0], new, new])).tobytes() == new.tobytes()
     assert store.dim == 7
     assert np.allclose(store.q @ store.q.T, np.eye(7), atol=1e-14)
 
 
-def test_closure_expands_one_kept_matrix_at_a_time(monkeypatch):
-    # the float holonomy closures of the gallery: the images of one kept
-    # matrix, under the front's two operators or under all of the step's,
-    # are tested before the next kept matrix is expanded; front expansions
-    # come first, and none is expanded once the span reaches so(g)
-    state = {}
-    real_insert = linalg._FloatOrtho.insert
+def test_closure_stops_at_the_cap_with_at_most_a_panel_pending(monkeypatch):
+    # the exact and float holonomy closures of the gallery and its GF(p)
+    # certificates: every call of the map makes at most MODP_PANEL images
+    # (one matrix's when the stack is longer), all tested before the next
+    # call; front expansions come first, and the map is not called once the
+    # span reaches the cap
+    real = linalg._closure
+    ended, phases = set(), set()
 
-    def insert(self, vec):
-        state["tested"] += 1
-        kept = real_insert(self, vec)
-        state["dim"] = self.dim
-        return kept
+    def closure(store, seed, stacks, apply, cap):
+        logged = _Counted(store)
+        tested_at, made, whole = [], [], []  # at each call of the map
 
-    def closure(seed, ops, apply, mode, tol, max_dim):
-        state.update(tested=0, dim=0)
-        tested_at, made, whole = [], [], []  # at each expansion
-
-        def counted(stack, m):
-            assert state["dim"] != max_dim
-            tested_at.append(state["tested"])
-            images = apply(stack, m)
+        def counted(stack, rows):
+            assert logged.dim < cap
+            tested_at.append(logged.tested)
+            images = apply(stack, rows).reshape(-1, seed.shape[1])
+            assert len(images) <= max(linalg.MODP_PANEL, len(stack))
             made.append(len(images))
-            whole.append(stack is ops)
+            whole.append(stack is stacks[-1])
             return images
-        out = span_closure(seed, ops, counted, mode, tol, max_dim)
-        tested_at.append(state["tested"])
-        batches = list(np.diff(tested_at))
+        out = real(logged, seed, stacks, counted, cap)
+        tested_at.append(logged.tested)
         if made:
             assert tested_at[0] == len(seed)
             # every batch but the last is tested whole, the last at most whole
+            batches = list(np.diff(tested_at))
             assert batches[:-1] == made[:-1] and batches[-1] <= made[-1]
             assert whole == sorted(whole)
-        fell_back.append(any(whole))
-        filled.append(len(out) == max_dim)
+        ended.add((type(store).__name__, logged.dim == cap))
+        phases.add((type(store).__name__, len(stacks), any(whole)))
         return out
 
-    filled: list[bool] = []
-    fell_back: list[bool] = []
-    monkeypatch.setattr(linalg._FloatOrtho, "insert", insert)
-    monkeypatch.setattr(holonomy, "span_closure", closure)
+    monkeypatch.setattr(linalg, "_closure", closure)
     for e in all_entries():
-        holonomy_algebra(to_float_algebra(e.algebra))
-    # both ways a closure ends are exercised, and both phases
-    assert True in filled and False in filled
-    assert True in fell_back and False in fell_back
+        for g in (e.algebra, to_float_algebra(e.algebra)):
+            holonomy_algebra(g)
+            holonomy.de_rham_splitting(g)
+    # both ways a closure ends are exercised in each store but the GF(p)
+    # one, whose curved blocks are all so(W) here, and both phases
+    assert ended >= {("_ExactEchelon", True), ("_ExactEchelon", False), ("_FloatOrtho", True),
+                     ("_FloatOrtho", False), ("_ModpBasis", True)}
+    assert phases >= {("_ExactEchelon", 2, True), ("_ExactEchelon", 2, False),
+                      ("_FloatOrtho", 2, True), ("_FloatOrtho", 2, False)}
+
+
+class _Counted:
+    """A closure store that counts the candidates it tests."""
+
+    def __init__(self, store):
+        self.store, self.tested = store, 0
+
+    def insert(self, block):
+        self.tested += len(block)
+        return self.store.insert(block)
+
+    @property
+    def dim(self):
+        return self.store.dim
 
 
 # ---------------------------------------------------------------------------
