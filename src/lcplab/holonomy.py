@@ -209,7 +209,7 @@ def _holonomy_dim_mod_p(gram: np.ndarray, seeds: Sequence[np.ndarray],
         return gh.reshape(m, len(slab), m).transpose(1, 0, 2)[:, iu, ju]
 
     def images(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # a^T s + s a = t - t^T for t = s a, as s is skew; row-major
+        # a^T s + s a = t - t^T for t = s a, as s is skew; kept-row-major
         s = np.zeros((len(rows), m, m), dtype=np.int64)
         s[:, iu, ju] = rows
         s[:, ju, iu] = -rows

@@ -678,9 +678,9 @@ def _closure(store, seed: np.ndarray, stacks: Sequence[np.ndarray],
         return np.concatenate(kept)
 
     kept = [insert(seed)]
-    for stack in stacks:
-        rows, new = MODP_PANEL // max(1, len(stack)) or 1, np.concatenate(kept)
-        while len(stack) and len(new) and store.dim < cap:
+    for stack in filter(len, stacks):  # an empty stack has no image
+        rows, new = max(1, MODP_PANEL // len(stack)), np.concatenate(kept)
+        while len(new) and store.dim < cap:
             new = np.concatenate([insert(apply(stack, new[s:s + rows]).reshape(-1, width))
                                   for s in range(0, len(new), rows) if store.dim < cap])
             kept.append(new)
