@@ -150,6 +150,21 @@ def subspace_contains(outer, inner, tol):
     return coords_in_rowbasis(inner.basis, outer.basis, outer.mode, tol) is not None
 
 
+class LoggedStore:
+    """A closure store that records every candidate row it tests."""
+
+    def __init__(self, store):
+        self.store, self.tested = store, []
+
+    def insert(self, block):
+        self.tested.extend(block)
+        return self.store.insert(block)
+
+    @property
+    def dim(self):
+        return self.store.dim
+
+
 def subspaces_equal(a, b, tol=DEFAULT_TOL):
     if a.mode != b.mode or a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import subspaces_equal
+from conftest import LoggedStore, subspaces_equal
 
 from lcplab import holonomy, linalg
 from lcplab.cli import main, run_analysis
@@ -920,21 +920,6 @@ def test_complex_hyperbolic_closures_fall_back_below_the_cap(m, monkeypatch):
 # the closure loop against a first-in first-out reference
 
 
-class _Logged:
-    """A closure store that records every candidate row it tests."""
-
-    def __init__(self, store):
-        self.store, self.tested = store, []
-
-    def insert(self, block):
-        self.tested.extend(block)
-        return self.store.insert(block)
-
-    @property
-    def dim(self):
-        return self.store.dim
-
-
 def _fifo_closure(store, seed, stacks, apply, cap):
     """The reference closure, one candidate at a time: the seeds, then,
     under each stack in turn, the images ``apply(stack, m)`` of one kept
@@ -986,7 +971,7 @@ def test_closure_tests_the_candidates_of_a_fifo_queue(random_corpus, monkeypatch
     real = linalg._closure
 
     def logged(store, seed, stacks, apply, cap):
-        logs.append(_Logged(store))
+        logs.append(LoggedStore(store))
 
         def below_cap(stack, rows):
             assert store.dim < cap
@@ -999,8 +984,8 @@ def test_closure_tests_the_candidates_of_a_fifo_queue(random_corpus, monkeypatch
         n = g.dim
         for cap in (n * (n - 1) // 2, None):
             got = span_closure(seeds, nabla, int_commutator, g.mode, g.tol, cap)
-            store = _Logged(linalg._ExactEchelon() if g.mode == EXACT
-                            else linalg._FloatOrtho(n * n, g.tol))
+            store = LoggedStore(linalg._ExactEchelon() if g.mode == EXACT
+                                else linalg._FloatOrtho(n * n, g.tol))
             stacks = [nabla] if cap is None else [linalg.closure_front(nabla), nabla]
             want = _fifo_closure(store, seeds, stacks, int_commutator, cap)
             assert _same_rows(got, want, g.mode), (g, cap)

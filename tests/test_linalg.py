@@ -10,8 +10,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (coords_in_rowbasis, positive_multiple, scaled_value, subspace_contains,
-                      subspaces_equal)
+from conftest import (LoggedStore, coords_in_rowbasis, positive_multiple, scaled_value,
+                      subspace_contains, subspaces_equal)
 
 from lcplab import holonomy, linalg
 from lcplab.errors import InputError
@@ -464,19 +464,19 @@ def test_closure_stops_at_the_cap_with_at_most_a_panel_pending(monkeypatch):
     ended, phases = set(), set()
 
     def closure(store, seed, stacks, apply, cap):
-        logged = _Counted(store)
+        logged = LoggedStore(store)
         tested_at, made, whole = [], [], []  # at each call of the map
 
         def counted(stack, rows):
             assert logged.dim < cap
-            tested_at.append(logged.tested)
+            tested_at.append(len(logged.tested))
             images = apply(stack, rows).reshape(-1, seed.shape[1])
             assert len(images) <= max(linalg.MODP_PANEL, len(stack))
             made.append(len(images))
             whole.append(stack is stacks[-1])
             return images
         out = real(logged, seed, stacks, counted, cap)
-        tested_at.append(logged.tested)
+        tested_at.append(len(logged.tested))
         if made:
             assert tested_at[0] == len(seed)
             # every batch but the last is tested whole, the last at most whole
@@ -498,21 +498,6 @@ def test_closure_stops_at_the_cap_with_at_most_a_panel_pending(monkeypatch):
                      ("_FloatOrtho", False), ("_ModpBasis", True)}
     assert phases >= {("_ExactEchelon", 2, True), ("_ExactEchelon", 2, False),
                       ("_FloatOrtho", 2, True), ("_FloatOrtho", 2, False)}
-
-
-class _Counted:
-    """A closure store that counts the candidates it tests."""
-
-    def __init__(self, store):
-        self.store, self.tested = store, 0
-
-    def insert(self, block):
-        self.tested += len(block)
-        return self.store.insert(block)
-
-    @property
-    def dim(self):
-        return self.store.dim
 
 
 # ---------------------------------------------------------------------------
