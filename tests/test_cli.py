@@ -230,6 +230,15 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 2
         assert "positive integer" in capsys.readouterr().err
 
+    def test_dim_beyond_the_metric_exits_2(self, tmp_path, capsys):
+        # refused before the bracket table: 10**18 object entries would be
+        # an uncaught MemoryError, exit 1
+        path = tmp_path / "hugedim.json"
+        path.write_text(json.dumps({"dim": 10**6, "mode": "exact",
+                                    "brackets": [], "metric": [["1/1"]]}))
+        assert main(["analyze", str(path)]) == 2
+        assert "metric must be a 1000000 x 1000000 matrix" in capsys.readouterr().err
+
     def test_broken_structure_exits_1(self, exported, tmp_path, capsys):
         data = json.loads((exported / "fundamental.json").read_text())
         data["brackets"][0]["coeffs"]["1"] = "1/1"  # u stops being an ideal

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lcplab import fileio
 from lcplab.errors import InputError
 from lcplab.fileio import (algebra_to_dict, canonical_json, dict_to_algebra,
                            load_algebra_file, save_algebra_file)
@@ -199,6 +200,20 @@ class TestParseErrors:
         d["metric"] = d["metric"][:2]
         with pytest.raises(InputError, match="3 x 3"):
             dict_to_algebra(d)
+
+    def test_metric_shape_is_checked_before_the_bracket_table(self, monkeypatch):
+        # the n**3 bracket table of a declared dim of 1500 is a 25 GiB object
+        # array; a 1 x 1 metric refuses the file before it is asked for
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("bracket_table called")
+        monkeypatch.setattr(fileio, "bracket_table", spy)
+        d = {"dim": 1500, "mode": "exact", "brackets": [], "metric": [["1/1"]]}
+        with pytest.raises(InputError, match="1500 x 1500"):
+            dict_to_algebra(d)
+        assert calls == []
 
     def test_basis_length_mismatch(self):
         d = _base_dict()

@@ -425,6 +425,22 @@ def test_span_closure_float_agrees():
     assert len(span_closure([e12], e21[None], _comm, FLOAT)) == 3
 
 
+def test_closure_makes_no_image_that_the_cap_cannot_use():
+    # two seeds in so(3), cap 3: one dimension is left, so the front maps
+    # one seed, two images, and stops; mapping both seeds made four
+    gens = float_array([[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+                        [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                        [[0, -1, 0], [1, 0, 0], [0, 0, 0]]])
+    made = []
+
+    def counted(ops, block):
+        images = _comm(ops, block)
+        made.append(len(images.reshape(-1, 9)))
+        return images
+    kept = span_closure([gens[0], gens[1]], gens, counted, FLOAT, DEFAULT_TOL, 3)
+    assert len(kept) == 3 and made == [2]
+
+
 def test_closure_of_no_seed_is_empty():
     # in all three stores: the exact and the float closure keep no matrix,
     # with a cap or without, and the one over GF(p) has dimension 0
