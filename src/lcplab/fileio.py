@@ -135,10 +135,11 @@ def dict_to_algebra(data: dict, tol: TolerancePolicy = DEFAULT_TOL,
         if (i, j) in entries or (j, i) in entries:
             raise InputError(f"{where}: duplicate bracket pair ({i}, {j})")
         entries[(i, j)] = coeffs
-    bracket = bracket_table(dim, entries, mode)
+    # the metric's shape bounds dim before the n**3 bracket table is built
     metric = _parse_rows(data["metric"], mode, "metric")
     if len(metric) != dim or any(len(r) != dim for r in metric):
         raise InputError(f"metric must be a {dim} x {dim} matrix")
+    bracket = bracket_table(dim, entries, mode)
     g = make_algebra(bracket, gram=metric, mode=mode, basis_names=names,
                      tol=tol, check=False)
     lcp = None

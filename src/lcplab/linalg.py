@@ -665,7 +665,9 @@ def _closure(store, seed: np.ndarray, stacks: Sequence[np.ndarray],
     the :func:`closure_front`'s do, the kept rows span it. A generation is
     mapped in order, at most ``MODP_PANEL`` images per call (one row's for
     a longer stack), which bounds those pending, so a store tests the
-    candidates in the order of a first-in first-out queue of kept rows.
+    candidates in the order of a first-in first-out queue of kept rows. A
+    call maps no more rows than it takes to make as many images as the
+    room left under the cap.
     """
     width = seed.shape[1]
 
@@ -679,10 +681,15 @@ def _closure(store, seed: np.ndarray, stacks: Sequence[np.ndarray],
 
     kept = [insert(seed)]
     for stack in filter(len, stacks):  # an empty stack has no image
-        rows, new = max(1, MODP_PANEL // len(stack)), np.concatenate(kept)
+        panel, new = max(1, MODP_PANEL // len(stack)), np.concatenate(kept)
         while len(new) and store.dim < cap:
-            new = np.concatenate([insert(apply(stack, new[s:s + rows]).reshape(-1, width))
-                                  for s in range(0, len(new), rows) if store.dim < cap])
+            images, s = [], 0
+            while s < len(new) and store.dim < cap:
+                # no more rows than give images enough to fill the room left
+                rows = min(panel, -(-(cap - store.dim) // len(stack)))
+                images.append(insert(apply(stack, new[s:s + rows]).reshape(-1, width)))
+                s += rows
+            new = np.concatenate(images)
             kept.append(new)
     return np.concatenate(kept)
 
