@@ -77,8 +77,10 @@ from .liealg import (
     InvariantConnection,
     MetricLieAlgebra,
     LEVI_CIVITA,
+    curvature_bound,
+    curvature_terms,
     is_subalgebra,
-    scaled_curvature,
+    row_slabs,
     to_float_algebra,
 )
 from .linalg import (
@@ -145,12 +147,27 @@ def _closure_inputs(g: MetricLieAlgebra,
     """The nonzero curvature operators and the stack of connection operators,
     in exact mode as ints: each times its stack's common denominator, a
     positive scale that changes no span, so the closure runs on ints and
-    the holonomy basis it keeps is ints as well."""
+    the holonomy basis it keeps is ints as well.
+
+    The pairs i < j come a slab of rows at a time, in order, from the slabs
+    :func:`liealg.scaled_curvature` builds, and each slab keeps only its
+    nonzero ones, so the seeds equal that tensor's entries and no n**4
+    tensor is built."""
+    n = g.dim
     sc = scale_of(g.bracket, g.gram)
-    curv = scaled_curvature(g, conn)[0]
-    iu, ju = np.triu_indices(g.dim, 1)
-    zero = is_zero_matrix(curv[iu, ju], g.mode, g.tol, scale=sc * sc, axis=(1, 2))
-    seeds = [curv[i, j] for i, j in zip(iu[~zero], ju[~zero])]
+    c, dc = g.scaled_bracket
+    a, da = conn.scaled_operators, conn.scaled[1]
+    # three products of n**5 multiply-adds each; the seeds kept are converted
+    lifted = exact_floats([c, a], lambda tc, ta: curvature_bound(n, dc, da, tc, ta),
+                          3 * n ** 5, n ** 4 // 2)
+    c, a = lifted or (c, a)
+    iu, ju = np.triu_indices(n, 1)
+    seeds: list[np.ndarray] = []
+    for rows in row_slabs(n):
+        lo, hi = np.searchsorted(iu, (rows.start, rows.stop))
+        pairs = curvature_terms(c, dc, a, da, rows, slice(None))[iu[lo:hi] - rows.start, ju[lo:hi]]
+        kept = pairs[~is_zero_matrix(pairs, g.mode, g.tol, scale=sc * sc, axis=(1, 2))]
+        seeds.extend(back_to_ints(kept) if lifted else kept)
     return seeds, conn.scaled_operators
 
 

@@ -28,6 +28,7 @@ from .liealg import (
     is_ideal,
     is_subalgebra,
     is_unimodular,
+    row_slabs,
 )
 from .linalg import (
     Subspace,
@@ -225,13 +226,18 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     # a sum of n terms, each at most max|R| max|ub|, it is never converted
     lifted = exact_floats([c, a, ub],
                           lambda tc, ta, tu: n * tu * curvature_bound(n, dc, da, tc, ta),
-                          2 * n ** 5 + n ** 4 * u.dim)
+                          3 * n ** 5 + n ** 4 * u.dim)
     c, a, ub = lifted or (c, a, ub)
-    curv = curvature_terms(c, dc, a, da, slice(None), slice(None))
-    nonflat = not is_zero_matrix(curv, g.mode, g.tol, scale=sc_r)
-    # R(e_i, e_j) u_k for every i, j and basis vector u_k of u
-    flat_on_u = is_zero_matrix(int_matmul(curv, ub.T), g.mode, g.tol,
-                               scale=sc_r * scale_of(u.basis))
+    # both tests a slab of rows at a time, until both are settled
+    nonflat, flat_on_u = False, True
+    for rows in row_slabs(n):
+        curv = curvature_terms(c, dc, a, da, rows, slice(None))
+        nonflat = nonflat or not is_zero_matrix(curv, g.mode, g.tol, scale=sc_r)
+        # R(e_i, e_j) u_k for every i in rows, every j and basis vector u_k of u
+        flat_on_u = flat_on_u and is_zero_matrix(int_matmul(curv, ub.T), g.mode, g.tol,
+                                                 scale=sc_r * scale_of(u.basis))
+        if nonflat and not flat_on_u:
+            break
     formula: Optional[bool] = None
     if data.complement is not None:
         try:

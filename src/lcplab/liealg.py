@@ -11,12 +11,19 @@ Each structure condition is one decision on the scaled-integer bracket:
 subalgebra and ideal are one invariance test of the stacked ad operators
 through :func:`linalg.restrict_operator`, unimodularity one zero test of
 the whole trace vector.
+
+No n**4 tensor is built whole unless a caller asks for it. The Jacobi
+terms [[e_i, e_j], e_k] and the curvature R(e_i, e_j) are built a slab of
+first indices i at a time (:func:`row_slabs`), each term of a slab one
+matrix product (:func:`slab_product`) on operands lifted once per call
+site, so the Jacobi check, the curvature seeds and the LCP flatness tests
+need n**3 memory. A single curvature operator in float mode is read off
+the slab that holds it, so it agrees bit for bit with the whole tensor.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -233,6 +240,39 @@ def is_unimodular(g: MetricLieAlgebra) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# slabs of n**4 tensors
+
+# An n**4 tensor is built a slab of first indices at a time, each slab of
+# at most SLAB_ENTRIES entries (one index when n**3 alone is more): three
+# slab-sized products and sums are live at once, n**3 memory instead of
+# n**4. 2**15 float64 entries are 256 KiB, so those three and the
+# operands of a dim-29 algebra fit a 2 MiB L2 cache. Measured on one core
+# of a Xeon with 2 MiB of L2 per core, validation plus the curvature seeds
+# of float sl_example(3), dim 29, took 9 ms with 2**15, 15 ms with 2**16
+# to 2**18 and 23 ms on whole tensors; dims 14 and 17 were no slower.
+SLAB_ENTRIES = 2**15
+
+
+def row_slabs(n: int) -> list[slice]:
+    """Consecutive slices covering range(n), each of as many first indices
+    as an (r, n, n, n) slab of at most SLAB_ENTRIES entries holds, one at
+    least. They depend on n alone, so every caller cuts the same slabs."""
+    step = max(1, SLAB_ENTRIES // max(1, n ** 3))
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
+
+def slab_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """z[p, q, s, m] = sum_l x[p, q, l] y[l, s, m], as one matrix product of
+    x's rows and y's columns: with x = c[rows] and y = c, [[e_i, e_j], e_k]
+    for i in rows. It runs on whatever arrays it is handed, object ints,
+    their float64 lift or float64, and each entry is the same sum of the
+    same terms whichever slab holds it."""
+    n = y.shape[0]
+    z = x.reshape(-1, n) @ y.reshape(n, -1)
+    return z.reshape(x.shape[:2] + y.shape[1:])
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -283,6 +323,18 @@ def validate_algebra(g: MetricLieAlgebra) -> ValidationReport:
     return g.validation
 
 
+@lru_cache(maxsize=16)
+def _pairs_and_triples(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i <= j and the triples i < j < k of range(n), as (m, 2) and
+    (m, 3) index arrays in lexicographic order; read-only, shared per n."""
+    pairs = np.stack(np.triu_indices(n), axis=1)
+    above = np.triu(np.ones((n, n), dtype=bool), 1)  # above[i, j] is i < j
+    triples = np.argwhere(above[:, :, None] & above[None])
+    pairs.setflags(write=False)
+    triples.setflags(write=False)
+    return pairs, triples
+
+
 def _validation_report(g: MetricLieAlgebra) -> ValidationReport:
     n = g.dim
     # zero tests do not see a common positive scale, so exact ones run on ints
@@ -291,21 +343,26 @@ def _validation_report(g: MetricLieAlgebra) -> ValidationReport:
     # every entry, term and partial sum below is at most 3 n max|c|**2
     c, = exact_floats([c], lambda tc: 3 * n * tc * tc, n ** 5) or (c,)
     sym = c + np.transpose(c, (1, 0, 2))  # sym[i, j] = c[i, j, :] + c[j, i, :]
-    # t[i, j, k, m] = sum_l c[i, j, l] c[l, k, m], the m-th component of [[e_i, e_j], e_k]
-    t = int_tensordot(c, c, axes=(2, 0))
-    # total[i, j, k] = t[i, j, k] + t[j, k, i] + t[k, i, j]
-    total = t + np.transpose(t, (2, 0, 1, 3))
-    total += np.transpose(t, (1, 2, 0, 3))
-    # the pairs i <= j and triples i < j < k, in lexicographic order
-    pairs = np.array([(i, j) for i in range(n) for j in range(i, n)], dtype=np.intp).reshape(-1, 2)
-    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    pairs, triples = _pairs_and_triples(n)
     anti = pairs[~is_zero_matrix(sym[tuple(pairs.T)], g.mode, g.tol, sc, axis=-1)]
-    jac = triples[~is_zero_matrix(total[tuple(triples.T)], g.mode, g.tol, sc * sc, axis=-1)]
+    jac = [triples[:0]]
+    for rows in row_slabs(n):
+        # the m-th components of [[e_i, e_j], e_k], [[e_j, e_k], e_i] and
+        # [[e_k, e_i], e_j] for i in rows and j, k >= s, summed at [i, j, k]
+        # in that order; every triple i < j < k with i in rows is among them
+        s = rows.start
+        total = slab_product(c[rows, s:], c[:, s:])
+        total += np.transpose(slab_product(c[s:, s:], c[:, rows]), (2, 0, 1, 3))
+        total += np.transpose(slab_product(c[s:, rows], c[:, s:]), (1, 2, 0, 3))
+        lo, hi = np.searchsorted(triples[:, 0], (s, rows.stop))
+        i, j, k = (triples[lo:hi] - s).T
+        zero = is_zero_matrix(total[i, j, k], g.mode, g.tol, sc * sc, axis=-1)
+        jac.append(triples[lo:hi][~zero])
     gram = to_scaled(g.gram)[0]
     gram_sym = is_zero_matrix(gram - gram.T, g.mode, g.tol, scale=scale_of(g.gram))
     gram_pd = gram_sym and _is_positive_definite(g.gram, g.mode, g.tol)
-    return ValidationReport(tuple(map(tuple, anti.tolist())), tuple(map(tuple, jac.tolist())),
-                            gram_sym, gram_pd)
+    return ValidationReport(tuple(map(tuple, anti.tolist())),
+                            tuple(map(tuple, np.concatenate(jac).tolist())), gram_sym, gram_pd)
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +443,23 @@ def curvature_terms(c: np.ndarray, dc: int, a: np.ndarray, da: int,
     bracket tensor c over dc and the connection operators a over da.
 
     Runs on whatever arrays it is handed: object ints, their float64 lift
-    or the float64 arrays of float mode. Every pair is one matmul of the
-    same operands whether it is computed alone or among all, so a single
-    operator and the whole tensor agree bit for bit in float mode.
+    or the float64 arrays of float mode. Each of its three terms is one
+    :func:`slab_product`, n**3 memory for a slab of :func:`row_slabs`, and
+    the same call on the same operands gives the same floats: so a single
+    operator read off its slab, as :func:`curvature_operator` reads it in
+    float mode, and the whole tensor agree bit for bit.
     """
-    n = c.shape[0]
-    # prod[i, j] = dc a[i] @ a[j], and mixed[i, j] = da times the operator of
-    # [e_i, e_j]: each scaled on its smaller factor
-    prod = int_matmul(a[rows, None] * dc, a[None, cols])
-    back = prod if rows == cols else int_matmul(a[cols, None] * dc, a[None, rows])
-    mixed = int_matmul(c[rows, cols, None, :] * da, a.reshape(n, n * n)).reshape(prod.shape)
-    return prod - np.transpose(back, (1, 0, 2, 3)) - mixed
+    s = np.ascontiguousarray(np.transpose(a, (0, 2, 1)))  # s[j] = a[j].T
+    a = np.ascontiguousarray(a)
+    # R[i, j] = prod[i, j] - back[i, j] - mixed[i, j] with prod[i, j] =
+    # dc a[i] @ a[j], the transpose of dc s[j] @ s[i] (made as [j, m, i, r]),
+    # back[i, j] = dc a[j] @ a[i] (made as [j, r, i, m]) and mixed[i, j] =
+    # da times the operator of [e_i, e_j]: each scaled on its factor indexed
+    # by rows, and at most three slabs live at once
+    r = (np.transpose(slab_product(s[cols], np.transpose(s[rows], (1, 0, 2)) * dc), (2, 0, 3, 1))
+         - np.transpose(slab_product(a[cols], np.transpose(a[rows], (1, 0, 2)) * dc), (2, 0, 1, 3)))
+    r -= slab_product(c[rows, cols] * da, a)
+    return r
 
 
 def curvature_operator(g: MetricLieAlgebra, conn: InvariantConnection,
@@ -404,25 +467,34 @@ def curvature_operator(g: MetricLieAlgebra, conn: InvariantConnection,
     """Matrix of R(e_i, e_j) = [D_i, D_j] - D_{[e_i, e_j]}."""
     c, dc = g.scaled_bracket
     a, da = conn.scaled_operators, conn.scaled[1]
-    # one pair is never lifted: its 3 n**3 multiply-adds are fewer than
-    # KERNEL_WORK_PER_ENTRY times the 2 n**3 entries of c and a
-    r = curvature_terms(c, dc, a, da, slice(i, i + 1), slice(j, j + 1))
-    return from_scaled(r[0, 0], da * da * dc)
+    if g.mode == FLOAT:
+        # read off the slab that holds row i, built as scaled_curvature builds it
+        rows = next(s for s in row_slabs(g.dim) if i < s.stop)
+        r = curvature_terms(c, dc, a, da, rows, slice(None))[i - rows.start, j]
+    else:
+        # an exact pair is the same computed alone; its 3 n**3 multiply-adds
+        # are never lifted, being fewer than KERNEL_WORK_PER_ENTRY times the
+        # 2 n**3 entries of c and a
+        r = curvature_terms(c, dc, a, da, slice(i, i + 1), slice(j, j + 1))[0, 0]
+    return from_scaled(r, da * da * dc)
 
 
 def scaled_curvature(g: MetricLieAlgebra, conn: InvariantConnection) -> tuple[np.ndarray, int]:
     """The whole curvature tensor as (ints, den), see ``to_scaled``: the
     integers of :func:`curvature_terms`, the float64 tensor itself in float
-    mode."""
+    mode; built a slab at a time, so only the answer is n**4."""
     n = g.dim
     c, dc = g.scaled_bracket
     a, da = conn.scaled_operators, conn.scaled[1]
-    # two products of n**5 multiply-adds each
+    # three products of n**5 multiply-adds each
     lifted = exact_floats([c, a], lambda tc, ta: curvature_bound(n, dc, da, tc, ta),
-                          2 * n ** 5, n ** 4)
+                          3 * n ** 5, n ** 4)
     c, a = lifted or (c, a)
-    r = curvature_terms(c, dc, a, da, slice(None), slice(None))
-    return (back_to_ints(r) if lifted else r), da * da * dc
+    r = np.empty((n,) * 4, dtype=object if lifted else c.dtype)
+    for rows in row_slabs(n):
+        slab = curvature_terms(c, dc, a, da, rows, slice(None))
+        r[rows] = back_to_ints(slab) if lifted else slab
+    return r, da * da * dc
 
 
 def curvature_tensor(g: MetricLieAlgebra, conn: InvariantConnection) -> np.ndarray:

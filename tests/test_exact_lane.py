@@ -7,8 +7,10 @@ checked here against a small Fraction reference that does the same job
 the obvious way, or against the Fraction route the code used to take.
 """
 import dataclasses
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1094,6 +1096,111 @@ def test_each_lift_takes_float64_exactly_below_its_bound(site, monkeypatch):
         # the same expression on the object arrays themselves
         monkeypatch.setattr(module, "exact_floats", lambda *args, **kwargs: None)
         assert _plain(got) == _plain(compute()), (site, t)
+
+
+# ---------------------------------------------------------------------------
+# n**4 tensors by slabs of rows, against the whole tensors
+
+
+def _whole_validation(g):
+    """Antisymmetry pairs and Jacobi triples from the whole tensors, as the
+    check ran before it was cut into slabs: t[i, j, k] is [[e_i, e_j], e_k]
+    and the three cyclic terms are summed at every i < j < k."""
+    n, c = g.dim, g.scaled_bracket[0]
+    sc = scale_of(c)
+    sym = c + np.transpose(c, (1, 0, 2))
+    t = np.tensordot(c, c, axes=(2, 0))
+    total = t + np.transpose(t, (2, 0, 1, 3))
+    total += np.transpose(t, (1, 2, 0, 3))
+    anti = tuple((i, j) for i in range(n) for j in range(i, n)
+                 if not is_zero_matrix(sym[i, j], g.mode, g.tol, sc))
+    jac = tuple(ijk for ijk in itertools.combinations(range(n), 3)
+                if not is_zero_matrix(total[ijk], g.mode, g.tol, sc * sc))
+    return anti, jac
+
+
+def _antisymmetric(rng, n, top):
+    c = np.zeros((n, n, n), dtype=object)
+    for i, j in itertools.combinations(range(n), 2):
+        v = np.array([rng.randint(-top, top) for _ in range(n)] + [0], dtype=object)[:-1]
+        c[i, j], c[j, i] = v, -v
+    return c
+
+
+def _broken_brackets():
+    """Bracket tensors of object ints on which Jacobi fails: antisymmetric
+    random ones, a random one that is not antisymmetric either, sl_example(2)
+    with one bracket changed, and one whose entries put the check's 2**53
+    lift bound out of reach."""
+    rng = random.Random(11)
+    n = 6
+    sl2 = sl_example(2).algebra.scaled_bracket[0].copy()
+    sl2[0, 1, 2] += 1
+    sl2[1, 0, 2] -= 1
+    big = _antisymmetric(rng, n, 2) * 2**30 + _antisymmetric(rng, n, 1)
+    assert 3 * n * max(abs(x) for x in big.reshape(-1).tolist()) ** 2 >= 2**53
+    return [_antisymmetric(rng, n, 1), _antisymmetric(rng, n, 2),
+            _small_ints(rng, (n, n, n), 2), sl2, big]
+
+
+@pytest.mark.parametrize("entries", [1, 500, None])
+def test_validation_by_slabs_matches_the_whole_tensors(entries, monkeypatch):
+    # one row a slab, two rows of a dim-6 tensor, and the default
+    if entries is not None:
+        monkeypatch.setattr(liealg, "SLAB_ENTRIES", entries)
+    anti_seen = False
+    for c in _broken_brackets():
+        g = _metric_algebra(c)
+        for h in (g, to_float_algebra(g)):
+            want = _whole_validation(h)
+            report = liealg._validation_report(h)
+            assert (report.antisymmetry_violations, report.jacobi_violations) == want
+            assert want[1]
+            anti_seen = anti_seen or bool(want[0])
+    assert anti_seen
+
+
+def _whole_seeds(g, conn):
+    """The nonzero R(e_i, e_j), i < j, from the whole curvature tensor built
+    as before slabs: dc a_i a_j - dc a_j a_i - da D_[e_i, e_j]."""
+    c, dc = g.scaled_bracket
+    a, da = conn.scaled_operators, conn.scaled[1]
+    prod = (a[:, None] * dc) @ a[None]
+    curv = prod - np.transpose(prod, (1, 0, 2, 3)) - np.tensordot(c, a, axes=(2, 0)) * da
+    sc = scale_of(g.bracket, g.gram)
+    return [curv[i, j] for i, j in itertools.combinations(range(g.dim), 2)
+            if not is_zero_matrix(curv[i, j], g.mode, g.tol, scale=sc * sc)]
+
+
+def test_closure_seeds_by_one_row_slabs_match_the_whole_tensor(monkeypatch):
+    # identity Gram matrices and small integer brackets keep every float
+    # product exact, so the float seeds are compared bit for bit
+    monkeypatch.setattr(liealg, "SLAB_ENTRIES", 1)
+    rng = random.Random(12)
+    cases = [_metric_algebra(_antisymmetric(rng, 6, 1)), _metric_algebra(_antisymmetric(rng, 7, 2))]
+    for g in cases + [sl_example(2).algebra]:
+        for h in (g, to_float_algebra(g)):
+            conn = levi_civita(h)
+            seeds, nabla = holonomy._closure_inputs(h, conn)
+            want = _whole_seeds(h, conn)
+            assert len(seeds) == len(want) > 0
+            assert all(_same(a, b) for a, b in zip(seeds, want)), h
+            if h.mode == EXACT:
+                assert all(type(x) is int for m in seeds for x in m.reshape(-1))
+
+
+def test_validation_and_seeds_need_less_than_one_n4_tensor():
+    # float sl_example(3), dim 29: one whole 29**4 float64 tensor is 5.7 MB,
+    # and each of the checks used to build two or more
+    g = to_float_algebra(sl_example(3).algebra)
+    tracemalloc.start()
+    try:
+        assert liealg.validate_algebra(g).passed
+        seeds, _ = holonomy._closure_inputs(g, g.levi_civita)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seeds and peak < 29 ** 4 * 8
 
 
 def _walk_arrays(x, seen=None):
