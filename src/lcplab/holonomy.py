@@ -157,7 +157,7 @@ def _closure_inputs(g: MetricLieAlgebra,
     sc = scale_of(g.bracket, g.gram)
     c, dc = g.scaled_bracket
     a, da = conn.scaled_operators, conn.scaled[1]
-    # three products of n**5 multiply-adds each; the seeds kept are converted
+    # at most three products of n**5 multiply-adds each; the seeds kept are converted
     lifted = exact_floats([c, a], lambda tc, ta: curvature_bound(n, dc, da, tc, ta),
                           3 * n ** 5, n ** 4 // 2)
     c, a = lifted or (c, a)

@@ -351,9 +351,13 @@ def _validation_report(g: MetricLieAlgebra) -> ValidationReport:
         # [[e_k, e_i], e_j] for i in rows and j, k >= s, summed at [i, j, k]
         # in that order; every triple i < j < k with i in rows is among them
         s = rows.start
-        total = slab_product(c[rows, s:], c[:, s:])
-        total += np.transpose(slab_product(c[s:, s:], c[:, rows]), (2, 0, 1, 3))
-        total += np.transpose(slab_product(c[s:, rows], c[:, s:]), (1, 2, 0, 3))
+        t = slab_product(c[rows, s:], c[:, s:])
+        # the other two, [j, k, i] and [k, i, j], are t itself when the slab
+        # runs to n, as with a single slab
+        t2, t3 = ((t, t) if rows.stop == n else
+                  (slab_product(c[s:, s:], c[:, rows]), slab_product(c[s:, rows], c[:, s:])))
+        total = t + np.transpose(t2, (2, 0, 1, 3))
+        total += np.transpose(t3, (1, 2, 0, 3))
         lo, hi = np.searchsorted(triples[:, 0], (s, rows.stop))
         i, j, k = (triples[lo:hi] - s).T
         zero = is_zero_matrix(total[i, j, k], g.mode, g.tol, sc * sc, axis=-1)
@@ -449,15 +453,22 @@ def curvature_terms(c: np.ndarray, dc: int, a: np.ndarray, da: int,
     operator read off its slab, as :func:`curvature_operator` reads it in
     float mode, and the whole tensor agree bit for bit.
     """
+    n = c.shape[0]
     s = np.ascontiguousarray(np.transpose(a, (0, 2, 1)))  # s[j] = a[j].T
     a = np.ascontiguousarray(a)
     # R[i, j] = prod[i, j] - back[i, j] - mixed[i, j] with prod[i, j] =
     # dc a[i] @ a[j], the transpose of dc s[j] @ s[i] (made as [j, m, i, r]),
-    # back[i, j] = dc a[j] @ a[i] (made as [j, r, i, m]) and mixed[i, j] =
-    # da times the operator of [e_i, e_j]: each scaled on its factor indexed
-    # by rows, and at most three slabs live at once
-    r = (np.transpose(slab_product(s[cols], np.transpose(s[rows], (1, 0, 2)) * dc), (2, 0, 3, 1))
-         - np.transpose(slab_product(a[cols], np.transpose(a[rows], (1, 0, 2)) * dc), (2, 0, 1, 3)))
+    # back[i, j] = dc a[j] @ a[i] = prod[j, i] (made as [j, r, i, m] unless
+    # rows and cols are the same) and mixed[i, j] = da times the operator of
+    # [e_i, e_j]: each scaled on its factor indexed by rows, and at most
+    # three slabs live at once
+    prod = np.transpose(slab_product(s[cols], np.transpose(s[rows], (1, 0, 2)) * dc), (2, 0, 3, 1))
+    if rows.indices(n) == cols.indices(n):
+        back = np.transpose(prod, (1, 0, 2, 3))
+    else:
+        back = np.transpose(slab_product(a[cols], np.transpose(a[rows], (1, 0, 2)) * dc),
+                            (2, 0, 1, 3))
+    r = prod - back
     r -= slab_product(c[rows, cols] * da, a)
     return r
 
@@ -486,7 +497,7 @@ def scaled_curvature(g: MetricLieAlgebra, conn: InvariantConnection) -> tuple[np
     n = g.dim
     c, dc = g.scaled_bracket
     a, da = conn.scaled_operators, conn.scaled[1]
-    # three products of n**5 multiply-adds each
+    # at most three products of n**5 multiply-adds each
     lifted = exact_floats([c, a], lambda tc, ta: curvature_bound(n, dc, da, tc, ta),
                           3 * n ** 5, n ** 4)
     c, a = lifted or (c, a)
