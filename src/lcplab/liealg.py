@@ -352,12 +352,15 @@ def _validation_report(g: MetricLieAlgebra) -> ValidationReport:
         # in that order; every triple i < j < k with i in rows is among them
         s = rows.start
         t = slab_product(c[rows, s:], c[:, s:])
-        # the other two, [j, k, i] and [k, i, j], are t itself when the slab
-        # runs to n, as with a single slab
-        t2, t3 = ((t, t) if rows.stop == n else
-                  (slab_product(c[s:, s:], c[:, rows]), slab_product(c[s:, rows], c[:, s:])))
-        total = t + np.transpose(t2, (2, 0, 1, 3))
-        total += np.transpose(t3, (1, 2, 0, 3))
+        if rows.stop == n:
+            # t holds every [[e_a, e_b], e_c] with a, b, c >= s, so the other
+            # two terms too, as with a single slab
+            total = t + np.transpose(t, (2, 0, 1, 3))
+            total += np.transpose(t, (1, 2, 0, 3))
+        else:
+            total = t
+            total += np.transpose(slab_product(c[s:, s:], c[:, rows]), (2, 0, 1, 3))
+            total += np.transpose(slab_product(c[s:, rows], c[:, s:]), (1, 2, 0, 3))
         lo, hi = np.searchsorted(triples[:, 0], (s, rows.stop))
         i, j, k = (triples[lo:hi] - s).T
         zero = is_zero_matrix(total[i, j, k], g.mode, g.tol, sc * sc, axis=-1)
