@@ -457,13 +457,14 @@ def curvature_terms(c: np.ndarray, dc: int, a: np.ndarray, da: int,
     float mode, and the whole tensor agree bit for bit.
     """
     n = c.shape[0]
-    s = np.ascontiguousarray(np.transpose(a, (0, 2, 1)))  # s[j] = a[j].T
-    a = np.ascontiguousarray(a)
+    # s[j] = a[j].T, the coefficient layout that an operator stack is a view of
+    s = np.transpose(a, (0, 2, 1))
     # R[i, j] = prod[i, j] - back[i, j] - mixed[i, j] with prod[i, j] =
     # dc a[i] @ a[j], the transpose of dc s[j] @ s[i] (made as [j, m, i, r]),
     # back[i, j] = dc a[j] @ a[i] = prod[j, i] (made as [j, r, i, m] unless
     # rows and cols are the same) and mixed[i, j] = da times the operator of
-    # [e_i, e_j]: each scaled on its factor indexed by rows, and at most
+    # [e_i, e_j], the transpose of da sum_l c[i, j, l] s[l] (made as
+    # [i, j, m, r]): each scaled on its factor indexed by rows, and at most
     # three slabs live at once
     prod = np.transpose(slab_product(s[cols], np.transpose(s[rows], (1, 0, 2)) * dc), (2, 0, 3, 1))
     if rows.indices(n) == cols.indices(n):
@@ -472,7 +473,7 @@ def curvature_terms(c: np.ndarray, dc: int, a: np.ndarray, da: int,
         back = np.transpose(slab_product(a[cols], np.transpose(a[rows], (1, 0, 2)) * dc),
                             (2, 0, 1, 3))
     r = prod - back
-    r -= slab_product(c[rows, cols] * da, a)
+    r -= np.transpose(slab_product(c[rows, cols] * da, s), (0, 1, 3, 2))
     return r
 
 
