@@ -685,7 +685,6 @@ def _closure(store, seed: np.ndarray, stacks: Sequence[np.ndarray],
         while len(new) and store.dim < cap:
             images, s = [], 0
             while s < len(new) and store.dim < cap:
-                # no more rows than give images enough to fill the room left
                 rows = min(panel, -(-(cap - store.dim) // len(stack)))
                 images.append(insert(apply(stack, new[s:s + rows]).reshape(-1, width)))
                 s += rows
