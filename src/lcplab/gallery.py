@@ -6,11 +6,13 @@ solvable algebra with an irrational rotation rate that forces float
 mode, and a fourteen-dimensional semidirect sum with semisimple part.
 Entries are cached and shared; treat them as read-only.
 
-The builders run on ints. A semidirect sum checks its action and fills
-its bracket on the scaled form of the action matrices and of h's
-bracket (``scalars.to_scaled``), and sl(d) comes from an int stack of
-its basis matrices: its commutator coordinates and its trace form are
-each one product.
+The builders run on the scaled form an algebra keeps, ints over one
+denominator (``MetricLieAlgebra.scaled_bracket``): a semidirect sum
+parses its action matrices to that form, checks the action, fills its
+bracket and Gram matrix there and hands them, no rational built, to the
+validation ``make_algebra`` runs. sl(d) comes from an int stack of its
+basis matrices: its commutator coordinates and its trace form are each
+one product.
 """
 from __future__ import annotations
 
@@ -24,10 +26,10 @@ import numpy as np
 from .errors import InputError
 from .lattice import LatticeData, companion
 from .lcp import LcpData, make_lcp_data
-from .liealg import (MetricLieAlgebra, bracket_table, direct_sum_algebra,
+from .liealg import (MetricLieAlgebra, bracket_table, checked_algebra, direct_sum_algebra,
                      make_algebra)
-from .scalars import (EXACT, FLOAT, Mode, array_for_mode, eye_array, from_scaled,
-                      int_matmul, int_tensordot, to_scaled, zeros_array)
+from .scalars import (EXACT, FLOAT, Mode, diagonal_blocks, int_matmul, int_tensordot,
+                      scaled_array)
 
 __all__ = [
     "ExpectedVerdicts", "GalleryEntry", "semidirect_sum",
@@ -81,14 +83,14 @@ def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
     if len(rep) != h.dim:
         raise InputError(f"need one action matrix per basis element of h: "
                          f"got {len(rep)}, expected {h.dim}")
-    mats = []
     for k, r in enumerate(rep):
-        arr = array_for_mode(r, h.mode)
-        if arr.shape != (v_dim, v_dim):
-            raise InputError(f"action matrix {k} has shape {arr.shape}, "
+        if np.shape(r) != (v_dim, v_dim):
+            raise InputError(f"action matrix {k} has shape {np.shape(r)}, "
                              f"expected {(v_dim, v_dim)}")
-        mats.append(arr)
-    rho, hc, den = to_scaled(np.array(mats).reshape(h.dim, v_dim, v_dim), h.bracket)
+    rho, dr = scaled_array(list(rep), h.mode)
+    # the ideal's zero bracket beside h's, over one denominator with rho
+    c, den = diagonal_blocks((np.zeros((v_dim,) * 3, dtype=rho.dtype), dr), h.scaled_bracket)
+    rho, hc = rho.reshape(h.dim, v_dim, v_dim) * (den // dr), c[v_dim:, v_dim:, v_dim:]
     # defect[i, j] = [rho_i, rho_j] - sum_k c_ijk rho_k, times den^2
     prod = int_matmul(rho[:, None], rho[None, :])
     defect = prod - np.transpose(prod, (1, 0, 2, 3)) - int_tensordot(hc, rho, axes=(2, 0))
@@ -100,20 +102,14 @@ def semidirect_sum(h: MetricLieAlgebra, rep: Sequence[np.ndarray],
             raise InputError(
                 f"action is not a homomorphism: [rep({ni}), rep({nj})] "
                 f"differs from rep([{ni}, {nj}])")
-    # [h_k, v_j] = sum_m rho_k[m, j] v_m, and h brackets as in h
-    n = v_dim + h.dim
-    c = np.zeros((n, n, n), dtype=rho.dtype)
+    # [h_k, v_j] = sum_m rho_k[m, j] v_m
     c[v_dim:, :v_dim, :v_dim] = np.transpose(rho, (0, 2, 1))
     c[:v_dim, v_dim:, :v_dim] = -np.transpose(rho, (2, 0, 1))
-    c[v_dim:, v_dim:, v_dim:] = hc
-    gram = zeros_array((n, n), h.mode)
-    gram[:v_dim, :v_dim] = eye_array(v_dim, h.mode)
-    gram[v_dim:, v_dim:] = h.gram
+    gram = diagonal_blocks(scaled_array(np.identity(v_dim, dtype=int), h.mode), h.scaled_gram)
     if v_names is None:
         v_names = tuple(f"v{i}" for i in range(v_dim))
-    names = tuple(v_names) + tuple(h.basis_names)
-    return make_algebra(from_scaled(c, den), gram=gram, mode=h.mode, basis_names=names,
-                        tol=h.tol)
+    names = tuple(str(s) for s in v_names) + h.basis_names
+    return checked_algebra(MetricLieAlgebra((c, den), gram, h.mode, names, h.tol))
 
 
 def _line(name: str = "s") -> MetricLieAlgebra:

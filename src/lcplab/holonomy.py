@@ -154,8 +154,8 @@ def _closure_inputs(g: MetricLieAlgebra,
     nonzero ones, so the seeds equal that tensor's entries and no n**4
     tensor is built."""
     n = g.dim
-    sc = scale_of(g.bracket, g.gram)
     c, dc = g.scaled_bracket
+    sc = scale_of(c, g.scaled_gram[0])
     a, da = conn.scaled_operators, conn.scaled[1]
     # at most three products of n**5 multiply-adds each; the seeds kept are converted
     lifted = exact_floats([c, a], lambda tc, ta: curvature_bound(n, dc, da, tc, ta),
@@ -716,10 +716,10 @@ def _cross_vanishes(g: MetricLieAlgebra, linear_rows: np.ndarray,
     sums is equivalent to vanishing identically; both are covered by the
     polarized values below.
     """
-    sc = scale_of(g.bracket, g.gram)
+    c = g.scaled_bracket[0]
+    sc = scale_of(c, g.scaled_gram[0])
     n, p, m = g.dim, len(linear_rows), len(quad_rows)
     a, y, gram, _ = to_scaled(linear_rows, quad_rows, g.gram)
-    c = g.scaled_bracket[0]
     # only a zero test reads val: |br| <= n**2 A C Y, |gram y^T| <= n G Y, and
     # each entry of val + val^T sums 2n terms of their product
     lifted = exact_floats([a, c, y, gram],

@@ -116,21 +116,21 @@ def weyl_connection(g: MetricLieAlgebra, theta: np.ndarray) -> InvariantConnecti
     diag = np.arange(g.dim)
     base, dl = g.levi_civita.scaled
     ginv, di = g.scaled_gram_inverse
-    gram, theta, d = to_scaled(g.gram, theta)
+    (gram, dg), (theta, d) = g.scaled_gram, to_scaled(theta)
     sharp = ginv @ theta  # t# over di * d
-    # every term over dl * di * d * d: the last one is gram over d times t#
-    coeffs = base * (di * d * d)
-    coeffs[:, diag, diag] += theta[:, None] * (dl * di * d)  # coeffs[i, j, j] += theta[i]
-    coeffs[diag, :, diag] += theta[None, :] * (dl * di * d)  # coeffs[i, j, i] += theta[j]
+    # every term over dl * di * d * dg: the last one is gram over dg times t#
+    coeffs = base * (di * d * dg)
+    coeffs[:, diag, diag] += theta[:, None] * (dl * di * dg)  # coeffs[i, j, j] += theta[i]
+    coeffs[diag, :, diag] += theta[None, :] * (dl * di * dg)  # coeffs[i, j, i] += theta[j]
     coeffs -= gram[:, :, None] * sharp * dl
-    return InvariantConnection(lowest_terms(coeffs, dl * di * d * d), WEYL, g.mode)
+    return InvariantConnection(lowest_terms(coeffs, dl * di * d * dg), WEYL, g.mode)
 
 
 def is_closed_covector(g: MetricLieAlgebra, theta: np.ndarray) -> bool:
     """True when the covector kills every bracket: c . theta vanishes."""
-    sc = scale_of(g.bracket, theta)
-    return is_zero_matrix(g.scaled_bracket[0] @ to_scaled(theta)[0], g.mode, g.tol,
-                          scale=sc * sc)
+    c = g.scaled_bracket[0]
+    sc = scale_of(c, theta)
+    return is_zero_matrix(c @ to_scaled(theta)[0], g.mode, g.tol, scale=sc * sc)
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,13 @@ from .scalars import (
     as_fraction,
     back_to_ints,
     check_mode,
+    diagonal_blocks,
     exact_floats,
-    eye_array,
     from_scaled,
     int_matmul,
     int_tensordot,
     lowest_terms,
-    to_float_array,
+    scaled_array,
     to_scaled,
     zeros_array,
 )
@@ -65,27 +65,39 @@ WEYL = "weyl"
 
 @dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
-    """A Lie algebra with a chosen basis and a positive definite inner product."""
+    """A Lie algebra with a chosen basis and a positive definite inner product,
+    both kept on the scaled form of ``scalars.to_scaled``, in lowest terms;
+    their rational views ``bracket`` and ``gram`` are built when read."""
 
-    bracket: np.ndarray  # (n, n, n)
-    gram: np.ndarray  # (n, n)
+    scaled_bracket: tuple[np.ndarray, int]  # (n, n, n) over one denominator
+    scaled_gram: tuple[np.ndarray, int]  # (n, n) over one denominator
     mode: Mode
     basis_names: tuple[str, ...]
     tol: TolerancePolicy
 
+    def __post_init__(self) -> None:
+        if len(self.basis_names) != self.dim:
+            raise InputError(f"expected {self.dim} basis names, got {len(self.basis_names)}")
+        check_square_scale(self.scaled_bracket[0], self.scaled_gram[0])
+
     @property
     def dim(self) -> int:
-        return int(self.bracket.shape[0])
+        return int(self.scaled_bracket[0].shape[0])
 
     @cached_property
-    def scaled_bracket(self) -> tuple[np.ndarray, int]:
-        """The bracket tensor as (ints, den), see ``to_scaled``."""
-        return to_scaled(self.bracket)
+    def bracket(self) -> np.ndarray:  # (n, n, n)
+        return from_scaled(*self.scaled_bracket)
+
+    @cached_property
+    def gram(self) -> np.ndarray:  # (n, n)
+        return from_scaled(*self.scaled_gram)
 
     @cached_property
     def scaled_gram_inverse(self) -> tuple[np.ndarray, int]:
-        """G^-1 as (ints, den), see ``linalg.scaled_inverse``."""
-        return scaled_inverse(self.gram, self.mode)
+        """G^-1 as (ints, den) in lowest terms, see ``linalg.scaled_inverse``."""
+        gram, dg = self.scaled_gram
+        ginv, di = scaled_inverse(gram, self.mode)
+        return lowest_terms(ginv * dg, di)
 
     @cached_property
     def levi_civita(self) -> InvariantConnection:
@@ -106,15 +118,19 @@ def bracket_table(n: int, entries: Mapping[tuple[int, int], Any], mode: Mode = E
 
     ``entries[(i, j)]`` is the coordinate vector of ``[e_i, e_j]``, either a
     full length-n sequence or a dict {index: coefficient}; the antisymmetric
-    counterpart is filled in automatically.
+    counterpart is filled in automatically, and an index outside range(n) refused.
     """
     c = zeros_array((n, n, n), mode)
     for (i, j), vec in entries.items():
+        if i not in range(n) or j not in range(n):
+            raise InputError(f"bracket pair ({i}, {j}) is out of range for dimension {n}")
         if i == j:
             raise InputError("bracket of a basis vector with itself must be omitted")
         if isinstance(vec, Mapping):
             full = zeros_array((n,), mode)
             for k, val in vec.items():
+                if k not in range(n):
+                    raise InputError(f"coefficient index {k} is out of range for dimension {n}")
                 full[k] = array_for_mode([val], mode)[0]
             v = full
         else:
@@ -130,32 +146,33 @@ def make_algebra(bracket: Any, gram: Any = None, mode: Mode = EXACT,
                  basis_names: Optional[Sequence[str]] = None,
                  tol: TolerancePolicy = DEFAULT_TOL, check: bool = True) -> MetricLieAlgebra:
     check_mode(mode)
-    c = array_for_mode(bracket, mode)
-    if c.ndim != 3 or len(set(c.shape)) != 1:
+    c = scaled_array(bracket, mode)
+    if c[0].ndim != 3 or len(set(c[0].shape)) != 1:
         raise InputError("bracket tensor must have shape (n, n, n)")
-    n = c.shape[0]
-    g = eye_array(n, mode) if gram is None else array_for_mode(gram, mode)
-    if g.shape != (n, n):
+    n = c[0].shape[0]
+    g = scaled_array(np.identity(n, dtype=int) if gram is None else gram, mode)
+    if g[0].shape != (n, n):
         raise InputError(f"gram matrix must have shape ({n}, {n})")
-    check_square_scale(c, g)
-    if basis_names is None:
-        names = tuple(f"e{i}" for i in range(n))
-    else:
-        names = tuple(str(s) for s in basis_names)
-        if len(names) != n:
-            raise InputError(f"expected {n} basis names, got {len(names)}")
+    names = (tuple(f"e{i}" for i in range(n)) if basis_names is None
+             else tuple(str(s) for s in basis_names))
     alg = MetricLieAlgebra(c, g, mode, names, tol)
-    if check:
-        report = validate_algebra(alg)
-        if not report.passed:
-            raise InputError("invalid algebra data: " + "; ".join(report.failures()))
-    return alg
+    return checked_algebra(alg) if check else alg
+
+
+def checked_algebra(g: MetricLieAlgebra) -> MetricLieAlgebra:
+    """``g`` itself when it passes :func:`validate_algebra`; InputError otherwise."""
+    report = validate_algebra(g)
+    if not report.passed:
+        raise InputError("invalid algebra data: " + "; ".join(report.failures()))
+    return g
 
 
 def to_float_algebra(g: MetricLieAlgebra) -> MetricLieAlgebra:
     if g.mode == FLOAT:
         return g
-    return MetricLieAlgebra(to_float_array(g.bracket), to_float_array(g.gram),
+    # ints / den divides each Python int by den, rounded once, as float() of the rational is
+    return MetricLieAlgebra(((g.scaled_bracket[0] / g.scaled_bracket[1]).astype(np.float64), 1),
+                            ((g.scaled_gram[0] / g.scaled_gram[1]).astype(np.float64), 1),
                             FLOAT, g.basis_names, g.tol)
 
 
@@ -163,17 +180,11 @@ def direct_sum_algebra(a: MetricLieAlgebra, b: MetricLieAlgebra) -> MetricLieAlg
     """Orthogonal direct sum of two metric Lie algebras."""
     if a.mode != b.mode:
         raise InputError("direct sum requires matching scalar modes")
-    n1, n2 = a.dim, b.dim
-    n = n1 + n2
-    c = zeros_array((n, n, n), a.mode)
-    c[:n1, :n1, :n1] = a.bracket
-    c[n1:, n1:, n1:] = b.bracket
-    g = zeros_array((n, n), a.mode)
-    g[:n1, :n1] = a.gram
-    g[n1:, n1:] = b.gram
     left = a.basis_names
     right = tuple(nm + "'" if nm in left else nm for nm in b.basis_names)
-    return MetricLieAlgebra(c, g, a.mode, left + right, a.tol)
+    return MetricLieAlgebra(diagonal_blocks(a.scaled_bracket, b.scaled_bracket),
+                            diagonal_blocks(a.scaled_gram, b.scaled_gram),
+                            a.mode, left + right, a.tol)
 
 
 def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
@@ -187,7 +198,7 @@ def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
         raise InputError("change of basis matrix has the wrong shape")
     c, dc = g.scaled_bracket
     qi, dq = to_scaled(q)
-    gram, dg = to_scaled(g.gram)
+    gram, dg = g.scaled_gram
     qinv, di = scaled_inverse(q, g.mode)
     # t[i, k, j] = the e_k component of [q_i, q_j]
     t = int_tensordot(int_tensordot(qi, c, axes=(1, 0)), qi, axes=(1, 1))
@@ -197,8 +208,8 @@ def transform_algebra(g: MetricLieAlgebra, q: np.ndarray) -> MetricLieAlgebra:
     new = np.zeros_like(full)
     new[iu, ju] = full[iu, ju]
     new[ju, iu] = -full[iu, ju]
-    return MetricLieAlgebra(from_scaled(new, dc * dq * dq * di),
-                            from_scaled(int_matmul(int_matmul(qi, gram), qi.T), dq * dq * dg),
+    return MetricLieAlgebra(lowest_terms(new, dc * dq * dq * di),
+                            lowest_terms(int_matmul(int_matmul(qi, gram), qi.T), dq * dq * dg),
                             g.mode, g.basis_names, g.tol)
 
 
@@ -299,18 +310,13 @@ class ValidationReport:
             out.append("gram matrix is not positive definite")
         return out
 
-    def summary(self) -> str:
-        if self.passed:
-            return "valid metric Lie algebra"
-        return "; ".join(self.failures())
-
 
 def _is_positive_definite(gram: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:
+    """On the scaled Gram matrix: a positive scale changes no sign below."""
     n = gram.shape[0]
     if mode == EXACT:
-        # Sylvester's criterion on the integer matrix d * gram, d > 0, whose
-        # leading minors have the signs of gram's
-        return all(m > 0 for m in leading_minors(to_scaled(gram)[0].tolist()))
+        # Sylvester's criterion on the integer matrix
+        return all(m > 0 for m in leading_minors(gram.tolist()))
     w = np.linalg.eigvalsh(np.asarray(gram, dtype=np.float64))
     top = float(np.max(np.abs(w))) if n else 0.0
     return bool(n == 0 or w[0] > tol.rank_tol * max(1.0, top))
@@ -365,9 +371,9 @@ def _validation_report(g: MetricLieAlgebra) -> ValidationReport:
         i, j, k = (triples[lo:hi] - s).T
         zero = is_zero_matrix(total[i, j, k], g.mode, g.tol, sc * sc, axis=-1)
         jac.append(triples[lo:hi][~zero])
-    gram = to_scaled(g.gram)[0]
-    gram_sym = is_zero_matrix(gram - gram.T, g.mode, g.tol, scale=scale_of(g.gram))
-    gram_pd = gram_sym and _is_positive_definite(g.gram, g.mode, g.tol)
+    gram = g.scaled_gram[0]
+    gram_sym = is_zero_matrix(gram - gram.T, g.mode, g.tol, scale=scale_of(gram))
+    gram_pd = gram_sym and _is_positive_definite(gram, g.mode, g.tol)
     return ValidationReport(tuple(map(tuple, anti.tolist())),
                             tuple(map(tuple, np.concatenate(jac).tolist())), gram_sym, gram_pd)
 
@@ -420,7 +426,7 @@ def levi_civita(g: MetricLieAlgebra) -> InvariantConnection:
     """
     n = g.dim
     c, dc = g.scaled_bracket
-    gram, dg = to_scaled(g.gram)
+    gram, dg = g.scaled_gram
     ginv, di = g.scaled_gram_inverse
     # |b| <= n max|c| max|gram|, |rhs| <= 3 times that, and every entry and
     # partial sum of coeffs is at most n times max|rhs| max|ginv|
@@ -537,7 +543,7 @@ def metric_defect(g: MetricLieAlgebra, conn: InvariantConnection,
     if theta is None:
         theta = zeros_array((g.dim,), g.mode)
     a, da = conn.scaled_operators, conn.scaled[1]
-    gram, t, d = to_scaled(g.gram, theta)
+    (gram, dg), (t, d) = g.scaled_gram, to_scaled(theta)
     defect = ((int_matmul(gram, a) + int_matmul(np.transpose(a, (0, 2, 1)), gram)) * d
               - 2 * da * t[:, None, None] * gram)
-    return _max_abs(defect, d * d * da)
+    return _max_abs(defect, dg * d * da)

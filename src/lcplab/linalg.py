@@ -235,11 +235,14 @@ def _solve_scaled(a: np.ndarray, b: np.ndarray) -> Optional[tuple[np.ndarray, in
 
 def scaled_inverse(a: np.ndarray, mode: Mode) -> tuple[np.ndarray, int]:
     """The inverse of a square matrix on the scaled form: (ints, den) in
-    exact mode, (inverse, 1) in float mode."""
-    if mode != EXACT:
-        return np.linalg.inv(np.asarray(a, dtype=np.float64)), 1
-    # a singular a leaves a pivot in the identity block
-    x = _solve_scaled(a, np.identity(a.shape[0], dtype=int).astype(object))
+    exact mode, (inverse, 1) in float mode; InputError in both when a is singular."""
+    try:
+        if mode != EXACT:
+            return np.linalg.inv(np.asarray(a, dtype=np.float64)), 1
+        # a singular a leaves a pivot in the identity block
+        x = _solve_scaled(a, np.identity(a.shape[0], dtype=int).astype(object))
+    except np.linalg.LinAlgError:  # numpy's singular float matrix
+        x = None
     if x is None:
         raise InputError("matrix is singular; cannot invert")
     return x

@@ -4,19 +4,19 @@ Two backends: exact rationals and binary64 floats (float64 arrays). A
 single computation never mixes the two; promotion exact -> float is
 explicit and one-way.
 
-Exact input arrays are numpy object arrays of ``fractions.Fraction``;
-the work runs on a scaled-integer form of the same data, an object array
-of Python ints plus one common denominator (:func:`to_scaled` and
-:func:`from_scaled`). An exact array becomes ints once, where it is
-made, and each later span, invariance or zero test takes those ints: a
-positive scale changes none of them, and integer products skip the gcd
-normalisation that dominates ``Fraction`` arithmetic. So exact answers
-pass between stages on that form, and rational values are built only
-where a caller reads them: a connection keeps its scaled coefficient
-tensor, nullspaces (and so every computed subspace) are primitive
-integer rows, solves are ints over one denominator, and the holonomy
-basis and the symmetric commutant are Python ints, each element a
-positive multiple of the rational one.
+Exact data are kept on a scaled-integer form: an object array of Python
+ints plus one common denominator (:func:`to_scaled` and
+:func:`from_scaled`). Input is parsed straight to that form
+(:func:`scaled_array`), and each later span, invariance or zero test
+takes those ints: a positive scale changes none of them, and integer
+products skip the gcd normalisation that dominates ``Fraction``
+arithmetic. So exact answers pass between stages on that form, and
+rational values are built only where a caller reads them: an algebra
+keeps its scaled bracket and Gram matrix, a connection its scaled
+coefficient tensor, nullspaces (and so every computed subspace) are
+primitive integer rows, solves are ints over one denominator, and the
+holonomy basis and the symmetric commutant are Python ints, each element
+a positive multiple of the rational one.
 
 A float64 array is its own scaled form over denominator 1, and so is an
 object array of Python ints: an algorithm written once on the scaled
@@ -271,6 +271,18 @@ def lowest_terms(ints: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return ints // g, den // g
 
 
+def diagonal_blocks(a: tuple[np.ndarray, int],
+                    b: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
+    """Two scaled arrays of one rank as the diagonal blocks of one, zero
+    elsewhere, over one denominator: in lowest terms when both are."""
+    (x, dx), (y, dy) = a, b
+    den = math.lcm(dx, dy)
+    out = np.zeros(tuple(np.add(x.shape, y.shape)), dtype=x.dtype)
+    out[tuple(slice(k) for k in x.shape)] = x * (den // dx)
+    out[tuple(slice(k, None) for k in x.shape)] = y * (den // dy)
+    return out, den
+
+
 def from_scaled(ints: np.ndarray, den: int) -> np.ndarray:
     """The array ``ints / den``, undoing :func:`to_scaled`: Fractions, or
     floats for a float64 ``ints``."""
@@ -286,6 +298,12 @@ def float_array(data: Any) -> np.ndarray:
 
 def array_for_mode(data: Any, mode: Mode) -> np.ndarray:
     return exact_array(data) if mode == EXACT else float_array(data)
+
+
+def scaled_array(data: Any, mode: Mode) -> tuple[np.ndarray, int]:
+    """Parse data in the declared mode straight to the scaled form of
+    :func:`to_scaled`; an int entry is read as it is, no rational built."""
+    return to_scaled(np.array(data, dtype=object) if mode == EXACT else float_array(data))
 
 
 def to_float_array(arr: np.ndarray) -> np.ndarray:

@@ -664,7 +664,7 @@ def test_one_levi_civita_and_one_gram_inverse_per_analysis(monkeypatch):
     solve = linalg._solve_scaled
 
     def counting_solve(a, b):
-        inversions.append(a is g.gram)
+        inversions.append(a is g.scaled_gram[0])
         return solve(a, b)
     # every connection is made through the one class and every exact
     # inverse through the one solve, however they are imported
@@ -838,6 +838,24 @@ def test_fraction_budget_of_one_exact_analysis(monkeypatch):
     assert built[0] <= 300, built[0]
 
 
+def test_fraction_budget_of_the_sl3_build(monkeypatch):
+    # the builders hand the algebra its scaled ints: exact sl_example(3)
+    # built 29,840 Fractions while the semidirect sum passed its bracket to
+    # make_algebra as Fractions, 24,389 of them that bracket. The cache's
+    # wrapped function builds it as a cleared cache would
+    built = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    entry = sl_example.__wrapped__(3)
+    monkeypatch.undo()
+    assert entry.algebra.dim == 29
+    assert built[0] <= 8000, built[0]
+
+
 # ---------------------------------------------------------------------------
 # the product kernel: float64 products of object ints below 2**53
 
@@ -1000,9 +1018,7 @@ def _small_ints(rng, shape, top):
 
 def _metric_algebra(c):
     """The bracket tensor c of object ints, with the unit Gram matrix and no checks."""
-    n = c.shape[0]
-    return liealg.MetricLieAlgebra(c, np.identity(n, dtype=int).astype(object), EXACT,
-                                   tuple(f"e{i}" for i in range(n)), DEFAULT_TOL)
+    return liealg.make_algebra(c, check=False)
 
 
 def _jacobi_site(t):

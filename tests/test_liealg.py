@@ -24,10 +24,11 @@ from lcplab.liealg import (
     metric_defect,
     to_float_algebra,
     torsion_defect,
+    transform_algebra,
     validate_algebra,
 )
 from lcplab.linalg import exact_det, is_zero_matrix, make_subspace, residual_band, scale_of
-from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, exact_array
+from lcplab.scalars import DEFAULT_TOL, EXACT, FLOAT, array_for_mode, exact_array
 
 F = Fraction
 
@@ -65,6 +66,24 @@ def test_bracket_table_fills_antisymmetric_entry():
 def test_bracket_table_rejects_diagonal_key():
     with pytest.raises(InputError):
         bracket_table(2, {(1, 1): {0: 1}})
+
+
+@pytest.mark.parametrize("entries", [
+    {(-1, 0): {0: 1}},  # would write [e_2, e_0]
+    {(3, 0): {0: 1}},  # was a bare IndexError
+    {(0, 1): {-3: 1}},  # would write the e_0 coefficient
+], ids=["negative-pair-index", "pair-index-past-n", "negative-coefficient-key"])
+def test_bracket_table_refuses_an_index_outside_range_n(entries):
+    with pytest.raises(InputError, match="out of range for dimension 3"):
+        bracket_table(3, entries)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_transform_algebra_refuses_a_singular_basis_change_in_both_lanes(mode):
+    g = make_algebra(bracket_table(3, {(2, 0): {0: 1}, (2, 1): {1: -1}}, mode), mode=mode)
+    q = array_for_mode([[1, 0, 0], [0, 1, 0], [1, 1, 0]], mode)
+    with pytest.raises(InputError, match="matrix is singular; cannot invert"):
+        transform_algebra(g, q)
 
 
 def test_bracket_vec_bilinearity_witness():
@@ -124,7 +143,7 @@ def test_validate_reports_antisymmetry_violation():
     rep = validate_algebra(g)
     assert rep.antisymmetry_violations == ((0, 1),)
     assert not rep.passed
-    assert "antisymmetry" in rep.summary()
+    assert rep.failures() == ["antisymmetry fails at pairs [(0, 1)]"]
 
 
 def test_validate_reports_jacobi_violation():
