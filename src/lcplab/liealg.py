@@ -234,13 +234,20 @@ def inner(g: MetricLieAlgebra, x: np.ndarray, y: np.ndarray):
 
 def is_subalgebra(g: MetricLieAlgebra, s: Subspace) -> bool:
     """True when every ad_x, x in a basis of s, preserves s: one invariance
-    test, on the scaled bracket (a positive scale changes no invariant subspace)."""
+    test, on the scaled bracket (a positive scale changes no invariant
+    subspace). A subspace of full dimension is the whole algebra, which its
+    own bracket preserves, and takes no test."""
+    if s.dim == g.dim:
+        return True
     ad = int_tensordot(to_scaled(s.basis)[0], g.scaled_bracket[0], axes=(1, 0))
     return restrict_operator(np.transpose(ad, (0, 2, 1)), s.basis, g.mode, g.tol) is not None
 
 
 def is_ideal(g: MetricLieAlgebra, s: Subspace) -> bool:
-    """True when every ad_{e_i} preserves s, in one invariance test."""
+    """True when every ad_{e_i} preserves s, in one invariance test; a
+    subspace of full dimension takes none, as in :func:`is_subalgebra`."""
+    if s.dim == g.dim:
+        return True
     ad = np.transpose(g.scaled_bracket[0], (0, 2, 1))
     return restrict_operator(ad, s.basis, g.mode, g.tol) is not None
 

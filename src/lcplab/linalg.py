@@ -98,7 +98,12 @@ def scale_of(*arrays: np.ndarray) -> float:
 
 
 def check_square_scale(*arrays: np.ndarray) -> None:
-    """Refuse float data whose square overflows: zero bands grow with it."""
+    """Refuse float data with a NaN or infinite entry, which passes or
+    breaks every zero band (``scale_of`` skips a NaN), or whose square
+    overflows: zero bands grow with it."""
+    for a in arrays:
+        if a.dtype == np.float64 and not np.isfinite(a).all():
+            raise InputError(f"float entry {a[~np.isfinite(a)][0]} is not a finite number")
     sc = scale_of(*arrays)
     if not math.isfinite(sc * sc):
         raise InputError(f"float entry of magnitude {sc:.3g} is too large: its square overflows")
@@ -599,7 +604,8 @@ class _ModpBasis:
 
         The block goes in by panels of ``MODP_PANEL`` rows. A panel is
         reduced against every stored row in one product, which leaves its
-        free columns, and eliminated (:func:`_eliminate`). Its new rows
+        free columns, and its rows that are not zero then are eliminated
+        (:func:`_eliminate`); a zero row lies in the stored span. Its new rows
         then clear their pivot columns from the stored rows in one product,
         join them, and those columns stop being free.
         """
@@ -607,7 +613,7 @@ class _ModpBasis:
         for s in range(0, len(block), MODP_PANEL):
             panel = block[s:s + MODP_PANEL]
             panel = matmul_mod(-panel[:, self.pivots], self.cols, p, panel[:, self.free])
-            rows, piv = _eliminate(panel, p)
+            rows, piv = _eliminate(panel[panel.any(axis=1)], p)
             if not len(rows):
                 continue
             full = np.zeros((len(rows), self.width), dtype=np.int64)
@@ -669,8 +675,12 @@ def _closure(store, seed: np.ndarray, stacks: Sequence[np.ndarray],
     mapped in order, at most ``MODP_PANEL`` images per call (one row's for
     a longer stack), which bounds those pending, so a store tests the
     candidates in the order of a first-in first-out queue of kept rows. A
-    call maps no more rows than it takes to make as many images as the
-    room left under the cap.
+    call maps as many rows as it takes to fill the room left under the cap
+    at the yield of the previous call, the share of its images that were
+    kept (1 before the first call, and at most the panel's rows after a
+    call that kept none): near the cap, where most images are dependent,
+    a call maps more rows than the room alone asks for, and a closure
+    whose images are all kept makes none that the cap cannot use.
     """
     width = seed.shape[1]
 
@@ -683,13 +693,17 @@ def _closure(store, seed: np.ndarray, stacks: Sequence[np.ndarray],
         return np.concatenate(kept)
 
     kept = [insert(seed)]
+    made = useful = 1  # the images of the previous call, and those it kept
     for stack in filter(len, stacks):  # an empty stack has no image
         panel, new = max(1, MODP_PANEL // len(stack)), np.concatenate(kept)
         while len(new) and store.dim < cap:
             images, s = [], 0
             while s < len(new) and store.dim < cap:
-                rows = min(panel, -(-(cap - store.dim) // len(stack)))
-                images.append(insert(apply(stack, new[s:s + rows]).reshape(-1, width)))
+                need = -(-(cap - store.dim) * made // (useful * len(stack))) if useful else panel
+                rows = min(panel, need)
+                block = apply(stack, new[s:s + rows]).reshape(-1, width)
+                images.append(insert(block))
+                made, useful = len(block), len(images[-1])
                 s += rows
             new = np.concatenate(images)
             kept.append(new)

@@ -23,6 +23,7 @@ from conftest import positive_multiple, subspaces_equal
 from lcplab import holonomy, lcp, liealg, linalg, scalars
 from lcplab.base import int_charpoly, int_det
 from lcplab.cli import run_analysis
+from lcplab.fileio import load_algebra_file, save_algebra_file
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (common_kernel, de_rham_splitting, holonomy_algebra,
                              reducibility_witness, symmetric_commutant)
@@ -817,6 +818,21 @@ def test_computed_subspaces_are_integer_rows_spanning_the_fraction_route(random_
     assert min(checked.values()) > 0, checked
 
 
+def _fractions_built(monkeypatch, fn, *args):
+    """fn(*args), and the number of Fractions built while it ran."""
+    built = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    try:
+        return fn(*args), built[0]
+    finally:
+        monkeypatch.undo()
+
+
 def test_fraction_budget_of_one_exact_analysis(monkeypatch):
     # exact answers pass between stages as ints: Fractions are built only
     # where a value is read. One exact sl2_semidirect analysis with its
@@ -825,17 +841,22 @@ def test_fraction_budget_of_one_exact_analysis(monkeypatch):
     # Fractions, and 83 since
     entry = sl_example(2)
     g = dataclasses.replace(entry.algebra)  # a fresh algebra: nothing cached yet
-    built = [0]
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built[0] += 1
-        return new(cls, *args, **kwargs)
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    report, code = run_analysis(g, entry.lcp)
-    monkeypatch.undo()
+    (report, code), built = _fractions_built(monkeypatch, run_analysis, g, entry.lcp)
     assert code == 0 and report["lcp_report"]["overall"]
-    assert built[0] <= 300, built[0]
+    assert built <= 300, built
+
+
+def test_fraction_budget_of_one_exact_load(monkeypatch, tmp_path):
+    # a file's bracket and metric load straight to the scaled form: loading
+    # exported sl2_semidirect built 871 Fractions while they were read as
+    # Fractions and scaled afterwards. What is left is the LCP block's
+    # values, 210 scalars, which make_lcp_data keeps as they were read
+    entry = sl_example(2)
+    path = str(tmp_path / "sl2_semidirect.json")
+    save_algebra_file(path, entry.algebra, lcp=entry.lcp)
+    (g, data, _), built = _fractions_built(monkeypatch, load_algebra_file, path)
+    assert g.dim == 14 and data is not None
+    assert built <= 210, built
 
 
 def test_fraction_budget_of_the_sl3_build(monkeypatch):
@@ -843,17 +864,9 @@ def test_fraction_budget_of_the_sl3_build(monkeypatch):
     # built 29,840 Fractions while the semidirect sum passed its bracket to
     # make_algebra as Fractions, 24,389 of them that bracket. The cache's
     # wrapped function builds it as a cleared cache would
-    built = [0]
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built[0] += 1
-        return new(cls, *args, **kwargs)
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    entry = sl_example.__wrapped__(3)
-    monkeypatch.undo()
+    entry, built = _fractions_built(monkeypatch, sl_example.__wrapped__, 3)
     assert entry.algebra.dim == 29
-    assert built[0] <= 8000, built[0]
+    assert built <= 8000, built
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """File format round-trips and parse failures."""
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,10 @@ from lcplab.fileio import (algebra_to_dict, canonical_json, dict_to_algebra,
                            load_algebra_file, save_algebra_file)
 from lcplab.gallery import all_entries, fundamental_example, product_example
 from lcplab.lcp import lcp_data_to_float, make_lcp_data
-from lcplab.liealg import to_float_algebra, validate_algebra
+from lcplab.liealg import direct_sum_algebra, to_float_algebra, validate_algebra
+from lcplab.scalars import as_fraction, format_scalar
+
+F = Fraction
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +29,104 @@ def test_round_trip_is_byte_idempotent(entries):
         g2, lcp2, lat2 = dict_to_algebra(d1)
         d2 = algebra_to_dict(g2, lcp=lcp2, lattice=lat2)
         assert canonical_json(d1) == canonical_json(d2), e.name
+
+
+def _round_trip_algebras(corpus):
+    """The gallery, the corpus and the large exact benchmark inputs (the
+    gallery's sl2_semidirect, and two and three copies of the fundamental
+    example), each with its float twin."""
+    fund = fundamental_example().algebra
+    fund2 = direct_sum_algebra(fund, fund)
+    exact = ([e.algebra for e in all_entries()] + list(corpus)
+             + [fund2, direct_sum_algebra(fund2, fund)])
+    return exact + [to_float_algebra(g) for g in exact]
+
+
+def _same_scaled(a, b):
+    (x, dx), (y, dy) = a, b
+    if x.dtype == np.float64:
+        # equal values: a file does not keep the sign of a zero
+        return dx == dy == 1 and y.dtype == np.float64 and np.array_equal(x, y)
+    flat = y.reshape(-1).tolist()
+    return (dx == dy and x.shape == y.shape and x.reshape(-1).tolist() == flat
+            and all(type(v) is int for v in flat))
+
+
+def _dict_from_views(g):
+    """The bracket records and metric rows as the writer once formatted them,
+    from the rational views."""
+    brackets = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            coeffs = {str(k): format_scalar(v, g.mode)
+                      for k, v in enumerate(g.bracket[i, j]) if v != 0}
+            if coeffs:
+                brackets.append({"i": i, "j": j, "coeffs": coeffs})
+    return brackets, [[format_scalar(x, g.mode) for x in row] for row in g.gram]
+
+
+def test_a_file_loads_to_the_scaled_form_it_was_written_from(random_corpus):
+    # the same ints over the same denominator, or the same floats, and the
+    # file is what the rational views format to
+    for g in _round_trip_algebras(random_corpus):
+        d = algebra_to_dict(g)
+        assert (d["brackets"], d["metric"]) == _dict_from_views(g), g
+        h, _, _ = dict_to_algebra(json.loads(canonical_json(d)))
+        assert _same_scaled(g.scaled_bracket, h.scaled_bracket), g
+        assert _same_scaled(g.scaled_gram, h.scaled_gram), g
+
+
+# each value as a bracket coefficient or a metric entry of an exact file:
+# the value it loads as, or the message that refuses it
+_EXACT_PARSES = [
+    ("3/4", F(3, 4)), ("-6/8", F(-3, 4)), ("0/1", F(0)), ("7", F(7)), (7, F(7)),
+    ("1.5", F(3, 2)), (" 1/2", F(1, 2)), ("+1/2", F(1, 2)),
+    ("1/0", "cannot parse exact scalar '1/0': Fraction(1, 0)"),
+    ("1/-2", "cannot parse exact scalar '1/-2': Invalid literal for Fraction: '1/-2'"),
+    ("--1/2", "cannot parse exact scalar '--1/2': Invalid literal for Fraction: '--1/2'"),
+    ("1_0/3", F(10, 3)),
+    ("\u00b2/3", "cannot parse exact scalar '\u00b2/3': Invalid literal for Fraction: '\u00b2/3'"),
+    ("", "cannot parse exact scalar '': Invalid literal for Fraction: ''"),
+    ("abc", "cannot parse exact scalar 'abc': Invalid literal for Fraction: 'abc'"),
+    (1.5, "float scalar 1.5 not allowed in exact mode"),
+    (True, "float scalar True not allowed in exact mode"),
+    (None, "not an exact scalar: None"),
+]
+
+
+def _exact_file(where, value):
+    d = {"dim": 2, "mode": "exact", "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1/1"}}],
+         "metric": [["1/1", "0/1"], ["0/1", "1/1"]]}
+    if where == "metric":
+        d["metric"][1][1] = value
+    else:
+        d["brackets"][0]["coeffs"]["1"] = value
+    return d
+
+
+@pytest.mark.parametrize("where, prefix", [("bracket", "brackets[0].coeffs['1']"),
+                                           ("metric", "metric")])
+@pytest.mark.parametrize("value, want", _EXACT_PARSES, ids=repr)
+def test_exact_scalars_parse_as_fractions_do(where, prefix, value, want):
+    if isinstance(want, str):
+        with pytest.raises(InputError) as exc:
+            dict_to_algebra(_exact_file(where, value))
+        assert str(exc.value) == f"{prefix}: {want}"
+        return
+    g, _, _ = dict_to_algebra(_exact_file(where, value))
+    got = g.bracket[0, 1, 1] if where == "bracket" else g.gram[1, 1]
+    assert got == want and type(got) is Fraction
+    scaled, den = g.scaled_bracket if where == "bracket" else g.scaled_gram
+    assert den == want.denominator  # the other entries are ints
+
+
+@pytest.mark.parametrize("value", ["1" * 5000, "1/" + "1" * 5000, "-" + "2" * 5000 + "/3"])
+def test_numbers_past_the_digit_limit_are_refused_as_fractions_refuse_them(value):
+    with pytest.raises(InputError) as want:
+        as_fraction(value)
+    with pytest.raises(InputError) as got:
+        dict_to_algebra(_exact_file("metric", value))
+    assert str(got.value) == f"metric: {want.value}"
 
 
 def test_exact_scalars_travel_as_fraction_strings():
@@ -208,8 +312,8 @@ class TestParseErrors:
 
         def spy(*args, **kwargs):
             calls.append(args)
-            raise AssertionError("bracket_table called")
-        monkeypatch.setattr(fileio, "bracket_table", spy)
+            raise AssertionError("_scaled_bracket called")
+        monkeypatch.setattr(fileio, "_scaled_bracket", spy)
         d = {"dim": 1500, "mode": "exact", "brackets": [], "metric": [["1/1"]]}
         with pytest.raises(InputError, match="1500 x 1500"):
             dict_to_algebra(d)

@@ -178,6 +178,19 @@ def test_gram_failures_are_named_and_refused(mode, gram, messages):
         make_algebra(bracket_table(2, {}, mode), gram=gram, mode=mode)
 
 
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nan_bracket_is_refused_by_name(check, bad):
+    # a NaN passes the square-scale check unless it is named: the largest
+    # magnitude skips it, and every zero test on it is False
+    c = bracket_table(2, {(0, 1): {1: bad}}, FLOAT)
+    with pytest.raises(InputError, match=r"float entry -?(nan|inf) is not a finite number"):
+        make_algebra(c, mode=FLOAT, check=check)
+    with pytest.raises(InputError, match="not a finite number"):
+        make_algebra(bracket_table(2, {}, FLOAT), gram=[[1.0, 0.0], [0.0, bad]],
+                     mode=FLOAT, check=check)
+
+
 def _minors_by_determinants(gram):
     """Sylvester's criterion from its definition: one determinant per order."""
     return all(exact_det(gram[:k, :k]) > 0 for k in range(1, gram.shape[0] + 1))
@@ -228,8 +241,9 @@ def _bracket_failures_one_test_each(g):
 
 
 def _broken_brackets(random_corpus):
-    """Corpus brackets with entries changed, in both lanes: by one, by a
-    float just below and just above the zero band, and to NaN."""
+    """Corpus brackets with entries changed, in both lanes: by one, and by a
+    float just below and just above the zero band. A NaN entry is refused
+    when the algebra is built (test_nan_bracket_is_refused_by_name)."""
     rng = np.random.default_rng(7)
     for g in random_corpus[:40]:
         n = g.dim
@@ -240,7 +254,7 @@ def _broken_brackets(random_corpus):
             yield make_algebra(c, gram=g.gram, check=False)
         h = to_float_algebra(g)
         band = residual_band(h.tol) * scale_of(h.bracket)
-        for bump in (0.5 * band, 2 * band, np.nan):
+        for bump in (0.5 * band, 2 * band):
             c = h.bracket.copy()
             i, j, k = (int(x) for x in rng.integers(0, n, size=3))
             c[i, j, k] += bump
