@@ -16,7 +16,7 @@ nonzero R(e_i, e_j)) and the D_z, in one code path for both lanes:
     in it. And [D_z, h] kills every D_z-invariant subspace that h kills,
     so the whole closure kills each of them. A fixed-point iteration on
     R^n finds it: the common kernel of the seeds, shrunk until the D_z
-    preserve it, a test :func:`linalg.restrict_operator` decides. In
+    preserve it, a test :func:`linalg.is_invariant` decides. In
     float mode a pass removes only directions whose images leave the
     kernel at the scale of the D_z; when none does, the kernel stands.
 (b) On the curved block W, the orthocomplement of the flat factor, the
@@ -58,8 +58,9 @@ below m(m-1)/2, because the holonomy is smaller or the prime or the
 front unlucky, (b) and (c) run on the same restricted stacks, whose
 report is the same, so it can never give a wrong answer.
 
-Invariance questions go through :func:`linalg.restrict_operator` on a
-stack of operators; orthogonality of the factors and the cross terms of
+Invariance questions go through :func:`linalg.is_invariant` on a stack
+of operators, and :func:`linalg.restrict_operator` when the restricted
+matrices are needed; orthogonality of the factors and the cross terms of
 a reducing pair are each one zero test of a whole tensor.
 """
 from __future__ import annotations
@@ -91,6 +92,7 @@ from .linalg import (
     closure_dim_mod_p,
     closure_front,
     full_subspace,
+    is_invariant,
     is_zero_matrix,
     matmul_mod,
     matrix_rank,
@@ -142,6 +144,15 @@ class OperatorAlgebra:
 CERTIFICATE_PRIME = 1048573
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_indices(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k), built once per n and k and read-only."""
+    iu, ju = np.triu_indices(n, k)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def _closure_inputs(g: MetricLieAlgebra,
                     conn: InvariantConnection) -> tuple[list[np.ndarray], np.ndarray]:
     """The nonzero curvature operators and the stack of connection operators,
@@ -161,7 +172,7 @@ def _closure_inputs(g: MetricLieAlgebra,
     lifted = exact_floats([c, a], lambda tc, ta: curvature_bound(n, dc, da, tc, ta),
                           3 * n ** 5, n ** 4 // 2)
     c, a = lifted or (c, a)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper_indices(n, 1)
     seeds: list[np.ndarray] = []
     for rows in row_slabs(n):
         lo, hi = np.searchsorted(iu, (rows.start, rows.stop))
@@ -215,7 +226,7 @@ def _holonomy_dim_mod_p(gram: np.ndarray, seeds: Sequence[np.ndarray],
         return 0
     m = gram.shape[0]
     p = CERTIFICATE_PRIME
-    iu, ju = np.triu_indices(m, 1)
+    iu, ju = _upper_indices(m, 1)
     gram = (gram % p).astype(np.int64)
     front = closure_front((nabla % p).astype(np.int64)) % p
 
@@ -245,7 +256,7 @@ def _so_basis(w: Subspace, gram: np.ndarray) -> tuple[np.ndarray, ...]:
     algebra, B is a multiple of the identity and E is enough."""
     b, gm, _ = to_scaled(w.basis, gram)
     bg = int_matmul(b, gm)
-    iu, ju = np.triu_indices(w.dim, 1)
+    iu, ju = _upper_indices(w.dim, 1)
     k = np.arange(len(iu))
     mats = np.zeros((len(iu), w.dim, w.ambient_dim), dtype=bg.dtype)
     mats[k, iu] = bg[ju]
@@ -280,15 +291,6 @@ def symmetric_commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
     raises ``np.linalg.LinAlgError``.
     """
     return _commutant(ops, gram, mode, tol)
-
-
-@functools.lru_cache(maxsize=64)
-def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n), built once per n and read-only."""
-    iu, ju = np.triu_indices(n)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
 
 
 def _symmetric_basis(n: int, dtype) -> np.ndarray:
@@ -440,7 +442,7 @@ def _commutant(ops: Sequence[np.ndarray], gram: np.ndarray, mode: Mode,
 def nabla_commutant(g: MetricLieAlgebra) -> list[np.ndarray]:
     """The G-self-adjoint operators commuting with every Levi-Civita
     operator; those are G-skew, as :func:`symmetric_commutant` requires."""
-    return _commutant(list(g.levi_civita.scaled_operators), g.gram, g.mode, g.tol,
+    return _commutant(list(g.levi_civita.scaled_operators), g.scaled_gram[0], g.mode, g.tol,
                       g.scaled_gram_inverse[0] if g.mode == EXACT else None)
 
 
@@ -560,8 +562,9 @@ def _verify_splitting(g: MetricLieAlgebra, factors: list[Subspace]) -> None:
         raise TheoremViolationError("factors do not span the whole algebra")
     # one gram matrix of all factor bases; its blocks off the diagonal must vanish
     label = np.repeat(np.arange(len(factors)), [f.dim for f in factors])
-    cross = restricted_gram(stacked, g.gram)[label[:, None] != label[None, :]]
-    if not is_zero_matrix(cross, g.mode, g.tol, scale=scale_of(g.gram)):
+    gram = g.scaled_gram[0]
+    cross = restricted_gram(stacked, gram)[label[:, None] != label[None, :]]
+    if not is_zero_matrix(cross, g.mode, g.tol, scale=scale_of(gram)):
         raise TheoremViolationError("factors are not pairwise orthogonal")
 
 
@@ -586,17 +589,17 @@ def _de_rham_splitting_in_mode(g: MetricLieAlgebra, seed: int, promoted: bool) -
     curved, hol = [], ()
     if flat.dim < n:
         ops = np.concatenate([np.stack(seeds), nabla])
-        w = orthocomplement(flat, g.gram, g.tol)
+        w = orthocomplement(flat, g.scaled_gram[0], g.tol)
         if flat.dim:  # a positive multiple of the stack: the same spans
             ops = restrict_operator(ops, w.basis, g.mode, g.tol)
             if ops is None:
                 raise TheoremViolationError(
                     "curvature and connection do not preserve the curved block")
-        gram = restricted_gram(w.basis, g.gram)
+        gram = restricted_gram(w.basis, g.scaled_gram[0])
         m, k = w.dim, len(seeds)
         if (g.mode == EXACT and m >= 2
                 and _holonomy_dim_mod_p(gram, ops[:k], ops[k:]) == m * (m - 1) // 2):
-            curved, hol = [w], _so_basis(w, g.gram)
+            curved, hol = [w], _so_basis(w, g.scaled_gram[0])
         else:
             comm = symmetric_commutant(ops, gram, g.mode, g.tol)
             blocks = [(w, ops)]
@@ -632,12 +635,12 @@ def _flat_factor(g: MetricLieAlgebra, seeds: list[np.ndarray], nabla: np.ndarray
     passes run. In float mode that kernel's rank cut is relative to the
     whole stack, whose scale is that of the D_z, and K comes from a rank
     cut at the scale of the seeds: a leak that the residual band of
-    :func:`linalg.restrict_operator` flags but that is noise at the scale
+    :func:`linalg.is_invariant` flags but that is noise at the scale
     of the D_z removes nothing, and K stands as it is.
     """
     n = g.dim
     flat = common_kernel(seeds, n, g.mode, g.tol)
-    while 0 < flat.dim < n and restrict_operator(nabla, flat.basis, g.mode, g.tol) is None:
+    while 0 < flat.dim < n and not is_invariant(nabla, flat.basis, g.mode, g.tol):
         ann = rank_and_nullspace(flat.basis, g.mode, g.tol)[1].basis
         shrunk = common_kernel([ann, *int_matmul(ann, nabla)], n, g.mode, g.tol)
         if shrunk.dim == flat.dim:
@@ -664,7 +667,7 @@ def _factor_holonomy(g: MetricLieAlgebra, factor: Subspace, local: np.ndarray,
     kept = span_closure(list(fseeds), fnabla, int_commutator, g.mode, g.tol, m * (m - 1) // 2)
     if not kept:
         return []
-    b, gram, _ = to_scaled(factor.basis, g.gram)
+    b, gram, _ = to_scaled(factor.basis, g.scaled_gram[0])
     back = int_matmul(scaled_inverse(restricted_gram(b, gram), g.mode)[0], int_matmul(b, gram))
     return list(int_matmul(int_matmul(b.T, np.stack(kept)), back))
 
@@ -719,7 +722,7 @@ def _cross_vanishes(g: MetricLieAlgebra, linear_rows: np.ndarray,
     c = g.scaled_bracket[0]
     sc = scale_of(c, g.scaled_gram[0])
     n, p, m = g.dim, len(linear_rows), len(quad_rows)
-    a, y, gram, _ = to_scaled(linear_rows, quad_rows, g.gram)
+    a, y, gram, _ = to_scaled(linear_rows, quad_rows, g.scaled_gram[0])
     # only a zero test reads val: |br| <= n**2 A C Y, |gram y^T| <= n G Y, and
     # each entry of val + val^T sums 2n terms of their product
     lifted = exact_floats([a, c, y, gram],
@@ -736,8 +739,9 @@ def _cross_vanishes(g: MetricLieAlgebra, linear_rows: np.ndarray,
 def check_reducing_pair(g: MetricLieAlgebra, s1: Subspace, s2: Subspace) -> ConditionReport:
     if s1.mode != g.mode or s2.mode != g.mode:
         raise InputError("pair and algebra must use the same scalar mode")
-    orthogonal = is_zero_matrix(s1.basis @ g.gram @ s2.basis.T, g.mode, g.tol,
-                                scale=scale_of(g.gram))
+    gram = g.scaled_gram[0]
+    orthogonal = is_zero_matrix(s1.basis @ gram @ s2.basis.T, g.mode, g.tol,
+                                scale=scale_of(gram))
     stacked = np.concatenate([s1.basis, s2.basis], axis=0)
     complementary = (s1.dim + s2.dim == g.dim
                      and (stacked.shape[0] == 0
@@ -773,7 +777,7 @@ def reducibility_witness(g: MetricLieAlgebra, seed: int = 0, *,
     comm = nabla_commutant(gg)
     # a flat block of dimension >= 2 always splits; when no candidate gives
     # a clear eigen-gap the NumericalAmbiguityError says so (exit 3)
-    split = _first_eigensplit(comm, gg.gram, gg.mode, gg.tol, random.Random(seed),
+    split = _first_eigensplit(comm, gg.scaled_gram[0], gg.mode, gg.tol, random.Random(seed),
                               "flat reducing pair", 2)
     h = to_float_algebra(gg) if split.promoted_to_float else gg
     s1 = split.pairs[0][1]

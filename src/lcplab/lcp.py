@@ -4,15 +4,18 @@ The data of such a structure is a covector (the Lee form) together with a
 distinguished ideal that the associated Weyl connection leaves parallel
 and flat. The validator checks each defining condition separately, with
 one decision each: the ideal and parallel conditions are invariance
-tests of an operator stack through :func:`linalg.restrict_operator`, and
+tests of an operator stack through :func:`linalg.is_invariant`, in exact
+mode one zero test of the ideal's annihilator times the images, and
 closedness and (non-)flatness are zero tests of a whole tensor. The
-decomposability analysis asks whether the orthogonal factors of the
-metric that actually carry the structure form a proper part of the
-algebra.
+checks read the ideal's and the complement's integer rows, scaled once
+per :class:`LcpData`. The decomposability analysis asks whether the
+orthogonal factors of the metric that actually carry the structure form
+a proper part of the algebra.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
@@ -33,11 +36,12 @@ from .liealg import (
 from .linalg import (
     Subspace,
     check_square_scale,
+    is_invariant,
     is_zero_matrix,
     make_subspace,
     matrix_rank,
-    restrict_operator,
     scale_of,
+    scaled_inverse,
     solve_linear,
     subspace_sum,
 )
@@ -67,6 +71,15 @@ class LcpData:
     @property
     def q(self) -> int:
         return self.flat_ideal.dim
+
+    @cached_property
+    def scaled(self) -> tuple[Subspace, Optional[Subspace]]:
+        """The ideal and the complement on integer rows, each basis times
+        its common denominator: the same spans, read by the checks without
+        a Fraction; float rows are their own scaled form."""
+        def ints(s: Optional[Subspace]) -> Optional[Subspace]:
+            return None if s is None else Subspace(s.ambient_dim, to_scaled(s.basis)[0], s.mode)
+        return ints(self.flat_ideal), ints(self.complement)
 
 
 def _finite_array(data: Any, mode: Mode, name: str) -> np.ndarray:
@@ -149,7 +162,8 @@ def lee_form_from_splitting(g: MetricLieAlgebra, u: Subspace, h: Subspace) -> np
         raise InputError("the trace identity needs a unimodular algebra")
     if u.dim + h.dim != g.dim:
         raise InputError("ideal and complement dimensions must add up")
-    stacked = np.concatenate([h.basis, u.basis], axis=0)
+    hb, ub, _ = to_scaled(h.basis, u.basis)
+    stacked = np.concatenate([hb, ub], axis=0)
     if matrix_rank(stacked, g.mode, g.tol) != g.dim:
         raise InputError("ideal and complement do not span the algebra")
     if not is_subalgebra(g, h):
@@ -157,18 +171,15 @@ def lee_form_from_splitting(g: MetricLieAlgebra, u: Subspace, h: Subspace) -> np
     q = u.dim
     if q == 0:
         raise InputError("the ideal must be nonzero")
-    # images[x, :, r] = [e_x, h_r] over dc * dh, all solved for at once
+    # on the rows of B = (hb; ub), scaled to ints, the coordinate of a vector
+    # along hb_r is row r of (B^T)^-1 = inv / den times it: one inverse
+    inv, den = scaled_inverse(stacked.T, g.mode)
+    # images[x, :, r] = [e_x, hb_r] over dc
     c, dc = g.scaled_bracket
-    hb, dh = to_scaled(h.basis)
     images = int_tensordot(c, hb, axes=(1, 1))
-    rhs = np.transpose(images, (1, 0, 2)).reshape(g.dim, -1)
-    solved = solve_linear(stacked.T, rhs, g.mode, g.tol)
-    if solved is None:
-        raise InputError("bracket left the algebra; invalid input data")
-    coords, den = solved
-    # the h-component of [e_x, h_r] along h_r, summed over r
-    traces = np.trace(coords[:h.dim].reshape(h.dim, g.dim, h.dim), axis1=0, axis2=2)
-    return from_scaled(-traces, q * dc * dh * den)
+    # the hb_r-coordinate of [e_x, hb_r], summed over r: the trace on h
+    traces = int_tensordot(images, inv[:h.dim], axes=([1, 2], [1, 0]))
+    return from_scaled(-traces, q * dc * den)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +223,17 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     proper = 0 < u.dim < n
     nonzero = not is_zero_matrix(theta.reshape(1, -1), g.mode, g.tol, scale=1.0)
     closed = is_closed_covector(g, theta)
-    adapted = is_zero_matrix((u.basis @ theta).reshape(1, -1), g.mode, g.tol,
-                             scale=sc_theta * scale_of(u.basis))
-    ideal = is_ideal(g, u)
+    us, hs = data.scaled
+    ub = us.basis
+    adapted = is_zero_matrix((ub @ theta).reshape(1, -1), g.mode, g.tol,
+                             scale=sc_theta * scale_of(ub))
+    ideal = is_ideal(g, us)
     unimod = is_unimodular(g)
     conn = weyl_connection(g, theta)
-    parallel = restrict_operator(conn.scaled_operators, u.basis, g.mode, g.tol) is not None
+    parallel = is_invariant(conn.scaled_operators, ub, g.mode, g.tol)
     sc_r = scale_of(conn.scaled[0]) ** 2
     c, dc = g.scaled_bracket
     a, da = conn.scaled_operators, conn.scaled[1]
-    ub = to_scaled(u.basis)[0]
     # only zero tests read the curvature: with every entry of R(e_i, e_j) u_k
     # a sum of n terms, each at most max|R| max|ub|, it is never converted
     lifted = exact_floats([c, a, ub],
@@ -241,7 +253,7 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     formula: Optional[bool] = None
     if data.complement is not None:
         try:
-            recovered = lee_form_from_splitting(g, u, data.complement)
+            recovered = lee_form_from_splitting(g, us, hs)
             diff = (recovered - theta).reshape(1, -1)
             formula = is_zero_matrix(diff, g.mode, g.tol, scale=sc_theta)
         except InputError:

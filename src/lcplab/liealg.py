@@ -9,8 +9,9 @@ Conventions, fixed once for the whole package:
 
 Each structure condition is one decision on the scaled-integer bracket:
 subalgebra and ideal are one invariance test of the stacked ad operators
-through :func:`linalg.restrict_operator`, unimodularity one zero test of
-the whole trace vector.
+through :func:`linalg.is_invariant`, which in exact mode is one zero test
+of the subspace's annihilator times their images, and unimodularity one
+zero test of the whole trace vector.
 
 No n**4 tensor is built whole unless a caller asks for it. The Jacobi
 terms [[e_i, e_j], e_k] and the curvature R(e_i, e_j) are built a slab of
@@ -33,8 +34,8 @@ from .errors import InputError
 from .linalg import (
     Subspace,
     check_square_scale,
+    is_invariant,
     is_zero_matrix,
-    restrict_operator,
     scale_of,
     scaled_inverse,
 )
@@ -234,13 +235,15 @@ def inner(g: MetricLieAlgebra, x: np.ndarray, y: np.ndarray):
 
 def is_subalgebra(g: MetricLieAlgebra, s: Subspace) -> bool:
     """True when every ad_x, x in a basis of s, preserves s: one invariance
-    test, on the scaled bracket (a positive scale changes no invariant
-    subspace). A subspace of full dimension is the whole algebra, which its
-    own bracket preserves, and takes no test."""
+    test, :func:`linalg.is_invariant`, on the scaled bracket and basis (a
+    positive scale changes no invariant subspace). A subspace of full
+    dimension is the whole algebra, which its own bracket preserves, and
+    takes no test."""
     if s.dim == g.dim:
         return True
-    ad = int_tensordot(to_scaled(s.basis)[0], g.scaled_bracket[0], axes=(1, 0))
-    return restrict_operator(np.transpose(ad, (0, 2, 1)), s.basis, g.mode, g.tol) is not None
+    b = to_scaled(s.basis)[0]
+    ad = int_tensordot(b, g.scaled_bracket[0], axes=(1, 0))
+    return is_invariant(np.transpose(ad, (0, 2, 1)), b, g.mode, g.tol)
 
 
 def is_ideal(g: MetricLieAlgebra, s: Subspace) -> bool:
@@ -248,8 +251,7 @@ def is_ideal(g: MetricLieAlgebra, s: Subspace) -> bool:
     subspace of full dimension takes none, as in :func:`is_subalgebra`."""
     if s.dim == g.dim:
         return True
-    ad = np.transpose(g.scaled_bracket[0], (0, 2, 1))
-    return restrict_operator(ad, s.basis, g.mode, g.tol) is not None
+    return is_invariant(np.transpose(g.scaled_bracket[0], (0, 2, 1)), s.basis, g.mode, g.tol)
 
 
 def is_unimodular(g: MetricLieAlgebra) -> bool:

@@ -28,9 +28,12 @@ mod p delayed; Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 34,
 2008). :func:`span_closure` closes under the :func:`closure_front` of its
 operators, then the operators, when it has a cap, and under the
 operators alone without one; :func:`closure_dim_mod_p` under its own.
-:func:`restrict_operator` takes a whole stack of operators and solves
-for all their images at once; it is the one test of whether operators
-preserve a subspace.
+:func:`is_invariant` is the one test of whether a whole stack of
+operators preserves a subspace: in exact mode one zero test of the
+span's annihilator times all the images, with no solve for their
+coordinates. :func:`restrict_operator` runs the same test, then reads
+the restricted matrices off the inverse of one m x m minor of the basis,
+so no exact elimination is wider than twice the dimension.
 
 Both modes split a self-adjoint operator from one float generalized
 eigendecomposition. Exact mode rounds the exact Rayleigh quotient of
@@ -43,12 +46,12 @@ Code that runs in both modes works on the scaled form of
 :mod:`lcplab.scalars`, where a float array is its own scaled form over
 denominator 1, so it is written once.
 
-Integer products here (the images that :func:`restrict_operator` solves
-for, :func:`restricted_gram`, :func:`closure_front`) go through the
-product kernel of :mod:`lcplab.scalars`, which computes one product in
-float64 when its own 2**53 bound allows. Whole expressions are lifted
-where they are written, each with its bound stated beside it: the
-validation totals, the Levi-Civita tensor and the curvature in
+Integer products here (:func:`restricted_gram`, :func:`closure_front`)
+go through the product kernel of :mod:`lcplab.scalars`, which computes
+one product in float64 when its own 2**53 bound allows. Whole
+expressions are lifted where they are written, each with its bound
+stated beside it: the invariance test and the restricted matrices here,
+the validation totals, the Levi-Civita tensor and the curvature in
 :mod:`lcplab.liealg`, the flatness tests in :mod:`lcplab.lcp`, the
 commutant loop and the reducing-pair test in :mod:`lcplab.holonomy`.
 The exact zero test of :func:`is_zero_matrix` reads such a lifted
@@ -72,6 +75,8 @@ from .scalars import (
     FLOAT,
     Mode,
     TolerancePolicy,
+    back_to_ints,
+    exact_floats,
     int_matmul,
     int_tensordot,
     to_float_array,
@@ -385,38 +390,87 @@ def restricted_gram(basis_rows: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return int_matmul(int_matmul(b, g), b.T)
 
 
+def _exact_span(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The annihilator of the row span of exact ``rows``, as the primitive
+    integer rows of their nullspace, and the pivot columns of their
+    echelon form, where independent rows have an invertible minor."""
+    n = rows.shape[1]
+    free, null = _exact_nullspace(rows)
+    pivots = sorted(set(range(n)) - set(free))
+    return np.array(null, dtype=object).reshape(len(null), n), pivots
+
+
+def _left_images(left: np.ndarray, stack: np.ndarray, b: np.ndarray, out: int) -> np.ndarray:
+    """left a_j b^T for every operator a_j of an integer (k, n, n) stack and
+    the integer rows b, as a (k, r, m) array: exact integers, in float64
+    when lifted. ``out`` is the number of its entries read as ints."""
+    k, n, m = stack.shape[0], stack.shape[1], b.shape[0]
+    # each entry of a_j b^T sums n terms, each at most A B, and each entry
+    # of left times those n more, each at most L times one of them
+    lifted = exact_floats([left, stack, b], lambda tl, ta, tb: n * n * tl * ta * tb,
+                          k * n * m * (n + len(left)), out)
+    if lifted:
+        fl, fa, fb = lifted
+        return fl @ (fa @ fb.T)
+    return int_matmul(left, int_matmul(stack, b.T))
+
+
+def is_invariant(stack: np.ndarray, rows: np.ndarray, mode: Mode, tol: TolerancePolicy) -> bool:
+    """True when every operator of a (k, n, n) stack maps the span of the
+    rows ``rows`` into itself.
+
+    Exact mode takes the annihilator of the span once (:func:`_exact_span`)
+    and decides with one zero test of the annihilator times the images,
+    with no solve for their coordinates; a positive scale of the rows or
+    the operators changes no answer. Float mode asks
+    :func:`restrict_operator`, whose residual bands decide.
+    """
+    if mode != EXACT:
+        return restrict_operator(stack, rows, mode, tol) is not None
+    bi, ai, _ = to_scaled(rows, stack)
+    return not _left_images(_exact_span(bi)[0], ai, bi, 0).any()
+
+
 def restrict_operator(stack: np.ndarray, basis_rows: np.ndarray, mode: Mode,
                       tol: TolerancePolicy) -> Optional[np.ndarray]:
     """The (k, m, m) stack of the matrices of a (k, n, n) operator stack on
-    the span of the m rows ``basis_rows``; None when any operator leaves it.
+    the span of the m independent rows ``basis_rows``; None when any
+    operator leaves it.
 
-    Column convention on coordinates. The images of all the operators are
-    solved for in one system. In exact mode the answer is ints, one
-    positive multiple of the stack of rational matrices (the common
-    denominator of the solve), which changes no span and no zero test. In
-    float mode each operator is held to its own residual band, set by the
-    basis and its own images, and the span is invariant only when every
-    residual lies within its band.
+    Column convention on coordinates. Exact mode runs the test of
+    :func:`is_invariant` and reads the coordinates off the inverse of the
+    basis's m x m pivot minor B_P, in one product with it: an image
+    y = B^T x has y_P = B_P^T x. The answer is ints, one positive multiple
+    of the stack of rational matrices (the denominator of that inverse),
+    which changes no span and no zero test. Float mode solves for all the
+    images at once, holds each operator to its own residual band, set by
+    the basis and its own images, and the span is invariant only when
+    every residual lies within its band.
     """
     k, m, n = stack.shape[0], basis_rows.shape[0], basis_rows.shape[1]
-    bi, ai, d = to_scaled(basis_rows, stack)
-    # images[j, :, i] = d * d * a_j(basis_i), the right-hand side of one solve
+    if m == 0:
+        return zeros_array((k, 0, 0), mode)
+    bi, ai, _ = to_scaled(basis_rows, stack)
+    if mode == EXACT:
+        ann, pivots = _exact_span(bi)
+        if len(pivots) < m:
+            raise InputError("basis rows are linearly dependent")
+        # the rows of ann, which vanish on the images, then inv y_P = x times den
+        left = np.zeros((m, n), dtype=object)
+        left[:, pivots] = scaled_inverse(bi[:, pivots].T, EXACT)[0]
+        z = _left_images(np.concatenate([ann, left]), ai, bi, k * m * m)
+        if z[:, :len(ann)].any():
+            return None
+        x = z[:, len(ann):]
+        return back_to_ints(x) if x.dtype == np.float64 else x
+    # images[j, :, i] = a_j(basis_i), the right-hand side of one solve
     images = int_tensordot(ai, bi, axes=(2, 1))
     rhs = np.transpose(images, (1, 0, 2)).reshape(n, k * m)
-    if m == 0:
-        x = zeros_array((0, 0), mode)
-    elif mode == EXACT:
-        # (bi / d)^T x = images / d^2 is the integer system d bi^T x = images
-        solved = _solve_scaled(d * bi.T, rhs)
-        x = None if solved is None else solved[0]
-    else:
-        x, *_ = np.linalg.lstsq(basis_rows.T, rhs, rcond=None)
-        res = (basis_rows.T @ x - rhs).reshape(n, k, m)
-        sizes = np.abs(images).max(axis=(1, 2))
-        if not is_zero_matrix(res, FLOAT, tol, np.maximum(scale_of(basis_rows), sizes),
-                              axis=(0, 2)).all():
-            x = None
-    if x is None:
+    x, *_ = np.linalg.lstsq(basis_rows.T, rhs, rcond=None)
+    res = (basis_rows.T @ x - rhs).reshape(n, k, m)
+    sizes = np.abs(images).max(axis=(1, 2))
+    if not is_zero_matrix(res, FLOAT, tol, np.maximum(scale_of(basis_rows), sizes),
+                          axis=(0, 2)).all():
         return None
     # column i of operator j's matrix: the coordinates of a_j(basis_i)
     return np.transpose(x.reshape(m, k, m), (1, 0, 2))

@@ -462,8 +462,13 @@ def _subspaces(g, data):
     return rows
 
 
-def test_restrict_operator_matches_fraction_route(random_corpus):
-    checked = invariant = 0
+@pytest.fixture(scope="module")
+def invariance_cases(random_corpus):
+    """(algebra, subspace rows, operator stack) for every lane case: the
+    Levi-Civita operators, the ad operators, the holonomy basis and the
+    Weyl operators of the structure data, each whole and its first
+    operator alone, against each subspace of :func:`_subspaces`."""
+    out = []
     for g, data in _lane_cases(random_corpus):
         conn = levi_civita(g)
         stacks = [conn.operators, np.transpose(g.bracket, (0, 2, 1))]
@@ -472,16 +477,93 @@ def test_restrict_operator_matches_fraction_route(random_corpus):
             stacks.append(np.stack(hol.basis))
         if data is not None:
             stacks.append(weyl_connection(g, data.lee_covector).operators)
-        for rows in _subspaces(g, data):
-            for ops in stacks:
-                got = restrict_operator(ops, rows, g.mode, g.tol)
-                assert _same_up_to_scale(got, _fraction_route_restrict(ops, rows, g.mode, g.tol)), g
-                assert _same_up_to_scale(restrict_operator(ops[:1], rows, g.mode, g.tol),
-                                         _fraction_route_restrict(ops[:1], rows, g.mode, g.tol)), g
-                checked += 1
-                invariant += got is not None
+        out += [(g, rows, part) for rows in _subspaces(g, data)
+                for ops in stacks for part in (ops, ops[:1])]
+    return out
+
+
+def test_restrict_operator_matches_fraction_route(invariance_cases):
+    invariant = 0
+    for g, rows, ops in invariance_cases:
+        got = restrict_operator(ops, rows, g.mode, g.tol)
+        assert _same_up_to_scale(got, _fraction_route_restrict(ops, rows, g.mode, g.tol)), g
+        invariant += got is not None
     # both outcomes are exercised
-    assert 0 < invariant < checked
+    assert 0 < invariant < len(invariance_cases)
+
+
+def test_is_invariant_matches_fraction_route(invariance_cases):
+    # exact mode decides by the annihilator alone, with no solve
+    seen = {EXACT: set(), "float": set()}
+    for g, rows, ops in invariance_cases:
+        got = linalg.is_invariant(ops, rows, g.mode, g.tol)
+        assert got == (_fraction_route_restrict(ops, rows, g.mode, g.tol) is not None), g
+        seen[g.mode].add(got)
+    # both outcomes are exercised in each lane
+    assert seen == {EXACT: {True, False}, "float": {True, False}}
+
+
+def _solve_route_lee_form(g, u, h):
+    """lee_form_from_splitting as it ran before its one inverse: the
+    coordinates of every image [e_x, h_r] solved for against the stacked
+    Fraction basis, in one system n * dim(h) columns wide."""
+    stacked = np.concatenate([h.basis, u.basis], axis=0)
+    c, dc = g.scaled_bracket
+    hb, dh = to_scaled(h.basis)
+    images = int_tensordot(c, hb, axes=(1, 1))
+    rhs = np.transpose(images, (1, 0, 2)).reshape(g.dim, -1)
+    coords, den = solve_linear(stacked.T, rhs, g.mode, g.tol)
+    traces = np.trace(coords[:h.dim].reshape(h.dim, g.dim, h.dim), axis1=0, axis2=2)
+    return from_scaled(-traces, u.dim * dc * dh * den)
+
+
+def _rational_isometry(g, data):
+    """The algebra and its structure data in the basis e_i + (i + 1)/2 e_(i+1),
+    a rational change of basis with the Gram matrix carried along."""
+    n = g.dim
+    q = np.identity(n, dtype=int).astype(object)
+    for i in range(n - 1):
+        q[i, i + 1] = Fraction(i + 1, 2)
+    qinv = from_scaled(*scaled_inverse(q, EXACT))
+
+    def moved(s):
+        return Subspace(n, s.basis @ qinv, EXACT)
+    return liealg.transform_algebra(g, q), LcpData(moved(data.flat_ideal), q @ data.lee_covector,
+                                                   moved(data.complement))
+
+
+def test_lee_form_matches_the_solve_route():
+    checked = 0
+    for e in all_entries():
+        if e.lcp is None or e.lcp.complement is None or e.algebra.mode != EXACT:
+            continue
+        for g, data in ((e.algebra, e.lcp), _rational_isometry(e.algebra, e.lcp)):
+            u, h = data.flat_ideal, data.complement
+            got = lcp.lee_form_from_splitting(g, u, h)
+            assert list(got) == list(_solve_route_lee_form(g, u, h)), e.name
+            assert list(got) == list(data.lee_covector), e.name
+            assert validate_lcp(g, data).lee_formula_consistent, e.name
+            checked += 1
+    assert checked == 6
+
+
+def test_no_wide_elimination_in_one_exact_analysis(monkeypatch):
+    # invariance is decided by annihilators, n wide, and coordinates come
+    # from inverses of at most n x n matrices, 2n wide: one exact
+    # sl2_semidirect analysis with its structure data ran eliminations 182
+    # and 196 columns wide when each invariance test solved for every image
+    widths = []
+    add = _ExactEchelon.add
+
+    def spy(self, v):
+        widths.append(len(v))
+        return add(self, v)
+    monkeypatch.setattr(_ExactEchelon, "add", spy)
+    entry = sl_example(2)
+    g = dataclasses.replace(entry.algebra)  # a fresh algebra: nothing cached yet
+    report, code = run_analysis(g, entry.lcp)
+    assert code == 0 and report["lcp_report"]["overall"]
+    assert widths and max(widths) <= 2 * g.dim == 28, sorted(set(widths))
 
 
 def test_commutant_matches_fraction_route(random_corpus):
@@ -838,12 +920,13 @@ def test_fraction_budget_of_one_exact_analysis(monkeypatch):
     # where a value is read. One exact sl2_semidirect analysis with its
     # structure data built 8,972 of them when solves and nullspaces
     # returned Fractions, 279 while the Gram symmetry test ran on
-    # Fractions, and 83 since
+    # Fractions, 83 since, and 265 while holonomy read the Gram matrix's
+    # Fraction view, which it no longer reads
     entry = sl_example(2)
     g = dataclasses.replace(entry.algebra)  # a fresh algebra: nothing cached yet
     (report, code), built = _fractions_built(monkeypatch, run_analysis, g, entry.lcp)
     assert code == 0 and report["lcp_report"]["overall"]
-    assert built <= 300, built
+    assert built <= 69, built
 
 
 def test_fraction_budget_of_one_exact_load(monkeypatch, tmp_path):

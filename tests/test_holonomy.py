@@ -1043,3 +1043,18 @@ def test_modular_closure_dim_matches_a_fifo_reference(p, random_corpus, monkeypa
         seeds, nabla = holonomy._closure_inputs(g, g.levi_civita)
         holonomy._holonomy_dim_mod_p(to_scaled(g.gram)[0], seeds, nabla)
     assert max(dims) >= 8  # mod 2 the front is degenerate; above it, 94
+
+
+def test_the_split_builds_no_triangle_indices_once_cached(monkeypatch):
+    # the curvature seeds, the certificate and so(W) read np.triu_indices(n, 1)
+    # from one read-only cache per n; a second split of the same size builds none
+    g = sl_example(2).algebra
+    de_rham_splitting(g)
+    built = []
+    real = np.triu_indices
+    monkeypatch.setattr(np, "triu_indices", lambda *a, **k: built.append(a) or real(*a, **k))
+    spl = de_rham_splitting(g)
+    assert spl.factor_dims == (14,) and spl.holonomy_dim == 91 and not built, built
+    iu, ju = holonomy._upper_indices(14, 1)
+    assert not iu.flags.writeable and not ju.flags.writeable
+    assert np.array_equal(np.stack([iu, ju]), np.stack(real(14, 1)))
