@@ -777,11 +777,17 @@ def reducibility_witness(g: MetricLieAlgebra, seed: int = 0, *,
     comm = nabla_commutant(gg)
     # a flat block of dimension >= 2 always splits; when no candidate gives
     # a clear eigen-gap the NumericalAmbiguityError says so (exit 3)
-    split = _first_eigensplit(comm, gg.scaled_gram[0], gg.mode, gg.tol, random.Random(seed),
+    gram, dg = gg.scaled_gram
+    split = _first_eigensplit(comm, gram, gg.mode, gg.tol, random.Random(seed),
                               "flat reducing pair", 2)
-    h = to_float_algebra(gg) if split.promoted_to_float else gg
-    s1 = split.pairs[0][1]
-    s2 = subspace_sum([p for _, p in split.pairs[1:]], h.tol)
+    parts = [p for _, p in split.pairs]
+    h = gg
+    if split.promoted_to_float:
+        # float bases are orthonormal for gram = dg G; times sqrt(dg), for G
+        h = to_float_algebra(gg)
+        parts = [Subspace(p.ambient_dim, p.basis * math.sqrt(dg), p.mode) for p in parts]
+    s1 = parts[0]
+    s2 = subspace_sum(parts[1:], h.tol)
     if not check_reducing_pair(h, s1, s2).passed:
         raise TheoremViolationError(
             "connection-invariant orthogonal split fails the pair conditions")

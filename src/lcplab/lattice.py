@@ -303,23 +303,9 @@ def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return _trim(q), _trim([c % p for c in r[:db]])
 
 
-def _rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """The remainder of a by b mod the prime p (b nonzero), as _divmod
-    gives it, with no quotient built."""
-    r, db, inv, low = list(a), len(b) - 1, pow(b[-1], -1, p), b[:-1]
-    for s in range(len(r) - db - 1, -1, -1):
-        c = r[s + db] * inv % p
-        if c:
-            k = s
-            for y in low:
-                r[k] -= c * y
-                k += 1
-    return _trim([c % p for c in r[:db]])
-
-
 def _monic_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
-        a, b = b, _rem(a, b, p)
+        a, b = b, _divmod(a, b, p)[1]
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
@@ -328,15 +314,15 @@ def _powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
     """a**e mod (g, p) for e >= 1 and a reduced mod g."""
     out = a
     for bit in bin(e)[3:]:
-        out = _rem(_mul(out, out, p), g, p)
+        out = _divmod(_mul(out, out, p), g, p)[1]
         if bit == "1":
-            out = _rem(_mul(out, a, p), g, p)
+            out = _divmod(_mul(out, a, p), g, p)[1]
     return out
 
 
 def _inverse(a: list[int], g: list[int], p: int) -> list[int]:
     """a**-1 mod (g, p) for a coprime to g, by extended Euclid."""
-    r0, r1, s0, s1 = g, _rem(a, g, p), [], [1]
+    r0, r1, s0, s1 = g, _divmod(a, g, p)[1], [], [1]
     while len(r1) > 1:
         q, r = _divmod(r0, r1, p)
         r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1, p), p)
@@ -355,7 +341,7 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
         if len(g) > 1:
             out.append((d, g))
             f = _divmod(f, g, p)[0]
-            h = _rem(h, f, p)
+            h = _divmod(h, f, p)[1]
     if len(f) > 1:
         out.append((len(f) - 1, f))
     return out
@@ -392,7 +378,7 @@ def _hensel_lift(f: list[int], gs: list[list[int]], p: int, m: int,
         e = _trim([(x - y) % mp // m for x, y
                    in zip_longest(f, _prod(gs, f[-1], mp), fillvalue=0)])
         gs = [[c + m * dc for c, dc in
-               zip_longest(g, _rem(_mul(e, si, p), g0, p), fillvalue=0)]
+               zip_longest(g, _divmod(_mul(e, si, p), g0, p)[1], fillvalue=0)]
               for g, g0, si in zip(gs, base, s)]
         m = mp
     return gs, m

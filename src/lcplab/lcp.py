@@ -7,15 +7,13 @@ one decision each: the ideal and parallel conditions are invariance
 tests of an operator stack through :func:`linalg.is_invariant`, in exact
 mode one zero test of the ideal's annihilator times the images, and
 closedness and (non-)flatness are zero tests of a whole tensor. The
-checks read the ideal's and the complement's integer rows, scaled once
-per :class:`LcpData`. The decomposability analysis asks whether the
-orthogonal factors of the metric that actually carry the structure form
-a proper part of the algebra.
+decomposability analysis asks whether the orthogonal factors of the
+metric that actually carry the structure form a proper part of the
+algebra.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
@@ -71,15 +69,6 @@ class LcpData:
     @property
     def q(self) -> int:
         return self.flat_ideal.dim
-
-    @cached_property
-    def scaled(self) -> tuple[Subspace, Optional[Subspace]]:
-        """The ideal and the complement on integer rows, each basis times
-        its common denominator: the same spans, read by the checks without
-        a Fraction; float rows are their own scaled form."""
-        def ints(s: Optional[Subspace]) -> Optional[Subspace]:
-            return None if s is None else Subspace(s.ambient_dim, to_scaled(s.basis)[0], s.mode)
-        return ints(self.flat_ideal), ints(self.complement)
 
 
 def _finite_array(data: Any, mode: Mode, name: str) -> np.ndarray:
@@ -223,11 +212,10 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     proper = 0 < u.dim < n
     nonzero = not is_zero_matrix(theta.reshape(1, -1), g.mode, g.tol, scale=1.0)
     closed = is_closed_covector(g, theta)
-    us, hs = data.scaled
-    ub = us.basis
+    ub = to_scaled(u.basis)[0]
     adapted = is_zero_matrix((ub @ theta).reshape(1, -1), g.mode, g.tol,
                              scale=sc_theta * scale_of(ub))
-    ideal = is_ideal(g, us)
+    ideal = is_ideal(g, u)
     unimod = is_unimodular(g)
     conn = weyl_connection(g, theta)
     parallel = is_invariant(conn.scaled_operators, ub, g.mode, g.tol)
@@ -253,7 +241,7 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     formula: Optional[bool] = None
     if data.complement is not None:
         try:
-            recovered = lee_form_from_splitting(g, us, hs)
+            recovered = lee_form_from_splitting(g, u, data.complement)
             diff = (recovered - theta).reshape(1, -1)
             formula = is_zero_matrix(diff, g.mode, g.tol, scale=sc_theta)
         except InputError:

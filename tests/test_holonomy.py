@@ -1058,3 +1058,20 @@ def test_the_split_builds_no_triangle_indices_once_cached(monkeypatch):
     iu, ju = holonomy._upper_indices(14, 1)
     assert not iu.flags.writeable and not ju.flags.writeable
     assert np.array_equal(np.stack([iu, ju]), np.stack(real(14, 1)))
+
+
+def test_promoted_flat_witness_has_gram_orthonormal_bases(monkeypatch):
+    # an abelian plane with Gram diag(1/3, 1/5), stored as diag(5, 3) over 15;
+    # the candidate G^-1 [[0, 1], [1, 0]] has eigenvalues +-sqrt(15), so the
+    # split promotes, and its bases must be orthonormal for G itself, not for
+    # the stored 15 G, for check_reducing_pair's band to be that of G
+    g = make_algebra(bracket_table(2, {}), gram=exact_array([[F(1, 3), 0], [0, F(1, 5)]]))
+    assert g.scaled_gram[1] == 15
+    cand = exact_array([[0, 3], [5, 0]])
+    monkeypatch.setattr(holonomy, "_candidates", lambda comm, mode, tol, rng: iter([cand]))
+    w = reducibility_witness(g, splitting=de_rham_splitting(g))
+    assert w is not None and w.mode == FLOAT
+    gram = to_float_algebra(g).gram
+    for s in (w.s1, w.s2):
+        assert np.allclose(s.basis @ gram @ s.basis.T, np.eye(s.dim), atol=1e-12)
+    assert check_reducing_pair(to_float_algebra(g), w.s1, w.s2).passed

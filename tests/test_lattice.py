@@ -244,18 +244,6 @@ def test_pseudo_remainder_is_the_remainder_of_the_pseudo_division(a, b):
     assert lattice._pseudo_remainder(a, b) == lattice._pseudo_divide(a, b)[1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3, 7, 101, 65537]),
-       st.lists(st.integers(0, 10**6), max_size=12),
-       st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
-def test_remainder_mod_p_is_the_remainder_of_the_division(p, a, b):
-    # gcds, powers, the distinct-degree split and the Hensel step mod p take
-    # the remainder without the quotient
-    a, b = lattice._trim([c % p for c in a]), lattice._trim([c % p for c in b])
-    if b:
-        assert lattice._rem(a, b, p) == lattice._divmod(a, b, p)[1]
-
-
 class TestUnitRootProfile:
     def test_mixed_quartic(self):
         p = unit_root_profile((1, -3, 3, -3, 1))
