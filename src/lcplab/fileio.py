@@ -9,39 +9,36 @@ An exact file loads straight to the scaled form that an algebra keeps
 (``MetricLieAlgebra.scaled_bracket`` and ``scaled_gram``): each bracket
 and metric scalar is read as a (numerator, denominator) pair, and each
 array is built on ints over the least common denominator of its entries,
-so a load builds no ``Fraction`` but the LCP block's values. The writer
-formats each entry of the scaled form back as a reduced "p/q".
+so a load builds no ``Fraction`` but the LCP block's values, which the
+same pair readers read, one ``Fraction`` per value, for ``make_lcp_data``.
+The writer formats every block from its scaled form, each entry as a
+reduced "p/q".
 """
 from __future__ import annotations
 
 import json
 import math
 import re
-from functools import partial
+from fractions import Fraction
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .base import canonical_json
+from .base import as_fraction, canonical_json, finite_float
 from .errors import InputError
 from .lattice import LatticeData
 from .lcp import LcpData, make_lcp_data
 from .liealg import MetricLieAlgebra
-from .scalars import (DEFAULT_TOL, EXACT, Mode, TolerancePolicy, as_fraction,
-                      check_mode, finite_float, format_scalar, parse_scalar)
+from .scalars import DEFAULT_TOL, EXACT, Mode, TolerancePolicy, check_mode, to_scaled
 
 __all__ = ["algebra_to_dict", "dict_to_algebra", "load_algebra_file",
            "save_algebra_file", "canonical_json"]
 
 
-def _format_rows(rows: np.ndarray, mode: Mode) -> list[list]:
-    return [[format_scalar(x, mode) for x in row] for row in rows]
-
-
 def _scaled_formatter(den: int, mode: Mode) -> Callable[[Any], Any]:
-    """Serialize one entry of a scaled array over ``den`` as
-    :func:`format_scalar` serializes its value: a reduced 'p/q' from the
-    ints, or the float itself."""
+    """Serialize one entry of a scaled array over ``den``: its value as a
+    reduced 'p/q', the denominator positive, from the ints, or the float
+    itself."""
     if mode != EXACT:
         return float
 
@@ -51,10 +48,14 @@ def _scaled_formatter(den: int, mode: Mode) -> Callable[[Any], Any]:
     return ratio
 
 
+def _formatted(ints: np.ndarray, den: int, mode: Mode) -> list:
+    """A scaled array over ``den`` as nested lists of serialized entries."""
+    return np.frompyfunc(_scaled_formatter(den, mode), 1, 1)(ints).tolist()
+
+
 def algebra_to_dict(g: MetricLieAlgebra, lcp: Optional[LcpData] = None,
                     lattice: Optional[LatticeData] = None) -> dict:
     c, dc = g.scaled_bracket
-    gram, dg = g.scaled_gram
     fmt = _scaled_formatter(dc, g.mode)
     iu, ju = np.triu_indices(g.dim, 1)
     brackets = []
@@ -62,22 +63,18 @@ def algebra_to_dict(g: MetricLieAlgebra, lcp: Optional[LcpData] = None,
         coeffs = {str(k): fmt(v) for k, v in enumerate(row) if v}
         if coeffs:
             brackets.append({"i": i, "j": j, "coeffs": coeffs})
-    fmt = _scaled_formatter(dg, g.mode)
     out: dict = {
         "dim": g.dim,
         "mode": g.mode,
         "basis": list(g.basis_names),
         "brackets": brackets,
-        "metric": [[fmt(v) for v in row] for row in gram.tolist()],
+        "metric": _formatted(*g.scaled_gram, g.mode),
     }
     if lcp is not None:
-        block = {
-            "flat_ideal": _format_rows(lcp.flat_ideal.basis, g.mode),
-            "lee_form": [format_scalar(x, g.mode) for x in lcp.lee_covector],
-        }
-        if lcp.complement is not None:
-            block["complement"] = _format_rows(lcp.complement.basis, g.mode)
-        out["lcp"] = block
+        parts = {"flat_ideal": lcp.flat_ideal.basis, "lee_form": lcp.lee_covector,
+                 "complement": None if lcp.complement is None else lcp.complement.basis}
+        out["lcp"] = {key: _formatted(*to_scaled(a), g.mode)
+                      for key, a in parts.items() if a is not None}
     if lattice is not None:
         block = {"integer_matrix":
                  [[int(x) for x in row] for row in lattice.integer_matrix]}
@@ -221,8 +218,10 @@ def dict_to_algebra(data: dict, tol: TolerancePolicy = DEFAULT_TOL,
         block = data["lcp"]
         if not isinstance(block, dict) or not {"flat_ideal", "lee_form"} <= set(block):
             raise InputError("lcp block needs flat_ideal and lee_form")
-        # the LCP values stay rational: make_lcp_data reads them as given
-        read_value = partial(parse_scalar, mode=mode)
+        # make_lcp_data takes the values: a Fraction per pair, or the float
+        def read_value(x: Any) -> Any:
+            num, den = read(x)
+            return Fraction(num, den) if mode == EXACT else num
         ideal = _parse_rows(block["flat_ideal"], read_value, "lcp.flat_ideal")
         if not isinstance(block["lee_form"], list):
             raise InputError("lcp.lee_form must be a list")

@@ -176,7 +176,7 @@ def _closure_inputs(g: MetricLieAlgebra,
     seeds: list[np.ndarray] = []
     for rows in row_slabs(n):
         lo, hi = np.searchsorted(iu, (rows.start, rows.stop))
-        pairs = curvature_terms(c, dc, a, da, rows, slice(None))[iu[lo:hi] - rows.start, ju[lo:hi]]
+        pairs = curvature_terms(c, dc, a, da, rows)[iu[lo:hi] - rows.start, ju[lo:hi]]
         kept = pairs[~is_zero_matrix(pairs, g.mode, g.tol, scale=sc * sc, axis=(1, 2))]
         seeds.extend(back_to_ints(kept) if lifted else kept)
     return seeds, conn.scaled_operators
@@ -776,18 +776,14 @@ def reducibility_witness(g: MetricLieAlgebra, seed: int = 0, *,
         return None
     comm = nabla_commutant(gg)
     # a flat block of dimension >= 2 always splits; when no candidate gives
-    # a clear eigen-gap the NumericalAmbiguityError says so (exit 3)
-    gram, dg = gg.scaled_gram
-    split = _first_eigensplit(comm, gram, gg.mode, gg.tol, random.Random(seed),
+    # a clear eigen-gap the NumericalAmbiguityError says so (exit 3). It
+    # splits on G, whose band check_reducing_pair applies, so promoted bases
+    # are G-orthonormal; a positive multiple of G moves no exact split
+    split = _first_eigensplit(comm, gg.gram, gg.mode, gg.tol, random.Random(seed),
                               "flat reducing pair", 2)
-    parts = [p for _, p in split.pairs]
-    h = gg
-    if split.promoted_to_float:
-        # float bases are orthonormal for gram = dg G; times sqrt(dg), for G
-        h = to_float_algebra(gg)
-        parts = [Subspace(p.ambient_dim, p.basis * math.sqrt(dg), p.mode) for p in parts]
-    s1 = parts[0]
-    s2 = subspace_sum(parts[1:], h.tol)
+    h = to_float_algebra(gg) if split.promoted_to_float else gg
+    s1 = split.pairs[0][1]
+    s2 = subspace_sum([p for _, p in split.pairs[1:]], h.tol)
     if not check_reducing_pair(h, s1, s2).passed:
         raise TheoremViolationError(
             "connection-invariant orthogonal split fails the pair conditions")

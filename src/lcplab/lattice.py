@@ -213,21 +213,6 @@ def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return _primitive(q), _primitive(r)
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """The remainder of :func:`_pseudo_divide`, without building the quotient:
-    Euclid and Sturm steps and the factor test read r alone."""
-    m, s = abs(b[-1]), 1 if b[-1] > 0 else -1
-    r = list(a)
-    while len(r) >= len(b) and any(r):
-        lead, shift = s * r[-1], len(r) - len(b)
-        r = [m * c for c in r]
-        for k, c in enumerate(b):
-            r[shift + k] -= lead * c
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-    return _primitive(r)
-
-
 def _derivative(f: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(f)][1:]
 
@@ -241,7 +226,7 @@ def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
     """
     chain = [a, b]
     while len(b) > 1:
-        r = _pseudo_remainder(a, b)
+        r = _pseudo_divide(a, b)[1]
         if not any(r):
             break
         a, b = b, [-c for c in r]
@@ -399,7 +384,7 @@ def _has_factor(f: list[int], gs: list[list[int]], m: int, sieve: int) -> bool:
             if c0 == 0 or lc * f[0] % c0:
                 continue
             cand = _primitive([c - m if c > half else c for c in _prod(sub, lc, m)])
-            if not any(_pseudo_remainder(f, cand)):
+            if not any(_pseudo_divide(f, cand)[1]):
                 return True
     return False
 

@@ -231,7 +231,7 @@ def validate_lcp(g: MetricLieAlgebra, data: LcpData) -> LcpReport:
     # both tests a slab of rows at a time, until both are settled
     nonflat, flat_on_u = False, True
     for rows in row_slabs(n):
-        curv = curvature_terms(c, dc, a, da, rows, slice(None))
+        curv = curvature_terms(c, dc, a, da, rows)
         nonflat = nonflat or not is_zero_matrix(curv, g.mode, g.tol, scale=sc_r)
         # R(e_i, e_j) u_k for every i in rows, every j and basis vector u_k of u
         flat_on_u = flat_on_u and is_zero_matrix(int_matmul(curv, ub.T), g.mode, g.tol,

@@ -406,10 +406,6 @@ class InvariantConnection:
     mode: Mode
 
     @property
-    def dim(self) -> int:
-        return int(self.scaled[0].shape[0])
-
-    @property
     def scaled_operators(self) -> np.ndarray:
         """All operators on the scaled form, each ``scaled[1]`` times its matrix."""
         return np.transpose(self.scaled[0], (0, 2, 1))
@@ -460,9 +456,9 @@ def curvature_bound(n: int, dc: int, da: int, tc: int, ta: int) -> int:
 
 
 def curvature_terms(c: np.ndarray, dc: int, a: np.ndarray, da: int,
-                    rows: slice, cols: slice) -> np.ndarray:
-    """``R[i, j]`` for i in rows, j in cols, times da * da * dc, from the
-    bracket tensor c over dc and the connection operators a over da.
+                    rows: slice) -> np.ndarray:
+    """``R[i]`` for i in rows, times da * da * dc, from the bracket tensor c
+    over dc and the connection operators a over da.
 
     Runs on whatever arrays it is handed: object ints, their float64 lift
     or the float64 arrays of float mode. Each of its three terms is one
@@ -477,35 +473,33 @@ def curvature_terms(c: np.ndarray, dc: int, a: np.ndarray, da: int,
     # R[i, j] = prod[i, j] - back[i, j] - mixed[i, j] with prod[i, j] =
     # dc a[i] @ a[j], the transpose of dc s[j] @ s[i] (made as [j, m, i, r]),
     # back[i, j] = dc a[j] @ a[i] = prod[j, i] (made as [j, r, i, m] unless
-    # rows and cols are the same) and mixed[i, j] = da times the operator of
+    # rows are all rows) and mixed[i, j] = da times the operator of
     # [e_i, e_j], the transpose of da sum_l c[i, j, l] s[l] (made as
     # [i, j, m, r]): each scaled on its factor indexed by rows, and at most
     # three slabs live at once
-    prod = np.transpose(slab_product(s[cols], np.transpose(s[rows], (1, 0, 2)) * dc), (2, 0, 3, 1))
-    if rows.indices(n) == cols.indices(n):
+    prod = np.transpose(slab_product(s, np.transpose(s[rows], (1, 0, 2)) * dc), (2, 0, 3, 1))
+    if rows.indices(n) == (0, n, 1):
         back = np.transpose(prod, (1, 0, 2, 3))
     else:
-        back = np.transpose(slab_product(a[cols], np.transpose(a[rows], (1, 0, 2)) * dc),
+        back = np.transpose(slab_product(a, np.transpose(a[rows], (1, 0, 2)) * dc),
                             (2, 0, 1, 3))
     r = prod - back
-    r -= np.transpose(slab_product(c[rows, cols] * da, s), (0, 1, 3, 2))
+    r -= np.transpose(slab_product(c[rows] * da, s), (0, 1, 3, 2))
     return r
 
 
 def curvature_operator(g: MetricLieAlgebra, conn: InvariantConnection,
                        i: int, j: int) -> np.ndarray:
-    """Matrix of R(e_i, e_j) = [D_i, D_j] - D_{[e_i, e_j]}."""
+    """Matrix of R(e_i, e_j) = [D_i, D_j] - D_{[e_i, e_j]}: that definition on
+    the scaled ints in exact mode; in float mode read off the slab of
+    :func:`curvature_terms` that holds row i, as the whole tensor is."""
     c, dc = g.scaled_bracket
     a, da = conn.scaled_operators, conn.scaled[1]
     if g.mode == FLOAT:
-        # read off the slab that holds row i, built as scaled_curvature builds it
         rows = next(s for s in row_slabs(g.dim) if i < s.stop)
-        r = curvature_terms(c, dc, a, da, rows, slice(None))[i - rows.start, j]
+        r = curvature_terms(c, dc, a, da, rows)[i - rows.start, j]
     else:
-        # an exact pair is the same computed alone; its 3 n**3 multiply-adds
-        # are never lifted, being fewer than KERNEL_WORK_PER_ENTRY times the
-        # 2 n**3 entries of c and a
-        r = curvature_terms(c, dc, a, da, slice(i, i + 1), slice(j, j + 1))[0, 0]
+        r = dc * (a[i] @ a[j] - a[j] @ a[i]) - da * np.tensordot(c[i, j], a, axes=1)
     return from_scaled(r, da * da * dc)
 
 
@@ -522,7 +516,7 @@ def scaled_curvature(g: MetricLieAlgebra, conn: InvariantConnection) -> tuple[np
     c, a = lifted or (c, a)
     r = np.empty((n,) * 4, dtype=object if lifted else c.dtype)
     for rows in row_slabs(n):
-        slab = curvature_terms(c, dc, a, da, rows, slice(None))
+        slab = curvature_terms(c, dc, a, da, rows)
         r[rows] = back_to_ints(slab) if lifted else slab
     return r, da * da * dc
 

@@ -52,8 +52,8 @@ arrays and are plain ``@`` and ``np.tensordot``; on the object route
 each product still takes the float64 path when its own bound allows.
 
 The readers of a single value, :func:`as_fraction` and
-:func:`finite_float`, live in :mod:`lcplab.base`, which needs no numpy,
-and are re-exported here.
+:func:`finite_float`, live in :mod:`lcplab.base`, which needs no numpy;
+:mod:`lcplab.fileio` reads and writes the scalars of a file.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ from typing import Any, Callable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .base import as_fraction, finite_float
+from .base import as_fraction
 from .errors import InputError
 
 Mode = Literal["exact", "float"]
@@ -100,20 +100,6 @@ def check_mode(mode: str) -> Mode:
     if mode not in _MODES:
         raise InputError(f"unknown scalar mode {mode!r}; expected 'exact' or 'float'")
     return mode  # type: ignore[return-value]
-
-
-def parse_scalar(value: Any, mode: Mode) -> Any:
-    """Parse one scalar in the declared mode: a 'p/q' string or a number in
-    exact mode, a finite number in float mode."""
-    return as_fraction(value) if mode == EXACT else finite_float(value, "float scalar")
-
-
-def format_scalar(value: Any, mode: Mode) -> Any:
-    """Serialize one scalar: 'p/q' with q > 0 and gcd 1, or a float."""
-    if mode == EXACT:
-        f = as_fraction(value)
-        return f"{f.numerator}/{f.denominator}"
-    return float(value)
 
 
 _TO_FRACTION = np.frompyfunc(as_fraction, 1, 1)

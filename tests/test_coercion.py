@@ -1,6 +1,6 @@
 """How the integer and float readers treat every kind of scalar and shape.
 
-``scalars.as_fraction`` and ``scalars.finite_float`` read single values;
+``base.as_fraction`` and ``base.finite_float`` read single values;
 ``lattice.char_poly``, ``is_unimodular_matrix`` and ``discreteness_probe``
 read matrices and lists of them. Each case pins the answer, or the
 exception type and its exact message, that numpy's object-array reading
@@ -14,7 +14,7 @@ import pytest
 
 from lcplab.errors import InputError
 from lcplab.lattice import char_poly, discreteness_probe, is_unimodular_matrix
-from lcplab.scalars import as_fraction, finite_float
+from lcplab.base import as_fraction, finite_float
 
 BIG = 10**400  # beyond float range
 

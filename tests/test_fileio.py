@@ -13,7 +13,7 @@ from lcplab.fileio import (algebra_to_dict, canonical_json, dict_to_algebra,
 from lcplab.gallery import all_entries, fundamental_example, product_example
 from lcplab.lcp import lcp_data_to_float, make_lcp_data
 from lcplab.liealg import direct_sum_algebra, to_float_algebra, validate_algebra
-from lcplab.scalars import as_fraction, format_scalar
+from lcplab.base import as_fraction
 
 F = Fraction
 
@@ -52,17 +52,26 @@ def _same_scaled(a, b):
             and all(type(v) is int for v in flat))
 
 
+def _written(value, mode):
+    """One value as a file holds it: the reduced 'p/q' of its Fraction, or
+    the float."""
+    if mode == "exact":
+        f = as_fraction(value)
+        return f"{f.numerator}/{f.denominator}"
+    return float(value)
+
+
 def _dict_from_views(g):
     """The bracket records and metric rows as the writer once formatted them,
     from the rational views."""
     brackets = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            coeffs = {str(k): format_scalar(v, g.mode)
+            coeffs = {str(k): _written(v, g.mode)
                       for k, v in enumerate(g.bracket[i, j]) if v != 0}
             if coeffs:
                 brackets.append({"i": i, "j": j, "coeffs": coeffs})
-    return brackets, [[format_scalar(x, g.mode) for x in row] for row in g.gram]
+    return brackets, [[_written(x, g.mode) for x in row] for row in g.gram]
 
 
 def test_a_file_loads_to_the_scaled_form_it_was_written_from(random_corpus):
@@ -76,8 +85,8 @@ def test_a_file_loads_to_the_scaled_form_it_was_written_from(random_corpus):
         assert _same_scaled(g.scaled_gram, h.scaled_gram), g
 
 
-# each value as a bracket coefficient or a metric entry of an exact file:
-# the value it loads as, or the message that refuses it
+# each value as a bracket coefficient, a metric entry or an entry of the LCP
+# block of an exact file: the value it loads as, or the message that refuses it
 _EXACT_PARSES = [
     ("3/4", F(3, 4)), ("-6/8", F(-3, 4)), ("0/1", F(0)), ("7", F(7)), (7, F(7)),
     ("1.5", F(3, 2)), (" 1/2", F(1, 2)), ("+1/2", F(1, 2)),
@@ -99,13 +108,25 @@ def _exact_file(where, value):
          "metric": [["1/1", "0/1"], ["0/1", "1/1"]]}
     if where == "metric":
         d["metric"][1][1] = value
-    else:
+    elif where == "bracket":
         d["brackets"][0]["coeffs"]["1"] = value
+    else:
+        # the LCP field's one row is [1, value], where a zero is allowed too
+        d["lcp"] = {"flat_ideal": [[0, 1]], "lee_form": [1, 0], "complement": [[1, 0]]}
+        d["lcp"][where] = [1, value] if where == "lee_form" else [[1, value]]
     return d
 
 
+def _lcp_entry(block, where):
+    """The value that an LCP field holds at the place ``_exact_file`` puts it."""
+    return block[where][1] if where == "lee_form" else block[where][0][1]
+
+
 @pytest.mark.parametrize("where, prefix", [("bracket", "brackets[0].coeffs['1']"),
-                                           ("metric", "metric")])
+                                           ("metric", "metric"),
+                                           ("flat_ideal", "lcp.flat_ideal"),
+                                           ("lee_form", "lcp.lee_form"),
+                                           ("complement", "lcp.complement")])
 @pytest.mark.parametrize("value, want", _EXACT_PARSES, ids=repr)
 def test_exact_scalars_parse_as_fractions_do(where, prefix, value, want):
     if isinstance(want, str):
@@ -113,11 +134,19 @@ def test_exact_scalars_parse_as_fractions_do(where, prefix, value, want):
             dict_to_algebra(_exact_file(where, value))
         assert str(exc.value) == f"{prefix}: {want}"
         return
-    g, _, _ = dict_to_algebra(_exact_file(where, value))
-    got = g.bracket[0, 1, 1] if where == "bracket" else g.gram[1, 1]
+    g, lcp, _ = dict_to_algebra(_exact_file(where, value))
+    if where in ("bracket", "metric"):
+        got = g.bracket[0, 1, 1] if where == "bracket" else g.gram[1, 1]
+        assert got == want and type(got) is Fraction
+        scaled, den = g.scaled_bracket if where == "bracket" else g.scaled_gram
+        assert den == want.denominator  # the other entries are ints
+        return
+    got = _lcp_entry({"flat_ideal": lcp.flat_ideal.basis, "lee_form": lcp.lee_covector,
+                      "complement": lcp.complement.basis}, where)
     assert got == want and type(got) is Fraction
-    scaled, den = g.scaled_bracket if where == "bracket" else g.scaled_gram
-    assert den == want.denominator  # the other entries are ints
+    # and the writer gives it back as its reduced 'p/q'
+    written = _lcp_entry(algebra_to_dict(g, lcp=lcp)["lcp"], where)
+    assert written == f"{want.numerator}/{want.denominator}"
 
 
 @pytest.mark.parametrize("value", ["1" * 5000, "1/" + "1" * 5000, "-" + "2" * 5000 + "/3"])
@@ -324,6 +353,33 @@ class TestParseErrors:
         d["basis"] = ["X", "Y"]
         with pytest.raises(InputError, match="one name per dimension"):
             dict_to_algebra(d)
+
+    @pytest.mark.parametrize("path, value, message", [
+        ((), [], "top level must be a JSON object"),
+        (("metric",), "1/1", "metric must be a non-empty list of rows"),
+        (("brackets",), {}, "brackets must be a list of {i, j, coeffs} records"),
+        (("brackets", 0), {"i": 0, "j": 1}, "brackets[0]: expected keys i, j, coeffs"),
+        (("brackets", 0, "coeffs"), ["1/1"], "brackets[0]: coeffs must be an object"),
+        (("brackets", 0, "coeffs"), {"3": "1/1"},
+         "brackets[0]: coefficient index 3 out of range"),
+        (("lcp", "lee_form"), "0/1", "lcp.lee_form must be a list"),
+        (("lattice",), {"t0": 1.0}, "lattice block needs integer_matrix"),
+    ], ids=["top_level", "metric", "brackets", "record_keys", "coeffs", "coeff_index",
+            "lee_form", "lattice"])
+    def test_a_malformed_block_is_refused_by_name(self, path, value, message):
+        # value replaces the part of the fundamental example's file at path
+        d = _base_dict()
+        if not path:
+            d = value
+        else:
+            *head, last = path
+            part = d
+            for key in head:
+                part = part[key]
+            part[last] = value
+        with pytest.raises(InputError) as exc:
+            dict_to_algebra(d)
+        assert str(exc.value) == message
 
     def test_lcp_block_needs_lee_form(self):
         d = _base_dict()

@@ -8,7 +8,7 @@ from conftest import LoggedStore, subspaces_equal
 
 from lcplab import holonomy, linalg
 from lcplab.cli import main, run_analysis
-from lcplab.errors import NumericalAmbiguityError
+from lcplab.errors import InputError, NumericalAmbiguityError
 from lcplab.fileio import save_algebra_file
 from lcplab.gallery import all_entries, sl_example
 from lcplab.holonomy import (
@@ -552,6 +552,15 @@ def test_check_pair_so3_fails_only_subalgebra():
     assert not rep.s2_subalgebra
     assert rep.cross_s1 and rep.cross_s2
     assert not rep.passed
+
+
+def test_check_pair_refuses_a_pair_in_the_other_mode():
+    g = abelian(2)
+    s1 = make_subspace([[1.0, 0.0]], 2, FLOAT)
+    s2 = make_subspace([[0.0, 1.0]], 2, FLOAT)
+    with pytest.raises(InputError) as exc:
+        check_reducing_pair(g, s1, s2)
+    assert str(exc.value) == "pair and algebra must use the same scalar mode"
 
 
 def test_check_pair_rejects_non_orthogonal():

@@ -164,6 +164,19 @@ def test_lee_form_rejects_non_unimodular():
         lee_form_from_splitting(g, u, h)
 
 
+@pytest.mark.parametrize("ideal, complement, message", [
+    ([[1, 0, 0]], [[0, 1, 0]], "ideal and complement dimensions must add up"),
+    ([], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "the ideal must be nonzero"),
+], ids=["dimensions", "zero_ideal"])
+def test_lee_form_refuses_parts_that_do_not_split_the_algebra(ideal, complement, message):
+    from lcplab.linalg import make_subspace
+    g = hyperbolic3()
+    u, h = make_subspace(ideal, 3, EXACT), make_subspace(complement, 3, EXACT)
+    with pytest.raises(InputError) as exc:
+        lee_form_from_splitting(g, u, h)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # validation
 

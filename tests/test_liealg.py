@@ -15,6 +15,7 @@ from lcplab.liealg import (
     bracket_table,
     bracket_vec,
     curvature_operator,
+    direct_sum_algebra,
     inner,
     is_ideal,
     is_subalgebra,
@@ -84,6 +85,22 @@ def test_transform_algebra_refuses_a_singular_basis_change_in_both_lanes(mode):
     q = array_for_mode([[1, 0, 0], [0, 1, 0], [1, 1, 0]], mode)
     with pytest.raises(InputError, match="matrix is singular; cannot invert"):
         transform_algebra(g, q)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: bracket_table(3, {(0, 1): [1, 0]}), "bracket entry (0, 1) must be a length-3 vector"),
+    (lambda: make_algebra([[0, 0], [0, 0]]), "bracket tensor must have shape (n, n, n)"),
+    (lambda: make_algebra(np.zeros((2, 2, 3), dtype=int)),
+     "bracket tensor must have shape (n, n, n)"),
+    (lambda: direct_sum_algebra(so3(), to_float_algebra(so3())),
+     "direct sum requires matching scalar modes"),
+    (lambda: transform_algebra(so3(), exact_array(np.identity(2, dtype=int))),
+     "change of basis matrix has the wrong shape"),
+], ids=["entry_length", "bracket_rank", "bracket_shape", "direct_sum_modes", "basis_change"])
+def test_malformed_construction_is_refused_with_its_message(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_bracket_vec_bilinearity_witness():

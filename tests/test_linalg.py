@@ -39,8 +39,8 @@ from lcplab.linalg import (
     support_indices,
     zero_subspace,
 )
-from lcplab.scalars import (DEFAULT_TOL, EXACT, FLOAT, exact_array, eye_array, float_array,
-                            from_scaled, to_scaled)
+from lcplab.scalars import (DEFAULT_TOL, EXACT, FLOAT, TolerancePolicy, exact_array, eye_array,
+                            float_array, from_scaled, to_scaled)
 
 F = Fraction
 
@@ -727,3 +727,27 @@ def test_full_subspace_roundtrip():
     s = full_subspace(4, FLOAT)
     assert s.dim == 4 and s.ambient_dim == 4
     assert subspaces_equal(s, make_subspace(np.eye(4), 4, FLOAT))
+
+
+@pytest.mark.parametrize("field", ["rank_tol", "eigen_cluster_tol"])
+@pytest.mark.parametrize("value", [0.0, -1e-9, float("nan")])
+def test_a_tolerance_must_be_strictly_positive(field, value):
+    with pytest.raises(InputError) as exc:
+        TolerancePolicy(**{field: value})
+    assert str(exc.value) == f"{field} must be strictly positive"
+
+
+@pytest.mark.parametrize("parts", [[], [zero_subspace(3, EXACT), zero_subspace(3, EXACT)]],
+                         ids=["none", "zero_parts"])
+def test_subspace_sum_refuses_zero_parts_only(parts):
+    with pytest.raises(InputError) as exc:
+        subspace_sum(parts)
+    assert str(exc.value) == "subspace_sum needs at least one nonzero part"
+
+
+def test_exact_restriction_refuses_dependent_rows():
+    stack = np.array([np.identity(3, dtype=int).tolist()], dtype=object)
+    rows = np.array([[1, 0, 0], [2, 0, 0]], dtype=object)
+    with pytest.raises(InputError) as exc:
+        restrict_operator(stack, rows, EXACT, DEFAULT_TOL)
+    assert str(exc.value) == "basis rows are linearly dependent"
