@@ -9,10 +9,9 @@ An exact file loads straight to the scaled form that an algebra keeps
 (``MetricLieAlgebra.scaled_bracket`` and ``scaled_gram``): each bracket
 and metric scalar is read as a (numerator, denominator) pair, and each
 array is built on ints over the least common denominator of its entries,
-so a load builds no ``Fraction`` but the LCP block's values, which the
-same pair readers read, one ``Fraction`` per value, for ``make_lcp_data``.
-The writer formats every block from its scaled form, each entry as a
-reduced "p/q".
+so a load builds no ``Fraction`` but the LCP block's values, one per pair
+the same readers read, for ``make_lcp_data``. The writer formats every
+block from its scaled form, each entry as a reduced "p/q".
 """
 from __future__ import annotations
 
@@ -71,10 +70,10 @@ def algebra_to_dict(g: MetricLieAlgebra, lcp: Optional[LcpData] = None,
         "metric": _formatted(*g.scaled_gram, g.mode),
     }
     if lcp is not None:
-        parts = {"flat_ideal": lcp.flat_ideal.basis, "lee_form": lcp.lee_covector,
-                 "complement": None if lcp.complement is None else lcp.complement.basis}
-        out["lcp"] = {key: _formatted(*to_scaled(a), g.mode)
-                      for key, a in parts.items() if a is not None}
+        parts = {"flat_ideal": lcp.flat_ideal.basis, "lee_form": lcp.lee_covector}
+        if lcp.complement is not None:
+            parts["complement"] = lcp.complement.basis
+        out["lcp"] = {key: _formatted(*to_scaled(a), g.mode) for key, a in parts.items()}
     if lattice is not None:
         block = {"integer_matrix":
                  [[int(x) for x in row] for row in lattice.integer_matrix]}
