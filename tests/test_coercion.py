@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lcplab.base import as_fraction, finite_float
 from lcplab.errors import InputError
 from lcplab.lattice import char_poly, discreteness_probe, is_unimodular_matrix
-from lcplab.base import as_fraction, finite_float
 
 BIG = 10**400  # beyond float range
 

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from lcplab import fileio
+from lcplab.base import as_fraction
 from lcplab.errors import InputError
 from lcplab.fileio import (algebra_to_dict, canonical_json, dict_to_algebra,
                            load_algebra_file, save_algebra_file)
 from lcplab.gallery import all_entries, fundamental_example, product_example
 from lcplab.lcp import lcp_data_to_float, make_lcp_data
 from lcplab.liealg import direct_sum_algebra, to_float_algebra, validate_algebra
-from lcplab.base import as_fraction
 
 F = Fraction
 
